@@ -198,25 +198,26 @@ class CollectiveChecker:
         """Whether ``rank`` is mid-flight in an incomplete collective."""
         return rank in self._inflight_of
 
-    def post(
+    def _admit(
         self,
         rank: int,
-        *,
         comm_label: str,
         comm_ranks: Sequence[int],
         kind: str,
-        nbytes: int = 0,
-        op: str = "",
-        dtype: str = "",
-        root: int = -1,
-        site: int = -1,
+        nbytes: int,
+        op: str,
+        dtype: str,
+        root: int,
+        site: int,
+        *,
+        nonblocking: bool,
         track_membership: bool = True,
-    ) -> None:
-        """Enter ``rank`` into a collective; validate on completion.
+    ) -> CollectivePost:
+        """Number one rank's entry and run every per-rank admission check.
 
-        ``track_membership=False`` skips the label->membership
-        consistency table (used for point-to-point subgroups, where one
-        label legitimately carries many rank pairs).
+        Shared by :meth:`post` and :meth:`nb_post`: known kind, rank is
+        a member, label keeps its membership, rank is not blocked
+        mid-flight, and the in-flight exclusion rule.
         """
         self._seq += 1
         comm_ranks = tuple(int(r) for r in comm_ranks)
@@ -232,6 +233,7 @@ class CollectiveChecker:
             root=int(root),
             site=int(site),
         )
+        what = f"nonblocking {kind}" if nonblocking else kind
         if kind not in KNOWN_KINDS:
             raise ProtocolError(
                 f"unknown collective kind {kind!r} ({post.describe()})",
@@ -242,7 +244,7 @@ class CollectiveChecker:
             )
         if post.rank not in comm_ranks:
             raise ProtocolError(
-                f"rank {post.rank} posted {kind} on {comm_label!r} but is not "
+                f"rank {post.rank} posted {what} on {comm_label!r} but is not "
                 f"a member (members: {list(comm_ranks)}) ({post.describe()})",
                 ranks=(post.rank,),
                 comm_labels=(comm_label,),
@@ -266,18 +268,50 @@ class CollectiveChecker:
         blocked_in = self._inflight_of.get(post.rank)
         if blocked_in is not None:
             prior = blocked_in.posts[post.rank]
+            stuck = (
+                ""
+                if nonblocking
+                else f" (waiting for ranks {list(blocked_in.missing)}) — a "
+                "blocking collective cannot overlap another"
+            )
             raise ProtocolError(
-                f"rank {post.rank} posted {kind} on {comm_label!r} while "
+                f"rank {post.rank} posted {what} on {comm_label!r} while "
                 f"still mid-flight in {blocked_in.kind} on "
-                f"{blocked_in.comm_label!r} (waiting for ranks "
-                f"{list(blocked_in.missing)}) — a blocking collective cannot "
-                f"overlap another ({prior.describe()}; then {post.describe()})",
+                f"{blocked_in.comm_label!r}{stuck} "
+                f"({prior.describe()}; then {post.describe()})",
                 ranks=(post.rank,),
                 comm_labels=(blocked_in.comm_label, comm_label),
                 seqs=(prior.seq, post.seq),
                 code="mid-flight",
             )
-        self._check_no_outstanding_request(post)
+        self._check_no_outstanding_request(post, nonblocking=nonblocking)
+        return post
+
+    def post(
+        self,
+        rank: int,
+        *,
+        comm_label: str,
+        comm_ranks: Sequence[int],
+        kind: str,
+        nbytes: int = 0,
+        op: str = "",
+        dtype: str = "",
+        root: int = -1,
+        site: int = -1,
+        track_membership: bool = True,
+    ) -> None:
+        """Enter ``rank`` into a collective; validate on completion.
+
+        ``track_membership=False`` skips the label->membership
+        consistency table (used for point-to-point subgroups, where one
+        label legitimately carries many rank pairs).
+        """
+        post = self._admit(
+            rank, comm_label, comm_ranks, kind, nbytes, op, dtype, root, site,
+            nonblocking=False, track_membership=track_membership,
+        )
+        comm_ranks = post.comm_ranks
         entry = self._open.get((comm_label, comm_ranks))
         if entry is None:
             entry = _InFlight(comm_label, comm_ranks, kind)
@@ -312,7 +346,7 @@ class CollectiveChecker:
             self._complete(entry)
 
     def _check_no_outstanding_request(
-        self, post: CollectivePost, *, nonblocking: bool = False
+        self, post: CollectivePost, *, nonblocking: bool
     ) -> None:
         """Enforce the in-flight exclusion rule.
 
@@ -431,65 +465,11 @@ class CollectiveChecker:
         sharing the rank — or any blocking collective — while a request
         is outstanding is a diagnosed ``inflight-overlap``.
         """
-        self._seq += 1
-        comm_ranks = tuple(int(r) for r in comm_ranks)
-        post = CollectivePost(
-            seq=self._seq,
-            rank=int(rank),
-            comm_label=comm_label,
-            comm_ranks=comm_ranks,
-            kind=kind,
-            nbytes=int(nbytes),
-            op=op,
-            dtype=dtype,
-            root=int(root),
-            site=int(site),
+        post = self._admit(
+            rank, comm_label, comm_ranks, kind, nbytes, op, dtype, root, site,
+            nonblocking=True,
         )
-        if kind not in KNOWN_KINDS:
-            raise ProtocolError(
-                f"unknown collective kind {kind!r} ({post.describe()})",
-                ranks=(post.rank,),
-                comm_labels=(comm_label,),
-                seqs=(post.seq,),
-                code="unknown-kind",
-            )
-        if post.rank not in comm_ranks:
-            raise ProtocolError(
-                f"rank {post.rank} posted nonblocking {kind} on "
-                f"{comm_label!r} but is not a member (members: "
-                f"{list(comm_ranks)}) ({post.describe()})",
-                ranks=(post.rank,),
-                comm_labels=(comm_label,),
-                seqs=(post.seq,),
-                code="membership",
-            )
-        known = self._membership.get(comm_label)
-        if known is None:
-            self._membership[comm_label] = comm_ranks
-        elif known != comm_ranks:
-            raise ProtocolError(
-                f"communicator label {comm_label!r} changed membership: "
-                f"first seen as {list(known)}, now {list(comm_ranks)} "
-                f"({post.describe()})",
-                ranks=(post.rank,),
-                comm_labels=(comm_label,),
-                seqs=(post.seq,),
-                code="membership",
-            )
-        blocked_in = self._inflight_of.get(post.rank)
-        if blocked_in is not None:
-            prior = blocked_in.posts[post.rank]
-            raise ProtocolError(
-                f"rank {post.rank} posted nonblocking {kind} on "
-                f"{comm_label!r} while still mid-flight in "
-                f"{blocked_in.kind} on {blocked_in.comm_label!r} "
-                f"({prior.describe()}; then {post.describe()})",
-                ranks=(post.rank,),
-                comm_labels=(blocked_in.comm_label, comm_label),
-                seqs=(prior.seq, post.seq),
-                code="mid-flight",
-            )
-        self._check_no_outstanding_request(post, nonblocking=True)
+        comm_ranks = post.comm_ranks
         # MPI orders nonblocking collectives per communicator: a rank's
         # i-th post on this communicator joins the i-th open group
         open_groups = self._nb_open.setdefault((comm_label, comm_ranks), [])
@@ -763,7 +743,7 @@ class CollectiveChecker:
         """Validate one lockstep-executed collective (all ranks at once).
 
         Called by :class:`~repro.vmpi.communicator.Communicator` before
-        data movement; the collective must complete inline, so any
+        the collective is charged; it must complete inline, so any
         in-flight residue from earlier misuse surfaces immediately.
         ``dtypes`` carries each rank's buffer dtype string; a mixed
         group (one rank reducing float32 against float64 peers — which

@@ -829,6 +829,24 @@ class OnlineService:
             }
         )
 
+    def _abandon_cold(
+        self, req: SimRequest, attempts: int, job_id: str
+    ) -> Dict[str, object]:
+        """Dead-letter one request lost to a cold restart; returns its
+        journal entry."""
+        record = AbandonedRecord(
+            request_id=req.request_id,
+            attempts=attempts,
+            last_job_id=job_id,
+            reason="lost in control-plane crash (cold restart)",
+        )
+        self._abandoned.append(record)
+        self._bump("dead_letters")
+        self._dead_by_cause["service_crash"] = (
+            self._dead_by_cause.get("service_crash", 0) + 1
+        )
+        return {"record": record.to_dict(), "cause": "service_crash"}
+
     def _crash_cold(
         self, spec: FaultSpec, directives: Dict[str, object]
     ) -> None:
@@ -838,22 +856,6 @@ class OnlineService:
         the outage."""
         dead: List[Dict[str, object]] = []
 
-        def _abandon(req: SimRequest, attempts: int, job_id: str) -> None:
-            record = AbandonedRecord(
-                request_id=req.request_id,
-                attempts=attempts,
-                last_job_id=job_id,
-                reason="lost in control-plane crash (cold restart)",
-            )
-            self._abandoned.append(record)
-            self._bump("dead_letters")
-            self._dead_by_cause["service_crash"] = (
-                self._dead_by_cause.get("service_crash", 0) + 1
-            )
-            dead.append(
-                {"record": record.to_dict(), "cause": "service_crash"}
-            )
-
         canceled: List[str] = []
         for job_id, man in sorted(self._inflight.items()):
             if not man["canceled"]:
@@ -861,17 +863,17 @@ class OnlineService:
                 self._running -= 1
                 canceled.append(job_id)
                 for req in man["job"].requests:  # type: ignore[union-attr]
-                    _abandon(req, req.attempt + 1, job_id)
+                    dead.append(self._abandon_cold(req, req.attempt + 1, job_id))
         self._inflight.clear()
         for req in self.window.pending():
-            _abandon(req, req.attempt, "")
+            dead.append(self._abandon_cold(req, req.attempt, ""))
         for rb in self._ready:
             for req in rb.requests:
-                _abandon(req, req.attempt, "")
+                dead.append(self._abandon_cold(req, req.attempt, ""))
         dropped_releases = sorted(self._pending_release)
         for rid, (req, _) in sorted(self._pending_release.items()):
             self._release_cancel.add(rid)
-            _abandon(req, req.attempt, "")
+            dead.append(self._abandon_cold(req, req.attempt, ""))
         self._pending_release.clear()
         self.window = MovingWindow(self._window_policy)
         self._ready = []
@@ -1520,41 +1522,25 @@ class OnlineService:
         survives; the pool reboots at its floor."""
         dead: List[Dict[str, object]] = []
 
-        def _abandon(req: SimRequest, attempts: int, job_id: str) -> None:
-            record = AbandonedRecord(
-                request_id=req.request_id,
-                attempts=attempts,
-                last_job_id=job_id,
-                reason="lost in control-plane crash (cold restart)",
-            )
-            self._abandoned.append(record)
-            self._bump("dead_letters")
-            self._dead_by_cause["service_crash"] = (
-                self._dead_by_cause.get("service_crash", 0) + 1
-            )
-            dead.append(
-                {"record": record.to_dict(), "cause": "service_crash"}
-            )
-
         for entry in state.window:
             req = SimRequest.from_dict(entry["request"])
-            _abandon(req, req.attempt, "")
+            dead.append(self._abandon_cold(req, req.attempt, ""))
         for b in state.ready:
             for d in b["requests"]:
                 req = SimRequest.from_dict(d)
-                _abandon(req, req.attempt, "")
+                dead.append(self._abandon_cold(req, req.attempt, ""))
         dropped: List[str] = []
         for job_id, man in sorted(state.inflight.items()):
             dropped.append(job_id)
             if not man["canceled"]:
                 for d in man["requests"]:
                     req = SimRequest.from_dict(d)
-                    _abandon(req, req.attempt + 1, job_id)
+                    dead.append(self._abandon_cold(req, req.attempt + 1, job_id))
         drop_release = []
         for entry in state.pending_release:
             req = SimRequest.from_dict(entry["request"])
             drop_release.append(req.request_id)
-            _abandon(req, req.attempt, "")
+            dead.append(self._abandon_cold(req, req.attempt, ""))
         doomed = [
             n
             for n in range(self.machine.n_nodes)

@@ -161,6 +161,12 @@ def scatter_cost(p: int, nbytes: float, link: EffectiveLink) -> float:
     return gather_cost(p, nbytes, link)
 
 
+def sendrecv_cost(nbytes: float, link: EffectiveLink) -> float:
+    """One point-to-point message of ``nbytes`` between two ranks."""
+    _check(2, nbytes)
+    return link.overhead_s + link.latency_s + nbytes / link.bandwidth_Bps
+
+
 def barrier_cost(p: int, link: EffectiveLink) -> float:
     """Dissemination barrier (no payload)."""
     _check(p, 0)

@@ -208,7 +208,7 @@ class Communicator:
         return out
 
     # ------------------------------------------------------------------
-    # validation helpers
+    # shared preparation and the single issue path
     # ------------------------------------------------------------------
     def _check_participants(self, data: Mapping[int, object], what: str) -> None:
         if set(data.keys()) != set(self._ranks):
@@ -219,17 +219,106 @@ class Communicator:
                 f"(missing ranks {missing}, unexpected ranks {extra})"
             )
 
+    def _same_shape_arrays(
+        self, values: Mapping[int, ArrayLike], what: str, dtype: object = None
+    ) -> List[np.ndarray]:
+        """Members' contributions in comm-rank order, all of one shape."""
+        arrays = [np.asarray(values[r], dtype=dtype) for r in self._ranks]
+        shape = arrays[0].shape
+        for a, r in zip(arrays, self._ranks):
+            if a.shape != shape:
+                raise CollectiveError(
+                    f"{what} on {self.label!r}: rank {r} has shape {a.shape}, "
+                    f"expected {shape}"
+                )
+        return arrays
+
+    def _issue(
+        self,
+        kind: str,
+        sizes: Sequence[int],
+        nbytes: int,
+        *,
+        typed: Optional[Sequence[np.ndarray]] = None,
+        op: Optional[ReduceOp] = None,
+        root: int = -1,
+        cost_kind: Optional[str] = None,
+        algorithm: Optional[object] = None,
+        payload: Optional[Callable[[], object]] = None,
+    ) -> Optional[Request]:
+        """Checker hook, then the world's charge: every collective ends here.
+
+        ``sizes`` are the members' byte counts in comm-rank order (none
+        for a barrier) and ``typed`` their buffers when the kind must
+        agree on a dtype; ``nbytes`` is what the cost formula of
+        ``cost_kind`` (default ``kind``) is evaluated at.  With
+        ``payload`` the collective is posted nonblocking instead, and
+        the :class:`Request` delivering ``payload()`` is returned.
+        """
+        world = self.world
+        ck = world.checker
+        ck_req = None
+        if ck is not None:
+            hook = ck.lockstep_collective if payload is None else ck.lockstep_post
+            ck_req = hook(
+                self,
+                kind,
+                dict(zip(self._ranks, sizes)),
+                op="" if op is None else getattr(op, "name", str(op)),
+                dtypes=None
+                if typed is None
+                else {r: str(a.dtype) for r, a in zip(self._ranks, typed)},
+                root=root,
+            )
+        charge = world.charge_collective if payload is None else world.post_collective
+        charged = charge(
+            cost_kind or kind,
+            self._ranks,
+            nbytes,
+            comm_label=self.label,
+            algorithm=algorithm,
+        )
+        if payload is None:
+            return None
+        return Request(self, kind, charged, payload, ck_req)
+
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
     def barrier(self) -> None:
         """Synchronise all members."""
-        ck = self.world.checker
-        if ck is not None:
-            ck.lockstep_collective(self, "barrier", {r: 0 for r in self._ranks})
-        self.world.charge_collective(
-            "barrier", self._ranks, 0, comm_label=self.label
+        self._issue("barrier", (), 0)
+
+    def _allreduce(
+        self,
+        values: Mapping[int, ArrayLike],
+        op: ReduceOp,
+        algorithm: Optional[object],
+        nonblocking: bool,
+    ) -> Union[Dict[int, np.ndarray], Request]:
+        """Body of :meth:`allreduce` and :meth:`iallreduce`."""
+        what = "iallreduce" if nonblocking else "allreduce"
+        self._check_participants(values, what)
+        arrays = self._same_shape_arrays(values, what)
+        result = op.combine(arrays)
+        sizes = [a.nbytes for a in arrays]
+        nbytes = max(sizes)
+
+        def deliver() -> Dict[int, np.ndarray]:
+            return {r: result.copy() for r in self._ranks}
+
+        request = self._issue(
+            "allreduce",
+            sizes,
+            nbytes,
+            typed=arrays,
+            op=op,
+            algorithm=algorithm
+            if algorithm is not None
+            else self.world.cost_model.select_algorithm("allreduce", nbytes),
+            payload=deliver if nonblocking else None,
         )
+        return request if nonblocking else deliver()
 
     def allreduce(
         self,
@@ -243,36 +332,7 @@ class Communicator:
         ``values`` maps world rank -> equal-shape array (or scalar).
         Returns a fresh result array per member.
         """
-        self._check_participants(values, "allreduce")
-        arrays = [np.asarray(values[r]) for r in self._ranks]
-        shape = arrays[0].shape
-        for a, r in zip(arrays, self._ranks):
-            if a.shape != shape:
-                raise CollectiveError(
-                    f"allreduce on {self.label!r}: rank {r} has shape {a.shape}, "
-                    f"expected {shape}"
-                )
-        ck = self.world.checker
-        if ck is not None:
-            ck.lockstep_collective(
-                self,
-                "allreduce",
-                {r: a.nbytes for r, a in zip(self._ranks, arrays)},
-                op=getattr(op, "name", str(op)),
-                dtypes={r: str(a.dtype) for r, a in zip(self._ranks, arrays)},
-            )
-        result = op.combine(arrays)
-        nbytes = max(a.nbytes for a in arrays)
-        self.world.charge_collective(
-            "allreduce",
-            self._ranks,
-            nbytes,
-            comm_label=self.label,
-            algorithm=algorithm
-            if algorithm is not None
-            else self.world.cost_model.select_algorithm("allreduce", nbytes),
-        )
-        return {r: result.copy() for r in self._ranks}
+        return self._allreduce(values, op, algorithm, False)
 
     def iallreduce(
         self,
@@ -288,43 +348,46 @@ class Communicator:
         accrues concurrently with compute charged on the same ranks,
         and ``wait()`` returns the per-rank result dict.
         """
-        self._check_participants(values, "iallreduce")
-        arrays = [np.asarray(values[r]) for r in self._ranks]
-        shape = arrays[0].shape
-        for a, r in zip(arrays, self._ranks):
-            if a.shape != shape:
+        return self._allreduce(values, op, algorithm, True)
+
+    def _alltoall(
+        self,
+        send: Mapping[int, Sequence[np.ndarray]],
+        algorithm: Optional[object],
+        nonblocking: bool,
+    ) -> Union[Dict[int, List[np.ndarray]], Request]:
+        """Body of :meth:`alltoall` and :meth:`ialltoall`."""
+        what = "ialltoall" if nonblocking else "alltoall"
+        self._check_participants(send, what)
+        rows: List[Sequence[np.ndarray]] = []
+        for r in self._ranks:
+            row = send[r]
+            if len(row) != self.size:
                 raise CollectiveError(
-                    f"iallreduce on {self.label!r}: rank {r} has shape "
-                    f"{a.shape}, expected {shape}"
+                    f"{what} on {self.label!r}: rank {r} provided "
+                    f"{len(row)} blocks, expected {self.size}"
                 )
+            rows.append(row)
         ck = self.world.checker
-        ck_req = None
         if ck is not None:
-            ck_req = ck.lockstep_post(
-                self,
-                "allreduce",
-                {r: a.nbytes for r, a in zip(self._ranks, arrays)},
-                op=getattr(op, "name", str(op)),
-                dtypes={r: str(a.dtype) for r, a in zip(self._ranks, arrays)},
-            )
-        result = op.combine(arrays)
-        nbytes = max(a.nbytes for a in arrays)
-        pending = self.world.post_collective(
-            "allreduce",
-            self._ranks,
+            ck.check_alltoall_blocks(self, rows)
+        recv: Dict[int, List[np.ndarray]] = {
+            r: [rows[i][j] for i in range(self.size)]
+            for j, r in enumerate(self._ranks)
+        }
+        sizes = [sum(np.asarray(b).nbytes for b in row) for row in rows]
+        # completion is bounded by the busiest rank's send volume
+        nbytes = max(sizes)
+        request = self._issue(
+            "alltoall",
+            sizes,
             nbytes,
-            comm_label=self.label,
             algorithm=algorithm
             if algorithm is not None
-            else self.world.cost_model.select_algorithm("allreduce", nbytes),
+            else self.world.cost_model.select_algorithm("alltoall", nbytes),
+            payload=(lambda: recv) if nonblocking else None,
         )
-        return Request(
-            self,
-            "allreduce",
-            pending,
-            lambda: {r: result.copy() for r in self._ranks},
-            ck_req,
-        )
+        return request if nonblocking else recv
 
     def alltoall(
         self,
@@ -339,43 +402,7 @@ class Communicator:
         single method covers MPI_Alltoall(v|w).  Returns
         ``recv[world_rank][i]`` = block sent by communicator rank ``i``.
         """
-        self._check_participants(send, "alltoall")
-        rows: List[Sequence[np.ndarray]] = []
-        for r in self._ranks:
-            row = send[r]
-            if len(row) != self.size:
-                raise CollectiveError(
-                    f"alltoall on {self.label!r}: rank {r} provided "
-                    f"{len(row)} blocks, expected {self.size}"
-                )
-            rows.append(row)
-        ck = self.world.checker
-        if ck is not None:
-            ck.check_alltoall_blocks(self, rows)
-            ck.lockstep_collective(
-                self,
-                "alltoall",
-                {
-                    r: sum(np.asarray(b).nbytes for b in row)
-                    for r, row in zip(self._ranks, rows)
-                },
-            )
-        recv: Dict[int, List[np.ndarray]] = {
-            r: [rows[i][j] for i in range(self.size)]
-            for j, r in enumerate(self._ranks)
-        }
-        # completion is bounded by the busiest rank's send volume
-        nbytes = max(sum(np.asarray(b).nbytes for b in row) for row in rows)
-        self.world.charge_collective(
-            "alltoall",
-            self._ranks,
-            nbytes,
-            comm_label=self.label,
-            algorithm=algorithm
-            if algorithm is not None
-            else self.world.cost_model.select_algorithm("alltoall", nbytes),
-        )
-        return recv
+        return self._alltoall(send, algorithm, False)
 
     def ialltoall(
         self,
@@ -389,43 +416,7 @@ class Communicator:
         they are *moved at post* (resubmitting one is a checker
         violation); ``wait()`` delivers the recv rows.
         """
-        self._check_participants(send, "ialltoall")
-        rows: List[Sequence[np.ndarray]] = []
-        for r in self._ranks:
-            row = send[r]
-            if len(row) != self.size:
-                raise CollectiveError(
-                    f"ialltoall on {self.label!r}: rank {r} provided "
-                    f"{len(row)} blocks, expected {self.size}"
-                )
-            rows.append(row)
-        ck = self.world.checker
-        ck_req = None
-        if ck is not None:
-            ck.check_alltoall_blocks(self, rows)
-            ck_req = ck.lockstep_post(
-                self,
-                "alltoall",
-                {
-                    r: sum(np.asarray(b).nbytes for b in row)
-                    for r, row in zip(self._ranks, rows)
-                },
-            )
-        recv: Dict[int, List[np.ndarray]] = {
-            r: [rows[i][j] for i in range(self.size)]
-            for j, r in enumerate(self._ranks)
-        }
-        nbytes = max(sum(np.asarray(b).nbytes for b in row) for row in rows)
-        pending = self.world.post_collective(
-            "alltoall",
-            self._ranks,
-            nbytes,
-            comm_label=self.label,
-            algorithm=algorithm
-            if algorithm is not None
-            else self.world.cost_model.select_algorithm("alltoall", nbytes),
-        )
-        return Request(self, "alltoall", pending, lambda: recv, ck_req)
+        return self._alltoall(send, algorithm, True)
 
     def allgather(self, values: Mapping[int, ArrayLike]) -> Dict[int, List[np.ndarray]]:
         """Every member receives every member's contribution.
@@ -434,34 +425,20 @@ class Communicator:
         """
         self._check_participants(values, "allgather")
         arrays = [np.asarray(values[r]) for r in self._ranks]
-        ck = self.world.checker
-        if ck is not None:
-            ck.lockstep_collective(
-                self,
-                "allgather",
-                {r: a.nbytes for r, a in zip(self._ranks, arrays)},
-            )
-        nbytes = max(a.nbytes for a in arrays)
-        self.world.charge_collective(
-            "allgather", self._ranks, nbytes, comm_label=self.label
-        )
+        sizes = [a.nbytes for a in arrays]
+        self._issue("allgather", sizes, max(sizes))
         return {r: [a.copy() for a in arrays] for r in self._ranks}
 
     def bcast(self, value: ArrayLike, root: int) -> Dict[int, np.ndarray]:
         """Broadcast ``value`` from world rank ``root`` to all members."""
         self.comm_rank(root)  # validates membership
         arr = np.asarray(value)
-        ck = self.world.checker
-        if ck is not None:
-            ck.lockstep_collective(
-                self,
-                "bcast",
-                {r: arr.nbytes for r in self._ranks},
-                dtypes={r: str(arr.dtype) for r in self._ranks},
-                root=root,
-            )
-        self.world.charge_collective(
-            "bcast", self._ranks, arr.nbytes, comm_label=self.label
+        self._issue(
+            "bcast",
+            [arr.nbytes] * self.size,
+            arr.nbytes,
+            typed=[arr] * self.size,
+            root=root,
         )
         return {r: arr.copy() for r in self._ranks}
 
@@ -474,28 +451,10 @@ class Communicator:
         """Reduction delivered to ``root`` only; returns root's result."""
         self._check_participants(values, "reduce")
         self.comm_rank(root)
-        arrays = [np.asarray(values[r]) for r in self._ranks]
-        shape = arrays[0].shape
-        for a, r in zip(arrays, self._ranks):
-            if a.shape != shape:
-                raise CollectiveError(
-                    f"reduce on {self.label!r}: rank {r} has shape {a.shape}, "
-                    f"expected {shape}"
-                )
-        ck = self.world.checker
-        if ck is not None:
-            ck.lockstep_collective(
-                self,
-                "reduce",
-                {r: a.nbytes for r, a in zip(self._ranks, arrays)},
-                op=getattr(op, "name", str(op)),
-                dtypes={r: str(a.dtype) for r, a in zip(self._ranks, arrays)},
-                root=root,
-            )
+        arrays = self._same_shape_arrays(values, "reduce")
         result = op.combine(arrays)
-        self.world.charge_collective(
-            "reduce", self._ranks, max(a.nbytes for a in arrays), comm_label=self.label
-        )
+        sizes = [a.nbytes for a in arrays]
+        self._issue("reduce", sizes, max(sizes), typed=arrays, op=op, root=root)
         return result
 
     def gather(self, values: Mapping[int, ArrayLike], root: int) -> List[np.ndarray]:
@@ -503,20 +462,8 @@ class Communicator:
         self._check_participants(values, "gather")
         self.comm_rank(root)
         arrays = [np.asarray(values[r]).copy() for r in self._ranks]
-        ck = self.world.checker
-        if ck is not None:
-            ck.lockstep_collective(
-                self,
-                "gather",
-                {r: a.nbytes for r, a in zip(self._ranks, arrays)},
-                root=root,
-            )
-        self.world.charge_collective(
-            "gather",
-            self._ranks,
-            sum(a.nbytes for a in arrays),
-            comm_label=self.label,
-        )
+        sizes = [a.nbytes for a in arrays]
+        self._issue("gather", sizes, sum(sizes), root=root)
         return arrays
 
     def scatter(self, blocks: Sequence[ArrayLike], root: int) -> Dict[int, np.ndarray]:
@@ -528,20 +475,8 @@ class Communicator:
                 f"{self.size} ranks"
             )
         arrays = [np.asarray(b) for b in blocks]
-        ck = self.world.checker
-        if ck is not None:
-            ck.lockstep_collective(
-                self,
-                "scatter",
-                {r: arrays[i].nbytes for i, r in enumerate(self._ranks)},
-                root=root,
-            )
-        self.world.charge_collective(
-            "scatter",
-            self._ranks,
-            sum(a.nbytes for a in arrays),
-            comm_label=self.label,
-        )
+        sizes = [a.nbytes for a in arrays]
+        self._issue("scatter", sizes, sum(sizes), root=root)
         return {r: arrays[i].copy() for i, r in enumerate(self._ranks)}
 
     def reduce_scatter(
@@ -556,35 +491,23 @@ class Communicator:
         reduction.  (The building block of ring AllReduce.)
         """
         self._check_participants(values, "reduce_scatter")
-        arrays = [np.asarray(values[r]) for r in self._ranks]
+        arrays = self._same_shape_arrays(values, "reduce_scatter")
         shape = arrays[0].shape
-        for a, r in zip(arrays, self._ranks):
-            if a.shape != shape:
-                raise CollectiveError(
-                    f"reduce_scatter on {self.label!r}: rank {r} has shape "
-                    f"{a.shape}, expected {shape}"
-                )
         if not shape or shape[0] != self.size:
             raise CollectiveError(
                 f"reduce_scatter on {self.label!r}: first axis must have "
                 f"length {self.size}, got shape {shape}"
             )
-        ck = self.world.checker
-        if ck is not None:
-            ck.lockstep_collective(
-                self,
-                "reduce_scatter",
-                {r: a.nbytes for r, a in zip(self._ranks, arrays)},
-                op=getattr(op, "name", str(op)),
-                dtypes={r: str(a.dtype) for r, a in zip(self._ranks, arrays)},
-            )
         reduced = op.combine(arrays)
+        sizes = [a.nbytes for a in arrays]
         # costed like the reduce-scatter half of a ring allreduce
-        self.world.charge_collective(
-            "allreduce",
-            self._ranks,
-            max(a.nbytes for a in arrays) // 2,
-            comm_label=self.label,
+        self._issue(
+            "reduce_scatter",
+            sizes,
+            max(sizes) // 2,
+            typed=arrays,
+            op=op,
+            cost_kind="allreduce",
         )
         return {r: reduced[j].copy() for j, r in enumerate(self._ranks)}
 
@@ -601,32 +524,17 @@ class Communicator:
         (inclusive) or ``0..j-1`` (exclusive; rank 0 gets zeros).
         """
         self._check_participants(values, "scan")
-        arrays = [np.asarray(values[r], dtype=float) for r in self._ranks]
-        shape = arrays[0].shape
-        for a, r in zip(arrays, self._ranks):
-            if a.shape != shape:
-                raise CollectiveError(
-                    f"scan on {self.label!r}: rank {r} has shape {a.shape}, "
-                    f"expected {shape}"
-                )
-        ck = self.world.checker
-        if ck is not None:
-            ck.lockstep_collective(
-                self,
-                "scan",
-                {r: a.nbytes for r, a in zip(self._ranks, arrays)},
-                op=getattr(op, "name", str(op)),
-                dtypes={r: str(a.dtype) for r, a in zip(self._ranks, arrays)},
-            )
+        arrays = self._same_shape_arrays(values, "scan", dtype=float)
         out: Dict[int, np.ndarray] = {}
         for j, r in enumerate(self._ranks):
             upto = arrays[:j] if exclusive else arrays[: j + 1]
             if upto:
                 out[r] = op.combine(upto)
             else:
-                out[r] = np.zeros(shape)
-        self.world.charge_collective(
-            "reduce", self._ranks, max(a.nbytes for a in arrays), comm_label=self.label
+                out[r] = np.zeros(arrays[0].shape)
+        sizes = [a.nbytes for a in arrays]
+        self._issue(
+            "scan", sizes, max(sizes), typed=arrays, op=op, cost_kind="reduce"
         )
         return out
 
@@ -661,57 +569,7 @@ class Communicator:
                     dtype=str(arr.dtype),
                     track_membership=False,
                 )
-        factor = 1.0
-        if self.world.fault_injector is not None:
-            factor = self.world.fault_injector.on_collective(
-                "sendrecv", pair, self.label
-            )
-        link = self.world.cost_model.effective_link(pair)
-        cost = factor * (
-            link.overhead_s + link.latency_s + arr.nbytes / link.bandwidth_Bps
+        self.world.charge_collective(
+            "sendrecv", pair, arr.nbytes, comm_label=self.label
         )
-        idx = np.asarray(pair, dtype=np.intp)
-        t_start = float(self.world.clock[idx].max())
-        last_arrival = source if self.world.clock[source] >= self.world.clock[dest] else dest
-        self.world.clock[idx] = t_start + cost
-        cat = self.world.current_category
-        for r in pair:
-            self.world._add_category_time(r, cat, cost)
-        self.world._seq += 1
-        from repro.vmpi.tracer import CollectiveEvent
-
-        event = CollectiveEvent(
-            seq=self.world._seq,
-            kind="sendrecv",
-            comm_label=self.label,
-            ranks=pair,
-            n_nodes=self.world.cost_model.n_nodes_of(pair),
-            nbytes=int(arr.nbytes),
-            algorithm="",
-            t_start=t_start,
-            cost_s=cost,
-            category=cat,
-        )
-        self.world.trace.record(event)
-        if ck is not None:
-            ck.observe_event(event)
-        if self.world.tracer is not None:
-            self.world.tracer.record(
-                f"sendrecv [{self.label}]",
-                "collective",
-                t_start,
-                cost,
-                category=cat,
-                ranks=pair,
-                nbytes=int(arr.nbytes),
-                comm=self.label,
-                last_arrival=int(last_arrival),
-            )
-        if self.world.metrics is not None:
-            self.world.metrics.counter(
-                "vmpi_collective_bytes_total", kind="sendrecv", comm=self.label
-            ).inc(float(arr.nbytes))
-            self.world.metrics.counter(
-                "vmpi_collectives_total", kind="sendrecv"
-            ).inc()
         return arr.copy()

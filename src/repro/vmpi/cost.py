@@ -34,6 +34,7 @@ from repro.vmpi.algorithms import (
     gather_cost,
     reduce_cost,
     scatter_cost,
+    sendrecv_cost,
 )
 
 
@@ -133,7 +134,8 @@ class CommCostModel:
         """Cost in seconds of one collective call.
 
         ``kind`` is one of ``allreduce``, ``alltoall``, ``allgather``,
-        ``bcast``, ``reduce``, ``gather``, ``scatter``, ``barrier``.
+        ``bcast``, ``reduce``, ``gather``, ``scatter``, ``barrier``,
+        ``sendrecv`` (``ranks`` is then the source/dest pair).
         ``nbytes`` follows each formula's per-kind convention (see
         :mod:`repro.vmpi.algorithms`).
         """
@@ -157,4 +159,6 @@ class CommCostModel:
             return scatter_cost(p, nbytes, link)
         if kind == "barrier":
             return barrier_cost(p, link)
+        if kind == "sendrecv":
+            return sendrecv_cost(nbytes, link)
         raise CollectiveError(f"unknown collective kind {kind!r}")

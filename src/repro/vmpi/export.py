@@ -1,105 +1,19 @@
-"""Trace export: Chrome trace-event JSON and flat CSV.
-
-``export_chrome_trace`` writes a file loadable in ``chrome://tracing``
-/ Perfetto: one complete ("X") event per (collective, participating
-rank), with the simulated clock as the timebase — a visual timeline of
-how the str/nl/coll phases interleave across ranks, and of how XGYRO
-members overlap.
-
-``export_csv`` writes one row per collective for spreadsheet-grade
-analysis.
+"""Trace export: the lossless ``repro-trace-v1`` JSON event list.
 
 ``export_trace_json`` / ``load_trace_json`` round-trip the raw event
-list losslessly — the interchange format ``repro check-trace`` lints
-and replays.
+list — the interchange format ``repro check-trace`` lints and replays.
+The visual timeline (Chrome / Perfetto, one lane per ensemble member)
+is :func:`repro.obs.export.export_spans_chrome`: every collective is a
+leaf of the span tree, so the span exporter draws it.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import re
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import List, Union
 
 from repro.vmpi.tracer import CollectiveEvent, TraceLog
-
-#: Ensemble-member communicator labels: ``xgyro.m{m}.…`` (member comms)
-#: and ``baseline.m{m}.…``; the ensemble-wide coll comms
-#: (``xgyro.coll.…``) carry no member and stay on the shared lane.
-_MEMBER_LABEL = re.compile(r"^(?:xgyro|baseline)\.m(\d+)\.")
-
-
-def _member_of_label(comm_label: str) -> Optional[int]:
-    """Ensemble member index encoded in a communicator label, if any."""
-    m = _MEMBER_LABEL.match(comm_label)
-    return int(m.group(1)) if m else None
-
-
-def export_chrome_trace(
-    trace: TraceLog,
-    path: Union[str, Path],
-    *,
-    ranks: Optional[Iterable[int]] = None,
-    max_events: Optional[int] = None,
-    collapse_members: bool = False,
-) -> int:
-    """Write the trace as Chrome trace-event JSON; returns event count.
-
-    ``pid`` is the owning ensemble member (parsed from the
-    ``xgyro.m{m}.…`` communicator label, +1; pid 0 is the shared lane
-    for ensemble-wide and plain-CGYRO collectives), named through
-    Perfetto process-name metadata events, so members render as
-    parallel process lanes.  ``collapse_members=True`` restores the
-    old single-process layout (everything on pid 0).
-
-    ``ranks`` restricts the timeline to the given world ranks (a trace
-    of 256 ranks x thousands of collectives is heavy); ``max_events``
-    caps the number of *collectives* exported.
-    """
-    rank_filter = set(ranks) if ranks is not None else None
-    events = []
-    pids = {0: "ensemble"}
-    n_collectives = 0
-    for ev in trace:
-        if max_events is not None and n_collectives >= max_events:
-            break
-        member = None if collapse_members else _member_of_label(ev.comm_label)
-        pid = 0 if member is None else member + 1
-        emitted = False
-        for r in ev.ranks:
-            if rank_filter is not None and r not in rank_filter:
-                continue
-            if pid not in pids:
-                pids[pid] = f"member {member}"
-            events.append(
-                {
-                    "name": f"{ev.kind} [{ev.comm_label}]",
-                    "cat": ev.category or "uncategorized",
-                    "ph": "X",
-                    "ts": ev.t_start * 1e6,
-                    "dur": ev.cost_s * 1e6,
-                    "pid": pid,
-                    "tid": r,
-                    "args": {
-                        "bytes": ev.nbytes,
-                        "participants": ev.size,
-                        "nodes": ev.n_nodes,
-                        "algorithm": ev.algorithm,
-                    },
-                }
-            )
-            emitted = True
-        if emitted:
-            n_collectives += 1
-    meta = [
-        {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": name}}
-        for pid, name in sorted(pids.items())
-    ]
-    Path(path).write_text(
-        json.dumps({"traceEvents": meta + events, "displayTimeUnit": "ms"})
-    )
-    return n_collectives
 
 
 def export_trace_json(trace: TraceLog, path: Union[str, Path]) -> int:
@@ -121,26 +35,3 @@ def load_trace_json(path: Union[str, Path]) -> List[CollectiveEvent]:
     doc = json.loads(Path(path).read_text())
     raw = doc["events"] if isinstance(doc, dict) else doc
     return [CollectiveEvent.from_dict(d) for d in raw]
-
-
-def export_csv(trace: TraceLog, path: Union[str, Path]) -> int:
-    """Write one CSV row per collective; returns the row count."""
-    rows = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "seq", "kind", "comm", "category", "participants",
-                "nodes", "bytes", "algorithm", "t_start_s", "cost_s",
-            ]
-        )
-        for ev in trace:
-            writer.writerow(
-                [
-                    ev.seq, ev.kind, ev.comm_label, ev.category, ev.size,
-                    ev.n_nodes, ev.nbytes, ev.algorithm,
-                    f"{ev.t_start:.9f}", f"{ev.cost_s:.9f}",
-                ]
-            )
-            rows += 1
-    return rows

@@ -36,14 +36,17 @@ from repro.vmpi.tracer import CollectiveEvent, TraceLog
 
 @dataclass
 class PendingCollective:
-    """An in-flight nonblocking collective, between post and wait.
+    """A priced collective whose cost has not been charged yet.
 
-    Created by :meth:`VirtualWorld.post_collective`; completed (clocks
-    advanced, event recorded) by :meth:`VirtualWorld.complete_collective`.
-    The cost is fixed at post time — the network makes progress
-    concurrently with whatever compute the participants charge next —
-    so at wait time each rank pays only the *uncovered* remainder of
-    the cost window ``[t_post, t_post + cost_s]``.
+    Normally an in-flight nonblocking collective, between post and
+    wait: created by :meth:`VirtualWorld.post_collective`; completed
+    (clocks advanced, event recorded) by
+    :meth:`VirtualWorld.complete_collective`.  The cost is fixed at post
+    time — the network makes progress concurrently with whatever
+    compute the participants charge next — so at wait time each rank
+    pays only the *uncovered* remainder of the cost window
+    ``[t_post, t_post + cost_s]``.  A blocking collective is the same
+    record charged in full on the spot, never handed out.
     """
 
     kind: str
@@ -217,10 +220,10 @@ class VirtualWorld:
         The checker — normally a
         :class:`~repro.check.checker.CollectiveChecker` — is consulted
         by every :class:`~repro.vmpi.communicator.Communicator`
-        collective before data movement (buffer/kind/membership
+        collective before it is charged (buffer/kind/membership
         conformance, ``alltoall`` move semantics) and receives every
         recorded :class:`~repro.vmpi.tracer.CollectiveEvent` through
-        ``observe_event``.  Violations raise
+        ``observe_event`` (from :meth:`_record_collective`).  Violations raise
         :class:`~repro.errors.ProtocolError` at the offending call.  A
         world without a checker has exactly zero behavioural or cost
         difference.
@@ -341,66 +344,56 @@ class VirtualWorld:
         :class:`~repro.vmpi.communicator.Communicator`; solver code does
         not normally call this directly.
         """
+        c, idx = self._price_collective(
+            kind, ranks, nbytes, comm_label, algorithm, category
+        )
+        t_start, cost = c.t_post, c.cost_s
+        waits = t_start - self.clock[idx]
+        self.coll_wait_s[idx] += waits
+        # the total wait is imposed by whoever arrived last
+        wait_s = float(waits.sum())
+        self.imposed_wait_s[c.last_arrival] += wait_s
+        self.clock[idx] = t_start + cost
+        for r in c.ranks:
+            self._add_category_time(r, c.category, cost)
+        self._record_collective(c, wait_s)
+        return cost
+
+    def _price_collective(
+        self,
+        kind: str,
+        ranks: Sequence[int],
+        nbytes: int,
+        comm_label: str,
+        algorithm: Optional[object],
+        category: Optional[str],
+    ) -> "tuple[PendingCollective, np.ndarray]":
+        """Consult the fault injector and price one collective.
+
+        ``t_post`` is the moment the last participant arrives (max
+        clock over ``ranks``); no clock moves and nothing is booked.
+        Also returns ``ranks`` as a clock index array.
+        """
         factor = 1.0
         if self.fault_injector is not None:
             factor = self.fault_injector.on_collective(kind, ranks, comm_label)
         idx = np.asarray(ranks, dtype=np.intp)
-        t_start = float(self.clock[idx].max())
-        waits = t_start - self.clock[idx]
-        self.coll_wait_s[idx] += waits
-        # the total wait is imposed by whoever arrived last
-        last_arrival = int(idx[int(np.argmax(self.clock[idx]))])
-        self.imposed_wait_s[last_arrival] += float(waits.sum())
-        cost = factor * self.cost_model.collective_cost(
-            kind, ranks, nbytes, algorithm=algorithm
-        )
-        self.clock[idx] = t_start + cost
-        cat = category if category is not None else self.current_category
-        for r in ranks:
-            self._add_category_time(int(r), cat, cost)
-        self._seq += 1
-        event = CollectiveEvent(
-            seq=self._seq,
+        clocks = self.clock[idx]
+        pending = PendingCollective(
             kind=kind,
-            comm_label=comm_label,
             ranks=tuple(int(r) for r in ranks),
-            n_nodes=self.cost_model.n_nodes_of(ranks),
             nbytes=int(nbytes),
-            algorithm=getattr(algorithm, "value", "") if algorithm else "",
-            t_start=t_start,
-            cost_s=cost,
-            category=cat,
+            comm_label=comm_label,
+            algorithm=algorithm,
+            category=category if category is not None else self.current_category,
+            t_post=float(clocks.max()),
+            cost_s=factor
+            * self.cost_model.collective_cost(
+                kind, ranks, nbytes, algorithm=algorithm
+            ),
+            last_arrival=int(idx[int(np.argmax(clocks))]),
         )
-        self.trace.record(event)
-        if self.checker is not None:
-            self.checker.observe_event(event)
-        if self.tracer is not None:
-            self.tracer.record(
-                f"{kind} [{comm_label}]",
-                "collective",
-                t_start,
-                cost,
-                category=cat,
-                ranks=event.ranks,
-                nbytes=int(nbytes),
-                comm=comm_label,
-                last_arrival=last_arrival,
-            )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "vmpi_collective_bytes_total", kind=kind, comm=comm_label
-            ).inc(float(nbytes))
-            self.metrics.counter("vmpi_collectives_total", kind=kind).inc()
-            self.metrics.counter(
-                "vmpi_coll_wait_seconds_total", comm=comm_label
-            ).inc(float(waits.sum()))
-            self.metrics.counter(
-                "vmpi_imposed_wait_seconds_total", rank=last_arrival
-            ).inc(float(waits.sum()))
-            self.metrics.histogram(
-                "vmpi_collective_cost_seconds", kind=kind
-            ).observe(cost)
-        return cost
+        return pending, idx
 
     def post_collective(
         self,
@@ -425,31 +418,13 @@ class VirtualWorld:
         :meth:`complete_collective`, so compute charged on the same
         ranks in between overlaps with the in-flight cost.
         """
-        factor = 1.0
-        if self.fault_injector is not None:
-            factor = self.fault_injector.on_collective(kind, ranks, comm_label)
-        idx = np.asarray(ranks, dtype=np.intp)
-        t_post = float(self.clock[idx].max())
-        rank_set = set(int(r) for r in ranks)
+        pending, _ = self._price_collective(
+            kind, ranks, nbytes, comm_label, algorithm, category
+        )
+        rank_set = set(pending.ranks)
         for open_pending in self._nb_inflight:
             if rank_set.intersection(open_pending.ranks):
-                t_post = max(t_post, open_pending.t_done)
-        last_arrival = int(idx[int(np.argmax(self.clock[idx]))])
-        cost = factor * self.cost_model.collective_cost(
-            kind, ranks, nbytes, algorithm=algorithm
-        )
-        cat = category if category is not None else self.current_category
-        pending = PendingCollective(
-            kind=kind,
-            ranks=tuple(int(r) for r in ranks),
-            nbytes=int(nbytes),
-            comm_label=comm_label,
-            algorithm=algorithm,
-            category=cat,
-            t_post=t_post,
-            cost_s=cost,
-            last_arrival=last_arrival,
-        )
+                pending.t_post = max(pending.t_post, open_pending.t_done)
         self._nb_inflight.append(pending)
         return pending
 
@@ -502,67 +477,86 @@ class VirtualWorld:
         sync = waits - comm
         overlapped = cost - comm
         self.coll_wait_s[idx] += sync
-        self.imposed_wait_s[pending.last_arrival] += float(sync.sum())
+        sync_s = float(sync.sum())
+        self.imposed_wait_s[pending.last_arrival] += sync_s
         self.overlapped_s[idx] += overlapped
         self.clock[idx] = np.maximum(self.clock[idx], t_done)
         cat = pending.category
         for r, c in zip(pending.ranks, comm):
             self._add_category_time(int(r), cat, float(c))
+        self._record_collective(pending, sync_s, float(overlapped.sum()))
+        return cost
+
+    def _record_collective(
+        self,
+        c: PendingCollective,
+        wait_s: float,
+        overlapped_s: Optional[float] = None,
+    ) -> None:
+        """The one place a charged collective becomes visible.
+
+        Appends the :class:`~repro.vmpi.tracer.CollectiveEvent` (next
+        ``seq``) to the trace, hands it to the checker, emits the
+        collective leaf span and feeds the metric series.  ``wait_s`` is
+        the entry wait summed over the participants; ``overlapped_s``
+        is given by nonblocking completions only, and is what marks the
+        event, the span and the extra overlap series as nonblocking.
+        """
+        nonblocking = overlapped_s is not None
+        kind, comm_label = c.kind, c.comm_label
         self._seq += 1
         event = CollectiveEvent(
             seq=self._seq,
-            kind=pending.kind,
-            comm_label=pending.comm_label,
-            ranks=pending.ranks,
-            n_nodes=self.cost_model.n_nodes_of(pending.ranks),
-            nbytes=pending.nbytes,
-            algorithm=getattr(pending.algorithm, "value", "")
-            if pending.algorithm
-            else "",
-            t_start=pending.t_post,
-            cost_s=cost,
-            category=cat,
-            nonblocking=True,
+            kind=kind,
+            comm_label=comm_label,
+            ranks=c.ranks,
+            n_nodes=self.cost_model.n_nodes_of(c.ranks),
+            nbytes=c.nbytes,
+            algorithm=getattr(c.algorithm, "value", "") if c.algorithm else "",
+            t_start=c.t_post,
+            cost_s=c.cost_s,
+            category=c.category,
+            nonblocking=nonblocking,
         )
         self.trace.record(event)
         if self.checker is not None:
             self.checker.observe_event(event)
         if self.tracer is not None:
+            overlap_attrs = (
+                {"nonblocking": True, "overlapped_s": overlapped_s}
+                if nonblocking
+                else {}
+            )
             self.tracer.record(
-                f"{pending.kind} [{pending.comm_label}]",
+                f"{kind} [{comm_label}]",
                 "collective",
-                pending.t_post,
-                cost,
-                category=cat,
-                ranks=pending.ranks,
-                nbytes=pending.nbytes,
-                comm=pending.comm_label,
-                last_arrival=pending.last_arrival,
-                nonblocking=True,
-                overlapped_s=float(overlapped.sum()),
+                c.t_post,
+                c.cost_s,
+                category=c.category,
+                ranks=c.ranks,
+                nbytes=c.nbytes,
+                comm=comm_label,
+                last_arrival=c.last_arrival,
+                **overlap_attrs,
             )
         if self.metrics is not None:
             self.metrics.counter(
-                "vmpi_collective_bytes_total",
-                kind=pending.kind,
-                comm=pending.comm_label,
-            ).inc(float(pending.nbytes))
+                "vmpi_collective_bytes_total", kind=kind, comm=comm_label
+            ).inc(float(c.nbytes))
+            self.metrics.counter("vmpi_collectives_total", kind=kind).inc()
             self.metrics.counter(
-                "vmpi_collectives_total", kind=pending.kind
-            ).inc()
+                "vmpi_coll_wait_seconds_total", comm=comm_label
+            ).inc(wait_s)
             self.metrics.counter(
-                "vmpi_coll_wait_seconds_total", comm=pending.comm_label
-            ).inc(float(sync.sum()))
-            self.metrics.counter(
-                "vmpi_imposed_wait_seconds_total", rank=pending.last_arrival
-            ).inc(float(sync.sum()))
-            self.metrics.counter(
-                "vmpi_coll_overlapped_seconds_total", comm=pending.comm_label
-            ).inc(float(overlapped.sum()))
+                "vmpi_imposed_wait_seconds_total", rank=c.last_arrival
+            ).inc(wait_s)
+            if nonblocking:
+                self.metrics.counter(
+                    "vmpi_coll_overlapped_seconds_total", comm=comm_label
+                ).inc(overlapped_s)
             self.metrics.histogram(
-                "vmpi_collective_cost_seconds", kind=pending.kind
-            ).observe(cost)
-        return cost
+                "vmpi_collective_cost_seconds", kind=kind
+            ).observe(c.cost_s)
 
     def collective_done(self, pending: PendingCollective) -> bool:
         """Whether the cost window of ``pending`` has fully elapsed on

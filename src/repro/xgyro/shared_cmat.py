@@ -115,12 +115,8 @@ class SharedCmatScheme(CollisionScheme):
     overlap:
         One of :data:`~repro.cgyro.solver.OVERLAP_MODES`.  With
         ``"coll"`` or ``"full"`` the coll phase pipelines its ensemble
-        AllToAlls: each exchange is split along the configuration axis
-        and posted nonblocking, so all but the head and tail
-        sub-exchanges accrue under the propagator applies.  Physics is
-        bit-identical
-        (the propagator is applied per (ic, n) block); only the modeled
-        schedule changes.
+        AllToAlls (see :meth:`ensemble_collision_step`); physics is
+        bit-identical, only the modeled schedule changes.
     """
 
     def __init__(
@@ -364,88 +360,31 @@ class SharedCmatScheme(CollisionScheme):
     # the ensemble coll phase
     # ------------------------------------------------------------------
     def ensemble_collision_step(self) -> None:
-        """Advance every member's coll phase through the shared tensor."""
+        """Advance every member's coll phase through the shared tensor.
+
+        Per toroidal group: forward AllToAll (STR blocks -> ensemble
+        COLL distribution), reassemble each member's full-nv block and
+        apply the shared propagator, inverse AllToAll, rebuild the STR
+        blocks in global nc order.  Each exchange is split into ``T``
+        sub-exchanges along the *configuration* axis — every destination
+        shard's owned ic rows are chunked, so every rank sends ``1/T``
+        of its block per sub-exchange.
+
+        The blocking schedule is ``T = 1`` with blocking AllToAlls.
+        With ``overlap`` ``"coll"``/``"full"``, ``T`` is up to 4 and the
+        sub-exchanges are nonblocking: all forwards are posted up front
+        (nonblocking collectives on one communicator pipeline FIFO
+        through the network engine), so only the head's window is
+        exposed and the rest drain under the applies; each chunk's
+        inverse posts as soon as its apply finishes and is waited only
+        at scatter time, so all but the tail inverse window hide under
+        later applies.  The propagator acts independently per (ic,
+        toroidal-mode) block, so every ``T`` gives bit-identical
+        physics.
+        """
         if not self._finalized:
             raise EnsembleValidationError("finalize() the ensemble first")
-        if self.overlap in ("coll", "full"):
-            self._collision_step_overlapped()
-            return
-        first = self.members[0]
-        world = first.world
-        decomp = first.decomp
-        dims = first.dims
-        k = len(self.members)
-        for i2, comm in self._coll_comm.items():
-            shards = self._shards[i2]
-            indexers = [s.index() for s in shards]
-            # forward: STR blocks -> ensemble COLL distribution
-            send: Dict[int, List[np.ndarray]] = {}
-            for m in self.members:
-                for lr in decomp.group_ranks(i2):
-                    r = m.ranks[lr]
-                    send[r] = [m.h[r][idx, :, :] for idx in indexers]
-            with world.phase("coll_comm"):
-                recv = comm.alltoall(send)
-            # reassemble per member, apply the shared propagator
-            for r in comm.ranks:
-                blocks = recv[r]
-                for mi in range(k):
-                    lo = mi * decomp.n_proc_1
-                    member_block = np.concatenate(
-                        blocks[lo : lo + decomp.n_proc_1], axis=1
-                    )
-                    blocks[lo] = apply_propagator(self._cmat[r], member_block)
-                # keep only one assembled block per member; split back below
-            world.charge_compute(
-                comm.ranks,
-                flops={
-                    s.world_rank: k * apply_flops(s.n_ic, decomp.nt_loc, dims.nv)
-                    for s in shards
-                },
-                category="coll_compute",
-            )
-            # inverse: slice each member's updated block back per source
-            back_send: Dict[int, List[np.ndarray]] = {}
-            for r in comm.ranks:
-                row: List[np.ndarray] = []
-                for mi in range(k):
-                    updated = recv[r][mi * decomp.n_proc_1]
-                    for i1 in range(decomp.n_proc_1):
-                        row.append(updated[:, decomp.nv_slice(i1), :])
-                back_send[r] = row
-            with world.phase("coll_comm"):
-                back = comm.alltoall(back_send)
-            # destination (member mi, i1) collects its nc pieces from all
-            # group ranks and rebuilds the STR block in global nc order
-            for mi, m in enumerate(self.members):
-                for i1 in range(decomp.n_proc_1):
-                    r = m.ranks[decomp.local_rank_of(i1, i2)]
-                    pieces = back[r]
-                    out = np.empty(
-                        (dims.nc, decomp.nv_loc, decomp.nt_loc),
-                        dtype=np.complex128,
-                    )
-                    for j, idx in enumerate(indexers):
-                        out[idx, :, :] = pieces[j]
-                    m.h[r] = out
-
-    def _collision_step_overlapped(self) -> None:
-        """Coll phase with nonblocking, configuration-chunked AllToAlls.
-
-        Each group's forward and inverse exchanges are split into up
-        to ``T = 4`` sub-exchanges along the *configuration* axis —
-        every destination shard's owned ic rows are chunked, so every
-        rank sends ``1/T`` of its block per sub-exchange.  All forward
-        sub-exchanges are posted up front (nonblocking collectives on
-        one communicator pipeline FIFO through the network engine);
-        each chunk's apply then overlaps the remaining forward windows
-        and, once posted, the earlier inverse windows.  Only the head
-        (first forward) and tail (last inverse) sub-exchanges are
-        exposed; every other window accrues under ``coll_compute``.
-        The propagator acts independently per (ic, toroidal-mode)
-        block, so the chunked result is bit-identical to the blocking
-        schedule.
-        """
+        pipelined = self.overlap in ("coll", "full")
         first = self.members[0]
         world = first.world
         decomp = first.decomp
@@ -454,61 +393,59 @@ class SharedCmatScheme(CollisionScheme):
         P1 = decomp.n_proc_1
         nt_loc = decomp.nt_loc
 
-        def sub_index(ics: Tuple[int, ...]) -> Union[slice, List[int]]:
-            if ics and ics[-1] - ics[0] + 1 == len(ics):
-                return slice(ics[0], ics[-1] + 1)
-            return list(ics)
-
         for i2, comm in self._coll_comm.items():
             shards = self._shards[i2]
-            T = min(4, min(s.n_ic for s in shards))
+            T = min(4, min(s.n_ic for s in shards)) if pipelined else 1
             # per shard: chunk bounds in shard-local row order, plus the
-            # matching global-ic indexer per chunk
+            # matching global-ic indexer per chunk (a chunk is a sub-shard)
             bounds = [
                 [(t * s.n_ic // T, (t + 1) * s.n_ic // T) for s in shards]
                 for t in range(T)
             ]
             chunk_idx = [
                 [
-                    sub_index(s.ic_indices[o0:o1])
+                    CollShard(s.world_rank, s.ic_indices[o0:o1]).index()
                     for s, (o0, o1) in zip(shards, bounds[t])
                 ]
                 for t in range(T)
             ]
-            # destination STR blocks, filled chunk by chunk
-            outs: Dict[int, np.ndarray] = {}
-            for m in self.members:
-                for lr in decomp.group_ranks(i2):
-                    outs[m.ranks[lr]] = np.empty(
-                        (dims.nc, decomp.nv_loc, nt_loc), dtype=np.complex128
-                    )
+            # the group's STR-side ranks, each with its owning member
+            group = [
+                (m, m.ranks[lr])
+                for m in self.members
+                for lr in decomp.group_ranks(i2)
+            ]
+
+            def exchange(send):
+                """Run (blocking) or post (pipelined) one AllToAll;
+                returns the zero-argument wait yielding its recv rows."""
+                with world.phase("coll_comm"):
+                    if pipelined:
+                        return comm.ialltoall(send).wait
+                    recv = comm.alltoall(send)
+                    return lambda: recv
 
             def post_fwd(t):
-                send: Dict[int, List[np.ndarray]] = {}
-                for m in self.members:
-                    for lr in decomp.group_ranks(i2):
-                        r = m.ranks[lr]
-                        send[r] = [m.h[r][idx, :, :] for idx in chunk_idx[t]]
-                with world.phase("coll_comm"):
-                    return comm.ialltoall(send)
+                return exchange(
+                    {
+                        r: [m.h[r][idx, :, :] for idx in chunk_idx[t]]
+                        for m, r in group
+                    }
+                )
 
             def apply_chunk(t, recv):
+                # reassemble per member, apply the shared propagator
                 applied_t: Dict[int, List[np.ndarray]] = {}
                 for j, r in enumerate(comm.ranks):
                     o0, o1 = bounds[t][j]
                     blocks = recv[r]
-                    per_member: List[np.ndarray] = []
-                    for mi in range(k):
-                        lo = mi * P1
-                        member_block = np.concatenate(
-                            blocks[lo : lo + P1], axis=1
+                    applied_t[r] = [
+                        apply_propagator(
+                            self._cmat[r][o0:o1],
+                            np.concatenate(blocks[mi * P1 : (mi + 1) * P1], axis=1),
                         )
-                        per_member.append(
-                            apply_propagator(
-                                self._cmat[r][o0:o1], member_block
-                            )
-                        )
-                    applied_t[r] = per_member
+                        for mi in range(k)
+                    ]
                 world.charge_compute(
                     comm.ranks,
                     flops={
@@ -520,43 +457,36 @@ class SharedCmatScheme(CollisionScheme):
                 )
                 return applied_t
 
-            def post_back(t, applied_t):
-                send: Dict[int, List[np.ndarray]] = {}
-                for r in comm.ranks:
-                    row: List[np.ndarray] = []
-                    for mi in range(k):
-                        updated = applied_t[r][mi]
-                        for i1 in range(P1):
-                            row.append(updated[:, decomp.nv_slice(i1), :])
-                    send[r] = row
-                with world.phase("coll_comm"):
-                    return comm.ialltoall(send)
+            def post_back(applied_t):
+                # slice each member's updated block back per source
+                return exchange(
+                    {
+                        r: [
+                            applied_t[r][mi][:, decomp.nv_slice(i1), :]
+                            for mi in range(k)
+                            for i1 in range(P1)
+                        ]
+                        for r in comm.ranks
+                    }
+                )
 
-            def scatter_back(t, back):
-                for m in self.members:
-                    for i1 in range(P1):
-                        r = m.ranks[decomp.local_rank_of(i1, i2)]
-                        pieces = back[r]
-                        for j, idx in enumerate(chunk_idx[t]):
-                            outs[r][idx, :, :] = pieces[j]
-
-            # every forward sub-exchange is posted before any apply:
-            # the windows queue FIFO on the communicator, so only the
-            # head's window is exposed — the rest drain under the
-            # applies.  Each chunk's inverse posts as soon as its apply
-            # finishes and is waited only at scatter time, so all but
-            # the tail inverse window hide under later applies.
-            fwd_reqs = [post_fwd(t) for t in range(T)]
-            back_reqs = []
+            fwd_waits = [post_fwd(t) for t in range(T)]
+            back_waits = [
+                post_back(apply_chunk(t, fwd_waits[t]())) for t in range(T)
+            ]
+            # each destination collects its nc pieces from all group
+            # ranks and rebuilds the STR block in global nc order
+            outs = {
+                r: np.empty((dims.nc, decomp.nv_loc, nt_loc), dtype=np.complex128)
+                for _, r in group
+            }
             for t in range(T):
-                recv = fwd_reqs[t].wait()
-                back_reqs.append(post_back(t, apply_chunk(t, recv)))
-            for t in range(T):
-                scatter_back(t, back_reqs[t].wait())
-            for m in self.members:
-                for lr in decomp.group_ranks(i2):
-                    r = m.ranks[lr]
-                    m.h[r] = outs[r]
+                back = back_waits[t]()
+                for _, r in group:
+                    for j, idx in enumerate(chunk_idx[t]):
+                        outs[r][idx, :, :] = back[r][j]
+            for m, r in group:
+                m.h[r] = outs[r]
 
     # ------------------------------------------------------------------
     # shrink-and-recover

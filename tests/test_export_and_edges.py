@@ -1,45 +1,14 @@
-"""Edge-case coverage: exports at scale, solver guards, misc paths."""
+"""Edge-case coverage: solver guards, misc paths."""
 
 from __future__ import annotations
 
-import json
-
-import numpy as np
 import pytest
 
 from repro.errors import InputError, VmpiError
 from repro.cgyro import CgyroSimulation, small_test
 from repro.machine import generic_cluster, single_node
-from repro.machine.model import GiB, MiB
+from repro.machine.model import GiB
 from repro.vmpi import VirtualWorld
-from repro.vmpi.export import export_chrome_trace, export_csv
-
-
-class TestTraceExportOfRealRuns:
-    def test_full_step_trace_exports(self, tmp_path):
-        """A real solver step produces a loadable Chrome trace whose
-        events reconstruct the phase sequence."""
-        world = VirtualWorld(generic_cluster(n_nodes=2, ranks_per_node=4))
-        sim = CgyroSimulation(world, range(8), small_test())
-        sim.step()
-        path = tmp_path / "step.json"
-        count = export_chrome_trace(world.trace, path, ranks=[0])
-        data = json.loads(path.read_text())
-        slices = [e for e in data["traceEvents"] if e["ph"] == "X"]
-        cats = [e["cat"] for e in slices]
-        assert "str_comm" in cats and "coll_comm" in cats
-        # events are time-ordered and non-overlapping per rank
-        spans = [(e["ts"], e["ts"] + e["dur"]) for e in slices]
-        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-            assert b0 >= a1 - 1e-6
-        assert count == len(world.trace.filter(involving_rank=0))
-
-    def test_csv_row_count_matches_trace(self, tmp_path):
-        world = VirtualWorld(single_node(ranks=4))
-        sim = CgyroSimulation(world, range(4), small_test())
-        sim.step()
-        rows = export_csv(world.trace, tmp_path / "t.csv")
-        assert rows == len(world.trace)
 
 
 class TestSolverGuards:

@@ -14,7 +14,6 @@ from repro.obs import (
     load_spans_jsonl,
 )
 from repro.vmpi import VirtualWorld
-from repro.vmpi.export import export_chrome_trace
 from repro.xgyro import XgyroEnsemble
 
 
@@ -92,33 +91,26 @@ class TestSpanChrome:
 
 
 class TestVmpiChromeMemberLanes:
-    """The satellite fix: collective traces get per-member pids."""
+    """Collective leaf spans of a real ensemble get per-member pids."""
 
     def test_member_comms_land_on_member_pids(self, tmp_path):
-        world, _ = _ensemble_telemetry()
+        _, tele = _ensemble_telemetry()
         path = tmp_path / "trace.json"
-        export_chrome_trace(world.trace, path)
+        export_spans_chrome(tele.tracer.spans, path)
         events = json.loads(path.read_text())["traceEvents"]
         meta = {e["pid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
         assert meta[0] == "ensemble"
         assert {p for p in meta if p > 0}  # member lanes exist
-        member_events = [e for e in events if e["ph"] == "X" and e["pid"] > 0]
-        ensemble_events = [
-            e for e in events if e["ph"] == "X" and e["pid"] == 0
+        collectives = [
+            e for e in events if e["ph"] == "X" and e["cat"] == "collective"
         ]
+        member_events = [e for e in collectives if e["pid"] > 0]
+        ensemble_events = [e for e in collectives if e["pid"] == 0]
         # per-member str AllReduces on member lanes, ensemble-wide coll
         # AllToAlls on the shared lane
         assert member_events and ensemble_events
-        assert all(
-            ".m" in e["name"] for e in member_events
-        )
-
-    def test_collapse_members_restores_single_lane(self, tmp_path):
-        world, _ = _ensemble_telemetry()
-        path = tmp_path / "flat.json"
-        export_chrome_trace(world.trace, path, collapse_members=True)
-        events = json.loads(path.read_text())["traceEvents"]
-        assert {e["pid"] for e in events} == {0}
+        assert all(".m" in e["name"] for e in member_events)
+        assert all("xgyro.coll." in e["name"] for e in ensemble_events)
 
 
 class TestServiceSpanExport:

@@ -294,3 +294,33 @@ class TestUnevenShardMap:
         for _ in range(2):
             ens4.step()
         assert np.array_equal(ens4.members[0].gather_h(), h0)
+
+
+class TestBlockingVsPipelinedCollStep:
+    """The blocking coll step is the chunked routine at ``T = 1``: both
+    schedules must agree bit for bit on every indexer shape."""
+
+    @pytest.mark.parametrize("recovered", [False, True], ids=["fresh", "post-recovery"])
+    def test_bit_exact_on_slice_and_list_indexers(self, recovered):
+        # losing m2 hands its ic run to m0: (0..3, 8..11), non-contiguous
+        specs = (FaultSpec("rank_crash", at_step=2, rank=9),) if recovered else ()
+        inputs = [
+            small_test(name=f"m{i}", dlntdr=(3.0 + 0.1 * i, 3.0 + 0.1 * i))
+            for i in range(4)
+        ]
+        states = {}
+        for overlap in ("off", "coll"):
+            runner = ResilientXgyroRunner(
+                VirtualWorld(machine4()),
+                inputs,
+                plan=FaultPlan(specs=specs),
+                overlap=overlap,
+            )
+            runner.run_steps(4)
+            shards = [s for g in runner.ensemble.scheme.shards.values() for s in g]
+            # adopted runs make a survivor's indexer an explicit list
+            assert any(isinstance(s.index(), list) for s in shards) == recovered
+            states[overlap] = [m.gather_h() for m in runner.ensemble.members]
+        assert len(states["off"]) == (3 if recovered else 4)
+        for blocking, pipelined in zip(states["off"], states["coll"]):
+            assert np.array_equal(blocking, pipelined)

@@ -1,9 +1,7 @@
-"""Tests for vmpi extensions: reduce_scatter, scan, sendrecv, algorithm
-auto-selection and trace export."""
+"""Tests for vmpi extensions: reduce_scatter, scan, sendrecv and
+algorithm auto-selection."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from repro.machine import generic_cluster, single_node
 from repro.vmpi import Communicator, ReduceOp, VirtualWorld
 from repro.vmpi.cost import CommCostModel
 from repro.vmpi.algorithms import AllreduceAlgorithm, AlltoallAlgorithm
-from repro.vmpi.export import export_chrome_trace, export_csv
 
 
 def make_world(n=4, **kw):
@@ -168,47 +165,91 @@ class TestAlgorithmSelection:
             w.cost_model.select_algorithm("bcast", 10)
 
 
-class TestTraceExport:
-    def _traced_world(self):
+# every Communicator collective, as a call on comm_world of 4 ranks that
+# returns once the collective has been charged (nonblocking ones waited)
+_V = {r: np.full((4, 2), float(r + 1)) for r in range(4)}
+_ROWS = {r: [np.full(2, float(r)) for _ in range(4)] for r in range(4)}
+COLLECTIVES = {
+    "barrier": lambda c: c.barrier(),
+    "allreduce": lambda c: c.allreduce(_V),
+    "iallreduce": lambda c: c.iallreduce(_V).wait(),
+    "alltoall": lambda c: c.alltoall(_ROWS),
+    "ialltoall": lambda c: c.ialltoall(_ROWS).wait(),
+    "allgather": lambda c: c.allgather(_V),
+    "bcast": lambda c: c.bcast(_V[0], root=0),
+    "reduce": lambda c: c.reduce(_V, root=0),
+    "gather": lambda c: c.gather(_V, root=0),
+    "scatter": lambda c: c.scatter([_V[r] for r in range(4)], root=0),
+    "reduce_scatter": lambda c: c.reduce_scatter(_V),
+    "scan": lambda c: c.scan(_V),
+    "sendrecv": lambda c: c.sendrecv(_V[0], 0, 1),
+}
+
+
+class TestOneRecordPoint:
+    """Every collective is accounted the same way, in one place."""
+
+    @pytest.mark.parametrize("name", sorted(COLLECTIVES))
+    def test_collective_is_recorded_once_everywhere(self, name):
+        from repro.obs import Telemetry
+
         w = make_world(4)
         comm = w.comm_world()
-        with w.phase("str_comm"):
-            comm.allreduce({r: np.ones(8) for r in range(4)})
-        with w.phase("coll_comm"):
-            comm.alltoall({r: [np.ones(2)] * 4 for r in range(4)})
-        return w
+        comm.barrier()  # seq 1, before the telemetry listens
+        tele = Telemetry()
+        tele.install(w)
+        lag_s = 0.25
+        w.charge_compute(0, seconds=lag_s)  # rank 0 arrives last
+        COLLECTIVES[name](comm)
 
-    def test_chrome_trace_structure(self, tmp_path):
-        w = self._traced_world()
-        path = tmp_path / "trace.json"
-        count = export_chrome_trace(w.trace, path)
-        assert count == 2
-        data = json.loads(path.read_text())
-        meta = [e for e in data["traceEvents"] if e["ph"] == "M"]
-        events = [e for e in data["traceEvents"] if e["ph"] == "X"]
-        assert meta and meta[0]["args"]["name"] == "ensemble"
-        assert len(events) == 8  # 2 collectives x 4 ranks
-        assert {e["cat"] for e in events} == {"str_comm", "coll_comm"}
-        assert all(e["dur"] > 0 for e in events)
+        (first, ev) = w.trace.events
+        assert (first.seq, ev.seq) == (1, 2)
+        assert ev.nonblocking == name.startswith("i")
+        leaves = [s for s in tele.tracer.spans if s.kind == "collective"]
+        assert len(leaves) == 1
+        assert leaves[0].name == f"{ev.kind} [{ev.comm_label}]"
+        assert leaves[0].ranks == ev.ranks
+        assert leaves[0].attrs["last_arrival"] == 0
 
-    def test_chrome_trace_rank_filter(self, tmp_path):
-        w = self._traced_world()
-        path = tmp_path / "trace.json"
-        export_chrome_trace(w.trace, path, ranks=[0])
-        events = json.loads(path.read_text())["traceEvents"]
-        assert {e["tid"] for e in events if e["ph"] == "X"} == {0}
+        # the entry wait of everyone but rank 0, booked and attributed
+        waited = lag_s * (len(ev.ranks) - 1)
+        assert w.coll_wait_s[list(ev.ranks)].sum() == pytest.approx(waited)
+        assert w.coll_wait_s[0] == pytest.approx(0.0, abs=1e-12)
+        assert w.imposed_wait_s[0] == pytest.approx(waited)
 
-    def test_chrome_trace_max_events(self, tmp_path):
-        w = self._traced_world()
-        path = tmp_path / "trace.json"
-        count = export_chrome_trace(w.trace, path, max_events=1)
-        assert count == 1
+        m = tele.metrics
+        label = ev.comm_label
+        assert m.counter("vmpi_collectives_total", kind=ev.kind).value == 1
+        assert m.counter(
+            "vmpi_collective_bytes_total", kind=ev.kind, comm=label
+        ).value == ev.nbytes
+        assert m.counter(
+            "vmpi_coll_wait_seconds_total", comm=label
+        ).value == pytest.approx(waited)
+        assert m.counter(
+            "vmpi_imposed_wait_seconds_total", rank=0
+        ).value == pytest.approx(waited)
+        hist = m.histogram_or_none("vmpi_collective_cost_seconds", kind=ev.kind)
+        assert hist is not None and hist.snapshot().count == 1
 
-    def test_csv_export(self, tmp_path):
-        w = self._traced_world()
-        path = tmp_path / "trace.csv"
-        rows = export_csv(w.trace, path)
-        assert rows == 2
-        text = path.read_text()
-        assert "allreduce" in text and "alltoall" in text
-        assert "str_comm" in text
+    def test_sendrecv_cost_is_the_p2p_formula(self):
+        """overhead + latency + nbytes/bandwidth, fault factor included;
+        a self-send stays free and untraced."""
+
+        class Slow:
+            def on_collective(self, kind, ranks, comm_label):
+                return 3.0
+
+        payload = np.ones(1000)
+        costs = []
+        for injector in (None, Slow()):
+            w = VirtualWorld(generic_cluster(n_nodes=2, ranks_per_node=2))
+            w.install_fault_injector(injector)
+            comm = w.comm_world()
+            comm.sendrecv(payload, 2, 2)
+            assert len(w.trace) == 0 and w.elapsed() == 0.0
+            comm.sendrecv(payload, 0, 3)
+            costs.append(w.trace.events[0].cost_s)
+            link = w.cost_model.effective_link((0, 3))
+        p2p = link.overhead_s + link.latency_s + payload.nbytes / link.bandwidth_Bps
+        assert costs == [p2p, 3.0 * p2p]
