@@ -10,8 +10,10 @@ preserved.  Run with::
 Every bench records its headline numbers through the session-scoped
 ``bench_json`` fixture; ``--json PATH`` writes them as a
 machine-readable ``repro-bench-v1`` document that ``repro perf-gate``
-compares against the committed baseline
-(``benchmarks/baselines/BENCH_PR5.json``).
+compares against a committed baseline under ``benchmarks/baselines/``:
+the per-lane file for the autotune, online-service, overlap, chaos and
+monitor benches, ``BENCH_PR5.json`` for everything else (one record,
+one file).
 """
 
 from __future__ import annotations

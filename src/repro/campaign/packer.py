@@ -8,10 +8,9 @@ node sets so no slot idles while work is pending.
 
 Capacity is decided the way the solver itself enforces it: per-rank
 state bytes plus the worst-case shared-cmat shard, probed against a
-:class:`~repro.machine.memory.MemoryLedger` with
-:meth:`~repro.machine.memory.MemoryLedger.would_fit` — no try/except
-control flow, and the same arithmetic the run-time ledgers apply, so a
-packed job cannot OOM at dispatch.
+:class:`~repro.machine.memory.MemoryLedger` by
+:func:`repro.perf.memory.shard_fit` — the same arithmetic the
+run-time ledgers apply, so a packed job cannot OOM at dispatch.
 
 The two packing moves:
 
@@ -21,10 +20,6 @@ The two packing moves:
 - **co-schedule** small jobs: jobs are first-fit placed onto disjoint
   contiguous node ranges of the same *wave*; waves run one after
   another, jobs within a wave run concurrently.
-
-Node ranges are resolved to node ids through the machine's
-:class:`~repro.machine.placement.BlockPlacement`, the launcher default
-the rest of the reproduction assumes.
 
 When a :class:`~repro.resilience.health.NodeHealthTracker` is
 attached, quarantined nodes are struck from the allocatable pool
@@ -41,12 +36,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError
 from repro.cgyro.params import CgyroInput
-from repro.collision.cmat import cmat_block_bytes
 from repro.grid.decomp import Decomposition
-from repro.machine.memory import MemoryLedger
 from repro.machine.model import MachineModel
-from repro.machine.placement import BlockPlacement
-from repro.perf.memory import state_bytes_per_rank
+from repro.perf.memory import feasible_shapes, member_decomp, shard_fit
 from repro.campaign.batcher import CandidateBatch
 from repro.campaign.request import SimRequest
 from repro.xgyro.partition import ensemble_nc_counts
@@ -156,7 +148,6 @@ class CampaignPacker:
         self.health = health
         self.plan = plan
         self.spread_domains = spread_domains
-        self._placement = BlockPlacement(machine, machine.n_ranks)
 
     def available_nodes(self) -> List[int]:
         """Allocatable node ids: the machine minus any quarantined."""
@@ -194,46 +185,27 @@ class CampaignPacker:
         """Smallest-node feasible geometry for k members sharing, or
         ``None`` when no node count up to ``max_nodes`` (default: the
         whole machine) fits."""
-        dims = inp.grid_dims()
-        rpn = self.machine.ranks_per_node
         limit = self.machine.n_nodes if max_nodes is None else min(
             self.machine.n_nodes, max_nodes
         )
-        for n_nodes in range(1, limit + 1):
-            n_ranks = n_nodes * rpn
-            if n_ranks % k != 0:
-                continue
-            per_member = n_ranks // k
-            decomp = self._decomp(dims, per_member)
-            if decomp is None:
-                continue
-            if k * decomp.n_proc_1 > dims.nc:
-                continue  # some coll rank would own no cmat shard
-            counts = ensemble_nc_counts(decomp, k)
-            cmat_b = cmat_block_bytes(dims, max(counts), decomp.nt_loc)
-            state_b = state_bytes_per_rank(inp, decomp)
-            ledger = MemoryLedger(self.machine.mem_per_rank_bytes)
-            if not ledger.would_fit("state", state_b):
-                continue
-            ledger.alloc("state", state_b)
-            if not ledger.would_fit("cmat", cmat_b):
-                continue
-            return JobShape(
-                k=k,
-                n_nodes=n_nodes,
-                n_ranks=n_ranks,
-                ranks_per_member=per_member,
-                per_rank_cmat_bytes=cmat_b,
-                per_rank_state_bytes=state_b,
-            )
+        for n_nodes, decomp, fit in feasible_shapes(self.machine, inp, k, limit):
+            return self._job_shape(k, n_nodes, decomp, fit)
         return None
 
     @staticmethod
-    def _decomp(dims, n_ranks: int) -> Optional[Decomposition]:
-        try:
-            return Decomposition.choose(dims, n_ranks)
-        except Exception:
-            return None
+    def _job_shape(
+        k: int, n_nodes: int, decomp: Decomposition, fit: Tuple[int, int]
+    ) -> JobShape:
+        """The :class:`JobShape` of a geometry :func:`shard_fit` admitted."""
+        state_b, cmat_b = fit
+        return JobShape(
+            k=k,
+            n_nodes=n_nodes,
+            n_ranks=k * decomp.n_proc,
+            ranks_per_member=decomp.n_proc,
+            per_rank_cmat_bytes=cmat_b,
+            per_rank_state_bytes=state_b,
+        )
 
     # ------------------------------------------------------------------
     # splitting oversized groups
@@ -295,35 +267,20 @@ class CampaignPacker:
         avail = set(self.available_nodes())
         if not all(n in avail for n in choice.nodes):
             return None
-        dims = inp.grid_dims()
-        decomp = self._decomp(dims, choice.ranks_per_member)
+        decomp = member_decomp(inp, choice.k, choice.ranks_per_member)
         if decomp is None:
-            return None
-        if choice.k * decomp.n_proc_1 > dims.nc:
             return None
         counts = (
             choice.nc_counts
             if choice.nc_counts is not None
             else ensemble_nc_counts(decomp, choice.k)
         )
-        if len(counts) != choice.k * decomp.n_proc_1 or sum(counts) != dims.nc:
+        if len(counts) != choice.k * decomp.n_proc_1 or sum(counts) != decomp.dims.nc:
             return None
-        cmat_b = cmat_block_bytes(dims, max(counts), decomp.nt_loc)
-        state_b = state_bytes_per_rank(inp, decomp)
-        ledger = MemoryLedger(self.machine.mem_per_rank_bytes)
-        if not ledger.would_fit("state", state_b):
+        fit = shard_fit(self.machine, inp, decomp, max(counts))
+        if fit is None:
             return None
-        ledger.alloc("state", state_b)
-        if not ledger.would_fit("cmat", cmat_b):
-            return None
-        return JobShape(
-            k=choice.k,
-            n_nodes=choice.n_nodes,
-            n_ranks=choice.n_ranks,
-            ranks_per_member=choice.ranks_per_member,
-            per_rank_cmat_bytes=cmat_b,
-            per_rank_state_bytes=state_b,
-        )
+        return self._job_shape(choice.k, choice.n_nodes, decomp, fit)
 
     def _split_with_tuning(
         self, batch: CandidateBatch

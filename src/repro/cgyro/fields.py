@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import InputError
+from repro.cgyro import costs
 from repro.cgyro.params import CgyroInput
 from repro.grid.dims import GridDims
 from repro.grid.velocity import VelocityGrid
@@ -90,7 +91,7 @@ class FieldSolver:
     @property
     def n_moments(self) -> int:
         """Moments accumulated per field solve (2 ES, 3 EM)."""
-        return 3 if self.electromagnetic else 2
+        return costs.n_moments(self.inp)
 
     def _build_dielectric(self) -> np.ndarray:
         d = np.full(self.dims.nt, self.inp.lambda_debye)

@@ -34,7 +34,7 @@ from repro.cgyro import costs
 from repro.cgyro.collision_scheme import CollisionScheme, PrivateCollisionScheme
 from repro.cgyro.diagnostics import flux_spectrum
 from repro.cgyro.fields import FieldSolver, FieldState
-from repro.cgyro.nonlinear import padded_length, toroidal_bracket
+from repro.cgyro.nonlinear import toroidal_bracket
 from repro.cgyro.params import CgyroInput
 from repro.cgyro.reference import initial_condition
 from repro.cgyro.streaming import StreamingOperator
@@ -50,7 +50,7 @@ from repro.grid import (
     transpose_nl_to_str,
     transpose_str_to_nl,
 )
-from repro.grid.layouts import block_nbytes, nc_nl_slice
+from repro.grid.layouts import nc_nl_slice
 from repro.vmpi import Communicator, VirtualWorld
 
 #: Valid compute/comm overlap modes.  ``off`` is bit-identical to the
@@ -111,6 +111,8 @@ class CgyroSimulation:
         self.label = label or inp.name
         self.dims = inp.grid_dims()
         self.decomp = Decomposition.choose(self.dims, len(self.ranks))
+        #: what this decomposition's kernels are charged, fixed for the run
+        self.costs = costs.KernelCosts.of(inp, self.decomp)
         self.vgrid = VelocityGrid.build(self.dims)
         self.cgrid = ConfigGrid.build(self.dims, box_length=inp.box_length)
         self.fields = FieldSolver(inp, self.dims, self.vgrid)
@@ -166,34 +168,9 @@ class CgyroSimulation:
     # memory
     # ------------------------------------------------------------------
     def _allocate_buffers(self) -> None:
-        """Register the solver's per-rank state buffers in the ledgers.
-
-        The buffer set mirrors CGYRO's: state, four RK stages, stage
-        scratch, previous-step copy (error control), field arrays,
-        moment accumulators, streaming factor tables, upwind scratch,
-        the coll-layout workspace, and (nonlinear only) two NL-layout
-        workspaces.
-        """
-        d, dec = self.dims, self.decomp
-        str_bytes = block_nbytes(Layout.STR, dec)
-        coll_bytes = block_nbytes(Layout.COLL, dec)
-        # phi + psi_u (+ apar for electromagnetic runs)
-        n_field_arrays = 3 if self.inp.beta_e > 0 else 2
-        field_bytes = n_field_arrays * d.nc * dec.nt_loc * 16
-        table_bytes = d.nc * dec.nv_loc * dec.nt_loc * 8
-        sizes = {
-            "h": str_bytes,
-            "rk_stages": 4 * str_bytes,
-            "stage_state": str_bytes,
-            "h_prev": str_bytes,
-            "fields": field_bytes,
-            "moment_work": field_bytes,
-            "stream_tables": table_bytes,
-            "upwind_work": str_bytes,
-            "coll_work": coll_bytes,
-        }
-        if self.inp.nonlinear:
-            sizes["nl_work"] = 2 * block_nbytes(Layout.NL, dec)
+        """Register the solver's per-rank state buffers
+        (:func:`repro.cgyro.costs.state_buffers`) in the ledgers."""
+        sizes = costs.state_buffers(self.inp, self.decomp)
         for world_rank in self.ranks:
             ledger = self.world.ledgers[world_rank]
             for name, nbytes in sizes.items():
@@ -213,9 +190,7 @@ class CgyroSimulation:
     # ------------------------------------------------------------------
     def _field_chunks(self) -> List[range]:
         """Local velocity-chunk index ranges for pipelined aggregation."""
-        nv_loc = self.decomp.nv_loc
-        chunk = min(nv_loc, self.dims.n_xi)
-        return [range(lo, min(lo + chunk, nv_loc)) for lo in range(0, nv_loc, chunk)]
+        return list(self.costs.chunks)
 
     def _solve_fields(
         self,
@@ -232,12 +207,12 @@ class CgyroSimulation:
         per-step phase timers.
         """
         d, dec = self.dims, self.decomp
-        n_mom = self.fields.n_moments
+        kc = self.costs
+        n_mom = kc.n_moments
         acc: Dict[int, np.ndarray] = {
             r: np.zeros((n_mom, d.nc, dec.nt_loc), dtype=np.complex128)
             for r in self.ranks
         }
-        chunks = self._field_chunks()
         overlapped = self.overlap in ("str", "full")
         pending: List = []
 
@@ -248,7 +223,7 @@ class CgyroSimulation:
                     acc[r] += summed[r]
             pending.clear()
 
-        for chunk in chunks:
+        for chunk, moment_flops in zip(kc.chunks, kc.chunk_moment_flops):
             partials: Dict[int, np.ndarray] = {}
             for r in self.ranks:
                 iv_global = self.iv_idx(r)
@@ -258,7 +233,7 @@ class CgyroSimulation:
                 )
             self.world.charge_compute(
                 self.ranks,
-                flops=costs.MOMENT_FLOPS_PER_ELEMENT * d.nc * len(chunk) * dec.nt_loc,
+                flops=moment_flops,
                 category=compute_category,
             )
             if overlapped:
@@ -289,7 +264,7 @@ class CgyroSimulation:
             fields[r] = self.fields.assemble(acc[r], self.nt_idx(r))
         self.world.charge_compute(
             self.ranks,
-            flops=costs.FIELD_SOLVE_FLOPS_PER_ELEMENT * d.nc * dec.nt_loc,
+            flops=kc.field_solve_flops,
             category=compute_category,
         )
         return fields
@@ -310,11 +285,8 @@ class CgyroSimulation:
                 self.nt_idx(r),
                 apar=f.apar,
             )
-        d, dec = self.dims, self.decomp
         self.world.charge_compute(
-            self.ranks,
-            flops=costs.RHS_FLOPS_PER_ELEMENT * d.nc * dec.nv_loc * dec.nt_loc,
-            category="str_compute",
+            self.ranks, flops=self.costs.rhs_flops, category="str_compute"
         )
         return rhs
 
@@ -330,15 +302,8 @@ class CgyroSimulation:
             self.h[r] = h[r] + (dt / 6.0) * (
                 k1[r] + 2.0 * k2[r] + 2.0 * k3[r] + k4[r]
             )
-        d, dec = self.dims, self.decomp
         self.world.charge_compute(
-            self.ranks,
-            flops=costs.RK_COMBINE_FLOPS_PER_ELEMENT
-            * d.nc
-            * dec.nv_loc
-            * dec.nt_loc
-            * 4,
-            category="str_compute",
+            self.ranks, flops=self.costs.rk_combine_flops, category="str_compute"
         )
 
     # ------------------------------------------------------------------
@@ -370,7 +335,6 @@ class CgyroSimulation:
                     phi_nl[r] = np.concatenate(recv[r], axis=1)
         k_r = self.cgrid.flat_k_radial()
         dt = self.inp.delta_t
-        padded = padded_length(d.nt)
         for r in self.ranks:
             _, i2 = self.local_coords(r)
             sl = nc_nl_slice(dec, i2)
@@ -383,11 +347,7 @@ class CgyroSimulation:
             )
             h_nl[r] = h_nl[r] + dt * bracket
         self.world.charge_compute(
-            self.ranks,
-            flops=costs.bracket_flops(
-                d.nc // dec.n_proc_2, dec.nv_loc, d.nt, padded
-            ),
-            category="nl_compute",
+            self.ranks, flops=self.costs.nl_flops, category="nl_compute"
         )
         with self.world.phase("nl_comm"):
             for comm in self.comm2.values():
@@ -451,9 +411,7 @@ class CgyroSimulation:
             padded[1, nt_sel.start : nt_sel.stop] = p2_local
             partials[r] = padded
         self.world.charge_compute(
-            self.ranks,
-            flops=costs.DIAG_FLOPS_PER_ELEMENT * d.nc * dec.nv_loc * dec.nt_loc,
-            category="diag",
+            self.ranks, flops=self.costs.diag_flops, category="diag"
         )
         with self.world.phase("diag"):
             summed = self.comm_sim.allreduce(partials)

@@ -235,24 +235,6 @@ class RecoveryFailed(ResilienceError):
         self.reason = reason
 
 
-class IntegrityError(ResilienceError):
-    """Silent data corruption was detected by a checksum guard.
-
-    Raised when a shared-cmat shard (or a cached tensor entry) fails
-    its content-hash re-verification and the caller asked for failure
-    rather than in-place repair.
-
-    Attributes
-    ----------
-    ranks:
-        World ranks whose shards failed verification.
-    """
-
-    def __init__(self, message: str, *, ranks: "tuple[int, ...]" = ()) -> None:
-        super().__init__(message)
-        self.ranks = tuple(sorted(int(r) for r in ranks))
-
-
 class CampaignError(ReproError):
     """The campaign scheduler could not queue, pack, or run a job.
 

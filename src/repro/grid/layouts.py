@@ -20,6 +20,7 @@ semantics the AllToAll transposes are tested against.
 from __future__ import annotations
 
 import enum
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -64,8 +65,7 @@ def block_shape(layout: Layout, decomp: Decomposition) -> Tuple[int, int, int]:
 
 def block_nbytes(layout: Layout, decomp: Decomposition, dtype=np.complex128) -> int:
     """Bytes of one per-rank block under ``layout``."""
-    shape = block_shape(layout, decomp)
-    return int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return math.prod(block_shape(layout, decomp)) * np.dtype(dtype).itemsize
 
 
 def scatter_global(

@@ -2,13 +2,17 @@
 
 Every ``bench_*.py`` smoke run writes one machine-readable record per
 bench (via the shared ``--json`` writer in ``benchmarks/conftest.py``)
-into a ``BENCH_PR5.json`` file::
+into a bench-record file::
 
     {"format": "repro-bench-v1",
      "records": {"figure2_headline": {"xgyro_wall_s": 0.81, ...}, ...}}
 
-CI compares that fresh file against the baseline committed under
+CI compares each lane's fresh file against that lane's baseline under
 ``benchmarks/baselines/`` with a relative tolerance band per metric.
+Every record has one owner: the autotune, service, overlap, chaos and
+monitor lanes' files hold their own bench's record, ``BENCH_PR5.json``
+those of every other bench (the whole-suite run reports the per-lane
+benches as ``new``, which passes).
 The virtual machine is deterministic, so the band exists to absorb
 *intentional* model changes, not noise: a metric drifting beyond it in
 the *worse* direction fails the gate; drifting in the *better*

@@ -11,21 +11,10 @@ properties.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from repro.cgyro.solver import CgyroSimulation
-from repro.vmpi.tracer import TraceLog
 from repro.xgyro.driver import XgyroEnsemble
-
-
-def _collect_usage(trace: TraceLog) -> Dict[str, Dict[str, Tuple[Tuple[int, ...], int]]]:
-    """{category -> {kind -> (ranks of one example event, event count)}}."""
-    usage: Dict[str, Dict[str, Tuple[Tuple[int, ...], int]]] = {}
-    for ev in trace:
-        per_cat = usage.setdefault(ev.category, {})
-        example, count = per_cat.get(ev.kind, (ev.ranks, 0))
-        per_cat[ev.kind] = (example, count + 1)
-    return usage
 
 
 def _fmt_ranks(ranks: Tuple[int, ...]) -> str:

@@ -9,55 +9,46 @@ Quantifies the two memory claims of the paper:
   shared-cmat simulations fit where one private-cmat simulation did —
   :func:`min_nodes_required`.
 
-The per-rank footprints used here are the same formulas the solver
-registers in the memory ledgers, so the arithmetic and the enforced
-reality cannot drift apart (tests compare them).
+The per-rank footprints used here are the buffer table and shard
+arithmetic the solver itself registers in the memory ledgers
+(:func:`repro.cgyro.costs.state_buffers`,
+:func:`~repro.xgyro.partition.ensemble_nc_counts`), and every layer
+that asks "do k members fit on n nodes" — this module, the campaign
+packer, the planner — asks :func:`shard_fit` /
+:func:`feasible_shapes`, so the arithmetic and the enforced reality
+cannot drift apart (tests compare them).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import DecompositionError
+from repro.cgyro.costs import state_buffers
 from repro.cgyro.params import CgyroInput
 from repro.collision.cmat import cmat_block_bytes, cmat_total_bytes
 from repro.grid.decomp import Decomposition
-from repro.grid.layouts import Layout, block_nbytes
+from repro.grid.layouts import Layout, block_shape
+from repro.machine.memory import MemoryLedger
 from repro.machine.model import MachineModel
-
-#: Complex state buffers the solver registers besides cmat, expressed
-#: as multiples of one STR block (see CgyroSimulation._allocate_buffers):
-#: h, 4 RK stages, stage scratch, h_prev, upwind scratch, coll work.
-STATE_BLOCKS_LINEAR = 9.0
-#: Extra NL-layout workspaces when the nonlinear phase is enabled.
-STATE_BLOCKS_NL = 2.0
-#: Real-valued streaming factor tables, as STR-block fraction (8 vs 16 B).
-TABLE_BLOCKS = 0.5
+from repro.xgyro.partition import ensemble_nc_counts
 
 
 def state_bytes_per_rank(inp: CgyroInput, decomp: Decomposition) -> int:
-    """Estimated non-cmat per-rank bytes (matches the ledger to ~1%)."""
-    str_block = block_nbytes(Layout.STR, decomp)
-    blocks = STATE_BLOCKS_LINEAR + TABLE_BLOCKS
-    if inp.nonlinear:
-        blocks += STATE_BLOCKS_NL
-    n_field_arrays = 3 if inp.beta_e > 0 else 2
-    # the "fields" and "moment_work" ledger entries
-    fields = 2 * n_field_arrays * inp.grid_dims().nc * decomp.nt_loc * 16
-    return int(blocks * str_block) + fields
+    """Non-cmat per-rank bytes: the sum of the state buffers the solver
+    registers (equal to the ledger sum exactly)."""
+    return sum(state_buffers(inp, decomp).values())
 
 
 def cmat_bytes_per_rank(
     inp: CgyroInput, decomp: Decomposition, *, ensemble_size: int = 1
 ) -> int:
-    """Per-rank cmat bytes; ``ensemble_size > 1`` means shared."""
-    dims = inp.grid_dims()
-    group = ensemble_size * decomp.n_proc_1
-    if dims.nc % group != 0:
-        raise DecompositionError(
-            f"nc={dims.nc} does not divide over {group} coll ranks"
-        )
-    return cmat_block_bytes(dims, dims.nc // group, decomp.nt_loc)
+    """Worst-case per-rank cmat bytes; ``ensemble_size > 1`` means
+    shared.  An uneven nc split gives the first coll ranks one extra
+    configuration point; raises :class:`DecompositionError` only when
+    some coll rank would own no shard (``k * P1 > nc``)."""
+    counts = ensemble_nc_counts(decomp, ensemble_size)
+    return cmat_block_bytes(decomp.dims, max(counts), decomp.nt_loc)
 
 
 def cmat_dominance_ratio(inp: CgyroInput) -> float:
@@ -82,6 +73,60 @@ def total_bytes_per_rank(
     )
 
 
+def member_decomp(
+    inp: CgyroInput, k: int, ranks_per_member: int
+) -> Optional[Decomposition]:
+    """Decomposition of one of ``k`` cmat-sharing members on
+    ``ranks_per_member`` ranks, or ``None`` where the solver could not
+    be built: no valid (P1, P2), a nonlinear input whose NL layout does
+    not divide, or a coll rank left without a cmat shard."""
+    dims = inp.grid_dims()
+    try:
+        decomp = Decomposition.choose(dims, ranks_per_member)
+        if inp.nonlinear:
+            block_shape(Layout.NL, decomp)  # raises unless P2 divides nc
+    except DecompositionError:
+        return None
+    if k * decomp.n_proc_1 > dims.nc:
+        return None
+    return decomp
+
+
+def shard_fit(
+    machine: MachineModel, inp: CgyroInput, decomp: Decomposition, max_count: int
+) -> Optional[Tuple[int, int]]:
+    """The memory probe: per-rank ``(state, cmat)`` bytes when the state
+    buffers plus a cmat shard of ``max_count`` configuration points fit
+    one rank's budget, else ``None``.  Asked of a
+    :class:`MemoryLedger`, as the run-time ledgers will be."""
+    ledger = MemoryLedger(machine.mem_per_rank_bytes)
+    state_b = state_bytes_per_rank(inp, decomp)
+    if not ledger.would_fit("state", state_b):
+        return None
+    ledger.alloc("state", state_b)
+    cmat_b = cmat_block_bytes(decomp.dims, max_count, decomp.nt_loc)
+    return (state_b, cmat_b) if ledger.would_fit("cmat", cmat_b) else None
+
+
+def feasible_shapes(
+    machine: MachineModel, inp: CgyroInput, k: int, max_nodes: int
+) -> Iterator[Tuple[int, Decomposition, Tuple[int, int]]]:
+    """``(n_nodes, member decomposition, shard_fit)`` for every node
+    count up to ``max_nodes``, ascending, on which ``k`` members sharing
+    one balanced cmat fit — the job spanning all ranks of the nodes,
+    each member on 1/k of them."""
+    for n_nodes in range(1, max_nodes + 1):
+        n_ranks = n_nodes * machine.ranks_per_node
+        if n_ranks % k != 0:
+            continue
+        decomp = member_decomp(inp, k, n_ranks // k)
+        if decomp is None:
+            continue
+        fit = shard_fit(machine, inp, decomp, max(ensemble_nc_counts(decomp, k)))
+        if fit is not None:
+            yield n_nodes, decomp, fit
+
+
 def min_nodes_required(
     inp: CgyroInput,
     machine: MachineModel,
@@ -98,20 +143,8 @@ def min_nodes_required(
     nothing up to ``max_nodes`` fits.
     """
     limit = max_nodes if max_nodes is not None else machine.n_nodes
-    budget = machine.mem_per_rank_bytes
-    for n_nodes in range(1, limit + 1):
-        total_ranks = n_nodes * machine.ranks_per_node
-        if total_ranks % ensemble_size != 0:
-            continue
-        per_member = total_ranks // ensemble_size
-        try:
-            needed = total_bytes_per_rank(
-                inp, per_member, ensemble_size=ensemble_size
-            )
-        except DecompositionError:
-            continue
-        if needed <= budget:
-            return n_nodes
+    for n_nodes, _, _ in feasible_shapes(machine, inp, ensemble_size, limit):
+        return n_nodes
     raise DecompositionError(
         f"{inp.name}: no node count up to {limit} fits "
         f"{ensemble_size} member(s) on {machine.name}"

@@ -26,11 +26,8 @@ from repro.machine.model import MachineModel
 from repro.plan.anneal import anneal
 from repro.plan.artifact import Plan, PlanChoice
 from repro.plan.predict import algorithms_of, predict_plan_interval
-from repro.plan.space import (
-    enumerate_candidates,
-    feasible_geometries,
-    fits_memory,
-)
+from repro.perf.memory import shard_fit
+from repro.plan.space import enumerate_candidates, feasible_geometries
 from repro.vmpi.world import VirtualWorld
 from repro.xgyro.driver import XgyroEnsemble
 
@@ -58,17 +55,17 @@ def max_shard_points(
 ) -> int:
     """Largest shard (in configuration points) one rank can hold.
 
-    Binary search over the same ledger probe the packer uses; this is
+    Binary search over the ledger probe the packer uses; this is
     the cap the annealer's unbalancing moves must respect so a tuned
     plan can never OOM at dispatch.
     """
     nc = inp.grid_dims().nc
-    if not fits_memory(machine, inp, decomp, 1):
+    if shard_fit(machine, inp, decomp, 1) is None:
         return 0
     lo, hi = 1, nc
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if fits_memory(machine, inp, decomp, mid):
+        if shard_fit(machine, inp, decomp, mid) is not None:
             lo = mid
         else:
             hi = mid - 1
@@ -140,9 +137,9 @@ class Planner:
             decomp = Decomposition.choose(
                 self.inp.grid_dims(), choice.ranks_per_member
             )
-            if choice.nc_counts is not None and not fits_memory(
+            if choice.nc_counts is not None and shard_fit(
                 self.machine, self.inp, decomp, max(choice.nc_counts)
-            ):
+            ) is None:
                 return None
             pred = predict_plan_interval(self.inp, self.machine, choice)
         except PlanError:

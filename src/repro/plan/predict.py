@@ -1,94 +1,46 @@
-"""Heterogeneity- and unbalance-aware makespan prediction for a plan.
+"""Makespan prediction for a plan: :class:`PlanChoice` -> the predictor.
 
-The closed-form predictor :mod:`repro.perf.analytic` assumes identical
-members and a balanced shard map, which is exact on a homogeneous
-machine.  The planner needs the generalisation: members sit on node
-sets with different compute speeds, the shared tensor's shards may be
-deliberately unequal, and the collective algorithms are themselves
-knobs.  This module mirrors the executed solver's charging structure
-(same collective counts, message sizes, and flop formulas) but
-evaluates it per member / per toroidal group / per shard on the
-:meth:`~repro.machine.model.MachineModel.submachine` of the plan's
-nodes:
-
-    interval ≈ steps x [ max_m (str_m + nl_m)           (member phases)
-                         + max_g coll_comm_g            (ensemble sync)
-                         + max_j coll_compute_j ]       (shard apply)
-               + max_m diag_m                           (once/interval)
-
-On a homogeneous machine with balanced counts every max degenerates to
-the common value and the prediction coincides with
-:func:`repro.perf.analytic.predict_xgyro_interval` (tested).  On a
-heterogeneous machine the maxima express the straggler effects the
-tuner exploits: a slow node gates ``str``, and a balanced shard map
-makes its shard gate ``coll_compute`` — unless the plan shrinks it.
+The closed-form model itself is
+:func:`repro.perf.analytic.predict_interval` — the one twin of the
+executed solver, heterogeneity- and unbalance-aware.  This module only
+resolves a plan's choice (node subset, algorithm names, nc split,
+schedule) into that function's geometry and rejects choices that could
+not be dispatched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
-
-from repro.cgyro import costs
-from repro.cgyro.nonlinear import padded_length
 from repro.cgyro.params import CgyroInput
-from repro.collision.cmat import apply_flops
 from repro.errors import PlanError
 from repro.grid.decomp import Decomposition
 from repro.machine.model import MachineModel
-from repro.machine.placement import BlockPlacement
+from repro.perf.analytic import IntervalPrediction, predict_interval
 from repro.plan.artifact import PlanChoice
 from repro.vmpi.algorithms import AllreduceAlgorithm, AlltoallAlgorithm
-from repro.vmpi.cost import CommCostModel
-from repro.xgyro.partition import ensemble_nc_counts
 
-
-@dataclass
-class PlanPrediction:
-    """Predicted per-interval wall time and its category breakdown.
-
-    Categories carry the *gating* (max) value per phase, so their sum
-    equals :attr:`makespan` — the serial phase chain the lockstep
-    ensemble executes.  Under an overlapped schedule the comm
-    categories hold only the *exposed* remainder; the hidden portion is
-    reported separately in :attr:`overlapped_s` (informational — it
-    occupies no extra timeline, so it is never part of the sum).
-    """
-
-    categories: Dict[str, float] = field(default_factory=dict)
-    overlapped_s: float = 0.0
-
-    @property
-    def makespan(self) -> float:
-        """Predicted wall seconds of one reporting interval."""
-        return sum(self.categories.values())
+#: What :func:`predict_plan_interval` returns.
+PlanPrediction = IntervalPrediction
 
 
 def algorithms_of(choice: PlanChoice):
     """Resolve the plan's algorithm names to the vmpi enums."""
-    try:
-        ar = AllreduceAlgorithm(choice.allreduce)
-    except ValueError as exc:
-        raise PlanError(
-            f"unknown allreduce algorithm {choice.allreduce!r} "
-            f"(choose from {[a.value for a in AllreduceAlgorithm]})"
-        ) from exc
-    try:
-        a2a = AlltoallAlgorithm(choice.alltoall)
-    except ValueError as exc:
-        raise PlanError(
-            f"unknown alltoall algorithm {choice.alltoall!r} "
-            f"(choose from {[a.value for a in AlltoallAlgorithm]})"
-        ) from exc
-    return ar, a2a
+    resolved = []
+    for kind, enum, name in (
+        ("allreduce", AllreduceAlgorithm, choice.allreduce),
+        ("alltoall", AlltoallAlgorithm, choice.alltoall),
+    ):
+        try:
+            resolved.append(enum(name))
+        except ValueError as exc:
+            raise PlanError(
+                f"unknown {kind} algorithm {name!r} "
+                f"(choose from {[a.value for a in enum]})"
+            ) from exc
+    return tuple(resolved)
 
 
 def predict_plan_interval(
-    inp: CgyroInput,
-    machine: MachineModel,
-    choice: PlanChoice,
-    *,
-    include_diag: bool = True,
+    inp: CgyroInput, machine: MachineModel, choice: PlanChoice
 ) -> PlanPrediction:
     """Predicted wall time of one reporting interval under ``choice``.
 
@@ -97,186 +49,30 @@ def predict_plan_interval(
     how :class:`~repro.campaign.runner.CampaignRunner` dispatches it.
     """
     sub = machine.submachine(choice.nodes)
-    n_ranks = choice.n_ranks
-    if n_ranks > sub.n_ranks:
+    if choice.n_ranks > sub.n_ranks:
         raise PlanError(
-            f"plan needs {n_ranks} ranks but its {choice.n_nodes} node(s) "
-            f"host only {sub.n_ranks}"
+            f"plan needs {choice.n_ranks} ranks but its {choice.n_nodes} "
+            f"node(s) host only {sub.n_ranks}"
         )
     dims = inp.grid_dims()
     decomp = Decomposition.choose(dims, choice.ranks_per_member)
-    k = choice.k
-    group = k * decomp.n_proc_1
-    if choice.nc_counts is not None:
-        counts = choice.nc_counts
-        if len(counts) != group or sum(counts) != dims.nc or min(counts) < 1:
-            raise PlanError(
-                f"nc_counts must be {group} positive entries summing to "
-                f"nc={dims.nc}, got {counts}"
-            )
-    else:
-        counts = ensemble_nc_counts(decomp, k)
+    counts = choice.nc_counts
+    group = choice.k * decomp.n_proc_1
+    if counts is not None and (
+        len(counts) != group or sum(counts) != dims.nc or min(counts) < 1
+    ):
+        raise PlanError(
+            f"nc_counts must be {group} positive entries summing to "
+            f"nc={dims.nc}, got {counts}"
+        )
     ar_algo, a2a_algo = algorithms_of(choice)
-    placement = BlockPlacement(sub, n_ranks)
-    cm = CommCostModel(
-        sub, placement, default_allreduce=ar_algo, default_alltoall=a2a_algo
+    return predict_interval(
+        inp,
+        sub,
+        decomp,
+        choice.k,
+        allreduce=ar_algo,
+        alltoall=a2a_algo,
+        nc_counts=counts,
+        overlap=choice.overlap,
     )
-
-    def speed(rank: int) -> float:
-        return sub.speed_of(placement.node_of(rank))
-
-    steps = inp.steps_per_report
-    per_member = choice.ranks_per_member
-    n_chunks = -(-decomp.nv_loc // min(decomp.nv_loc, inp.n_xi))
-    n_moments = 3 if inp.beta_e > 0 else 2
-    ar_bytes = dims.nc * decomp.nt_loc * 16
-    elements = dims.nc * decomp.nv_loc * decomp.nt_loc
-    block_bytes = elements * 16
-
-    # ---- str phase: per (member, toroidal group), worst group gates --
-    str_flops = (
-        4 * costs.RHS_FLOPS_PER_ELEMENT * elements
-        + 4 * costs.MOMENT_FLOPS_PER_ELEMENT * elements
-        + 4 * costs.FIELD_SOLVE_FLOPS_PER_ELEMENT * dims.nc * decomp.nt_loc
-        + 4 * costs.RK_COMBINE_FLOPS_PER_ELEMENT * elements
-    )
-    if inp.nonlinear:  # nl's extra field solve is charged to str
-        str_flops += (
-            costs.MOMENT_FLOPS_PER_ELEMENT * elements
-            + costs.FIELD_SOLVE_FLOPS_PER_ELEMENT * dims.nc * decomp.nt_loc
-        )
-    str_over = choice.overlap in ("str", "full")
-    coll_over = choice.overlap in ("coll", "full")
-    solves = 5 if inp.nonlinear else 4
-    member_str_comm: List[float] = []
-    member_str_compute: List[float] = []
-    member_str_hidden: List[float] = []
-    member_ar_worst: List[float] = []
-    for m in range(k):
-        offset = m * per_member
-        worst_comm = 0.0
-        worst_total = 0.0
-        worst_hidden = 0.0
-        worst_ar = 0.0
-        for i2 in range(decomp.n_proc_2):
-            g_ranks = [
-                offset + decomp.local_rank_of(i1, i2)
-                for i1 in range(decomp.n_proc_1)
-            ]
-            ar_cost = cm.collective_cost("allreduce", g_ranks, ar_bytes)
-            compute = str_flops / (sub.flops_per_rank * min(map(speed, g_ranks)))
-            hidden = 0.0
-            if str_over:
-                # one aggregated all-moments AllReduce per chunk, each
-                # (except the last) hidden under the next chunk's
-                # moment partials
-                c_agg = cm.collective_cost(
-                    "allreduce", g_ranks, n_moments * ar_bytes
-                )
-                chunk_comp = (
-                    costs.MOMENT_FLOPS_PER_ELEMENT * elements / n_chunks
-                ) / (sub.flops_per_rank * min(map(speed, g_ranks)))
-                hidden = solves * (n_chunks - 1) * min(c_agg, chunk_comp)
-                comm = solves * n_chunks * c_agg - hidden
-            else:
-                comm = solves * n_chunks * n_moments * ar_cost
-            if comm + compute > worst_total:
-                worst_total = comm + compute
-                worst_comm = comm
-                worst_hidden = hidden
-            worst_ar = max(worst_ar, ar_cost)
-        member_str_comm.append(worst_comm)
-        member_str_compute.append(worst_total - worst_comm)
-        member_str_hidden.append(worst_hidden)
-        member_ar_worst.append(worst_ar)
-
-    # ---- nl phase: per member, worst comm_2 group gates --------------
-    member_nl: List[float] = [0.0] * k
-    if inp.nonlinear:
-        nl_flops = costs.bracket_flops(
-            dims.nc // decomp.n_proc_2,
-            decomp.nv_loc,
-            dims.nt,
-            padded_length(dims.nt),
-        )
-        phi_bytes = dims.nc * decomp.nt_loc * 16
-        for m in range(k):
-            offset = m * per_member
-            worst = 0.0
-            for i1 in range(decomp.n_proc_1):
-                g_ranks = [
-                    offset + decomp.local_rank_of(i1, i2)
-                    for i2 in range(decomp.n_proc_2)
-                ]
-                a2a = cm.collective_cost("alltoall", g_ranks, block_bytes)
-                phi = cm.collective_cost("alltoall", g_ranks, phi_bytes)
-                comm = 2 * a2a + phi
-                compute = nl_flops / (
-                    sub.flops_per_rank * min(map(speed, g_ranks))
-                )
-                worst = max(worst, comm + compute)
-            member_nl[m] = worst
-
-    # ---- coll phase: ensemble-wide, every group syncs every step -----
-    coll_comm = 0.0
-    coll_compute = 0.0
-    coll_hidden = 0.0
-    for i2 in range(decomp.n_proc_2):
-        e_ranks = [
-            m * per_member + decomp.local_rank_of(i1, i2)
-            for m in range(k)
-            for i1 in range(decomp.n_proc_1)
-        ]
-        t_apply = 0.0
-        for j, r in enumerate(e_ranks):
-            t = k * apply_flops(counts[j], decomp.nt_loc, dims.nv) / (
-                sub.flops_per_rank * speed(r)
-            )
-            t_apply = max(t_apply, t)
-        if coll_over and min(counts) >= 2:
-            # T sub-exchanges per direction over chunked ic rows, all
-            # forwards posted up front and inverses waited at scatter:
-            # only the head forward and tail inverse windows are
-            # exposed, the other 2T-2 hide under the chunked applies
-            T = min(4, min(counts))
-            c_sub = cm.collective_cost("alltoall", e_ranks, block_bytes // T)
-            hidden_g = (2 * T - 2) * min(c_sub, t_apply / T)
-            comm_g = 2 * T * c_sub - hidden_g
-        else:
-            hidden_g = 0.0
-            comm_g = 2 * cm.collective_cost("alltoall", e_ranks, block_bytes)
-        if comm_g > coll_comm:
-            coll_comm = comm_g
-            coll_hidden = hidden_g
-        coll_compute = max(coll_compute, t_apply)
-
-    out = {
-        "str_comm": steps * max(member_str_comm),
-        "str_compute": steps * max(member_str_compute),
-        "nl": steps * max(member_nl),
-        "coll_comm": steps * coll_comm,
-        "coll_compute": steps * coll_compute,
-        "diag": 0.0,
-    }
-    overlapped_s = steps * (max(member_str_hidden) + coll_hidden)
-
-    # ---- diagnostics: once per interval, concurrent across members ---
-    if include_diag:
-        diag_flops = (
-            costs.DIAG_FLOPS_PER_ELEMENT * elements
-            + costs.MOMENT_FLOPS_PER_ELEMENT * elements
-            + costs.FIELD_SOLVE_FLOPS_PER_ELEMENT * dims.nc * decomp.nt_loc
-        )
-        worst = 0.0
-        for m in range(k):
-            offset = m * per_member
-            sim_ranks = list(range(offset, offset + per_member))
-            t = (
-                n_chunks * n_moments * member_ar_worst[m]
-                + cm.collective_cost("allreduce", sim_ranks, 2 * dims.nt * 8)
-                + diag_flops
-                / (sub.flops_per_rank * min(map(speed, sim_ranks)))
-            )
-            worst = max(worst, t)
-        out["diag"] = worst
-    return PlanPrediction(out, overlapped_s=overlapped_s)

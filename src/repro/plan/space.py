@@ -15,9 +15,9 @@ spans
   nonblocking schedules (:data:`~repro.plan.space.OVERLAP_OPTIONS`)
   that hide collective cost under compute.
 
-Feasibility mirrors :meth:`repro.campaign.packer.CampaignPacker.shape_for`
-exactly — the same decomposition choice, the same per-rank memory
-probes — so every candidate the planner emits is launchable by the
+Feasibility is :func:`repro.perf.memory.feasible_shapes`, the scan
+:meth:`repro.campaign.packer.CampaignPacker.shape_for` takes its first
+hit from — so every candidate the planner emits is launchable by the
 packer unchanged.  All enumeration orders are deterministic.
 """
 
@@ -26,12 +26,9 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.cgyro.params import CgyroInput
-from repro.collision.cmat import cmat_block_bytes
-from repro.errors import DecompositionError
 from repro.grid.decomp import Decomposition
-from repro.machine.memory import MemoryLedger
 from repro.machine.model import MachineModel
-from repro.perf.memory import state_bytes_per_rank
+from repro.perf.memory import feasible_shapes
 from repro.plan.artifact import PlanChoice
 from repro.vmpi.algorithms import AllreduceAlgorithm, AlltoallAlgorithm
 from repro.xgyro.partition import ensemble_nc_counts, proportional_nc_counts
@@ -51,33 +48,6 @@ ALGORITHM_PAIRS: Tuple[Tuple[str, str], ...] = tuple(
 OVERLAP_OPTIONS: Tuple[str, ...] = ("off", "full")
 
 
-def choose_decomp(dims, n_ranks: int) -> Optional[Decomposition]:
-    """``Decomposition.choose`` returning None instead of raising."""
-    try:
-        return Decomposition.choose(dims, n_ranks)
-    except DecompositionError:
-        return None
-
-
-def fits_memory(
-    machine: MachineModel,
-    inp: CgyroInput,
-    decomp: Decomposition,
-    max_count: int,
-) -> bool:
-    """Ledger-probe one rank: state + a cmat shard of ``max_count``
-    configuration points (the same arithmetic the packer and the
-    run-time ledgers apply)."""
-    dims = inp.grid_dims()
-    cmat_b = cmat_block_bytes(dims, max_count, decomp.nt_loc)
-    state_b = state_bytes_per_rank(inp, decomp)
-    ledger = MemoryLedger(machine.mem_per_rank_bytes)
-    if not ledger.would_fit("state", state_b):
-        return False
-    ledger.alloc("state", state_b)
-    return ledger.would_fit("cmat", cmat_b)
-
-
 def feasible_geometries(
     machine: MachineModel,
     inp: CgyroInput,
@@ -90,26 +60,10 @@ def feasible_geometries(
     Memory is probed with the *balanced* worst-case shard; unbalanced
     candidates re-probe with their own ceiling at evaluation time.
     """
-    dims = inp.grid_dims()
-    rpn = machine.ranks_per_node
     n_avail = (
         machine.n_nodes if available_nodes is None else len(available_nodes)
     )
-    out: List[Tuple[int, Decomposition]] = []
-    for n_nodes in range(1, n_avail + 1):
-        n_ranks = n_nodes * rpn
-        if n_ranks % k != 0:
-            continue
-        decomp = choose_decomp(dims, n_ranks // k)
-        if decomp is None:
-            continue
-        if k * decomp.n_proc_1 > dims.nc:
-            continue
-        counts = ensemble_nc_counts(decomp, k)
-        if not fits_memory(machine, inp, decomp, max(counts)):
-            continue
-        out.append((n_nodes, decomp))
-    return out
+    return [(n, d) for n, d, _ in feasible_shapes(machine, inp, k, n_avail)]
 
 
 def node_subsets(

@@ -300,16 +300,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # plane selection
     # ------------------------------------------------------------------
-    def control_specs(self) -> Tuple[FaultSpec, ...]:
-        """Control-plane specs (service crash / provision / domain),
-        ordered by trigger time then plan order."""
-        timed = [
-            (s.at_s, i, s)
-            for i, s in enumerate(self.specs)
-            if s.kind in CONTROL_KINDS
-        ]
-        return tuple(s for _, _, s in sorted(timed))
-
     def data_specs(self) -> Tuple[FaultSpec, ...]:
         """Data-plane specs, in plan order."""
         return tuple(s for s in self.specs if s.kind in DATA_KINDS)

@@ -224,6 +224,20 @@ class TestCampaignPacker:
         # 4x4 machine has 16 slots; k=5 never divides any rank count
         assert CampaignPacker(machine).shape_for(base, 5) is None
 
+    def test_only_decomposition_errors_mean_no_fit(
+        self, base, machine, monkeypatch
+    ):
+        """A bug inside ``Decomposition.choose`` must surface, not be
+        reported as "does not fit"."""
+        from repro.grid.decomp import Decomposition
+
+        def broken(cls, dims, n_proc):
+            raise ZeroDivisionError("programming error")
+
+        monkeypatch.setattr(Decomposition, "choose", classmethod(broken))
+        with pytest.raises(ZeroDivisionError):
+            CampaignPacker(machine).shape_for(base, 1)
+
     def test_split_prefers_largest_feasible_k(self, base, tight_machine):
         packer = CampaignPacker(tight_machine)
         batch = CandidateBatch(

@@ -101,6 +101,16 @@ class TestPlan:
         assert "1 member(s)" in out
         assert "2 member(s)" in out
 
+    def test_uneven_ensemble_gets_a_node_count(self, sim_dir, capsys):
+        """k = 3 does not divide nc = 16; the campaign places it on 3
+        nodes, and the planning table must say so."""
+        args = ["plan", str(sim_dir), "--members", "3", "--nodes", "8",
+                "--ranks-per-node", "4"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "3 member(s) sharing cmat: 3 node(s)" in out
+        assert "does not fit" not in out
+
 
 class TestLinear:
     def test_spectrum_output(self, tmp_path, capsys):

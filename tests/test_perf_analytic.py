@@ -41,6 +41,19 @@ class TestAgainstExecutedSimulator:
             got = report.ensemble.categories.get(cat, 0.0)
             assert got == pytest.approx(want, rel=0.02), cat
 
+    def test_uneven_ensemble_prediction_matches_run(self):
+        """k = 3 does not divide nc = 16 over the coll group: the worst
+        (largest) shard gates coll_compute in the run and the model."""
+        inp = small_test(steps_per_report=3)
+        machine = generic_cluster(n_nodes=3, ranks_per_node=4)
+        world = VirtualWorld(machine)
+        inputs = [inp.with_updates(dlntdr=(2.0 + m, 2.0 + m)) for m in range(3)]
+        report = XgyroEnsemble(world, inputs).run_report_interval()
+        pred = predict_xgyro_interval(3, inp, machine, 12)
+        for cat, want in pred.categories.items():
+            got = report.ensemble.categories.get(cat, 0.0)
+            assert got == pytest.approx(want, rel=0.02), cat
+
 
 class TestQualitativeLaws:
     """The scalings the paper's argument rests on."""

@@ -19,8 +19,16 @@ from repro.perf import (
     render_figure3,
 )
 from repro.perf.calibrate import PAPER_TARGETS, _predict
-from repro.perf.memory import cmat_bytes_per_rank, state_bytes_per_rank, total_bytes_per_rank
-from repro.cgyro.presets import nl03c_scaled
+from repro.perf.memory import (
+    cmat_bytes_per_rank,
+    member_decomp,
+    state_bytes_per_rank,
+    total_bytes_per_rank,
+)
+from repro.campaign import CampaignPacker
+from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
+from repro.collision.cmat import cmat_block_bytes
+from repro.plan import feasible_geometries
 from repro.grid import Decomposition
 from repro.vmpi import VirtualWorld
 from repro.xgyro import XgyroEnsemble
@@ -106,13 +114,15 @@ class TestFigureRenderers:
 
 class TestMemoryArithmetic:
     def test_state_estimate_matches_ledger(self):
-        """The closed-form state estimate tracks the enforced ledger."""
-        world = VirtualWorld(single_node(ranks=8))
-        inp = small_test()
-        sim = CgyroSimulation(world, range(8), inp)
-        est = state_bytes_per_rank(inp, sim.decomp)
-        actual = sim.state_bytes_per_rank()
-        assert est == pytest.approx(actual, rel=0.02)
+        """The closed-form state bytes are the enforced ledger's sum,
+        exactly — both read the solver's one buffer table."""
+        for overrides in ({}, {"nonlinear": True}, {"beta_e": 0.01}):
+            world = VirtualWorld(single_node(ranks=8))
+            inp = small_test(**overrides)
+            sim = CgyroSimulation(world, range(8), inp)
+            assert (
+                state_bytes_per_rank(inp, sim.decomp) == sim.state_bytes_per_rank()
+            ), overrides
 
     def test_cmat_bytes_shrink_with_ensemble(self):
         inp = small_test()
@@ -150,6 +160,61 @@ class TestMemoryArithmetic:
         machine = frontier_like(n_nodes=4, mem_per_rank_bytes=1 * MiB)
         with pytest.raises(DecompositionError):
             min_nodes_required(inp, machine)
+
+    def test_uneven_shared_shard_is_sized_by_its_largest(self):
+        """k * P1 need not divide nc: the first coll ranks hold one
+        extra point.  Only a coll rank with *no* shard is an error."""
+        inp = small_test()  # nc = 16
+        dec = Decomposition(inp.grid_dims(), 1, 4)
+        assert cmat_bytes_per_rank(inp, dec, ensemble_size=3) == cmat_block_bytes(
+            inp.grid_dims(), 6, dec.nt_loc
+        )
+        with pytest.raises(DecompositionError):
+            cmat_bytes_per_rank(inp, dec, ensemble_size=17)
+
+    @pytest.mark.parametrize(
+        "inp, machine, k",
+        [
+            (small_test(), generic_cluster(8, ranks_per_node=4), k)
+            for k in range(1, 9)
+        ]
+        + [
+            (
+                nl03c_scaled(),
+                frontier_like(64, mem_per_rank_bytes=NL03C_SCALED_MEM_PER_RANK),
+                k,
+            )
+            for k in range(1, 17)
+        ],
+        ids=lambda v: v if isinstance(v, int) else getattr(v, "name", None),
+    )
+    def test_every_layer_gives_the_same_node_count(self, inp, machine, k):
+        """`min_nodes_required`, the campaign packer and the planner
+        answer "on how few nodes do k members fit" identically — a node
+        count, or all three "no fit" — uneven splits included."""
+        try:
+            arithmetic = min_nodes_required(inp, machine, ensemble_size=k)
+        except DecompositionError:
+            arithmetic = None
+        shape = CampaignPacker(machine).shape_for(inp, k)
+        geoms = feasible_geometries(machine, inp, k)
+        assert arithmetic == (shape.n_nodes if shape else None)
+        assert arithmetic == (geoms[0][0] if geoms else None)
+
+    def test_nl03c_uneven_ensembles_fit_below_the_single_run_floor(self):
+        """The paper's memory claim on splits that do not divide nc:
+        3 members on 24 nodes, 7 on 28 — fewer than the 32 one needs."""
+        inp = nl03c_scaled()
+        machine = frontier_like(64, mem_per_rank_bytes=NL03C_SCALED_MEM_PER_RANK)
+        assert min_nodes_required(inp, machine, ensemble_size=3) == 24
+        assert min_nodes_required(inp, machine, ensemble_size=7) == 28
+
+    def test_unrunnable_geometry_is_no_fit(self):
+        """A nonlinear input whose NL layout cannot divide is skipped
+        by the probe, as the solver would refuse to build there."""
+        inp = small_test(nonlinear=True, n_radial=3, n_theta=3)  # nc = 9
+        assert member_decomp(inp, 1, 2) is None  # P2 = 2 does not divide 9
+        assert member_decomp(inp, 1, 1) is not None
 
     def test_total_bytes_per_rank_composition(self):
         inp = small_test()
