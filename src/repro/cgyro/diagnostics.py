@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import InputError
-from repro.cgyro.fields import FieldSolver
+from repro.cgyro.fields import FieldSolver, velocity_moments
 
 
 def flux_spectrum(
@@ -36,14 +36,8 @@ def flux_spectrum(
     Summing the results over a partition of velocity space yields the
     full spectrum — the property the distributed reduction relies on.
     """
-    iv = np.asarray(iv_idx)
-    nt = np.asarray(nt_idx)
-    if h.shape[1] != iv.size or h.shape[2] != nt.size:
-        raise InputError(f"h shape {h.shape} inconsistent with index sets")
-    if phi.shape != (h.shape[0], nt.size):
+    (weighted,) = velocity_moments(h, fields.flux_weights, iv_idx, nt_idx)
+    if phi.shape != weighted.shape:
         raise InputError(f"phi shape {phi.shape} inconsistent with h {h.shape}")
-    w = fields.vgrid.flat_weights()[iv]
-    j = fields.j_table[np.ix_(iv, nt)]
-    weighted = np.einsum("cvt,v,vt->ct", h, w, j, optimize=True)
-    q = np.einsum("ct,ct->t", np.conj(phi), weighted, optimize=True).imag
-    return k_theta_rho * nt * q
+    q = (np.conj(phi) * weighted).sum(axis=0).imag
+    return k_theta_rho * np.asarray(nt_idx) * q

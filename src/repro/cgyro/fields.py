@@ -33,6 +33,7 @@ from repro.errors import InputError
 from repro.cgyro import costs
 from repro.cgyro.params import CgyroInput
 from repro.grid.dims import GridDims
+from repro.grid.layouts import real_columns
 from repro.grid.velocity import VelocityGrid
 
 
@@ -56,6 +57,46 @@ def flr_table(vgrid: VelocityGrid, k_theta_rho: float, nt: int) -> np.ndarray:
     return np.exp(-0.5 * np.outer(e, b))
 
 
+def moment_table(j_table: np.ndarray, velocity_weights: np.ndarray) -> np.ndarray:
+    """Per-iv weights ``(n_mom, nv)`` times the FLR factor ``(nv, nt)``,
+    laid out ``(n_mom, nt, nv)`` — the operand :func:`velocity_moments`
+    takes, built once per solver."""
+    return np.ascontiguousarray(
+        velocity_weights[:, None, :] * j_table.T[None, :, :]
+    )
+
+
+def velocity_moments(
+    h: np.ndarray,
+    table: np.ndarray,
+    iv_idx: Sequence[int],
+    nt_idx: Sequence[int],
+) -> np.ndarray:
+    """``out[m, c, t] = sum_v table[m, nt_idx[t], iv_idx[v]] * h[c, v, t]``.
+
+    ``h`` is a complex128 ``(nc, len(iv_idx), len(nt_idx))`` block and
+    ``table`` a :func:`moment_table`; returns ``(n_mom, nc,
+    len(nt_idx))``.  All moments come out of one batched real GEMM on
+    the (re, im) columns of ``h``, one ``n_mom x niv`` by ``niv x 2``
+    product per (ic, n) pair.
+    """
+    iv = np.asarray(iv_idx, dtype=np.intp)
+    nt = np.asarray(nt_idx, dtype=np.intp)
+    if h.shape[1:] != (iv.size, nt.size):
+        raise InputError(
+            f"block shape {h.shape} inconsistent with {iv.size} iv / "
+            f"{nt.size} nt indices"
+        )
+    weights = table[:, nt[:, None], iv]  # (n_mom, nnt, niv), contiguous
+    out = np.empty((table.shape[0], h.shape[0], nt.size), dtype=np.complex128)
+    np.matmul(
+        weights.transpose(1, 0, 2)[:, None],  # (nnt, 1, n_mom, niv)
+        real_columns(h).transpose(2, 0, 1, 3),  # (nnt, nc, niv, 2)
+        out=real_columns(out).transpose(2, 1, 0, 3),  # (nnt, nc, n_mom, 2)
+    )
+    return out
+
+
 class FieldSolver:
     """Precomputed moment weights and dielectric for one input."""
 
@@ -70,14 +111,21 @@ class FieldSolver:
         z = np.array([inp.species[s].z for s in spec])
         dens = np.array([inp.species[s].dens for s in spec])
         vth = np.array([inp.species[s].vth for s in spec])
-        #: field moment weight, shape (nv, nt)
-        self.field_weight = (w * z * dens)[:, None] * self.j_table
-        #: upwind moment weight, shape (nv, nt)
-        self.upwind_weight = (w * np.abs(vgrid.flat_vpar()))[:, None] * self.j_table
-        #: parallel-current moment weight (EM only), shape (nv, nt)
-        self.current_weight = (
-            (w * z * dens * vth * vgrid.flat_vpar())[:, None] * self.j_table
+        vpar = vgrid.flat_vpar()
+        table = moment_table(
+            self.j_table,
+            np.stack([w * z * dens, w * np.abs(vpar), w * z * dens * vth * vpar]),
         )
+        #: field, upwind and parallel-current (EM only) moment weights,
+        #: each of shape (nv, nt)
+        self.field_weight, self.upwind_weight, self.current_weight = (
+            rows.T for rows in table
+        )
+        #: the weights :meth:`partial_moments` applies, stacked once,
+        #: shape (n_moments, nt, nv)
+        self.moment_weights = table[: self.n_moments]
+        #: flux-diagnostic weight ``w J``, shape (1, nt, nv)
+        self.flux_weights = moment_table(self.j_table, w[None, :])
         #: dielectric, shape (nt,)
         self.dielectric = self._build_dielectric()
         #: Ampere dielectric for A_parallel (EM only), shape (nt,)
@@ -146,23 +194,7 @@ class FieldSolver:
         — row 0 the field moment, row 1 the upwind moment, row 2 (EM
         runs only) the parallel current.
         """
-        iv_idx = np.asarray(iv_idx)
-        nt_idx = np.asarray(nt_idx)
-        if h.shape[1] != iv_idx.size or h.shape[2] != nt_idx.size:
-            raise InputError(
-                f"block shape {h.shape} inconsistent with {iv_idx.size} iv / "
-                f"{nt_idx.size} nt indices"
-            )
-        sel = np.ix_(iv_idx, nt_idx)
-        rows = [
-            np.einsum("cvt,vt->ct", h, self.field_weight[sel], optimize=True),
-            np.einsum("cvt,vt->ct", h, self.upwind_weight[sel], optimize=True),
-        ]
-        if self.electromagnetic:
-            rows.append(
-                np.einsum("cvt,vt->ct", h, self.current_weight[sel], optimize=True)
-            )
-        return np.stack(rows)
+        return velocity_moments(h, self.moment_weights, iv_idx, nt_idx)
 
     def assemble(
         self, summed_moments: np.ndarray, nt_idx: Sequence[int]

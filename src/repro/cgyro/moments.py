@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import InputError
-from repro.cgyro.fields import FieldSolver
+from repro.cgyro.fields import FieldSolver, moment_table, velocity_moments
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,16 @@ class MomentCalculator:
         self._species = vgrid.flat_species()
         vpar = vgrid.flat_vpar()
         energy = vgrid.flat_energy()
-        #: per-iv weights for each moment (FLR applied per mode below)
-        self._w_dens = w
-        self._w_flow = np.zeros_like(w)
+        w_flow = np.zeros_like(w)
         for s in range(self.dims.n_species):
             mask = self._species == s
             norm = float((w[mask] * vpar[mask] ** 2).sum())
-            self._w_flow[mask] = w[mask] * vpar[mask] / norm
-        self._w_temp = w * (2.0 / 3.0) * (energy - 1.5)
+            w_flow[mask] = w[mask] * vpar[mask] / norm
+        #: density, parallel-flow and temperature weights with the FLR
+        #: factor applied, shape (3, nt, nv)
+        self._weights = moment_table(
+            fields.j_table, np.stack([w, w_flow, w * (2.0 / 3.0) * (energy - 1.5)])
+        )
 
     def partial(
         self,
@@ -87,28 +89,14 @@ class MomentCalculator:
             raise InputError(
                 f"h shape {h.shape} != ({self.dims.nc}, {iv.size}, {nt.size})"
             )
-        j = self.fields.j_table[np.ix_(iv, nt)]
+        out = np.zeros((3, self.dims.n_species, self.dims.nc, nt.size), complex)
         spec = self._species[iv]
-        out = {
-            name: np.zeros((self.dims.n_species, self.dims.nc, nt.size), complex)
-            for name in ("density", "parallel_flow", "temperature")
-        }
-        weights = {
-            "density": self._w_dens[iv],
-            "parallel_flow": self._w_flow[iv],
-            "temperature": self._w_temp[iv],
-        }
         for s in range(self.dims.n_species):
             mask = spec == s
-            if not mask.any():
-                continue
-            jm = j[mask]
-            hm = h[:, mask, :]
-            for name, wv in weights.items():
-                out[name][s] = np.einsum(
-                    "cvt,vt->ct", hm, wv[mask][:, None] * jm, optimize=True
-                )
-        return FluidMoments(**out)
+            if mask.any():
+                out[:, s] = velocity_moments(h[:, mask, :], self._weights, iv[mask], nt)
+        density, parallel_flow, temperature = out
+        return FluidMoments(density, parallel_flow, temperature)
 
     def compute(self, h_global: np.ndarray) -> FluidMoments:
         """Moments of the full ``(nc, nv, nt)`` tensor."""

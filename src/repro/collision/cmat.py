@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import InputError
 from repro.collision.operator import CollisionOperator
 from repro.grid.dims import GridDims
+from repro.grid.layouts import real_columns
 
 
 def cmat_total_bytes(dims: GridDims, dtype=np.float64) -> int:
@@ -102,14 +103,21 @@ def apply_propagator(cmat_block: np.ndarray, h_block: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     cmat_block:
-        Shape ``(n_ic, n_modes, nv, nv)``, real.
+        Shape ``(n_ic, n_modes, nv, nv)``, float64.
     h_block:
-        Shape ``(n_ic, nv, n_modes)``, complex (COLL layout:
+        Shape ``(n_ic, nv, n_modes)``, complex128 (COLL layout:
         configuration x velocity x toroidal).
 
     Returns
     -------
     Updated block of the same shape as ``h_block``.
+
+    The real tensor acts on the (re, im) columns of the state: one real
+    ``nv x nv`` by ``nv x 2`` GEMM per (ic, n) pair, batched by
+    ``np.matmul``.  Each pair is its own GEMM, so a pair's result does
+    not depend on which other pairs share the call — the ensemble's
+    ``nc/(k P1)``-row shards and a baseline's ``nc/P1``-row slices give
+    the same bits.
     """
     n_ic, n_modes, nv, nv2 = cmat_block.shape
     if nv != nv2:
@@ -119,7 +127,15 @@ def apply_propagator(cmat_block: np.ndarray, h_block: np.ndarray) -> np.ndarray:
             f"h block shape {h_block.shape} incompatible with cmat "
             f"{cmat_block.shape}; expected ({n_ic}, {nv}, {n_modes})"
         )
-    return np.einsum("ctvw,cwt->cvt", cmat_block, h_block, optimize=True)
+    if cmat_block.dtype != np.float64:
+        raise InputError(f"cmat blocks must be float64, got {cmat_block.dtype}")
+    out = np.empty(h_block.shape, dtype=np.complex128)
+    np.matmul(
+        cmat_block,
+        real_columns(h_block).transpose(0, 2, 1, 3),
+        out=real_columns(out).transpose(0, 2, 1, 3),
+    )
+    return out
 
 
 def apply_flops(n_ic: int, n_modes: int, nv: int) -> float:

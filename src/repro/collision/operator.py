@@ -23,7 +23,7 @@ across ensemble members.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -80,9 +80,9 @@ class CollisionOperator:
 
         Cached: the base matrix is independent of ``ic`` and ``n``.
         """
-        return self._base_matrix_cached().copy()
+        return self._base_matrix_cached.copy()
 
-    @lru_cache(maxsize=1)
+    @cached_property
     def _base_matrix_cached(self) -> np.ndarray:
         nv = self.dims.nv
         block = self.dims.n_energy * self.dims.n_xi

@@ -25,7 +25,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.errors import DecompositionError
+from repro.errors import DecompositionError, InputError
 from repro.grid.decomp import Decomposition
 
 
@@ -35,6 +35,21 @@ class Layout(enum.Enum):
     STR = "str"
     COLL = "coll"
     NL = "nl"
+
+
+def real_columns(block: np.ndarray) -> np.ndarray:
+    """A complex128 ``(..., n)`` block as float64 ``(..., n, 2)`` (re, im) columns.
+
+    A real weight applied to a complex field is two real products; in
+    this form it is one real GEMM with two right-hand columns.  A view
+    whenever the last axis is contiguous (every block and slice the
+    solver produces), so writing to it writes to ``block``.
+    """
+    if block.dtype != np.complex128:
+        raise InputError(f"field blocks must be complex128, got {block.dtype}")
+    if block.strides[-1] != block.itemsize:
+        block = np.ascontiguousarray(block)
+    return block.view(np.float64).reshape(*block.shape, 2)
 
 
 def _nc_nl_loc(decomp: Decomposition) -> int:

@@ -276,7 +276,7 @@ class SharedCmatScheme(CollisionScheme):
         """Content hash of one shard's propagator blocks."""
         import hashlib
 
-        return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+        return hashlib.sha256(memoryview(np.ascontiguousarray(arr))).hexdigest()
 
     def shard_nbytes(self, world_rank: int) -> int:
         """Bytes held by ``world_rank``'s shard (0 if it owns none)."""
