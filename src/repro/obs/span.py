@@ -114,6 +114,11 @@ class Span:
         )
 
 
+def _rank_tuple(ranks: Sequence[int]) -> Tuple[int, ...]:
+    """``ranks`` as a tuple of ints; a tuple is taken as one already."""
+    return ranks if type(ranks) is tuple else tuple(int(r) for r in ranks)
+
+
 class SpanTracer:
     """Builds one span tree across worlds, runners and schedulers.
 
@@ -165,8 +170,8 @@ class SpanTracer:
                 kind,
                 t_start + self.time_offset,
                 category,
-                tuple(int(r) for r in ranks),
-                dict(attrs),
+                _rank_tuple(ranks),
+                attrs,
             )
         )
         return span_id
@@ -219,8 +224,8 @@ class SpanTracer:
             duration=float(duration),
             parent=parent,
             category=category,
-            ranks=tuple(int(r) for r in ranks),
-            attrs=dict(attrs),
+            ranks=_rank_tuple(ranks),
+            attrs=attrs,
         )
         self._spans.append(span)
         return span

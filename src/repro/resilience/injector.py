@@ -71,6 +71,8 @@ class FaultInjector:
 
     def _activate_pending(self) -> None:
         """Kill the targets of every armed crash/node spec."""
+        if not self._pending:
+            return
         still_pending = []
         for spec in self._pending:
             if spec.at_step <= self._step and self._phase_matches(spec):

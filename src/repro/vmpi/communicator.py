@@ -211,7 +211,7 @@ class Communicator:
     # shared preparation and the single issue path
     # ------------------------------------------------------------------
     def _check_participants(self, data: Mapping[int, object], what: str) -> None:
-        if set(data.keys()) != set(self._ranks):
+        if data.keys() != self._index.keys():
             missing = sorted(set(self._ranks) - set(data.keys()))
             extra = sorted(set(data.keys()) - set(self._ranks))
             raise CommunicatorError(

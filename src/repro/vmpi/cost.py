@@ -13,11 +13,19 @@ link the group sees —
 XGYRO's per-member AllReduce groups cheap: with block placement they
 fit inside a node and never touch a NIC, while a full-width CGYRO
 simulation's groups span several nodes (DESIGN.md section 5).
+
+Both steps are pure functions of their arguments — the machine is a
+frozen dataclass and a placement never changes after construction — and
+a run issues the same few (kind, group, bytes, algorithm) tuples
+thousands of times, so each model keeps two plain dicts: the profile of
+every rank group it has seen and the cost of every such tuple.  The
+formulas are the miss branch; a hit returns the float they produced.
+The tables belong to the model, so they go when its world goes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CollectiveError
 from repro.machine.model import MachineModel
@@ -61,6 +69,10 @@ class CommCostModel:
         self.default_allreduce = default_allreduce
         self.default_alltoall = default_alltoall
         self.auto_select = auto_select
+        #: rank group -> (effective link, distinct nodes touched)
+        self._groups: Dict[Tuple[int, ...], Tuple[EffectiveLink, int]] = {}
+        #: (kind, rank group, nbytes, resolved algorithm) -> seconds
+        self._costs: Dict[tuple, float] = {}
 
     def select_algorithm(self, kind: str, nbytes: float) -> object:
         """Algorithm for a collective of ``nbytes`` under the policy.
@@ -81,11 +93,22 @@ class CommCostModel:
         raise CollectiveError(f"no algorithm selection for kind {kind!r}")
 
     # ------------------------------------------------------------------
+    def _group(self, ranks: Tuple[int, ...]) -> Tuple[EffectiveLink, int]:
+        """Memoised profile of a rank group: its link and node count."""
+        got = self._groups.get(ranks)
+        if got is None:
+            per_node = self.placement.ranks_per_node_of(ranks)
+            if not per_node:
+                raise CollectiveError("cannot profile an empty rank group")
+            got = self._groups[ranks] = (self._link_of(per_node), len(per_node))
+        return got
+
     def effective_link(self, ranks: Sequence[int]) -> EffectiveLink:
         """Effective latency/bandwidth/overhead for a rank group."""
-        per_node = self.placement.ranks_per_node_of(ranks)
-        if not per_node:
-            raise CollectiveError("cannot profile an empty rank group")
+        return self._group(tuple(ranks))[0]
+
+    def _link_of(self, per_node: Mapping[int, int]) -> EffectiveLink:
+        """The link seen by a group with ``per_node[node]`` members per node."""
         if len(per_node) == 1:
             link = self.machine.intra
             return EffectiveLink(
@@ -120,7 +143,8 @@ class CommCostModel:
 
     def n_nodes_of(self, ranks: Iterable[int]) -> int:
         """Distinct nodes a rank group touches."""
-        return len(self.placement.nodes_of(ranks))
+        ranks = tuple(ranks)
+        return self._group(ranks)[1] if ranks else 0
 
     # ------------------------------------------------------------------
     def collective_cost(
@@ -139,13 +163,30 @@ class CommCostModel:
         ``nbytes`` follows each formula's per-kind convention (see
         :mod:`repro.vmpi.algorithms`).
         """
-        p = len(ranks)
-        link = self.effective_link(ranks)
+        # The key carries the algorithm the formula will actually use, so
+        # a default reassigned after construction is never served stale.
         if kind == "allreduce":
             algo = algorithm if algorithm is not None else self.default_allreduce
+        elif kind == "alltoall":
+            algo = algorithm if algorithm is not None else self.default_alltoall
+        else:
+            algo = None
+        ranks = tuple(ranks)
+        key = (kind, ranks, nbytes, algo)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = self._formula(kind, ranks, nbytes, algo)
+        return cost
+
+    def _formula(
+        self, kind: str, ranks: Tuple[int, ...], nbytes: float, algo: object
+    ) -> float:
+        """Evaluate ``kind``'s formula: the miss branch of the memo."""
+        p = len(ranks)
+        link = self._group(ranks)[0]
+        if kind == "allreduce":
             return allreduce_cost(p, nbytes, link, algo)
         if kind == "alltoall":
-            algo = algorithm if algorithm is not None else self.default_alltoall
             return alltoall_cost(p, nbytes, link, algo)
         if kind == "allgather":
             return allgather_cost(p, nbytes, link)

@@ -144,6 +144,12 @@ class VirtualWorld:
             r: {} for r in range(self.n_ranks)
         }
         self._seq = 0
+        # rank group -> (the group as an int tuple, its clock index array)
+        self._groups: Dict[tuple, "tuple[tuple[int, ...], np.ndarray]"] = {}
+        # Metric series bound once per label set: ("collective", kind,
+        # comm) -> (bytes, count, wait, cost histogram); ("imposed",
+        # rank), ("overlapped", comm), ("compute", category) -> counter.
+        self._series: Dict[tuple, object] = {}
         self.fault_injector: "object | None" = None
         self.checker: "object | None" = None
         self.tracer: "object | None" = None
@@ -166,6 +172,7 @@ class VirtualWorld:
         """
         self.tracer = tracer
         self.metrics = metrics
+        self._series.clear()
 
     def span(
         self,
@@ -282,6 +289,7 @@ class VirtualWorld:
             raise VmpiError("provide exactly one of seconds= or flops=")
         rank_list = [ranks] if isinstance(ranks, (int, np.integer)) else list(ranks)
         cat = category if category is not None else self.current_category
+        mult = getattr(self.fault_injector, "compute_multiplier", None)
         charged: Dict[int, float] = {}
         for r in rank_list:
             if not 0 <= r < self.n_ranks:
@@ -298,17 +306,16 @@ class VirtualWorld:
                     dt = self.machine.compute_seconds(fl)
             if dt < 0:
                 raise VmpiError(f"negative time charge {dt} for rank {r}")
-            if self.fault_injector is not None:
-                mult = getattr(self.fault_injector, "compute_multiplier", None)
-                if mult is not None:
-                    dt *= mult(int(r))
+            if mult is not None:
+                dt *= mult(int(r))
             self.clock[r] += dt
             self._add_category_time(r, cat, dt)
             charged[int(r)] = dt
         if charged:
             total = sum(charged.values())
             if self.metrics is not None and total > 0.0:
-                self.metrics.counter(
+                self._counter(
+                    ("compute", cat),
                     "vmpi_compute_rank_seconds_total",
                     category=cat or "uncategorized",
                 ).inc(total)
@@ -372,28 +379,46 @@ class VirtualWorld:
 
         ``t_post`` is the moment the last participant arrives (max
         clock over ``ranks``); no clock moves and nothing is booked.
-        Also returns ``ranks`` as a clock index array.
+        Also returns ``ranks`` as a clock index array.  The injector's
+        factor multiplies the memoised cost afterwards, so a slowdown
+        armed mid-run is honoured.
         """
         factor = 1.0
         if self.fault_injector is not None:
             factor = self.fault_injector.on_collective(kind, ranks, comm_label)
-        idx = np.asarray(ranks, dtype=np.intp)
+        ranks, idx = self._group(ranks)
         clocks = self.clock[idx]
+        last = int(clocks.argmax())
         pending = PendingCollective(
             kind=kind,
-            ranks=tuple(int(r) for r in ranks),
+            ranks=ranks,
             nbytes=int(nbytes),
             comm_label=comm_label,
             algorithm=algorithm,
             category=category if category is not None else self.current_category,
-            t_post=float(clocks.max()),
+            t_post=float(clocks[last]),
             cost_s=factor
             * self.cost_model.collective_cost(
                 kind, ranks, nbytes, algorithm=algorithm
             ),
-            last_arrival=int(idx[int(np.argmax(clocks))]),
+            last_arrival=ranks[last],
         )
         return pending, idx
+
+    def _group(self, ranks: Sequence[int]) -> "tuple[tuple[int, ...], np.ndarray]":
+        """``ranks`` as an int tuple and as a clock index array.
+
+        Both are built once per distinct group and shared by every
+        later collective on it (the index array is read-only).
+        """
+        ranks = tuple(ranks)
+        got = self._groups.get(ranks)
+        if got is None:
+            ranks = tuple(int(r) for r in ranks)
+            idx = np.asarray(ranks, dtype=np.intp)
+            idx.flags.writeable = False
+            got = self._groups[ranks] = (ranks, idx)
+        return got
 
     def post_collective(
         self,
@@ -469,7 +494,7 @@ class VirtualWorld:
                 pending.kind, pending.ranks, pending.comm_label
             )
         pending.completed = True
-        idx = np.asarray(pending.ranks, dtype=np.intp)
+        idx = self._group(pending.ranks)[1]
         t_done = pending.t_done
         cost = pending.cost_s
         waits = np.maximum(0.0, t_done - self.clock[idx])
@@ -483,7 +508,7 @@ class VirtualWorld:
         self.clock[idx] = np.maximum(self.clock[idx], t_done)
         cat = pending.category
         for r, c in zip(pending.ranks, comm):
-            self._add_category_time(int(r), cat, float(c))
+            self._add_category_time(r, cat, float(c))
         self._record_collective(pending, sync_s, float(overlapped.sum()))
         return cost
 
@@ -540,28 +565,44 @@ class VirtualWorld:
                 **overlap_attrs,
             )
         if self.metrics is not None:
-            self.metrics.counter(
-                "vmpi_collective_bytes_total", kind=kind, comm=comm_label
-            ).inc(float(c.nbytes))
-            self.metrics.counter("vmpi_collectives_total", kind=kind).inc()
-            self.metrics.counter(
-                "vmpi_coll_wait_seconds_total", comm=comm_label
-            ).inc(wait_s)
-            self.metrics.counter(
-                "vmpi_imposed_wait_seconds_total", rank=c.last_arrival
+            key = ("collective", kind, comm_label)
+            bound = self._series.get(key)
+            if bound is None:
+                counter, histogram = self.metrics.counter, self.metrics.histogram
+                bound = self._series[key] = (
+                    counter("vmpi_collective_bytes_total", kind=kind, comm=comm_label),
+                    counter("vmpi_collectives_total", kind=kind),
+                    counter("vmpi_coll_wait_seconds_total", comm=comm_label),
+                    histogram("vmpi_collective_cost_seconds", kind=kind),
+                )
+            bytes_total, collectives_total, wait_total, cost_seconds = bound
+            bytes_total.inc(float(c.nbytes))
+            collectives_total.inc()
+            wait_total.inc(wait_s)
+            self._counter(
+                ("imposed", c.last_arrival),
+                "vmpi_imposed_wait_seconds_total",
+                rank=c.last_arrival,
             ).inc(wait_s)
             if nonblocking:
-                self.metrics.counter(
-                    "vmpi_coll_overlapped_seconds_total", comm=comm_label
+                self._counter(
+                    ("overlapped", comm_label),
+                    "vmpi_coll_overlapped_seconds_total",
+                    comm=comm_label,
                 ).inc(overlapped_s)
-            self.metrics.histogram(
-                "vmpi_collective_cost_seconds", kind=kind
-            ).observe(c.cost_s)
+            cost_seconds.observe(c.cost_s)
+
+    def _counter(self, key: tuple, name: str, **labels: object):
+        """The registry counter ``name{labels}``, looked up once per ``key``."""
+        got = self._series.get(key)
+        if got is None:
+            got = self._series[key] = self.metrics.counter(name, **labels)
+        return got
 
     def collective_done(self, pending: PendingCollective) -> bool:
         """Whether the cost window of ``pending`` has fully elapsed on
         every participant's clock (a test that never advances time)."""
-        idx = np.asarray(pending.ranks, dtype=np.intp)
+        idx = self._group(pending.ranks)[1]
         return bool(self.clock[idx].min() >= pending.t_done)
 
     def sync_charge(
