@@ -19,7 +19,7 @@ All times are campaign-clock (simulated) seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -198,6 +198,31 @@ class AbandonedRecord:
             last_job_id=str(d["last_job_id"]),
             reason=str(d["reason"]),
         )
+
+
+def retry_or_abandon(
+    retry, request, job_id: str
+) -> Union[AbandonedRecord, float]:
+    """The one retry decision for a fault-lost ``request``: the
+    :class:`AbandonedRecord` once ``retry``'s attempt cap is spent,
+    else the backoff seconds before its next dispatch.  ``retry=None``
+    (``repro campaign --max-attempts 0``) retries forever, at once.
+    Both the campaign runner and the online service decide here; each
+    keeps only its own bookkeeping (hold map vs release timer)."""
+    attempts_done = request.attempt + 1  # dispatches consumed so far
+    if retry is None:
+        return 0.0
+    if retry.allows(attempts_done + 1):
+        return retry.backoff_s(attempts_done, key=request.request_id)
+    return AbandonedRecord(
+        request_id=request.request_id,
+        attempts=attempts_done,
+        last_job_id=job_id,
+        reason=(
+            f"lost to faults on all {attempts_done} dispatch(es); "
+            f"retry policy max_attempts={retry.max_attempts}"
+        ),
+    )
 
 
 @dataclass

@@ -59,6 +59,7 @@ from repro.campaign.report import (
     JobRecord,
     RequestRecord,
     WaveRecord,
+    retry_or_abandon,
 )
 from repro.campaign.request import RequestQueue
 
@@ -337,29 +338,15 @@ class CampaignRunner:
     ) -> None:
         """Requeue a fault-lost request under the retry policy, or
         dead-letter it once the attempt cap is exhausted."""
-        attempts_done = req.attempt + 1  # dispatches consumed so far
-        if self.retry is not None and not self.retry.allows(attempts_done + 1):
+        outcome = retry_or_abandon(self.retry, req, record.job_id)
+        if isinstance(outcome, AbandonedRecord):
             if self.telemetry is not None:
                 self.telemetry.metrics.counter(
                     "campaign_dead_letters_total"
                 ).inc()
-            abandoned.append(
-                AbandonedRecord(
-                    request_id=req.request_id,
-                    attempts=attempts_done,
-                    last_job_id=record.job_id,
-                    reason=(
-                        f"lost to faults on all {attempts_done} dispatch(es); "
-                        f"retry policy max_attempts={self.retry.max_attempts}"
-                    ),
-                )
-            )
+            abandoned.append(outcome)
             return
-        if self.retry is not None:
-            backoff = self.retry.backoff_s(attempts_done, key=req.request_id)
-            self._hold_until[req.request_id] = (
-                clock + record.elapsed_s + backoff
-            )
+        self._hold_until[req.request_id] = clock + record.elapsed_s + outcome
         if self.telemetry is not None:
             self.telemetry.metrics.counter("campaign_retries_total").inc()
         queue.submit(req.requeued())

@@ -187,6 +187,28 @@ def _disposition_ids(report) -> Dict[str, List[str]]:
     }
 
 
+def replay_matches_report(shadow, report) -> bool:
+    """True iff a replayed :class:`~repro.service.journal.ReplayState`
+    carries the report's books: the same served / shed / dead id sets,
+    the same offered count, the same pool node-seconds.  The
+    ``wal-replay`` check and the WAL negative controls
+    (``tests/test_service_wal.py``) share this comparison."""
+    replay_ids = {
+        "served": sorted(str(s["request_id"]) for s in shadow.served),
+        "shed": sorted(str(r["request_id"]) for r in shadow.rejections),
+        "dead": sorted(str(a["request_id"]) for a in shadow.abandoned),
+    }
+    pool_close = (
+        abs(shadow.pool["node_seconds"] - report.pool_node_seconds)
+        <= 1e-6 * max(1.0, report.pool_node_seconds)
+    )
+    return (
+        replay_ids == _disposition_ids(report)
+        and shadow.offered == report.offered
+        and pool_close
+    )
+
+
 def _crash_indices(n_events: int, samples: int) -> Tuple[int, ...]:
     """``samples`` crash points spread across the WAL (never index 0:
     crashing before the ``begin`` event is an empty journal, which is
@@ -294,28 +316,12 @@ def run_scenario(
     if shadow is None:  # pragma: no cover - journaled run always logs
         check("wal-replay", False, "journal is empty")
     else:
-        replay_ids = {
-            "served": sorted(str(s["request_id"]) for s in shadow.served),
-            "shed": sorted(
-                str(r["request_id"]) for r in shadow.rejections
-            ),
-            "dead": sorted(
-                str(a["request_id"]) for a in shadow.abandoned
-            ),
-        }
-        pool_close = (
-            abs(shadow.pool["node_seconds"] - report.pool_node_seconds)
-            <= 1e-6 * max(1.0, report.pool_node_seconds)
-        )
         busy_ok = (
             report.pool_node_seconds + 1e-6 >= report.busy_node_seconds
         )
         check(
             "wal-replay",
-            replay_ids == base_ids
-            and shadow.offered == report.offered
-            and pool_close
-            and busy_ok,
+            replay_matches_report(shadow, report) and busy_ok,
             f"replayed {out.n_wal_events} events: offered "
             f"{shadow.offered}/{report.offered}, pool node-seconds "
             f"{shadow.pool['node_seconds']:.3f}/"

@@ -63,6 +63,15 @@ def _copy(obj):
     return json.loads(json.dumps(obj, sort_keys=True))
 
 
+def _check_keys(what: str, obj, keys) -> None:
+    """Loader gate: ``obj`` must be a JSON object with exactly ``keys``."""
+    if not isinstance(obj, dict):
+        raise ServiceError(f"{what} is not a JSON object")
+    stray = sorted(set(obj) ^ set(keys))
+    if stray:
+        raise ServiceError(f"{what}: missing or unknown key(s) {stray}")
+
+
 class ReplayState:
     """Event-sourced mirror of every mutable :class:`OnlineService`
     field the journal can resurrect.
@@ -130,7 +139,8 @@ class ReplayState:
             self.pool["last_t"] = t
 
     def _pool_set(self, nodes: Iterable[int], state: str, t: float) -> None:
-        assert self.pool is not None
+        if self.pool is None:
+            raise ServiceError("pool transition before the begin event")
         for n in nodes:
             key = str(int(n))
             self.pool["state"][key] = state  # type: ignore[index]
@@ -199,7 +209,21 @@ class ReplayState:
     def apply(self, kind: str, payload: Dict[str, object]) -> None:
         """Apply one journal event to the mirror (atomic by design:
         every event carries the complete consequence of its
-        transition)."""
+        transition).  A payload the fold cannot read — a key missing,
+        a value of the wrong shape — is a :class:`ServiceError` naming
+        the event kind and the key, never a bare ``KeyError``."""
+        try:
+            self._apply(kind, payload)
+        except KeyError as exc:
+            raise ServiceError(
+                f"journal {kind} event is missing key {exc.args[0]!r}"
+            ) from None
+        except (TypeError, ValueError, AttributeError, IndexError) as exc:
+            raise ServiceError(
+                f"journal {kind} event is malformed: {exc}"
+            ) from None
+
+    def _apply(self, kind: str, payload: Dict[str, object]) -> None:
         t = float(payload["t"])  # type: ignore[arg-type]
         self._pool_advance(t)
         self.t = max(self.t, t)
@@ -426,14 +450,12 @@ class ReplayState:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "ReplayState":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; anything but exactly its keys
+        is a :class:`ServiceError` naming the stray or absent ones."""
         state = cls()
-        data = _copy(d)
-        for key, val in data.items():
-            if key == "arrived_ids":
-                state.arrived_ids = set(val)
-            elif hasattr(state, key):
-                setattr(state, key, val)
+        _check_keys("replay state", d, vars(state))
+        for key, val in _copy(d).items():
+            setattr(state, key, set(val) if key == "arrived_ids" else val)
         return state
 
 
@@ -530,12 +552,16 @@ class ServiceJournal:
             return None
         start = 0
         state = ReplayState()
-        for i, (kind, payload) in enumerate(events):
-            if kind == "snapshot":
-                state = ReplayState.from_dict(payload["state"])  # type: ignore[arg-type]
-                start = i + 1
-        for kind, payload in list(events)[start:]:
-            state.apply(kind, payload)
+        try:
+            for i, (kind, payload) in enumerate(events):
+                if kind == "snapshot":
+                    _check_keys("snapshot", payload, ("t", "state"))
+                    state = ReplayState.from_dict(payload["state"])  # type: ignore[arg-type]
+                    start = i + 1
+            for i, (kind, payload) in enumerate(list(events)[start:], start):
+                state.apply(kind, payload)
+        except ServiceError as exc:
+            raise ServiceError(f"journal event {i} ({kind}): {exc}") from None
         return state
 
     # ------------------------------------------------------------------
@@ -550,15 +576,28 @@ class ServiceJournal:
 
     @classmethod
     def from_jsonl(cls, text: str, **kwargs) -> "ServiceJournal":
-        """Rebuild a journal (and its shadow) from :meth:`to_jsonl`."""
+        """Rebuild a journal (and its shadow) from :meth:`to_jsonl`.
+        A torn line, a non-object record, or a record with a missing
+        or stray field is a :class:`ServiceError` naming its line."""
         journal = cls(**kwargs)
         events: List[Tuple[str, Dict[str, object]]] = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            events.append((str(obj["kind"]), obj["payload"]))
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ServiceError(
+                    f"journal line {lineno} is torn or not JSON: {exc}"
+                ) from None
+            _check_keys(f"journal line {lineno}", obj, ("kind", "payload"))
+            payload = obj["payload"]
+            if not isinstance(payload, dict) or "t" not in payload:
+                raise ServiceError(
+                    f"journal line {lineno}: payload is missing key 't'"
+                )
+            events.append((str(obj["kind"]), payload))
         journal._events = events
         state = cls.replay(events)
         if state is not None:

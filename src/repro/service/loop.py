@@ -70,7 +70,11 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 from repro.errors import ServiceError
 from repro.campaign.cache import CmatCache
 from repro.campaign.packer import CampaignPacker, PackedJob
-from repro.campaign.report import AbandonedRecord, JobRecord
+from repro.campaign.report import (
+    AbandonedRecord,
+    JobRecord,
+    retry_or_abandon,
+)
 from repro.campaign.request import SimRequest
 from repro.campaign.runner import CampaignRunner
 from repro.resilience.faults import CONTROL_KINDS, FaultPlan, FaultSpec
@@ -111,6 +115,10 @@ _EVENT_RANK = {
 #: dead-lettered and the pool reboots at its floor.
 RECOVERY_MODES = ("resume", "cold")
 
+#: Hard cap on total dispatches of one run, a backstop against a retry
+#: configuration that never converges.
+MAX_DISPATCHES = 100_000
+
 
 @dataclass
 class _ReadyBatch:
@@ -146,10 +154,8 @@ class OnlineService:
     steps:
         Per-job step override; default is each job's
         ``steps_per_report`` cadence.
-    pool:
-        An :class:`ElasticNodePool` to use as-is; otherwise one is
-        built from ``min_nodes`` / ``max_nodes`` /
-        ``provision_delay_s`` / ``idle_reclaim_s``.
+    min_nodes / max_nodes / provision_delay_s / idle_reclaim_s:
+        Knobs of the :class:`ElasticNodePool` the service builds.
     prefer_larger_k:
         Packer sharing mode; ``False`` is the k=1 FIFO baseline.
     spread_domains:
@@ -183,9 +189,6 @@ class OnlineService:
         monitoring plane (windowed rollups, alert rules, incident
         diagnosis).  Requires ``telemetry``; purely observational, so
         dispositions and clocks are bit-identical with or without it.
-    max_dispatches:
-        Hard cap on total dispatches, a backstop against a retry
-        configuration that never converges.
     """
 
     def __init__(
@@ -198,7 +201,6 @@ class OnlineService:
         weights: Optional[Mapping[str, float]] = None,
         default_slo_s: Optional[float] = None,
         steps: Optional[int] = None,
-        pool: Optional[ElasticNodePool] = None,
         min_nodes: int = 1,
         max_nodes: Optional[int] = None,
         provision_delay_s: float = 0.0,
@@ -218,7 +220,6 @@ class OnlineService:
         policy=None,
         telemetry=None,
         monitor=None,
-        max_dispatches: int = 100_000,
     ) -> None:
         self.machine = machine
         self.traffic = traffic
@@ -244,30 +245,20 @@ class OnlineService:
                 f"recovery must be one of {RECOVERY_MODES}, got {recovery!r}"
             )
         self.recovery = recovery
-        if max_dispatches < 1:
-            raise ServiceError(
-                f"max_dispatches must be >= 1, got {max_dispatches}"
-            )
-        self.max_dispatches = int(max_dispatches)
-        shared_health = health if health is not None else NodeHealthTracker()
-        self.health = shared_health
-        self.pool = pool if pool is not None else ElasticNodePool(
+        self.health = health if health is not None else NodeHealthTracker()
+        self.pool = ElasticNodePool(
             machine,
             min_nodes=min_nodes,
             max_nodes=max_nodes,
             provision_delay_s=provision_delay_s,
             idle_reclaim_s=idle_reclaim_s,
-            health=shared_health,
+            health=self.health,
             spread_domains=spread_domains,
         )
-        if self.pool.machine is not machine:
-            raise ServiceError(
-                "the pool must manage the same machine the service runs on"
-            )
         self.packer = CampaignPacker(
             machine,
             prefer_larger_k=prefer_larger_k,
-            health=shared_health,
+            health=self.health,
             spread_domains=spread_domains,
         )
         self.runner = CampaignRunner(
@@ -276,7 +267,7 @@ class OnlineService:
             cache=cache,
             use_cache=use_cache,
             retry=retry,
-            health=shared_health,
+            health=self.health,
             node_faults=node_faults,
             checkpoint_interval=checkpoint_interval,
             policy=policy,
@@ -289,7 +280,6 @@ class OnlineService:
         self._seq = 0
         self._now = 0.0
         self._ready: List[_ReadyBatch] = []
-        self._running = 0
         self._job_seq = 0
         self._batch_seq = 0
         self._by_id: Dict[str, SimRequest] = {}
@@ -299,20 +289,26 @@ class OnlineService:
         self._flush_timers: set = set()
         self._reclaim_timers: set = set()
         # in-flight wave manifests by job id; the heap's "complete"
-        # payload is the job id, so chaos can reconcile a wave (cancel
-        # it, kill members) before its completion fires
+        # payload is the job id, so chaos can reconcile a wave (drop
+        # it, kill members) before its completion fires.  Every
+        # manifest carries what crash reconciliation reads (requests,
+        # nodes, dead_nodes, start_s); a dispatched one adds the job
+        # and its outcome (job, record, completed, lost)
         self._inflight: Dict[str, Dict[str, object]] = {}
         # retry backoffs awaiting release: request_id -> (request, t)
         self._pending_release: Dict[str, Tuple[SimRequest, float]] = {}
-        self._release_cancel: Set[str] = set()
         self._down_until = 0.0
         self._resil: Dict[str, float] = {}
         self._dead_by_cause: Dict[str, int] = {}
+        # what the open transition added to the two totals above — the
+        # ``resil`` block of the WAL event that will describe it
+        self._tally: Dict[str, object] = {}
         self._consumed_chaos: Set[int] = set()
         self._provision_faults: List[Tuple[int, FaultSpec]] = []
         self._pending_restores: List[Tuple[float, Tuple[int, ...]]] = []
         self._health_mark = 0
-        self._recovered: Optional[Dict[str, object]] = None
+        # set by restore(): (recovery time, arrival ids the WAL saw)
+        self._recovered: Optional[Tuple[float, Set[str]]] = None
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -340,9 +336,7 @@ class OnlineService:
     @property
     def inflight_jobs(self) -> int:
         """Waves dispatched but not yet completed (or canceled)."""
-        return sum(
-            1 for man in self._inflight.values() if not man["canceled"]
-        )
+        return len(self._inflight)
 
     def resilience_counters(self) -> Dict[str, float]:
         """A copy of the raw resilience tallies (monitor rollups read
@@ -351,7 +345,15 @@ class OnlineService:
 
     def _log(self, kind: str, payload: Dict[str, object]) -> None:
         """WAL-append one event stamped at the current sim clock (a
-        no-op without a journal; an injected crash propagates)."""
+        no-op without a journal; an injected crash propagates).  The
+        event that describes a transition carries its tally
+        (:meth:`_take_tally`); one still open here was bumped by a
+        handler that never journaled it."""
+        if self._tally:
+            raise ServiceError(
+                f"resilience tally {self._tally} was not journaled "
+                f"before the {kind} event"
+            )
         if self.journal is not None:
             self.journal.append(kind, {"t": self._now, **payload})
 
@@ -363,7 +365,28 @@ class OnlineService:
         return [i.to_dict() for i in fresh]
 
     def _bump(self, key: str, amount: float = 1) -> None:
+        """Add to a resilience total and to the open event's tally."""
         self._resil[key] = self._resil.get(key, 0) + amount
+        self._tally[key] = self._tally.get(key, 0) + amount  # type: ignore[operator]
+
+    def _take_tally(self) -> Dict[str, object]:
+        """Close the open tally: the ``resil`` block of the event
+        being journaled, exactly what its handler bumped."""
+        tally, self._tally = self._tally, {}
+        return tally
+
+    def _dead_letter(
+        self, record: AbandonedRecord, cause: str
+    ) -> Dict[str, object]:
+        """Put ``record`` on the dead-letter list under ``cause``, in
+        the totals and the open tally alike; returns its journal entry."""
+        self._by_id.pop(record.request_id, None)
+        self._abandoned.append(record)
+        self._bump("dead_letters")
+        self._dead_by_cause[cause] = self._dead_by_cause.get(cause, 0) + 1
+        by_cause = self._tally.setdefault("by_cause", {})
+        by_cause[cause] = by_cause.get(cause, 0) + 1  # type: ignore[union-attr]
+        return {"record": record.to_dict(), "cause": cause}
 
     # ------------------------------------------------------------------
     # the loop
@@ -371,13 +394,7 @@ class OnlineService:
     def run(self, horizon_s: float) -> ServiceReport:
         """Generate ``horizon_s`` of traffic, serve it to empty, and
         return the service report."""
-        requests = self.traffic.generate(horizon_s)
-        tele = self.telemetry
-        if tele is not None:
-            tele.tracer.time_offset = 0.0
-            tele.tracer.begin("service", "service", 0.0)
-        if self.monitor is not None:
-            self.monitor.begin(self, 0.0)
+        self._open(horizon_s, 0.0, frozenset())
         self._log(
             "begin",
             {
@@ -386,11 +403,24 @@ class OnlineService:
                 "health": self.health.to_dict(),
             },
         )
-        for req in requests:
-            self._push(req.arrival_s, "arrival", req)
         self._arm_chaos(0.0)
         self._loop()
         return self._finish(horizon_s)
+
+    def _open(self, horizon_s: float, t0: float, seen) -> None:
+        """Open the telemetry root span and the monitor at ``t0`` and
+        schedule every arrival of the horizon whose id is not in
+        ``seen`` (a recovered run's WAL already saw those), none
+        before ``t0``."""
+        tele = self.telemetry
+        if tele is not None:
+            tele.tracer.time_offset = 0.0
+            tele.tracer.begin("service", "service", t0)
+        if self.monitor is not None:
+            self.monitor.begin(self, t0)
+        for req in self.traffic.generate(horizon_s):
+            if req.request_id not in seen:
+                self._push(max(req.arrival_s, t0), "arrival", req)
 
     def _arm_chaos(self, t_floor: float) -> None:
         """Schedule the plan's control-plane specs (skipping consumed
@@ -464,6 +494,9 @@ class OnlineService:
             if self.monitor is not None
             else {}
         )
+        cache = (
+            self.runner.cache.stats() if self.runner.cache is not None else {}
+        )
         tele = self.telemetry
         if tele is not None:
             tele.tracer.time_offset = 0.0
@@ -471,9 +504,8 @@ class OnlineService:
             tele.metrics.gauge("service_pool_peak_nodes").max(
                 max((s.provisioned for s in self.pool.timeline), default=0)
             )
-            if self.runner.cache is not None:
-                for key, val in self.runner.cache.stats().items():
-                    tele.metrics.gauge(f"service_cache_{key}").set(val)
+            for key, val in cache.items():
+                tele.metrics.gauge(f"service_cache_{key}").set(val)
         return ServiceReport(
             machine_name=self.machine.name,
             machine_n_nodes=self.machine.n_nodes,
@@ -484,11 +516,7 @@ class OnlineService:
             rejections=list(self.admission.rejections),
             abandoned=self._abandoned,
             jobs=self._jobs,
-            cache=(
-                self.runner.cache.stats()
-                if self.runner.cache is not None
-                else {}
-            ),
+            cache=cache,
             pool_node_seconds=self.pool.node_seconds,
             pool_timeline=self.pool.timeline_dicts(),
             tenant_node_seconds=self.fairness.served(),
@@ -552,34 +580,21 @@ class OnlineService:
             )
             self.admission.rejections.append(rejection)
             self._bump("downtime_shed")
-            if tele is not None:
-                tele.metrics.counter(
-                    "service_shed_total", tenant=tenant
-                ).inc()
-            self._log(
-                "arrival",
-                {
-                    "request": req.to_dict(),
-                    "outcome": "shed",
-                    "rejection": rejection.to_dict(),
-                    "resil": {"downtime_shed": 1},
-                },
-            )
-            return
-        rejection = self.admission.try_admit(req, self._in_system())
+        else:
+            rejection = self.admission.try_admit(req, self._in_system())
         if rejection is not None:
             if tele is not None:
                 tele.metrics.counter(
                     "service_shed_total", tenant=tenant
                 ).inc()
-            self._log(
-                "arrival",
-                {
-                    "request": req.to_dict(),
-                    "outcome": "shed",
-                    "rejection": rejection.to_dict(),
-                },
-            )
+            entry = {
+                "request": req.to_dict(),
+                "outcome": "shed",
+                "rejection": rejection.to_dict(),
+            }
+            if self._tally:  # only a downtime shed counts as a fault
+                entry["resil"] = self._take_tally()
+            self._log("arrival", entry)
             return
         if req.deadline_s is None and self.default_slo_s is not None:
             req = dataclasses.replace(
@@ -594,12 +609,10 @@ class OnlineService:
     def _on_release(self, req: SimRequest) -> None:
         """A retry's backoff elapsed: back into the window (admission
         was already paid on first arrival)."""
-        if req.request_id in self._release_cancel:
+        if self._pending_release.pop(req.request_id, None) is None:
             # the request was dead-lettered by a cold crash while its
             # backoff was pending — the timer fires into the void
-            self._release_cancel.discard(req.request_id)
             return
-        self._pending_release.pop(req.request_id, None)
         self._by_id[req.request_id] = req
         self.window.add(req, self._now)
         self._log("release", {"request": req.to_dict()})
@@ -613,56 +626,42 @@ class OnlineService:
         self._push(release_t, "release", req)
         return {"request": req.to_dict(), "release_t": release_t}
 
-    def _handle_lost(
-        self, req: SimRequest, job_id: str, cause: str
-    ) -> Tuple[str, Dict[str, object]]:
-        """Retry-or-dead-letter one fault-lost member.  Returns
-        ``("requeue", entry)`` or ``("dead", entry)`` with the journal
-        entry for the outcome."""
+    def _settle_lost(
+        self, job_id: str, lost
+    ) -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
+        """Retry-or-dead-letter each fault-lost ``(member, cause)`` of
+        wave ``job_id``; returns the journal entries of the outcomes,
+        ``(requeued, dead)``."""
         tele = self.telemetry
-        retry = self.runner.retry
-        attempts_done = req.attempt + 1
-        if retry is not None and not retry.allows(attempts_done + 1):
+        requeued: List[Dict[str, object]] = []
+        dead: List[Dict[str, object]] = []
+        for req, cause in lost:
+            outcome = retry_or_abandon(self.runner.retry, req, job_id)
+            if isinstance(outcome, AbandonedRecord):
+                if tele is not None:
+                    tele.metrics.counter("service_dead_letters_total").inc()
+                dead.append(self._dead_letter(outcome, cause))
+                continue
             if tele is not None:
-                tele.metrics.counter("service_dead_letters_total").inc()
-            self._by_id.pop(req.request_id, None)
-            record = AbandonedRecord(
-                request_id=req.request_id,
-                attempts=attempts_done,
-                last_job_id=job_id,
-                reason=(
-                    f"lost to faults on all {attempts_done} "
-                    "dispatch(es); retry policy "
-                    f"max_attempts={retry.max_attempts}"
-                ),
+                tele.metrics.counter("service_retries_total").inc()
+            self._bump("retries")
+            requeued.append(
+                self._requeue(req.requeued(), self._now + outcome)
             )
-            self._abandoned.append(record)
-            self._bump("dead_letters")
-            self._dead_by_cause[cause] = (
-                self._dead_by_cause.get(cause, 0) + 1
-            )
-            return ("dead", {"record": record.to_dict(), "cause": cause})
-        backoff = (
-            retry.backoff_s(attempts_done, key=req.request_id)
-            if retry is not None
-            else 0.0
-        )
-        if tele is not None:
-            tele.metrics.counter("service_retries_total").inc()
-        self._bump("retries")
-        return (
-            "requeue",
-            self._requeue(req.requeued(), self._now + backoff),
-        )
+        return requeued, dead
+
+    def _release_wave(self, man: Dict[str, object]) -> List[int]:
+        """Hand a finished or canceled wave's surviving nodes back to
+        the pool at the current clock; returns the released node ids."""
+        live = [n for n in man["nodes"] if n not in man["dead_nodes"]]  # type: ignore[union-attr,operator]
+        self.pool.release(live, self._now)
+        return live
 
     def _on_complete(self, job_id: str) -> None:
         man = self._inflight.pop(job_id, None)
-        if man is None or man["canceled"]:
+        if man is None:
             return  # the wave was reconciled away by a crash
-        self._running -= 1
-        job: PackedJob = man["job"]  # type: ignore[assignment]
-        live = [n for n in job.nodes if n not in man["dead_nodes"]]  # type: ignore[operator]
-        self.pool.release(live, self._now)
+        live = self._release_wave(man)
         tele = self.telemetry
         served_entries: List[Dict[str, object]] = []
         for rec in man["completed"]:  # type: ignore[union-attr]
@@ -694,26 +693,7 @@ class OnlineService:
                     tele.metrics.counter(
                         "service_slo_miss_total", tenant=served.tenant
                     ).inc()
-        requeued: List[Dict[str, object]] = []
-        dead: List[Dict[str, object]] = []
-        retries_before = self._resil.get("retries", 0)
-        deads_before = self._resil.get("dead_letters", 0)
-        cause_before = dict(self._dead_by_cause)
-        for req, cause in man["lost"]:  # type: ignore[union-attr]
-            outcome, entry = self._handle_lost(req, job_id, cause)
-            (requeued if outcome == "requeue" else dead).append(entry)
-        resil: Dict[str, object] = {}
-        if self._resil.get("retries", 0) > retries_before:
-            resil["retries"] = self._resil["retries"] - retries_before
-        if self._resil.get("dead_letters", 0) > deads_before:
-            resil["dead_letters"] = (
-                self._resil["dead_letters"] - deads_before
-            )
-            resil["by_cause"] = {
-                k: v - cause_before.get(k, 0)
-                for k, v in self._dead_by_cause.items()
-                if v > cause_before.get(k, 0)
-            }
+        requeued, dead = self._settle_lost(job_id, man["lost"])
         self._log(
             "complete",
             {
@@ -722,7 +702,7 @@ class OnlineService:
                 "requeued": requeued,
                 "dead_letter": dead,
                 "released_nodes": sorted(live),
-                "resil": resil,
+                "resil": self._take_tally(),
             },
         )
 
@@ -743,25 +723,12 @@ class OnlineService:
         elif spec.kind == "domain_loss":
             self._on_domain_loss(index, spec)
 
-    def _cancel_wave(
-        self, job_id: str, man: Dict[str, object]
-    ) -> List[int]:
-        """Cancel one in-flight wave and release its surviving nodes;
-        returns the released node ids."""
-        man["canceled"] = True
-        self._running -= 1
-        job: PackedJob = man["job"]  # type: ignore[assignment]
-        live = [n for n in job.nodes if n not in man["dead_nodes"]]  # type: ignore[operator]
-        self.pool.release(live, self._now)
-        return live
-
     def _on_service_crash(self, index: int, spec: FaultSpec) -> None:
         """The control plane dies for ``spec.duration_s``: in-flight
         waves are lost (the completion event fires into the void) and
         arrivals shed until the service is back.  What happens to the
         lost work depends on the ``recovery`` mode."""
-        down_until = self._now + spec.duration_s
-        self._down_until = max(self._down_until, down_until)
+        self._down_until = max(self._down_until, self._now + spec.duration_s)
         self._bump("crashes")
         self._bump("recovery_seconds", spec.duration_s)
         if self.telemetry is not None:
@@ -770,111 +737,94 @@ class OnlineService:
                 "service.crash", "marker", self._now, 0.0,
                 down_until=self._down_until,
             )
-        inflight = [
-            (job_id, man)
-            for job_id, man in sorted(self._inflight.items())
-            if not man["canceled"]
-        ]
-        members_before = sum(len(m["job"].requests) for _, m in inflight)  # type: ignore[union-attr]
+        inflight = [man for _, man in sorted(self._inflight.items())]
+        members_before = sum(len(m["requests"]) for m in inflight)  # type: ignore[arg-type]
         lost_work = sum(
-            self._now - float(m["start_s"]) for _, m in inflight  # type: ignore[arg-type]
+            self._now - float(m["start_s"]) for m in inflight  # type: ignore[arg-type]
         )
-        directives: Dict[str, object] = {
-            "spec_index": index,
-            "down_until": self._down_until,
-            "resil": {"crashes": 1, "recovery_seconds": spec.duration_s},
-        }
         if self.recovery == "resume":
-            self._crash_resume(inflight, directives)
+            canceled, directives = self._reconcile_resume(self._down_until)
         else:
-            self._crash_cold(spec, directives)
-        self.ledger.record(
-            RecoveryEvent(
-                step=0,
-                rolled_back_steps=0,
-                detected_at_s=self._now,
-                detection_s=spec.duration_s,
-                lost_work_s=lost_work,
-                reassembly_s=0.0,
-                rebuilt_blocks=0,
-                failed_ranks=(),
-                failed_nodes=(),
-                lost_members=(),
-                n_members_before=members_before,
-                n_members_after=0,
-            )
-        )
+            canceled, directives = self._reconcile_cold(spec.duration_s)
+        self._ledger_outage(spec.duration_s, lost_work, (), members_before, 0)
         self._push(self._down_until, "ready")
-        self._log("chaos", directives)
+        self._log(
+            "chaos",
+            {
+                "spec_index": index,
+                "down_until": self._down_until,
+                "cancel_jobs": canceled,
+                "drop_jobs": canceled,
+                **directives,
+                "resil": self._take_tally(),
+            },
+        )
 
-    def _crash_resume(self, inflight, directives: Dict[str, object]) -> None:
-        """Durable-mode crash: in-flight waves cancel, their members
-        requeue at the recovery time *without* an attempt bump (the
-        crash was not their fault), and everything queued survives."""
+    # ------------------------------------------------------------------
+    # crash reconciliation — one function per recovery mode, run over
+    # the live state by an in-run ``service_crash`` and by
+    # :meth:`restore` alike.  Nodes are released / failed at the
+    # current clock (``restore`` first sets it to the recovery time);
+    # what else differs between the two callers is the one time
+    # argument each takes.
+    # ------------------------------------------------------------------
+    def _reconcile_resume(
+        self, requeue_t: float
+    ) -> Tuple[List[str], Dict[str, object]]:
+        """Durable-mode crash: every in-flight wave is dropped (its
+        results were never durable), its surviving nodes go back to
+        the pool, and its members re-enter the window at ``requeue_t``
+        *without* an attempt bump — the crash was not their fault.
+        Everything queued or backing off survives.  Returns the
+        dropped job ids and the event directives."""
         canceled: List[str] = []
         released: List[int] = []
         requeued: List[Dict[str, object]] = []
-        for job_id, man in inflight:
-            released.extend(self._cancel_wave(job_id, man))
-            canceled.append(job_id)
-            for req in man["job"].requests:  # type: ignore[union-attr]
-                requeued.append(self._requeue(req, self._down_until))
+        for job_id, man in sorted(self._inflight.items()):
             del self._inflight[job_id]
-        directives.update(
-            {
-                "cancel_jobs": canceled,
-                "drop_jobs": canceled,
-                "released_nodes": sorted(released),
-                "requeued": requeued,
-            }
-        )
+            canceled.append(job_id)
+            released.extend(self._release_wave(man))
+            for req in man["requests"]:  # type: ignore[union-attr]
+                requeued.append(self._requeue(req, requeue_t))
+        return canceled, {
+            "released_nodes": sorted(released),
+            "requeued": requeued,
+        }
 
-    def _abandon_cold(
-        self, req: SimRequest, attempts: int, job_id: str
-    ) -> Dict[str, object]:
-        """Dead-letter one request lost to a cold restart; returns its
-        journal entry."""
-        record = AbandonedRecord(
-            request_id=req.request_id,
-            attempts=attempts,
-            last_job_id=job_id,
-            reason="lost in control-plane crash (cold restart)",
-        )
-        self._abandoned.append(record)
-        self._bump("dead_letters")
-        self._dead_by_cause["service_crash"] = (
-            self._dead_by_cause.get("service_crash", 0) + 1
-        )
-        return {"record": record.to_dict(), "cause": "service_crash"}
-
-    def _crash_cold(
-        self, spec: FaultSpec, directives: Dict[str, object]
-    ) -> None:
-        """Naive-restart crash: every request in the system (held,
-        flushed, in flight, backing off) is dead-lettered, all online
-        capacity is lost, and the pool regrows from its floor after
-        the outage."""
+    def _reconcile_cold(
+        self, stall_s: float
+    ) -> Tuple[List[str], Dict[str, object]]:
+        """Naive-restart crash: every request in the system (in
+        flight, held, flushed, backing off) is dead-lettered, all
+        online capacity is lost, and the pool regrows from its floor
+        ``stall_s`` late.  Returns the dropped job ids and the event
+        directives."""
+        # a cold restart always states its dead-letter count, zero too
+        self._tally.update(dead_letters=0, by_cause={"service_crash": 0})
         dead: List[Dict[str, object]] = []
 
-        canceled: List[str] = []
-        for job_id, man in sorted(self._inflight.items()):
-            if not man["canceled"]:
-                man["canceled"] = True
-                self._running -= 1
-                canceled.append(job_id)
-                for req in man["job"].requests:  # type: ignore[union-attr]
-                    dead.append(self._abandon_cold(req, req.attempt + 1, job_id))
-        self._inflight.clear()
+        def abandon(req: SimRequest, attempts: int, job_id: str) -> None:
+            record = AbandonedRecord(
+                request_id=req.request_id,
+                attempts=attempts,
+                last_job_id=job_id,
+                reason="lost in control-plane crash (cold restart)",
+            )
+            dead.append(self._dead_letter(record, "service_crash"))
+
+        canceled = sorted(self._inflight)
+        for job_id in canceled:
+            for req in self._inflight.pop(job_id)["requests"]:  # type: ignore[union-attr]
+                abandon(req, req.attempt + 1, job_id)
         for req in self.window.pending():
-            dead.append(self._abandon_cold(req, req.attempt, ""))
+            abandon(req, req.attempt, "")
         for rb in self._ready:
             for req in rb.requests:
-                dead.append(self._abandon_cold(req, req.attempt, ""))
+                abandon(req, req.attempt, "")
         dropped_releases = sorted(self._pending_release)
-        for rid, (req, _) in sorted(self._pending_release.items()):
-            self._release_cancel.add(rid)
-            dead.append(self._abandon_cold(req, req.attempt, ""))
-        self._pending_release.clear()
+        for rid in dropped_releases:
+            req, _ = self._pending_release.pop(rid)
+            abandon(req, req.attempt, "")
         self.window = MovingWindow(self._window_policy)
         self._ready = []
         self._by_id.clear()
@@ -886,7 +836,7 @@ class OnlineService:
         self.pool.fail_nodes(doomed, self._now)
         grow: Optional[Dict[str, object]] = None
         ready_at = self.pool.request_grow(
-            self.pool.min_nodes, self._now, extra_delay_s=spec.duration_s
+            self.pool.min_nodes, self._now, extra_delay_s=stall_s
         )
         if ready_at is not None:
             grow = {
@@ -894,20 +844,13 @@ class OnlineService:
                 "ready_at": ready_at,
             }
             self._push(ready_at, "ready")
-        directives.update(
-            {
-                "cancel_jobs": canceled,
-                "drop_jobs": canceled,
-                "dead_letter": dead,
-                "drop_pending_release": dropped_releases,
-                "clear_window": True,
-                "failed_nodes": sorted(doomed),
-                "pool_grow": grow,
-            }
-        )
-        resil = directives["resil"]
-        resil["dead_letters"] = len(dead)  # type: ignore[index]
-        resil["by_cause"] = {"service_crash": len(dead)}  # type: ignore[index]
+        return canceled, {
+            "dead_letter": dead,
+            "drop_pending_release": dropped_releases,
+            "clear_window": True,
+            "failed_nodes": sorted(doomed),
+            "pool_grow": grow,
+        }
 
     def _on_domain_loss(self, index: int, spec: FaultSpec) -> None:
         """A whole fault domain (or single node, without declared
@@ -942,25 +885,14 @@ class OnlineService:
             )
             self.health.quarantine(node)
         failed = set(nodes)
-        directives: Dict[str, object] = {
-            "spec_index": index,
-            "failed_nodes": sorted(failed),
-            "quarantine": sorted(failed),
-            "resil": {"domain_losses": 1},
-        }
         canceled: List[str] = []
-        dropped: List[str] = []
         released: List[int] = []
         requeued: List[Dict[str, object]] = []
         dead: List[Dict[str, object]] = []
         manifest_lost: Dict[str, List[str]] = {}
         update_jobs: Dict[str, Dict[str, object]] = {}
         all_lost_members = []
-        retries_before = self._resil.get("retries", 0)
-        deads_before = self._resil.get("dead_letters", 0)
         for job_id, man in sorted(self._inflight.items()):
-            if man["canceled"]:
-                continue
             job: PackedJob = man["job"]  # type: ignore[assignment]
             hit = failed & set(job.nodes)
             if not hit:
@@ -1009,67 +941,39 @@ class OnlineService:
             if not survivors:
                 # every member lost: the wave dies here, not at its
                 # completion event — reconcile its losses immediately
-                released.extend(self._cancel_wave(job_id, man))
-                canceled.append(job_id)
-                dropped.append(job_id)
                 del self._inflight[job_id]
-                for req, cause in man["lost"]:  # type: ignore[union-attr]
-                    outcome, entry = self._handle_lost(
-                        req, job_id, cause
-                    )
-                    (requeued if outcome == "requeue" else dead).append(
-                        entry
-                    )
-        resil = directives["resil"]
-        if self._resil.get("retries", 0) > retries_before:
-            resil["retries"] = (  # type: ignore[index]
-                self._resil["retries"] - retries_before
-            )
-        if self._resil.get("dead_letters", 0) > deads_before:
-            resil["dead_letters"] = (  # type: ignore[index]
-                self._resil["dead_letters"] - deads_before
-            )
-            resil["by_cause"] = {  # type: ignore[index]
-                "domain_loss": self._resil["dead_letters"] - deads_before
-            }
-        directives.update(
-            {
-                "cancel_jobs": canceled,
-                "drop_jobs": dropped,
-                "released_nodes": sorted(released),
-                "requeued": requeued,
-                "dead_letter": dead,
-                "manifest_lost": manifest_lost,
-                "update_jobs": update_jobs,
-                "incidents": self._health_delta(),
-            }
+                canceled.append(job_id)
+                released.extend(self._release_wave(man))
+                again, gone = self._settle_lost(job_id, man["lost"])
+                requeued.extend(again)
+                dead.extend(gone)
+        directives: Dict[str, object] = {
+            "spec_index": index,
+            "failed_nodes": sorted(failed),
+            "quarantine": sorted(failed),
+            "cancel_jobs": canceled,
+            "drop_jobs": canceled,
+            "released_nodes": sorted(released),
+            "requeued": requeued,
+            "dead_letter": dead,
+            "manifest_lost": manifest_lost,
+            "update_jobs": update_jobs,
+            "incidents": self._health_delta(),
+        }
+        lost_work = sum(
+            self._now - float(self._inflight[j]["start_s"])  # type: ignore[arg-type]
+            for j in manifest_lost
+            if j in self._inflight
         )
-        self.ledger.record(
-            RecoveryEvent(
-                step=0,
-                rolled_back_steps=0,
-                detected_at_s=self._now,
-                detection_s=0.0,
-                lost_work_s=sum(
-                    self._now - float(self._inflight[j]["start_s"])  # type: ignore[arg-type]
-                    for j in manifest_lost
-                    if j in self._inflight
-                ),
-                reassembly_s=0.0,
-                rebuilt_blocks=0,
-                failed_ranks=(),
-                failed_nodes=tuple(sorted(failed)),
-                lost_members=(),
-                n_members_before=len(all_lost_members)
-                + sum(
-                    len(m["completed"])  # type: ignore[arg-type]
-                    for m in self._inflight.values()
-                ),
-                n_members_after=sum(
-                    len(m["completed"])  # type: ignore[arg-type]
-                    for m in self._inflight.values()
-                ),
-            )
+        members_after = sum(
+            len(m["completed"]) for m in self._inflight.values()  # type: ignore[arg-type]
+        )
+        self._ledger_outage(
+            0.0,
+            lost_work,
+            tuple(sorted(failed)),
+            len(all_lost_members) + members_after,
+            members_after,
         )
         if spec.duration_s > 0:
             restore_t = self._now + spec.duration_s
@@ -1078,7 +982,35 @@ class OnlineService:
                 restore_t, "chaos", {"restore": sorted(failed)}
             )
             directives["restore_at"] = restore_t
+        directives["resil"] = self._take_tally()
         self._log("chaos", directives)
+
+    def _ledger_outage(
+        self,
+        detection_s: float,
+        lost_work_s: float,
+        failed_nodes: Tuple[int, ...],
+        members_before: int,
+        members_after: int,
+    ) -> None:
+        """Charge one control-plane fault to the recovery ledger (no
+        step, rank or cmat block is involved at this level)."""
+        self.ledger.record(
+            RecoveryEvent(
+                step=0,
+                rolled_back_steps=0,
+                detected_at_s=self._now,
+                detection_s=detection_s,
+                lost_work_s=lost_work_s,
+                reassembly_s=0.0,
+                rebuilt_blocks=0,
+                failed_ranks=(),
+                failed_nodes=failed_nodes,
+                lost_members=(),
+                n_members_before=members_before,
+                n_members_after=members_after,
+            )
+        )
 
     def _member_nodes(self, job: PackedJob, member: int) -> set:
         """Physical node ids member ``member``'s ranks occupy."""
@@ -1162,25 +1094,31 @@ class OnlineService:
                     )
         self._arm_timers()
 
+    def _largest_shape(self, rb: _ReadyBatch, max_nodes: int):
+        """The job shape of the largest prefix of ``rb`` that fits on
+        ``max_nodes`` nodes (k descending; k=1 only in the FIFO
+        baseline), or ``None`` when not even one member does."""
+        top_k = len(rb.requests) if self.packer.prefer_larger_k else 1
+        for k in range(top_k, 0, -1):
+            shape = self.packer.shape_for(
+                rb.requests[0].input, k, max_nodes=max_nodes
+            )
+            if shape is not None:
+                return shape
+        return None
+
     def _try_place(self, rb: _ReadyBatch) -> bool:
         """Dispatch the largest feasible prefix of ``rb`` onto free
         nodes; returns True when anything was placed."""
         free = self.pool.free_nodes(self._now)
         if not free:
             return False
-        top_k = len(rb.requests) if self.packer.prefer_larger_k else 1
-        shape = None
-        for k in range(top_k, 0, -1):
-            shape = self.packer.shape_for(
-                rb.requests[0].input, k, max_nodes=len(free)
-            )
-            if shape is not None:
-                break
+        shape = self._largest_shape(rb, len(free))
         if shape is None:
             return False
-        if self._job_seq >= self.max_dispatches:
+        if self._job_seq >= MAX_DISPATCHES:
             raise ServiceError(
-                f"service exceeded max_dispatches={self.max_dispatches} "
+                f"service exceeded max_dispatches={MAX_DISPATCHES} "
                 "(retry storm or misconfigured window?)"
             )
         members = rb.requests[: shape.k]
@@ -1199,7 +1137,6 @@ class OnlineService:
             job, start_s=self._now, steps=self.steps
         )
         self._jobs.append(record)
-        self._running += 1
         self.fairness.charge(members, shape.n_nodes * record.elapsed_s)
         if self.telemetry is not None:
             self.telemetry.metrics.counter("service_dispatch_total").inc()
@@ -1207,13 +1144,14 @@ class OnlineService:
                 float(self.pool.busy)
             )
         self._inflight[job.job_id] = {
+            "requests": job.requests,
+            "nodes": job.nodes,
+            "dead_nodes": set(),
+            "start_s": self._now,
             "job": job,
             "record": record,
             "completed": list(completed),
             "lost": [(req, "data_faults") for req in lost],
-            "canceled": False,
-            "dead_nodes": set(),
-            "start_s": self._now,
         }
         self._push(self._now + record.elapsed_s, "complete", job.job_id)
         self._log(
@@ -1253,14 +1191,7 @@ class OnlineService:
             self._ready,
             key=lambda b: self.fairness.batch_key(b.requests, b.seq),
         )
-        top_k = len(rb.requests) if self.packer.prefer_larger_k else 1
-        target = None
-        for k in range(top_k, 0, -1):
-            target = self.packer.shape_for(
-                rb.requests[0].input, k, max_nodes=self.pool.max_nodes
-            )
-            if target is not None:
-                break
+        target = self._largest_shape(rb, self.pool.max_nodes)
         if target is None:
             raise ServiceError(
                 f"request {rb.requests[0].request_id!r} cannot fit on "
@@ -1272,6 +1203,7 @@ class OnlineService:
         deficit = target.n_nodes - free - provisioning
         if deficit > 0:
             fault = self._next_provision_fault()
+            stall: Dict[str, object] = {}
             if fault is not None:
                 index, spec = fault
                 self._consumed_chaos.add(index)
@@ -1293,7 +1225,7 @@ class OnlineService:
                             "op": "grow_failed",
                             "nodes": [],
                             "spec_index": index,
-                            "resil": {"provision_failures": 1},
+                            "resil": self._take_tally(),
                         },
                     )
                     self._push(
@@ -1303,45 +1235,31 @@ class OnlineService:
                     )
                     return
                 # the grow goes through, late
-                self._bump("provision_stall_seconds", spec.duration_s)
                 if self.telemetry is not None:
                     self.telemetry.tracer.record(
                         "pool.provision_stall", "marker", self._now, 0.0,
                         stall_s=float(spec.duration_s),
                     )
-                ready_at = self.pool.request_grow(
-                    deficit, self._now, extra_delay_s=spec.duration_s
+                stall = {"stall_s": spec.duration_s, "spec_index": index}
+            ready_at = self.pool.request_grow(
+                deficit, self._now, extra_delay_s=stall.get("stall_s", 0.0)  # type: ignore[arg-type]
+            )
+            if ready_at is not None:
+                if stall:
+                    self._bump("provision_stall_seconds", spec.duration_s)
+                    stall["resil"] = self._take_tally()
+                self._log(
+                    "pool",
+                    {
+                        "op": "grow",
+                        "nodes": sorted(self.pool.last_grown),
+                        "ready_at": ready_at,
+                        **stall,
+                    },
                 )
-                if ready_at is not None:
-                    self._log(
-                        "pool",
-                        {
-                            "op": "grow",
-                            "nodes": sorted(self.pool.last_grown),
-                            "ready_at": ready_at,
-                            "stall_s": spec.duration_s,
-                            "spec_index": index,
-                            "resil": {
-                                "provision_stall_seconds": spec.duration_s
-                            },
-                        },
-                    )
-                    self._push(ready_at, "ready")
-                    return
-            else:
-                ready_at = self.pool.request_grow(deficit, self._now)
-                if ready_at is not None:
-                    self._log(
-                        "pool",
-                        {
-                            "op": "grow",
-                            "nodes": sorted(self.pool.last_grown),
-                            "ready_at": ready_at,
-                        },
-                    )
-                    self._push(ready_at, "ready")
-                    return
-        if self._running == 0 and provisioning == 0 and deficit > 0:
+                self._push(ready_at, "ready")
+                return
+        if not self._inflight and provisioning == 0 and deficit > 0:
             if self._pending_restores or self._now < self._down_until:
                 # capacity is coming back (a lost domain heals, or the
                 # outage ends) — a chaos/ready event is already armed
@@ -1355,24 +1273,20 @@ class OnlineService:
             )
 
     def _arm_timers(self) -> None:
-        expiry = self.window.next_expiry()
-        if (
-            expiry is not None
-            and math.isfinite(expiry)
-            and expiry > self._now
-            and expiry not in self._flush_timers
+        """Wake the loop at the next window expiry and the next idle
+        reclaim, once each."""
+        for due, armed, kind in (
+            (self.window.next_expiry(), self._flush_timers, "flush"),
+            (self.pool.next_reclaim(), self._reclaim_timers, "reclaim"),
         ):
-            self._flush_timers.add(expiry)
-            self._push(expiry, "flush")
-        reclaim = self.pool.next_reclaim()
-        if (
-            reclaim is not None
-            and math.isfinite(reclaim)
-            and reclaim > self._now
-            and reclaim not in self._reclaim_timers
-        ):
-            self._reclaim_timers.add(reclaim)
-            self._push(reclaim, "reclaim")
+            if (
+                due is not None
+                and math.isfinite(due)
+                and due > self._now
+                and due not in armed
+            ):
+                armed.add(due)
+                self._push(due, kind)
 
     # ------------------------------------------------------------------
     # crash recovery (journal replay)
@@ -1406,7 +1320,51 @@ class OnlineService:
             )
         t_rec = float(state.t) + float(resume_delay_s)
         self._now = t_rec
-        # --- bookkeeping that survives any crash mode
+        backoffs = self._load(state)
+        self._bump("wal_recoveries")
+        self._bump("recovery_seconds", resume_delay_s)
+        # the reconciliation an in-run crash runs, at the WAL's times:
+        # members requeue at the recovery instant, the regrow is prompt
+        if mode == "resume":
+            _, directives = self._reconcile_resume(t_rec)
+        else:
+            _, directives = self._reconcile_cold(0.0)
+        # retry backoffs that survived keep their release times
+        for req, release_t in backoffs:
+            if req.request_id in self._pending_release:
+                self._push(release_t, "release", req)
+        # pending provisioning completions become wake-ups again
+        for rt in self.pool.ready_times():
+            self._push(max(rt, t_rec), "ready")
+        # domain restores that had not fired yet
+        for entry in state.pending_restores:
+            restore_t = max(float(entry["t"]), t_rec)
+            nodes = tuple(int(n) for n in entry["nodes"])
+            self._pending_restores.append((restore_t, nodes))
+            self._push(restore_t, "chaos", {"restore": sorted(nodes)})
+        self._arm_chaos(t_rec)
+        if self._down_until > t_rec:
+            self._push(self._down_until, "ready")
+        if self.journal is not None:
+            self.journal.seed(state)
+        self._log(
+            "recover",
+            {
+                "mode": mode,
+                "drop_jobs": sorted(state.inflight),
+                **directives,
+                "resil": self._take_tally(),
+            },
+        )
+        self._recovered = (t_rec, set(state.arrived_ids))
+
+    def _load(self, state) -> List[Tuple[SimRequest, float]]:
+        """Turn the mirror dicts of ``state`` back into the live state
+        an in-run crash would find at the current clock: the durable
+        books, the window and ready queue, and an in-flight manifest
+        per wave the WAL never saw complete.  Returns the retry
+        backoffs it loaded, as ``(request, release time)``, so the
+        caller can re-arm the timers of those that survive."""
         self.admission.offered = int(state.offered)
         self.admission.admitted = int(state.admitted)
         self.admission.rejections = [
@@ -1428,46 +1386,6 @@ class OnlineService:
             self.pool.restore(state.pool)
         self.health.restore(state.health)
         self._health_mark = len(self.health.incidents())
-        self._bump("wal_recoveries")
-        self._bump("recovery_seconds", resume_delay_s)
-        directives: Dict[str, object] = {
-            "mode": mode,
-            "resil": {
-                "wal_recoveries": 1,
-                "recovery_seconds": resume_delay_s,
-            },
-        }
-        if mode == "resume":
-            self._restore_resume(state, t_rec, directives)
-        else:
-            self._restore_cold(state, t_rec, directives)
-        # pending provisioning completions become wake-ups again
-        for rt in self.pool.ready_times():
-            self._push(max(rt, t_rec), "ready")
-        # domain restores that had not fired yet
-        for entry in state.pending_restores:
-            restore_t = max(float(entry["t"]), t_rec)
-            nodes = tuple(int(n) for n in entry["nodes"])
-            self._pending_restores.append((restore_t, nodes))
-            self._push(restore_t, "chaos", {"restore": sorted(nodes)})
-        self._arm_chaos(t_rec)
-        if self._down_until > t_rec:
-            self._push(self._down_until, "ready")
-        if self.journal is not None:
-            self.journal.seed(state)
-            self._log("recover", directives)
-        self._recovered = {
-            "arrived_ids": set(state.arrived_ids),
-            "t_rec": t_rec,
-            "horizon_s": float(state.horizon_s),
-        }
-
-    def _restore_resume(
-        self, state, t_rec: float, directives: Dict[str, object]
-    ) -> None:
-        """Exactly-once reconciliation: queued work survives, in-flight
-        waves requeue without an attempt bump, retry backoffs keep
-        their release times."""
         for entry in state.window:
             req = SimRequest.from_dict(entry["request"])
             self._by_id[req.request_id] = req
@@ -1484,90 +1402,28 @@ class OnlineService:
                     requests=reqs,
                 )
             )
-        released: List[int] = []
-        requeued: List[Dict[str, object]] = []
-        dropped: List[str] = []
-        for job_id, man in sorted(state.inflight.items()):
-            dropped.append(job_id)
-            if not man["canceled"]:
-                live = [
-                    n
-                    for n in man["nodes"]
-                    if self.pool.state_of(int(n)) == BUSY
-                ]
-                self.pool.release(live, t_rec)
-                released.extend(live)
-                # the wave's results were never durable — every member
-                # goes back in the window, attempt budget untouched
-                for d in man["requests"]:
-                    req = SimRequest.from_dict(d)
-                    requeued.append(self._requeue(req, t_rec))
+        for job_id, man in state.inflight.items():
+            if man["canceled"]:
+                continue  # already reconciled; the caller drops it
+            nodes = tuple(int(n) for n in man["nodes"])
+            self._inflight[job_id] = {
+                "requests": tuple(
+                    SimRequest.from_dict(d) for d in man["requests"]
+                ),
+                "nodes": nodes,
+                # the WAL marks lost nodes only in the pool mirror
+                "dead_nodes": {
+                    n for n in nodes if self.pool.state_of(n) != BUSY
+                },
+                "start_s": float(man["start_s"]),
+            }
+        backoffs: List[Tuple[SimRequest, float]] = []
         for entry in state.pending_release:
             req = SimRequest.from_dict(entry["request"])
-            release_t = max(float(entry["release_t"]), t_rec)
+            release_t = max(float(entry["release_t"]), self._now)
             self._pending_release[req.request_id] = (req, release_t)
-            self._push(release_t, "release", req)
-        directives.update(
-            {
-                "drop_jobs": dropped,
-                "released_nodes": sorted(released),
-                "requeued": requeued,
-            }
-        )
-
-    def _restore_cold(
-        self, state, t_rec: float, directives: Dict[str, object]
-    ) -> None:
-        """Restart-from-empty reconciliation: nothing in the system
-        survives; the pool reboots at its floor."""
-        dead: List[Dict[str, object]] = []
-
-        for entry in state.window:
-            req = SimRequest.from_dict(entry["request"])
-            dead.append(self._abandon_cold(req, req.attempt, ""))
-        for b in state.ready:
-            for d in b["requests"]:
-                req = SimRequest.from_dict(d)
-                dead.append(self._abandon_cold(req, req.attempt, ""))
-        dropped: List[str] = []
-        for job_id, man in sorted(state.inflight.items()):
-            dropped.append(job_id)
-            if not man["canceled"]:
-                for d in man["requests"]:
-                    req = SimRequest.from_dict(d)
-                    dead.append(self._abandon_cold(req, req.attempt + 1, job_id))
-        drop_release = []
-        for entry in state.pending_release:
-            req = SimRequest.from_dict(entry["request"])
-            drop_release.append(req.request_id)
-            dead.append(self._abandon_cold(req, req.attempt, ""))
-        doomed = [
-            n
-            for n in range(self.machine.n_nodes)
-            if self.pool.state_of(n) != OFFLINE
-        ]
-        self.pool.fail_nodes(doomed, t_rec)
-        grow: Optional[Dict[str, object]] = None
-        ready_at = self.pool.request_grow(self.pool.min_nodes, t_rec)
-        if ready_at is not None:
-            grow = {
-                "nodes": sorted(self.pool.last_grown),
-                "ready_at": ready_at,
-            }
-            self._push(ready_at, "ready")
-        directives.update(
-            {
-                "drop_jobs": dropped,
-                "dead_letter": dead,
-                "drop_pending_release": drop_release,
-                "clear_window": True,
-                "failed_nodes": sorted(doomed),
-                "pool_grow": grow,
-            }
-        )
-        resil = directives["resil"]
-        resil["dead_letters"] = len(dead)  # type: ignore[index]
-        resil["by_cause"] = {"service_crash": len(dead)}  # type: ignore[index]
+            backoffs.append((req, release_t))
+        return backoffs
 
     def resume(self, horizon_s: float) -> ServiceReport:
         """Finish a restored run: regenerate the traffic horizon, skip
@@ -1575,18 +1431,7 @@ class OnlineService:
         Only valid after :meth:`restore`."""
         if self._recovered is None:
             raise ServiceError("resume() requires restore() first")
-        arrived = self._recovered["arrived_ids"]
-        t_rec = float(self._recovered["t_rec"])  # type: ignore[arg-type]
-        tele = self.telemetry
-        if tele is not None:
-            tele.tracer.time_offset = 0.0
-            tele.tracer.begin("service", "service", t_rec)
-        if self.monitor is not None:
-            self.monitor.begin(self, t_rec)
-        for req in self.traffic.generate(horizon_s):
-            if req.request_id in arrived:  # type: ignore[operator]
-                continue
-            self._push(max(req.arrival_s, t_rec), "arrival", req)
+        self._open(horizon_s, *self._recovered)
         if self._now >= self._down_until:
             # the crash may have landed between a flush and its
             # dispatch: the restored ready batches have no pending

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.machine import frontier_like, generic_cluster, single_node
@@ -30,3 +33,15 @@ def one_node_world():
 def frontier32():
     """The Frontier-like 32-node preset used by the headline benchmark."""
     return frontier_like(n_nodes=32)
+
+
+@pytest.fixture(scope="session")
+def golden_generator():
+    """``tests/goldens/generate.py`` loaded as a module (it is a script
+    beside the goldens, not a package member): the golden tests rerun
+    exactly the code that wrote the committed files."""
+    path = Path(__file__).resolve().parent / "goldens" / "generate.py"
+    spec = importlib.util.spec_from_file_location("golden_generate", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -100,15 +99,6 @@ class TestFullMode:
             differential_oracle(_inputs(2), machine, baseline="bogus")
 
 
-def _load_generator():
-    spec = importlib.util.spec_from_file_location(
-        "golden_generate", GOLDEN_DIR / "generate.py"
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 @pytest.mark.oracle
 @pytest.mark.parametrize(
     "fname,k,overlap",
@@ -119,7 +109,7 @@ def _load_generator():
         ("oracle_nl03c_k4_overlap.json", 4, "full"),
     ],
 )
-def test_nl03c_golden(fname, k, overlap):
+def test_nl03c_golden(fname, k, overlap, golden_generator):
     """A fresh nl03c-scale oracle run must reproduce the committed
     golden report byte for byte (member mode: deltas exactly zero).
 
@@ -128,7 +118,7 @@ def test_nl03c_golden(fname, k, overlap):
     still be exactly 0.0, certifying the pipelined schedules preserve
     arithmetic order bit for bit.
     """
-    gen = _load_generator()
+    gen = golden_generator
     report = differential_oracle(
         gen.nl03c_members(k),
         gen.nl03c_machine(k),

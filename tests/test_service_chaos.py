@@ -26,11 +26,13 @@ from repro.check import (
 from repro.machine import generic_cluster
 from repro.machine.model import KiB, MiB
 from repro.machine.topology import FaultDomains
-from repro.resilience import FaultPlan, FaultSpec
+from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 from repro.service import (
     OnlineService,
     PoissonTraffic,
+    ServiceJournal,
     WindowPolicy,
+    recover_service,
     render_service_report,
     replay,
 )
@@ -256,6 +258,67 @@ class TestDomainLoss:
             s for s in report.served if s.request_id == victim
         ]
         assert served_victim.attempts >= 2
+
+    def test_dead_letters_keep_their_own_cause_in_the_wal(self):
+        """A wave that loses one member to a data fault and the other
+        to a domain loss, with the retry budget already spent, dead-
+        letters one request per cause — live, in the journal's shadow,
+        and in a run recovered from that WAL alike."""
+        machine = dataclasses.replace(
+            replace(
+                generic_cluster(n_nodes=8),
+                mem_per_rank_bytes=float(2 * MiB),
+            ),
+            fault_domains=FaultDomains(nodes_per_domain=4),
+        )
+        base = linear_benchmark()
+        stream = [
+            SimRequest(request_id=rid, input=base, arrival_s=0.0, tenant="t")
+            for rid in ("a", "b")
+        ]
+
+        def build(journal=None):
+            # the wave lands on (0, 1, 4, 5): member 0 on domain 0 dies
+            # of node 0's rank crash, member 1 on domain 1 of the rack
+            return _service(
+                machine=machine,
+                traffic=replay(stream),
+                window=WindowPolicy(max_hold_s=5.0, min_batch=2),
+                steps=10,
+                chaos=FaultPlan(
+                    specs=(
+                        FaultSpec(
+                            kind="domain_loss",
+                            at_step=0,
+                            node=1,
+                            at_s=0.05,
+                            duration_s=5.0,
+                        ),
+                    )
+                ),
+                node_faults={
+                    0: FaultPlan(
+                        specs=(FaultSpec(kind="rank_crash", at_step=2, rank=0),)
+                    )
+                },
+                retry=RetryPolicy(max_attempts=1),
+                min_nodes=8,
+                provision_delay_s=1.0,
+                journal=journal,
+            )
+
+        want = {"data_faults": 1, "domain_loss": 1}
+        journal = ServiceJournal()
+        report = build(journal).run(60.0)
+        assert report.jobs[0].nodes == (0, 1, 4, 5)
+        assert report.resilience["dead_letters_by_cause"] == want
+        assert journal.shadow.dead_by_cause == want
+        # crash right before the closing event: every dead letter the
+        # recovered report shows came out of the WAL, not a live tally
+        recovered = recover_service(
+            build(), journal.events[:-1], horizon_s=60.0
+        )
+        assert recovered.resilience["dead_letters_by_cause"] == want
 
     def test_arrivals_while_pool_fully_quarantined(self):
         """One fault domain covers the whole machine: every node dies
