@@ -59,12 +59,13 @@ class PrivateCollisionScheme(CollisionScheme):
 
     def __init__(self) -> None:
         self._cmat: Dict[int, np.ndarray] = {}
+        self._prop: "CmatPropagator | None" = None
 
     def cmat_bytes_per_rank(self, sim: "CgyroSimulation") -> int:
         return cmat_block_bytes(sim.dims, sim.decomp.nc_loc, sim.decomp.nt_loc)
 
     def setup(self, sim: "CgyroSimulation") -> None:
-        prop = CmatPropagator(sim.collision_operator, dt=sim.inp.delta_t)
+        prop = self._prop = CmatPropagator(sim.collision_operator, dt=sim.inp.delta_t)
         nbytes = self.cmat_bytes_per_rank(sim)
         for local_rank, world_rank in enumerate(sim.ranks):
             i1, i2 = sim.decomp.coords_of(local_rank)

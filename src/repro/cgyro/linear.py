@@ -66,18 +66,10 @@ class LinearSolver:
             self.dims, self.vgrid, self.cgrid, inp.collision_params()
         )
         self._propagator = CmatPropagator(operator, dt=inp.delta_t)
-        self._cmat_cache: dict = {}
 
     # ------------------------------------------------------------------
     # the per-mode step map
     # ------------------------------------------------------------------
-    def _mode_cmat(self, n_mode: int) -> np.ndarray:
-        if n_mode not in self._cmat_cache:
-            self._cmat_cache[n_mode] = self._propagator.build(
-                range(self.dims.nc), [n_mode]
-            )
-        return self._cmat_cache[n_mode]
-
     def _rhs_mode(self, h: np.ndarray, n_mode: int) -> np.ndarray:
         """Streaming RHS restricted to one toroidal mode.
 
@@ -104,7 +96,8 @@ class LinearSolver:
         k3 = self._rhs_mode(h + 0.5 * dt * k2, n_mode)
         k4 = self._rhs_mode(h + dt * k3, n_mode)
         out = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return apply_propagator(self._mode_cmat(n_mode), out)
+        cmat = self._propagator.build(range(self.dims.nc), [n_mode])
+        return apply_propagator(cmat, out)
 
     def step_operator(self, n_mode: int) -> LinearOperator:
         """The mode-``n`` step map as a scipy LinearOperator."""

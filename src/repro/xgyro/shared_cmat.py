@@ -336,12 +336,16 @@ class SharedCmatScheme(CollisionScheme):
         return shard.n_ic * len(n_idx)
 
     def corrupt_shard(self, world_rank: int, *, seed: int = 0) -> None:
-        """Flip one bit of ``world_rank``'s shard in place (fault
-        injection: models a radiation upset in the long-lived tensor).
+        """Flip one bit of ``world_rank``'s shard (fault injection:
+        models a radiation upset in the long-lived tensor).
 
         The flipped (word, bit) position is derived deterministically
         from ``(world_rank, seed)`` so faulted runs stay reproducible.
         The recorded checksum is *not* updated — that is the point.
+
+        The upset hits this rank's memory only: the shard stops being a
+        window onto the host tensor every simulation of the signature
+        reads and becomes a private copy, until :meth:`repair_shard`.
         """
         import hashlib
 
@@ -350,6 +354,7 @@ class SharedCmatScheme(CollisionScheme):
             raise EnsembleValidationError(
                 f"rank {world_rank} owns no shard to corrupt"
             )
+        arr = self._cmat[world_rank] = np.array(arr)
         words = arr.view(np.uint64)
         digest = hashlib.sha256(f"{world_rank}:{seed}".encode()).digest()
         pos = int.from_bytes(digest[:8], "big") % words.size
