@@ -85,11 +85,7 @@ class PrivateCollisionScheme(CollisionScheme):
         coll_blocks: Dict[int, np.ndarray] = {}
         with sim.world.phase("coll_comm"):
             for comm in sim.comm1.values():
-                coll_blocks.update(
-                    transpose_str_to_coll(
-                        comm, {r: sim.h[r] for r in comm.ranks}, decomp
-                    )
-                )
+                coll_blocks.update(transpose_str_to_coll(comm, sim.h, decomp))
         # implicit collisional advance
         for world_rank in sim.ranks:
             coll_blocks[world_rank] = apply_propagator(
@@ -103,8 +99,6 @@ class PrivateCollisionScheme(CollisionScheme):
         # coll -> str back on the same communicator
         with sim.world.phase("coll_comm"):
             for comm in sim.comm1.values():
-                back = transpose_coll_to_str(
-                    comm, {r: coll_blocks[r] for r in comm.ranks}, decomp
-                )
+                back = transpose_coll_to_str(comm, coll_blocks, decomp)
                 for r in comm.ranks:
-                    sim.h[r] = back[r]
+                    sim.h[r][...] = back[r]

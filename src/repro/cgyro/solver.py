@@ -1,14 +1,19 @@
 """The distributed CGYRO-like solver.
 
 :class:`CgyroSimulation` runs one simulation on an ordered set of
-world ranks in lockstep SPMD: per-rank STR-layout blocks are held in
-``self.h`` (keyed by world rank), phases advance them through the
-communicator structure of Figure 1:
+world ranks in lockstep SPMD.  The STR-layout state is **one**
+``(nc, nv, nt)`` array, ``self.h_global``; a rank's block is the view
+``h_global[:, nv_slice(i1), nt_slice(i2)]`` (``self.h``, keyed by world
+rank), and phases advance it through the communicator structure of
+Figure 1:
 
-- **str**: RK4 with a field solve per stage.  Velocity moments are
+- **str**: RK4 with a field solve per stage, each stage evaluated once
+  on the whole array (every term is elementwise in (iv, n), so this is
+  bit-equal to evaluating it block by block).  Velocity moments are
   accumulated in *chunks* of the local velocity space, with one
   AllReduce over the comm_1 group per chunk (pipelined partial-
-  transform aggregation — CGYRO's ``field``/``upwind`` reductions).
+  transform aggregation — CGYRO's ``field``/``upwind`` reductions),
+  whose operand is a rank-stacked view of the chunk's partial moments.
   The per-rank call count therefore scales with ``nv_loc``, and each
   call's cost with the comm_1 group size — the interplay the paper's
   Figure 2 turns on (DESIGN.md section 5).
@@ -18,6 +23,12 @@ communicator structure of Figure 1:
   :class:`~repro.cgyro.collision_scheme.CollisionScheme` — the seam
   XGYRO replaces.
 
+The nl and coll phases read and write the per-rank views through
+by-reference ``alltoall``s.  One invariant keeps the single array
+honest (DESIGN.md section 3): no phase reads from it what a rank only
+learns through a collective — the summed moments, and every field
+assembled from them, are written from AllReduce results only.
+
 All per-rank buffers are registered in the machine's memory ledgers,
 so memory questions ("does this fit on N nodes?") are measured, not
 estimated.
@@ -25,7 +36,8 @@ estimated.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,15 +55,12 @@ from repro.collision import CollisionOperator
 from repro.grid import (
     ConfigGrid,
     Decomposition,
-    Layout,
     VelocityGrid,
-    gather_global,
-    scatter_global,
     transpose_nl_to_str,
     transpose_str_to_nl,
 )
 from repro.grid.layouts import nc_nl_slice
-from repro.vmpi import Communicator, VirtualWorld
+from repro.vmpi import Communicator, RankStacked, VirtualWorld
 
 #: Valid compute/comm overlap modes.  ``off`` is bit-identical to the
 #: historical blocking schedule; ``str`` pipelines the field-solve
@@ -136,33 +145,68 @@ class CgyroSimulation:
             )
             for i1 in range(self.decomp.n_proc_1)
         }
+        # index tables, by local rank and by grid column: built once,
+        # nothing on the step path derives them again
+        dec, d = self.decomp, self.dims
+        self._coords = [dec.coords_of(lr) for lr in range(dec.n_proc)]
+        self._nv_ranges = [
+            range(*dec.nv_slice(i1).indices(d.nv)) for i1 in range(dec.n_proc_1)
+        ]
+        self._nt_ranges = [
+            range(*dec.nt_slice(i2).indices(d.nt)) for i2 in range(dec.n_proc_2)
+        ]
+        self._all_iv = np.arange(d.nv, dtype=np.intp)
+        self._all_nt = np.arange(d.nt, dtype=np.intp)
+        # per field-solve chunk, the global velocity slice it is for the
+        # ranks of each i1 column
+        self._chunk_iv = [
+            [slice(iv.start + c.start, iv.start + c.stop) for iv in self._nv_ranges]
+            for c in self.costs.chunks
+        ]
+        # each comm_1 group with the toroidal columns its ranks own
+        self._comm1_columns = [
+            (comm, dec.nt_slice(i2)) for i2, comm in self.comm1.items()
+        ]
         self._allocate_buffers()
         self.scheme: CollisionScheme = collision_scheme or PrivateCollisionScheme()
         self.scheme.setup(self)
-        # initial state: scatter the deterministic global condition
-        blocks = scatter_global(initial_condition(inp), Layout.STR, self.decomp)
-        self.h: Dict[int, np.ndarray] = {
-            self.ranks[lr]: blocks[lr] for lr in range(self.decomp.n_proc)
-        }
+        # initial state: the deterministic global condition
+        self._h_global = np.ascontiguousarray(
+            initial_condition(inp), dtype=np.complex128
+        )
+        #: world rank -> that rank's block, a view of :attr:`h_global`.
+        #: Write *into* a block (``sim.h[r][...] = x``); rebinding an
+        #: entry would detach the rank from the array, so it raises.
+        self.h: Mapping[int, np.ndarray] = MappingProxyType(
+            {
+                r: self._h_global[:, dec.nv_slice(i1), dec.nt_slice(i2)]
+                for r, (i1, i2) in zip(self.ranks, self._coords)
+            }
+        )
         self.time = 0.0
         self.step_count = 0
 
+    @property
+    def h_global(self) -> np.ndarray:
+        """The STR-layout state of the whole simulation, one C-ordered
+        complex128 ``(nc, nv, nt)`` array for the simulation's lifetime
+        (write into it; it cannot be replaced)."""
+        return self._h_global
+
     # ------------------------------------------------------------------
-    # topology helpers
+    # topology helpers (inspection; the step path uses the tables)
     # ------------------------------------------------------------------
     def local_coords(self, world_rank: int) -> Tuple[int, int]:
         """Grid coordinates (i1, i2) of a member world rank."""
-        return self.decomp.coords_of(self.comm_sim.comm_rank(world_rank))
+        return self._coords[self.comm_sim.comm_rank(world_rank)]
 
     def iv_idx(self, world_rank: int) -> range:
         """Global velocity indices owned by ``world_rank`` (STR layout)."""
-        i1, _ = self.local_coords(world_rank)
-        return range(*self.decomp.nv_slice(i1).indices(self.dims.nv))
+        return self._nv_ranges[self.local_coords(world_rank)[0]]
 
     def nt_idx(self, world_rank: int) -> range:
         """Global toroidal indices owned by ``world_rank``."""
-        _, i2 = self.local_coords(world_rank)
-        return range(*self.decomp.nt_slice(i2).indices(self.dims.nt))
+        return self._nt_ranges[self.local_coords(world_rank)[1]]
 
     # ------------------------------------------------------------------
     # memory
@@ -194,42 +238,40 @@ class CgyroSimulation:
 
     def _solve_fields(
         self,
-        state: Dict[int, np.ndarray],
+        state: np.ndarray,
         *,
         comm_category: str = "str_comm",
         compute_category: str = "str_compute",
-    ) -> Dict[int, FieldState]:
-        """Chunked, AllReduced field solve on the given STR-layout state.
+    ) -> FieldState:
+        """Chunked, AllReduced field solve on an ``(nc, nv, nt)`` state.
 
-        Returns a per-rank :class:`FieldState` (identical within each
-        comm_1 group).  The category overrides let once-per-interval
-        callers (diagnostics) attribute their charges outside the
-        per-step phase timers.
+        Returns the fields on ``(nc, nt)``: columns ``nt_slice(i2)`` are
+        what the ranks of comm_1 group ``i2`` hold (identically) after
+        their reductions — ``acc`` is written from AllReduce results
+        only.  The category overrides let once-per-interval callers
+        (diagnostics) attribute their charges outside the per-step
+        phase timers.
         """
         d, dec = self.dims, self.decomp
         kc = self.costs
         n_mom = kc.n_moments
-        acc: Dict[int, np.ndarray] = {
-            r: np.zeros((n_mom, d.nc, dec.nt_loc), dtype=np.complex128)
-            for r in self.ranks
-        }
+        acc = np.zeros((n_mom, d.nc, d.nt), dtype=np.complex128)
         overlapped = self.overlap in ("str", "full")
         pending: List = []
 
         def drain() -> None:
-            for req in pending:
-                summed = req.wait()
-                for r in summed:
-                    acc[r] += summed[r]
+            for req, columns in pending:
+                acc[:, :, columns] += req.wait()[req.comm.ranks[0]]
             pending.clear()
 
-        for chunk, moment_flops in zip(kc.chunks, kc.chunk_moment_flops):
-            partials: Dict[int, np.ndarray] = {}
-            for r in self.ranks:
-                iv_global = self.iv_idx(r)
-                iv_sel = [iv_global[i] for i in chunk]
-                partials[r] = self.fields.partial_moments(
-                    state[r][:, chunk.start : chunk.stop, :], iv_sel, self.nt_idx(r)
+        for chunk_iv, moment_flops in zip(self._chunk_iv, kc.chunk_moment_flops):
+            # row i1: the moments ranks (i1, *) form over *their own* iv
+            # chunk, for all nt at once — every (ic, n) pair is its own
+            # GEMM, so the wider batch changes no bit
+            partial = np.empty((dec.n_proc_1, n_mom, d.nc, d.nt), dtype=np.complex128)
+            for i1, iv in enumerate(chunk_iv):
+                partial[i1] = self.fields.partial_moments(
+                    state[:, iv, :], self._all_iv[iv], self._all_nt
                 )
             self.world.charge_compute(
                 self.ranks,
@@ -245,23 +287,25 @@ class CgyroSimulation:
                 drain()
                 with self.world.phase(comm_category):
                     pending.extend(
-                        comm.iallreduce({r: partials[r] for r in comm.ranks})
-                        for comm in self.comm1.values()
+                        (
+                            comm.iallreduce(
+                                RankStacked(comm.ranks, partial[:, :, :, columns])
+                            ),
+                            columns,
+                        )
+                        for comm, columns in self._comm1_columns
                     )
             else:
                 # each moment is reduced separately, as in CGYRO
                 with self.world.phase(comm_category):
                     for moment in range(n_mom):
-                        for comm in self.comm1.values():
+                        for comm, columns in self._comm1_columns:
                             summed = comm.allreduce(
-                                {r: partials[r][moment] for r in comm.ranks}
+                                RankStacked(comm.ranks, partial[:, moment, :, columns])
                             )
-                            for r in comm.ranks:
-                                acc[r][moment] += summed[r]
+                            acc[moment, :, columns] += summed[comm.ranks[0]]
         drain()
-        fields: Dict[int, FieldState] = {}
-        for r in self.ranks:
-            fields[r] = self.fields.assemble(acc[r], self.nt_idx(r))
+        fields = self.fields.assemble(acc, self._all_nt)
         self.world.charge_compute(
             self.ranks,
             flops=kc.field_solve_flops,
@@ -269,22 +313,12 @@ class CgyroSimulation:
         )
         return fields
 
-    def _streaming_rhs(
-        self, state: Dict[int, np.ndarray]
-    ) -> Dict[int, np.ndarray]:
+    def _streaming_rhs(self, state: np.ndarray) -> np.ndarray:
         """Field solve + RHS evaluation for one RK stage."""
-        fields = self._solve_fields(state)
-        rhs: Dict[int, np.ndarray] = {}
-        for r in self.ranks:
-            f = fields[r]
-            rhs[r] = self.streaming.rhs(
-                state[r],
-                f.phi,
-                f.psi_u,
-                self.iv_idx(r),
-                self.nt_idx(r),
-                apar=f.apar,
-            )
+        f = self._solve_fields(state)
+        rhs = self.streaming.rhs(
+            state, f.phi, f.psi_u, self._all_iv, self._all_nt, apar=f.apar
+        )
         self.world.charge_compute(
             self.ranks, flops=self.costs.rhs_flops, category="str_compute"
         )
@@ -293,15 +327,12 @@ class CgyroSimulation:
     def streaming_phase(self) -> None:
         """RK4 advance of the streaming phase (in place)."""
         dt = self.inp.delta_t
-        h = self.h
+        h = self.h_global
         k1 = self._streaming_rhs(h)
-        k2 = self._streaming_rhs({r: h[r] + 0.5 * dt * k1[r] for r in self.ranks})
-        k3 = self._streaming_rhs({r: h[r] + 0.5 * dt * k2[r] for r in self.ranks})
-        k4 = self._streaming_rhs({r: h[r] + dt * k3[r] for r in self.ranks})
-        for r in self.ranks:
-            self.h[r] = h[r] + (dt / 6.0) * (
-                k1[r] + 2.0 * k2[r] + 2.0 * k3[r] + k4[r]
-            )
+        k2 = self._streaming_rhs(h + 0.5 * dt * k1)
+        k3 = self._streaming_rhs(h + 0.5 * dt * k2)
+        k4 = self._streaming_rhs(h + dt * k3)
+        h += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         self.world.charge_compute(
             self.ranks, flops=self.costs.rk_combine_flops, category="str_compute"
         )
@@ -313,35 +344,32 @@ class CgyroSimulation:
         """Split-step toroidal bracket via the comm_2 transposes."""
         if not self.inp.nonlinear:
             return
-        d, dec = self.dims, self.decomp
-        fields = self._solve_fields(self.h)
-        # move h and phi to the NL layout (nt complete)
+        dec = self.decomp
+        phi = self._solve_fields(self.h_global).phi
+        # move h and phi to the NL layout (nt complete); comm_2 rank j
+        # sits in toroidal group j, whose columns of phi it holds
         with self.world.phase("nl_comm"):
             h_nl: Dict[int, np.ndarray] = {}
             phi_nl: Dict[int, np.ndarray] = {}
             for comm in self.comm2.values():
-                h_nl.update(
-                    transpose_str_to_nl(comm, {r: self.h[r] for r in comm.ranks}, dec)
-                )
+                h_nl.update(transpose_str_to_nl(comm, self.h, dec))
                 send = {
                     r: [
-                        fields[r].phi[nc_nl_slice(dec, j), :]
+                        phi[nc_nl_slice(dec, j), dec.nt_slice(i2)]
                         for j in range(comm.size)
                     ]
-                    for r in comm.ranks
+                    for i2, r in enumerate(comm.ranks)
                 }
                 recv = comm.alltoall(send)
                 for r in comm.ranks:
                     phi_nl[r] = np.concatenate(recv[r], axis=1)
         k_r = self.cgrid.flat_k_radial()
         dt = self.inp.delta_t
-        for r in self.ranks:
-            _, i2 = self.local_coords(r)
-            sl = nc_nl_slice(dec, i2)
+        for r, (_, i2) in zip(self.ranks, self._coords):
             bracket = toroidal_bracket(
                 h_nl[r],
                 phi_nl[r],
-                k_r[sl],
+                k_r[nc_nl_slice(dec, i2)],
                 k_theta_rho=self.inp.k_theta_rho,
                 nl_coeff=self.inp.nl_coeff,
             )
@@ -351,11 +379,9 @@ class CgyroSimulation:
         )
         with self.world.phase("nl_comm"):
             for comm in self.comm2.values():
-                back = transpose_nl_to_str(
-                    comm, {r: h_nl[r] for r in comm.ranks}, dec
-                )
+                back = transpose_nl_to_str(comm, h_nl, dec)
                 for r in comm.ranks:
-                    self.h[r] = back[r]
+                    self.h[r][...] = back[r]
 
     # ------------------------------------------------------------------
     # full step and reporting
@@ -389,34 +415,37 @@ class CgyroSimulation:
         (CGYRO's per-report diagnostics cadence).
         """
         d, dec = self.dims, self.decomp
-        fields = self._solve_fields(
-            self.h, comm_category="diag", compute_category="diag"
-        )
-        partials: Dict[int, np.ndarray] = {}
-        for r in self.ranks:
-            nt_sel = self.nt_idx(r)
-            phi_r = fields[r].phi
-            q_local = flux_spectrum(
-                self.h[r],
+        phi = self._solve_fields(
+            self.h_global, comm_category="diag", compute_category="diag"
+        ).phi
+        # one zero-padded (flux, |phi|^2) row pair per rank.  These stay
+        # per rank and on a contiguous copy of the block: the sums over
+        # nc fold in an order that depends on the column count, and the
+        # one-row flux contraction is a GEMV, whose bits (unlike the
+        # moments' GEMM) depend on the operand's row stride
+        partials = np.zeros((len(self.ranks), 2, d.nt))
+        for padded, r, (i1, i2) in zip(partials, self.ranks, self._coords):
+            nt_sel = self._nt_ranges[i2]
+            phi_r = phi[:, nt_sel.start : nt_sel.stop]
+            padded[0, nt_sel.start : nt_sel.stop] = flux_spectrum(
+                np.ascontiguousarray(self.h[r]),
                 phi_r,
                 self.fields,
-                self.iv_idx(r),
+                self._nv_ranges[i1],
                 nt_sel,
                 k_theta_rho=self.inp.k_theta_rho,
             )
             # phi is replicated across the P1 group: weight it down
-            p2_local = (np.abs(phi_r) ** 2).sum(axis=0) / dec.n_proc_1
-            padded = np.zeros((2, d.nt))
-            padded[0, nt_sel.start : nt_sel.stop] = q_local
-            padded[1, nt_sel.start : nt_sel.stop] = p2_local
-            partials[r] = padded
+            padded[1, nt_sel.start : nt_sel.stop] = (
+                (np.abs(phi_r) ** 2).sum(axis=0) / dec.n_proc_1
+            )
         self.world.charge_compute(
             self.ranks, flops=self.costs.diag_flops, category="diag"
         )
         with self.world.phase("diag"):
-            summed = self.comm_sim.allreduce(partials)
-        result = summed[self.ranks[0]]
-        return result[0], result[1]
+            summed = self.comm_sim.allreduce(RankStacked(self.ranks, partials))
+        flux, phi2 = summed[self.ranks[0]]
+        return flux, phi2
 
     def run_report_interval(self) -> ReportRow:
         """Advance ``steps_per_report`` steps and report timings + physics."""
@@ -465,20 +494,16 @@ class CgyroSimulation:
         """Resume from a checkpoint (validates physics compatibility)."""
         from repro.cgyro.restart import load_checkpoint
 
-        h_global, step, time = load_checkpoint(path, self.inp)
-        blocks = scatter_global(h_global, Layout.STR, self.decomp)
-        for lr in range(self.decomp.n_proc):
-            self.h[self.ranks[lr]] = blocks[lr]
-        self.step_count = step
-        self.time = time
+        self.h_global[...], self.step_count, self.time = load_checkpoint(
+            path, self.inp
+        )
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     def gather_h(self) -> np.ndarray:
-        """Assemble the global ``(nc, nv, nt)`` state (test/diagnostic)."""
-        blocks = [self.h[self.ranks[lr]] for lr in range(self.decomp.n_proc)]
-        return gather_global(blocks, Layout.STR, self.decomp)
+        """A copy of the global ``(nc, nv, nt)`` state (test/diagnostic)."""
+        return self.h_global.copy()
 
     def memory_report(self) -> str:
         """Memory breakdown of this simulation's first rank."""

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 import numpy as np
 
 from repro.errors import ResilienceError
-from repro.grid import Layout, scatter_global
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cgyro.solver import CgyroSimulation
@@ -87,7 +86,7 @@ class CheckpointStore:
                 )
             else:
                 snap[m.label] = _MemberCheckpoint(
-                    h_global=m.gather_h().copy(),
+                    h_global=m.gather_h(),  # already a copy
                     path=None,
                     step=m.step_count,
                     time=m.time,
@@ -108,8 +107,6 @@ class CheckpointStore:
         if ckpt.path is not None:
             sim.load_checkpoint(ckpt.path)
             return
-        blocks = scatter_global(ckpt.h_global, Layout.STR, sim.decomp)
-        for lr in range(sim.decomp.n_proc):
-            sim.h[sim.ranks[lr]] = blocks[lr].copy()
+        sim.h_global[...] = ckpt.h_global
         sim.step_count = ckpt.step
         sim.time = ckpt.time

@@ -1,13 +1,17 @@
 """Virtual MPI substrate.
 
 A deterministic, in-process replacement for MPI used by the whole
-reproduction (DESIGN.md section 2).  Execution is *lockstep SPMD*: the
-per-rank state of a distributed buffer is held as a mapping
-``{world_rank: numpy block}``, and a collective is an ordinary function
+reproduction (DESIGN.md section 2).  Execution is *lockstep SPMD* in
+one address space: a distributed buffer is **one array per simulation**
+and a rank's block is a view of it (``{world_rank: view}`` where a
+per-rank mapping is wanted), and a collective is an ordinary function
 call that
 
-1. moves the real bytes between the per-rank blocks (functionally
-   correct AllReduce / AllToAll(v) / AllGather / Bcast / ...), and
+1. moves the real bytes (functionally correct AllReduce / AllToAll(v) /
+   AllGather / Bcast / ...): a reduction takes its operand as one array
+   stacked over the members (:class:`RankStacked`, usually a strided
+   view) and delivers one read-only result shared by all of them; an
+   ``alltoall`` hands per-rank blocks over by reference, and
 2. advances every participant's *simulated clock* by the modeled cost
    of that collective on the configured machine (entry synchronisation
    = max of participant clocks, as for a real blocking collective).
@@ -26,7 +30,8 @@ Public surface:
   collectives (``iallreduce`` / ``ialltoall``); a posted collective's
   cost accrues concurrently with subsequent compute charges on the
   same ranks, and ``wait()`` pays only the uncovered remainder.
-- :class:`ReduceOp`, algorithm enums, and the cost model.
+- :class:`ReduceOp`, :class:`RankStacked` (a reduction's operand as
+  one array), algorithm enums, and the cost model.
 """
 
 from repro.vmpi.algorithms import (
@@ -44,7 +49,7 @@ from repro.vmpi.algorithms import (
 )
 from repro.vmpi.communicator import Communicator, Request, waitall
 from repro.vmpi.cost import CommCostModel
-from repro.vmpi.datatypes import ReduceOp
+from repro.vmpi.datatypes import RankStacked, ReduceOp
 from repro.vmpi.tracer import CollectiveEvent, TraceLog
 from repro.vmpi.world import PendingCollective, VirtualWorld
 
@@ -55,6 +60,7 @@ __all__ = [
     "PendingCollective",
     "waitall",
     "ReduceOp",
+    "RankStacked",
     "AllreduceAlgorithm",
     "AlltoallAlgorithm",
     "EffectiveLink",

@@ -11,8 +11,15 @@ Every collective performs the real data movement with NumPy and charges
 the modeled cost through the world (entry synchronisation + algorithm
 cost), recording a trace event.
 
-Notes on buffer ownership: ``allreduce``/``bcast``/``allgather`` return
-freshly-allocated arrays.  ``alltoall`` transfers the sent blocks *by
+Notes on buffer ownership: within one address space a reduction is a
+memory operation, so ``allreduce``/``iallreduce`` take their operand as
+one array stacked over the members (a
+:class:`~repro.vmpi.datatypes.RankStacked`, usually a strided view of
+the caller's own state; a plain ``{rank: array}`` mapping is stacked
+first), never write to it, and deliver **one read-only result array
+shared by every member** — a member that wants to modify its result
+copies it.  ``bcast``/``allgather`` return freshly-allocated arrays.
+``alltoall`` transfers the sent blocks *by
 reference* (like a rendezvous protocol handing off pages); senders must
 treat submitted blocks as moved.  With a
 :class:`~repro.check.checker.CollectiveChecker` installed
@@ -28,7 +35,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.errors import CollectiveError, CommunicatorError, ProtocolError
-from repro.vmpi.datatypes import ReduceOp
+from repro.vmpi.datatypes import RankStacked, ReduceOp
 
 ArrayLike = Union[np.ndarray, float, int, complex]
 
@@ -260,14 +267,17 @@ class Communicator:
         ck_req = None
         if ck is not None:
             hook = ck.lockstep_collective if payload is None else ck.lockstep_post
+            dtypes = None
+            if typed is not None:
+                # str(dtype) is slow: once per distinct dtype, not per rank
+                name_of = {dt: str(dt) for dt in {a.dtype for a in typed}}
+                dtypes = {r: name_of[a.dtype] for r, a in zip(self._ranks, typed)}
             ck_req = hook(
                 self,
                 kind,
                 dict(zip(self._ranks, sizes)),
                 op="" if op is None else getattr(op, "name", str(op)),
-                dtypes=None
-                if typed is None
-                else {r: str(a.dtype) for r, a in zip(self._ranks, typed)},
+                dtypes=dtypes,
                 root=root,
             )
         charge = world.charge_collective if payload is None else world.post_collective
@@ -289,6 +299,25 @@ class Communicator:
         """Synchronise all members."""
         self._issue("barrier", (), 0)
 
+    def _rank_stacked(
+        self, values: Mapping[int, ArrayLike], what: str
+    ) -> Tuple[np.ndarray, Sequence[int], Sequence[np.ndarray]]:
+        """A reduction's operand as one ``(size, ...)`` array in comm-rank
+        order, with the members' byte counts and the buffers whose
+        dtypes the checker compares.
+
+        A :class:`RankStacked` over this communicator's rank tuple is
+        taken as it stands — one array has one shape and one dtype, and
+        equal tuples are the same participants — anything else is
+        checked per member and stacked.
+        """
+        if isinstance(values, RankStacked) and values.ranks == self._ranks:
+            stack, size = values.array, len(self._ranks)
+            return stack, (stack.nbytes // size,) * size, (stack,) * size
+        self._check_participants(values, what)
+        arrays = self._same_shape_arrays(values, what)
+        return np.stack(arrays), [a.nbytes for a in arrays], arrays
+
     def _allreduce(
         self,
         values: Mapping[int, ArrayLike],
@@ -297,28 +326,25 @@ class Communicator:
         nonblocking: bool,
     ) -> Union[Dict[int, np.ndarray], Request]:
         """Body of :meth:`allreduce` and :meth:`iallreduce`."""
-        what = "iallreduce" if nonblocking else "allreduce"
-        self._check_participants(values, what)
-        arrays = self._same_shape_arrays(values, what)
-        result = op.combine(arrays)
-        sizes = [a.nbytes for a in arrays]
+        stack, sizes, typed = self._rank_stacked(
+            values, "iallreduce" if nonblocking else "allreduce"
+        )
+        result = op.reduce(stack)
+        result.setflags(write=False)  # a no-op on the scalar of a 1-d stack
+        shared = dict.fromkeys(self._ranks, result)
         nbytes = max(sizes)
-
-        def deliver() -> Dict[int, np.ndarray]:
-            return {r: result.copy() for r in self._ranks}
-
         request = self._issue(
             "allreduce",
             sizes,
             nbytes,
-            typed=arrays,
+            typed=typed,
             op=op,
             algorithm=algorithm
             if algorithm is not None
             else self.world.cost_model.select_algorithm("allreduce", nbytes),
-            payload=deliver if nonblocking else None,
+            payload=(lambda: shared) if nonblocking else None,
         )
-        return request if nonblocking else deliver()
+        return request if nonblocking else shared
 
     def allreduce(
         self,
@@ -329,8 +355,10 @@ class Communicator:
     ) -> Dict[int, np.ndarray]:
         """Elementwise reduction; every member receives the result.
 
-        ``values`` maps world rank -> equal-shape array (or scalar).
-        Returns a fresh result array per member.
+        ``values`` maps world rank -> equal-shape array (or scalar):
+        a :class:`RankStacked` view, reduced where it lies, or any
+        other mapping, stacked first.  Every member maps to the *same*
+        read-only result array.
         """
         return self._allreduce(values, op, algorithm, False)
 

@@ -21,8 +21,9 @@ ranks involved.
 from __future__ import annotations
 
 import contextlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -288,22 +289,29 @@ class VirtualWorld:
         if (seconds is None) == (flops is None):
             raise VmpiError("provide exactly one of seconds= or flops=")
         rank_list = [ranks] if isinstance(ranks, (int, np.integer)) else list(ranks)
-        cat = category if category is not None else self.current_category
-        mult = getattr(self.fault_injector, "compute_multiplier", None)
-        charged: Dict[int, float] = {}
         for r in rank_list:
             if not 0 <= r < self.n_ranks:
                 raise VmpiError(f"rank {r} out of range [0, {self.n_ranks})")
-            if seconds is not None:
-                dt = seconds[r] if isinstance(seconds, Mapping) else float(seconds)
+        cat = category if category is not None else self.current_category
+        mult = getattr(self.fault_injector, "compute_multiplier", None)
+        # what kind of charge this is gets decided once, not per rank
+        amount = seconds if flops is None else flops
+        if isinstance(amount, Mapping):
+            amounts = [amount[r] for r in rank_list]
+        else:
+            amounts = [float(amount)] * len(rank_list)
+        if flops is not None:
+            to_seconds = self.machine.compute_seconds
+            if self.machine.node_speed is not None:
+                node_of = self.placement.node_of
+                amounts = [
+                    to_seconds(fl, node=node_of(r))
+                    for r, fl in zip(rank_list, amounts)
+                ]
             else:
-                fl = flops[r] if isinstance(flops, Mapping) else float(flops)
-                if self.machine.node_speed is not None:
-                    dt = self.machine.compute_seconds(
-                        fl, node=self.placement.node_of(r)
-                    )
-                else:
-                    dt = self.machine.compute_seconds(fl)
+                amounts = [to_seconds(fl) for fl in amounts]
+        charged: Dict[int, float] = {}
+        for r, dt in zip(rank_list, amounts):
             if dt < 0:
                 raise VmpiError(f"negative time charge {dt} for rank {r}")
             if mult is not None:

@@ -480,18 +480,13 @@ class SharedCmatScheme(CollisionScheme):
                 post_back(apply_chunk(t, fwd_waits[t]())) for t in range(T)
             ]
             # each destination collects its nc pieces from all group
-            # ranks and rebuilds the STR block in global nc order
-            outs = {
-                r: np.empty((dims.nc, decomp.nv_loc, nt_loc), dtype=np.complex128)
-                for _, r in group
-            }
+            # ranks into its STR block (a view of the member's array; by
+            # now every apply has copied what the forwards sent of it)
             for t in range(T):
                 back = back_waits[t]()
-                for _, r in group:
+                for m, r in group:
                     for j, idx in enumerate(chunk_idx[t]):
-                        outs[r][idx, :, :] = back[r][j]
-            for m, r in group:
-                m.h[r] = outs[r]
+                        m.h[r][idx, :, :] = back[r][j]
 
     # ------------------------------------------------------------------
     # shrink-and-recover

@@ -27,6 +27,14 @@ WAL indices in ``resume`` mode and one in ``cold`` mode.
 ``tests/test_service_wal.py`` recomputes and compares them, so a
 control-plane refactor that moves one byte of the journal, the report
 or a recovered run goes red.
+
+``solver_states.json`` pins the solver over the shapes the nl03c
+goldens do not span (:data:`SOLVER_STATE_CASES`): for each case the
+sha256 of every simulation's ``gather_h()``, flux and ``phi2`` and the
+``repr`` of ``world.elapsed()`` after two report intervals.
+``tests/test_rank_axis.py`` recomputes and compares them, so a change
+to how the solver holds or advances its state that moves one bit of
+physics or of simulated time goes red.
 """
 
 from __future__ import annotations
@@ -36,11 +44,17 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from repro.check import builtin_scenarios, differential_oracle
-from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
+from repro.cgyro import CgyroSimulation
+from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled, small_test
 from repro.errors import JournalCrash
-from repro.machine.presets import frontier_like
+from repro.machine.presets import frontier_like, generic_cluster
+from repro.resilience import FaultPlan, FaultSpec, ResilientXgyroRunner
 from repro.service import ServiceJournal, recover_service
+from repro.vmpi import VirtualWorld
+from repro.xgyro import XgyroEnsemble
 
 HERE = Path(__file__).resolve().parent
 
@@ -130,8 +144,139 @@ def write_service_wal_golden() -> None:
         )
 
 
+SOLVER_STATES_GOLDEN = "solver_states.json"
+
+#: report intervals every solver-state case runs
+_STATE_REPORTS = 2
+
+
+def _arrays_sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _state_digest(world, sims, rows) -> dict:
+    """Digests of the final states of ``sims`` and of their report
+    rows (flux and ``phi2`` per row, in report order)."""
+    return {
+        "h_sha256": _arrays_sha256(m.gather_h() for m in sims),
+        "flux_sha256": _arrays_sha256(row.flux for row in rows),
+        "phi2_sha256": _arrays_sha256(row.phi2 for row in rows),
+        "elapsed": repr(world.elapsed()),
+    }
+
+
+def _state_world(n_ranks: int) -> VirtualWorld:
+    machine = generic_cluster(n_nodes=max(1, n_ranks // 4), ranks_per_node=4)
+    return VirtualWorld(machine, n_ranks)
+
+
+def _cgyro_state(n_ranks: int, overlap: str = "off", **overrides) -> dict:
+    """Standalone CGYRO on ``n_ranks`` ranks.  ``Decomposition.choose``
+    makes P2 the largest common divisor of nt and the rank count, so a
+    multi-rank ``P2 = 1`` grid needs ``n_toroidal`` of 3 or 1."""
+    world = _state_world(n_ranks)
+    inp = small_test(steps_per_report=2, **overrides)
+    sim = CgyroSimulation(world, range(n_ranks), inp, overlap=overlap)
+    return _state_digest(world, [sim], sim.run(_STATE_REPORTS))
+
+
+def _xgyro_members(k: int, **overrides):
+    return [
+        small_test(
+            name=f"m{i}",
+            steps_per_report=2,
+            dlntdr=(3.0 + 0.1 * i, 3.0 + 0.1 * i),
+            **overrides,
+        )
+        for i in range(k)
+    ]
+
+
+def _xgyro_state(k: int, overlap: str = "off", nc_counts=None, **overrides) -> dict:
+    """XGYRO, 8 ranks (P1 = 2, P2 = 4) per member."""
+    world = _state_world(8 * k)
+    ens = XgyroEnsemble(
+        world, _xgyro_members(k, **overrides), overlap=overlap, nc_counts=nc_counts
+    )
+    rows = [row for rep in ens.run(_STATE_REPORTS) for row in rep.member_rows]
+    return _state_digest(world, ens.members, rows)
+
+
+def _recovered_state(overlap: str) -> dict:
+    """k = 4 losing member 2 at step 2: the survivors adopt its rows,
+    so their shard indexers become explicit (non-contiguous) lists;
+    one more report interval then runs on the recovered ensemble."""
+    world = _state_world(32)
+    runner = ResilientXgyroRunner(
+        world,
+        _xgyro_members(4, nonlinear=True),
+        plan=FaultPlan(specs=(FaultSpec("rank_crash", at_step=2, rank=17),)),
+        overlap=overlap,
+    )
+    runner.run_steps(3)
+    ens = runner.ensemble
+    shards = [s for group in ens.scheme.shards.values() for s in group]
+    if not any(isinstance(s.index(), list) for s in shards):
+        raise AssertionError("recovery left every shard contiguous")
+    rows = ens.run_report_interval().member_rows
+    return _state_digest(world, ens.members, rows)
+
+
+#: case name -> zero-argument callable returning its digest entry.
+#: Names read ``<solver>.p<P1>x<P2>[.<what is switched on>]``.
+SOLVER_STATE_CASES = {
+    "cgyro.p1x1": lambda: _cgyro_state(1),
+    "cgyro.p1x1.nl.em": lambda: _cgyro_state(1, nonlinear=True, beta_e=0.01),
+    "cgyro.p1x2.nl": lambda: _cgyro_state(2, nonlinear=True),
+    "cgyro.p1x4.em.str": lambda: _cgyro_state(4, "str", beta_e=0.01),
+    "cgyro.p2x4.nl": lambda: _cgyro_state(8, nonlinear=True),
+    "cgyro.p2x4.nl.em.full": lambda: _cgyro_state(
+        8, "full", nonlinear=True, beta_e=0.01
+    ),
+    "cgyro.p4x4.nl.str": lambda: _cgyro_state(16, "str", nonlinear=True),
+    "cgyro.p8x4.em": lambda: _cgyro_state(32, beta_e=0.01),
+    "cgyro.p16x4.nl": lambda: _cgyro_state(64, nonlinear=True),
+    "cgyro.p16x4.em.full": lambda: _cgyro_state(64, "full", beta_e=0.01),
+    "cgyro.p4x1.nl": lambda: _cgyro_state(4, nonlinear=True, n_toroidal=3),
+    "cgyro.p4x1.em.coll": lambda: _cgyro_state(
+        4, "coll", beta_e=0.01, n_toroidal=3
+    ),
+    "cgyro.p8x1.nl.em.str": lambda: _cgyro_state(
+        8, "str", nonlinear=True, beta_e=0.01, n_toroidal=3
+    ),
+    "cgyro.p8x1": lambda: _cgyro_state(8, n_toroidal=1),
+    "xgyro.k2.p2x4.nl": lambda: _xgyro_state(2, nonlinear=True),
+    "xgyro.k2.p2x4.nl.em.full": lambda: _xgyro_state(
+        2, "full", nonlinear=True, beta_e=0.01
+    ),
+    "xgyro.k2.p2x4.str": lambda: _xgyro_state(2, "str"),
+    "xgyro.k3.p2x4.nl.coll": lambda: _xgyro_state(3, "coll", nonlinear=True),
+    "xgyro.k3.p2x4.em": lambda: _xgyro_state(3, beta_e=0.01),
+    "xgyro.k2.p2x4.nl.uneven": lambda: _xgyro_state(
+        2, nonlinear=True, nc_counts=(1, 7, 3, 5)
+    ),
+    "xgyro.k3.p2x4.uneven.full": lambda: _xgyro_state(
+        3, "full", nc_counts=(1, 2, 3, 4, 5, 1)
+    ),
+    "xgyro.k4.p2x4.nl.recovered": lambda: _recovered_state("off"),
+    "xgyro.k4.p2x4.nl.recovered.full": lambda: _recovered_state("full"),
+}
+
+
+def write_solver_states_golden() -> None:
+    golden = {name: case() for name, case in SOLVER_STATE_CASES.items()}
+    out = HERE / SOLVER_STATES_GOLDEN
+    out.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    for name, case in golden.items():
+        print(f"{out.name}: {name} h={case['h_sha256'][:16]} elapsed={case['elapsed']}")
+
+
 def main() -> int:
     write_service_wal_golden()
+    write_solver_states_golden()
     for fname, (k, overlap) in CASES.items():
         report = differential_oracle(
             nl03c_members(k),

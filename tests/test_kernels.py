@@ -154,6 +154,53 @@ class TestVelocityMoments:
         assert np.array_equal(halves[0], fs.partial_moments(h[:, :4].copy(), iv[:4], nt))
         _close(halves[0] + halves[1], whole)
 
+    @given(
+        nc=st.integers(1, 5),
+        iv=st.tuples(st.integers(0, 12), st.integers(2, 4)),
+        beta_e=st.sampled_from([0.0, 0.01]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_all_nt_of_the_simulations_array_equal_the_per_rank_blocks(
+        self, nc, iv, beta_e, seed
+    ):
+        """_solve_fields computes an iv chunk's moments for all nt at
+        once on a strided slice of the (nc, nv, nt) array: each nt
+        window of the result is, bit for bit, what a rank's contiguous
+        ``nt_loc`` block (and the strided window itself) gives."""
+        fs = _solver(beta_e=beta_e)
+        state = _complex(np.random.default_rng(seed), (nc, 16, 4))
+        iv_sel = range(iv[0], iv[0] + iv[1])
+        chunk = state[:, iv_sel.start : iv_sel.stop, :]
+        assert not chunk.flags.c_contiguous or nc == 1
+        whole = fs.partial_moments(chunk, iv_sel, range(4))
+        for nt_loc in (1, 2, 4):
+            for lo in range(0, 4, nt_loc):
+                nt = range(lo, lo + nt_loc)
+                window = chunk[:, :, lo : lo + nt_loc]
+                block = np.ascontiguousarray(window)
+                want = whole[:, :, lo : lo + nt_loc]
+                assert np.array_equal(want, fs.partial_moments(block, iv_sel, nt))
+                assert np.array_equal(want, fs.partial_moments(window, iv_sel, nt))
+
+    def test_one_row_contraction_is_only_close_across_strides(self):
+        """Why diagnostics() copies a rank's block before flux_spectrum:
+        with a single weight row the product is a GEMV, whose summation
+        order follows the operand's row stride.  Equal to round-off,
+        and equal in bits only on like-strided operands."""
+        fs = _solver()
+        state = _complex(np.random.default_rng(0), (16, 16, 4))
+        window = state[:, :8, 1:2]
+        block = np.ascontiguousarray(window)
+        kw = dict(k_theta_rho=0.3)
+        phi = _complex(np.random.default_rng(1), (16, 1))
+        strided = flux_spectrum(window, phi, fs, range(8), [1], **kw)
+        _close(strided, flux_spectrum(block, phi, fs, range(8), [1], **kw))
+        assert np.array_equal(
+            flux_spectrum(block.copy(), phi, fs, range(8), [1], **kw),
+            flux_spectrum(block, phi, fs, range(8), [1], **kw),
+        )
+
     def test_shape_and_dtype_checks(self):
         fs = _solver()
         with pytest.raises(InputError, match="inconsistent"):

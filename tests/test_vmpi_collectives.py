@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import CollectiveError, CommunicatorError
 from repro.machine import single_node
-from repro.vmpi import Communicator, ReduceOp, VirtualWorld
+from repro.vmpi import Communicator, RankStacked, ReduceOp, VirtualWorld
 
 
 def make_world(n=8):
@@ -25,11 +25,15 @@ class TestAllreduce:
         for r in range(4):
             np.testing.assert_allclose(out[r], expected)
 
-    def test_result_is_a_fresh_copy(self):
+    def test_result_is_one_read_only_array(self):
+        """No member can change what another received: they share one
+        array and nobody may write to it."""
         w = make_world(2)
         comm = w.comm_world()
         out = comm.allreduce({0: np.ones(2), 1: np.ones(2)})
-        out[0][0] = 99.0
+        assert out[0] is out[1]
+        with pytest.raises(ValueError, match="read-only"):
+            out[0][0] = 99.0
         assert out[1][0] == 2.0
 
     def test_scalar_values(self):
@@ -85,6 +89,105 @@ class TestAllreduce:
         comm = Communicator(w, list(range(n)))
         out = comm.allreduce({r: data[r] for r in range(n)})
         np.testing.assert_allclose(out[0], data.sum(axis=0), rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the reduction order is NumPy's axis-0 order, whatever the strides
+# ----------------------------------------------------------------------
+#: what the allreduce did before it took stacked operands: stack
+#: contiguous per-rank copies, reduce axis 0
+_PARENT_REDUCE = {
+    ReduceOp.SUM: lambda arrays: np.stack(arrays).sum(axis=0),
+    ReduceOp.PROD: lambda arrays: np.stack(arrays).prod(axis=0),
+    ReduceOp.MAX: lambda arrays: np.stack(arrays).max(axis=0),
+    ReduceOp.MIN: lambda arrays: np.stack(arrays).min(axis=0),
+}
+
+#: a scalar, a vector (down to one element), the (nc, 1) field column
+#: of an ``nt_loc = 1`` rank, and an aggregated (n_mom, nc, nt_loc) block
+_operand_shapes = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(1, 9)),
+    st.tuples(st.integers(1, 9), st.just(1)),
+    st.tuples(st.integers(2, 3), st.integers(1, 5), st.integers(1, 3)),
+)
+
+
+def _strided_stack(rng, size, shape, dtype, op):
+    """A ``(size, *shape)`` view with every stride non-trivial: one
+    "moment" out of two and every other element of each operand axis
+    of a larger C-ordered array, like the solver's
+    ``partial[:, m, :, nt_slice]``."""
+    big_shape = (size, 2) + tuple(2 * n for n in shape)
+    if op is ReduceOp.PROD:
+        big = rng.uniform(0.5, 2.0, size=big_shape)  # no overflow at 16 ranks
+    else:
+        # wide exponent range: any other summation order shows
+        big = rng.normal(size=big_shape) * 10.0 ** rng.integers(-8, 9, size=big_shape)
+    if dtype is np.complex128:
+        big = big + 1j * rng.permutation(big.ravel()).reshape(big_shape)
+    view = big[(slice(None), 1) + tuple(slice(1, None, 2) for _ in shape)]
+    assert view.shape == (size,) + shape and view.dtype == dtype
+    assert not view.flags.c_contiguous or view.size == 1
+    return view
+
+
+class TestStackedReductionOrder:
+    @given(
+        size=st.integers(1, 16),
+        shape=_operand_shapes,
+        dtype=st.sampled_from([np.float64, np.complex128]),
+        op=st.sampled_from(list(ReduceOp)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_strided_stack_reduces_to_the_parents_bits(self, size, shape, dtype, op, seed):
+        view = _strided_stack(np.random.default_rng(seed), size, shape, dtype, op)
+        before = view.copy()
+        want = _PARENT_REDUCE[op]([np.array(row) for row in view])  # contiguous copies
+        got = op.reduce(view)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert np.shape(got) == shape
+
+        # and through the collective, single-rank communicators included
+        world = make_world(16)
+        comm = Communicator(world, list(range(16))[-size:])
+        out = comm.allreduce(RankStacked(comm.ranks, view), op)
+        assert all(np.array_equal(out[r], want) for r in comm.ranks)
+        plain = comm.allreduce({r: row.copy() for r, row in zip(comm.ranks, view)}, op)
+        assert np.array_equal(plain[comm.ranks[0]], want)
+        assert np.array_equal(view, before)
+        first, second = world.trace.events
+        assert (first.nbytes, first.cost_s) == (second.nbytes, second.cost_s)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 1), (2, 3, 2)], ids=str)
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["f8", "c16"])
+    def test_reversing_the_rank_order_changes_the_bits(self, shape, dtype):
+        """Negative control: on a draw built to be order-sensitive the
+        test above can fail — the order is part of the contract."""
+        pattern = np.array([1e16, 3.0, -1e16, 1.0, 1.0], dtype=dtype)
+        if dtype is np.complex128:
+            pattern = pattern + 1j * pattern
+        big = np.zeros((5, 2) + tuple(2 * n for n in shape), dtype=dtype)
+        big[...] = pattern.reshape((5,) + (1,) * (1 + len(shape)))
+        view = big[(slice(None), 1) + tuple(slice(1, None, 2) for _ in shape)]
+        forward = ReduceOp.SUM.reduce(view)
+        backward = ReduceOp.SUM.reduce(view[::-1])
+        assert not np.array_equal(forward, backward)
+        # ...and each is exactly the parent's answer for its own order
+        assert np.array_equal(forward, np.stack([r.copy() for r in view]).sum(axis=0))
+        assert np.array_equal(backward, np.stack([r.copy() for r in view[::-1]]).sum(axis=0))
+
+    def test_blocks_fold_left_to_right_over_ranks(self):
+        rows = np.array([[1e16, 3.0], [1.0, 1e-20], [-1e16, -3.0], [1.0, 1.0]])
+        want = ((rows[0] + rows[1]) + rows[2]) + rows[3]
+        assert np.array_equal(ReduceOp.SUM.reduce(rows), want)
+        assert np.array_equal(ReduceOp.SUM.combine(list(rows)), want)
+        assert want[0] == 1.0  # a pairwise (a0 + a1) + (a2 + a3) gives 0.0
+
+    def test_empty_sequence_still_refused(self):
+        with pytest.raises(CollectiveError, match="empty"):
+            ReduceOp.SUM.combine([])
 
 
 class TestAlltoall:
