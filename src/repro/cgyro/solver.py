@@ -11,9 +11,12 @@ Figure 1:
   on the whole array (every term is elementwise in (iv, n), so this is
   bit-equal to evaluating it block by block).  Velocity moments are
   accumulated in *chunks* of the local velocity space, with one
-  AllReduce over the comm_1 group per chunk (pipelined partial-
-  transform aggregation — CGYRO's ``field``/``upwind`` reductions),
-  whose operand is a rank-stacked view of the chunk's partial moments.
+  AllReduce over the comm_1 group per moment per chunk (pipelined
+  partial-transform aggregation — CGYRO's ``field``/``upwind``
+  reductions).  In SPMD source that is one statement in a moment loop;
+  the lockstep driver issues it as one
+  :func:`~repro.vmpi.allreduce_rounds` over the chunk's rank-stacked
+  partial moments, which the world books as ``n_mom x P2`` AllReduces.
   The per-rank call count therefore scales with ``nv_loc``, and each
   call's cost with the comm_1 group size — the interplay the paper's
   Figure 2 turns on (DESIGN.md section 5).
@@ -27,7 +30,8 @@ The nl and coll phases read and write the per-rank views through
 by-reference ``alltoall``s.  One invariant keeps the single array
 honest (DESIGN.md section 3): no phase reads from it what a rank only
 learns through a collective — the summed moments, and every field
-assembled from them, are written from AllReduce results only.
+assembled from them, are written from AllReduce results only (a
+block's result, or a request's payload when overlapped).
 
 All per-rank buffers are registered in the machine's memory ledgers,
 so memory questions ("does this fit on N nodes?") are measured, not
@@ -60,7 +64,7 @@ from repro.grid import (
     transpose_str_to_nl,
 )
 from repro.grid.layouts import nc_nl_slice
-from repro.vmpi import Communicator, RankStacked, VirtualWorld
+from repro.vmpi import Communicator, RankStacked, VirtualWorld, allreduce_rounds
 
 #: Valid compute/comm overlap modes.  ``off`` is bit-identical to the
 #: historical blocking schedule; ``str`` pipelines the field-solve
@@ -167,6 +171,7 @@ class CgyroSimulation:
         self._comm1_columns = [
             (comm, dec.nt_slice(i2)) for i2, comm in self.comm1.items()
         ]
+        self._comm1_groups, self._nt_windows = zip(*self._comm1_columns)
         self._allocate_buffers()
         self.scheme: CollisionScheme = collision_scheme or PrivateCollisionScheme()
         self.scheme.setup(self)
@@ -296,14 +301,12 @@ class CgyroSimulation:
                         for comm, columns in self._comm1_columns
                     )
             else:
-                # each moment is reduced separately, as in CGYRO
+                # each moment is reduced separately, as in CGYRO: one
+                # statement, n_mom rounds on every comm_1 group
                 with self.world.phase(comm_category):
-                    for moment in range(n_mom):
-                        for comm, columns in self._comm1_columns:
-                            summed = comm.allreduce(
-                                RankStacked(comm.ranks, partial[:, moment, :, columns])
-                            )
-                            acc[moment, :, columns] += summed[comm.ranks[0]]
+                    acc += allreduce_rounds(
+                        self._comm1_groups, partial, self._nt_windows
+                    )
         drain()
         fields = self.fields.assemble(acc, self._all_nt)
         self.world.charge_compute(

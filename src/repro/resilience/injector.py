@@ -4,10 +4,13 @@ Installed on a :class:`~repro.vmpi.world.VirtualWorld` via
 ``world.install_fault_injector``, the injector is consulted at every
 collective boundary — the only observation points a lockstep SPMD job
 has, mirroring how a real MPI job experiences a dead peer (a collective
-that never completes).  On detecting a dead participant it charges the
-plan's detection timeout to the *surviving* participants' simulated
-clocks (their wasted wait is real cost; clocks never roll back) and
-raises :class:`~repro.errors.RankFailure` for the driver to triage.
+that never completes); a block of collectives charged in one pass
+looks ahead once (:meth:`FaultInjector.collective_outlook`) and raises
+at the collective a loop would have raised at.  On detecting a dead
+participant it charges the plan's detection timeout to the *surviving*
+participants' simulated clocks (their wasted wait is real cost; clocks
+never roll back) and raises :class:`~repro.errors.RankFailure` for the
+driver to triage.
 
 Determinism: the injector holds no hidden randomness.  Given the same
 :class:`~repro.resilience.faults.FaultPlan` and the same run, faults
@@ -17,7 +20,7 @@ is what makes faulted runs bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from typing import Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.errors import FaultPlanError, RankFailure
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -125,11 +128,34 @@ class FaultInjector:
                 comm_label=comm_label,
                 kind=kind,
             )
+        return self._link_factor()
+
+    def _link_factor(self) -> float:
+        """Cost multiplier of the ``link_slowdown`` specs armed for the
+        current step and phase — the same for every group."""
         factor = 1.0
         for spec in self._slowdowns:
             if spec.at_step <= self._step and self._phase_matches(spec):
                 factor *= spec.factor
         return factor
+
+    def collective_outlook(
+        self, groups: Sequence[Sequence[int]]
+    ) -> "Tuple[float, Optional[int]]":
+        """What :meth:`on_collective` would answer for each of
+        ``groups`` right now, without raising: the cost multiplier, and
+        the index of the first group holding a dead rank (``None`` when
+        all are healthy).  Arms pending specs exactly as
+        :meth:`on_collective` does."""
+        self._activate_pending()
+        dead = self.dead_ranks
+        hit = None
+        if dead:
+            hit = next(
+                (j for j, ranks in enumerate(groups) if not dead.isdisjoint(ranks)),
+                None,
+            )
+        return self._link_factor(), hit
 
     # ------------------------------------------------------------------
     # gray faults: stragglers and silent data corruption

@@ -16,6 +16,14 @@ call that
    of that collective on the configured machine (entry synchronisation
    = max of participant clocks, as for a real blocking collective).
 
+A *lockstep statement* — every rank calling ``allreduce`` on its own
+communicator, several rounds in a row, which SPMD source spells as one
+call in a loop — is ``rounds x G`` modeled collectives:
+:func:`allreduce_rounds` reduces the data once, and the world keeps the
+books per modeled collective (each its own price, trace event, span,
+metric updates and checker admission, in the order the loop of single
+collectives would have produced them).
+
 This preserves exactly what the paper's argument depends on — which
 processes participate in each collective, how many bytes move, and
 where the participants sit on the machine — while remaining runnable
@@ -26,6 +34,8 @@ Public surface:
 - :class:`VirtualWorld` — ranks, clocks, memory ledgers, trace log.
 - :class:`Communicator` — ordered rank group with collective methods
   and MPI-style ``split``.
+- :func:`allreduce_rounds` — one statement's AllReduces over a family
+  of disjoint communicators, charged as one block.
 - :class:`Request` / :func:`waitall` — handles for nonblocking
   collectives (``iallreduce`` / ``ialltoall``); a posted collective's
   cost accrues concurrently with subsequent compute charges on the
@@ -47,7 +57,7 @@ from repro.vmpi.algorithms import (
     reduce_cost,
     scatter_cost,
 )
-from repro.vmpi.communicator import Communicator, Request, waitall
+from repro.vmpi.communicator import Communicator, Request, allreduce_rounds, waitall
 from repro.vmpi.cost import CommCostModel
 from repro.vmpi.datatypes import RankStacked, ReduceOp
 from repro.vmpi.tracer import CollectiveEvent, TraceLog
@@ -59,6 +69,7 @@ __all__ = [
     "Request",
     "PendingCollective",
     "waitall",
+    "allreduce_rounds",
     "ReduceOp",
     "RankStacked",
     "AllreduceAlgorithm",

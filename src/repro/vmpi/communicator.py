@@ -18,7 +18,10 @@ one array stacked over the members (a
 the caller's own state; a plain ``{rank: array}`` mapping is stacked
 first), never write to it, and deliver **one read-only result array
 shared by every member** — a member that wants to modify its result
-copies it.  ``bcast``/``allgather`` return freshly-allocated arrays.
+copies it.  :func:`allreduce_rounds` — many communicators reducing
+windows of one stacked operand, several rounds in a row — likewise
+reads its operand where it lies and returns one read-only array for
+everybody.  ``bcast``/``allgather`` return freshly-allocated arrays.
 ``alltoall`` transfers the sent blocks *by
 reference* (like a rendezvous protocol handing off pages); senders must
 treat submitted blocks as moved.  With a
@@ -30,6 +33,7 @@ aliasing data.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -111,6 +115,83 @@ class Request:
 def waitall(requests: Sequence["Request"]) -> List[object]:
     """Wait on every request, in order; returns their payloads."""
     return [req.wait() for req in requests]
+
+
+def allreduce_rounds(
+    comms: Sequence["Communicator"],
+    stack: np.ndarray,
+    columns: Sequence[slice],
+    op: ReduceOp = ReduceOp.SUM,
+) -> np.ndarray:
+    """Every rank calls ``allreduce`` on its own communicator, once per
+    round: the lockstep form of that one SPMD statement.
+
+    ``comms`` are ordered, pairwise disjoint communicators of one size
+    on one world (:class:`~repro.errors.CollectiveError` otherwise;
+    disjointness and size are checked once per distinct family).
+    ``stack`` has shape ``(size, rounds, ..., n)``: row ``i`` is what
+    comm rank ``i`` of *every* group contributes, and group ``g``
+    reduces the last-axis window ``columns[g]`` of it, one round at a
+    time.  The rank axis is
+    folded elementwise, so the whole operand is reduced by **one**
+    ``op.reduce(stack)`` — bit for bit what the per-(round, group)
+    ``allreduce`` of ``stack[:, m, ..., columns[g]]`` delivers wherever
+    such a window holds more than one element per rank (a one-element
+    window is a 1-d reduction there, which NumPy folds pairwise from
+    eight ranks up) — and **one** read-only ``(rounds, ..., n)`` array
+    comes back, whose window ``columns[g]`` is what the ranks of
+    ``comms[g]`` hold.
+
+    The world books ``rounds x len(comms)`` modeled AllReduces, each
+    with its group's own byte count, algorithm and price, each admitted
+    by an installed checker and recorded exactly as the double loop —
+    rounds outer, groups inner — of :meth:`Communicator.allreduce`
+    would have (:meth:`VirtualWorld.charge_collective_block`).
+    """
+    if len(comms) == 0 or len(columns) != len(comms):
+        raise CollectiveError(
+            f"allreduce_rounds needs one column window per communicator, "
+            f"got {len(comms)} communicators and {len(columns)} windows"
+        )
+    world, size = comms[0].world, comms[0].size
+    if any(comm.world is not world for comm in comms):
+        raise CollectiveError("allreduce_rounds: communicators of different worlds")
+    stack = np.asarray(stack)
+    if stack.ndim < 3 or stack.shape[0] != size or stack.shape[1] == 0:
+        raise CollectiveError(
+            f"allreduce_rounds: operand of shape {stack.shape} does not stack "
+            f"the {size} ranks of each communicator as (size, rounds >= 1, ..., n)"
+        )
+    result = op.reduce(stack)
+    result.setflags(write=False)
+    rounds, n = stack.shape[1], stack.shape[-1]
+    column_bytes = stack.itemsize * math.prod(stack.shape[2:-1])
+    nbytes = [len(range(*window.indices(n))) * column_bytes for window in columns]
+    select = world.cost_model.select_algorithm
+    admit = None
+    ck = world.checker
+    if ck is not None:
+        # what the hook compares is the same for every round: built once
+        dtype = str(stack.dtype)
+        admissions = [
+            (comm, dict.fromkeys(comm.ranks, nb), dict.fromkeys(comm.ranks, dtype))
+            for comm, nb in zip(comms, nbytes)
+        ]
+
+        def admit(g: int) -> None:
+            comm, sizes, dtypes = admissions[g]
+            ck.lockstep_collective(comm, "allreduce", sizes, op=op.name, dtypes=dtypes)
+
+    world.charge_collective_block(
+        "allreduce",
+        tuple([comm.ranks for comm in comms]),
+        nbytes,
+        rounds,
+        comm_labels=[comm.label for comm in comms],
+        algorithms=[select("allreduce", nb) for nb in nbytes],
+        admit=admit,
+    )
+    return result
 
 
 class Communicator:

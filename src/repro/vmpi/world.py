@@ -16,6 +16,12 @@ load imbalance).  A collective first synchronises its participants —
 its start time is the max of their clocks — then advances all of them
 by the modeled cost.  Wall time of a run is the max clock over the
 ranks involved.
+
+A lockstep *statement* — ``rounds`` collectives in a row on each of
+``G`` disjoint groups — is charged in one pass over a ``(G, P)`` clock
+index (:meth:`VirtualWorld.charge_collective_block`) and still booked
+as ``rounds x G`` collectives, one record each; a single blocking
+collective is the one-group one-round call of the same body.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from __future__ import annotations
 import contextlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import VmpiError
+from repro.errors import CollectiveError, VmpiError
 from repro.machine.memory import MemoryLedger
 from repro.machine.model import MachineModel
 from repro.machine.placement import BlockPlacement, Placement
@@ -46,8 +52,8 @@ class PendingCollective:
     time — the network makes progress concurrently with whatever
     compute the participants charge next — so at wait time each rank
     pays only the *uncovered* remainder of the cost window
-    ``[t_post, t_post + cost_s]``.  A blocking collective is the same
-    record charged in full on the spot, never handed out.
+    ``[t_post, t_post + cost_s]``.  A blocking collective is charged in
+    full on the spot and never becomes one of these.
     """
 
     kind: str
@@ -65,6 +71,11 @@ class PendingCollective:
     def t_done(self) -> float:
         """Simulated time at which the collective's data movement ends."""
         return self.t_post + self.cost_s
+
+
+def _algorithm_name(algorithm: Optional[object]) -> str:
+    """An algorithm as trace events show it ("" when the kind has none)."""
+    return getattr(algorithm, "value", "") if algorithm else ""
 
 
 class VirtualWorld:
@@ -145,8 +156,12 @@ class VirtualWorld:
             r: {} for r in range(self.n_ranks)
         }
         self._seq = 0
-        # rank group -> (the group as an int tuple, its clock index array)
-        self._groups: Dict[tuple, "tuple[tuple[int, ...], np.ndarray]"] = {}
+        # rank group -> (the group as an int tuple, its clock index
+        # array, the nodes it touches)
+        self._groups: Dict[tuple, "tuple[tuple[int, ...], np.ndarray, int]"] = {}
+        # ordered family of disjoint equal-size groups -> (the groups,
+        # their (G, P) clock index, their node counts)
+        self._families: Dict[tuple, "tuple[tuple, np.ndarray, tuple]"] = {}
         # Metric series bound once per label set: ("collective", kind,
         # comm) -> (bytes, count, wait, cost histogram); ("imposed",
         # rank), ("overlapped", comm), ("compute", category) -> counter.
@@ -213,12 +228,22 @@ class VirtualWorld:
         The injector is consulted at every collective boundary — the
         only points where a virtual job can observe a peer's death,
         just as a real MPI job sees a dead rank as a stalled
-        collective.  It must provide
-        ``on_collective(kind, ranks, comm_label) -> float`` returning a
-        cost multiplier (1.0 when healthy), and may raise
+        collective.  A single collective (blocking, posted or waited)
+        asks it for
+        ``on_collective(kind, ranks, comm_label) -> float``, returning a
+        cost multiplier (1.0 when healthy) or raising
         :class:`~repro.errors.RankFailure` after charging the detection
-        timeout through :meth:`sync_charge`.  A world without an
-        injector has exactly zero behavioural or cost difference.
+        timeout through :meth:`sync_charge`; an injector that only ever
+        meets single collectives needs nothing else.  A block
+        (:meth:`charge_collective_block`) asks once for
+        ``collective_outlook(groups) -> (factor, dead)``, which must
+        not raise: the multiplier every collective of the block would
+        get — it may depend on the step and the phase, not on the group
+        — and the index of the first group ``on_collective`` would
+        raise for, or ``None``; ``on_collective`` is then called for
+        that group only, at the point the loop would have reached it.
+        A world without an injector has exactly zero behavioural or
+        cost difference.
         """
         self.fault_injector = injector
 
@@ -359,65 +384,141 @@ class VirtualWorld:
         :class:`~repro.vmpi.communicator.Communicator`; solver code does
         not normally call this directly.
         """
-        c, idx = self._price_collective(
-            kind, ranks, nbytes, comm_label, algorithm, category
-        )
-        t_start, cost = c.t_post, c.cost_s
-        waits = t_start - self.clock[idx]
-        self.coll_wait_s[idx] += waits
-        # the total wait is imposed by whoever arrived last
-        wait_s = float(waits.sum())
-        self.imposed_wait_s[c.last_arrival] += wait_s
-        self.clock[idx] = t_start + cost
-        for r in c.ranks:
-            self._add_category_time(r, c.category, cost)
-        self._record_collective(c, wait_s)
-        return cost
-
-    def _price_collective(
-        self,
-        kind: str,
-        ranks: Sequence[int],
-        nbytes: int,
-        comm_label: str,
-        algorithm: Optional[object],
-        category: Optional[str],
-    ) -> "tuple[PendingCollective, np.ndarray]":
-        """Consult the fault injector and price one collective.
-
-        ``t_post`` is the moment the last participant arrives (max
-        clock over ``ranks``); no clock moves and nothing is booked.
-        Also returns ``ranks`` as a clock index array.  The injector's
-        factor multiplies the memoised cost afterwards, so a slowdown
-        armed mid-run is honoured.
-        """
         factor = 1.0
         if self.fault_injector is not None:
             factor = self.fault_injector.on_collective(kind, ranks, comm_label)
-        ranks, idx = self._group(ranks)
+        ranks, idx, n_nodes = self._group(ranks)
+        return self._charge_blocking(
+            kind, (ranks,), idx[None], (n_nodes,), (nbytes,), (comm_label,),
+            (algorithm,), category, factor,
+        )[0]
+
+    def charge_collective_block(
+        self,
+        kind: str,
+        groups: "tuple[tuple[int, ...], ...]",
+        nbytes: Sequence[int],
+        rounds: int,
+        *,
+        comm_labels: Sequence[str],
+        algorithms: Sequence[Optional[object]],
+        category: Optional[str] = None,
+        admit: "Optional[Callable[[int], None]]" = None,
+    ) -> None:
+        """Charge one lockstep statement: ``rounds`` back-to-back
+        collectives of ``kind`` on each of ``groups``.
+
+        ``groups`` are ordered, pairwise disjoint and of equal size
+        (checked once per distinct family;
+        :class:`~repro.errors.CollectiveError` otherwise); ``nbytes``,
+        ``comm_labels`` and ``algorithms`` are per group, and each group
+        is priced on its own.  The ``rounds x len(groups)`` modeled
+        collectives are booked exactly as that many
+        :meth:`charge_collective` calls issued round-major, group-minor
+        would book them — clocks, waits, category times, events, spans
+        and series, bit for bit — with ``admit(g)`` (the checker's
+        admission of one collective on ``groups[g]``) called before
+        each record.
+
+        The injector is asked once, through its non-raising
+        ``collective_outlook(groups)``: the cost factor, and the first
+        group holding a dead rank.  That group's first collective is
+        where the death surfaces, so the groups before it are charged
+        their first round and ``on_collective`` then raises for it, as
+        it would have in the loop.
+        """
+        groups, idx, n_nodes = self._family(groups)
+        factor, dead = 1.0, None
+        if self.fault_injector is not None:
+            factor, dead = self.fault_injector.collective_outlook(groups)
+        live = len(groups) if dead is None else dead
+        if live:
+            self._charge_blocking(
+                kind, groups[:live], idx[:live], n_nodes, nbytes, comm_labels,
+                algorithms, category, factor, rounds if dead is None else 1, admit,
+            )
+        if dead is not None:
+            if admit is not None:
+                admit(dead)
+            self.fault_injector.on_collective(kind, groups[dead], comm_labels[dead])
+
+    def _charge_blocking(
+        self,
+        kind: str,
+        groups: "Sequence[tuple[int, ...]]",
+        idx: np.ndarray,
+        n_nodes: Sequence[int],
+        nbytes: Sequence[int],
+        labels: Sequence[str],
+        algorithms: Sequence[Optional[object]],
+        category: Optional[str],
+        factor: float,
+        rounds: int = 1,
+        admit: "Optional[Callable[[int], None]]" = None,
+    ) -> "list[float]":
+        """The one blocking-charge body; returns each group's cost.
+
+        ``idx`` is the ``(G, P)`` clock index of the disjoint
+        ``groups``; the per-group sequences may run past ``G``.  Round
+        0 synchronises each group to its last arrival and books the
+        entry waits; every later round finds its group synchronised
+        (wait ``0.0``, last arrival its first rank).  Simulated time is
+        kept by *repeated* addition — round ``m`` starts at ``t0`` plus
+        ``cost`` added ``m`` times, a rank's category time takes
+        ``rounds`` sequential adds — because that is what ``rounds``
+        single collectives do, and ``t0 + m * cost`` rounds differently.
+        """
+        if category is None:
+            category = self.current_category
+        price = self.cost_model.collective_cost
+        costs = [
+            factor * price(kind, ranks, nb, algorithm=algo)
+            for ranks, nb, algo in zip(groups, nbytes, algorithms)
+        ]
         clocks = self.clock[idx]
-        last = int(clocks.argmax())
-        pending = PendingCollective(
-            kind=kind,
-            ranks=ranks,
-            nbytes=int(nbytes),
-            comm_label=comm_label,
-            algorithm=algorithm,
-            category=category if category is not None else self.current_category,
-            t_post=float(clocks[last]),
-            cost_s=factor
-            * self.cost_model.collective_cost(
-                kind, ranks, nbytes, algorithm=algorithm
-            ),
-            last_arrival=ranks[last],
-        )
-        return pending, idx
+        last = clocks.argmax(axis=1).tolist()
+        t0 = clocks.max(axis=1)
+        waits = t0[:, None] - clocks
+        self.coll_wait_s[idx] += waits
+        # a group's total wait — the 1-d sum of its own row — is imposed
+        # by whoever arrived last
+        wait_s = [float(row.sum()) for row in waits]
+        last_arrival = [ranks[i] for ranks, i in zip(groups, last)]
+        self.imposed_wait_s[last_arrival] += wait_s
+        t_starts, t = [], t0.tolist()
+        for _ in range(rounds):
+            t_starts.append(t)
+            t = [t_g + cost for t_g, cost in zip(t, costs)]
+        self.clock[idx] = np.asarray(t)[:, None]
+        booked = category or "uncategorized"
+        for ranks, cost in zip(groups, costs):
+            for r in ranks:
+                times = self._category_time[r]
+                busy = times.get(booked, 0.0)
+                for _ in range(rounds):
+                    busy += cost
+                times[booked] = busy
+        names = [_algorithm_name(algorithm) for algorithm in algorithms]
+        for t_round in t_starts:
+            for g, ranks in enumerate(groups):
+                if admit is not None:
+                    admit(g)
+                self._record_collective(
+                    kind, labels[g], ranks, n_nodes[g], int(nbytes[g]), names[g],
+                    t_round[g], costs[g], category, last_arrival[g], wait_s[g],
+                )
+            last_arrival = [ranks[0] for ranks in groups]
+            wait_s = [0.0] * len(groups)
+        return costs
 
-    def _group(self, ranks: Sequence[int]) -> "tuple[tuple[int, ...], np.ndarray]":
-        """``ranks`` as an int tuple and as a clock index array.
+    def _group(
+        self, ranks: Sequence[int]
+    ) -> "tuple[tuple[int, ...], np.ndarray, int]":
+        """``ranks`` as an int tuple and as a clock index array, and the
+        number of nodes they touch.
 
-        Both are built once per distinct group and shared by every
-        later collective on it (the index array is read-only).
+        All built once per distinct group and shared by every later
+        collective on it (the index array is read-only).
         """
         ranks = tuple(ranks)
         got = self._groups.get(ranks)
@@ -425,7 +526,29 @@ class VirtualWorld:
             ranks = tuple(int(r) for r in ranks)
             idx = np.asarray(ranks, dtype=np.intp)
             idx.flags.writeable = False
-            got = self._groups[ranks] = (ranks, idx)
+            got = self._groups[ranks] = (ranks, idx, self.cost_model.n_nodes_of(ranks))
+        return got
+
+    def _family(
+        self, groups: "tuple[tuple[int, ...], ...]"
+    ) -> "tuple[tuple[tuple[int, ...], ...], np.ndarray, tuple[int, ...]]":
+        """Ordered rank groups, their ``(G, P)`` clock index and their
+        node counts; built — and checked to be pairwise disjoint and of
+        one size, which is what lets one indexed operation stand for
+        ``G`` — once per distinct family."""
+        got = self._families.get(groups)
+        if got is None:
+            key = groups
+            groups, indices, n_nodes = zip(*[self._group(ranks) for ranks in groups])
+            flat = [r for ranks in groups for r in ranks]
+            if len({len(ranks) for ranks in groups}) != 1 or len(set(flat)) != len(flat):
+                raise CollectiveError(
+                    f"a block of collectives needs disjoint groups of one size, "
+                    f"got {groups}"
+                )
+            idx = np.stack(indices)
+            idx.flags.writeable = False
+            got = self._families[key] = (groups, idx, n_nodes)
         return got
 
     def post_collective(
@@ -451,8 +574,27 @@ class VirtualWorld:
         :meth:`complete_collective`, so compute charged on the same
         ranks in between overlaps with the in-flight cost.
         """
-        pending, _ = self._price_collective(
-            kind, ranks, nbytes, comm_label, algorithm, category
+        factor = 1.0
+        if self.fault_injector is not None:
+            factor = self.fault_injector.on_collective(kind, ranks, comm_label)
+        ranks, idx, _ = self._group(ranks)
+        clocks = self.clock[idx]
+        last = int(clocks.argmax())
+        # the injector's factor multiplies the memoised cost afterwards,
+        # so a slowdown armed mid-run is honoured
+        pending = PendingCollective(
+            kind=kind,
+            ranks=ranks,
+            nbytes=int(nbytes),
+            comm_label=comm_label,
+            algorithm=algorithm,
+            category=category if category is not None else self.current_category,
+            t_post=float(clocks[last]),
+            cost_s=factor
+            * self.cost_model.collective_cost(
+                kind, ranks, nbytes, algorithm=algorithm
+            ),
+            last_arrival=ranks[last],
         )
         rank_set = set(pending.ranks)
         for open_pending in self._nb_inflight:
@@ -502,7 +644,7 @@ class VirtualWorld:
                 pending.kind, pending.ranks, pending.comm_label
             )
         pending.completed = True
-        idx = self._group(pending.ranks)[1]
+        _, idx, n_nodes = self._group(pending.ranks)
         t_done = pending.t_done
         cost = pending.cost_s
         waits = np.maximum(0.0, t_done - self.clock[idx])
@@ -517,12 +659,26 @@ class VirtualWorld:
         cat = pending.category
         for r, c in zip(pending.ranks, comm):
             self._add_category_time(r, cat, float(c))
-        self._record_collective(pending, sync_s, float(overlapped.sum()))
+        self._record_collective(
+            pending.kind, pending.comm_label, pending.ranks, n_nodes,
+            pending.nbytes, _algorithm_name(pending.algorithm),
+            pending.t_post, cost, cat, pending.last_arrival, sync_s,
+            float(overlapped.sum()),
+        )
         return cost
 
     def _record_collective(
         self,
-        c: PendingCollective,
+        kind: str,
+        comm_label: str,
+        ranks: "tuple[int, ...]",
+        n_nodes: int,
+        nbytes: int,
+        algorithm: str,
+        t_start: float,
+        cost_s: float,
+        category: str,
+        last_arrival: int,
         wait_s: float,
         overlapped_s: Optional[float] = None,
     ) -> None:
@@ -536,19 +692,18 @@ class VirtualWorld:
         event, the span and the extra overlap series as nonblocking.
         """
         nonblocking = overlapped_s is not None
-        kind, comm_label = c.kind, c.comm_label
         self._seq += 1
         event = CollectiveEvent(
             seq=self._seq,
             kind=kind,
             comm_label=comm_label,
-            ranks=c.ranks,
-            n_nodes=self.cost_model.n_nodes_of(c.ranks),
-            nbytes=c.nbytes,
-            algorithm=getattr(c.algorithm, "value", "") if c.algorithm else "",
-            t_start=c.t_post,
-            cost_s=c.cost_s,
-            category=c.category,
+            ranks=ranks,
+            n_nodes=n_nodes,
+            nbytes=nbytes,
+            algorithm=algorithm,
+            t_start=t_start,
+            cost_s=cost_s,
+            category=category,
             nonblocking=nonblocking,
         )
         self.trace.record(event)
@@ -563,13 +718,13 @@ class VirtualWorld:
             self.tracer.record(
                 f"{kind} [{comm_label}]",
                 "collective",
-                c.t_post,
-                c.cost_s,
-                category=c.category,
-                ranks=c.ranks,
-                nbytes=c.nbytes,
+                t_start,
+                cost_s,
+                category=category,
+                ranks=ranks,
+                nbytes=nbytes,
                 comm=comm_label,
-                last_arrival=c.last_arrival,
+                last_arrival=last_arrival,
                 **overlap_attrs,
             )
         if self.metrics is not None:
@@ -584,13 +739,13 @@ class VirtualWorld:
                     histogram("vmpi_collective_cost_seconds", kind=kind),
                 )
             bytes_total, collectives_total, wait_total, cost_seconds = bound
-            bytes_total.inc(float(c.nbytes))
+            bytes_total.inc(float(nbytes))
             collectives_total.inc()
             wait_total.inc(wait_s)
             self._counter(
-                ("imposed", c.last_arrival),
+                ("imposed", last_arrival),
                 "vmpi_imposed_wait_seconds_total",
-                rank=c.last_arrival,
+                rank=last_arrival,
             ).inc(wait_s)
             if nonblocking:
                 self._counter(
@@ -598,7 +753,7 @@ class VirtualWorld:
                     "vmpi_coll_overlapped_seconds_total",
                     comm=comm_label,
                 ).inc(overlapped_s)
-            cost_seconds.observe(c.cost_s)
+            cost_seconds.observe(cost_s)
 
     def _counter(self, key: tuple, name: str, **labels: object):
         """The registry counter ``name{labels}``, looked up once per ``key``."""
@@ -669,17 +824,16 @@ class VirtualWorld:
         ``reduce`` selects the cross-rank aggregation: ``max``
         (wall-like, default), ``mean``, or ``sum``.
         """
+        if reduce not in ("max", "mean", "sum"):
+            raise VmpiError(f"unknown reduce {reduce!r}")
         rank_list = list(range(self.n_ranks)) if ranks is None else list(ranks)
         vals = [self._category_time[r].get(category, 0.0) for r in rank_list]
         if not vals:
             return 0.0
         if reduce == "max":
             return max(vals)
-        if reduce == "mean":
-            return sum(vals) / len(vals)
-        if reduce == "sum":
-            return sum(vals)
-        raise VmpiError(f"unknown reduce {reduce!r}")
+        total = sum(vals)
+        return total / len(vals) if reduce == "mean" else total
 
     def categories(self) -> "tuple[str, ...]":
         """All category labels charged so far, sorted."""

@@ -35,6 +35,16 @@ sha256 of every simulation's ``gather_h()``, flux and ``phi2`` and the
 ``tests/test_rank_axis.py`` recomputes and compares them, so a change
 to how the solver holds or advances its state that moves one bit of
 physics or of simulated time goes red.
+
+``world_books.json`` pins what the world *booked* for the same cases
+(:data:`WORLD_BOOKS_CASES`: the solver-state cases run again with a
+``CollectiveChecker`` and telemetry installed, plus one k = 2 run under
+an armed ``link_slowdown``): sha256 of ``clock``, ``coll_wait_s``,
+``imposed_wait_s``, every rank's category times, the ``repr`` of every
+trace event, every span, ``metrics.to_dict()`` and
+``checker.completed``.  ``tests/test_vmpi_fastpath.py`` recomputes and
+compares them, so a change to ``vmpi/world.py`` or ``Communicator``
+that moves one bit of simulated time, one event or one span goes red.
 """
 
 from __future__ import annotations
@@ -42,15 +52,17 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from repro.check import builtin_scenarios, differential_oracle
+from repro.check import CollectiveChecker, builtin_scenarios, differential_oracle
 from repro.cgyro import CgyroSimulation
 from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled, small_test
 from repro.errors import JournalCrash
 from repro.machine.presets import frontier_like, generic_cluster
+from repro.obs import Telemetry
 from repro.resilience import FaultPlan, FaultSpec, ResilientXgyroRunner
 from repro.service import ServiceJournal, recover_service
 from repro.vmpi import VirtualWorld
@@ -168,19 +180,58 @@ def _state_digest(world, sims, rows) -> dict:
     }
 
 
-def _state_world(n_ranks: int) -> VirtualWorld:
+def _books_digest(world) -> dict:
+    """Digests of everything an instrumented ``world`` booked: the
+    clocks and wait tallies, every rank's category times, and each
+    record the one record point wrote (trace event, span, metric
+    series, checker post), in the order it wrote them."""
+    ranks = range(world.n_ranks)
+    return {
+        "n_events": len(world.trace),
+        "clock_sha256": _arrays_sha256([world.clock]),
+        "coll_wait_sha256": _arrays_sha256([world.coll_wait_s]),
+        "imposed_wait_sha256": _arrays_sha256([world.imposed_wait_s]),
+        "category_times_sha256": _sha256(
+            repr([world.category_breakdown([r], reduce="sum") for r in ranks])
+        ),
+        "trace_sha256": _sha256("\n".join(repr(ev) for ev in world.trace)),
+        "spans_sha256": _sha256(
+            "\n".join(
+                json.dumps(s.to_dict(), sort_keys=True) for s in world.tracer.spans
+            )
+        ),
+        "metrics_sha256": _sha256(
+            json.dumps(world.metrics.to_dict(), sort_keys=True)
+        ),
+        "checker_sha256": _sha256(repr(world.checker.completed)),
+    }
+
+
+def _state_world(n_ranks: int, books: bool = False) -> VirtualWorld:
+    """The world of one solver-state case; with ``books`` it carries a
+    checker and telemetry, which :func:`_books_digest` reads back."""
     machine = generic_cluster(n_nodes=max(1, n_ranks // 4), ranks_per_node=4)
-    return VirtualWorld(machine, n_ranks)
+    world = VirtualWorld(machine, n_ranks)
+    if books:
+        world.install_checker(CollectiveChecker())
+        Telemetry().install(world)
+    return world
 
 
-def _cgyro_state(n_ranks: int, overlap: str = "off", **overrides) -> dict:
+def _digest(world, sims, rows, books: bool) -> dict:
+    return _books_digest(world) if books else _state_digest(world, sims, rows)
+
+
+def _cgyro_state(
+    n_ranks: int, overlap: str = "off", *, books: bool = False, **overrides
+) -> dict:
     """Standalone CGYRO on ``n_ranks`` ranks.  ``Decomposition.choose``
     makes P2 the largest common divisor of nt and the rank count, so a
     multi-rank ``P2 = 1`` grid needs ``n_toroidal`` of 3 or 1."""
-    world = _state_world(n_ranks)
+    world = _state_world(n_ranks, books)
     inp = small_test(steps_per_report=2, **overrides)
     sim = CgyroSimulation(world, range(n_ranks), inp, overlap=overlap)
-    return _state_digest(world, [sim], sim.run(_STATE_REPORTS))
+    return _digest(world, [sim], sim.run(_STATE_REPORTS), books)
 
 
 def _xgyro_members(k: int, **overrides):
@@ -195,21 +246,23 @@ def _xgyro_members(k: int, **overrides):
     ]
 
 
-def _xgyro_state(k: int, overlap: str = "off", nc_counts=None, **overrides) -> dict:
+def _xgyro_state(
+    k: int, overlap: str = "off", nc_counts=None, *, books: bool = False, **overrides
+) -> dict:
     """XGYRO, 8 ranks (P1 = 2, P2 = 4) per member."""
-    world = _state_world(8 * k)
+    world = _state_world(8 * k, books)
     ens = XgyroEnsemble(
         world, _xgyro_members(k, **overrides), overlap=overlap, nc_counts=nc_counts
     )
     rows = [row for rep in ens.run(_STATE_REPORTS) for row in rep.member_rows]
-    return _state_digest(world, ens.members, rows)
+    return _digest(world, ens.members, rows, books)
 
 
-def _recovered_state(overlap: str) -> dict:
+def _recovered_state(overlap: str, *, books: bool = False) -> dict:
     """k = 4 losing member 2 at step 2: the survivors adopt its rows,
     so their shard indexers become explicit (non-contiguous) lists;
     one more report interval then runs on the recovered ensemble."""
-    world = _state_world(32)
+    world = _state_world(32, books)
     runner = ResilientXgyroRunner(
         world,
         _xgyro_members(4, nonlinear=True),
@@ -222,47 +275,65 @@ def _recovered_state(overlap: str) -> dict:
     if not any(isinstance(s.index(), list) for s in shards):
         raise AssertionError("recovery left every shard contiguous")
     rows = ens.run_report_interval().member_rows
-    return _state_digest(world, ens.members, rows)
+    return _digest(world, ens.members, rows, books)
 
 
-#: case name -> zero-argument callable returning its digest entry.
-#: Names read ``<solver>.p<P1>x<P2>[.<what is switched on>]``.
+def _slowed_books() -> dict:
+    """Nonlinear k = 2 whose links degrade from step 1 on: the injector
+    is consulted at every collective and its factor multiplies the
+    memoised price from then on."""
+    world = _state_world(16, books=True)
+    runner = ResilientXgyroRunner(
+        world,
+        _xgyro_members(2, nonlinear=True),
+        plan=FaultPlan(specs=(FaultSpec("link_slowdown", at_step=1, factor=3.0),)),
+    )
+    runner.run_steps(3)
+    if not any(s.kind == "collective" for s in world.tracer.spans):
+        raise AssertionError("the slowed run recorded no collective span")
+    return _books_digest(world)
+
+
+#: case name -> callable returning its digest entry; called with
+#: ``books=True`` it runs the same case on an instrumented world and
+#: returns the books digest instead.  Names read
+#: ``<solver>.p<P1>x<P2>[.<what is switched on>]``.
 SOLVER_STATE_CASES = {
-    "cgyro.p1x1": lambda: _cgyro_state(1),
-    "cgyro.p1x1.nl.em": lambda: _cgyro_state(1, nonlinear=True, beta_e=0.01),
-    "cgyro.p1x2.nl": lambda: _cgyro_state(2, nonlinear=True),
-    "cgyro.p1x4.em.str": lambda: _cgyro_state(4, "str", beta_e=0.01),
-    "cgyro.p2x4.nl": lambda: _cgyro_state(8, nonlinear=True),
-    "cgyro.p2x4.nl.em.full": lambda: _cgyro_state(
-        8, "full", nonlinear=True, beta_e=0.01
+    "cgyro.p1x1": partial(_cgyro_state, 1),
+    "cgyro.p1x1.nl.em": partial(_cgyro_state, 1, nonlinear=True, beta_e=0.01),
+    "cgyro.p1x2.nl": partial(_cgyro_state, 2, nonlinear=True),
+    "cgyro.p1x4.em.str": partial(_cgyro_state, 4, "str", beta_e=0.01),
+    "cgyro.p2x4.nl": partial(_cgyro_state, 8, nonlinear=True),
+    "cgyro.p2x4.nl.em.full": partial(
+        _cgyro_state, 8, "full", nonlinear=True, beta_e=0.01
     ),
-    "cgyro.p4x4.nl.str": lambda: _cgyro_state(16, "str", nonlinear=True),
-    "cgyro.p8x4.em": lambda: _cgyro_state(32, beta_e=0.01),
-    "cgyro.p16x4.nl": lambda: _cgyro_state(64, nonlinear=True),
-    "cgyro.p16x4.em.full": lambda: _cgyro_state(64, "full", beta_e=0.01),
-    "cgyro.p4x1.nl": lambda: _cgyro_state(4, nonlinear=True, n_toroidal=3),
-    "cgyro.p4x1.em.coll": lambda: _cgyro_state(
-        4, "coll", beta_e=0.01, n_toroidal=3
+    "cgyro.p4x4.nl.str": partial(_cgyro_state, 16, "str", nonlinear=True),
+    "cgyro.p8x4.em": partial(_cgyro_state, 32, beta_e=0.01),
+    "cgyro.p16x4.nl": partial(_cgyro_state, 64, nonlinear=True),
+    "cgyro.p16x4.em.full": partial(_cgyro_state, 64, "full", beta_e=0.01),
+    "cgyro.p4x1.nl": partial(_cgyro_state, 4, nonlinear=True, n_toroidal=3),
+    "cgyro.p4x1.em.coll": partial(
+        _cgyro_state, 4, "coll", beta_e=0.01, n_toroidal=3
     ),
-    "cgyro.p8x1.nl.em.str": lambda: _cgyro_state(
-        8, "str", nonlinear=True, beta_e=0.01, n_toroidal=3
+    "cgyro.p8x1.nl.em.str": partial(
+        _cgyro_state, 8, "str", nonlinear=True, beta_e=0.01, n_toroidal=3
     ),
-    "cgyro.p8x1": lambda: _cgyro_state(8, n_toroidal=1),
-    "xgyro.k2.p2x4.nl": lambda: _xgyro_state(2, nonlinear=True),
-    "xgyro.k2.p2x4.nl.em.full": lambda: _xgyro_state(
-        2, "full", nonlinear=True, beta_e=0.01
+    "cgyro.p8x1": partial(_cgyro_state, 8, n_toroidal=1),
+    "xgyro.k2.p2x4.nl": partial(_xgyro_state, 2, nonlinear=True),
+    "xgyro.k2.p2x4.nl.em.full": partial(
+        _xgyro_state, 2, "full", nonlinear=True, beta_e=0.01
     ),
-    "xgyro.k2.p2x4.str": lambda: _xgyro_state(2, "str"),
-    "xgyro.k3.p2x4.nl.coll": lambda: _xgyro_state(3, "coll", nonlinear=True),
-    "xgyro.k3.p2x4.em": lambda: _xgyro_state(3, beta_e=0.01),
-    "xgyro.k2.p2x4.nl.uneven": lambda: _xgyro_state(
-        2, nonlinear=True, nc_counts=(1, 7, 3, 5)
+    "xgyro.k2.p2x4.str": partial(_xgyro_state, 2, "str"),
+    "xgyro.k3.p2x4.nl.coll": partial(_xgyro_state, 3, "coll", nonlinear=True),
+    "xgyro.k3.p2x4.em": partial(_xgyro_state, 3, beta_e=0.01),
+    "xgyro.k2.p2x4.nl.uneven": partial(
+        _xgyro_state, 2, nonlinear=True, nc_counts=(1, 7, 3, 5)
     ),
-    "xgyro.k3.p2x4.uneven.full": lambda: _xgyro_state(
-        3, "full", nc_counts=(1, 2, 3, 4, 5, 1)
+    "xgyro.k3.p2x4.uneven.full": partial(
+        _xgyro_state, 3, "full", nc_counts=(1, 2, 3, 4, 5, 1)
     ),
-    "xgyro.k4.p2x4.nl.recovered": lambda: _recovered_state("off"),
-    "xgyro.k4.p2x4.nl.recovered.full": lambda: _recovered_state("full"),
+    "xgyro.k4.p2x4.nl.recovered": partial(_recovered_state, "off"),
+    "xgyro.k4.p2x4.nl.recovered.full": partial(_recovered_state, "full"),
 }
 
 
@@ -274,9 +345,30 @@ def write_solver_states_golden() -> None:
         print(f"{out.name}: {name} h={case['h_sha256'][:16]} elapsed={case['elapsed']}")
 
 
+WORLD_BOOKS_GOLDEN = "world_books.json"
+
+#: case name -> zero-argument callable returning its books digest
+WORLD_BOOKS_CASES = {
+    **{name: partial(case, books=True) for name, case in SOLVER_STATE_CASES.items()},
+    "xgyro.k2.p2x4.nl.slowed": _slowed_books,
+}
+
+
+def write_world_books_golden() -> None:
+    golden = {name: case() for name, case in WORLD_BOOKS_CASES.items()}
+    out = HERE / WORLD_BOOKS_GOLDEN
+    out.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    for name, case in golden.items():
+        print(
+            f"{out.name}: {name} {case['n_events']} events, "
+            f"trace={case['trace_sha256'][:16]} spans={case['spans_sha256'][:16]}"
+        )
+
+
 def main() -> int:
     write_service_wal_golden()
     write_solver_states_golden()
+    write_world_books_golden()
     for fname, (k, overlap) in CASES.items():
         report = differential_oracle(
             nl03c_members(k),

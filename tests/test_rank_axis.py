@@ -8,8 +8,9 @@ stage once on it, and hands each comm_1 AllReduce a
 - the physics and the simulated clock are the parent's, bit for bit,
   over the decomposition / option matrix of
   ``tests/goldens/solver_states.json`` (recorded before the change);
-- the host-side work per step is what the design says (a count gate,
-  red at the parent) while every *modeled* count is the parent's;
+- the host-side work per step is what the design says (count gates,
+  red at their parents) while every *modeled* count — read off the
+  world's trace, where the model lives — is the parent's;
 - the views stay views through every phase, restore and restart, and a
   rebinding raises;
 - the field solve really goes through the collective (negative
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.cgyro.solver as solver_module
 from repro.cgyro import CgyroSimulation
 from repro.cgyro.fields import FieldSolver
 from repro.cgyro.presets import small_test
@@ -70,8 +72,12 @@ def test_state_digests_recorded_at_the_parent(name, golden_generator):
 # ----------------------------------------------------------------------
 # deterministic count gate: host work per step, modeled work unchanged
 # ----------------------------------------------------------------------
-#: calls over the interval below at the parent commit (e50a719), where
-#: ``rhs`` read 320 and ``partial_moments`` 832
+#: modeled collectives and compute charges over the interval below at
+#: the parent commit (e50a719), where ``rhs`` read 320 and
+#: ``partial_moments`` 832.  The collective figures were first pinned
+#: as calls of the like-named host entry points; what they meant — and
+#: are now read from — is the world's trace: one event per blocking
+#: (``charge_collective``) or posted (``post_collective``) collective.
 _MODELED_CALLS_AT_PARENT = {
     "off": {
         "allreduce": 834,
@@ -98,37 +104,67 @@ _MODELED_CALLS_AT_PARENT = {
 def test_a_stage_runs_once_per_member_and_models_what_it_did(monkeypatch, overlap):
     calls = collections.Counter()
 
-    def count(cls, name):
-        original = getattr(cls, name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
-        def counted(self, *args, **kwargs):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     count(StreamingOperator, "rhs")
     count(FieldSolver, "partial_moments")
-    for name in ("allreduce", "iallreduce", "alltoall", "ialltoall"):
-        count(Communicator, name)
-    for name in ("charge_collective", "post_collective", "charge_compute"):
-        count(VirtualWorld, name)
+    count(VirtualWorld, "charge_compute")
+    # host calls on the reduction path (the gate below)
+    count(Communicator, "allreduce")
+    count(ReduceOp, "reduce")
+    count(solver_module, "allreduce_rounds")
 
     ens = _ensemble(overlap)
+    world = ens.world
+    world.install_checker(CollectiveChecker())
     calls.clear()  # the cmat build charges compute too
+    assert len(world.trace) == 0
     ens.run_report_interval()
 
     sim = ens.members[0]
     members, steps = len(ens.members), sim.inp.steps_per_report
     p1, n_chunks = sim.decomp.n_proc_1, len(sim.costs.chunks)
+    n_mom, p2 = sim.costs.n_moments, sim.decomp.n_proc_2
     assert (p1, n_chunks) == (2, 2)
     # four RK stages and the nl phase solve the fields every step, the
     # diagnostics once more per interval
     field_solves = members * (steps * 5 + 1)
     assert calls["rhs"] == 4 * steps * members
     assert calls["partial_moments"] <= p1 * n_chunks * field_solves
-    assert {k: calls[k] for k in _MODELED_CALLS_AT_PARENT[overlap]} == (
+
+    # the model: one trace event per modeled collective
+    modeled = collections.Counter({"charge_compute": calls["charge_compute"]})
+    for event in world.trace:
+        modeled[("i" if event.nonblocking else "") + event.kind] += 1
+        modeled["post_collective" if event.nonblocking else "charge_collective"] += 1
+    assert {k: modeled[k] for k in _MODELED_CALLS_AT_PARENT[overlap]} == (
         _MODELED_CALLS_AT_PARENT[overlap]
+    )
+    assert world.checker.n_completed == len(world.trace)
+    per_label = collections.Counter(
+        ev.comm_label for ev in world.trace.filter(kind="allreduce")
+    )
+    # overlapped, a chunk's moments travel in one aggregated iallreduce
+    per_group = (1 if overlap == "full" else n_mom) * n_chunks * field_solves // members
+    assert per_label == {
+        **{c.label: per_group for m in ens.members for c in m.comm1.values()},
+        **{m.comm_sim.label: 1 for m in ens.members},  # the diagnostics
+    }
+
+    # the host: a blocking field solve is one statement, one ``reduce``
+    # per chunk, and never goes through ``Communicator.allreduce``
+    blocks = 0 if overlap == "full" else n_chunks * field_solves
+    assert calls["allreduce_rounds"] == blocks
+    assert calls["allreduce"] == members  # the diagnostics again
+    assert calls["reduce"] == members + (
+        blocks if blocks else p2 * n_chunks * field_solves
     )
 
 
@@ -324,17 +360,29 @@ def test_zeroing_one_ranks_row_of_an_operand_changes_the_physics(monkeypatch, ov
 
     ens = _ensemble(overlap)
     victim = ens.members[1].comm1[2]
-    method = "iallreduce" if overlap == "str" else "allreduce"
-    original = getattr(Communicator, method)
     tampered = []
 
-    def tampering(self, values, *args, **kwargs):
-        if self is victim and not tampered:
-            assert isinstance(values, RankStacked) and values.ranks == self.ranks
-            values.array[1] = 0.0  # what comm rank 1 contributes
-            tampered.append(self.label)
-        return original(self, values, *args, **kwargs)
+    if overlap == "off":
+        original = solver_module.allreduce_rounds
 
-    monkeypatch.setattr(Communicator, method, tampering)
+        def tampering(comms, stack, columns, *args, **kwargs):
+            if victim in comms and not tampered:
+                # what comm rank 1 of the victim group contributes
+                stack[1, ..., columns[comms.index(victim)]] = 0.0
+                tampered.append(victim.label)
+            return original(comms, stack, columns, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "allreduce_rounds", tampering)
+    else:
+        original = Communicator.iallreduce
+
+        def tampering(self, values, *args, **kwargs):
+            if self is victim and not tampered:
+                assert isinstance(values, RankStacked) and values.ranks == self.ranks
+                values.array[1] = 0.0  # what comm rank 1 contributes
+                tampered.append(self.label)
+            return original(self, values, *args, **kwargs)
+
+        monkeypatch.setattr(Communicator, "iallreduce", tampering)
     assert _max_abs_vs_member_baseline(ens) > 0.0
     assert tampered == [victim.label]

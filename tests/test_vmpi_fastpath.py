@@ -15,6 +15,7 @@ import collections
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.cgyro.presets import small_test
-from repro.errors import CollectiveError
+from repro.check import CollectiveChecker
+from repro.errors import CollectiveError, RankFailure
 from repro.machine import (
     BlockPlacement,
     DragonflyTopology,
@@ -39,7 +41,10 @@ from repro.vmpi import (
     AllreduceAlgorithm,
     AlltoallAlgorithm,
     CommCostModel,
+    Communicator,
+    RankStacked,
     VirtualWorld,
+    allreduce_rounds,
 )
 from repro.xgyro import XgyroEnsemble
 
@@ -247,3 +252,274 @@ def test_lookups_scale_with_series_and_groups_not_with_collectives(
         hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest(),
         hashlib.sha256(spans_path.read_bytes()).hexdigest(),
     ) == _PINNED[overlap]
+
+
+# ----------------------------------------------------------------------
+# a lockstep statement books what the loop of single collectives books
+# ----------------------------------------------------------------------
+_GOLDEN_BOOKS = json.loads(
+    (Path(__file__).resolve().parent / "goldens" / "world_books.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_BOOKS))
+def test_world_books_recorded_at_the_parent(name, golden_generator):
+    """Clocks, waits, category times, every trace event, span, metric
+    series and checker post of the solver-state cases (and one slowed
+    run) reproduce the digests written while the field solve was still
+    a double loop of ``Communicator.allreduce``."""
+    assert sorted(golden_generator.WORLD_BOOKS_CASES) == sorted(_GOLDEN_BOOKS)
+    assert golden_generator.WORLD_BOOKS_CASES[name]() == _GOLDEN_BOOKS[name]
+
+
+_BLOCK_MACHINE = generic_cluster(n_nodes=4, ranks_per_node=16)
+
+
+def _books(world) -> dict:
+    """Everything a world booked, comparable with ``==``."""
+    return {
+        "clock": world.clock.tobytes(),
+        "coll_wait_s": world.coll_wait_s.tobytes(),
+        "imposed_wait_s": world.imposed_wait_s.tobytes(),
+        "category_times": [
+            world.category_breakdown([r], reduce="sum") for r in range(world.n_ranks)
+        ],
+        "trace": [repr(event) for event in world.trace],
+        "spans": None
+        if world.tracer is None
+        else [json.dumps(s.to_dict(), sort_keys=True) for s in world.tracer.spans],
+        "metrics": None if world.metrics is None else world.metrics.to_dict(),
+        "checker": None if world.checker is None else list(world.checker.completed),
+    }
+
+
+def _instrumented_world(*, telemetry, checker, plan=None, auto_algorithms=False):
+    world = VirtualWorld(_BLOCK_MACHINE, auto_algorithms=auto_algorithms)
+    if telemetry:
+        Telemetry().install(world)
+    if checker:
+        world.install_checker(CollectiveChecker())
+    if plan is not None:
+        world.install_fault_injector(FaultInjector(world, plan))
+    return world
+
+
+def _looped(comms, stack, columns, *, group_major=False):
+    """The double loop a block stands for: one ``Communicator.allreduce``
+    per (round, group), rounds outer — or, as a negative control,
+    groups outer."""
+    out = np.zeros(stack.shape[1:], dtype=stack.dtype)
+    rounds = range(stack.shape[1])
+    order = (
+        [(m, g) for g in range(len(comms)) for m in rounds]
+        if group_major
+        else [(m, g) for m in rounds for g in range(len(comms))]
+    )
+    for m, g in order:
+        comm, window = comms[g], columns[g]
+        summed = comm.allreduce(RankStacked(comm.ranks, stack[:, m, ..., window]))
+        out[m, ..., window] = summed[comm.ranks[0]]
+    return out
+
+
+@st.composite
+def _blocks(draw):
+    n_groups = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        # consecutive ranks: a group of up to 16 can sit inside one node
+        first = draw(st.integers(0, _BLOCK_MACHINE.n_ranks - n_groups * size))
+        members = list(range(first, first + n_groups * size))
+    else:
+        members = draw(
+            st.lists(
+                st.integers(0, _BLOCK_MACHINE.n_ranks - 1),
+                min_size=n_groups * size,
+                max_size=n_groups * size,
+                unique=True,
+            )
+        )
+    groups = [members[g * size : (g + 1) * size] for g in range(n_groups)]
+    widths = draw(st.lists(st.integers(1, 3), min_size=n_groups, max_size=n_groups))
+    edges = np.cumsum([0] + widths)
+    columns = [slice(int(a), int(b)) for a, b in zip(edges, edges[1:])]
+    return {
+        "groups": groups,
+        "columns": columns,
+        # more than one element per (round, group) window: see the
+        # one-element caveat in ``allreduce_rounds``
+        "shape": (size, draw(st.integers(1, 4)), draw(st.integers(2, 3)), int(edges[-1])),
+        "dtype": draw(st.sampled_from([np.float64, np.complex128])),
+        "seed": draw(st.integers(0, 2**16)),
+        "telemetry": draw(st.booleans()),
+        "checker": draw(st.booleans()),
+        "slowed": draw(st.booleans()),
+        "auto_algorithms": draw(st.booleans()),
+        "phase": draw(st.sampled_from(["", "str_comm"])),
+    }
+
+
+def _run_statements(block, issue):
+    """Two statements of ``block`` on a fresh world, the ranks entering
+    each at unequal clocks; returns the data and the books."""
+    plan = None
+    if block["slowed"]:
+        plan = FaultPlan(specs=(FaultSpec("link_slowdown", at_step=0, factor=2.5),))
+    world = _instrumented_world(
+        telemetry=block["telemetry"],
+        checker=block["checker"],
+        plan=plan,
+        auto_algorithms=block["auto_algorithms"],
+    )
+    comms = [
+        Communicator(world, ranks, label=f"g{g}")
+        for g, ranks in enumerate(block["groups"])
+    ]
+    rng = np.random.default_rng(block["seed"])
+    data = []
+    for _ in range(2):
+        stack = rng.normal(size=block["shape"]).astype(block["dtype"])
+        if stack.dtype.kind == "c":
+            stack += 1j * rng.normal(size=block["shape"])
+        skew = rng.random(world.n_ranks) * 1e-3
+        world.charge_compute(
+            range(world.n_ranks), seconds=dict(enumerate(skew.tolist()))
+        )
+        with world.phase(block["phase"]):
+            data.append(issue(comms, stack, block["columns"]).tobytes())
+    return data, _books(world)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_blocks())
+def test_a_block_books_what_the_double_loop_books(block):
+    assert _run_statements(block, allreduce_rounds) == _run_statements(block, _looped)
+
+
+def test_a_block_result_is_one_read_only_array_and_the_operand_untouched():
+    world = VirtualWorld(_BLOCK_MACHINE)
+    comms = [Communicator(world, r, label=f"g{g}") for g, r in enumerate([[0, 1], [2, 3]])]
+    stack = np.random.default_rng(3).normal(size=(2, 3, 2, 5))
+    before = stack.copy()
+    out = allreduce_rounds(comms, stack, [slice(0, 2), slice(2, 5)])
+    assert out.shape == (3, 2, 5) and not out.flags.writeable
+    assert np.array_equal(stack, before) and np.array_equal(out, stack[0] + stack[1])
+    assert [ev.nbytes for ev in world.trace] == [2 * 2 * 8, 2 * 3 * 8] * 3
+    assert [ev.seq for ev in world.trace] == list(range(1, 7))
+
+
+# -- the fault path ----------------------------------------------------
+_NODE_GROUPS = [list(range(16 * g, 16 * g + 4)) for g in range(4)]  # one per node
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # the victim sits in group 2: groups 0 and 1 get their first round
+        FaultSpec("rank_crash", at_step=0, rank=33),
+        # a whole group dies at once: the rest of the job pays the timeout
+        FaultSpec("node_loss", at_step=0, node=2),
+        # gated on the phase the block runs in
+        FaultSpec("rank_crash", at_step=0, rank=49, phase="str_comm"),
+        # the first group is hit: nothing is charged before the failure
+        FaultSpec("node_loss", at_step=0, node=0),
+    ],
+    ids=["crash-in-group-2", "node-loss-kills-group-2", "phase-gated", "group-0"],
+)
+def test_a_death_inside_a_block_surfaces_where_the_loop_finds_it(spec):
+    outcomes = []
+    for issue in (allreduce_rounds, _looped):
+        world = _instrumented_world(
+            telemetry=True, checker=True, plan=FaultPlan(specs=(spec,))
+        )
+        comms = [
+            Communicator(world, r, label=f"g{g}") for g, r in enumerate(_NODE_GROUPS)
+        ]
+        stack = np.ones((4, 3, 2, 8))
+        columns = [slice(2 * g, 2 * g + 2) for g in range(4)]
+        world.charge_compute(
+            range(world.n_ranks),
+            seconds={r: 1e-4 * (r % 7) for r in range(world.n_ranks)},
+        )
+        with world.phase("str_comm"), pytest.raises(RankFailure) as caught:
+            issue(comms, stack, columns)
+        failure = caught.value
+        outcomes.append(
+            (
+                str(failure),
+                failure.failed_ranks,
+                failure.failed_nodes,
+                failure.step,
+                failure.detected_at_s,
+                failure.detection_timeout_s,
+                failure.comm_label,
+                failure.kind,
+                _books(world),
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    victim_group = outcomes[0][6]
+    assert len(outcomes[0][-1]["trace"]) == int(victim_group[1:])
+
+
+# -- negative controls: each shows the property above can fail ----------
+def _block_spans(issue, **kwargs):
+    world = _instrumented_world(telemetry=True, checker=False)
+    comms = [Communicator(world, r, label=f"g{g}") for g, r in enumerate(_NODE_GROUPS)]
+    columns = [slice(2 * g, 2 * g + 2) for g in range(4)]
+    issue(comms, np.ones((4, 3, 2, 8)), columns, **kwargs)
+    return _books(world)["spans"]
+
+
+def test_records_emitted_group_major_would_change_the_span_log():
+    block = _block_spans(allreduce_rounds)
+    assert block == _block_spans(_looped)
+    assert block != _block_spans(_looped, group_major=True)
+    assert sorted(block, key=lambda s: json.loads(s)["name"]) != block
+
+
+def test_rounds_are_priced_by_repeated_addition_not_by_multiplication(monkeypatch):
+    """``0.7 + 0.2 + 0.2`` is not ``0.7 + 2 * 0.2``: a block that priced
+    round ``m`` as ``t0 + m * cost`` would move the third event and the
+    clocks by one ulp against the loop."""
+    t0, cost, rounds = 0.7, 0.2, 3
+    assert t0 + cost + cost != t0 + 2 * cost and t0 + cost + cost + cost != t0 + 3 * cost
+    ends = {}
+    for issue in (allreduce_rounds, _looped):
+        world = VirtualWorld(_BLOCK_MACHINE)
+        monkeypatch.setattr(
+            world.cost_model, "collective_cost", lambda *args, **kwargs: cost
+        )
+        comm = Communicator(world, [0, 1], label="g")
+        world.charge_compute(comm.ranks, seconds=t0)
+        issue([comm], np.ones((2, rounds, 2, 1)), [slice(0, 1)])
+        assert [ev.t_start for ev in world.trace] == [t0, t0 + cost, t0 + cost + cost]
+        ends[issue] = world.clock[:2].tolist()
+        # the compute charge, then one add per round
+        assert world.category_time("uncategorized", [0]) == t0 + cost + cost + cost
+    assert ends[allreduce_rounds] == ends[_looped] == [t0 + cost + cost + cost] * 2
+
+
+@pytest.mark.parametrize("checker", [False, True], ids=["bare", "checked"])
+@pytest.mark.parametrize(
+    "groups, rows, match",
+    [
+        ([[0, 1, 2], [3, 4, 5]], 2, "does not stack the 3 ranks"),
+        ([[0, 1, 2], [2, 3, 4]], 3, "disjoint groups"),
+        ([[0, 1, 2], [3, 4]], 3, "groups of one size"),
+    ],
+    ids=["a-row-too-few", "overlapping-groups", "unequal-sizes"],
+)
+def test_a_malformed_block_is_refused_before_anything_is_booked(
+    groups, rows, match, checker
+):
+    world = _instrumented_world(telemetry=False, checker=checker)
+    comms = [Communicator(world, r, label=f"g{g}") for g, r in enumerate(groups)]
+    columns = [slice(0, 1), slice(1, 2)]
+    with pytest.raises(CollectiveError, match=match):
+        allreduce_rounds(comms, np.ones((rows, 2, 2, 2)), columns)
+    with pytest.raises(CollectiveError, match="one column window per communicator"):
+        allreduce_rounds(comms, np.ones((rows, 2, 2, 2)), columns[:1])
+    assert not world.clock.any() and len(world.trace) == 0
+    if checker:
+        assert world.checker.completed == []

@@ -103,6 +103,16 @@ class TestCategories:
         assert small_world.category_time("c", reduce="sum") == 4.0
         assert small_world.category_time("c", [0, 1], reduce="mean") == 2.0
 
+    @pytest.mark.parametrize("ranks", [None, [0, 1], []], ids=["all", "some", "none"])
+    def test_a_misspelt_reduce_is_refused_whatever_the_rank_list(
+        self, small_world, ranks
+    ):
+        """An empty rank list used to answer 0.0 before the mode was
+        looked at."""
+        with pytest.raises(VmpiError, match="unknown reduce 'bogus'"):
+            small_world.category_time("c", ranks, reduce="bogus")
+        assert small_world.category_time("c", [], reduce="mean") == 0.0
+
     def test_breakdown_covers_all_categories(self, small_world):
         small_world.charge_compute(0, seconds=1.0, category="a")
         small_world.charge_compute(0, seconds=2.0, category="b")
