@@ -24,10 +24,11 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from repro.errors import CampaignError
+from repro.records import Record
 
 
 @dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(Record):
     """Completion record of one request (written when it finishes)."""
 
     request_id: str
@@ -38,6 +39,8 @@ class RequestRecord:
     finish_s: float
     steps: int
     attempts: int
+
+    record_derived = ("queue_latency_s", "turnaround_s")
 
     @property
     def queue_latency_s(self) -> float:
@@ -55,24 +58,9 @@ class RequestRecord:
         :attr:`queue_latency_s`)."""
         return max(0.0, self.finish_s - self.arrival_s)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "request_id": self.request_id,
-            "job_id": self.job_id,
-            "priority": self.priority,
-            "arrival_s": self.arrival_s,
-            "start_s": self.start_s,
-            "finish_s": self.finish_s,
-            "steps": self.steps,
-            "attempts": self.attempts,
-            "queue_latency_s": self.queue_latency_s,
-            "turnaround_s": self.turnaround_s,
-        }
-
 
 @dataclass(frozen=True)
-class JobRecord:
+class JobRecord(Record):
     """Dispatch record of one packed job."""
 
     job_id: str
@@ -100,50 +88,9 @@ class JobRecord:
         """Members that survived to the end of the job."""
         return self.k - len(self.lost_request_ids)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "job_id": self.job_id,
-            "round": self.round,
-            "wave": self.wave,
-            "signature_key": self.signature_key,
-            "k": self.k,
-            "n_nodes": self.n_nodes,
-            "nodes": list(self.nodes),
-            "steps": self.steps,
-            "start_s": self.start_s,
-            "elapsed_s": self.elapsed_s,
-            "cache_hit": self.cache_hit,
-            "cmat_build_s": self.cmat_build_s,
-            "n_recoveries": self.n_recoveries,
-            "lost_request_ids": list(self.lost_request_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "JobRecord":
-        """Rebuild from :meth:`to_dict` output (journal replay)."""
-        return cls(
-            job_id=str(d["job_id"]),
-            round=int(d["round"]),  # type: ignore[arg-type]
-            wave=int(d["wave"]),  # type: ignore[arg-type]
-            signature_key=str(d["signature_key"]),
-            k=int(d["k"]),  # type: ignore[arg-type]
-            n_nodes=int(d["n_nodes"]),  # type: ignore[arg-type]
-            nodes=tuple(int(n) for n in d["nodes"]),  # type: ignore[union-attr]
-            steps=int(d["steps"]),  # type: ignore[arg-type]
-            start_s=float(d["start_s"]),  # type: ignore[arg-type]
-            elapsed_s=float(d["elapsed_s"]),  # type: ignore[arg-type]
-            cache_hit=bool(d["cache_hit"]),
-            cmat_build_s=float(d["cmat_build_s"]),  # type: ignore[arg-type]
-            n_recoveries=int(d["n_recoveries"]),  # type: ignore[arg-type]
-            lost_request_ids=tuple(
-                str(r) for r in d["lost_request_ids"]  # type: ignore[union-attr]
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class WaveRecord:
+class WaveRecord(Record):
     """Timeline entry for one wave of node-disjoint jobs."""
 
     round: int
@@ -153,51 +100,26 @@ class WaveRecord:
     n_jobs: int
     nodes_busy: int
 
+    #: the derived ``duration_s`` sits between the fields it is made of
+    record_keys = (
+        "round", "wave", "start_s", "end_s", "duration_s", "n_jobs",
+        "nodes_busy",
+    )
+
     @property
     def duration_s(self) -> float:
         """Wave makespan (its slowest job)."""
         return self.end_s - self.start_s
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "round": self.round,
-            "wave": self.wave,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "duration_s": self.duration_s,
-            "n_jobs": self.n_jobs,
-            "nodes_busy": self.nodes_busy,
-        }
-
 
 @dataclass(frozen=True)
-class AbandonedRecord:
+class AbandonedRecord(Record):
     """Dead-letter entry: a request given up on after repeated faults."""
 
     request_id: str
     attempts: int
     last_job_id: str
     reason: str
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "request_id": self.request_id,
-            "attempts": self.attempts,
-            "last_job_id": self.last_job_id,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "AbandonedRecord":
-        """Rebuild from :meth:`to_dict` output (journal replay)."""
-        return cls(
-            request_id=str(d["request_id"]),
-            attempts=int(d["attempts"]),  # type: ignore[arg-type]
-            last_job_id=str(d["last_job_id"]),
-            reason=str(d["reason"]),
-        )
 
 
 def retry_or_abandon(

@@ -16,52 +16,30 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro import records
 from repro.errors import CampaignError
 from repro.cgyro.params import CgyroInput
-from repro.collision.params import SpeciesParams
-
-
-# ----------------------------------------------------------------------
-# CgyroInput <-> plain dict (JSON-safe)
-# ----------------------------------------------------------------------
-_TUPLE_FIELDS = ("dlnndr", "dlntdr")
 
 
 def input_to_dict(inp: CgyroInput) -> Dict[str, object]:
     """JSON-safe dict of every :class:`CgyroInput` field."""
-    out = asdict(inp)
-    out["species"] = [asdict(sp) for sp in inp.species]
-    for name in _TUPLE_FIELDS:
-        out[name] = list(getattr(inp, name))
-    return out
+    return records.dump(inp)
 
 
 def input_from_dict(data: Dict[str, object]) -> CgyroInput:
     """Rebuild a validated :class:`CgyroInput` from :func:`input_to_dict`."""
-    known = {f.name for f in fields(CgyroInput)}
-    unknown = set(data) - known
-    if unknown:
-        raise CampaignError(
-            f"unknown CgyroInput fields in request: {', '.join(sorted(unknown))}"
-        )
-    kwargs = dict(data)
-    if "species" in kwargs:
-        kwargs["species"] = tuple(
-            SpeciesParams(**sp) for sp in kwargs["species"]
-        )
-    for name in _TUPLE_FIELDS:
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
-    return CgyroInput(**kwargs)
+    return records.load(
+        CgyroInput, data, what="request input", error=CampaignError
+    )
 
 
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SimRequest:
+class SimRequest(records.Record):
     """One simulation request in the campaign stream.
 
     Parameters
@@ -95,37 +73,12 @@ class SimRequest:
     tenant: Optional[str] = None
     deadline_s: Optional[float] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "request_id": self.request_id,
-            "priority": self.priority,
-            "arrival_s": self.arrival_s,
-            "attempt": self.attempt,
-            "tenant": self.tenant,
-            "deadline_s": self.deadline_s,
-            "input": input_to_dict(self.input),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SimRequest":
-        """Inverse of :meth:`to_dict` (validates the embedded input)."""
-        try:
-            request_id = str(data["request_id"])
-            raw_input = data["input"]
-        except (KeyError, TypeError) as exc:
-            raise CampaignError(f"request is missing field {exc}") from None
-        tenant = data.get("tenant")
-        deadline = data.get("deadline_s")
-        return cls(
-            request_id=request_id,
-            input=input_from_dict(dict(raw_input)),
-            priority=int(data.get("priority", 0)),
-            arrival_s=float(data.get("arrival_s", 0.0)),
-            attempt=int(data.get("attempt", 0)),
-            tenant=None if tenant is None else str(tenant),
-            deadline_s=None if deadline is None else float(deadline),
-        )
+    #: request files carry the (long) input last
+    record_keys = (
+        "request_id", "priority", "arrival_s", "attempt", "tenant",
+        "deadline_s", "input",
+    )
+    record_error = CampaignError
 
     def requeued(self) -> "SimRequest":
         """A copy representing the retry after a lost dispatch.
@@ -134,15 +87,7 @@ class SimRequest:
         accounting measures from first submission); only the attempt
         counter advances.
         """
-        return SimRequest(
-            request_id=self.request_id,
-            input=self.input,
-            priority=self.priority,
-            arrival_s=self.arrival_s,
-            attempt=self.attempt + 1,
-            tenant=self.tenant,
-            deadline_s=self.deadline_s,
-        )
+        return replace(self, attempt=self.attempt + 1)
 
 
 class RequestQueue:
@@ -213,26 +158,30 @@ class RequestQueue:
     def to_json(self, path: "Union[str, Path, None]" = None, *, indent: int = 2) -> str:
         """Serialise the pending requests (queue order); optionally write
         the JSON to ``path``."""
-        text = json.dumps(
-            {"requests": [r.to_dict() for r in self.pending()]}, indent=indent
-        )
+        doc = _QueueFile(tuple(self.pending()))
+        text = json.dumps(records.dump(doc), indent=indent)
         if path is not None:
             Path(path).write_text(text + "\n")
         return text
 
     @classmethod
     def from_json(cls, source: Union[str, Path]) -> "RequestQueue":
-        """Load a queue from a JSON file path or a JSON string."""
-        path = Path(source)
-        try:
-            is_file = path.exists()
-        except OSError:  # a long JSON string is not a valid path
-            is_file = False
-        text = path.read_text() if is_file else str(source)
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CampaignError(f"invalid request JSON: {exc}") from None
-        if not isinstance(data, dict) or "requests" not in data:
-            raise CampaignError('request JSON must be {"requests": [...]}')
-        return cls(SimRequest.from_dict(d) for d in data["requests"])
+        """Load a queue from a JSON file path or a JSON string (one
+        starting with ``{``); anything but ``{"requests": [...]}`` of
+        well-formed requests is a :class:`~repro.errors.CampaignError`
+        naming file and key."""
+        text = str(source)
+        if isinstance(source, Path) or not text.lstrip().startswith("{"):
+            doc = records.load_json(_QueueFile, source, error=CampaignError)
+        else:
+            doc = records.load_text(
+                _QueueFile, text, what="request JSON", error=CampaignError
+            )
+        return cls(doc.requests)
+
+
+@dataclass(frozen=True)
+class _QueueFile:
+    """A request-queue document, as the record codec dumps and checks it."""
+
+    requests: Tuple[SimRequest, ...]

@@ -50,6 +50,7 @@ from repro.errors import InvariantViolation, JournalCrash, ProtocolError
 from repro.machine import generic_cluster
 from repro.machine.model import KiB, MachineModel
 from repro.machine.topology import FaultDomains
+from repro.records import Record
 from repro.resilience import FaultPlan, FaultSpec
 
 
@@ -129,31 +130,28 @@ class ChaosScenario:
 
 
 @dataclass(frozen=True)
-class InvariantCheck:
+class InvariantCheck(Record):
     """One invariant's verdict for one scenario."""
 
     name: str
     passed: bool
     detail: str
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 @dataclass
-class ChaosReport:
-    """Everything one scenario run established."""
+class ChaosReport(Record):
+    """Everything one scenario run established (``to_dict`` is
+    byte-stable under ``sort_keys``)."""
 
     scenario: str
     checks: List[InvariantCheck] = field(default_factory=list)
     n_wal_events: int = 0
     crash_indices: Tuple[int, ...] = ()
-    report: object = None  # the uncrashed run's ServiceReport
+    #: the uncrashed run's ServiceReport, dumped through its own
+    #: ``to_dict`` (and loaded back as that plain mapping)
+    report: object = None
+
+    record_derived = ("ok",)
 
     @property
     def ok(self) -> bool:
@@ -164,18 +162,6 @@ class ChaosReport:
     def failures(self) -> Tuple[InvariantCheck, ...]:
         """The failed checks, in declaration order."""
         return tuple(c for c in self.checks if not c.passed)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe (and byte-stable under ``sort_keys``) summary."""
-        rep = self.report
-        return {
-            "scenario": self.scenario,
-            "ok": self.ok,
-            "n_wal_events": self.n_wal_events,
-            "crash_indices": list(self.crash_indices),
-            "checks": [c.to_dict() for c in self.checks],
-            "report": rep.to_dict() if rep is not None else None,
-        }
 
 
 def _disposition_ids(report) -> Dict[str, List[str]]:

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import records
 from repro.errors import InputError
 from repro.cgyro.params import CgyroInput
 from repro.cgyro.solver import CgyroSimulation
@@ -58,12 +59,13 @@ MODE_TOLERANCES: Dict[str, Tuple[float, float]] = {
 
 
 @dataclass(frozen=True)
-class FieldDelta:
+class FieldDelta(records.Record):
     """Max deviation of one compared field for one member.
 
     ``max_rel`` is scale-relative: ``max_abs`` over the baseline
-    field's own max magnitude (``scale``), so near-zero elements do not
-    manufacture spurious relative error.
+    field's own max magnitude (``scale``, kept to 6 significant
+    digits), so near-zero elements do not manufacture spurious
+    relative error.
     """
 
     field: str
@@ -72,31 +74,9 @@ class FieldDelta:
     scale: float
     ok: bool
 
-    def to_dict(self) -> Dict[str, object]:
-        # scale is context, not verdict: round to 6 significant digits
-        # so golden files stay byte-stable across BLAS implementations
-        # whose last-ulp noise would otherwise leak into the JSON
-        return {
-            "field": self.field,
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
-            "scale": float(f"{self.scale:.6e}"),
-            "ok": self.ok,
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "FieldDelta":
-        return FieldDelta(
-            field=str(d["field"]),
-            max_abs=float(d["max_abs"]),  # type: ignore[arg-type]
-            max_rel=float(d["max_rel"]),  # type: ignore[arg-type]
-            scale=float(d["scale"]),  # type: ignore[arg-type]
-            ok=bool(d["ok"]),
-        )
-
 
 @dataclass(frozen=True)
-class MemberCheck:
+class MemberCheck(records.Record):
     """All field comparisons for one member at one reporting interval."""
 
     member: int
@@ -104,33 +84,15 @@ class MemberCheck:
     interval: int
     fields: Tuple[FieldDelta, ...]
 
+    record_derived = ("ok",)
+
     @property
     def ok(self) -> bool:
         return all(f.ok for f in self.fields)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "member": self.member,
-            "name": self.name,
-            "interval": self.interval,
-            "ok": self.ok,
-            "fields": [f.to_dict() for f in self.fields],
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "MemberCheck":
-        return MemberCheck(
-            member=int(d["member"]),  # type: ignore[arg-type]
-            name=str(d["name"]),
-            interval=int(d["interval"]),  # type: ignore[arg-type]
-            fields=tuple(
-                FieldDelta.from_dict(f) for f in d["fields"]  # type: ignore[union-attr]
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(records.Record):
     """Outcome of one differential-oracle run.
 
     ``checks`` holds one :class:`MemberCheck` per (interval, member),
@@ -150,6 +112,9 @@ class EquivalenceReport:
     checks: Tuple[MemberCheck, ...]
     overlap: str = "off"
 
+    record_tag = "equivalence-report-v1"
+    record_derived = ("ok", "max_abs", "max_rel")
+
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
@@ -164,48 +129,9 @@ class EquivalenceReport:
         """Largest scale-relative deviation over every field and member."""
         return max((f.max_rel for c in self.checks for f in c.fields), default=0.0)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "format": "equivalence-report-v1",
-            "mode": self.mode,
-            "k": self.k,
-            "n_reports": self.n_reports,
-            "machine": self.machine,
-            "ensemble_ranks": self.ensemble_ranks,
-            "baseline_ranks": self.baseline_ranks,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "overlap": self.overlap,
-            "ok": self.ok,
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
     def to_json(self) -> str:
         """Byte-stable JSON rendering (golden-file format)."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "EquivalenceReport":
-        return EquivalenceReport(
-            mode=str(d["mode"]),
-            k=int(d["k"]),  # type: ignore[arg-type]
-            n_reports=int(d["n_reports"]),  # type: ignore[arg-type]
-            machine=str(d["machine"]),
-            ensemble_ranks=int(d["ensemble_ranks"]),  # type: ignore[arg-type]
-            baseline_ranks=int(d["baseline_ranks"]),  # type: ignore[arg-type]
-            rtol=float(d["rtol"]),  # type: ignore[arg-type]
-            atol=float(d["atol"]),  # type: ignore[arg-type]
-            checks=tuple(
-                MemberCheck.from_dict(c) for c in d["checks"]  # type: ignore[union-attr]
-            ),
-            overlap=str(d.get("overlap", "off")),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "EquivalenceReport":
-        return EquivalenceReport.from_dict(json.loads(text))
 
     def render(self) -> str:
         """Human-readable summary table."""
@@ -249,7 +175,10 @@ def _field_delta(
     else:
         max_rel = 0.0 if max_abs == 0.0 else math.inf
     ok = max_abs <= atol + rtol * scale
-    return FieldDelta(name, max_abs, max_rel, scale, ok)
+    # scale is context, not verdict: keep 6 significant digits so golden
+    # files stay byte-stable across BLAS implementations whose last-ulp
+    # noise would otherwise leak into the JSON
+    return FieldDelta(name, max_abs, max_rel, float(f"{scale:.6e}"), ok)
 
 
 def _member_check(

@@ -63,6 +63,7 @@ from repro.perf import (
     render_figure2,
 )
 from repro.perf.calibrate import PAPER_TARGETS
+from repro.records import read_json, write_json
 from repro.vmpi import VirtualWorld
 from repro.xgyro import XgyroEnsemble
 from repro.xgyro.input import parse_ensemble
@@ -331,8 +332,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    import json
-
     from repro.campaign import (
         CampaignPacker,
         CampaignRunner,
@@ -403,7 +402,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     report = runner.run(queue, steps=args.steps)
     print(render_campaign_report(report))
     if args.json:
-        Path(args.json).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        write_json(args.json, report.to_dict(), indent=2, sort_keys=False)
         print(f"report written to {args.json}")
     return 0
 
@@ -454,8 +453,6 @@ def _serve_tenants(specs):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs import Telemetry
     from repro.service import (
         BurstyTraffic,
@@ -538,9 +535,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     report = service.run(args.horizon)
     print(render_service_report(report))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(args.json, report.to_dict(), indent=2)
         print(f"report written to {args.json}")
     if args.smoke and (
         report.n_served + report.n_shed + report.n_abandoned
@@ -735,21 +730,17 @@ def _parse_quantile_spec(spec: str) -> Tuple[str, float]:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
     if args.load:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry.from_dict(
-            json.loads(Path(args.load).read_text())
+            read_json(args.load, error=ReproError), what=args.load
         )
     else:
         tele, _world, _ensemble = _traced_run(args)
         registry = tele.metrics
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(registry.to_dict(), indent=1, sort_keys=True) + "\n"
-        )
+        write_json(args.json, registry.to_dict(), indent=1)
         print(f"metrics snapshot written to {args.json}")
     for spec in args.quantile or []:
         from repro.obs import Histogram
@@ -783,8 +774,6 @@ def cmd_perf_gate(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
     from repro.check import (
         builtin_scenarios,
         render_chaos_report,
@@ -818,19 +807,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
     print(render_chaos_report(results))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(
-                [r.to_dict() for r in results], indent=1, sort_keys=True
-            )
-            + "\n"
-        )
+        write_json(args.json, [r.to_dict() for r in results], indent=1)
         print(f"chaos results written to {args.json}")
     return 0 if all(r.ok for r in results) else 1
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    import json
-
     from repro.check import builtin_scenarios
     from repro.obs import (
         ServiceMonitor,
@@ -871,9 +853,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             export_rollups_jsonl(monitor.rollups, path)
             print(f"{len(monitor.rollups)} rollup(s) written to {path}")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(summaries, indent=1, sort_keys=True) + "\n"
-        )
+        write_json(args.json, summaries, indent=1)
         print(f"monitor summaries written to {args.json}")
     # a page left firing at the end of the horizon is a failed drill:
     # the fault cleared but the alert did not resolve

@@ -19,35 +19,28 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
+from repro import records
+from repro.errors import ReproError
 from repro.obs.span import Span
 
-FORMAT_HEADER = {"format": "repro-spans-v1"}
-
-
-def _dumps(obj: Dict[str, object]) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: Format tag on the header line of a span log.
+SPANS_FORMAT = "repro-spans-v1"
 
 
 def export_spans_jsonl(spans: Sequence[Span], path: Union[str, Path]) -> int:
     """Write one JSON object per line (header first); returns span count."""
-    lines = [_dumps(dict(FORMAT_HEADER))]
-    for s in sorted(spans, key=lambda s: s.span_id):
-        lines.append(_dumps(s.to_dict()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    records.write_jsonl(
+        path,
+        (s.to_dict() for s in sorted(spans, key=lambda s: s.span_id)),
+        tag=SPANS_FORMAT,
+    )
     return len(spans)
 
 
 def load_spans_jsonl(path: Union[str, Path]) -> List[Span]:
-    """Inverse of :func:`export_spans_jsonl`."""
-    out: List[Span] = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        if "format" in doc and "span_id" not in doc:
-            continue  # header line
-        out.append(Span.from_dict(doc))
-    return out
+    """Inverse of :func:`export_spans_jsonl`; anything else is a
+    :class:`~repro.errors.ReproError` naming file, line and key."""
+    return records.load_jsonl(Span, path, tag=SPANS_FORMAT, error=ReproError)
 
 
 # ----------------------------------------------------------------------

@@ -27,14 +27,23 @@ lower-is-better.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Union
 
 from repro.errors import ReproError
+from repro.records import dump, load_json, write_json
 
 BENCH_FORMAT = "repro-bench-v1"
+
+
+@dataclass(frozen=True)
+class _BenchFile:
+    """A bench-record document, as the record codec checks it."""
+
+    records: Dict[str, Dict[str, float]]
+
+    record_tag = BENCH_FORMAT
 
 #: Substrings marking a metric as higher-is-better.
 HIGHER_IS_BETTER = (
@@ -62,34 +71,21 @@ def write_bench_records(
     records: Mapping[str, Mapping[str, float]], path: Union[str, Path]
 ) -> int:
     """Write a bench-record file (sorted, byte-stable); returns count."""
-    doc = {
-        "format": BENCH_FORMAT,
-        "records": {
-            name: {k: float(v) for k, v in sorted(metrics.items())}
-            for name, metrics in sorted(records.items())
-        },
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    doc = _BenchFile(
+        {
+            name: {k: float(v) for k, v in metrics.items()}
+            for name, metrics in records.items()
+        }
+    )
+    write_json(path, dump(doc), indent=1)
     return len(records)
 
 
 def load_bench_records(path: Union[str, Path]) -> Dict[str, Dict[str, float]]:
-    """Load a bench-record file, validating the format tag."""
-    p = Path(path)
-    if not p.is_file():
-        raise ReproError(f"bench-record file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"{p}: not valid JSON ({exc})") from exc
-    if doc.get("format") != BENCH_FORMAT:
-        raise ReproError(
-            f"{path}: not a {BENCH_FORMAT} file (format={doc.get('format')!r})"
-        )
-    return {
-        str(name): {str(k): float(v) for k, v in metrics.items()}
-        for name, metrics in doc.get("records", {}).items()
-    }
+    """Load a bench-record file; anything but a ``repro-bench-v1``
+    document of ``{bench: {metric: number}}`` is a
+    :class:`~repro.errors.ReproError` naming file and key."""
+    return load_json(_BenchFile, path, error=ReproError).records
 
 
 # ----------------------------------------------------------------------

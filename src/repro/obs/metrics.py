@@ -18,8 +18,10 @@ Export formats:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
+from repro import records
 from repro.errors import ReproError
 
 #: Default histogram bucket upper bounds (simulated seconds).
@@ -228,6 +230,37 @@ class Histogram:
         return out
 
 
+@dataclass(frozen=True)
+class _ScalarRow:
+    """One counter or gauge series of a snapshot."""
+
+    name: str
+    labels: Dict[str, str]
+    value: float
+
+
+@dataclass(frozen=True)
+class _HistogramRow:
+    """One histogram series of a snapshot."""
+
+    name: str
+    labels: Dict[str, str]
+    buckets: Tuple[float, ...]
+    counts: Tuple[int, ...]
+    sum: float
+    count: int
+
+
+@dataclass(frozen=True)
+class _Snapshot:
+    """:meth:`MetricsRegistry.to_dict`'s document, as the record codec
+    dumps and checks it."""
+
+    counters: Tuple[_ScalarRow, ...]
+    gauges: Tuple[_ScalarRow, ...]
+    histograms: Tuple[_HistogramRow, ...]
+
+
 class MetricsRegistry:
     """Get-or-create registry of labelled metrics."""
 
@@ -320,61 +353,52 @@ class MetricsRegistry:
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe snapshot with deterministic ordering."""
 
-        def scalar(table: Mapping[Tuple[str, LabelKey], object], attr: str):
-            rows = []
-            for (n, key), m in sorted(table.items()):
-                rows.append(
-                    {
-                        "name": n,
-                        "labels": {k: v for k, v in key},
-                        "value": getattr(m, attr),
-                    }
-                )
-            return rows
-
-        hists = []
-        for (n, key), h in sorted(self._histograms.items()):
-            hists.append(
-                {
-                    "name": n,
-                    "labels": {k: v for k, v in key},
-                    "buckets": list(h.buckets),
-                    "counts": list(h.counts),
-                    "sum": h.sum,
-                    "count": h.count,
-                }
+        def scalar(table) -> Tuple[_ScalarRow, ...]:
+            return tuple(
+                _ScalarRow(n, dict(key), m.value)
+                for (n, key), m in sorted(table.items())
             )
-        return {
-            "counters": scalar(self._counters, "value"),
-            "gauges": scalar(self._gauges, "value"),
-            "histograms": hists,
-        }
+
+        return records.dump(
+            _Snapshot(
+                counters=scalar(self._counters),
+                gauges=scalar(self._gauges),
+                histograms=tuple(
+                    _HistogramRow(
+                        n, dict(key), h.buckets, h.counts, h.sum, h.count
+                    )
+                    for (n, key), h in sorted(self._histograms.items())
+                ),
+            )
+        )
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`to_dict` output.
+    def from_dict(
+        cls, payload: Mapping[str, object], what: str = "metrics snapshot"
+    ) -> "MetricsRegistry":
+        """Rebuild a registry from :meth:`to_dict` output; anything else
+        is a :class:`~repro.errors.ReproError` naming ``what`` (the
+        file, when a caller knows it) and the key.
 
         Round-trips exactly: ``from_dict(r.to_dict()).to_dict()`` is
         byte-identical to ``r.to_dict()``.  This is what lets the CLI
         interrogate an exported metrics JSON (quantiles, totals)
         without re-running the simulation that produced it.
         """
+        snap = records.load(_Snapshot, payload, what=what)
         reg = cls()
-        for row in payload.get("counters", ()):  # type: ignore[union-attr]
-            reg.counter(str(row["name"]), **row.get("labels", {})).inc(
-                float(row["value"])
-            )
-        for row in payload.get("gauges", ()):  # type: ignore[union-attr]
-            reg.gauge(str(row["name"]), **row.get("labels", {})).set(
-                float(row["value"])
-            )
-        for row in payload.get("histograms", ()):  # type: ignore[union-attr]
-            key = (str(row["name"]), _label_key(row.get("labels", {})))
-            reg._histograms[key] = Histogram.from_state(
-                tuple(row["buckets"]),
-                tuple(row["counts"]),
-                float(row["sum"]),
-                int(row["count"]),
+        # keyed directly: a label may be called anything in a file
+        for row in snap.counters:
+            c = reg._counters[(row.name, _label_key(row.labels))] = Counter()
+            c.inc(row.value)
+        for row in snap.gauges:
+            g = reg._gauges[(row.name, _label_key(row.labels))] = Gauge()
+            g.set(row.value)
+        for row in snap.histograms:
+            reg._histograms[(row.name, _label_key(row.labels))] = (
+                Histogram.from_state(
+                    row.buckets, row.counts, row.sum, row.count
+                )
             )
         return reg
 

@@ -50,11 +50,11 @@ and the ``repro monitor`` CLI.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro import records
 from repro.errors import ReproError
 from repro.obs.metrics import HistogramSnapshot, MetricsRegistry
 from repro.resilience.health import robust_cutoff
@@ -103,20 +103,11 @@ CAUSES = (
 )
 
 
-def _dumps(obj: Mapping[str, object]) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _json_float(x: float) -> Optional[float]:
-    """NaN is not JSON; empty-window quantiles serialise as None."""
-    return None if x != x else float(x)
-
-
 # ----------------------------------------------------------------------
 # layer 1: streaming rollups
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class WindowRollup:
+class WindowRollup(records.Record):
     """One window's worth of service metrics.
 
     ``metrics`` is a flat name->float map (the alert rules' input);
@@ -132,36 +123,7 @@ class WindowRollup:
     metrics: Dict[str, float] = field(default_factory=dict)
     domains: Dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe, byte-stable under sorted-key dumps."""
-        return {
-            "index": self.index,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "metrics": {
-                k: _json_float(v) for k, v in sorted(self.metrics.items())
-            },
-            "domains": {
-                k: float(v) for k, v in sorted(self.domains.items())
-            },
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping[str, object]) -> "WindowRollup":
-        """Inverse of :meth:`to_dict` (None comes back as NaN)."""
-        return WindowRollup(
-            index=int(d["index"]),
-            t_start=float(d["t_start"]),
-            t_end=float(d["t_end"]),
-            metrics={
-                str(k): float("nan") if v is None else float(v)
-                for k, v in dict(d.get("metrics", {})).items()
-            },
-            domains={
-                str(k): float(v)
-                for k, v in dict(d.get("domains", {})).items()
-            },
-        )
+    record_nan_null = ("metrics",)
 
 
 def export_rollups_jsonl(
@@ -170,32 +132,27 @@ def export_rollups_jsonl(
     """Write the rollup time series as JSONL (header first); returns
     the rollup count.  Byte-stable: re-exporting a loaded file
     reproduces it exactly."""
-    lines = [_dumps({"format": ROLLUP_FORMAT})]
-    for r in rollups:
-        lines.append(_dumps(r.to_dict()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    records.write_jsonl(
+        path, (r.to_dict() for r in rollups), tag=ROLLUP_FORMAT
+    )
     return len(rollups)
 
 
 def load_rollups_jsonl(path: Union[str, Path]) -> List[WindowRollup]:
-    """Inverse of :func:`export_rollups_jsonl`."""
-    out: List[WindowRollup] = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        if "format" in doc and "index" not in doc:
-            continue  # header line
-        out.append(WindowRollup.from_dict(doc))
-    return out
+    """Inverse of :func:`export_rollups_jsonl`; anything else is a
+    :class:`~repro.errors.ReproError` naming file, line and key."""
+    return records.load_jsonl(
+        WindowRollup, path, tag=ROLLUP_FORMAT, error=ReproError
+    )
 
 
 # ----------------------------------------------------------------------
 # layer 2: alert rules
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class AlertRule:
-    """One declarative alert rule, evaluated once per closed window.
+class AlertRule(records.Record):
+    """One declarative alert rule, evaluated once per closed window
+    (one entry of a rulebook file; omitted keys take their defaults).
 
     Kinds
     -----
@@ -278,63 +235,25 @@ class AlertRule:
         if self.min_history < 1:
             raise ReproError(f"rule {self.name!r}: min_history must be >= 1")
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe mapping (the rulebook file format)."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "metric": self.metric,
-            "description": self.description,
-            "severity": self.severity,
-            "for_windows": self.for_windows,
-            "threshold": self.threshold,
-            "num": self.num,
-            "den": self.den,
-            "budget": self.budget,
-            "fast_windows": self.fast_windows,
-            "slow_windows": self.slow_windows,
-            "fast_burn": self.fast_burn,
-            "slow_burn": self.slow_burn,
-            "direction": self.direction,
-            "mad_threshold": self.mad_threshold,
-            "rel_floor": self.rel_floor,
-            "history_windows": self.history_windows,
-            "min_history": self.min_history,
-            "min_value": self.min_value,
-            "gate_metric": self.gate_metric,
-            "gate_min": self.gate_min,
-        }
 
-    @staticmethod
-    def from_dict(d: Mapping[str, object]) -> "AlertRule":
-        """Inverse of :meth:`to_dict`; omitted keys take defaults."""
-        known = {
-            k: v for k, v in d.items() if k in AlertRule.__dataclass_fields__
-        }
-        unknown = sorted(set(d) - set(known))
-        if unknown:
-            raise ReproError(f"unknown rule fields: {unknown}")
-        return AlertRule(**known)  # type: ignore[arg-type]
+@dataclass(frozen=True)
+class _Rulebook:
+    """A rulebook document, as the record codec dumps and checks it."""
+
+    rules: Tuple[AlertRule, ...]
 
 
 def load_rulebook(path: Union[str, Path]) -> Tuple[AlertRule, ...]:
-    """Read a JSON rulebook: ``{"rules": [{...}, ...]}``."""
-    doc = json.loads(Path(path).read_text())
-    return tuple(AlertRule.from_dict(r) for r in doc.get("rules", ()))
+    """Read a JSON rulebook: ``{"rules": [{...}, ...]}``; anything else
+    is a :class:`~repro.errors.ReproError` naming file and key."""
+    return records.load_json(_Rulebook, path, error=ReproError).rules
 
 
 def dump_rulebook(
     rules: Sequence[AlertRule], path: Union[str, Path]
 ) -> None:
     """Write a rulebook JSON (inverse of :func:`load_rulebook`)."""
-    Path(path).write_text(
-        json.dumps(
-            {"rules": [r.to_dict() for r in rules]},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    records.write_json(path, records.dump(_Rulebook(tuple(rules))), indent=2)
 
 
 def default_rulebook() -> Tuple[AlertRule, ...]:
@@ -409,7 +328,7 @@ def default_rulebook() -> Tuple[AlertRule, ...]:
 
 
 @dataclass(frozen=True)
-class AlertEvent:
+class AlertEvent(records.Record):
     """One lifecycle transition of a rule: fired or resolved."""
 
     rule: str
@@ -420,17 +339,7 @@ class AlertEvent:
     severity: str = "page"
     detail: str = ""
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "rule": self.rule,
-            "state": self.state,
-            "t_s": self.t_s,
-            "window_index": self.window_index,
-            "value": _json_float(self.value),
-            "severity": self.severity,
-            "detail": self.detail,
-        }
+    record_nan_null = ("value",)
 
 
 class _RuleState:
@@ -581,7 +490,7 @@ def _anomaly_evaluable(rule: AlertRule, rollup: WindowRollup) -> bool:
 # layer 3: incident diagnosis
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class IncidentReport:
+class IncidentReport(records.Record):
     """A fired alert attributed to a cause, with its evidence."""
 
     incident_id: str
@@ -595,6 +504,9 @@ class IncidentReport:
     cause_detail: str
     evidence: Dict[str, object] = field(default_factory=dict)
 
+    record_derived = ("narrative",)
+    record_nan_null = ("value",)
+
     @property
     def narrative(self) -> str:
         """One operator-readable line."""
@@ -607,22 +519,6 @@ class IncidentReport:
             f"{self.alert_detail}) -> {self.cause}: "
             f"{self.cause_detail}{tail}"
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe, byte-stable representation."""
-        return {
-            "incident_id": self.incident_id,
-            "alert": self.alert,
-            "severity": self.severity,
-            "cause": self.cause,
-            "fired_at_s": self.fired_at_s,
-            "window_index": self.window_index,
-            "value": _json_float(self.value),
-            "alert_detail": self.alert_detail,
-            "cause_detail": self.cause_detail,
-            "evidence": self.evidence,
-            "narrative": self.narrative,
-        }
 
 
 def _cause_signals(

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.records import Record
 
 #: Span kinds whose intervals are direct clock charges — the leaves the
 #: critical-path extractor chains over.  Everything else (phase, step,
@@ -40,8 +41,9 @@ LEAF_KINDS = ("collective", "compute", "sync")
 
 
 @dataclass(frozen=True)
-class Span:
-    """One completed timed region of the simulated timeline.
+class Span(Record):
+    """One completed timed region of the simulated timeline (one line
+    of a ``repro-spans-v1`` log through the record codec).
 
     Attributes
     ----------
@@ -82,36 +84,6 @@ class Span:
     def t_end(self) -> float:
         """End of the span on the simulated timeline."""
         return self.t_start + self.duration
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready mapping (inverse of :meth:`from_dict`)."""
-        return {
-            "span_id": self.span_id,
-            "name": self.name,
-            "kind": self.kind,
-            "t_start": self.t_start,
-            "duration": self.duration,
-            "parent": self.parent,
-            "category": self.category,
-            "ranks": list(self.ranks),
-            "attrs": dict(self.attrs),
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "Span":
-        """Inverse of :meth:`to_dict`."""
-        parent = d.get("parent")
-        return Span(
-            span_id=int(d["span_id"]),
-            name=str(d["name"]),
-            kind=str(d["kind"]),
-            t_start=float(d["t_start"]),
-            duration=float(d["duration"]),
-            parent=None if parent is None else int(parent),
-            category=str(d.get("category", "")),
-            ranks=tuple(int(r) for r in d.get("ranks", ())),  # type: ignore[union-attr]
-            attrs=dict(d.get("attrs", {})),  # type: ignore[arg-type]
-        )
 
 
 def _rank_tuple(ranks: Sequence[int]) -> Tuple[int, ...]:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from repro import records
 from repro.errors import PlanError
 
 #: Format tag stamped into every plan file.
@@ -30,7 +31,7 @@ PLAN_FORMAT = "repro-plan-v1"
 
 
 @dataclass(frozen=True)
-class PlanChoice:
+class PlanChoice(records.Record):
     """One point of the autotuner's design space — a launchable geometry.
 
     ``nodes`` are *physical* node ids on the planning machine, in the
@@ -51,6 +52,8 @@ class PlanChoice:
     alltoall: str = "pairwise"
     nc_counts: Optional[Tuple[int, ...]] = None
     overlap: str = "off"
+
+    record_error = PlanError
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -92,40 +95,9 @@ class PlanChoice:
             return False
         return max(self.nc_counts) - min(self.nc_counts) > 1
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON form."""
-        return {
-            "k": self.k,
-            "n_nodes": self.n_nodes,
-            "nodes": list(self.nodes),
-            "ranks_per_member": self.ranks_per_member,
-            "allreduce": self.allreduce,
-            "alltoall": self.alltoall,
-            "nc_counts": None if self.nc_counts is None else list(self.nc_counts),
-            "overlap": self.overlap,
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "PlanChoice":
-        """Inverse of :meth:`to_dict`."""
-        try:
-            counts = d.get("nc_counts")
-            return PlanChoice(
-                k=int(d["k"]),
-                n_nodes=int(d["n_nodes"]),
-                nodes=tuple(int(n) for n in d["nodes"]),
-                ranks_per_member=int(d["ranks_per_member"]),
-                allreduce=str(d.get("allreduce", "ring")),
-                alltoall=str(d.get("alltoall", "pairwise")),
-                nc_counts=None if counts is None else tuple(int(c) for c in counts),
-                overlap=str(d.get("overlap", "off")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PlanError(f"malformed plan choice: {exc}") from exc
-
 
 @dataclass(frozen=True)
-class Plan:
+class Plan(records.Record):
     """The full autotuner artifact: choice + provenance + predictions.
 
     ``signature_key`` is the content hash of the shared tensor the plan
@@ -148,6 +120,9 @@ class Plan:
     method: str = "exhaustive"
     n_evaluated: int = 0
 
+    record_tag = PLAN_FORMAT
+    record_error = PlanError
+
     @property
     def rounds(self) -> int:
         """Sequential jobs needed to serve all requested members."""
@@ -160,54 +135,6 @@ class Plan:
             return float("inf")
         return self.default_predicted_s / self.predicted_s
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON form (sorted breakdown, format-tagged)."""
-        return {
-            "format": PLAN_FORMAT,
-            "machine_name": self.machine_name,
-            "input_name": self.input_name,
-            "signature_key": self.signature_key,
-            "n_members": self.n_members,
-            "steps_per_report": self.steps_per_report,
-            "choice": self.choice.to_dict(),
-            "predicted_s": float(self.predicted_s),
-            "default_predicted_s": float(self.default_predicted_s),
-            "predicted_breakdown": {
-                k: float(v) for k, v in sorted(self.predicted_breakdown.items())
-            },
-            "seed": self.seed,
-            "method": self.method,
-            "n_evaluated": self.n_evaluated,
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "Plan":
-        """Inverse of :meth:`to_dict`, validating the format tag."""
-        if d.get("format") != PLAN_FORMAT:
-            raise PlanError(
-                f"not a {PLAN_FORMAT} document (format={d.get('format')!r})"
-            )
-        try:
-            return Plan(
-                machine_name=str(d["machine_name"]),
-                input_name=str(d["input_name"]),
-                signature_key=str(d["signature_key"]),
-                n_members=int(d["n_members"]),
-                steps_per_report=int(d["steps_per_report"]),
-                choice=PlanChoice.from_dict(d["choice"]),
-                predicted_s=float(d["predicted_s"]),
-                default_predicted_s=float(d["default_predicted_s"]),
-                predicted_breakdown={
-                    str(k): float(v)
-                    for k, v in d.get("predicted_breakdown", {}).items()
-                },
-                seed=int(d.get("seed", 0)),
-                method=str(d.get("method", "exhaustive")),
-                n_evaluated=int(d.get("n_evaluated", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PlanError(f"malformed plan document: {exc}") from exc
-
     def to_json(self) -> str:
         """Byte-stable JSON (sorted keys, fixed indent, no timestamps)."""
         return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
@@ -218,12 +145,6 @@ class Plan:
 
 
 def load_plan(path: Union[str, Path]) -> Plan:
-    """Load a plan file, validating format and structure."""
-    p = Path(path)
-    if not p.is_file():
-        raise PlanError(f"plan file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise PlanError(f"{p}: not valid JSON ({exc})") from exc
-    return Plan.from_dict(doc)
+    """Load a plan file; anything but a well-formed ``repro-plan-v1``
+    document is a :class:`~repro.errors.PlanError` naming file and key."""
+    return records.load_json(Plan, path, error=PlanError)

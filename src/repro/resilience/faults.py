@@ -12,12 +12,13 @@ alone.  Injection itself lives in :mod:`repro.resilience.injector`.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import records
 from repro.errors import FaultPlanError
 
 #: Data-plane fault kinds (injected into one job's virtual world).
@@ -32,7 +33,7 @@ KINDS = DATA_KINDS + CONTROL_KINDS
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(records.Record):
     """One injected fault.
 
     Parameters
@@ -86,6 +87,8 @@ class FaultSpec:
     phase: str = ""
     at_s: float = -1.0
     duration_s: float = 0.0
+
+    record_error = FaultPlanError
 
     def validate(self, *, n_ranks: int, n_nodes: int) -> None:
         """Raise :class:`FaultPlanError` unless consistent with a world."""
@@ -148,7 +151,7 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(records.Record):
     """A reproducible schedule of faults for one run.
 
     ``detection_timeout_s`` is the simulated seconds a surviving group
@@ -159,6 +162,10 @@ class FaultPlan:
     specs: Tuple[FaultSpec, ...] = ()
     detection_timeout_s: float = 30.0
     seed: int = 0
+
+    #: ``--faults`` files lead with the scalars
+    record_keys = ("detection_timeout_s", "seed", "specs")
+    record_error = FaultPlanError
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", tuple(self.specs))
@@ -309,51 +316,7 @@ class FaultPlan:
     # ------------------------------------------------------------------
     def to_json(self) -> str:
         """JSON document for ``--faults`` files."""
-        return json.dumps(
-            {
-                "detection_timeout_s": self.detection_timeout_s,
-                "seed": self.seed,
-                "specs": [asdict(s) for s in self.specs],
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse a plan; malformed documents raise FaultPlanError."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FaultPlanError(f"fault plan is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise FaultPlanError("fault plan must be a JSON object")
-        raw_specs = doc.get("specs", [])
-        if not isinstance(raw_specs, list):
-            raise FaultPlanError("fault plan 'specs' must be a list")
-        specs = []
-        allowed = {
-            "kind", "at_step", "rank", "node", "factor", "phase",
-            "at_s", "duration_s",
-        }
-        for i, raw in enumerate(raw_specs):
-            if not isinstance(raw, dict) or "kind" not in raw or "at_step" not in raw:
-                raise FaultPlanError(
-                    f"spec {i} must be an object with 'kind' and 'at_step'"
-                )
-            unknown = set(raw) - allowed
-            if unknown:
-                raise FaultPlanError(
-                    f"spec {i} has unknown fields {sorted(unknown)}"
-                )
-            try:
-                specs.append(FaultSpec(**raw))
-            except TypeError as exc:
-                raise FaultPlanError(f"spec {i} is malformed: {exc}") from exc
-        return cls(
-            specs=tuple(specs),
-            detection_timeout_s=float(doc.get("detection_timeout_s", 30.0)),
-            seed=int(doc.get("seed", 0)),
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_file(self, path: Union[str, Path]) -> None:
         """Write the plan as JSON."""
@@ -361,9 +324,6 @@ class FaultPlan:
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "FaultPlan":
-        """Load a plan written by :meth:`to_file`."""
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise FaultPlanError(f"cannot read fault plan {path}: {exc}")
-        return cls.from_json(text)
+        """Load a plan written by :meth:`to_file`; anything else is a
+        :class:`FaultPlanError` naming file and key."""
+        return records.load_json(cls, path, error=FaultPlanError)

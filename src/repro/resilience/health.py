@@ -36,6 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ResilienceError
+from repro.records import Record
 
 #: Incident kinds a tracker distinguishes (free-form strings are
 #: accepted too; these are the ones the runners emit).
@@ -43,22 +44,13 @@ INCIDENT_KINDS = ("crash", "straggler", "sdc")
 
 
 @dataclass(frozen=True)
-class HealthIncident:
+class HealthIncident(Record):
     """One recorded node incident."""
 
     node: int
     kind: str  # "crash" | "straggler" | "sdc" | free-form
     at_s: float = 0.0  # campaign/simulated clock of the observation
     detail: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "node": self.node,
-            "kind": self.kind,
-            "at_s": self.at_s,
-            "detail": self.detail,
-        }
 
 
 class NodeHealthTracker:
@@ -177,28 +169,12 @@ class NodeHealthTracker:
         self._incidents = []
         self._by_node = {}
         self._forced = set()
-        for inc in d.get("incidents", ()):  # type: ignore[union-attr]
-            self.record(
-                int(inc["node"]),
-                str(inc["kind"]),
-                at_s=float(inc["at_s"]),
-                detail=str(inc["detail"]),
-            )
+        for raw in d.get("incidents", ()):  # type: ignore[union-attr]
+            inc = HealthIncident.from_dict(raw)
+            self.record(inc.node, inc.kind, at_s=inc.at_s, detail=inc.detail)
         for node in d.get("quarantined", ()):  # type: ignore[union-attr]
             if not self.is_quarantined(int(node)):
                 self.quarantine(int(node))
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "NodeHealthTracker":
-        """Rebuild a tracker from :meth:`to_dict` output."""
-        threshold = d["quarantine_threshold"]
-        tracker = cls(
-            quarantine_threshold=(
-                None if threshold is None else int(threshold)  # type: ignore[arg-type]
-            )
-        )
-        tracker.restore(d)
-        return tracker
 
 
 # ----------------------------------------------------------------------

@@ -27,13 +27,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.campaign.request import SimRequest
+from repro.records import Record
 
 #: Tenant bucket for requests submitted without one.
 UNATTRIBUTED = "default"
 
 
 @dataclass(frozen=True)
-class RejectionRecord:
+class RejectionRecord(Record):
     """One shed request: who, when, and why the door was closed."""
 
     request_id: str
@@ -41,27 +42,6 @@ class RejectionRecord:
     arrival_s: float
     pending: int  # in-system count at the shed decision
     reason: str
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "request_id": self.request_id,
-            "tenant": self.tenant,
-            "arrival_s": self.arrival_s,
-            "pending": self.pending,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "RejectionRecord":
-        """Rebuild from :meth:`to_dict` output (journal replay)."""
-        return cls(
-            request_id=str(d["request_id"]),
-            tenant=str(d["tenant"]),
-            arrival_s=float(d["arrival_s"]),  # type: ignore[arg-type]
-            pending=int(d["pending"]),  # type: ignore[arg-type]
-            reason=str(d["reason"]),
-        )
 
 
 class AdmissionController:

@@ -38,6 +38,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro import records
 from repro.errors import JournalCrash, ServiceError
 from repro.service.pool import BUSY, IDLE, OFFLINE, PROVISIONING
 
@@ -61,15 +62,6 @@ EVENT_KINDS = (
 def _copy(obj):
     """Deep JSON-safe copy (snapshots must not alias live state)."""
     return json.loads(json.dumps(obj, sort_keys=True))
-
-
-def _check_keys(what: str, obj, keys) -> None:
-    """Loader gate: ``obj`` must be a JSON object with exactly ``keys``."""
-    if not isinstance(obj, dict):
-        raise ServiceError(f"{what} is not a JSON object")
-    stray = sorted(set(obj) ^ set(keys))
-    if stray:
-        raise ServiceError(f"{what}: missing or unknown key(s) {stray}")
 
 
 class ReplayState:
@@ -419,41 +411,21 @@ class ReplayState:
     # serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """Byte-stable JSON-safe dump of the whole mirror."""
-        return _copy(
-            {
-                "t": self.t,
-                "horizon_s": self.horizon_s,
-                "offered": self.offered,
-                "admitted": self.admitted,
-                "arrived_ids": sorted(self.arrived_ids),
-                "window": self.window,
-                "ready": self.ready,
-                "inflight": self.inflight,
-                "pending_release": self.pending_release,
-                "served": self.served,
-                "rejections": self.rejections,
-                "abandoned": self.abandoned,
-                "jobs": self.jobs,
-                "tenant_served": self.tenant_served,
-                "job_seq": self.job_seq,
-                "batch_seq": self.batch_seq,
-                "pool": self.pool,
-                "health": self.health,
-                "resil": self.resil,
-                "dead_by_cause": self.dead_by_cause,
-                "consumed_chaos": sorted(self.consumed_chaos),
-                "pending_restores": self.pending_restores,
-                "down_until": self.down_until,
-            }
-        )
+        """Byte-stable JSON-safe dump of the whole mirror: every
+        attribute, the two id collections sorted."""
+        state = dict(vars(self))
+        for key in ("arrived_ids", "consumed_chaos"):
+            state[key] = sorted(state[key])
+        return _copy(state)
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "ReplayState":
         """Inverse of :meth:`to_dict`; anything but exactly its keys
         is a :class:`ServiceError` naming the stray or absent ones."""
         state = cls()
-        _check_keys("replay state", d, vars(state))
+        records.check_keys(
+            d, vars(state), what="replay state", error=ServiceError
+        )
         for key, val in _copy(d).items():
             setattr(state, key, set(val) if key == "arrived_ids" else val)
         return state
@@ -555,7 +527,9 @@ class ServiceJournal:
         try:
             for i, (kind, payload) in enumerate(events):
                 if kind == "snapshot":
-                    _check_keys("snapshot", payload, ("t", "state"))
+                    records.check_keys(
+                        payload, ("t", "state"), what="snapshot", error=ServiceError
+                    )
                     state = ReplayState.from_dict(payload["state"])  # type: ignore[arg-type]
                     start = i + 1
             for i, (kind, payload) in enumerate(list(events)[start:], start):
@@ -579,24 +553,22 @@ class ServiceJournal:
         """Rebuild a journal (and its shadow) from :meth:`to_jsonl`.
         A torn line, a non-object record, or a record with a missing
         or stray field is a :class:`ServiceError` naming its line."""
+        return cls._from_lines(
+            records.parse_jsonl(text, what="journal", error=ServiceError),
+            **kwargs,
+        )
+
+    @classmethod
+    def _from_lines(cls, lines, **kwargs) -> "ServiceJournal":
         journal = cls(**kwargs)
         events: List[Tuple[str, Dict[str, object]]] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ServiceError(
-                    f"journal line {lineno} is torn or not JSON: {exc}"
-                ) from None
-            _check_keys(f"journal line {lineno}", obj, ("kind", "payload"))
+        for where, obj in lines:
+            records.check_keys(
+                obj, ("kind", "payload"), what=where, error=ServiceError
+            )
             payload = obj["payload"]
             if not isinstance(payload, dict) or "t" not in payload:
-                raise ServiceError(
-                    f"journal line {lineno}: payload is missing key 't'"
-                )
+                raise ServiceError(f"{where}: payload is missing key 't'")
             events.append((str(obj["kind"]), payload))
         journal._events = events
         state = cls.replay(events)
@@ -612,8 +584,10 @@ class ServiceJournal:
 
     @classmethod
     def from_file(cls, path: Union[str, Path], **kwargs) -> "ServiceJournal":
-        """Read a JSONL journal back from ``path``."""
-        return cls.from_jsonl(Path(path).read_text(), **kwargs)
+        """Read a JSONL journal back from ``path`` (refusals name it)."""
+        return cls._from_lines(
+            records.read_jsonl(path, error=ServiceError), **kwargs
+        )
 
 
 # ----------------------------------------------------------------------

@@ -31,28 +31,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
 from repro.machine.model import MachineModel
+from repro.records import Record
 
 #: Node lifecycle states.
 OFFLINE, PROVISIONING, IDLE, BUSY = "offline", "provisioning", "idle", "busy"
 
 
 @dataclass(frozen=True)
-class PoolSample:
+class PoolSample(Record):
     """One pool-size timeline entry (written on every change)."""
 
     t_s: float
     provisioned: int  # idle + busy (online capacity)
     busy: int
     provisioning: int
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "t_s": self.t_s,
-            "provisioned": self.provisioned,
-            "busy": self.busy,
-            "provisioning": self.provisioning,
-        }
 
 
 class ElasticNodePool:

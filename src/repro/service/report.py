@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.report import AbandonedRecord, JobRecord
 from repro.obs.metrics import Histogram
+from repro.records import Record, json_float
 from repro.service.admission import RejectionRecord
 
 #: Time-to-result histogram bounds (simulated seconds).  Wider than the
@@ -42,7 +43,7 @@ SERVICE_TTR_BUCKETS = (
 
 
 @dataclass(frozen=True)
-class ServedRecord:
+class ServedRecord(Record):
     """One request served to completion by the online service."""
 
     request_id: str
@@ -54,6 +55,8 @@ class ServedRecord:
     steps: int
     attempts: int
     job_id: str
+
+    record_derived = ("ttr_s", "wait_s", "slo_met")
 
     @property
     def ttr_s(self) -> float:
@@ -69,40 +72,6 @@ class ServedRecord:
     def slo_met(self) -> bool:
         """Finished by the deadline (vacuously true without one)."""
         return self.deadline_s is None or self.finish_s <= self.deadline_s
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation."""
-        return {
-            "request_id": self.request_id,
-            "tenant": self.tenant,
-            "arrival_s": self.arrival_s,
-            "start_s": self.start_s,
-            "finish_s": self.finish_s,
-            "deadline_s": self.deadline_s,
-            "steps": self.steps,
-            "attempts": self.attempts,
-            "job_id": self.job_id,
-            "ttr_s": self.ttr_s,
-            "wait_s": self.wait_s,
-            "slo_met": self.slo_met,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ServedRecord":
-        """Rebuild from :meth:`to_dict` output (journal replay);
-        derived keys (``ttr_s`` etc.) are ignored."""
-        deadline = d["deadline_s"]
-        return cls(
-            request_id=str(d["request_id"]),
-            tenant=str(d["tenant"]),
-            arrival_s=float(d["arrival_s"]),  # type: ignore[arg-type]
-            start_s=float(d["start_s"]),  # type: ignore[arg-type]
-            finish_s=float(d["finish_s"]),  # type: ignore[arg-type]
-            deadline_s=None if deadline is None else float(deadline),  # type: ignore[arg-type]
-            steps=int(d["steps"]),  # type: ignore[arg-type]
-            attempts=int(d["attempts"]),  # type: ignore[arg-type]
-            job_id=str(d["job_id"]),
-        )
 
 
 @dataclass
@@ -262,8 +231,8 @@ class ServiceReport:
             "throughput_member_steps_per_s": (
                 self.throughput_member_steps_per_s
             ),
-            "p50_ttr_s": _json_float(self.p50_ttr_s),
-            "p99_ttr_s": _json_float(self.p99_ttr_s),
+            "p50_ttr_s": json_float(self.p50_ttr_s),
+            "p99_ttr_s": json_float(self.p99_ttr_s),
             "n_jobs": len(self.jobs),
             "mean_k": self.mean_k,
             "busy_node_seconds": self.busy_node_seconds,
@@ -282,14 +251,10 @@ class ServiceReport:
         }
 
 
-def _json_float(x: float) -> Optional[float]:
-    """NaN is not JSON; quantiles of an empty service render as None."""
-    return None if x != x else float(x)
-
-
 def _fmt_seconds(x: float) -> str:
     """Render a quantile: ``n/a`` for NaN (the text twin of the JSON
-    ``None`` convention above), else one-decimal seconds."""
+    ``null`` of :func:`repro.records.json_float`), else one-decimal
+    seconds."""
     return "n/a" if x != x else f"{x:.1f} s"
 
 

@@ -9,11 +9,25 @@ leaf of the span tree, so the span exporter draws it.
 
 from __future__ import annotations
 
-import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Union
+from typing import List, Tuple, Union
 
+from repro import records
+from repro.errors import ReproError
 from repro.vmpi.tracer import CollectiveEvent, TraceLog
+
+#: Format tag of a trace file.
+TRACE_FORMAT = "repro-trace-v1"
+
+
+@dataclass(frozen=True)
+class _TraceFile:
+    """A trace document, as the record codec dumps and checks it."""
+
+    events: Tuple[CollectiveEvent, ...]
+
+    record_tag = TRACE_FORMAT
 
 
 def export_trace_json(trace: TraceLog, path: Union[str, Path]) -> int:
@@ -22,16 +36,12 @@ def export_trace_json(trace: TraceLog, path: Union[str, Path]) -> int:
     Lossless: ``load_trace_json`` reconstructs the exact
     :class:`~repro.vmpi.tracer.CollectiveEvent` sequence.
     """
-    events = [ev.to_dict() for ev in trace]
-    Path(path).write_text(
-        json.dumps({"format": "repro-trace-v1", "events": events}, indent=1)
-        + "\n"
-    )
-    return len(events)
+    doc = _TraceFile(tuple(trace))
+    records.write_json(path, records.dump(doc), indent=1, sort_keys=False)
+    return len(doc.events)
 
 
 def load_trace_json(path: Union[str, Path]) -> List[CollectiveEvent]:
-    """Load an event list saved by :func:`export_trace_json`."""
-    doc = json.loads(Path(path).read_text())
-    raw = doc["events"] if isinstance(doc, dict) else doc
-    return [CollectiveEvent.from_dict(d) for d in raw]
+    """Load an event list saved by :func:`export_trace_json`; anything
+    else is a :class:`~repro.errors.ReproError` naming file and key."""
+    return list(records.load_json(_TraceFile, path, error=ReproError).events)

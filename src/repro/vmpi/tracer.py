@@ -13,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.records import Record
+
 
 @dataclass(frozen=True)
-class CollectiveEvent:
-    """One executed collective.
+class CollectiveEvent(Record):
+    """One executed collective (a ``repro-trace-v1`` event: ``to_dict``
+    / ``from_dict`` come from the record codec).
 
     Attributes
     ----------
@@ -62,39 +65,6 @@ class CollectiveEvent:
     def size(self) -> int:
         """Number of participants."""
         return len(self.ranks)
-
-    def to_dict(self) -> "Dict[str, object]":
-        """JSON-ready mapping (``ranks`` as a list)."""
-        return {
-            "seq": self.seq,
-            "kind": self.kind,
-            "comm_label": self.comm_label,
-            "ranks": list(self.ranks),
-            "n_nodes": self.n_nodes,
-            "nbytes": self.nbytes,
-            "algorithm": self.algorithm,
-            "t_start": self.t_start,
-            "cost_s": self.cost_s,
-            "category": self.category,
-            "nonblocking": self.nonblocking,
-        }
-
-    @staticmethod
-    def from_dict(d: "Dict[str, object]") -> "CollectiveEvent":
-        """Inverse of :meth:`to_dict`."""
-        return CollectiveEvent(
-            seq=int(d["seq"]),
-            kind=str(d["kind"]),
-            comm_label=str(d["comm_label"]),
-            ranks=tuple(int(r) for r in d["ranks"]),  # type: ignore[union-attr]
-            n_nodes=int(d["n_nodes"]),
-            nbytes=int(d["nbytes"]),
-            algorithm=str(d.get("algorithm", "")),
-            t_start=float(d.get("t_start", 0.0)),
-            cost_s=float(d.get("cost_s", 0.0)),
-            category=str(d.get("category", "")),
-            nonblocking=bool(d.get("nonblocking", False)),
-        )
 
 
 class TraceLog:

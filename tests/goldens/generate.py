@@ -45,13 +45,27 @@ trace event, every span, ``metrics.to_dict()`` and
 ``checker.completed``.  ``tests/test_vmpi_fastpath.py`` recomputes and
 compares them, so a change to ``vmpi/world.py`` or ``Communicator``
 that moves one bit of simulated time, one event or one span goes red.
+
+``artifact_bytes.json`` pins every byte-stable artifact a reader can be
+handed (:func:`artifact_bytes`): the sha256 of one instance of each —
+trace JSON, span JSONL, Chrome export, metrics JSON, rollup JSONL, the
+default rulebook, a ``repro-plan-v1`` plan, bench records, a fault
+plan, a request queue, an equivalence report, and the ``campaign``,
+``serve``, ``chaos`` and ``monitor`` ``--json`` reports — written by
+the writer a user would call (the CLI where the CLI is the writer).
+The campaign report is dumped without ``sort_keys``, so its records'
+key order is pinned too.  ``tests/test_records.py`` recomputes them, so
+a serialiser change that moves one byte of any artifact goes red.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from functools import partial
 from pathlib import Path
 
@@ -365,7 +379,116 @@ def write_world_books_golden() -> None:
         )
 
 
+ARTIFACT_BYTES_GOLDEN = "artifact_bytes.json"
+
+
+def _cli(*argv: str) -> None:
+    """Run one ``repro`` subcommand in-process, stdout swallowed."""
+    from repro.cli import main as repro_main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = repro_main([str(a) for a in argv])
+    if code != 0:
+        raise AssertionError(f"repro {' '.join(map(str, argv))} exited {code}")
+
+
+def _artifact_members(n: int):
+    return [
+        small_test(name=f"m{i}", dlntdr=(3.0 + 0.1 * i, 3.0 + 0.1 * i))
+        for i in range(n)
+    ]
+
+
+def write_artifacts(out: Path) -> None:
+    """Write one instance of every byte-stable artifact into ``out``,
+    each through the writer a user would reach it by."""
+    from repro.campaign import RequestQueue, SimRequest
+    from repro.obs import default_rulebook, dump_rulebook, write_bench_records
+
+    # telemetry of the built-in k = 4 demo: spans, Chrome, metrics
+    _cli("trace", "--spans-out", out / "spans.jsonl",
+         "--chrome-out", out / "chrome.json")
+    _cli("metrics", "--json", out / "metrics.json")
+    # repro-trace-v1 (written as figure3.trace.json)
+    _cli("check-trace", "--figure3", "--save", out)
+    dump_rulebook(default_rulebook(), out / "rulebook.json")
+    _cli("plan", "--smoke", "--json", out / "plan.json")
+    write_bench_records(
+        {
+            "figure2_headline": {"xgyro_wall_s": 0.8125, "speedup": 1.5},
+            "chaos": {"goodput": 3.0, "n_dead": 2},
+        },
+        out / "bench.json",
+    )
+    FaultPlan(
+        specs=(
+            FaultSpec("rank_crash", at_step=2, rank=1),
+            FaultSpec("link_slowdown", at_step=0, factor=2.5, phase="coll_comm"),
+            FaultSpec("service_crash", at_step=0, at_s=120.0, duration_s=30.0),
+        ),
+        detection_timeout_s=5.0,
+        seed=7,
+    ).to_file(out / "faults.json")
+    queue = RequestQueue()
+    for i, inp in enumerate(_artifact_members(4)):
+        queue.submit(
+            SimRequest(
+                request_id=f"r{i}",
+                input=inp,
+                priority=i % 2,
+                arrival_s=float(i),
+                tenant="alice" if i else None,
+                deadline_s=600.0 if i else None,
+            )
+        )
+    queue.to_json(out / "requests.json")
+    (out / "equivalence.json").write_text(
+        differential_oracle(
+            _artifact_members(2),
+            generic_cluster(n_nodes=2, ranks_per_node=4),
+            n_reports=1,
+        ).to_json()
+    )
+    # a campaign whose every node is flaky: retries, a quarantine and
+    # dead letters all land in the report
+    (out / "flaky.json").write_text(
+        FaultPlan(
+            specs=(FaultSpec("rank_crash", at_step=2, rank=1),),
+            detection_timeout_s=5.0,
+        ).to_json()
+    )
+    _cli("campaign", out / "requests.json", "--nodes", 4, "--steps", 4,
+         "--flaky-node", f"0:{out / 'flaky.json'}",
+         "--flaky-node", f"1:{out / 'flaky.json'}",
+         "--max-attempts", 2, "--backoff", 1, "--json", out / "campaign.json")
+    (out / "flaky.json").unlink()
+    _cli("serve", "--smoke", "--json", out / "serve.json")
+    _cli("chaos", "--smoke", "--scenario", "kitchen-sink",
+         "--json", out / "chaos.json")
+    _cli("monitor", "--smoke", "--scenario", "kitchen-sink",
+         "--json", out / "monitor.json", "--rollups-out", out)
+
+
+def artifact_bytes() -> dict:
+    """File name -> sha256 of its bytes, over :func:`write_artifacts`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_artifacts(Path(tmp))
+        return {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(tmp).iterdir())
+        }
+
+
+def write_artifact_bytes_golden() -> None:
+    golden = artifact_bytes()
+    out = HERE / ARTIFACT_BYTES_GOLDEN
+    out.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    for name, digest in golden.items():
+        print(f"{out.name}: {name} {digest[:16]}")
+
+
 def main() -> int:
+    write_artifact_bytes_golden()
     write_service_wal_golden()
     write_solver_states_golden()
     write_world_books_golden()

@@ -142,7 +142,7 @@ class TestRequestQueue:
             ]
 
     def test_bad_json_raises(self, tmp_path):
-        with pytest.raises(CampaignError, match="invalid request JSON"):
+        with pytest.raises(CampaignError, match="request JSON: not valid JSON"):
             RequestQueue.from_json("{nope")
         with pytest.raises(CampaignError, match="requests"):
             RequestQueue.from_json('{"jobs": []}')

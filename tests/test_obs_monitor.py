@@ -186,7 +186,7 @@ class TestAlertRule:
             assert AlertRule.from_dict(rule.to_dict()) == rule
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(ReproError, match="unknown rule fields"):
+        with pytest.raises(ReproError, match=r"AlertRule: .*unknown key\(s\) \['bogus'\]"):
             AlertRule.from_dict({"name": "x", "kind": "threshold",
                                  "metric": "m", "bogus": 1})
 
