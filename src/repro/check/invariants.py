@@ -173,25 +173,22 @@ def _disposition_ids(report) -> Dict[str, List[str]]:
     }
 
 
-def replay_matches_report(shadow, report) -> bool:
+def replay_matches_report(replayed, report) -> bool:
     """True iff a replayed :class:`~repro.service.journal.ReplayState`
     carries the report's books: the same served / shed / dead id sets,
-    the same offered count, the same pool node-seconds.  The
-    ``wal-replay`` check and the WAL negative controls
-    (``tests/test_service_wal.py``) share this comparison."""
+    the same offered count, the same pool node-seconds to the bit (the
+    fold is the run's one integrator).  The ``wal-replay`` check and
+    the WAL negative controls (``tests/test_service_wal.py``) share
+    this comparison."""
     replay_ids = {
-        "served": sorted(str(s["request_id"]) for s in shadow.served),
-        "shed": sorted(str(r["request_id"]) for r in shadow.rejections),
-        "dead": sorted(str(a["request_id"]) for a in shadow.abandoned),
+        "served": sorted(str(s["request_id"]) for s in replayed.served),
+        "shed": sorted(str(r["request_id"]) for r in replayed.rejections),
+        "dead": sorted(str(a["request_id"]) for a in replayed.abandoned),
     }
-    pool_close = (
-        abs(shadow.pool["node_seconds"] - report.pool_node_seconds)
-        <= 1e-6 * max(1.0, report.pool_node_seconds)
-    )
     return (
         replay_ids == _disposition_ids(report)
-        and shadow.offered == report.offered
-        and pool_close
+        and replayed.offered == report.offered
+        and replayed.pool["node_seconds"] == report.pool_node_seconds
     )
 
 
@@ -298,8 +295,8 @@ def run_scenario(
     )
 
     # -- WAL replay reproduces the books ------------------------------
-    shadow = ServiceJournal.replay(journal.events)
-    if shadow is None:  # pragma: no cover - journaled run always logs
+    replayed = ServiceJournal.replay(journal.events)
+    if replayed is None:  # pragma: no cover - journaled run always logs
         check("wal-replay", False, "journal is empty")
     else:
         busy_ok = (
@@ -307,10 +304,10 @@ def run_scenario(
         )
         check(
             "wal-replay",
-            replay_matches_report(shadow, report) and busy_ok,
+            replay_matches_report(replayed, report) and busy_ok,
             f"replayed {out.n_wal_events} events: offered "
-            f"{shadow.offered}/{report.offered}, pool node-seconds "
-            f"{shadow.pool['node_seconds']:.3f}/"
+            f"{replayed.offered}/{report.offered}, pool node-seconds "
+            f"{replayed.pool['node_seconds']:.3f}/"
             f"{report.pool_node_seconds:.3f} "
             f"(busy {report.busy_node_seconds:.3f})",
         )

@@ -23,7 +23,7 @@ loop that applies them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.campaign.request import SimRequest
@@ -61,41 +61,38 @@ class AdmissionController:
                 f"max_pending must be >= 1, got {max_pending}"
             )
         self.max_pending = max_pending
-        self.offered = 0
-        self.admitted = 0
-        self.rejections: List[RejectionRecord] = []
-
-    @property
-    def shed(self) -> int:
-        """Requests turned away."""
-        return len(self.rejections)
-
-    @property
-    def shed_rate(self) -> float:
-        """Shed over offered (0.0 before any arrival)."""
-        return self.shed / self.offered if self.offered else 0.0
 
     def try_admit(
-        self, request: SimRequest, pending: int
+        self,
+        request: SimRequest,
+        pending: int,
+        *,
+        down_until: Optional[float] = None,
     ) -> Optional[RejectionRecord]:
-        """Admit ``request`` given ``pending`` in-system requests.
-
-        Returns ``None`` on admission, the shed record otherwise
-        (also appended to :attr:`rejections`).
+        """Decide ``request`` given ``pending`` in-system requests:
+        ``None`` admits it, a shed record turns it away.  With
+        ``down_until`` set the control plane is down: the door is
+        closed and the (conceptual) load balancer sheds every arrival,
+        recorded explicitly so request conservation still holds.  Only
+        a decision — the service journals it and the fold books the
+        offered / admitted counts and the rejection.
         """
-        self.offered += 1
-        if self.max_pending is not None and pending >= self.max_pending:
-            record = RejectionRecord(
-                request_id=request.request_id,
-                tenant=request.tenant or UNATTRIBUTED,
-                arrival_s=request.arrival_s,
-                pending=pending,
-                reason=f"pending {pending} >= max_pending {self.max_pending}",
+        if down_until is not None:
+            reason = (
+                f"service down until t={down_until:.3f} "
+                "(control-plane crash)"
             )
-            self.rejections.append(record)
-            return record
-        self.admitted += 1
-        return None
+        elif self.max_pending is not None and pending >= self.max_pending:
+            reason = f"pending {pending} >= max_pending {self.max_pending}"
+        else:
+            return None
+        return RejectionRecord(
+            request_id=request.request_id,
+            tenant=request.tenant or UNATTRIBUTED,
+            arrival_s=request.arrival_s,
+            pending=pending,
+            reason=reason,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +107,10 @@ class FairSharePolicy:
         charged to it divided by its weight; the scheduler always
         prefers the batch whose most underserved member tenant has the
         smallest normalised service.
+
+    The policy keeps no ledger of its own: every method takes
+    ``served`` — raw node-seconds charged per tenant so far, which the
+    service's fold carries as ``tenant_served``.
     """
 
     def __init__(self, weights: Optional[Mapping[str, float]] = None) -> None:
@@ -120,46 +121,42 @@ class FairSharePolicy:
                     f"tenant weight must be > 0, got {w} for {name!r}"
                 )
             self._weights[str(name)] = float(w)
-        self._served: Dict[str, float] = {}
 
     def weight(self, tenant: "str | None") -> float:
         """The tenant's share weight (1.0 when unlisted)."""
         return self._weights.get(tenant or UNATTRIBUTED, 1.0)
 
-    def normalised_service(self, tenant: "str | None") -> float:
+    def normalised_service(
+        self, served: Mapping[str, float], tenant: "str | None"
+    ) -> float:
         """Node-seconds served to the tenant, over its weight."""
         name = tenant or UNATTRIBUTED
-        return self._served.get(name, 0.0) / self.weight(name)
+        return served.get(name, 0.0) / self.weight(name)
 
     def charge(
-        self, members: Iterable[SimRequest], node_seconds: float
-    ) -> None:
-        """Split one dispatch's node-seconds evenly over its members
-        and charge each member's tenant."""
+        self,
+        served: Mapping[str, float],
+        members: Iterable[SimRequest],
+        node_seconds: float,
+    ) -> Dict[str, float]:
+        """``served`` after splitting one dispatch's node-seconds
+        evenly over its members and charging each member's tenant
+        (a new ledger, sorted by name; ``served`` is not touched)."""
         if node_seconds < 0:
             raise ServiceError(
                 f"node_seconds must be >= 0, got {node_seconds}"
             )
         members = list(members)
-        if not members:
-            return
-        share = node_seconds / len(members)
+        after = dict(served)
         for req in members:
             name = req.tenant or UNATTRIBUTED
-            self._served[name] = self._served.get(name, 0.0) + share
-
-    def served(self) -> Dict[str, float]:
-        """Raw node-seconds charged per tenant, sorted by name."""
-        return dict(sorted(self._served.items()))
-
-    def restore_served(self, served: Mapping[str, float]) -> None:
-        """Overwrite the per-tenant service ledger from a
-        :meth:`served` snapshot (journal replay)."""
-        self._served = {str(k): float(v) for k, v in served.items()}
+            after[name] = after.get(name, 0.0) + node_seconds / len(members)
+        return dict(sorted(after.items()))
 
     # ------------------------------------------------------------------
     def batch_key(
         self,
+        served: Mapping[str, float],
         members: Iterable[SimRequest],
         seq: int,
         *,
@@ -170,7 +167,9 @@ class FairSharePolicy:
         members = list(members)
         if not members:
             raise ServiceError("cannot key an empty batch")
-        service = min(self.normalised_service(r.tenant) for r in members)
+        service = min(
+            self.normalised_service(served, r.tenant) for r in members
+        )
         deadline = min(
             r.deadline_s if r.deadline_s is not None else default_deadline_s
             for r in members

@@ -12,11 +12,13 @@ bookkeeping all evaporate.  This module makes that state durable:
   release, pool grow/ready/reclaim/fail, control-plane chaos) is one
   JSON-safe event, written *atomically*: a crash between events leaves
   a prefix whose replay is a consistent service state.
-- :class:`ReplayState` — the event-sourced shadow.  The journal
-  applies every appended event to its own shadow state, so replay
-  logic is exercised on every journaled run, and a **snapshot** (taken
-  every ``snapshot_interval`` events) is nothing more than the shadow
-  serialised — by construction identical to replaying the full prefix.
+- :class:`ReplayState` — the control plane's state, and the only
+  code that writes it: :meth:`ReplayState.apply` folds one event into
+  it.  The running service holds one and changes it *only* by applying
+  the events it journals, so what a WAL replays to is the state the
+  service had — not a mirror of it — and a **snapshot** (taken every
+  ``snapshot_interval`` events) is that state serialised, by
+  construction identical to replaying the full prefix.
 - :func:`recover_service` — replay a (possibly crash-truncated)
   journal into a freshly constructed service and resume the simulated
   clock mid-horizon.  Recovery is **exactly-once**: completed results
@@ -36,10 +38,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro import records
 from repro.errors import JournalCrash, ServiceError
+from repro.service import pool
 from repro.service.pool import BUSY, IDLE, OFFLINE, PROVISIONING
 
 #: Event kinds a journal may contain (order here is documentation, not
@@ -59,19 +64,24 @@ EVENT_KINDS = (
 )
 
 
+#: Pool-event op -> the lifecycle state its nodes enter.
+_POOL_OPS = {"grow": PROVISIONING, "ready": IDLE, "reclaim": OFFLINE}
+
+
 def _copy(obj):
     """Deep JSON-safe copy (snapshots must not alias live state)."""
     return json.loads(json.dumps(obj, sort_keys=True))
 
 
 class ReplayState:
-    """Event-sourced mirror of every mutable :class:`OnlineService`
-    field the journal can resurrect.
+    """Every mutable :class:`OnlineService` field the journal can
+    resurrect, with :meth:`apply` as its one writer — live (the
+    service applies each event it journals) and on replay alike.
 
     Everything inside is plain JSON-safe data (request/record dicts,
     node-id keyed string states) — :meth:`to_dict` /
-    :meth:`from_dict` round-trip byte-stably, and the service's
-    ``restore`` turns the dicts back into live objects.
+    :meth:`from_dict` round-trip byte-stably; the service reads it in
+    place and parses a request dict only when it needs the object.
     """
 
     def __init__(self) -> None:
@@ -97,9 +107,11 @@ class ReplayState:
         self.tenant_served: Dict[str, float] = {}
         self.job_seq = 0
         self.batch_seq = 0
-        #: pool mirror: {state, ready_at, idle_since, node_seconds, last_t}
+        #: the pool's book (:mod:`repro.service.pool`): {state,
+        #: ready_at, idle_since, node_seconds, last_t}
         self.pool: Optional[Dict[str, object]] = None
-        #: health mirror in NodeHealthTracker.to_dict shape
+        #: journal of the NodeHealthTracker the data plane charges, in
+        #: its to_dict shape (a recovery rebuilds the tracker from it)
         self.health: Dict[str, object] = {
             "quarantine_threshold": 2,
             "quarantined": [],
@@ -112,40 +124,30 @@ class ReplayState:
         #: pending domain restores: {t, nodes}
         self.pending_restores: List[Dict[str, object]] = []
         self.down_until = 0.0
+        # not state: told the time of every pool transition that moved
+        # a node (the live service samples its pool timeline there)
+        self._pool_watch: Optional[Callable[[float], None]] = None
 
-    # ------------------------------------------------------------------
-    # pool mirror
-    # ------------------------------------------------------------------
-    def _pool_advance(self, t: float) -> None:
-        if self.pool is None:
-            return
-        states = self.pool["state"]
-        provisioned = sum(
-            1 for s in states.values() if s in (IDLE, BUSY)  # type: ignore[union-attr]
-        )
-        last = float(self.pool["last_t"])  # type: ignore[arg-type]
-        if t > last:
-            self.pool["node_seconds"] = (
-                float(self.pool["node_seconds"]) + provisioned * (t - last)  # type: ignore[arg-type]
-            )
-            self.pool["last_t"] = t
+    def watch_pool(self, callback: Callable[[float], None]) -> None:
+        """Call ``callback(t)`` after every pool transition that moved
+        a node."""
+        self._pool_watch = callback
 
-    def _pool_set(self, nodes: Iterable[int], state: str, t: float) -> None:
+    def _pool_set(
+        self,
+        nodes: Iterable[int],
+        state: str,
+        t: float,
+        ready_at: Optional[float] = None,
+    ) -> None:
         if self.pool is None:
             raise ServiceError("pool transition before the begin event")
-        for n in nodes:
-            key = str(int(n))
-            self.pool["state"][key] = state  # type: ignore[index]
-            if state == IDLE:
-                self.pool["idle_since"][key] = t  # type: ignore[index]
-                self.pool["ready_at"].pop(key, None)  # type: ignore[union-attr]
-            else:
-                self.pool["idle_since"].pop(key, None)  # type: ignore[union-attr]
-                if state != PROVISIONING:
-                    self.pool["ready_at"].pop(key, None)  # type: ignore[union-attr]
+        moved = pool.transition(self.pool, nodes, state, t, ready_at)
+        if moved and self._pool_watch is not None:
+            self._pool_watch(t)
 
     # ------------------------------------------------------------------
-    # health mirror
+    # health journal
     # ------------------------------------------------------------------
     def _health_add(self, incidents, quarantine) -> None:
         self.health["incidents"].extend(_copy(list(incidents)))  # type: ignore[union-attr]
@@ -176,30 +178,22 @@ class ReplayState:
                 self.resil[key] = self.resil.get(key, 0) + val  # type: ignore[operator]
 
     def _window_take(self, request_ids: Sequence[str]) -> List[Dict[str, object]]:
-        wanted = set(request_ids)
-        taken = {
-            e["request"]["request_id"]: e["request"]  # type: ignore[index]
-            for e in self.window
-            if e["request"]["request_id"] in wanted  # type: ignore[index]
-        }
-        missing = wanted - set(taken)
+        held = {e["request"]["request_id"]: e for e in self.window}  # type: ignore[index]
+        missing = set(request_ids) - set(held)
         if missing:
             raise ServiceError(
                 f"journal flush references requests not in the window: "
                 f"{sorted(missing)}"
             )
-        self.window = [
-            e
-            for e in self.window
-            if e["request"]["request_id"] not in wanted  # type: ignore[index]
-        ]
-        return [taken[rid] for rid in request_ids]
+        taken = [held.pop(rid)["request"] for rid in request_ids]
+        self.window = list(held.values())
+        return taken  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # event application
     # ------------------------------------------------------------------
     def apply(self, kind: str, payload: Dict[str, object]) -> None:
-        """Apply one journal event to the mirror (atomic by design:
+        """Apply one journal event to the state (atomic by design:
         every event carries the complete consequence of its
         transition).  A payload the fold cannot read — a key missing,
         a value of the wrong shape — is a :class:`ServiceError` naming
@@ -217,7 +211,8 @@ class ReplayState:
 
     def _apply(self, kind: str, payload: Dict[str, object]) -> None:
         t = float(payload["t"])  # type: ignore[arg-type]
-        self._pool_advance(t)
+        if self.pool is not None:
+            pool.advance(self.pool, t)
         self.t = max(self.t, t)
         if kind == "begin":
             self.horizon_s = float(payload["horizon_s"])  # type: ignore[arg-type]
@@ -234,7 +229,6 @@ class ReplayState:
                 )
             else:
                 self.rejections.append(_copy(payload["rejection"]))
-                self._bump(payload.get("resil", {}))  # type: ignore[arg-type]
         elif kind == "flush":
             requests = self._window_take(payload["request_ids"])  # type: ignore[arg-type]
             self.ready.append(
@@ -249,7 +243,13 @@ class ReplayState:
         elif kind == "dispatch":
             self._apply_dispatch(payload, t)
         elif kind == "complete":
-            self._apply_complete(payload, t)
+            job_id = str(payload["job_id"])
+            if job_id not in self.inflight:
+                raise ServiceError(
+                    f"journal completion for unknown in-flight job {job_id!r}"
+                )
+            del self.inflight[job_id]
+            self.served.extend(_copy(list(payload.get("served", ()))))  # type: ignore[arg-type]
         elif kind == "release":
             req = _copy(payload["request"])
             rid = str(req["request_id"])
@@ -260,15 +260,22 @@ class ReplayState:
             ]
             self.window.append({"request": req, "since": t})
         elif kind == "pool":
-            self._apply_pool(payload, t)
-        elif kind in ("chaos", "recover"):
-            self._apply_directives(payload, t)
-        elif kind == "end":
-            pass  # the header's _pool_advance covered the idle tail
-        elif kind == "snapshot":
-            pass  # the shadow IS the snapshot; replay() fast-forwards
-        else:
+            op = str(payload["op"])
+            if op in _POOL_OPS:
+                self._pool_set(
+                    payload.get("nodes", ()),  # type: ignore[arg-type]
+                    _POOL_OPS[op],
+                    t,
+                    float(payload["ready_at"]) if op == "grow" else None,  # type: ignore[arg-type]
+                )
+            elif op != "grow_failed":  # which changes nothing in the pool
+                raise ServiceError(f"unknown journal pool op {op!r}")
+        elif kind not in ("chaos", "recover", "end", "snapshot"):
+            # chaos / recover are nothing but directives; end only
+            # closes the pool integral (the header's advance); the
+            # state IS the snapshot, and replay() fast-forwards to it
             raise ServiceError(f"unknown journal event kind {kind!r}")
+        self._apply_directives(payload, t)
 
     def _apply_dispatch(self, payload: Dict[str, object], t: float) -> None:
         seq = int(payload["ready_seq"])  # type: ignore[arg-type]
@@ -302,45 +309,11 @@ class ReplayState:
             "canceled": False,
         }
         self.tenant_served = _copy(payload["tenant_served"])
-        self._health_add(payload.get("incidents", ()), ())
-
-    def _apply_complete(self, payload: Dict[str, object], t: float) -> None:
-        job_id = str(payload["job_id"])
-        if job_id not in self.inflight:
-            raise ServiceError(
-                f"journal completion for unknown in-flight job {job_id!r}"
-            )
-        del self.inflight[job_id]
-        self._pool_set(payload.get("released_nodes", ()), IDLE, t)  # type: ignore[arg-type]
-        self.served.extend(_copy(list(payload.get("served", ()))))  # type: ignore[arg-type]
-        for entry in payload.get("requeued", ()):  # type: ignore[union-attr]
-            self.pending_release.append(_copy(entry))
-        for entry in payload.get("dead_letter", ()):  # type: ignore[union-attr]
-            self.abandoned.append(_copy(entry["record"]))
-        self._bump(payload.get("resil", {}))  # type: ignore[arg-type]
-
-    def _apply_pool(self, payload: Dict[str, object], t: float) -> None:
-        op = str(payload["op"])
-        nodes = [int(n) for n in payload.get("nodes", ())]  # type: ignore[union-attr]
-        if op == "grow":
-            self._pool_set(nodes, PROVISIONING, t)
-            for n in nodes:
-                self.pool["ready_at"][str(n)] = float(payload["ready_at"])  # type: ignore[index,arg-type]
-        elif op == "ready":
-            self._pool_set(nodes, IDLE, t)
-        elif op == "reclaim":
-            self._pool_set(nodes, OFFLINE, t)
-        elif op == "grow_failed":
-            pass  # nothing changed; the resil/consumed bookkeeping below
-        else:
-            raise ServiceError(f"unknown journal pool op {op!r}")
-        if payload.get("spec_index") is not None:
-            self.consumed_chaos.append(int(payload["spec_index"]))  # type: ignore[arg-type]
-        self._bump(payload.get("resil", {}))  # type: ignore[arg-type]
 
     def _apply_directives(self, payload: Dict[str, object], t: float) -> None:
-        """Chaos / recovery events are bags of uniform directives —
-        one code path applies them all."""
+        """What any event may carry besides its own arm of
+        :meth:`_apply` — chaos and recovery events are nothing else:
+        uniform directives, one code path applies them all."""
         if payload.get("spec_index") is not None:
             self.consumed_chaos.append(int(payload["spec_index"]))  # type: ignore[arg-type]
         if payload.get("down_until") is not None:
@@ -367,14 +340,15 @@ class ReplayState:
         # canceled manifests whose jobs were reconciled are dropped
         for job_id in payload.get("drop_jobs", ()):  # type: ignore[union-attr]
             self.inflight.pop(str(job_id), None)
-        self._pool_set(payload.get("released_nodes", ()), IDLE, t)  # type: ignore[arg-type]
+        # fail, release, regrow: disjoint node sets, in the order the
+        # pool timeline has always sampled them
         self._pool_set(payload.get("failed_nodes", ()), OFFLINE, t)  # type: ignore[arg-type]
+        self._pool_set(payload.get("released_nodes", ()), IDLE, t)  # type: ignore[arg-type]
         grow = payload.get("pool_grow")
         if grow:
-            nodes = [int(n) for n in grow["nodes"]]  # type: ignore[index]
-            self._pool_set(nodes, PROVISIONING, t)
-            for n in nodes:
-                self.pool["ready_at"][str(n)] = float(grow["ready_at"])  # type: ignore[index]
+            self._pool_set(
+                grow["nodes"], PROVISIONING, t, float(grow["ready_at"])  # type: ignore[index]
+            )
         self._health_add(
             payload.get("incidents", ()), payload.get("quarantine", ())
         )
@@ -411,9 +385,9 @@ class ReplayState:
     # serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """Byte-stable JSON-safe dump of the whole mirror: every
-        attribute, the two id collections sorted."""
-        state = dict(vars(self))
+        """Byte-stable JSON-safe dump of the whole state: every
+        public attribute, the two id collections sorted."""
+        state = {k: v for k, v in vars(self).items() if k[0] != "_"}
         for key in ("arrived_ids", "consumed_chaos"):
             state[key] = sorted(state[key])
         return _copy(state)
@@ -424,7 +398,7 @@ class ReplayState:
         is a :class:`ServiceError` naming the stray or absent ones."""
         state = cls()
         records.check_keys(
-            d, vars(state), what="replay state", error=ServiceError
+            d, state.to_dict(), what="replay state", error=ServiceError
         )
         for key, val in _copy(d).items():
             setattr(state, key, set(val) if key == "arrived_ids" else val)
@@ -432,7 +406,10 @@ class ReplayState:
 
 
 class ServiceJournal:
-    """Append-only WAL with a continuously-validated replay shadow.
+    """Append-only WAL: every event is folded into :attr:`state` and
+    then stored, so the journal never holds an event that does not
+    replay.  A service journaling here shares that state — it *is* the
+    service's.
 
     Parameters
     ----------
@@ -460,7 +437,8 @@ class ServiceJournal:
         self.snapshot_interval = int(snapshot_interval)
         self.crash_at_event = crash_at_event
         self._events: List[Tuple[str, Dict[str, object]]] = []
-        self.shadow = ReplayState()
+        #: the fold of every event appended so far
+        self.state = ReplayState()
         self._since_snapshot = 0
 
     # ------------------------------------------------------------------
@@ -473,10 +451,11 @@ class ServiceJournal:
         return list(self._events)
 
     def append(self, kind: str, payload: Dict[str, object]) -> None:
-        """Durably record one event (and advance the shadow).
+        """Fold one event into :attr:`state`, then durably record it.
 
         Raises :class:`JournalCrash` when the injected crash index
-        comes due — the event is NOT recorded.
+        comes due, :class:`ServiceError` when the fold refuses the
+        event — either way the event is NOT recorded.
         """
         if (
             self.crash_at_event is not None
@@ -486,29 +465,31 @@ class ServiceJournal:
                 f"injected control-plane crash at WAL event "
                 f"{len(self._events)} ({kind})"
             )
+        if kind != "snapshot":
+            self.state.apply(kind, payload)
         self._events.append((kind, _copy(payload)))
         if kind == "snapshot":
             self._since_snapshot = 0
             return
-        self.shadow.apply(kind, payload)
         self._since_snapshot += 1
         if (
             self.snapshot_interval
             and self._since_snapshot >= self.snapshot_interval
         ):
-            self.append(
-                "snapshot",
-                {"t": self.shadow.t, "state": self.shadow.to_dict()},
-            )
+            self._snapshot()
+
+    def _snapshot(self) -> None:
+        self.append(
+            "snapshot", {"t": self.state.t, "state": self.state.to_dict()}
+        )
 
     def seed(self, state: ReplayState) -> None:
-        """Start this journal from a recovered state instead of an
-        empty service: the recovered run's first event is a snapshot
-        of where it resumed."""
+        """Start this journal from a recovered state (adopted, not
+        copied) instead of an empty service: the recovered run's first
+        event is a snapshot of where it resumed."""
         self._events = []
-        self.shadow = ReplayState.from_dict(state.to_dict())
-        self._since_snapshot = 0
-        self.append("snapshot", {"t": state.t, "state": state.to_dict()})
+        self.state = state
+        self._snapshot()
 
     # ------------------------------------------------------------------
     # replay
@@ -550,7 +531,7 @@ class ServiceJournal:
 
     @classmethod
     def from_jsonl(cls, text: str, **kwargs) -> "ServiceJournal":
-        """Rebuild a journal (and its shadow) from :meth:`to_jsonl`.
+        """Rebuild a journal (and its state) from :meth:`to_jsonl`.
         A torn line, a non-object record, or a record with a missing
         or stray field is a :class:`ServiceError` naming its line."""
         return cls._from_lines(
@@ -571,9 +552,7 @@ class ServiceJournal:
                 raise ServiceError(f"{where}: payload is missing key 't'")
             events.append((str(obj["kind"]), payload))
         journal._events = events
-        state = cls.replay(events)
-        if state is not None:
-            journal.shadow = state
+        journal.state = cls.replay(events) or journal.state
         return journal
 
     def to_file(self, path: Union[str, Path]) -> Path:

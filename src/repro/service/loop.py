@@ -27,11 +27,21 @@ simulation on one deterministic clock:
   :class:`~repro.resilience.health.RetryPolicy` backoff, or land on
   the dead-letter list once the attempt cap is spent.
 
-The control plane itself is now a fault domain (this is the durable
-half of the robustness PR):
+The control plane's state is one
+:class:`~repro.service.journal.ReplayState` (``self.state``) and the
+loop never writes it: a handler *decides* (which requests, which
+nodes, retry or dead-letter), builds the WAL event that says so, and
+:meth:`OnlineService._log` applies that event —
+:meth:`ReplayState.apply <repro.service.journal.ReplayState.apply>` is
+the only writer of the books, counters, queues and pool, live and on
+replay alike (DESIGN.md §5c).  What the loop keeps for itself is what
+no event carries: the event heap and timers, the request objects
+behind the state's dicts, a dispatched wave's packed job and outcome
+until its ``complete`` event, the pool timeline, telemetry, the
+monitor.  The control plane is itself a fault domain:
 
 - with a :class:`~repro.service.journal.ServiceJournal` installed,
-  every state transition is written to the WAL *as it happens* — a
+  every applied event is also appended to the WAL — a
   crash at any point leaves a journal whose replay
   (:func:`~repro.service.journal.recover_service` →
   :meth:`restore` → :meth:`resume`) resumes the simulated clock
@@ -86,6 +96,7 @@ from repro.service.admission import (
     FairSharePolicy,
     RejectionRecord,
 )
+from repro.service.journal import ReplayState
 from repro.service.pool import BUSY, OFFLINE, ElasticNodePool
 from repro.service.report import (
     SERVICE_TTR_BUCKETS,
@@ -115,19 +126,28 @@ _EVENT_RANK = {
 #: dead-lettered and the pool reboots at its floor.
 RECOVERY_MODES = ("resume", "cold")
 
+#: The fold's resilience totals a report states, absent ones as zero.
+_RESIL_COUNTS = (
+    "retries", "dead_letters", "crashes", "provision_failures",
+    "domain_losses", "downtime_shed", "wal_recoveries",
+)
+_RESIL_SECONDS = ("recovery_seconds", "provision_stall_seconds")
+
 #: Hard cap on total dispatches of one run, a backstop against a retry
 #: configuration that never converges.
 MAX_DISPATCHES = 100_000
 
 
 @dataclass
-class _ReadyBatch:
-    """A flushed signature group waiting for nodes."""
+class _Wave:
+    """What no WAL event carries of a dispatched wave, kept until its
+    ``complete`` event (or until a crash reconciles it away): the
+    packed job, its outcome, and which of its nodes died under it."""
 
-    seq: int
-    flushed_at: float
-    signature_key: str
-    requests: List[SimRequest] = field(default_factory=list)
+    job: PackedJob
+    completed: list
+    lost: list  # fault-lost members as (request, cause)
+    dead_nodes: Set[int] = field(default_factory=set)
 
 
 class OnlineService:
@@ -224,7 +244,6 @@ class OnlineService:
         self.machine = machine
         self.traffic = traffic
         self._window_policy = window
-        self.window = MovingWindow(window)
         self.admission = AdmissionController(max_pending)
         self.fairness = FairSharePolicy(weights)
         self.default_slo_s = default_slo_s
@@ -275,37 +294,27 @@ class OnlineService:
             checker_factory=checker_factory,
         )
         self.ledger = RecoveryLedger()
-        # mutable run state (reset by run())
+        #: the control plane's state — the journal's own when one is
+        #: attached; :meth:`_log` → ``ReplayState.apply`` is its writer
+        self.state: ReplayState = (
+            journal.state if journal is not None else ReplayState()
+        )
+        self.state.watch_pool(self.pool.sample)
+        # volatile run state: nothing below is in the WAL
         self._heap: List[Tuple[float, int, int, str, object]] = []
         self._seq = 0
         self._now = 0.0
-        self._ready: List[_ReadyBatch] = []
-        self._job_seq = 0
-        self._batch_seq = 0
+        # the request object behind each request dict the state holds
         self._by_id: Dict[str, SimRequest] = {}
-        self._served: List[ServedRecord] = []
-        self._abandoned: List[AbandonedRecord] = []
-        self._jobs: List[JobRecord] = []
+        # dispatched waves by job id; the heap's "complete" payload is
+        # the job id, so chaos can reconcile a wave (drop it, kill
+        # members) before its completion fires
+        self._waves: Dict[str, _Wave] = {}
         self._flush_timers: set = set()
         self._reclaim_timers: set = set()
-        # in-flight wave manifests by job id; the heap's "complete"
-        # payload is the job id, so chaos can reconcile a wave (drop
-        # it, kill members) before its completion fires.  Every
-        # manifest carries what crash reconciliation reads (requests,
-        # nodes, dead_nodes, start_s); a dispatched one adds the job
-        # and its outcome (job, record, completed, lost)
-        self._inflight: Dict[str, Dict[str, object]] = {}
-        # retry backoffs awaiting release: request_id -> (request, t)
-        self._pending_release: Dict[str, Tuple[SimRequest, float]] = {}
-        self._down_until = 0.0
-        self._resil: Dict[str, float] = {}
-        self._dead_by_cause: Dict[str, int] = {}
-        # what the open transition added to the two totals above — the
+        # what the open transition adds to the resilience totals — the
         # ``resil`` block of the WAL event that will describe it
         self._tally: Dict[str, object] = {}
-        self._consumed_chaos: Set[int] = set()
-        self._provision_faults: List[Tuple[int, FaultSpec]] = []
-        self._pending_restores: List[Tuple[float, Tuple[int, ...]]] = []
         self._health_mark = 0
         # set by restore(): (recovery time, arrival ids the WAL saw)
         self._recovered: Optional[Tuple[float, Set[str]]] = None
@@ -319,10 +328,14 @@ class OnlineService:
             self._heap, (float(t), _EVENT_RANK[kind], self._seq, kind, payload)
         )
 
-    def _in_system(self) -> int:
-        """Requests admitted but not yet dispatched (the admission
-        bound's denominator): window holds plus flushed-unplaced."""
-        return len(self.window) + sum(len(b.requests) for b in self._ready)
+    def _live(self, d: Dict[str, object]) -> SimRequest:
+        """The request object behind state dict ``d``: the one its
+        arrival or release registered, parsed from ``d`` only after a
+        recovery."""
+        rid = str(d["request_id"])
+        if rid not in self._by_id:
+            self._by_id[rid] = SimRequest.from_dict(d)
+        return self._by_id[rid]
 
     # ------------------------------------------------------------------
     # read-only state for the monitoring plane (pure observations; the
@@ -330,32 +343,52 @@ class OnlineService:
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Requests admitted but not yet dispatched, right now."""
-        return self._in_system()
+        """Requests admitted but not yet dispatched, right now (the
+        admission bound's denominator): window holds plus
+        flushed-unplaced."""
+        return len(self.state.window) + sum(
+            len(b["requests"]) for b in self.state.ready  # type: ignore[arg-type]
+        )
 
     @property
     def inflight_jobs(self) -> int:
         """Waves dispatched but not yet completed (or canceled)."""
-        return len(self._inflight)
+        return len(self.state.inflight)
 
     def resilience_counters(self) -> Dict[str, float]:
         """A copy of the raw resilience tallies (monitor rollups read
         deltas of these; keys as in the report's resilience block)."""
-        return {k: float(v) for k, v in self._resil.items()}
+        return {k: float(v) for k, v in self.state.resil.items()}
 
     def _log(self, kind: str, payload: Dict[str, object]) -> None:
-        """WAL-append one event stamped at the current sim clock (a
-        no-op without a journal; an injected crash propagates).  The
-        event that describes a transition carries its tally
-        (:meth:`_take_tally`); one still open here was bumped by a
-        handler that never journaled it."""
+        """Apply one event, stamped at the current sim clock, to
+        ``self.state`` — through the journal when one is attached,
+        which folds it into that same state and appends it to the WAL
+        (an injected crash propagates).  The event that describes a
+        transition carries its tally (:meth:`_take_tally`); one still
+        open here was bumped by a handler that never journaled it."""
         if self._tally:
             raise ServiceError(
                 f"resilience tally {self._tally} was not journaled "
                 f"before the {kind} event"
             )
+        event = {"t": self._now, **payload}
         if self.journal is not None:
-            self.journal.append(kind, {"t": self._now, **payload})
+            self.journal.append(kind, event)
+        else:
+            self.state.apply(kind, event)
+
+    def _count(self, name: str, **labels: str) -> None:
+        """Increment a telemetry counter, when telemetry is installed."""
+        if self.telemetry is not None:
+            self.telemetry.metrics.counter(name, **labels).inc()
+
+    def _mark(self, name: str, **attrs: object) -> None:
+        """Drop a zero-length trace marker at the current sim clock."""
+        if self.telemetry is not None:
+            self.telemetry.tracer.record(
+                name, "marker", self._now, 0.0, **attrs
+            )
 
     def _health_delta(self) -> List[Dict[str, object]]:
         """Incidents recorded since the last delta, as dicts."""
@@ -365,8 +398,7 @@ class OnlineService:
         return [i.to_dict() for i in fresh]
 
     def _bump(self, key: str, amount: float = 1) -> None:
-        """Add to a resilience total and to the open event's tally."""
-        self._resil[key] = self._resil.get(key, 0) + amount
+        """Add to the open event's tally of a resilience total."""
         self._tally[key] = self._tally.get(key, 0) + amount  # type: ignore[operator]
 
     def _take_tally(self) -> Dict[str, object]:
@@ -378,12 +410,10 @@ class OnlineService:
     def _dead_letter(
         self, record: AbandonedRecord, cause: str
     ) -> Dict[str, object]:
-        """Put ``record`` on the dead-letter list under ``cause``, in
-        the totals and the open tally alike; returns its journal entry."""
+        """Tally ``record`` as dead-lettered under ``cause``; returns
+        its journal entry (the fold puts it on the dead-letter list)."""
         self._by_id.pop(record.request_id, None)
-        self._abandoned.append(record)
         self._bump("dead_letters")
-        self._dead_by_cause[cause] = self._dead_by_cause.get(cause, 0) + 1
         by_cause = self._tally.setdefault("by_cause", {})
         by_cause[cause] = by_cause.get(cause, 0) + 1  # type: ignore[union-attr]
         return {"record": record.to_dict(), "cause": cause}
@@ -403,6 +433,7 @@ class OnlineService:
                 "health": self.health.to_dict(),
             },
         )
+        self.pool.restore(self.state.pool)  # type: ignore[arg-type]
         self._arm_chaos(0.0)
         self._loop()
         return self._finish(horizon_s)
@@ -425,28 +456,24 @@ class OnlineService:
     def _arm_chaos(self, t_floor: float) -> None:
         """Schedule the plan's control-plane specs (skipping consumed
         ones — recovery re-arms only what has not fired)."""
-        if self.chaos is None:
-            return
-        self._provision_faults = []
-        for i, spec in enumerate(self.chaos.specs):
-            if spec.kind not in CONTROL_KINDS or i in self._consumed_chaos:
-                continue
-            if spec.kind == "provision_fail":
-                self._provision_faults.append((i, spec))
-            else:
+        for i, spec in enumerate(self.chaos.specs if self.chaos else ()):
+            if (
+                spec.kind in CONTROL_KINDS
+                and spec.kind != "provision_fail"  # fires inside a grow
+                and i not in self.state.consumed_chaos
+            ):
                 self._push(
                     max(spec.at_s, t_floor), "chaos", {"spec_index": i}
                 )
-        self._provision_faults.sort(key=lambda e: (e[1].at_s, e[0]))
 
     def _loop(self) -> None:
-        while self._heap or self.window or self._ready:
+        while self._heap or self.state.window or self.state.ready:
             if not self._heap:
                 # nothing scheduled but requests still held: only
                 # possible with an infinite hold bound and a group
                 # below min_batch — drain it at the current clock
-                if self.window:
-                    self._force_drain()
+                if self.state.window:
+                    self._schedule(force=True)
                     continue
                 raise ServiceError(
                     "service stalled: batches are blocked and no event "
@@ -459,14 +486,10 @@ class OnlineService:
                 # strictly earlier than t, so windows ending <= t close
                 # on exactly their own events
                 self.monitor.advance(self, self._now)
-            came_up = self.pool.on_ready(self._now)
+            came_up = self.pool.due_ready(self._now)
             if came_up:
                 self._log("pool", {"op": "ready", "nodes": came_up})
-                if self.telemetry is not None:
-                    self.telemetry.tracer.record(
-                        "pool.ready", "marker", self._now, 0.0,
-                        nodes=sorted(came_up),
-                    )
+                self._mark("pool.ready", nodes=came_up)
             if kind == "arrival":
                 self._on_arrival(payload)
             elif kind == "complete":
@@ -479,16 +502,17 @@ class OnlineService:
                 self._flush_timers.discard(t)
             elif kind == "reclaim":
                 self._reclaim_timers.discard(t)
-            # "ready" has no payload: on_ready above did the work
-            if self._now < self._down_until:
+            # "ready" has no payload: due_ready above did the work
+            if self._now < self.state.down_until:
                 continue  # control plane is down: no scheduling
             self._schedule()
 
     def _finish(self, horizon_s: float) -> ServiceReport:
-        # close the WAL at the final clock so a replay's pool integral
-        # covers the idle tail after the last state transition
+        # close the books at the final clock, so the pool integral —
+        # live and on any replay — covers the idle tail after the last
+        # state transition
         self._log("end", {})
-        self.pool.finish(self._now)
+        self.pool.sample(self._now)
         monitoring = (
             self.monitor.finish(self, self._now)
             if self.monitor is not None
@@ -506,87 +530,64 @@ class OnlineService:
             )
             for key, val in cache.items():
                 tele.metrics.gauge(f"service_cache_{key}").set(val)
+        state = self.state
         return ServiceReport(
             machine_name=self.machine.name,
             machine_n_nodes=self.machine.n_nodes,
             horizon_s=float(horizon_s),
             duration_s=self._now,
-            offered=self.admission.offered,
-            served=self._served,
-            rejections=list(self.admission.rejections),
-            abandoned=self._abandoned,
-            jobs=self._jobs,
+            offered=state.offered,
+            served=[ServedRecord.from_dict(d) for d in state.served],
+            rejections=[
+                RejectionRecord.from_dict(d) for d in state.rejections
+            ],
+            abandoned=[
+                AbandonedRecord.from_dict(d) for d in state.abandoned
+            ],
+            jobs=[JobRecord.from_dict(d) for d in state.jobs],
             cache=cache,
             pool_node_seconds=self.pool.node_seconds,
             pool_timeline=self.pool.timeline_dicts(),
-            tenant_node_seconds=self.fairness.served(),
+            tenant_node_seconds=dict(state.tenant_served),
             resilience=self._resilience_summary(),
             monitoring=monitoring,
         )
 
     def _resilience_summary(self) -> Dict[str, object]:
         """The report's resilience block (empty on a fault-free run)."""
-        if not (self._resil or self._dead_by_cause or self.ledger.events):
+        resil, by_cause = self.state.resil, self.state.dead_by_cause
+        if not (resil or by_cause or self.ledger.events):
             return {}
         return {
-            "retries": int(self._resil.get("retries", 0)),
-            "dead_letters": int(self._resil.get("dead_letters", 0)),
+            **{k: int(resil.get(k, 0)) for k in _RESIL_COUNTS},
+            **{k: float(resil.get(k, 0.0)) for k in _RESIL_SECONDS},
+            # a cold restart journals its count even when it is zero;
+            # the report lists only causes that killed something
             "dead_letters_by_cause": {
-                k: int(v) for k, v in sorted(self._dead_by_cause.items())
+                k: int(v) for k, v in sorted(by_cause.items()) if v
             },
-            "recovery_seconds": float(
-                self._resil.get("recovery_seconds", 0.0)
-            ),
-            "crashes": int(self._resil.get("crashes", 0)),
-            "provision_failures": int(
-                self._resil.get("provision_failures", 0)
-            ),
-            "provision_stall_seconds": float(
-                self._resil.get("provision_stall_seconds", 0.0)
-            ),
-            "domain_losses": int(self._resil.get("domain_losses", 0)),
-            "downtime_shed": int(self._resil.get("downtime_shed", 0)),
-            "wal_recoveries": int(self._resil.get("wal_recoveries", 0)),
             "data_plane_recoveries": int(
-                sum(j.n_recoveries for j in self._jobs)
+                sum(j["n_recoveries"] for j in self.state.jobs)  # type: ignore[misc]
             ),
             "control_ledger": dict(self.ledger.totals()),
         }
 
     # ------------------------------------------------------------------
-    # event handlers
+    # event handlers — each decides, builds its event, and logs it
     # ------------------------------------------------------------------
     def _on_arrival(self, req: SimRequest) -> None:
         tenant = req.tenant or UNATTRIBUTED
-        tele = self.telemetry
-        if tele is not None:
-            tele.metrics.counter(
-                "service_arrivals_total", tenant=tenant
-            ).inc()
-        if self._now < self._down_until:
-            # the control plane is down: the front door is closed and
-            # the arrival is shed by the (conceptual) load balancer —
-            # recorded explicitly so request conservation still holds
-            self.admission.offered += 1
-            rejection = RejectionRecord(
-                request_id=req.request_id,
-                tenant=tenant,
-                arrival_s=req.arrival_s,
-                pending=self._in_system(),
-                reason=(
-                    f"service down until t={self._down_until:.3f} "
-                    "(control-plane crash)"
-                ),
-            )
-            self.admission.rejections.append(rejection)
+        self._count("service_arrivals_total", tenant=tenant)
+        down = self._now < self.state.down_until
+        rejection = self.admission.try_admit(
+            req,
+            self.queue_depth,
+            down_until=self.state.down_until if down else None,
+        )
+        if down:
             self._bump("downtime_shed")
-        else:
-            rejection = self.admission.try_admit(req, self._in_system())
         if rejection is not None:
-            if tele is not None:
-                tele.metrics.counter(
-                    "service_shed_total", tenant=tenant
-                ).inc()
+            self._count("service_shed_total", tenant=tenant)
             entry = {
                 "request": req.to_dict(),
                 "outcome": "shed",
@@ -601,7 +602,6 @@ class OnlineService:
                 req, deadline_s=req.arrival_s + self.default_slo_s
             )
         self._by_id[req.request_id] = req
-        self.window.add(req, self._now)
         self._log(
             "arrival", {"request": req.to_dict(), "outcome": "admit"}
         )
@@ -609,20 +609,21 @@ class OnlineService:
     def _on_release(self, req: SimRequest) -> None:
         """A retry's backoff elapsed: back into the window (admission
         was already paid on first arrival)."""
-        if self._pending_release.pop(req.request_id, None) is None:
+        if all(
+            e["request"]["request_id"] != req.request_id  # type: ignore[index]
+            for e in self.state.pending_release
+        ):
             # the request was dead-lettered by a cold crash while its
             # backoff was pending — the timer fires into the void
             return
         self._by_id[req.request_id] = req
-        self.window.add(req, self._now)
         self._log("release", {"request": req.to_dict()})
 
     def _requeue(
         self, req: SimRequest, release_t: float
     ) -> Dict[str, object]:
-        """Schedule ``req`` to re-enter the window at ``release_t`` and
-        return the journal entry describing it."""
-        self._pending_release[req.request_id] = (req, release_t)
+        """Arm the timer that re-enters ``req`` into the window at
+        ``release_t`` and return the journal entry describing it."""
         self._push(release_t, "release", req)
         return {"request": req.to_dict(), "release_t": release_t}
 
@@ -632,39 +633,64 @@ class OnlineService:
         """Retry-or-dead-letter each fault-lost ``(member, cause)`` of
         wave ``job_id``; returns the journal entries of the outcomes,
         ``(requeued, dead)``."""
-        tele = self.telemetry
         requeued: List[Dict[str, object]] = []
         dead: List[Dict[str, object]] = []
         for req, cause in lost:
             outcome = retry_or_abandon(self.runner.retry, req, job_id)
             if isinstance(outcome, AbandonedRecord):
-                if tele is not None:
-                    tele.metrics.counter("service_dead_letters_total").inc()
+                self._count("service_dead_letters_total")
                 dead.append(self._dead_letter(outcome, cause))
                 continue
-            if tele is not None:
-                tele.metrics.counter("service_retries_total").inc()
+            self._count("service_retries_total")
             self._bump("retries")
             requeued.append(
                 self._requeue(req.requeued(), self._now + outcome)
             )
         return requeued, dead
 
-    def _release_wave(self, man: Dict[str, object]) -> List[int]:
-        """Hand a finished or canceled wave's surviving nodes back to
-        the pool at the current clock; returns the released node ids."""
-        live = [n for n in man["nodes"] if n not in man["dead_nodes"]]  # type: ignore[union-attr,operator]
-        self.pool.release(live, self._now)
-        return live
+    def _outcome(self, wave: _Wave, lost_ids) -> Tuple[list, list]:
+        """What wave ``wave`` has to show given the member ids
+        ``lost_ids`` that domain losses took from it: the completions
+        that survive, and every fault loss as ``(request, cause)`` —
+        the dispatch's own first, then the domain's in member order."""
+        gone = set(lost_ids)
+        faulted = {req.request_id for req, _ in wave.lost}
+        return (
+            [c for c in wave.completed if c.request_id not in gone],
+            wave.lost
+            + [
+                (req, "domain_loss")
+                for req in wave.job.requests
+                if req.request_id in gone - faulted
+            ],
+        )
+
+    def _surviving_nodes(
+        self, job_id: str, man: Dict[str, object]
+    ) -> List[int]:
+        """The nodes a finished or canceled wave hands back to the
+        pool: all of its own but those that died under it."""
+        wave = self._waves.get(job_id)
+        if wave is not None:
+            dead = wave.dead_nodes
+        else:  # a recovered wave: the WAL marks lost nodes only in the pool
+            dead = {
+                n
+                for n in man["nodes"]  # type: ignore[union-attr]
+                if self.pool.state_of(n) != BUSY
+            }
+        return [n for n in man["nodes"] if n not in dead]  # type: ignore[union-attr]
 
     def _on_complete(self, job_id: str) -> None:
-        man = self._inflight.pop(job_id, None)
+        man = self.state.inflight.get(job_id)
         if man is None:
             return  # the wave was reconciled away by a crash
-        live = self._release_wave(man)
+        live = self._surviving_nodes(job_id, man)
+        wave = self._waves.pop(job_id)
+        completed, lost = self._outcome(wave, man["lost_ids"])
         tele = self.telemetry
         served_entries: List[Dict[str, object]] = []
-        for rec in man["completed"]:  # type: ignore[union-attr]
+        for rec in completed:
             req = self._by_id.pop(rec.request_id)
             served = ServedRecord(
                 request_id=rec.request_id,
@@ -677,23 +703,18 @@ class OnlineService:
                 attempts=rec.attempts,
                 job_id=rec.job_id,
             )
-            self._served.append(served)
             served_entries.append(served.to_dict())
+            self._count("service_completions_total", tenant=served.tenant)
             if tele is not None:
-                tele.metrics.counter(
-                    "service_completions_total", tenant=served.tenant
-                ).inc()
                 tele.metrics.histogram(
                     "service_ttr_seconds", buckets=SERVICE_TTR_BUCKETS
                 ).observe(served.ttr_s)
                 tele.metrics.histogram("service_wait_seconds").observe(
                     served.wait_s
                 )
-                if not served.slo_met:
-                    tele.metrics.counter(
-                        "service_slo_miss_total", tenant=served.tenant
-                    ).inc()
-        requeued, dead = self._settle_lost(job_id, man["lost"])
+            if not served.slo_met:
+                self._count("service_slo_miss_total", tenant=served.tenant)
+        requeued, dead = self._settle_lost(job_id, lost)
         self._log(
             "complete",
             {
@@ -714,10 +735,9 @@ class OnlineService:
             self._restore_domain(tuple(payload["restore"]))  # type: ignore[arg-type]
             return
         index = int(payload["spec_index"])  # type: ignore[arg-type]
-        if index in self._consumed_chaos:
+        if index in self.state.consumed_chaos:
             return  # already fired before a crash; replay consumed it
         spec = self.chaos.specs[index]
-        self._consumed_chaos.add(index)
         if spec.kind == "service_crash":
             self._on_service_crash(index, spec)
         elif spec.kind == "domain_loss":
@@ -728,31 +748,27 @@ class OnlineService:
         waves are lost (the completion event fires into the void) and
         arrivals shed until the service is back.  What happens to the
         lost work depends on the ``recovery`` mode."""
-        self._down_until = max(self._down_until, self._now + spec.duration_s)
+        down_until = max(self.state.down_until, self._now + spec.duration_s)
         self._bump("crashes")
         self._bump("recovery_seconds", spec.duration_s)
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter("service_crashes_total").inc()
-            self.telemetry.tracer.record(
-                "service.crash", "marker", self._now, 0.0,
-                down_until=self._down_until,
-            )
-        inflight = [man for _, man in sorted(self._inflight.items())]
+        self._count("service_crashes_total")
+        self._mark("service.crash", down_until=down_until)
+        inflight = [man for _, man in sorted(self.state.inflight.items())]
         members_before = sum(len(m["requests"]) for m in inflight)  # type: ignore[arg-type]
         lost_work = sum(
             self._now - float(m["start_s"]) for m in inflight  # type: ignore[arg-type]
         )
         if self.recovery == "resume":
-            canceled, directives = self._reconcile_resume(self._down_until)
+            canceled, directives = self._reconcile_resume(down_until)
         else:
             canceled, directives = self._reconcile_cold(spec.duration_s)
         self._ledger_outage(spec.duration_s, lost_work, (), members_before, 0)
-        self._push(self._down_until, "ready")
+        self._push(down_until, "ready")
         self._log(
             "chaos",
             {
                 "spec_index": index,
-                "down_until": self._down_until,
+                "down_until": down_until,
                 "cancel_jobs": canceled,
                 "drop_jobs": canceled,
                 **directives,
@@ -761,12 +777,12 @@ class OnlineService:
         )
 
     # ------------------------------------------------------------------
-    # crash reconciliation — one function per recovery mode, run over
-    # the live state by an in-run ``service_crash`` and by
-    # :meth:`restore` alike.  Nodes are released / failed at the
+    # reconciliation — one function per way of losing work, each
+    # returning ``(dropped job ids, event directives)`` for its caller
+    # to log.  The two crash modes run for an in-run ``service_crash``
+    # and for :meth:`restore` alike: nodes are released / failed at the
     # current clock (``restore`` first sets it to the recovery time);
-    # what else differs between the two callers is the one time
-    # argument each takes.
+    # what else differs between the callers is the one time argument.
     # ------------------------------------------------------------------
     def _reconcile_resume(
         self, requeue_t: float
@@ -775,17 +791,16 @@ class OnlineService:
         results were never durable), its surviving nodes go back to
         the pool, and its members re-enter the window at ``requeue_t``
         *without* an attempt bump — the crash was not their fault.
-        Everything queued or backing off survives.  Returns the
-        dropped job ids and the event directives."""
+        Everything queued or backing off survives."""
         canceled: List[str] = []
         released: List[int] = []
         requeued: List[Dict[str, object]] = []
-        for job_id, man in sorted(self._inflight.items()):
-            del self._inflight[job_id]
+        for job_id, man in sorted(self.state.inflight.items()):
             canceled.append(job_id)
-            released.extend(self._release_wave(man))
-            for req in man["requests"]:  # type: ignore[union-attr]
-                requeued.append(self._requeue(req, requeue_t))
+            released.extend(self._surviving_nodes(job_id, man))
+            self._waves.pop(job_id, None)
+            for d in man["requests"]:  # type: ignore[union-attr]
+                requeued.append(self._requeue(self._live(d), requeue_t))
         return canceled, {
             "released_nodes": sorted(released),
             "requeued": requeued,
@@ -797,85 +812,139 @@ class OnlineService:
         """Naive-restart crash: every request in the system (in
         flight, held, flushed, backing off) is dead-lettered, all
         online capacity is lost, and the pool regrows from its floor
-        ``stall_s`` late.  Returns the dropped job ids and the event
-        directives."""
+        ``stall_s`` late."""
         # a cold restart always states its dead-letter count, zero too
         self._tally.update(dead_letters=0, by_cause={"service_crash": 0})
         dead: List[Dict[str, object]] = []
 
-        def abandon(req: SimRequest, attempts: int, job_id: str) -> None:
+        def abandon(d, attempts: int, job_id: str) -> None:
             record = AbandonedRecord(
-                request_id=req.request_id,
+                request_id=d["request_id"],
                 attempts=attempts,
                 last_job_id=job_id,
                 reason="lost in control-plane crash (cold restart)",
             )
             dead.append(self._dead_letter(record, "service_crash"))
 
-        canceled = sorted(self._inflight)
+        state = self.state
+        canceled = sorted(state.inflight)
         for job_id in canceled:
-            for req in self._inflight.pop(job_id)["requests"]:  # type: ignore[union-attr]
-                abandon(req, req.attempt + 1, job_id)
-        for req in self.window.pending():
-            abandon(req, req.attempt, "")
-        for rb in self._ready:
-            for req in rb.requests:
-                abandon(req, req.attempt, "")
-        dropped_releases = sorted(self._pending_release)
-        for rid in dropped_releases:
-            req, _ = self._pending_release.pop(rid)
-            abandon(req, req.attempt, "")
-        self.window = MovingWindow(self._window_policy)
-        self._ready = []
+            for d in state.inflight[job_id]["requests"]:  # type: ignore[union-attr]
+                abandon(d, d["attempt"] + 1, job_id)
+        backing_off = sorted(
+            (e["request"] for e in state.pending_release),
+            key=lambda d: d["request_id"],  # type: ignore[index]
+        )
+        for d in (
+            [e["request"] for e in state.window]
+            + [d for rb, _ in self._ready_order() for d in rb["requests"]]  # type: ignore[union-attr]
+            + backing_off
+        ):
+            abandon(d, d["attempt"], "")  # type: ignore[index]
         self._by_id.clear()
+        self._waves.clear()
         doomed = [
             n
             for n in range(self.machine.n_nodes)
             if self.pool.state_of(n) != OFFLINE
         ]
-        self.pool.fail_nodes(doomed, self._now)
         grow: Optional[Dict[str, object]] = None
-        ready_at = self.pool.request_grow(
-            self.pool.min_nodes, self._now, extra_delay_s=stall_s
+        picked = self.pool.pick_grow(
+            self.pool.min_nodes,
+            self._now,
+            extra_delay_s=stall_s,
+            failed=doomed,
         )
-        if ready_at is not None:
-            grow = {
-                "nodes": sorted(self.pool.last_grown),
-                "ready_at": ready_at,
-            }
-            self._push(ready_at, "ready")
+        if picked is not None:
+            grow = {"nodes": sorted(picked[0]), "ready_at": picked[1]}
+            self._push(picked[1], "ready")
         return canceled, {
             "dead_letter": dead,
-            "drop_pending_release": dropped_releases,
+            "drop_pending_release": [d["request_id"] for d in backing_off],  # type: ignore[index]
             "clear_window": True,
             "failed_nodes": sorted(doomed),
             "pool_grow": grow,
+        }
+
+    def _reconcile_domain_loss(
+        self, failed: Set[int]
+    ) -> Tuple[List[str], Dict[str, object]]:
+        """Hardware loss: every member shard placed on a ``failed``
+        node is lost with it, and its wave's job record says so; a
+        wave left with no member dies here, not at its completion
+        event — nodes released, losses settled at once.  Charges the
+        outage to the recovery ledger."""
+        lost_work: List[float] = []  # of the hit waves that live on
+        members_after = 0
+        canceled: List[str] = []
+        released: List[int] = []
+        requeued: List[Dict[str, object]] = []
+        dead: List[Dict[str, object]] = []
+        manifest_lost: Dict[str, List[str]] = {}
+        update_jobs: Dict[str, Dict[str, object]] = {}
+        for job_id, man in sorted(self.state.inflight.items()):
+            wave = self._waves[job_id]
+            job = wave.job
+            wave.dead_nodes |= failed & set(job.nodes)
+            lost_ids = {
+                req.request_id
+                for m, req in enumerate(job.requests)
+                if self._member_nodes(job, m) & failed
+            }
+            completed, lost = self._outcome(
+                wave, lost_ids | set(man["lost_ids"])  # type: ignore[arg-type]
+            )
+            members_after += len(completed)
+            if not lost_ids:
+                continue  # untouched, or hit under ranks of no whole member
+            manifest_lost[job_id] = sorted(lost_ids)
+            record = next(j for j in self.state.jobs if j["job_id"] == job_id)
+            update_jobs[job_id] = {
+                **record,
+                "lost_request_ids": sorted(
+                    lost_ids | set(record["lost_request_ids"])  # type: ignore[arg-type]
+                ),
+            }
+            if completed:
+                lost_work.append(self._now - float(man["start_s"]))  # type: ignore[arg-type]
+            else:
+                canceled.append(job_id)
+                released.extend(self._surviving_nodes(job_id, man))
+                del self._waves[job_id]
+                again, gone = self._settle_lost(job_id, lost)
+                requeued.extend(again)
+                dead.extend(gone)
+        self._ledger_outage(
+            0.0,
+            sum(lost_work),
+            tuple(sorted(failed)),
+            sum(map(len, manifest_lost.values())) + members_after,
+            members_after,
+        )
+        return canceled, {
+            "released_nodes": sorted(released),
+            "requeued": requeued,
+            "dead_letter": dead,
+            "manifest_lost": manifest_lost,
+            "update_jobs": update_jobs,
         }
 
     def _on_domain_loss(self, index: int, spec: FaultSpec) -> None:
         """A whole fault domain (or single node, without declared
         domains) rips out: its nodes hard-fail, member shards placed
         on them are lost, survivors shrink-and-recover."""
-        domains = self.machine.fault_domains
+        domains, n_nodes = self.machine.fault_domains, self.machine.n_nodes
         if domains is not None:
-            nodes = [
-                n
-                for n in domains.nodes_in(spec.node, self.machine.n_nodes)
-            ]
+            nodes = list(domains.nodes_in(spec.node, n_nodes))
         else:
-            nodes = (
-                [spec.node] if spec.node < self.machine.n_nodes else []
-            )
+            nodes = [spec.node] if spec.node < n_nodes else []
         self._bump("domain_losses")
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "service_domain_losses_total"
-            ).inc()
-            self.telemetry.tracer.record(
-                "service.domain_loss", "marker", self._now, 0.0,
-                domain=int(spec.node), nodes=sorted(nodes),
-            )
-        self.pool.fail_nodes(nodes, self._now)
+        self._count("service_domain_losses_total")
+        self._mark(
+            "service.domain_loss", domain=int(spec.node), nodes=sorted(nodes)
+        )
+        # the tracker is the data plane's (the runner charges it
+        # mid-dispatch): charged here, journaled as the incident delta
         for node in nodes:
             self.health.record(
                 node,
@@ -884,106 +953,25 @@ class OnlineService:
                 detail=f"fault domain {spec.node} lost",
             )
             self.health.quarantine(node)
-        failed = set(nodes)
-        canceled: List[str] = []
-        released: List[int] = []
-        requeued: List[Dict[str, object]] = []
-        dead: List[Dict[str, object]] = []
-        manifest_lost: Dict[str, List[str]] = {}
-        update_jobs: Dict[str, Dict[str, object]] = {}
-        all_lost_members = []
-        for job_id, man in sorted(self._inflight.items()):
-            job: PackedJob = man["job"]  # type: ignore[assignment]
-            hit = failed & set(job.nodes)
-            if not hit:
-                continue
-            man["dead_nodes"].update(hit)  # type: ignore[union-attr]
-            lost_ids = []
-            for m, req in enumerate(job.requests):
-                if self._member_nodes(job, m) & failed:
-                    lost_ids.append(req.request_id)
-            if not lost_ids:
-                continue  # rack died under ranks of no whole member
-            lost_set = set(lost_ids)
-            survivors = [
-                rec
-                for rec in man["completed"]  # type: ignore[union-attr]
-                if rec.request_id not in lost_set
-            ]
-            newly_lost = [
-                req
-                for req in job.requests
-                if req.request_id in lost_set
-                and not any(
-                    r.request_id == req.request_id
-                    for r, _ in man["lost"]  # type: ignore[union-attr]
-                )
-            ]
-            man["completed"] = survivors
-            man["lost"] = list(man["lost"]) + [  # type: ignore[arg-type]
-                (req, "domain_loss") for req in newly_lost
-            ]
-            manifest_lost[job_id] = sorted(lost_set)
-            all_lost_members.extend(lost_ids)
-            record: JobRecord = man["record"]  # type: ignore[assignment]
-            new_record = dataclasses.replace(
-                record,
-                lost_request_ids=tuple(
-                    sorted(set(record.lost_request_ids) | lost_set)
-                ),
-            )
-            man["record"] = new_record
-            for i, existing in enumerate(self._jobs):
-                if existing.job_id == job_id:
-                    self._jobs[i] = new_record
-                    break
-            update_jobs[job_id] = new_record.to_dict()
-            if not survivors:
-                # every member lost: the wave dies here, not at its
-                # completion event — reconcile its losses immediately
-                del self._inflight[job_id]
-                canceled.append(job_id)
-                released.extend(self._release_wave(man))
-                again, gone = self._settle_lost(job_id, man["lost"])
-                requeued.extend(again)
-                dead.extend(gone)
-        directives: Dict[str, object] = {
-            "spec_index": index,
-            "failed_nodes": sorted(failed),
-            "quarantine": sorted(failed),
-            "cancel_jobs": canceled,
-            "drop_jobs": canceled,
-            "released_nodes": sorted(released),
-            "requeued": requeued,
-            "dead_letter": dead,
-            "manifest_lost": manifest_lost,
-            "update_jobs": update_jobs,
-            "incidents": self._health_delta(),
-        }
-        lost_work = sum(
-            self._now - float(self._inflight[j]["start_s"])  # type: ignore[arg-type]
-            for j in manifest_lost
-            if j in self._inflight
-        )
-        members_after = sum(
-            len(m["completed"]) for m in self._inflight.values()  # type: ignore[arg-type]
-        )
-        self._ledger_outage(
-            0.0,
-            lost_work,
-            tuple(sorted(failed)),
-            len(all_lost_members) + members_after,
-            members_after,
-        )
+        failed = sorted(set(nodes))
+        canceled, directives = self._reconcile_domain_loss(set(failed))
         if spec.duration_s > 0:
             restore_t = self._now + spec.duration_s
-            self._pending_restores.append((restore_t, tuple(sorted(failed))))
-            self._push(
-                restore_t, "chaos", {"restore": sorted(failed)}
-            )
+            self._push(restore_t, "chaos", {"restore": failed})
             directives["restore_at"] = restore_t
-        directives["resil"] = self._take_tally()
-        self._log("chaos", directives)
+        self._log(
+            "chaos",
+            {
+                "spec_index": index,
+                "failed_nodes": failed,
+                "quarantine": failed,
+                "cancel_jobs": canceled,
+                "drop_jobs": canceled,
+                **directives,
+                "incidents": self._health_delta(),
+                "resil": self._take_tally(),
+            },
+        )
 
     def _ledger_outage(
         self,
@@ -1027,174 +1015,163 @@ class OnlineService:
         for node in nodes:
             self.health.reset(node)
         self._health_mark = len(self.health.incidents())
-        self._pending_restores = [
-            (t, ns)
-            for t, ns in self._pending_restores
-            if set(ns) != set(nodes)
-        ]
         self._log("chaos", {"reset": sorted(nodes)})
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _force_drain(self) -> None:
-        """Flush every held group regardless of size/age (end of
-        traffic with an infinite hold bound)."""
-        for batch in self.window.flush(self._now, force=True):
-            self._admit_batch(batch)
-        self._schedule()
+    def _window_view(self) -> MovingWindow:
+        """The window the state holds as a throw-away
+        :class:`MovingWindow`: which groups are due, and when the next
+        hold expires after they flush, are its calls."""
+        view = MovingWindow(self._window_policy)
+        for e in self.state.window:
+            view.add(self._live(e["request"]), e["since"])  # type: ignore[arg-type]
+        return view
 
-    def _admit_batch(self, batch) -> None:
-        self._batch_seq += 1
-        rb = _ReadyBatch(
-            seq=self._batch_seq,
-            flushed_at=self._now,
-            signature_key=batch.signature_key,
-            requests=list(batch.requests),
-        )
-        self._ready.append(rb)
-        self._log(
-            "flush",
-            {
-                "seq": rb.seq,
-                "signature_key": rb.signature_key,
-                "request_ids": [r.request_id for r in rb.requests],
-            },
-        )
-
-    def _schedule(self) -> None:
-        """Flush ready groups, place them fair-share order, grow the
-        pool for whatever stays blocked, and (re)arm timers."""
-        for batch in self.window.flush(self._now):
-            self._admit_batch(batch)
-        progress = True
-        while progress and self._ready:
-            progress = False
-            self._ready.sort(
-                key=lambda b: self.fairness.batch_key(b.requests, b.seq)
+    def _ready_order(
+        self,
+    ) -> List[Tuple[Dict[str, object], List[SimRequest]]]:
+        """The flushed-unplaced batches as ``(batch, its requests)``,
+        in dispatch order: fair share across tenants, EDF within."""
+        order = [
+            (b, [self._live(d) for d in b["requests"]])  # type: ignore[union-attr]
+            for b in self.state.ready
+        ]
+        order.sort(
+            key=lambda e: self.fairness.batch_key(
+                self.state.tenant_served, e[1], e[0]["seq"]  # type: ignore[arg-type]
             )
-            for rb in self._ready:
-                if self._try_place(rb):
-                    # placement charged fair-share service: re-sort
-                    # before picking the next batch
-                    progress = True
-                    break
-        if self._ready:
+        )
+        return order
+
+    def _schedule(self, *, force: bool = False) -> None:
+        """Flush the window groups that are due (``force``: every held
+        group, whatever its size or age — end of traffic with an
+        infinite hold bound), place them fair-share order, grow the
+        pool for whatever stays blocked, and (re)arm timers."""
+        view = self._window_view()
+        for batch in view.flush(self._now, force=force):
+            self._log(
+                "flush",
+                {
+                    "seq": self.state.batch_seq + 1,
+                    "signature_key": batch.signature_key,
+                    "request_ids": [r.request_id for r in batch.requests],
+                },
+            )
+        # a placement charges fair-share service: re-sort before
+        # picking the next batch
+        while any(self._try_place(*rb) for rb in self._ready_order()):
+            pass
+        if self.state.ready:
             self._maybe_grow()
         else:
             # no blocked work wants the idle capacity: drain whatever
             # is overdue (reclaim deferred while batches were blocked)
             due = self.pool.next_reclaim()
             if due is not None and due <= self._now:
-                reclaimed = self.pool.reclaim_idle(self._now)
+                reclaimed = self.pool.pick_reclaim(self._now)
                 if reclaimed:
                     self._log(
                         "pool",
                         {"op": "reclaim", "nodes": sorted(reclaimed)},
                     )
-        self._arm_timers()
+        self._arm_timers(view.next_expiry())
 
-    def _largest_shape(self, rb: _ReadyBatch, max_nodes: int):
-        """The job shape of the largest prefix of ``rb`` that fits on
-        ``max_nodes`` nodes (k descending; k=1 only in the FIFO
+    def _largest_shape(self, reqs: List[SimRequest], max_nodes: int):
+        """The job shape of the largest prefix of batch ``reqs`` that
+        fits on ``max_nodes`` nodes (k descending; k=1 only in the FIFO
         baseline), or ``None`` when not even one member does."""
-        top_k = len(rb.requests) if self.packer.prefer_larger_k else 1
+        top_k = len(reqs) if self.packer.prefer_larger_k else 1
         for k in range(top_k, 0, -1):
             shape = self.packer.shape_for(
-                rb.requests[0].input, k, max_nodes=max_nodes
+                reqs[0].input, k, max_nodes=max_nodes
             )
             if shape is not None:
                 return shape
         return None
 
-    def _try_place(self, rb: _ReadyBatch) -> bool:
-        """Dispatch the largest feasible prefix of ``rb`` onto free
-        nodes; returns True when anything was placed."""
+    def _try_place(
+        self, rb: Dict[str, object], reqs: List[SimRequest]
+    ) -> bool:
+        """Dispatch the largest feasible prefix of ready batch ``rb``
+        (requests ``reqs``) onto free nodes; returns True when anything
+        was placed."""
         free = self.pool.free_nodes(self._now)
         if not free:
             return False
-        shape = self._largest_shape(rb, len(free))
+        shape = self._largest_shape(reqs, len(free))
         if shape is None:
             return False
-        if self._job_seq >= MAX_DISPATCHES:
+        wave = self.state.job_seq
+        if wave >= MAX_DISPATCHES:
             raise ServiceError(
                 f"service exceeded max_dispatches={MAX_DISPATCHES} "
                 "(retry storm or misconfigured window?)"
             )
-        members = rb.requests[: shape.k]
-        nodes = self.packer.select_nodes(free, shape.n_nodes)
-        self.pool.allocate(nodes, self._now)
+        members = reqs[: shape.k]
         job = PackedJob(
-            job_id=f"svc{self._job_seq:05d}",
-            wave=self._job_seq,
+            job_id=f"svc{wave:05d}",
+            wave=wave,
             requests=tuple(members),
-            signature_key=rb.signature_key,
+            signature_key=str(rb["signature_key"]),
             shape=shape,
-            nodes=nodes,
+            nodes=self.packer.select_nodes(free, shape.n_nodes),
         )
-        self._job_seq += 1
         record, completed, lost = self.runner.dispatch(
             job, start_s=self._now, steps=self.steps
         )
-        self._jobs.append(record)
-        self.fairness.charge(members, shape.n_nodes * record.elapsed_s)
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter("service_dispatch_total").inc()
-            self.telemetry.metrics.gauge("service_pool_busy_nodes").max(
-                float(self.pool.busy)
-            )
-        self._inflight[job.job_id] = {
-            "requests": job.requests,
-            "nodes": job.nodes,
-            "dead_nodes": set(),
-            "start_s": self._now,
-            "job": job,
-            "record": record,
-            "completed": list(completed),
-            "lost": [(req, "data_faults") for req in lost],
-        }
+        self._waves[job.job_id] = _Wave(
+            job, list(completed), [(req, "data_faults") for req in lost]
+        )
         self._push(self._now + record.elapsed_s, "complete", job.job_id)
         self._log(
             "dispatch",
             {
                 "job_id": job.job_id,
-                "wave": job.wave,
-                "signature_key": rb.signature_key,
-                "nodes": sorted(nodes),
+                "wave": wave,
+                "signature_key": job.signature_key,
+                "nodes": sorted(job.nodes),
                 "elapsed_s": record.elapsed_s,
-                "ready_seq": rb.seq,
+                "ready_seq": rb["seq"],
                 "request_ids": [r.request_id for r in members],
                 "record": record.to_dict(),
                 "incidents": self._health_delta(),
-                "tenant_served": self.fairness.served(),
+                "tenant_served": self.fairness.charge(
+                    self.state.tenant_served,
+                    members,
+                    shape.n_nodes * record.elapsed_s,
+                ),
             },
         )
-        del rb.requests[: shape.k]
-        if not rb.requests:
-            self._ready.remove(rb)
+        self._count("service_dispatch_total")
+        if self.telemetry is not None:
+            self.telemetry.metrics.gauge("service_pool_busy_nodes").max(
+                float(self.pool.busy)
+            )
         return True
 
     def _next_provision_fault(self) -> Optional[Tuple[int, FaultSpec]]:
-        """The earliest armed ``provision_fail`` whose trigger time has
-        passed, or ``None``."""
-        for index, spec in self._provision_faults:
-            if index in self._consumed_chaos:
-                continue
-            if spec.at_s <= self._now:
-                return (index, spec)
-        return None
+        """The earliest unconsumed ``provision_fail`` whose trigger
+        time has passed, or ``None``."""
+        due = [
+            (spec.at_s, i, spec)
+            for i, spec in enumerate(self.chaos.specs if self.chaos else ())
+            if spec.kind == "provision_fail"
+            and i not in self.state.consumed_chaos
+            and spec.at_s <= self._now
+        ]
+        return min(due)[1:] if due else None  # type: ignore[return-value]
 
     def _maybe_grow(self) -> None:
         """Ask the pool for the most underserved blocked batch's
         deficit, or prove the service is stuck and raise."""
-        rb = min(
-            self._ready,
-            key=lambda b: self.fairness.batch_key(b.requests, b.seq),
-        )
-        target = self._largest_shape(rb, self.pool.max_nodes)
+        rb, reqs = self._ready_order()[0]
+        target = self._largest_shape(reqs, self.pool.max_nodes)
         if target is None:
             raise ServiceError(
-                f"request {rb.requests[0].request_id!r} cannot fit on "
+                f"request {reqs[0].request_id!r} cannot fit on "
                 f"{self.pool.max_nodes} node(s) of {self.machine.name} "
                 "at any ensemble size — it would block the service forever"
             )
@@ -1206,19 +1183,12 @@ class OnlineService:
             stall: Dict[str, object] = {}
             if fault is not None:
                 index, spec = fault
-                self._consumed_chaos.add(index)
                 if spec.duration_s <= 0:
                     # the provider refuses outright: charge the
                     # failure and retry the grow a beat later
                     self._bump("provision_failures")
-                    if self.telemetry is not None:
-                        self.telemetry.metrics.counter(
-                            "service_provision_failures_total"
-                        ).inc()
-                        self.telemetry.tracer.record(
-                            "pool.provision_fail", "marker",
-                            self._now, 0.0, deficit=int(deficit),
-                        )
+                    self._count("service_provision_failures_total")
+                    self._mark("pool.provision_fail", deficit=int(deficit))
                     self._log(
                         "pool",
                         {
@@ -1235,48 +1205,50 @@ class OnlineService:
                     )
                     return
                 # the grow goes through, late
-                if self.telemetry is not None:
-                    self.telemetry.tracer.record(
-                        "pool.provision_stall", "marker", self._now, 0.0,
-                        stall_s=float(spec.duration_s),
-                    )
                 stall = {"stall_s": spec.duration_s, "spec_index": index}
-            ready_at = self.pool.request_grow(
+            picked = self.pool.pick_grow(
                 deficit, self._now, extra_delay_s=stall.get("stall_s", 0.0)  # type: ignore[arg-type]
             )
-            if ready_at is not None:
-                if stall:
+            if picked is not None:
+                nodes, ready_at = picked
+                if stall:  # consumed only by the grow it actually stalls
+                    self._mark(
+                        "pool.provision_stall", stall_s=float(spec.duration_s)
+                    )
                     self._bump("provision_stall_seconds", spec.duration_s)
                     stall["resil"] = self._take_tally()
                 self._log(
                     "pool",
                     {
                         "op": "grow",
-                        "nodes": sorted(self.pool.last_grown),
+                        "nodes": sorted(nodes),
                         "ready_at": ready_at,
                         **stall,
                     },
                 )
                 self._push(ready_at, "ready")
                 return
-        if not self._inflight and provisioning == 0 and deficit > 0:
-            if self._pending_restores or self._now < self._down_until:
+        if not self.state.inflight and provisioning == 0 and deficit > 0:
+            if (
+                self.state.pending_restores
+                or self._now < self.state.down_until
+            ):
                 # capacity is coming back (a lost domain heals, or the
                 # outage ends) — a chaos/ready event is already armed
                 return
             raise ServiceError(
-                f"service deadlocked: batch of {len(rb.requests)} "
-                f"(signature {rb.signature_key}) needs {target.n_nodes} "
+                f"service deadlocked: batch of {len(reqs)} "
+                f"(signature {rb['signature_key']}) needs {target.n_nodes} "
                 f"node(s), only {free} allocatable, and the pool is at "
                 f"its ceiling ({self.pool.max_nodes}) with nothing "
                 "running — quarantined nodes?"
             )
 
-    def _arm_timers(self) -> None:
-        """Wake the loop at the next window expiry and the next idle
+    def _arm_timers(self, expiry: Optional[float]) -> None:
+        """Wake the loop at the next window ``expiry`` and the next idle
         reclaim, once each."""
         for due, armed, kind in (
-            (self.window.next_expiry(), self._flush_timers, "flush"),
+            (expiry, self._flush_timers, "flush"),
             (self.pool.next_reclaim(), self._reclaim_timers, "reclaim"),
         ):
             if (
@@ -1298,9 +1270,10 @@ class OnlineService:
         mode: str = "resume",
         resume_delay_s: float = 0.0,
     ) -> None:
-        """Load a :class:`~repro.service.journal.ReplayState` into this
-        freshly-constructed service, reconciling whatever the crash
-        interrupted.  Follow with :meth:`resume`.
+        """Adopt a replayed :class:`~repro.service.journal.ReplayState`
+        as this freshly-constructed service's state, reconcile whatever
+        the crash interrupted, and re-arm the timers the WAL implies.
+        Follow with :meth:`resume`.
 
         ``mode`` is ``"resume"`` (exactly-once: keep durable results,
         requeue in-flight) or ``"cold"`` (restart-from-empty baseline);
@@ -1314,116 +1287,62 @@ class OnlineService:
             raise ServiceError(
                 f"resume_delay_s must be >= 0, got {resume_delay_s}"
             )
-        if self._now != 0.0 or self._served or self._jobs:
+        if self._now != 0.0 or self.state.served or self.state.jobs:
             raise ServiceError(
                 "restore() needs a freshly constructed service"
             )
         t_rec = float(state.t) + float(resume_delay_s)
         self._now = t_rec
-        backoffs = self._load(state)
+        self.state = state
+        if self.journal is not None:
+            self.journal.seed(state)
+        # the pool reads the state's book from now on; the data plane's
+        # health tracker is rebuilt from the state's journal of it
+        state.watch_pool(self.pool.sample)
+        if state.pool is not None:
+            self.pool.restore(state.pool)
+        self.health.restore(state.health)
+        self._health_mark = len(self.health.incidents())
         self._bump("wal_recoveries")
         self._bump("recovery_seconds", resume_delay_s)
+        backoffs = list(state.pending_release)
+        drop_jobs = sorted(state.inflight)
         # the reconciliation an in-run crash runs, at the WAL's times:
         # members requeue at the recovery instant, the regrow is prompt
         if mode == "resume":
             _, directives = self._reconcile_resume(t_rec)
         else:
             _, directives = self._reconcile_cold(0.0)
-        # retry backoffs that survived keep their release times
-        for req, release_t in backoffs:
-            if req.request_id in self._pending_release:
-                self._push(release_t, "release", req)
+        self._log(
+            "recover",
+            {
+                "mode": mode,
+                "drop_jobs": drop_jobs,
+                **directives,
+                "resil": self._take_tally(),
+            },
+        )
+        # retry backoffs keep their release times (cold dropped them all)
+        for entry in backoffs if mode == "resume" else ():
+            self._push(
+                max(float(entry["release_t"]), t_rec),  # type: ignore[arg-type]
+                "release",
+                SimRequest.from_dict(entry["request"]),
+            )
         # pending provisioning completions become wake-ups again
         for rt in self.pool.ready_times():
             self._push(max(rt, t_rec), "ready")
         # domain restores that had not fired yet
         for entry in state.pending_restores:
-            restore_t = max(float(entry["t"]), t_rec)
-            nodes = tuple(int(n) for n in entry["nodes"])
-            self._pending_restores.append((restore_t, nodes))
-            self._push(restore_t, "chaos", {"restore": sorted(nodes)})
-        self._arm_chaos(t_rec)
-        if self._down_until > t_rec:
-            self._push(self._down_until, "ready")
-        if self.journal is not None:
-            self.journal.seed(state)
-        self._log(
-            "recover",
-            {
-                "mode": mode,
-                "drop_jobs": sorted(state.inflight),
-                **directives,
-                "resil": self._take_tally(),
-            },
-        )
-        self._recovered = (t_rec, set(state.arrived_ids))
-
-    def _load(self, state) -> List[Tuple[SimRequest, float]]:
-        """Turn the mirror dicts of ``state`` back into the live state
-        an in-run crash would find at the current clock: the durable
-        books, the window and ready queue, and an in-flight manifest
-        per wave the WAL never saw complete.  Returns the retry
-        backoffs it loaded, as ``(request, release time)``, so the
-        caller can re-arm the timers of those that survive."""
-        self.admission.offered = int(state.offered)
-        self.admission.admitted = int(state.admitted)
-        self.admission.rejections = [
-            RejectionRecord.from_dict(d) for d in state.rejections
-        ]
-        self._served = [ServedRecord.from_dict(d) for d in state.served]
-        self._abandoned = [
-            AbandonedRecord.from_dict(d) for d in state.abandoned
-        ]
-        self._jobs = [JobRecord.from_dict(d) for d in state.jobs]
-        self.fairness.restore_served(state.tenant_served)
-        self._job_seq = int(state.job_seq)
-        self._batch_seq = int(state.batch_seq)
-        self._resil = dict(state.resil)
-        self._dead_by_cause = dict(state.dead_by_cause)
-        self._consumed_chaos = set(state.consumed_chaos)
-        self._down_until = float(state.down_until)
-        if state.pool is not None:
-            self.pool.restore(state.pool)
-        self.health.restore(state.health)
-        self._health_mark = len(self.health.incidents())
-        for entry in state.window:
-            req = SimRequest.from_dict(entry["request"])
-            self._by_id[req.request_id] = req
-            self.window.add(req, float(entry["since"]))
-        for b in state.ready:
-            reqs = [SimRequest.from_dict(d) for d in b["requests"]]
-            for r in reqs:
-                self._by_id[r.request_id] = r
-            self._ready.append(
-                _ReadyBatch(
-                    seq=int(b["seq"]),
-                    flushed_at=float(b["flushed_at"]),
-                    signature_key=str(b["signature_key"]),
-                    requests=reqs,
-                )
+            self._push(
+                max(float(entry["t"]), t_rec),
+                "chaos",
+                {"restore": sorted(int(n) for n in entry["nodes"])},
             )
-        for job_id, man in state.inflight.items():
-            if man["canceled"]:
-                continue  # already reconciled; the caller drops it
-            nodes = tuple(int(n) for n in man["nodes"])
-            self._inflight[job_id] = {
-                "requests": tuple(
-                    SimRequest.from_dict(d) for d in man["requests"]
-                ),
-                "nodes": nodes,
-                # the WAL marks lost nodes only in the pool mirror
-                "dead_nodes": {
-                    n for n in nodes if self.pool.state_of(n) != BUSY
-                },
-                "start_s": float(man["start_s"]),
-            }
-        backoffs: List[Tuple[SimRequest, float]] = []
-        for entry in state.pending_release:
-            req = SimRequest.from_dict(entry["request"])
-            release_t = max(float(entry["release_t"]), self._now)
-            self._pending_release[req.request_id] = (req, release_t)
-            backoffs.append((req, release_t))
-        return backoffs
+        self._arm_chaos(t_rec)
+        if state.down_until > t_rec:
+            self._push(state.down_until, "ready")
+        self._recovered = (t_rec, set(state.arrived_ids))
 
     def resume(self, horizon_s: float) -> ServiceReport:
         """Finish a restored run: regenerate the traffic horizon, skip
@@ -1432,7 +1351,7 @@ class OnlineService:
         if self._recovered is None:
             raise ServiceError("resume() requires restore() first")
         self._open(horizon_s, *self._recovered)
-        if self._now >= self._down_until:
+        if self._now >= self.state.down_until:
             # the crash may have landed between a flush and its
             # dispatch: the restored ready batches have no pending
             # event to place them, so schedule once at recovery time

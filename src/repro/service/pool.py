@@ -19,15 +19,22 @@ the packer and ledgers use:
 - nodes the shared :class:`~repro.resilience.health.NodeHealthTracker`
   quarantines stop being allocatable even while provisioned.
 
-Every transition is appended to a timeline, so reports can plot pool
-size against offered load, and provisioned node-seconds (the cost
-integral) are accumulated exactly.
+The pool's mutable state is one JSON-safe *book* —
+``{state, ready_at, idle_since, node_seconds, last_t}``, node ids as
+string keys, exactly what the service WAL's ``begin`` event and
+snapshots carry — and it has two writers, both here: :func:`advance`
+(the one ``∫ provisioned dt``) and :func:`transition` (the one
+state-setter).  :class:`~repro.service.journal.ReplayState` folds WAL
+events through them; :class:`ElasticNodePool` adds what needs the
+machine — which nodes to grow, which to reclaim — as pure pickers over
+the book, the stand-alone lifecycle calls as picker + transition, and
+the pool-size timeline (one sample per transition that moved a node).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
 from repro.machine.model import MachineModel
@@ -35,6 +42,46 @@ from repro.records import Record
 
 #: Node lifecycle states.
 OFFLINE, PROVISIONING, IDLE, BUSY = "offline", "provisioning", "idle", "busy"
+
+
+def advance(book: Dict[str, object], t: float) -> None:
+    """Integrate provisioned (idle + busy) capacity of ``book`` up to
+    ``t``; a ``t`` at or before the book's clock is a no-op."""
+    last = float(book["last_t"])  # type: ignore[arg-type]
+    if t > last:
+        provisioned = sum(
+            1 for s in book["state"].values() if s in (IDLE, BUSY)  # type: ignore[union-attr]
+        )
+        book["node_seconds"] = (
+            float(book["node_seconds"]) + provisioned * (t - last)  # type: ignore[arg-type]
+        )
+        book["last_t"] = t
+
+
+def transition(
+    book: Dict[str, object],
+    nodes: Iterable[int],
+    state: str,
+    t: float,
+    ready_at: Optional[float] = None,
+) -> bool:
+    """Put ``nodes`` of ``book`` into lifecycle ``state`` at ``t``
+    (``ready_at``: when provisioning ones come online).  True iff any
+    node changed state."""
+    changed = False
+    for n in nodes:
+        key = str(int(n))
+        changed |= book["state"].get(key) != state  # type: ignore[union-attr]
+        book["state"][key] = state  # type: ignore[index]
+        if state == IDLE:
+            book["idle_since"][key] = t  # type: ignore[index]
+        else:
+            book["idle_since"].pop(key, None)  # type: ignore[union-attr]
+        if state != PROVISIONING:
+            book["ready_at"].pop(key, None)  # type: ignore[union-attr]
+        elif ready_at is not None:
+            book["ready_at"][key] = ready_at  # type: ignore[index]
+    return changed
 
 
 @dataclass(frozen=True)
@@ -110,49 +157,54 @@ class ElasticNodePool:
         self.idle_reclaim_s = float(idle_reclaim_s)
         self.health = health
         self.spread_domains = spread_domains
-        self._state: Dict[int, str] = {
-            n: OFFLINE for n in range(machine.n_nodes)
+        #: the mutable state, in the journal's format (module docstring);
+        #: a journaled or recovered service rebinds it to its fold's book
+        self.book: Dict[str, object] = {
+            "state": {
+                str(n): IDLE if n < self.min_nodes else OFFLINE
+                for n in range(machine.n_nodes)
+            },
+            "ready_at": {},  # provisioning -> online time
+            "idle_since": {str(n): 0.0 for n in range(self.min_nodes)},
+            "node_seconds": 0.0,  # provisioned-capacity cost integral
+            "last_t": 0.0,
         }
         #: node ids the most recent :meth:`request_grow` started
         self.last_grown: Tuple[int, ...] = ()
-        self._ready_at: Dict[int, float] = {}  # provisioning -> online time
-        self._idle_since: Dict[int, float] = {}
         self.timeline: List[PoolSample] = []
-        self.node_seconds = 0.0  # provisioned-capacity cost integral
-        self._last_t = 0.0
-        for n in range(self.min_nodes):
-            self._state[n] = IDLE
-            self._idle_since[n] = 0.0
-        self._sample(0.0)
+        self.sample(0.0)
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def _advance_cost(self, now: float) -> None:
-        if now < self._last_t:
-            raise ServiceError(
-                f"pool clock moved backwards: {now} < {self._last_t}"
-            )
-        self.node_seconds += self.provisioned * (now - self._last_t)
-        self._last_t = now
-
-    def _sample(self, now: float) -> None:
+    def sample(self, now: float) -> None:
+        """Append the pool's current size to the timeline."""
         self.timeline.append(
             PoolSample(
                 t_s=float(now),
                 provisioned=self.provisioned,
-                busy=self._count(BUSY),
+                busy=self.busy,
                 provisioning=self._count(PROVISIONING),
             )
         )
 
-    def _count(self, state: str) -> int:
-        return sum(1 for s in self._state.values() if s == state)
+    def _count(self, *states: str) -> int:
+        return sum(1 for s in self.book["state"].values() if s in states)  # type: ignore[union-attr]
+
+    def _nodes(self, state: str) -> List[int]:
+        return sorted(
+            int(n) for n, s in self.book["state"].items() if s == state  # type: ignore[union-attr]
+        )
+
+    @property
+    def node_seconds(self) -> float:
+        """Provisioned node-seconds integrated so far."""
+        return float(self.book["node_seconds"])  # type: ignore[arg-type]
 
     @property
     def provisioned(self) -> int:
         """Online capacity: idle + busy nodes."""
-        return self._count(IDLE) + self._count(BUSY)
+        return self._count(IDLE, BUSY)
 
     @property
     def busy(self) -> int:
@@ -163,51 +215,50 @@ class ElasticNodePool:
     def committed(self) -> int:
         """Capacity already paid for or en route: provisioned plus
         provisioning."""
-        return self.provisioned + self._count(PROVISIONING)
+        return self._count(IDLE, BUSY, PROVISIONING)
 
     def state_of(self, node: int) -> str:
         """The node's lifecycle state."""
         try:
-            return self._state[node]
+            return self.book["state"][str(node)]  # type: ignore[index]
         except KeyError:
             raise ServiceError(f"node {node} is not in the pool") from None
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # pickers — pure reads of the book; the service journals what they
+    # pick and the fold applies it
     # ------------------------------------------------------------------
-    def on_ready(self, now: float) -> List[int]:
-        """Bring provisioning nodes whose delay elapsed online (idle)."""
-        self._advance_cost(now)
-        came_up = sorted(
-            n for n, t in self._ready_at.items() if t <= now
+    def due_ready(self, now: float) -> List[int]:
+        """Provisioning nodes whose delay has elapsed at ``now``."""
+        return sorted(
+            int(n) for n, t in self.book["ready_at"].items() if t <= now  # type: ignore[union-attr]
         )
-        for n in came_up:
-            del self._ready_at[n]
-            self._state[n] = IDLE
-            self._idle_since[n] = now
-        if came_up:
-            self._sample(now)
-        return came_up
 
     def next_ready(self) -> Optional[float]:
         """Earliest pending provisioning completion, or ``None``."""
-        return min(self._ready_at.values()) if self._ready_at else None
+        return min(self.ready_times(), default=None)
 
     def ready_times(self) -> List[float]:
         """Distinct pending provisioning-completion times, sorted —
         a recovered service re-arms one wake-up per entry."""
-        return sorted(set(self._ready_at.values()))
+        return sorted(set(self.book["ready_at"].values()))  # type: ignore[union-attr]
 
-    def request_grow(
-        self, n_nodes: int, now: float, *, extra_delay_s: float = 0.0
-    ) -> Optional[float]:
-        """Start provisioning up to ``n_nodes`` more nodes.
-
-        Returns the time they come online, or ``None`` when the pool
-        is already at ``max_nodes`` (nothing started).  Quarantined
-        offline nodes are never provisioned.  ``extra_delay_s`` stalls
-        this particular grow beyond the nominal delay (the
-        ``provision_fail`` fault charges its stall here).
+    def pick_grow(
+        self,
+        n_nodes: int,
+        now: float,
+        *,
+        extra_delay_s: float = 0.0,
+        failed: Sequence[int] = (),
+    ) -> Optional[Tuple[Tuple[int, ...], float]]:
+        """The nodes a grow of up to ``n_nodes`` would start
+        provisioning and the time they come online, or ``None`` when
+        the pool is already at ``max_nodes`` (nothing would start).
+        Quarantined offline nodes are never picked.  ``extra_delay_s``
+        stalls this particular grow beyond the nominal delay (the
+        ``provision_fail`` fault charges its stall here); ``failed``
+        nodes count as already offline (a cold restart fails the whole
+        pool and regrows in one transition).
         """
         if n_nodes < 1:
             raise ServiceError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -215,137 +266,130 @@ class ElasticNodePool:
             raise ServiceError(
                 f"extra_delay_s must be >= 0, got {extra_delay_s}"
             )
-        self._advance_cost(now)
-        headroom = self.max_nodes - self.committed
-        take = min(n_nodes, headroom)
-        if take <= 0:
-            return None
-        ready_at = now + self.provision_delay_s + extra_delay_s
+        gone = {int(n) for n in failed}
+        offline = sorted(gone | set(self._nodes(OFFLINE)))
+        committed = len(self.book["state"]) - len(offline)  # type: ignore[arg-type]
         candidates = [
             n
-            for n in sorted(self._state)
-            if self._state[n] == OFFLINE
-            and not (
-                self.health is not None and self.health.is_quarantined(n)
-            )
+            for n in offline
+            if not (self.health is not None and self.health.is_quarantined(n))
         ]
         domains = self.machine.fault_domains
         if domains is not None and self.spread_domains:
             candidates = domains.interleave(candidates)
-        grown: List[int] = []
-        for n in candidates:
-            if len(grown) == take:
-                break
-            self._state[n] = PROVISIONING
-            self._ready_at[n] = ready_at
-            grown.append(n)
+        take = min(n_nodes, self.max_nodes - committed)
+        grown = tuple(candidates[: max(0, take)])
         if not grown:
             return None
-        self.last_grown = tuple(grown)
-        self._sample(now)
-        return ready_at
+        return grown, now + self.provision_delay_s + extra_delay_s
 
     def free_nodes(self, now: float) -> List[int]:
         """Allocatable node ids: idle and not quarantined, sorted."""
-        idle = [n for n, s in sorted(self._state.items()) if s == IDLE]
+        idle = self._nodes(IDLE)
         if self.health is None:
             return idle
         return [n for n in idle if not self.health.is_quarantined(n)]
 
-    def allocate(self, nodes: Sequence[int], now: float) -> None:
-        """Mark ``nodes`` busy (they must all be idle)."""
-        self._advance_cost(now)
-        for n in nodes:
-            if self._state.get(n) != IDLE:
-                raise ServiceError(
-                    f"cannot allocate node {n}: state "
-                    f"{self._state.get(n, 'absent')!r}"
-                )
-        for n in nodes:
-            self._state[n] = BUSY
-            self._idle_since.pop(n, None)
-        self._sample(now)
-
-    def release(self, nodes: Sequence[int], now: float) -> None:
-        """Return busy ``nodes`` to idle at ``now``."""
-        self._advance_cost(now)
-        for n in nodes:
-            if self._state.get(n) != BUSY:
-                raise ServiceError(
-                    f"cannot release node {n}: state "
-                    f"{self._state.get(n, 'absent')!r}"
-                )
-        for n in nodes:
-            self._state[n] = IDLE
-            self._idle_since[n] = now
-        self._sample(now)
-
-    def reclaim_idle(self, now: float) -> List[int]:
-        """Drain-and-reclaim: offline every node idle for
-        ``idle_reclaim_s``, newest-id first, keeping ``min_nodes`` of
-        online capacity.  Returns the reclaimed ids."""
-        self._advance_cost(now)
-        reclaimed: List[int] = []
-        candidates = sorted(
-            (
-                n
-                for n, s in self._state.items()
-                if s == IDLE
-                and now - self._idle_since[n] >= self.idle_reclaim_s
-            ),
-            reverse=True,
-        )
-        for n in candidates:
-            if self.provisioned <= self.min_nodes:
-                break
-            self._state[n] = OFFLINE
-            del self._idle_since[n]
-            reclaimed.append(n)
-        if reclaimed:
-            self._sample(now)
-        return reclaimed
+    def pick_reclaim(self, now: float) -> List[int]:
+        """Drain-and-reclaim candidates: every node idle for
+        ``idle_reclaim_s``, newest-id first, short of what would take
+        online capacity below ``min_nodes``."""
+        since = self.book["idle_since"]
+        due = [
+            n
+            for n in reversed(self._nodes(IDLE))
+            if now - since[str(n)] >= self.idle_reclaim_s  # type: ignore[index]
+        ]
+        return due[: max(0, self.provisioned - self.min_nodes)]
 
     def next_reclaim(self) -> Optional[float]:
         """Earliest time an idle node becomes reclaimable (the service
         schedules its reclaim timer here); ``None`` when no idle node
         is above the floor or reclaim is disabled."""
+        since = self.book["idle_since"]
         if (
             self.idle_reclaim_s == float("inf")
             or self.provisioned <= self.min_nodes
-            or not self._idle_since
+            or not since
         ):
             return None
-        return min(self._idle_since.values()) + self.idle_reclaim_s
+        return min(since.values()) + self.idle_reclaim_s  # type: ignore[union-attr]
+
+    # ------------------------------------------------------------------
+    # stand-alone lifecycle: picker + the one transition
+    # ------------------------------------------------------------------
+    def _advance_cost(self, now: float) -> None:
+        if now < self.book["last_t"]:  # type: ignore[operator]
+            raise ServiceError(
+                f"pool clock moved backwards: {now} < {self.book['last_t']}"
+            )
+        advance(self.book, now)
+
+    def _move(
+        self,
+        nodes: Sequence[int],
+        state: str,
+        now: float,
+        ready_at: Optional[float] = None,
+    ) -> None:
+        self._advance_cost(now)
+        if transition(self.book, nodes, state, now, ready_at):
+            self.sample(now)
+
+    def _require(self, nodes: Sequence[int], state: str, verb: str) -> None:
+        for n in nodes:
+            have = self.book["state"].get(str(n), "absent")  # type: ignore[union-attr]
+            if have != state:
+                raise ServiceError(f"cannot {verb} node {n}: state {have!r}")
+
+    def on_ready(self, now: float) -> List[int]:
+        """Bring provisioning nodes whose delay elapsed online (idle)."""
+        came_up = self.due_ready(now)
+        self._move(came_up, IDLE, now)
+        return came_up
+
+    def request_grow(
+        self, n_nodes: int, now: float, *, extra_delay_s: float = 0.0
+    ) -> Optional[float]:
+        """Start provisioning what :meth:`pick_grow` picks; returns the
+        time the nodes come online, or ``None`` when nothing started."""
+        picked = self.pick_grow(n_nodes, now, extra_delay_s=extra_delay_s)
+        if picked is None:
+            return None
+        self.last_grown, ready_at = picked
+        self._move(self.last_grown, PROVISIONING, now, ready_at)
+        return ready_at
+
+    def allocate(self, nodes: Sequence[int], now: float) -> None:
+        """Mark ``nodes`` busy (they must all be idle)."""
+        self._require(nodes, IDLE, "allocate")
+        self._move(nodes, BUSY, now)
+
+    def release(self, nodes: Sequence[int], now: float) -> None:
+        """Return busy ``nodes`` to idle at ``now``."""
+        self._require(nodes, BUSY, "release")
+        self._move(nodes, IDLE, now)
+
+    def reclaim_idle(self, now: float) -> List[int]:
+        """Offline what :meth:`pick_reclaim` picks; returns the ids."""
+        reclaimed = self.pick_reclaim(now)
+        self._move(reclaimed, OFFLINE, now)
+        return reclaimed
 
     def fail_nodes(self, nodes: Sequence[int], now: float) -> List[int]:
         """Hard-fail ``nodes``: force them offline from *any* state at
         ``now`` (a ``domain_loss`` rips a rack out regardless of what
         each node was doing).  Returns the subset that was busy, so the
         caller can reconcile in-flight jobs."""
-        self._advance_cost(now)
-        was_busy: List[int] = []
-        changed = False
-        for n in nodes:
-            state = self._state.get(n)
-            if state is None:
-                raise ServiceError(f"node {n} is not in the pool")
-            if state == OFFLINE:
-                continue
-            if state == BUSY:
-                was_busy.append(n)
-            self._state[n] = OFFLINE
-            self._ready_at.pop(n, None)
-            self._idle_since.pop(n, None)
-            changed = True
-        if changed:
-            self._sample(now)
+        was_busy = [n for n in nodes if self.state_of(n) == BUSY]
+        self._move(nodes, OFFLINE, now)
         return was_busy
 
     # ------------------------------------------------------------------
     def finish(self, now: float) -> None:
         """Close the cost integral at the service end time."""
         self._advance_cost(now)
-        self._sample(now)
+        self.sample(now)
 
     def timeline_dicts(self) -> List[Dict[str, object]]:
         """JSON-safe pool timeline."""
@@ -355,40 +399,23 @@ class ElasticNodePool:
     # snapshot / restore (service journal)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe snapshot of every mutable field the journal needs
-        to resurrect the pool mid-horizon (timeline excluded — the
+        """A copy of the book: every mutable field the journal needs to
+        resurrect the pool mid-horizon (timeline excluded — the
         recovered service restarts it at the restore time)."""
         return {
-            "state": {str(n): s for n, s in sorted(self._state.items())},
-            "ready_at": {
-                str(n): t for n, t in sorted(self._ready_at.items())
-            },
-            "idle_since": {
-                str(n): t for n, t in sorted(self._idle_since.items())
-            },
-            "node_seconds": self.node_seconds,
-            "last_t": self._last_t,
+            k: dict(v) if isinstance(v, dict) else v
+            for k, v in self.book.items()
         }
 
-    def restore(self, snap: Dict[str, object]) -> None:
-        """Overwrite this pool's mutable state from :meth:`to_dict`
-        output (configuration — floors, delays, machine — comes from
-        the constructor, not the snapshot)."""
-        state = {int(n): s for n, s in snap["state"].items()}  # type: ignore[union-attr]
-        if set(state) != set(self._state):
+    def restore(self, book: Dict[str, object]) -> None:
+        """Adopt ``book`` (a :meth:`to_dict`-format dict, held by
+        reference) as this pool's state and restart the timeline at its
+        clock (configuration — floors, delays, machine — comes from the
+        constructor, not the book)."""
+        if set(book["state"]) != set(self.book["state"]):  # type: ignore[arg-type,call-overload]
             raise ServiceError(
                 "pool snapshot node set does not match this machine"
             )
-        self._state = state
-        self._ready_at = {
-            int(n): float(t)
-            for n, t in snap["ready_at"].items()  # type: ignore[union-attr]
-        }
-        self._idle_since = {
-            int(n): float(t)
-            for n, t in snap["idle_since"].items()  # type: ignore[union-attr]
-        }
-        self.node_seconds = float(snap["node_seconds"])  # type: ignore[arg-type]
-        self._last_t = float(snap["last_t"])  # type: ignore[arg-type]
+        self.book = book
         self.timeline = []
-        self._sample(self._last_t)
+        self.sample(float(book["last_t"]))  # type: ignore[arg-type]

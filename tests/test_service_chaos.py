@@ -262,7 +262,7 @@ class TestDomainLoss:
     def test_dead_letters_keep_their_own_cause_in_the_wal(self):
         """A wave that loses one member to a data fault and the other
         to a domain loss, with the retry budget already spent, dead-
-        letters one request per cause — live, in the journal's shadow,
+        letters one request per cause — live, in a replay of the journal,
         and in a run recovered from that WAL alike."""
         machine = dataclasses.replace(
             replace(
@@ -312,7 +312,7 @@ class TestDomainLoss:
         report = build(journal).run(60.0)
         assert report.jobs[0].nodes == (0, 1, 4, 5)
         assert report.resilience["dead_letters_by_cause"] == want
-        assert journal.shadow.dead_by_cause == want
+        assert ServiceJournal.replay(journal.events).dead_by_cause == want
         # crash right before the closing event: every dead letter the
         # recovered report shows came out of the WAL, not a live tally
         recovered = recover_service(
@@ -386,7 +386,7 @@ class TestForceDrainEdges:
         report = svc.run(200.0)
         assert report.offered == 2
         assert report.n_served == 2
-        assert not svc.window  # drained
+        assert not svc.state.window  # drained
         # they were flushed at the drain, not at arrival
         assert all(s.start_s >= 50.0 for s in report.served)
 

@@ -23,9 +23,10 @@ from repro.errors import JournalCrash, ServiceError
 from repro.machine import generic_cluster
 from repro.machine.model import KiB
 from repro.machine.topology import FaultDomains
-from repro.resilience import FaultPlan, FaultSpec
+from repro.resilience import FaultPlan, FaultSpec, NodeHealthTracker
 from repro.service import (
     EVENT_KINDS,
+    ElasticNodePool,
     OnlineService,
     PoissonTraffic,
     ReplayState,
@@ -102,12 +103,37 @@ class TestJournalBasics:
         assert report.offered > 0
 
     def test_every_append_is_shadow_validated(self, baseline):
-        """The journal replays itself on every append; the final
-        shadow state must already agree with the finished run."""
+        """The journal folds every event before it stores it; the
+        state it ends on — the service's own — is what a replay of the
+        stored events reaches, and already agrees with the finished
+        run."""
         journal, report, want = baseline
-        shadow = journal.shadow
-        assert sorted(s["request_id"] for s in shadow.served) == want["served"]
-        assert shadow.offered == report.offered
+        state = journal.state
+        assert sorted(s["request_id"] for s in state.served) == want["served"]
+        assert state.offered == report.offered
+        assert state.to_dict() == ServiceJournal.replay(journal.events).to_dict()
+
+    def test_a_refused_event_is_not_journaled(self):
+        """Fold first, append second: an event the fold refuses must
+        not stay in a WAL that ``from_jsonl`` would then refuse."""
+        journal = ServiceJournal()
+        with pytest.raises(ServiceError, match="flush.*'request_ids'"):
+            journal.append("flush", {"t": 0.0, "seq": 1})
+        assert len(journal) == 0
+        assert ServiceJournal.from_jsonl(journal.to_jsonl()).events == []
+        # and the journal is still usable: a valid event lands and
+        # the WAL round-trips
+        begin = {
+            "t": 0.0,
+            "horizon_s": 1.0,
+            "pool": ElasticNodePool(_machine()).to_dict(),
+            "health": NodeHealthTracker().to_dict(),
+        }
+        journal.append("begin", begin)
+        assert len(journal) == 1
+        again = ServiceJournal.from_jsonl(journal.to_jsonl())
+        assert again.events == journal.events
+        assert again.state.to_dict() == journal.state.to_dict()
 
     def test_jsonl_round_trip(self, baseline):
         journal, _, _ = baseline

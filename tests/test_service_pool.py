@@ -148,7 +148,6 @@ class TestAdmission:
         ctl = AdmissionController()
         for i in range(100):
             assert ctl.try_admit(_req(i), pending=i) is None
-        assert ctl.shed == 0 and ctl.shed_rate == 0.0
 
     def test_bounded_sheds_with_record(self):
         ctl = AdmissionController(max_pending=2)
@@ -158,9 +157,17 @@ class TestAdmission:
         assert rec is not None
         assert rec.request_id == "r2" and rec.tenant == "t"
         assert rec.pending == 2 and "max_pending" in rec.reason
-        assert ctl.offered == 3 and ctl.admitted == 2
-        assert ctl.shed_rate == pytest.approx(1 / 3)
         assert rec.to_dict()["reason"] == rec.reason
+        # only a decision: asking again books nothing and answers the same
+        assert ctl.try_admit(_req(2, tenant="t"), pending=2) == rec
+        assert ctl.try_admit(_req(3), pending=1) is None
+
+    def test_a_closed_door_sheds_whatever_the_backlog(self):
+        rec = AdmissionController().try_admit(
+            _req(0), pending=0, down_until=12.5
+        )
+        assert rec is not None and rec.pending == 0
+        assert "down until t=12.500" in rec.reason
 
     def test_validation(self):
         with pytest.raises(ServiceError):
@@ -170,26 +177,28 @@ class TestAdmission:
 class TestFairShare:
     def test_charge_splits_evenly_and_normalises_by_weight(self):
         policy = FairSharePolicy({"a": 2.0})
-        policy.charge([_req(0, "a"), _req(1, "b")], 100.0)
-        assert policy.served() == {"a": 50.0, "b": 50.0}
-        assert policy.normalised_service("a") == pytest.approx(25.0)
-        assert policy.normalised_service("b") == pytest.approx(50.0)
+        before = {"b": 1.0}
+        served = policy.charge(before, [_req(0, "a"), _req(1, "b")], 100.0)
+        assert served == {"a": 50.0, "b": 51.0}
+        assert before == {"b": 1.0}  # a new ledger; the old one is not touched
+        assert policy.normalised_service(served, "a") == pytest.approx(25.0)
+        assert policy.normalised_service(served, "b") == pytest.approx(51.0)
 
     def test_unattributed_requests_share_the_default_bucket(self):
         policy = FairSharePolicy()
-        policy.charge([_req(0)], 10.0)
-        assert policy.normalised_service(None) == pytest.approx(10.0)
-        assert policy.served() == {"default": 10.0}
+        served = policy.charge({}, [_req(0)], 10.0)
+        assert policy.normalised_service(served, None) == pytest.approx(10.0)
+        assert served == {"default": 10.0}
 
     def test_batch_key_prefers_underserved_then_edf(self):
         policy = FairSharePolicy()
-        policy.charge([_req(0, "rich")], 100.0)
+        served = policy.charge({}, [_req(0, "rich")], 100.0)
         poor_late = [_req(1, "poor", deadline=500.0)]
         poor_soon = [_req(2, "poor", deadline=50.0)]
         rich = [_req(3, "rich", deadline=1.0)]
         order = sorted(
             [(rich, 0), (poor_late, 1), (poor_soon, 2)],
-            key=lambda item: policy.batch_key(item[0], item[1]),
+            key=lambda item: policy.batch_key(served, item[0], item[1]),
         )
         # both "poor" batches beat "rich" despite rich's earlier
         # deadline; EDF breaks the tie within "poor"
@@ -197,14 +206,14 @@ class TestFairShare:
 
     def test_batch_key_uses_flush_seq_as_final_tiebreak(self):
         policy = FairSharePolicy()
-        a = policy.batch_key([_req(0, "t", deadline=10.0)], 1)
-        b = policy.batch_key([_req(1, "t", deadline=10.0)], 2)
+        a = policy.batch_key({}, [_req(0, "t", deadline=10.0)], 1)
+        b = policy.batch_key({}, [_req(1, "t", deadline=10.0)], 2)
         assert a < b
 
     def test_validation(self):
         with pytest.raises(ServiceError):
             FairSharePolicy({"a": 0.0})
         with pytest.raises(ServiceError):
-            FairSharePolicy().charge([], -1.0)
+            FairSharePolicy().charge({}, [], -1.0)
         with pytest.raises(ServiceError):
-            FairSharePolicy().batch_key([], 0)
+            FairSharePolicy().batch_key({}, [], 0)

@@ -9,6 +9,12 @@ it can fail:
 - **golden WAL** — the four smoke chaos schedules must reproduce the
   digests committed in ``tests/goldens/service_wal.json`` (WAL bytes,
   report bytes, and recovered-run reports at sampled crash indices);
+- **one fold** — the service's live state *is* the state its WAL
+  replays to: equal to ``ServiceJournal.replay`` of the events at the
+  end of every built-in schedule, at every snapshot on the way, and to
+  the bit in the pool integral; a handler that writes a book behind
+  the fold's back is caught by that comparison; a journal changes
+  nothing about the report;
 - **negative controls** — a journal with a dispatch deleted or
   duplicated, a completion deleted, or a flush swapped behind the
   dispatch that consumes it is *caught*, by ``ServiceJournal.replay``
@@ -30,7 +36,7 @@ from hypothesis import given, settings, strategies as st
 from repro.check import builtin_scenarios
 from repro.check.invariants import replay_matches_report
 from repro.errors import ServiceError
-from repro.service import ReplayState, ServiceJournal
+from repro.service import OnlineService, ReplayState, ServiceJournal
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 SCENARIOS = {sc.name: sc for sc in builtin_scenarios(smoke=True)}
@@ -44,6 +50,68 @@ def test_golden_wal(name, golden_generator):
     golden = json.loads(path.read_text())
     assert sorted(golden) == sorted(SCENARIOS)
     assert golden_generator.service_wal_case(SCENARIOS[name]) == golden[name]
+
+
+ALL_SCENARIOS = {
+    **{f"smoke-{name}": sc for name, sc in SCENARIOS.items()},
+    **{f"full-{sc.name}": sc for sc in builtin_scenarios(smoke=False)},
+}
+
+
+def _journaled_run(scenario, **journal_kwargs):
+    journal = ServiceJournal(**journal_kwargs)
+    service = scenario.build(journal=journal)
+    return service, journal, service.run(scenario.horizon_s)
+
+
+class TestLiveStateIsTheReplayedState:
+    @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
+    def test_state_equals_replay_at_the_end_and_at_every_snapshot(self, name):
+        service, journal, _ = _journaled_run(
+            ALL_SCENARIOS[name], snapshot_interval=1
+        )
+        events = journal.events
+        assert service.state.to_dict() == ServiceJournal.replay(
+            [e for e in events if e[0] != "snapshot"]
+        ).to_dict()
+        # every snapshot — the live state, dumped mid-run — is the
+        # replay of the events before it
+        fold, n_snapshots = ReplayState(), 0
+        for kind, payload in events:
+            if kind == "snapshot":
+                assert payload["state"] == fold.to_dict()
+                n_snapshots += 1
+            else:
+                fold.apply(kind, payload)
+        assert n_snapshots == len(events) // 2
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_one_pool_integrator(self, name):
+        """The report's pool node-seconds are the fold's, to the bit
+        (two integrators disagreed by one ulp on ``crash-resume``), and
+        attaching a journal changes nothing about the report."""
+        scenario = SCENARIOS[name]
+        _, journal, report = _journaled_run(scenario)
+        replayed = ServiceJournal.replay(journal.events)
+        assert replayed.pool["node_seconds"] == report.pool_node_seconds
+        assert replay_matches_report(replayed, report)
+        unjournaled = scenario.build().run(scenario.horizon_s)
+        assert unjournaled.to_dict() == report.to_dict()
+
+    def test_a_book_written_behind_the_fold_is_caught(self, monkeypatch):
+        """Negative control: a handler that bumps a book itself instead
+        of journaling the event leaves a live state no replay reaches."""
+        honest = OnlineService._on_arrival
+
+        def rogue(self, req):
+            honest(self, req)
+            self.state.offered += 1
+
+        monkeypatch.setattr(OnlineService, "_on_arrival", rogue)
+        service, journal, _ = _journaled_run(SCENARIOS["crash-resume"])
+        replayed = ServiceJournal.replay(journal.events)
+        assert service.state.offered > replayed.offered
+        assert service.state.to_dict() != replayed.to_dict()
 
 
 @pytest.fixture(scope="module")
