@@ -48,7 +48,6 @@ from repro.machine.model import MachineModel
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.health import NodeHealthTracker, RetryPolicy
 from repro.resilience.runner import ResilientXgyroRunner
-from repro.resilience.triage import RecoveryPolicy
 from repro.vmpi.world import VirtualWorld
 from repro.campaign.batcher import SignatureBatcher
 from repro.campaign.cache import CmatCache
@@ -80,7 +79,7 @@ class CampaignRunner:
     fault_plans:
         Map from job index (the integer in the packer's job id) to the
         :class:`FaultPlan` injected into that dispatch.
-    checkpoint_interval / policy:
+    checkpoint_interval:
         Forwarded to every job's :class:`ResilientXgyroRunner`.
     enforce_memory:
         Make each job's world ledgers raise on oversubscription —
@@ -119,7 +118,6 @@ class CampaignRunner:
         use_cache: bool = True,
         fault_plans: Optional[Mapping[int, FaultPlan]] = None,
         checkpoint_interval: int = 1,
-        policy: Optional[RecoveryPolicy] = None,
         enforce_memory: bool = False,
         node_faults: Optional[Mapping[int, FaultPlan]] = None,
         retry: Optional[RetryPolicy] = RetryPolicy(),
@@ -148,7 +146,6 @@ class CampaignRunner:
         self.node_faults: Dict[int, FaultPlan] = dict(node_faults or {})
         self.retry = retry
         self.checkpoint_interval = checkpoint_interval
-        self.policy = policy
         self.enforce_memory = enforce_memory
         self.telemetry = telemetry
         #: zero-arg callable building a fresh protocol checker per
@@ -531,8 +528,13 @@ class CampaignRunner:
             world.cost_model.default_alltoall = tuned_a2a
             nc_counts = job.tuning.nc_counts
             overlap = job.tuning.overlap
+        if self.checker_factory is not None:
+            world.install_checker(self.checker_factory())
         tele = self.telemetry
         if tele is not None:
+            # installed before the runner builds the ensemble so the
+            # cmat assembly charges land inside the span tree too
+            tele.install(world)
             # the job's world clock starts at zero: shift its spans to
             # the wave's campaign-clock start
             tele.tracer.time_offset = start_s
@@ -556,16 +558,9 @@ class CampaignRunner:
             [r.input for r in job.requests],
             plan=plan,
             checkpoint_interval=self.checkpoint_interval,
-            policy=self.policy,
             charge_cmat_build=hit is None,
-            telemetry=tele,
             nc_counts=nc_counts,
             overlap=overlap,
-            checker=(
-                self.checker_factory()
-                if self.checker_factory is not None
-                else None
-            ),
         )
         try:
             result = runner.run_steps(steps)

@@ -231,7 +231,6 @@ def differential_oracle(
     atol: Optional[float] = None,
     n_ranks: Optional[int] = None,
     enforce_memory: bool = False,
-    install_checker: bool = True,
     nc_counts: Optional[Sequence[int]] = None,
     overlap: str = "off",
 ) -> EquivalenceReport:
@@ -240,8 +239,7 @@ def differential_oracle(
     Every reporting interval, each ensemble member's gathered
     distribution function and its report diagnostics (flux, |phi|^2)
     are compared against the corresponding interval of an independent
-    baseline trajectory.  With ``install_checker`` (default) the
-    ensemble world also runs under a
+    baseline trajectory.  The ensemble world also runs under a
     :class:`~repro.check.checker.CollectiveChecker`, so the run is
     simultaneously protocol-checked and physics-checked.
 
@@ -254,9 +252,8 @@ def differential_oracle(
         raise InputError(f"n_reports must be >= 1, got {n_reports}")
     rtol, atol = _resolve_tolerances(baseline, rtol, atol)
     world = VirtualWorld(machine, n_ranks=n_ranks, enforce_memory=enforce_memory)
-    checker = CollectiveChecker() if install_checker else None
-    if checker is not None:
-        world.install_checker(checker)
+    checker = CollectiveChecker()
+    world.install_checker(checker)
     ensemble = XgyroEnsemble(world, inputs, nc_counts=nc_counts, overlap=overlap)
     member_ranks = len(ensemble.members[0].ranks)
     baseline_ranks = member_ranks if baseline == "member" else world.n_ranks
@@ -286,8 +283,7 @@ def differential_oracle(
                     atol,
                 )
             )
-    if checker is not None:
-        checker.assert_quiescent()
+    checker.assert_quiescent()
     return EquivalenceReport(
         mode=baseline,
         k=ensemble.n_members,
@@ -308,43 +304,29 @@ def resilient_differential_oracle(
     plan,
     *,
     n_steps: int,
-    checkpoint_interval: int = 1,
-    rtol: Optional[float] = None,
-    atol: Optional[float] = None,
-    n_ranks: Optional[int] = None,
-    enforce_memory: bool = False,
-    install_checker: bool = True,
     overlap: str = "off",
 ) -> EquivalenceReport:
     """Shrink-and-recover run vs undisturbed baselines of the survivors.
 
     Drives :class:`~repro.resilience.runner.ResilientXgyroRunner` for
-    ``n_steps`` ensemble steps under ``plan`` (with the checker
-    installed by default, so the recovery rebuild is also
+    ``n_steps`` ensemble steps under ``plan``, checkpointing every
+    step (with the checker installed, so the recovery rebuild is also
     protocol-checked), then compares every surviving member's state
     and diagnostics against a fresh, fault-free run of the same input
     at the member's rank count.  Rollback + replay re-executes the
-    identical arithmetic, so the default tolerance is exact.
+    identical arithmetic, so the tolerance is exact.
     """
     from repro.resilience.runner import ResilientXgyroRunner
 
-    rtol, atol = _resolve_tolerances("resilient", rtol, atol)
-    world = VirtualWorld(machine, n_ranks=n_ranks, enforce_memory=enforce_memory)
-    checker = CollectiveChecker() if install_checker else None
-    runner = ResilientXgyroRunner(
-        world,
-        inputs,
-        plan=plan,
-        checkpoint_interval=checkpoint_interval,
-        checker=checker,
-        overlap=overlap,
-    )
+    rtol, atol = MODE_TOLERANCES["resilient"]
+    world = VirtualWorld(machine)
+    checker = CollectiveChecker()
+    world.install_checker(checker)
+    runner = ResilientXgyroRunner(world, inputs, plan=plan, overlap=overlap)
     runner.run_steps(n_steps)
     checks: List[MemberCheck] = []
     for m, member in enumerate(runner.ensemble.members):
-        ref_world = VirtualWorld(
-            machine, n_ranks=len(member.ranks), enforce_memory=enforce_memory
-        )
+        ref_world = VirtualWorld(machine, n_ranks=len(member.ranks))
         ref_sim = CgyroSimulation(ref_world, range(ref_world.n_ranks), member.inp)
         for _ in range(n_steps):
             ref_sim.step()
@@ -365,8 +347,7 @@ def resilient_differential_oracle(
                 atol,
             )
         )
-    if checker is not None:
-        checker.assert_quiescent()
+    checker.assert_quiescent()
     return EquivalenceReport(
         mode="resilient",
         k=runner.ensemble.n_members,

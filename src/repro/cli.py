@@ -201,9 +201,11 @@ def cmd_run_xgyro(args: argparse.Namespace) -> int:
         f"shared cmat {world.ledgers[0].size_of('cmat')} B/rank; "
         f"overlap={args.overlap}"
     )
+    rows = []
     for _ in range(args.reports):
         report = ensemble.run_report_interval()
         ens = report.ensemble
+        rows.append(ens)
         print(
             f"step {ens.step}: wall {ens.wall_s:.3f} s, "
             f"str comm {ens.str_comm_s:.3f} s, comm total {ens.comm_s:.3f} s"
@@ -214,7 +216,7 @@ def cmd_run_xgyro(args: argparse.Namespace) -> int:
                 + " ".join(f"{q:+.3e}" for q in row.flux)
             )
     if args.timing_out:
-        write_timing_csv([r.ensemble for r in [report]], args.timing_out)
+        write_timing_csv(rows, args.timing_out)
         print(f"timing written to {args.timing_out}")
     return 0
 
@@ -1383,6 +1385,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "reports", 1) < 1:
+            raise ReproError(f"--reports must be >= 1, got {args.reports}")
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,11 +78,9 @@ class Telemetry:
         """Install both halves on a virtual world."""
         world.install_telemetry(tracer=self.tracer, metrics=self.metrics)
 
-    def report(self, **kwargs) -> str:
+    def report(self) -> str:
         """The combined attribution report over everything recorded."""
-        return render_telemetry_report(
-            self.tracer.spans, metrics=self.metrics, **kwargs
-        )
+        return render_telemetry_report(self.tracer.spans, metrics=self.metrics)
 
 
 __all__ = [

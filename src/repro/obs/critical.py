@@ -179,17 +179,13 @@ def _chain_rank(span: Span) -> Optional[int]:
     return None
 
 
-def extract_critical_path(
-    spans: Sequence[Span],
-    *,
-    t0: float = 0.0,
-    leaf_kinds: Sequence[str] = LEAF_KINDS,
-) -> CriticalPath:
+def extract_critical_path(spans: Sequence[Span]) -> CriticalPath:
     """Extract the critical rank-chain of a span tree.
 
-    Only leaf spans (``leaf_kinds``) participate; interior structural
-    spans merely aggregate them.  The returned segments are contiguous
-    and partition ``[t0, makespan]``, so their durations sum to the
+    Only leaf spans (:data:`~repro.obs.span.LEAF_KINDS`) participate;
+    interior structural spans merely aggregate them.  The returned
+    segments are contiguous and partition ``[t0, makespan]`` (``t0`` the
+    timeline's origin, 0.0), so their durations sum to the
     makespan exactly (up to float telescoping) — and removing any span
     *not* on the path leaves the extraction unchanged.
 
@@ -198,7 +194,8 @@ def extract_critical_path(
     :data:`OVERLAPPED` (see module docstring); the partition invariant
     is preserved through the split.
     """
-    leaves = [s for s in spans if s.kind in leaf_kinds and s.duration > 0.0]
+    t0 = 0.0
+    leaves = [s for s in spans if s.kind in LEAF_KINDS and s.duration > 0.0]
     if not leaves:
         raise ReproError("no leaf spans to extract a critical path from")
     makespan = max(s.t_end for s in leaves)
@@ -324,7 +321,6 @@ def render_telemetry_report(
     *,
     metrics=None,
     top_stalls: int = 5,
-    t0: float = 0.0,
 ) -> str:
     """The whole-run attribution table: critical path + top stalls.
 
@@ -332,7 +328,7 @@ def render_telemetry_report(
     the registry's headline counters (bytes moved, imposed wait) so
     the one report answers both *where the time went* and *what moved*.
     """
-    path = extract_critical_path(spans, t0=t0)
+    path = extract_critical_path(spans)
     lines = [
         f"telemetry — {len(spans)} span(s), makespan "
         f"{path.makespan:.6f} s, critical path "

@@ -616,41 +616,31 @@ class ServiceMonitor:
 
     Parameters
     ----------
-    telemetry:
-        The service's telemetry bundle.  May be left ``None`` here;
-        the service binds its own bundle at ``run()``/``resume()``.
     window_s:
         Rollup window length in simulated seconds.
     rules:
         The rulebook (default :func:`default_rulebook`).
-    lookback_windows:
-        How many windows of history a diagnosis inspects.
-    max_evidence_spans:
-        Cap on evidence spans named per incident.
     """
+
+    #: How many windows of history a diagnosis inspects.
+    LOOKBACK_WINDOWS = 6
+    #: Cap on evidence spans named per incident.
+    MAX_EVIDENCE_SPANS = 5
 
     def __init__(
         self,
-        telemetry=None,
         *,
         window_s: float = 60.0,
         rules: Optional[Sequence[AlertRule]] = None,
-        lookback_windows: int = 6,
-        max_evidence_spans: int = 5,
     ) -> None:
         if window_s <= 0:
             raise ReproError(f"window_s must be > 0, got {window_s}")
-        if lookback_windows < 1:
-            raise ReproError(
-                f"lookback_windows must be >= 1, got {lookback_windows}"
-            )
-        self.telemetry = telemetry
+        #: the service's telemetry bundle, bound by the service itself
+        self.telemetry = None
         self.window_s = float(window_s)
         self.rules = (
             tuple(rules) if rules is not None else default_rulebook()
         )
-        self.lookback_windows = int(lookback_windows)
-        self.max_evidence_spans = int(max_evidence_spans)
         self.engine = AlertEngine(self.rules)
         self.rollups: List[WindowRollup] = []
         self.alerts: List[AlertEvent] = []
@@ -836,7 +826,7 @@ class ServiceMonitor:
 
     # ------------------------------------------------------------------
     def _diagnose(self, service, event: AlertEvent) -> IncidentReport:
-        look = self.rollups[-self.lookback_windows:]
+        look = self.rollups[-self.LOOKBACK_WINDOWS:]
         t0 = look[0].t_start
         signals = _cause_signals(look)
         if signals:
@@ -898,7 +888,7 @@ class ServiceMonitor:
                 "t_start": s.t_start,
                 "duration": s.duration,
             }
-            for s in hits[: self.max_evidence_spans]
+            for s in hits[: self.MAX_EVIDENCE_SPANS]
         ]
 
     # ------------------------------------------------------------------

@@ -86,7 +86,6 @@ def figure2_comparison(
     inputs: Sequence[CgyroInput],
     machine: MachineModel,
     *,
-    n_ranks: Optional[int] = None,
     measure_steps: int = 2,
     enforce_memory: bool = False,
 ) -> Figure2Result:
@@ -108,13 +107,13 @@ def figure2_comparison(
     ]
 
     baseline = SequentialCgyroBaseline(
-        machine, short_inputs, n_ranks=n_ranks, enforce_memory=enforce_memory
+        machine, short_inputs, enforce_memory=enforce_memory
     )
     cgyro_rows = [_scale_row(r, factor) for r in baseline.run_report_interval()]
     cgyro_sum = sum_rows(cgyro_rows)
     assert cgyro_sum is not None
 
-    world = VirtualWorld(machine, n_ranks=n_ranks, enforce_memory=enforce_memory)
+    world = VirtualWorld(machine, enforce_memory=enforce_memory)
     ensemble = XgyroEnsemble(world, short_inputs)
     report = ensemble.run_report_interval()
     xgyro_rows = [_scale_row(r, factor) for r in report.member_rows]

@@ -31,6 +31,11 @@ from repro.vmpi.algorithms import AllreduceAlgorithm, AlltoallAlgorithm
 from repro.xgyro.partition import ensemble_nc_counts
 
 
+#: Geometric cooling schedule, start to end (relative temperatures).
+T_START = 0.05
+T_END = 1e-3
+
+
 @dataclass(frozen=True)
 class AnnealResult:
     """Outcome of one annealing run."""
@@ -38,7 +43,6 @@ class AnnealResult:
     best: PlanChoice
     best_energy: float
     n_evaluated: int
-    n_accepted: int
 
 
 def neighbor(
@@ -106,9 +110,7 @@ def anneal(
     group: int,
     nc: int,
     max_count_cap: int,
-    iterations: int = 300,
-    t_start: float = 0.05,
-    t_end: float = 1e-3,
+    iterations: int,
 ) -> AnnealResult:
     """Minimise ``energy`` from ``initial`` with seeded annealing.
 
@@ -125,10 +127,9 @@ def anneal(
         raise ValueError("anneal initial candidate must be feasible")
     best, best_e = cur, cur_e
     n_eval = 1
-    n_accept = 0
     for i in range(iterations):
         frac = i / max(1, iterations - 1)
-        temp = t_start * (t_end / t_start) ** frac
+        temp = T_START * (T_END / T_START) ** frac
         cand = neighbor(
             cur,
             rng,
@@ -147,9 +148,6 @@ def anneal(
         delta = (e - cur_e) / best_e
         if delta <= 0 or rng.random() < math.exp(-delta / temp):
             cur, cur_e = cand, e
-            n_accept += 1
             if e < best_e:
                 best, best_e = cand, e
-    return AnnealResult(
-        best=best, best_energy=best_e, n_evaluated=n_eval, n_accepted=n_accept
-    )
+    return AnnealResult(best=best, best_energy=best_e, n_evaluated=n_eval)

@@ -2,7 +2,7 @@
 
 ``Planner.plan(seed)`` is the entry point.  At small scale every base
 candidate is evaluated (method ``exhaustive``); beyond
-``exhaustive_limit`` the base geometries are scanned with default
+``EXHAUSTIVE_LIMIT`` the base geometries are scanned with default
 algorithms and the best is refined by the seeded annealer (method
 ``anneal``), whose nc-shift moves discover the fine-grained unbalanced
 splits enumeration cannot cover.  Both paths are fully deterministic
@@ -17,7 +17,7 @@ error, the honesty check every emitted plan carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.cgyro.params import CgyroInput
 from repro.errors import PlanError
@@ -30,6 +30,14 @@ from repro.perf.memory import shard_fit
 from repro.plan.space import enumerate_candidates, feasible_geometries
 from repro.vmpi.world import VirtualWorld
 from repro.xgyro.driver import XgyroEnsemble
+
+
+#: Candidate count up to which every base candidate is evaluated;
+#: above it only the default-algorithm geometries are scanned.
+EXHAUSTIVE_LIMIT = 512
+
+#: Move budget of the annealer that refines the scan's winner.
+ANNEAL_ITERATIONS = 400
 
 
 def member_inputs(inp: CgyroInput, k: int) -> List[CgyroInput]:
@@ -86,43 +94,16 @@ class Planner:
         Total members to serve.  The objective is
         ``rounds(k) * predicted interval makespan`` — a smaller-k plan
         pays for its extra sequential rounds.
-    available_nodes:
-        Allocatable node ids (default: all) — pass the packer's view to
-        plan around quarantined hardware.
-    exhaustive_limit:
-        Candidate-count threshold below which every base candidate is
-        evaluated; above it the annealer refines the best geometry.
-    anneal_iterations:
-        Annealer move budget (only the beyond-exhaustive path).
-    telemetry:
-        Optional :class:`~repro.obs.Telemetry`; the search emits
-        ``plan_*`` metrics and a ``plan.search`` marker span.
     """
 
     def __init__(
-        self,
-        machine: MachineModel,
-        inp: CgyroInput,
-        n_members: int,
-        *,
-        available_nodes: Optional[Sequence[int]] = None,
-        exhaustive_limit: int = 512,
-        anneal_iterations: int = 400,
-        telemetry=None,
+        self, machine: MachineModel, inp: CgyroInput, n_members: int
     ) -> None:
         if n_members < 1:
             raise PlanError(f"n_members must be >= 1, got {n_members}")
         self.machine = machine
         self.inp = inp
         self.n_members = int(n_members)
-        self.available_nodes = (
-            list(range(machine.n_nodes))
-            if available_nodes is None
-            else list(available_nodes)
-        )
-        self.exhaustive_limit = int(exhaustive_limit)
-        self.anneal_iterations = int(anneal_iterations)
-        self.telemetry = telemetry
         self._n_evaluated = 0
 
     # ------------------------------------------------------------------
@@ -149,22 +130,20 @@ class Planner:
     def default_choice(self) -> PlanChoice:
         """The hand-chosen baseline: what the packer does untuned.
 
-        Greedy maximal k, smallest feasible node count, the first
-        allocatable nodes, balanced split, default algorithms — exactly
+        Greedy maximal k, smallest feasible node count, the leading
+        nodes, balanced split, default algorithms — exactly
         :meth:`repro.campaign.packer.CampaignPacker.split` on this
         request group.
         """
         for k in range(self.n_members, 0, -1):
-            geoms = feasible_geometries(
-                self.machine, self.inp, k, available_nodes=self.available_nodes
-            )
+            geoms = feasible_geometries(self.machine, self.inp, k)
             if not geoms:
                 continue
             n_nodes, decomp = geoms[0]  # smallest node count
             return PlanChoice(
                 k=k,
                 n_nodes=n_nodes,
-                nodes=tuple(self.available_nodes[:n_nodes]),
+                nodes=tuple(range(n_nodes)),
                 ranks_per_member=decomp.n_proc,
                 allreduce="ring",
                 alltoall="pairwise",
@@ -180,19 +159,14 @@ class Planner:
         """Run the search and emit the tuned :class:`Plan` artifact."""
         self._n_evaluated = 0
         base = list(
-            enumerate_candidates(
-                self.machine,
-                self.inp,
-                self.n_members,
-                available_nodes=self.available_nodes,
-            )
+            enumerate_candidates(self.machine, self.inp, self.n_members)
         )
         if not base:
             raise PlanError(
                 f"empty design space for {self.inp.name!r} on "
                 f"{self.machine.name}"
             )
-        if len(base) <= self.exhaustive_limit:
+        if len(base) <= EXHAUSTIVE_LIMIT:
             # small space: score every base candidate...
             method = "exhaustive+anneal"
             start, _ = self._scan(base)
@@ -213,17 +187,13 @@ class Planner:
             self.evaluate,
             seed=seed,
             machine=self.machine,
-            available_nodes=self.available_nodes,
+            available_nodes=range(self.machine.n_nodes),
             group=start.k * decomp.n_proc_1,
             nc=self.inp.grid_dims().nc,
             max_count_cap=max_shard_points(self.machine, self.inp, decomp),
-            iterations=self.anneal_iterations,
+            iterations=ANNEAL_ITERATIONS,
         )
         best, best_e = result.best, result.best_energy
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "plan_anneal_accepted_total"
-            ).inc(result.n_accepted)
 
         default = self.default_choice()
         default_e = self.evaluate(default)
@@ -234,7 +204,7 @@ class Planner:
             best, best_e = default, default_e
         pred = predict_plan_interval(self.inp, self.machine, best)
         default_pred = predict_plan_interval(self.inp, self.machine, default)
-        plan = Plan(
+        return Plan(
             machine_name=self.machine.name,
             input_name=self.inp.name,
             signature_key=self.inp.cmat_signature().content_hash(),
@@ -248,27 +218,6 @@ class Planner:
             method=method,
             n_evaluated=self._n_evaluated,
         )
-        if self.telemetry is not None:
-            m = self.telemetry.metrics
-            m.counter("plan_candidates_evaluated_total").inc(self._n_evaluated)
-            m.gauge("plan_predicted_makespan_s").set(plan.predicted_s)
-            m.gauge("plan_default_predicted_makespan_s").set(
-                plan.default_predicted_s
-            )
-            m.gauge("plan_predicted_speedup").set(plan.predicted_speedup)
-            self.telemetry.tracer.record(
-                "plan.search",
-                "plan",
-                0.0,
-                0.0,
-                method=method,
-                seed=int(seed),
-                n_evaluated=self._n_evaluated,
-                k=best.k,
-                n_nodes=best.n_nodes,
-                unbalanced=best.is_unbalanced,
-            )
-        return plan
 
     def _scan(self, candidates):
         """Deterministic argmin over a candidate list (first wins ties)."""
@@ -305,8 +254,6 @@ def run_choice(
     inp: CgyroInput,
     machine: MachineModel,
     choice: PlanChoice,
-    *,
-    telemetry=None,
 ) -> float:
     """Really run one reporting interval of the chosen job geometry.
 
@@ -320,8 +267,6 @@ def run_choice(
     ar, a2a = algorithms_of(choice)
     world.cost_model.default_allreduce = ar
     world.cost_model.default_alltoall = a2a
-    if telemetry is not None:
-        telemetry.install(world)
     ensemble = XgyroEnsemble(
         world,
         member_inputs(inp, choice.k),
@@ -333,35 +278,20 @@ def run_choice(
 
 
 def validate_plan(
-    plan: Plan,
-    inp: CgyroInput,
-    machine: MachineModel,
-    *,
-    telemetry=None,
+    plan: Plan, inp: CgyroInput, machine: MachineModel
 ) -> PlanValidation:
     """Run the plan's top pick; report predicted-vs-actual error."""
-    actual = run_choice(inp, machine, plan.choice, telemetry=telemetry)
-    val = PlanValidation(predicted_s=plan.predicted_s, actual_s=actual)
-    if telemetry is not None:
-        telemetry.metrics.gauge("plan_validated_makespan_s").set(actual)
-        telemetry.metrics.gauge("plan_prediction_error_frac").set(
-            abs(val.error_frac)
-        )
-    return val
+    actual = run_choice(inp, machine, plan.choice)
+    return PlanValidation(predicted_s=plan.predicted_s, actual_s=actual)
 
 
-def oracle_plan(
-    plan: Plan,
-    inp: CgyroInput,
-    machine: MachineModel,
-    *,
-    n_reports: int = 1,
-):
+def oracle_plan(plan: Plan, inp: CgyroInput, machine: MachineModel):
     """Differential oracle on the *tuned* configuration.
 
-    Runs the planned job (unbalanced split, tuned nodes and all)
-    against independent per-member baselines; member mode demands
-    bit-exact state, proving the tuning is physics-neutral.
+    Runs one reporting interval of the planned job (unbalanced split,
+    tuned nodes and all) against independent per-member baselines;
+    member mode demands bit-exact state, proving the tuning is
+    physics-neutral.
     """
     from repro.check.oracle import differential_oracle
 
@@ -369,7 +299,7 @@ def oracle_plan(
     return differential_oracle(
         member_inputs(inp, choice.k),
         machine.submachine(choice.nodes),
-        n_reports=n_reports,
+        n_reports=1,
         baseline="member",
         n_ranks=choice.n_ranks,
         nc_counts=choice.nc_counts,

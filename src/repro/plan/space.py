@@ -47,45 +47,35 @@ ALGORITHM_PAIRS: Tuple[Tuple[str, str], ...] = tuple(
 #: enumeration skips them; the annealer may still step through them.
 OVERLAP_OPTIONS: Tuple[str, ...] = ("off", "full")
 
+#: Contiguous node windows tried per node count on a large machine.
+MAX_WINDOWS = 8
+
 
 def feasible_geometries(
     machine: MachineModel,
     inp: CgyroInput,
     k: int,
-    *,
-    available_nodes: Optional[Sequence[int]] = None,
 ) -> List[Tuple[int, Decomposition]]:
     """All feasible ``(n_nodes, decomp)`` pairs for a k-member job.
 
     Memory is probed with the *balanced* worst-case shard; unbalanced
     candidates re-probe with their own ceiling at evaluation time.
     """
-    n_avail = (
-        machine.n_nodes if available_nodes is None else len(available_nodes)
-    )
-    return [(n, d) for n, d, _ in feasible_shapes(machine, inp, k, n_avail)]
+    return [
+        (n, d) for n, d, _ in feasible_shapes(machine, inp, k, machine.n_nodes)
+    ]
 
 
-def node_subsets(
-    machine: MachineModel,
-    n_nodes: int,
-    *,
-    available_nodes: Optional[Sequence[int]] = None,
-    max_windows: int = 8,
-) -> List[Tuple[int, ...]]:
+def node_subsets(machine: MachineModel, n_nodes: int) -> List[Tuple[int, ...]]:
     """Deterministic candidate node subsets of size ``n_nodes``.
 
     Always includes the packer's default (the first ``n_nodes``
-    allocatable nodes) and the fastest-first pick (stable sort by
+    nodes) and the fastest-first pick (stable sort by
     descending speed, then bandwidth, then id).  On small machines all
-    contiguous windows are added; on large ones, ``max_windows`` evenly
+    contiguous windows are added; on large ones, ``MAX_WINDOWS`` evenly
     spread offsets.  The annealer explores beyond these via node swaps.
     """
-    avail = (
-        list(range(machine.n_nodes))
-        if available_nodes is None
-        else list(available_nodes)
-    )
+    avail = list(range(machine.n_nodes))
     if n_nodes > len(avail):
         return []
     subsets: List[Tuple[int, ...]] = []
@@ -94,7 +84,7 @@ def node_subsets(
         if nodes not in subsets:
             subsets.append(nodes)
 
-    add(tuple(avail[:n_nodes]))  # packer default: first allocatable run
+    add(tuple(avail[:n_nodes]))  # packer default: the leading run
     by_quality = sorted(
         avail,
         key=lambda n: (
@@ -105,11 +95,11 @@ def node_subsets(
     )
     add(tuple(sorted(by_quality[:n_nodes])))
     n_offsets = len(avail) - n_nodes + 1
-    if n_offsets <= max_windows:
+    if n_offsets <= MAX_WINDOWS:
         offsets: Sequence[int] = range(n_offsets)
     else:
-        stride = (n_offsets - 1) / (max_windows - 1)
-        offsets = sorted({round(i * stride) for i in range(max_windows)})
+        stride = (n_offsets - 1) / (MAX_WINDOWS - 1)
+        offsets = sorted({round(i * stride) for i in range(MAX_WINDOWS)})
     for off in offsets:
         add(tuple(avail[off : off + n_nodes]))
     return subsets
@@ -165,10 +155,6 @@ def enumerate_candidates(
     machine: MachineModel,
     inp: CgyroInput,
     n_members: int,
-    *,
-    available_nodes: Optional[Sequence[int]] = None,
-    algorithms: Sequence[Tuple[str, str]] = ALGORITHM_PAIRS,
-    overlaps: Sequence[str] = OVERLAP_OPTIONS,
 ) -> Iterator[PlanChoice]:
     """Yield every base candidate, in deterministic order.
 
@@ -178,15 +164,11 @@ def enumerate_candidates(
     strictly faster.
     """
     for k in range(n_members, 0, -1):
-        for n_nodes, decomp in feasible_geometries(
-            machine, inp, k, available_nodes=available_nodes
-        ):
-            for nodes in node_subsets(
-                machine, n_nodes, available_nodes=available_nodes
-            ):
+        for n_nodes, decomp in feasible_geometries(machine, inp, k):
+            for nodes in node_subsets(machine, n_nodes):
                 for counts in nc_count_options(machine, nodes, decomp, k):
-                    for ar, a2a in algorithms:
-                        for overlap in overlaps:
+                    for ar, a2a in ALGORITHM_PAIRS:
+                        for overlap in OVERLAP_OPTIONS:
                             yield PlanChoice(
                                 k=k,
                                 n_nodes=n_nodes,

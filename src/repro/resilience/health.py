@@ -263,7 +263,6 @@ def robust_cutoff(
 
 
 # ----------------------------------------------------------------------
-@dataclass
 class StragglerDetector:
     """Flags ranks that persistently stall their peers' collectives.
 
@@ -276,10 +275,9 @@ class StragglerDetector:
 
     A rank is flagged when its imposed wait exceeds
 
-    ``median + threshold * max(MAD, rel_floor * median)``
+    ``median + THRESHOLD * max(MAD, REL_FLOOR * median)``
 
-    over the inspected ranks *and* a floor — the larger of the
-    absolute ``min_wait_s`` and ``interval_frac`` of the observation
+    over the inspected ranks *and* ``INTERVAL_FRAC`` of the observation
     interval's elapsed time (when the caller supplies ``interval_s``).
     The robust deviation test means one extreme straggler cannot mask
     itself by dragging the mean; the interval-relative floor makes the
@@ -287,10 +285,9 @@ class StragglerDetector:
     and only transient skew far below any real straggler's imprint).
     """
 
-    threshold: float = 4.0
-    min_wait_s: float = 0.0
-    rel_floor: float = 0.25
-    interval_frac: float = 0.5
+    THRESHOLD = 4.0
+    REL_FLOOR = 0.25
+    INTERVAL_FRAC = 0.5
 
     def flag(
         self,
@@ -310,10 +307,8 @@ class StragglerDetector:
             return ()  # too few peers for a robust deviation
         vals = waits[idx]
         _med, _mad, cutoff = robust_cutoff(
-            vals, threshold=self.threshold, rel_floor=self.rel_floor
+            vals, threshold=self.THRESHOLD, rel_floor=self.REL_FLOOR
         )
-        floor = self.min_wait_s
         if interval_s is not None:
-            floor = max(floor, self.interval_frac * float(interval_s))
-        cutoff = max(cutoff, floor)
+            cutoff = max(cutoff, self.INTERVAL_FRAC * float(interval_s))
         return tuple(int(r) for r, v in zip(idx, vals) if v > cutoff)

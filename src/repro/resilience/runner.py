@@ -100,7 +100,13 @@ class ResilientXgyroRunner:
     ----------
     world:
         Fresh virtual world for the job (the injector is installed on
-        it; reuse a world only for fault-free baselines).
+        it; reuse a world only for fault-free baselines).  A
+        :class:`~repro.check.checker.CollectiveChecker` or
+        :class:`~repro.obs.Telemetry` bundle the caller installed on
+        it beforehand covers every collective of the run — cmat
+        assembly and shrink-and-recover rebuild included — and puts
+        checkpoints, recoveries and migrations in the same span tree
+        as the collectives they interleave with.
     inputs:
         Member inputs, as for :class:`XgyroEnsemble`.
     plan:
@@ -113,36 +119,22 @@ class ResilientXgyroRunner:
         default is in-memory.
     policy:
         Degrade-vs-abort thresholds.
-    ranks:
-        Job ranks, as for :class:`XgyroEnsemble`.
     charge_cmat_build:
         As for :class:`XgyroEnsemble`: ``False`` models a warm start
         where the machine already holds this signature's tensor.
-    checker:
-        Optional :class:`~repro.check.checker.CollectiveChecker`
-        installed on the world before the ensemble is built, so every
-        collective of the run — including the shrink-and-recover
-        rebuild — is conformance-checked.
     guard_sdc:
         Run the shard-checksum scan at every checkpoint boundary and
         at run end.  ``None`` (default) arms the guard exactly when
         the plan contains ``bitflip`` specs, keeping fault-free runs
         bit-identical; pass ``True`` to price the scan on a healthy
         run (the overhead benchmark does) or ``False`` to run naked.
-    straggler_detector:
-        Detector consulted at checkpoint boundaries.  ``None``
-        (default) installs a stock :class:`StragglerDetector` exactly
-        when the plan contains ``slowdown`` specs; pass an instance to
-        tune thresholds, or ``False`` to disable detection.
     migrate_stragglers:
         Respond to a flagged straggler by migrating the afflicted
         member at the boundary (default).  ``False`` detects and logs
         only — the do-nothing baseline the benchmark prices against.
-    telemetry:
-        Optional :class:`~repro.obs.Telemetry` bundle, installed on the
-        world before the ensemble is built; checkpoints, recoveries and
-        migrations then appear as spans in the same tree as the
-        collectives they interleave with.
+        (The :class:`StragglerDetector` itself is consulted at
+        checkpoint boundaries exactly when the plan contains
+        ``slowdown`` specs.)
     overlap:
         Forwarded to :class:`XgyroEnsemble` — one of
         :data:`~repro.cgyro.solver.OVERLAP_MODES`.  A rank that dies
@@ -161,13 +153,9 @@ class ResilientXgyroRunner:
         checkpoint_interval: int = 1,
         checkpoint_dir=None,
         policy: Optional[RecoveryPolicy] = None,
-        ranks: Optional[Sequence[int]] = None,
         charge_cmat_build: bool = True,
-        checker: "object | None" = None,
         guard_sdc: "bool | None" = None,
-        straggler_detector: "StragglerDetector | bool | None" = None,
         migrate_stragglers: bool = True,
-        telemetry=None,
         nc_counts: "Sequence[int] | None" = None,
         overlap: str = "off",
     ) -> None:
@@ -176,12 +164,6 @@ class ResilientXgyroRunner:
                 f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
             )
         self.world = world
-        if checker is not None:
-            world.install_checker(checker)
-        if telemetry is not None:
-            # installed before the ensemble is built so the cmat
-            # assembly charges land inside the span tree too
-            telemetry.install(world)
         self.plan = plan if plan is not None else FaultPlan.none()
         self.checkpoint_interval = int(checkpoint_interval)
         self.policy = policy or RecoveryPolicy()
@@ -190,7 +172,6 @@ class ResilientXgyroRunner:
         self.ensemble = XgyroEnsemble(
             world,
             inputs,
-            ranks=ranks,
             charge_cmat_build=charge_cmat_build,
             nc_counts=nc_counts,
             overlap=overlap,
@@ -210,16 +191,9 @@ class ResilientXgyroRunner:
         self.guard_sdc = (
             self.injector.has_bitflips if guard_sdc is None else bool(guard_sdc)
         )
-        if straggler_detector is None:
-            self.straggler_detector: "StragglerDetector | None" = (
-                StragglerDetector() if self.injector.has_slowdowns else None
-            )
-        elif straggler_detector is False:
-            self.straggler_detector = None
-        elif straggler_detector is True:
-            self.straggler_detector = StragglerDetector()
-        else:
-            self.straggler_detector = straggler_detector
+        self.straggler_detector: "StragglerDetector | None" = (
+            StragglerDetector() if self.injector.has_slowdowns else None
+        )
         self.migrate_stragglers = migrate_stragglers
         self._imposed_snapshot = world.imposed_wait_s.copy()
         self._elapsed_at_boundary = world.elapsed(self.ensemble.ranks)

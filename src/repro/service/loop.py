@@ -78,7 +78,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import ServiceError
-from repro.campaign.cache import CmatCache
 from repro.campaign.packer import CampaignPacker, PackedJob
 from repro.campaign.report import (
     AbandonedRecord,
@@ -200,10 +199,11 @@ class OnlineService:
         Zero-arg callable building a fresh protocol checker per
         dispatch, forwarded to the :class:`CampaignRunner` (chaos
         scenarios run every wave checker-verified).
-    cache / use_cache / retry / health / node_faults /
-    checkpoint_interval / policy / telemetry:
+    use_cache / retry / node_faults / telemetry:
         Forwarded to the underlying :class:`CampaignRunner` — dispatch
-        semantics are identical to the batch path.
+        semantics are identical to the batch path (``retry`` and
+        ``node_faults`` are the only way a data-plane fault reaches a
+        service job).
     monitor:
         Optional :class:`~repro.obs.monitor.ServiceMonitor` — the live
         monitoring plane (windowed rollups, alert rules, incident
@@ -231,13 +231,9 @@ class OnlineService:
         chaos: Optional[FaultPlan] = None,
         recovery: str = "resume",
         checker_factory=None,
-        cache: Optional[CmatCache] = None,
         use_cache: bool = True,
         retry: Optional[RetryPolicy] = RetryPolicy(),
-        health: Optional[NodeHealthTracker] = None,
         node_faults=None,
-        checkpoint_interval: int = 1,
-        policy=None,
         telemetry=None,
         monitor=None,
     ) -> None:
@@ -264,7 +260,7 @@ class OnlineService:
                 f"recovery must be one of {RECOVERY_MODES}, got {recovery!r}"
             )
         self.recovery = recovery
-        self.health = health if health is not None else NodeHealthTracker()
+        self.health = NodeHealthTracker()
         self.pool = ElasticNodePool(
             machine,
             min_nodes=min_nodes,
@@ -283,13 +279,10 @@ class OnlineService:
         self.runner = CampaignRunner(
             machine,
             packer=self.packer,
-            cache=cache,
             use_cache=use_cache,
             retry=retry,
             health=self.health,
             node_faults=node_faults,
-            checkpoint_interval=checkpoint_interval,
-            policy=policy,
             telemetry=telemetry,
             checker_factory=checker_factory,
         )

@@ -27,8 +27,8 @@ snapshots carry — and it has two writers, both here: :func:`advance`
 state-setter).  :class:`~repro.service.journal.ReplayState` folds WAL
 events through them; :class:`ElasticNodePool` adds what needs the
 machine — which nodes to grow, which to reclaim — as pure pickers over
-the book, the stand-alone lifecycle calls as picker + transition, and
-the pool-size timeline (one sample per transition that moved a node).
+the book, and the pool-size timeline (one sample per transition that
+moved a node).
 """
 
 from __future__ import annotations
@@ -169,8 +169,6 @@ class ElasticNodePool:
             "node_seconds": 0.0,  # provisioned-capacity cost integral
             "last_t": 0.0,
         }
-        #: node ids the most recent :meth:`request_grow` started
-        self.last_grown: Tuple[int, ...] = ()
         self.timeline: List[PoolSample] = []
         self.sample(0.0)
 
@@ -316,81 +314,6 @@ class ElasticNodePool:
         return min(since.values()) + self.idle_reclaim_s  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
-    # stand-alone lifecycle: picker + the one transition
-    # ------------------------------------------------------------------
-    def _advance_cost(self, now: float) -> None:
-        if now < self.book["last_t"]:  # type: ignore[operator]
-            raise ServiceError(
-                f"pool clock moved backwards: {now} < {self.book['last_t']}"
-            )
-        advance(self.book, now)
-
-    def _move(
-        self,
-        nodes: Sequence[int],
-        state: str,
-        now: float,
-        ready_at: Optional[float] = None,
-    ) -> None:
-        self._advance_cost(now)
-        if transition(self.book, nodes, state, now, ready_at):
-            self.sample(now)
-
-    def _require(self, nodes: Sequence[int], state: str, verb: str) -> None:
-        for n in nodes:
-            have = self.book["state"].get(str(n), "absent")  # type: ignore[union-attr]
-            if have != state:
-                raise ServiceError(f"cannot {verb} node {n}: state {have!r}")
-
-    def on_ready(self, now: float) -> List[int]:
-        """Bring provisioning nodes whose delay elapsed online (idle)."""
-        came_up = self.due_ready(now)
-        self._move(came_up, IDLE, now)
-        return came_up
-
-    def request_grow(
-        self, n_nodes: int, now: float, *, extra_delay_s: float = 0.0
-    ) -> Optional[float]:
-        """Start provisioning what :meth:`pick_grow` picks; returns the
-        time the nodes come online, or ``None`` when nothing started."""
-        picked = self.pick_grow(n_nodes, now, extra_delay_s=extra_delay_s)
-        if picked is None:
-            return None
-        self.last_grown, ready_at = picked
-        self._move(self.last_grown, PROVISIONING, now, ready_at)
-        return ready_at
-
-    def allocate(self, nodes: Sequence[int], now: float) -> None:
-        """Mark ``nodes`` busy (they must all be idle)."""
-        self._require(nodes, IDLE, "allocate")
-        self._move(nodes, BUSY, now)
-
-    def release(self, nodes: Sequence[int], now: float) -> None:
-        """Return busy ``nodes`` to idle at ``now``."""
-        self._require(nodes, BUSY, "release")
-        self._move(nodes, IDLE, now)
-
-    def reclaim_idle(self, now: float) -> List[int]:
-        """Offline what :meth:`pick_reclaim` picks; returns the ids."""
-        reclaimed = self.pick_reclaim(now)
-        self._move(reclaimed, OFFLINE, now)
-        return reclaimed
-
-    def fail_nodes(self, nodes: Sequence[int], now: float) -> List[int]:
-        """Hard-fail ``nodes``: force them offline from *any* state at
-        ``now`` (a ``domain_loss`` rips a rack out regardless of what
-        each node was doing).  Returns the subset that was busy, so the
-        caller can reconcile in-flight jobs."""
-        was_busy = [n for n in nodes if self.state_of(n) == BUSY]
-        self._move(nodes, OFFLINE, now)
-        return was_busy
-
-    # ------------------------------------------------------------------
-    def finish(self, now: float) -> None:
-        """Close the cost integral at the service end time."""
-        self._advance_cost(now)
-        self.sample(now)
-
     def timeline_dicts(self) -> List[Dict[str, object]]:
         """JSON-safe pool timeline."""
         return [s.to_dict() for s in self.timeline]

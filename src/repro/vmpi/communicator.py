@@ -167,7 +167,6 @@ def allreduce_rounds(
     rounds, n = stack.shape[1], stack.shape[-1]
     column_bytes = stack.itemsize * math.prod(stack.shape[2:-1])
     nbytes = [len(range(*window.indices(n))) * column_bytes for window in columns]
-    select = world.cost_model.select_algorithm
     admit = None
     ck = world.checker
     if ck is not None:
@@ -188,7 +187,7 @@ def allreduce_rounds(
         nbytes,
         rounds,
         comm_labels=[comm.label for comm in comms],
-        algorithms=[select("allreduce", nb) for nb in nbytes],
+        algorithms=[world.cost_model.select_algorithm("allreduce")] * len(nbytes),
         admit=admit,
     )
     return result
@@ -422,7 +421,7 @@ class Communicator:
             op=op,
             algorithm=algorithm
             if algorithm is not None
-            else self.world.cost_model.select_algorithm("allreduce", nbytes),
+            else self.world.cost_model.select_algorithm("allreduce"),
             payload=(lambda: shared) if nonblocking else None,
         )
         return request if nonblocking else shared
@@ -493,7 +492,7 @@ class Communicator:
             nbytes,
             algorithm=algorithm
             if algorithm is not None
-            else self.world.cost_model.select_algorithm("alltoall", nbytes),
+            else self.world.cost_model.select_algorithm("alltoall"),
             payload=(lambda: recv) if nonblocking else None,
         )
         return request if nonblocking else recv

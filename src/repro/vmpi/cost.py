@@ -49,12 +49,6 @@ from repro.vmpi.algorithms import (
 class CommCostModel:
     """Evaluates collective costs for rank groups on a placed machine."""
 
-    #: message-size thresholds (bytes) for automatic algorithm selection,
-    #: mirroring production MPI libraries: latency-optimal algorithms for
-    #: small messages, bandwidth-optimal for large.
-    ALLREDUCE_RING_THRESHOLD = 16 * 1024
-    ALLTOALL_PAIRWISE_THRESHOLD = 4 * 1024
-
     def __init__(
         self,
         machine: MachineModel,
@@ -62,33 +56,23 @@ class CommCostModel:
         *,
         default_allreduce: AllreduceAlgorithm = AllreduceAlgorithm.RING,
         default_alltoall: AlltoallAlgorithm = AlltoallAlgorithm.PAIRWISE,
-        auto_select: bool = False,
     ) -> None:
         self.machine = machine
         self.placement = placement
         self.default_allreduce = default_allreduce
         self.default_alltoall = default_alltoall
-        self.auto_select = auto_select
         #: rank group -> (effective link, distinct nodes touched)
         self._groups: Dict[Tuple[int, ...], Tuple[EffectiveLink, int]] = {}
         #: (kind, rank group, nbytes, resolved algorithm) -> seconds
         self._costs: Dict[tuple, float] = {}
 
-    def select_algorithm(self, kind: str, nbytes: float) -> object:
-        """Algorithm for a collective of ``nbytes`` under the policy.
-
-        With ``auto_select`` off (the calibrated default) the fixed
-        defaults are returned; with it on, small messages pick the
-        latency-optimal algorithm and large ones the bandwidth-optimal,
-        as production MPI libraries do.
-        """
+    def select_algorithm(self, kind: str) -> object:
+        """The algorithm a ``kind`` collective runs when its caller
+        names none: the fixed default the cost model was calibrated
+        with, or the one an autotuned plan pinned in its place."""
         if kind == "allreduce":
-            if self.auto_select and nbytes < self.ALLREDUCE_RING_THRESHOLD:
-                return AllreduceAlgorithm.RECURSIVE_DOUBLING
             return self.default_allreduce
         if kind == "alltoall":
-            if self.auto_select and nbytes < self.ALLTOALL_PAIRWISE_THRESHOLD:
-                return AlltoallAlgorithm.BRUCK
             return self.default_alltoall
         raise CollectiveError(f"no algorithm selection for kind {kind!r}")
 

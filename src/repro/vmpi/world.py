@@ -95,10 +95,6 @@ class VirtualWorld:
         :class:`~repro.errors.MemoryLimitExceeded`.
     trace:
         Whether to record collective events.
-    auto_algorithms:
-        Enable message-size-based collective algorithm selection
-        (default off: the calibrated cost model assumes the fixed
-        ring/pairwise choices).
     """
 
     def __init__(
@@ -109,7 +105,6 @@ class VirtualWorld:
         placement: Optional[Placement] = None,
         enforce_memory: bool = False,
         trace: bool = True,
-        auto_algorithms: bool = False,
     ) -> None:
         self.machine = machine
         self.n_ranks = machine.n_ranks if n_ranks is None else int(n_ranks)
@@ -124,9 +119,7 @@ class VirtualWorld:
             raise VmpiError(
                 f"placement covers {self.placement.n_ranks} ranks, world has {self.n_ranks}"
             )
-        self.cost_model = CommCostModel(
-            machine, self.placement, auto_select=auto_algorithms
-        )
+        self.cost_model = CommCostModel(machine, self.placement)
         self.clock = np.zeros(self.n_ranks, dtype=np.float64)
         # Per-rank collective-wait accounting (straggler forensics):
         # coll_wait_s[r] is the time r spent blocked at collective

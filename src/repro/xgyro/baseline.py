@@ -32,8 +32,6 @@ class SequentialCgyroBaseline:
         *,
         n_ranks: Optional[int] = None,
         enforce_memory: bool = False,
-        trace: bool = False,
-        telemetry=None,
     ) -> None:
         if len(inputs) == 0:
             raise EnsembleValidationError("baseline needs at least one input")
@@ -41,18 +39,6 @@ class SequentialCgyroBaseline:
         self.inputs = tuple(inputs)
         self.n_ranks = n_ranks
         self.enforce_memory = enforce_memory
-        self.trace = trace
-        #: optional :class:`~repro.obs.Telemetry` bundle.  Each run is a
-        #: separate job whose world clock restarts at zero, so the
-        #: tracer's ``time_offset`` is advanced by each completed run's
-        #: wall — member spans line up end to end on one sequential
-        #: timeline, directly comparable to an ensemble's overlapped
-        #: tree.  (Only the fresh-world :meth:`run_report_interval`
-        #: path is instrumented; the persistent :meth:`simulations`
-        #: worlds interleave intervals and have no single timeline.)
-        self.telemetry = telemetry
-        #: worlds of completed runs, for post-hoc trace inspection
-        self.worlds: List[VirtualWorld] = []
         self._sims: Optional[List[CgyroSimulation]] = None
 
     def simulations(self) -> List[CgyroSimulation]:
@@ -66,20 +52,18 @@ class SequentialCgyroBaseline:
         fresh worlds (single-interval semantics) on every call.
         """
         if self._sims is None:
-            self.worlds = []
-            self._sims = []
-            for inp in self.inputs:
-                world = VirtualWorld(
-                    self.machine,
-                    n_ranks=self.n_ranks,
-                    enforce_memory=self.enforce_memory,
-                    trace=self.trace,
-                )
-                self._sims.append(
-                    CgyroSimulation(world, range(world.n_ranks), inp)
-                )
-                self.worlds.append(world)
+            self._sims = [self._simulation(inp) for inp in self.inputs]
         return self._sims
+
+    def _simulation(self, inp: CgyroInput) -> CgyroSimulation:
+        """``inp`` on a fresh untraced world of the whole machine."""
+        world = VirtualWorld(
+            self.machine,
+            n_ranks=self.n_ranks,
+            enforce_memory=self.enforce_memory,
+            trace=False,
+        )
+        return CgyroSimulation(world, range(world.n_ranks), inp)
 
     def run_interval(self) -> List[ReportRow]:
         """Advance the persistent simulations one reporting interval."""
@@ -101,29 +85,9 @@ class SequentialCgyroBaseline:
             raise InputError(
                 f"inputs disagree on steps_per_report: {sorted(cadences)}"
             )
-        rows: List[ReportRow] = []
-        self.worlds = []
-        for m, inp in enumerate(self.inputs):
-            world = VirtualWorld(
-                self.machine,
-                n_ranks=self.n_ranks,
-                enforce_memory=self.enforce_memory,
-                trace=self.trace,
-            )
-            if self.telemetry is not None:
-                self.telemetry.install(world)
-                with world.span(
-                    f"baseline.m{m}.{inp.name}", "member", member=m
-                ):
-                    sim = CgyroSimulation(world, range(world.n_ranks), inp)
-                    rows.append(sim.run_report_interval())
-                # the next run is a fresh job: stack it after this one
-                self.telemetry.tracer.time_offset += world.elapsed()
-            else:
-                sim = CgyroSimulation(world, range(world.n_ranks), inp)
-                rows.append(sim.run_report_interval())
-            self.worlds.append(world)
-        return rows
+        return [
+            self._simulation(inp).run_report_interval() for inp in self.inputs
+        ]
 
     def summed(self) -> ReportRow:
         """Run one interval of every input and sum (sequential walls add)."""

@@ -46,12 +46,10 @@ class XgyroEnsemble:
     Parameters
     ----------
     world:
-        The virtual world for the whole job.
+        The virtual world for the whole job; its ranks are split into
+        equal contiguous member blocks.
     inputs:
         Member inputs; must agree on all cmat-relevant parameters.
-    ranks:
-        World ranks of the job (defaults to all of them); split into
-        equal contiguous member blocks.
     charge_cmat_build:
         Charge the shared tensor's assembly cost to the simulated
         clocks (default).  ``False`` models a warm start — the machine
@@ -77,7 +75,6 @@ class XgyroEnsemble:
         world: VirtualWorld,
         inputs: Sequence[CgyroInput],
         *,
-        ranks: Optional[Sequence[int]] = None,
         charge_cmat_build: bool = True,
         nc_counts: Optional[Sequence[int]] = None,
         overlap: str = "off",
@@ -87,8 +84,7 @@ class XgyroEnsemble:
         self.world = world
         self.inputs = tuple(inputs)
         self.overlap = overlap
-        job_ranks = tuple(ranks) if ranks is not None else tuple(range(world.n_ranks))
-        blocks = partition_ranks(job_ranks, len(inputs))
+        blocks = partition_ranks(range(world.n_ranks), len(inputs))
         self.scheme = SharedCmatScheme(
             charge_build=charge_cmat_build, nc_counts=nc_counts, overlap=overlap
         )

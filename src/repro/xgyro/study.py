@@ -39,7 +39,6 @@ class XgyroStudy:
         machine: MachineModel,
         *,
         enforce_memory: bool = True,
-        charge_cmat_build: bool = True,
     ) -> None:
         self.study_dir = Path(study_dir)
         manifest = self.study_dir / "input.xgyro"
@@ -49,9 +48,7 @@ class XgyroStudy:
         self.member_dirs = self._member_dirs(manifest)
         self.machine = machine
         self.world = VirtualWorld(machine, enforce_memory=enforce_memory)
-        self.ensemble = XgyroEnsemble(
-            self.world, self.inputs, charge_cmat_build=charge_cmat_build
-        )
+        self.ensemble = XgyroEnsemble(self.world, self.inputs)
         self.histories: List[TimeHistory] = [
             TimeHistory() for _ in self.inputs
         ]

@@ -42,7 +42,8 @@ def faulted_run():
     plan = FaultPlan(
         specs=(FaultSpec(kind="node_loss", at_step=FAIL_STEP, node=DEAD_NODE),)
     )
-    runner = ResilientXgyroRunner(world, inputs, plan=plan, checker=checker)
+    world.install_checker(checker)
+    runner = ResilientXgyroRunner(world, inputs, plan=plan)
     result = runner.run_steps(N_STEPS)
     return world, checker, runner, result
 
@@ -164,9 +165,8 @@ class TestOverlapFaultPath:
                 FaultSpec(kind="node_loss", at_step=FAIL_STEP, node=DEAD_NODE),
             )
         )
-        runner = ResilientXgyroRunner(
-            world, inputs, plan=plan, checker=checker, overlap="full"
-        )
+        world.install_checker(checker)
+        runner = ResilientXgyroRunner(world, inputs, plan=plan, overlap="full")
         result = runner.run_steps(N_STEPS)
         assert result.steps == N_STEPS
         assert result.n_members_final == 3

@@ -75,6 +75,33 @@ class TestRunXgyro:
         assert main(["run-xgyro", str(top)]) == 2
         assert "cmat" in capsys.readouterr().err
 
+    def test_timing_csv_has_one_row_per_interval(self, ensemble_file, tmp_path, capsys):
+        out_csv = tmp_path / "timing.csv"
+        argv = ["run-xgyro", str(ensemble_file), "--nodes", "2", "--reports", "3"]
+        assert main(argv + ["--timing-out", str(out_csv)]) == 0
+        header, *rows = out_csv.read_text().splitlines()
+        assert "str_comm" in header
+        assert [r.split(",")[0] for r in rows] == ["2", "4", "6"]  # step column
+
+    def test_zero_reports_with_timing_out_fails_cleanly(
+        self, ensemble_file, tmp_path, capsys
+    ):
+        argv = ["run-xgyro", str(ensemble_file), "--nodes", "2", "--reports", "0"]
+        assert main(argv + ["--timing-out", str(tmp_path / "t.csv")]) == 2
+        assert "error: --reports" in capsys.readouterr().err
+
+
+class TestReportsFlag:
+    @pytest.mark.parametrize(
+        "command", ["run-cgyro", "run-xgyro", "study", "oracle", "trace", "metrics"]
+    )
+    @pytest.mark.parametrize("reports", ["0", "-1"])
+    def test_below_one_fails_cleanly(self, command, reports, tmp_path, capsys):
+        # rejected before any input is read: the path need not exist
+        argv = [command, str(tmp_path / "unread"), "--reports", reports]
+        assert main(argv) == 2
+        assert "error: --reports must be >= 1" in capsys.readouterr().err
+
 
 class TestStudy:
     def test_study_command(self, ensemble_file, capsys):

@@ -30,12 +30,7 @@ from repro.check import (
 )
 from repro.cgyro.presets import small_test
 from repro.machine.presets import generic_cluster
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    ResilientXgyroRunner,
-    StragglerDetector,
-)
+from repro.resilience import FaultPlan, FaultSpec, ResilientXgyroRunner
 from repro.vmpi import VirtualWorld
 
 N_STEPS = 4
@@ -135,23 +130,6 @@ class TestMigration:
         assert ev.rank in member.ranks
         assert runner.injector.compute_multiplier(ev.rank) == 1.0
 
-    def test_detector_can_be_disabled(self):
-        plan = FaultPlan(
-            specs=(FaultSpec("slowdown", at_step=1, rank=5, factor=8.0),),
-            detection_timeout_s=0.0,
-        )
-        _, _, result, _ = _run(plan, straggler_detector=False)
-        assert result.n_migrations == 0
-
-    def test_custom_detector_accepted(self):
-        plan = FaultPlan(
-            specs=(FaultSpec("slowdown", at_step=1, rank=5, factor=8.0),),
-            detection_timeout_s=0.0,
-        )
-        detector = StragglerDetector(threshold=2.0, interval_frac=0.25)
-        _, _, result, _ = _run(plan, straggler_detector=detector)
-        assert result.n_migrations >= 1
-
 
 class TestBitflip:
     def test_detected_repaired_and_bit_identical(self, clean_run):
@@ -220,8 +198,9 @@ class TestCascades:
             ),
             detection_timeout_s=5.0,
         )
+        world.install_checker(checker)
         runner = ResilientXgyroRunner(
-            world, _inputs(), plan=plan, checkpoint_interval=1, checker=checker
+            world, _inputs(), plan=plan, checkpoint_interval=1
         )
         result = runner.run_steps(N_STEPS)
         assert result.n_recoveries == 2

@@ -440,7 +440,8 @@ class TestWiring:
             scenario.build(monitor=ServiceMonitor())
 
     def test_bind_rejects_foreign_telemetry(self):
-        monitor = ServiceMonitor(telemetry=Telemetry())
+        monitor = ServiceMonitor()
+        monitor.bind(Telemetry())
         with pytest.raises(ReproError, match="different telemetry"):
             monitor.bind(Telemetry())
 

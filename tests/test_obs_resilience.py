@@ -26,9 +26,9 @@ def machine():
 def test_checkpoint_spans_and_counters(machine):
     world = VirtualWorld(machine)
     tele = Telemetry()
+    tele.install(world)
     runner = ResilientXgyroRunner(
-        world, _inputs(), plan=FaultPlan.none(), checkpoint_interval=1,
-        telemetry=tele,
+        world, _inputs(), plan=FaultPlan.none(), checkpoint_interval=1
     )
     runner.run_steps(3)
     ckpts = [s for s in tele.tracer.spans if s.kind == "checkpoint"]
@@ -44,8 +44,9 @@ def test_recovery_span_on_node_loss(machine):
         specs=(FaultSpec("node_loss", at_step=1, node=1),),
         detection_timeout_s=5.0,
     )
+    tele.install(world)
     runner = ResilientXgyroRunner(
-        world, _inputs(), plan=plan, checkpoint_interval=1, telemetry=tele
+        world, _inputs(), plan=plan, checkpoint_interval=1
     )
     result = runner.run_steps(3)
     assert result.n_recoveries == 1
@@ -62,9 +63,10 @@ def test_migration_span_on_straggler(machine):
         specs=(FaultSpec("slowdown", at_step=1, rank=1, factor=8.0),),
         detection_timeout_s=0.0,
     )
+    tele.install(world)
     runner = ResilientXgyroRunner(
         world, _inputs(), plan=plan, checkpoint_interval=1,
-        migrate_stragglers=True, telemetry=tele,
+        migrate_stragglers=True,
     )
     result = runner.run_steps(4)
     assert result.n_migrations >= 1

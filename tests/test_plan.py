@@ -326,8 +326,8 @@ class TestPlanner:
         JSON (no global RNG, no wall-clock anywhere in the path)."""
         machine = mixed_generation_cluster(2, ranks_per_node=2)
         inp = small_test()
-        first = Planner(machine, inp, 3, anneal_iterations=40).plan(seed=seed)
-        second = Planner(machine, inp, 3, anneal_iterations=40).plan(seed=seed)
+        first = Planner(machine, inp, 3).plan(seed=seed)
+        second = Planner(machine, inp, 3).plan(seed=seed)
         assert first.to_json() == second.to_json()
 
 
@@ -363,7 +363,7 @@ class TestPhysicsNeutral:
     def test_oracle_bit_exact_on_tuned_plan(self, base, hetero):
         planner = Planner(hetero, base, 4)
         plan = planner.plan(seed=0)
-        report = oracle_plan(plan, base, hetero, n_reports=1)
+        report = oracle_plan(plan, base, hetero)
         assert report.rtol == 0.0 and report.atol == 0.0
         assert report.ok
         assert report.max_abs == 0.0

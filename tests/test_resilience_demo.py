@@ -81,8 +81,8 @@ class TestNl03cNodeLossDemo:
         _, runner, _ = recovered_run
         inputs = _inputs()
         survivors = [inp for i, inp in enumerate(inputs) if i != 1]
-        w_ref = VirtualWorld(_machine())
-        ref = XgyroEnsemble(w_ref, survivors, ranks=range(7 * 32))
+        w_ref = VirtualWorld(_machine(), 7 * 32)
+        ref = XgyroEnsemble(w_ref, survivors)
         for _ in range(N_STEPS):
             ref.step()
         for m_rec, m_ref in zip(runner.ensemble.members, ref.members):

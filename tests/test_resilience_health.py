@@ -142,7 +142,7 @@ class TestStragglerDetector:
     def test_interval_floor_suppresses_noise(self):
         # imposed waits are skewed but tiny next to the interval: a
         # healthy lockstep group, not a straggler
-        d = StragglerDetector(interval_frac=0.5)
+        d = StragglerDetector()
         waits = [0.0, 0.0, 0.0, 0.002]
         assert d.flag(waits, interval_s=10.0) == ()
         # the same skew against a comparable interval IS a straggler

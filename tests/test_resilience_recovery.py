@@ -101,8 +101,8 @@ class TestRankCrashRecovery:
             "xgyro.m3.small-test",
         )
         # survivors' physics equals a fresh fault-free 3-member run
-        w_ref = VirtualWorld(machine4())
-        ref = XgyroEnsemble(w_ref, [small_test()] * 3, ranks=range(12))
+        w_ref = VirtualWorld(machine4(), 12)
+        ref = XgyroEnsemble(w_ref, [small_test()] * 3)
         for _ in range(5):
             ref.step()
         for m_rec, m_ref in zip(runner.ensemble.members, ref.members):
@@ -278,8 +278,8 @@ class TestUnevenShardMap:
     def test_fresh_uneven_ensemble_runs_and_matches_even(self):
         """k=3 over nc=16 (3-way coll group) exercises the uneven
         ownership path end to end against an even-split reference."""
-        world = VirtualWorld(machine4())
-        ens = XgyroEnsemble(world, [small_test()] * 3, ranks=range(12))
+        world = VirtualWorld(machine4(), 12)
+        ens = XgyroEnsemble(world, [small_test()] * 3)
         counts = sorted(s.n_ic for s in ens.scheme.shards[0])
         assert counts == [5, 5, 6]  # nc=16 over k*P1=3 ranks, balanced
         for _ in range(2):

@@ -16,6 +16,8 @@ from repro.service.pool import (
     OFFLINE,
     PROVISIONING,
     ElasticNodePool,
+    advance,
+    transition,
 )
 
 
@@ -43,55 +45,64 @@ class TestPoolLifecycle:
 
     def test_grow_respects_provision_delay(self, machine):
         pool = ElasticNodePool(machine, min_nodes=1, provision_delay_s=30.0)
-        ready_at = pool.request_grow(2, 10.0)
-        assert ready_at == 40.0
+        grown, ready_at = pool.pick_grow(2, 10.0)
+        assert (grown, ready_at) == ((1, 2), 40.0)
+        transition(pool.book, grown, PROVISIONING, 10.0, ready_at)
         assert pool.state_of(1) == PROVISIONING
         assert pool.provisioned == 1 and pool.committed == 3
-        assert pool.on_ready(39.0) == []
-        assert pool.on_ready(40.0) == [1, 2]
+        assert pool.next_ready() == 40.0
+        assert pool.due_ready(39.0) == []
+        assert pool.due_ready(40.0) == [1, 2]
+        transition(pool.book, [1, 2], IDLE, 40.0)
+        assert pool.due_ready(40.0) == [] and pool.next_ready() is None
         assert pool.free_nodes(40.0) == [0, 1, 2]
 
     def test_grow_clamps_at_ceiling(self, machine):
         pool = ElasticNodePool(machine, min_nodes=1, max_nodes=3)
-        assert pool.request_grow(10, 0.0) == 0.0  # takes only 2
-        pool.on_ready(0.0)
+        grown, ready_at = pool.pick_grow(10, 0.0)
+        assert (grown, ready_at) == ((1, 2), 0.0)  # takes only 2
+        transition(pool.book, grown, PROVISIONING, 0.0, ready_at)
+        # provisioning nodes already count against the ceiling
+        assert pool.pick_grow(1, 0.0) is None
+        transition(pool.book, pool.due_ready(0.0), IDLE, 0.0)
         assert pool.provisioned == 3
-        assert pool.request_grow(1, 1.0) is None
+        assert pool.pick_grow(1, 1.0) is None
 
     def test_allocate_release_cycle(self, machine):
         pool = ElasticNodePool(machine, min_nodes=4)
-        pool.allocate([0, 2], 5.0)
-        assert pool.state_of(0) == BUSY
+        assert transition(pool.book, [0, 2], BUSY, 5.0)
+        assert pool.state_of(0) == BUSY and pool.busy == 2
         assert pool.free_nodes(5.0) == [1, 3]
-        with pytest.raises(ServiceError):
-            pool.allocate([0], 6.0)  # already busy
-        pool.release([0, 2], 7.0)
-        assert pool.state_of(0) == IDLE
-        with pytest.raises(ServiceError):
-            pool.release([1], 8.0)  # was never busy
+        assert not transition(pool.book, [0], BUSY, 6.0)  # already busy
+        assert transition(pool.book, [0, 2], IDLE, 7.0)
+        assert pool.state_of(0) == IDLE and pool.busy == 0
+        assert pool.free_nodes(7.0) == [0, 1, 2, 3]
 
     def test_reclaim_drains_idle_but_keeps_floor_and_busy(self, machine):
         pool = ElasticNodePool(
             machine, min_nodes=1, max_nodes=4, idle_reclaim_s=100.0
         )
-        pool.request_grow(3, 0.0)
-        pool.on_ready(0.0)
-        pool.allocate([3], 0.0)  # busy forever
-        assert pool.reclaim_idle(99.0) == []
-        reclaimed = pool.reclaim_idle(100.0)
+        grown, _ = pool.pick_grow(3, 0.0)
+        transition(pool.book, grown, IDLE, 0.0)
+        transition(pool.book, [3], BUSY, 0.0)  # busy forever
+        assert pool.pick_reclaim(99.0) == []
+        reclaimed = pool.pick_reclaim(100.0)
         # newest-first, floor of one online node kept; node 3 is busy
         # (and busy counts toward online capacity)
         assert reclaimed == [2, 1, 0]
+        transition(pool.book, reclaimed, OFFLINE, 100.0)
         assert pool.provisioned == 1 and pool.state_of(3) == BUSY
+        # the busy node is now the floor: nothing is ever reclaimable
+        assert pool.pick_reclaim(1e9) == []
 
     def test_release_resets_the_idle_clock(self, machine):
         pool = ElasticNodePool(machine, min_nodes=1, idle_reclaim_s=50.0)
-        pool.request_grow(1, 0.0)
-        pool.on_ready(0.0)  # nodes 0 and 1 idle since t=0
-        pool.allocate([1], 10.0)
-        pool.release([1], 40.0)  # node 1's idle clock restarts at 40
+        transition(pool.book, [1], IDLE, 0.0)  # nodes 0 and 1 idle since t=0
+        transition(pool.book, [1], BUSY, 10.0)
+        transition(pool.book, [1], IDLE, 40.0)  # its idle clock restarts at 40
         assert pool.next_reclaim() == 50.0
-        assert pool.reclaim_idle(50.0) == [0]  # node 1 is not yet due
+        assert pool.pick_reclaim(50.0) == [0]  # node 1 is not yet due
+        transition(pool.book, [0], OFFLINE, 50.0)
         # node 1 is now the floor: nothing left to reclaim
         assert pool.next_reclaim() is None
 
@@ -100,29 +111,49 @@ class TestPoolLifecycle:
         pool = ElasticNodePool(machine, min_nodes=3, health=health)
         health.record(1, "crash", at_s=0.0)
         assert pool.free_nodes(0.0) == [0, 2]
+        health.record(3, "crash", at_s=0.0)
+        assert pool.pick_grow(1, 0.0)[0] == (4,)  # never grows onto it
+
+    def test_hard_fail_offlines_a_node_from_any_state(self, machine):
+        pool = ElasticNodePool(machine, min_nodes=2, provision_delay_s=9.0)
+        grown, ready_at = pool.pick_grow(1, 0.0)
+        transition(pool.book, grown, PROVISIONING, 0.0, ready_at)
+        transition(pool.book, [0], BUSY, 1.0)
+        # idle (1), busy (0), provisioning (2) and offline (3) alike
+        assert transition(pool.book, [0, 1, 2, 3], OFFLINE, 2.0)
+        assert pool.provisioned == 0 and pool.committed == 0
+        assert pool.next_ready() is None and pool.next_reclaim() is None
+        assert pool.book["idle_since"] == {} and pool.book["ready_at"] == {}
 
     def test_cost_integral_counts_provisioned_seconds(self, machine):
         pool = ElasticNodePool(machine, min_nodes=2, idle_reclaim_s=10.0)
-        pool.allocate([0], 5.0)
-        pool.release([0], 15.0)
-        pool.finish(20.0)
-        assert pool.node_seconds == pytest.approx(2 * 20.0)
+        for t, state in ((5.0, BUSY), (15.0, IDLE)):
+            advance(pool.book, t)
+            transition(pool.book, [0], state, t)
+        advance(pool.book, 20.0)
+        assert pool.node_seconds == pytest.approx(2 * 20.0)  # busy or idle
 
-    def test_clock_must_not_go_backwards(self, machine):
+    def test_clock_never_moves_backwards(self, machine):
         pool = ElasticNodePool(machine, min_nodes=1)
-        pool.allocate([0], 10.0)
-        with pytest.raises(ServiceError):
-            pool.release([0], 5.0)
+        advance(pool.book, 10.0)
+        advance(pool.book, 5.0)  # an earlier time integrates nothing
+        assert pool.book["last_t"] == 10.0
+        assert pool.node_seconds == pytest.approx(10.0)
 
-    def test_timeline_records_transitions(self, machine):
+    def test_timeline_samples_the_book(self, machine):
         pool = ElasticNodePool(machine, min_nodes=1, provision_delay_s=5.0)
-        pool.request_grow(1, 0.0)
-        pool.on_ready(5.0)
-        pool.allocate([0, 1], 6.0)
-        pool.finish(7.0)
+        grown, ready_at = pool.pick_grow(1, 0.0)
+        transition(pool.book, grown, PROVISIONING, 0.0, ready_at)
+        pool.sample(0.0)
+        transition(pool.book, pool.due_ready(5.0), IDLE, 5.0)
+        transition(pool.book, [0, 1], BUSY, 6.0)
+        pool.sample(7.0)
         samples = pool.timeline_dicts()
         assert samples[0] == {
             "t_s": 0.0, "provisioned": 1, "busy": 0, "provisioning": 0
+        }
+        assert samples[1] == {
+            "t_s": 0.0, "provisioned": 1, "busy": 0, "provisioning": 1
         }
         assert samples[-1] == {
             "t_s": 7.0, "provisioned": 2, "busy": 2, "provisioning": 0

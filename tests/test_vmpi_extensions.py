@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CollectiveError, CommunicatorError
 from repro.machine import generic_cluster, single_node
 from repro.vmpi import Communicator, ReduceOp, VirtualWorld
-from repro.vmpi.cost import CommCostModel
 from repro.vmpi.algorithms import AllreduceAlgorithm, AlltoallAlgorithm
 
 
@@ -130,39 +129,25 @@ class TestAlgorithmSelection:
         w.comm_world().allreduce({r: np.ones(2) for r in range(4)})
         assert w.trace.events[-1].algorithm == "ring"
 
-    def test_auto_small_message_uses_recursive_doubling(self):
-        w = make_world(4, auto_algorithms=True)
+    def test_pinned_default_is_used(self):
+        # how an autotuned plan swaps the fixed choice (CampaignRunner._dispatch)
+        w = make_world(4)
+        w.cost_model.default_allreduce = AllreduceAlgorithm.RECURSIVE_DOUBLING
         w.comm_world().allreduce({r: np.ones(2) for r in range(4)})
         assert w.trace.events[-1].algorithm == "recursive-doubling"
 
-    def test_auto_large_message_uses_ring(self):
-        w = make_world(4, auto_algorithms=True)
-        big = np.ones(CommCostModel.ALLREDUCE_RING_THRESHOLD // 8 + 16)
-        w.comm_world().allreduce({r: big for r in range(4)})
-        assert w.trace.events[-1].algorithm == "ring"
-
-    def test_auto_alltoall_thresholds(self):
-        w = make_world(2, auto_algorithms=True)
-        comm = w.comm_world()
-        small = {r: [np.ones(4), np.ones(4)] for r in range(2)}
-        comm.alltoall(small)
-        assert w.trace.events[-1].algorithm == "bruck"
-        n = CommCostModel.ALLTOALL_PAIRWISE_THRESHOLD // 8
-        big = {r: [np.ones(n), np.ones(n)] for r in range(2)}
-        comm.alltoall(big)
-        assert w.trace.events[-1].algorithm == "pairwise"
-
-    def test_explicit_algorithm_wins_over_auto(self):
-        w = make_world(4, auto_algorithms=True)
+    def test_explicit_algorithm_wins_over_default(self):
+        w = make_world(4)
         w.comm_world().allreduce(
-            {r: np.ones(2) for r in range(4)}, algorithm=AllreduceAlgorithm.RING
+            {r: np.ones(2) for r in range(4)},
+            algorithm=AllreduceAlgorithm.RECURSIVE_DOUBLING,
         )
-        assert w.trace.events[-1].algorithm == "ring"
+        assert w.trace.events[-1].algorithm == "recursive-doubling"
 
     def test_selection_rejects_unknown_kind(self):
         w = make_world(2)
         with pytest.raises(CollectiveError):
-            w.cost_model.select_algorithm("bcast", 10)
+            w.cost_model.select_algorithm("bcast")
 
 
 # every Communicator collective, as a call on comm_world of 4 ranks that

@@ -293,8 +293,10 @@ def _books(world) -> dict:
     }
 
 
-def _instrumented_world(*, telemetry, checker, plan=None, auto_algorithms=False):
-    world = VirtualWorld(_BLOCK_MACHINE, auto_algorithms=auto_algorithms)
+def _instrumented_world(*, telemetry, checker, plan=None, allreduce=AllreduceAlgorithm.RING):
+    world = VirtualWorld(_BLOCK_MACHINE)
+    # how an autotuned plan pins its algorithm (CampaignRunner._dispatch)
+    world.cost_model.default_allreduce = allreduce
     if telemetry:
         Telemetry().install(world)
     if checker:
@@ -354,7 +356,7 @@ def _blocks(draw):
         "telemetry": draw(st.booleans()),
         "checker": draw(st.booleans()),
         "slowed": draw(st.booleans()),
-        "auto_algorithms": draw(st.booleans()),
+        "allreduce": draw(st.sampled_from(list(AllreduceAlgorithm))),
         "phase": draw(st.sampled_from(["", "str_comm"])),
     }
 
@@ -369,7 +371,7 @@ def _run_statements(block, issue):
         telemetry=block["telemetry"],
         checker=block["checker"],
         plan=plan,
-        auto_algorithms=block["auto_algorithms"],
+        allreduce=block["allreduce"],
     )
     comms = [
         Communicator(world, ranks, label=f"g{g}")
