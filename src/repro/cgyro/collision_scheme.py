@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.collision.cmat import (
     CmatPropagator,
+    CmatWindow,
     apply_flops,
     apply_propagator,
     cmat_block_bytes,
@@ -58,7 +59,7 @@ class PrivateCollisionScheme(CollisionScheme):
     """Stock CGYRO: per-simulation cmat on the comm_1 groups."""
 
     def __init__(self) -> None:
-        self._cmat: Dict[int, np.ndarray] = {}
+        self._cmat: Dict[int, CmatWindow] = {}
         self._prop: "CmatPropagator | None" = None
 
     def cmat_bytes_per_rank(self, sim: "CgyroSimulation") -> int:

@@ -53,7 +53,7 @@ class SerialReference:
             self.dims, self.vgrid, self.cgrid, inp.collision_params()
         )
         propagator = CmatPropagator(operator, dt=inp.delta_t)
-        #: full cmat, shape (nc, nt, nv, nv) — feasible at test scale only
+        #: full cmat: a (nc, nt, nv, nv) window onto the signature's distinct blocks
         self.cmat = propagator.build(range(self.dims.nc), range(self.dims.nt))
         self.h = initial_condition(inp)
         self.time = 0.0

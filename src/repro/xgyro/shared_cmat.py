@@ -50,6 +50,7 @@ from repro.errors import EnsembleValidationError, RecoveryFailed
 from repro.cgyro.collision_scheme import CollisionScheme
 from repro.collision.cmat import (
     CmatPropagator,
+    CmatWindow,
     apply_flops,
     apply_propagator,
     cmat_block_bytes,
@@ -137,7 +138,7 @@ class SharedCmatScheme(CollisionScheme):
         self.charge_build = charge_build
         self.nc_counts = None if nc_counts is None else tuple(int(c) for c in nc_counts)
         self._finalized = False
-        self._cmat: Dict[int, np.ndarray] = {}
+        self._cmat: Dict[int, CmatWindow] = {}
         self._checksums: Dict[int, str] = {}
         self._coll_comm: Dict[int, Communicator] = {}
         self._shards: Dict[int, List[CollShard]] = {}
@@ -272,11 +273,17 @@ class SharedCmatScheme(CollisionScheme):
     # SDC guards: per-shard content checksums
     # ------------------------------------------------------------------
     @staticmethod
-    def _checksum(arr: np.ndarray) -> str:
-        """Content hash of one shard's propagator blocks."""
+    def _checksum(shard: CmatWindow) -> str:
+        """Content hash of one shard: its index, then every block its
+        tiles read, in place (a block shared by rows of a tile once)."""
         import hashlib
 
-        return hashlib.sha256(memoryview(np.ascontiguousarray(arr))).hexdigest()
+        digest = hashlib.sha256(shard.keys.tobytes() + shard.modes.tobytes())
+        for _, _, view in shard.tiles:
+            for row in view:
+                for block in row:
+                    digest.update(block)
+        return digest.hexdigest()
 
     def shard_nbytes(self, world_rank: int) -> int:
         """Bytes held by ``world_rank``'s shard (0 if it owns none)."""
@@ -319,16 +326,10 @@ class SharedCmatScheme(CollisionScheme):
                 failed_ranks=(world_rank,),
                 reason="no shard",
             )
-        first = self.members[0]
-        decomp = first.decomp
-        i2 = next(
-            g for g, shards in self._shards.items()
-            if any(s.world_rank == world_rank for s in shards)
-        )
-        n_idx = range(*decomp.nt_slice(i2).indices(first.dims.nt))
+        n_idx = self._cmat[world_rank].modes  # the same request as at assembly
         self._cmat[world_rank] = self._prop.build(shard.ic_indices, n_idx)
         self._checksums[world_rank] = self._checksum(self._cmat[world_rank])
-        first.world.charge_compute(
+        self.members[0].world.charge_compute(
             world_rank,
             flops=self._prop.build_flops(shard.n_ic, len(n_idx)),
             category=category,
@@ -343,9 +344,10 @@ class SharedCmatScheme(CollisionScheme):
         from ``(world_rank, seed)`` so faulted runs stay reproducible.
         The recorded checksum is *not* updated — that is the point.
 
-        The upset hits this rank's memory only: the shard stops being a
-        window onto the host tensor every simulation of the signature
-        reads and becomes a private copy, until :meth:`repair_shard`.
+        The upset hits this rank's memory only: the struck row stops
+        reading the host store every simulation of the signature shares
+        and reads a private copy of its blocks, until
+        :meth:`repair_shard`.
         """
         import hashlib
 
@@ -354,12 +356,14 @@ class SharedCmatScheme(CollisionScheme):
             raise EnsembleValidationError(
                 f"rank {world_rank} owns no shard to corrupt"
             )
-        arr = self._cmat[world_rank] = np.array(arr)
-        words = arr.view(np.uint64)
         digest = hashlib.sha256(f"{world_rank}:{seed}".encode()).digest()
-        pos = int.from_bytes(digest[:8], "big") % words.size
+        words = arr.nbytes // 8  # of the modeled dense (n_ic, n_modes, nv, nv) shard
+        pos = int.from_bytes(digest[:8], "big") % words
         bit = digest[8] % 64
-        words.flat[pos] ^= np.uint64(1) << np.uint64(bit)
+        row, word = divmod(pos, words // arr.shape[0])
+        struck = np.array(arr[row : row + 1])
+        struck.view(np.uint64).flat[word] ^= np.uint64(1) << np.uint64(bit)
+        self._cmat[world_rank] = arr.with_row(row, struck)
 
     # ------------------------------------------------------------------
     # the ensemble coll phase
@@ -560,20 +564,12 @@ class SharedCmatScheme(CollisionScheme):
                     category=category,
                 )
                 rebuilt_blocks += len(extra) * len(n_idx)
-                # merge old + adopted blocks into ascending ic order
-                merged_ics = tuple(sorted(set(s.ic_indices) | set(extra)))
-                old_pos = {ic: i for i, ic in enumerate(s.ic_indices)}
-                new_pos = {ic: i for i, ic in enumerate(extra)}
-                merged = np.empty(
-                    (len(merged_ics),) + self._cmat[r].shape[1:],
-                    dtype=self._cmat[r].dtype,
-                )
-                for i, ic in enumerate(merged_ics):
-                    if ic in old_pos:
-                        merged[i] = self._cmat[r][old_pos[ic]]
-                    else:
-                        merged[i] = fresh[new_pos[ic]]
-                self._cmat[r] = merged
+                # old + adopted rows in ascending ic order: the blocks
+                # stay where they are, only the keys are merged
+                ics = np.array(s.ic_indices + tuple(extra))
+                order = np.argsort(ics)
+                merged_ics = tuple(ics[order].tolist())
+                self._cmat[r] = merged = self._cmat[r].joined(fresh, order)
                 self._checksums[r] = self._checksum(merged)
                 ledger = world.ledgers[r]
                 ledger.free("cmat")

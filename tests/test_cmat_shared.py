@@ -1,9 +1,10 @@
-"""One host-resident ``cmat`` per signature.
+"""One host-resident ``cmat`` per signature: distinct blocks plus an index.
 
 :class:`~repro.collision.CmatPropagator` resolves every propagator of an
 equal :class:`~repro.collision.CmatSignature` to one lazily filled
-tensor, inverts each distinct ``(profile value, mode)`` once and hands
-out read-only windows.  These tests hold that to ``np.array_equal``
+store of the distinct ``(profile value, mode)`` blocks, inverts each
+once and hands out read-only :class:`~repro.collision.cmat.CmatWindow`
+objects onto it.  These tests hold that to ``np.array_equal``
 (never ``allclose``) against the per-pair loop it replaced — kept here
 as the reference — over every way of asking, pin the sharing contract
 and its lifetime, count the inversions of whole runs exactly, and prove
@@ -31,6 +32,7 @@ from repro.collision import (
     CollisionOperator,
     CollisionParams,
 )
+from repro.collision.cmat import CmatWindow
 from repro.collision.params import DEFAULT_SPECIES
 from repro.errors import InputError
 from repro.grid import ConfigGrid, GridDims, VelocityGrid
@@ -89,6 +91,16 @@ def _cold(preset=small_test, **overrides):
     return preset(nu=next(_unused_nu), **overrides)
 
 
+def _views(window: CmatWindow):
+    """Every array a window reads its blocks from."""
+    return [view for _, _, view in window.tiles]
+
+
+def _share(a: CmatWindow, b: CmatWindow) -> bool:
+    """Whether any block of ``a`` is the memory of a block of ``b``."""
+    return any(np.shares_memory(x, y) for x in _views(a) for y in _views(b))
+
+
 def _sub_ranges(n: int):
     return [range(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
 
@@ -135,8 +147,13 @@ class TestBitEqualToThePerPairLoop:
         for ics, ns in history:
             got = prop.build(ics, ns)
             assert got.shape == (len(ics), len(ns), dims.nv, dims.nv)
+            assert got.dtype == np.float64
+            assert got.nbytes == full[np.ix_(ics, ns)].nbytes
             assert np.array_equal(got, full[np.ix_(ics, ns)])
-            assert not got.flags.writeable
+            for i, j in itertools.product(range(len(ics)), range(len(ns))):
+                assert np.array_equal(got[i, j], full[ics[i], ns[j]])
+                assert not got[i, j].flags.writeable
+            assert not any(view.flags.writeable for view in _views(got))
         # every contiguous sub-range of both axes, on whatever is filled by now
         for ic_run, n_run in itertools.product(
             _sub_ranges(dims.nc), _sub_ranges(dims.nt)
@@ -160,23 +177,58 @@ class TestBitEqualToThePerPairLoop:
             assert np.array_equal(got, want)
             del got
 
-    def test_contiguous_runs_are_views_everything_else_a_copy(self):
+    def test_every_window_reads_the_store_and_equal_values_one_block(self):
         prop = _input_propagator(small_test())
         whole = prop.build(range(16), range(4))
-        assert np.shares_memory(prop.build(range(4, 8), range(1, 3)), whole)
-        assert np.shares_memory(prop.build((5,), [2]), whole)
-        for ics, ns in (([0, 2], [0]), ([3, 2, 1], [0]), ([1, 1], [0]), ([0], [3, 0])):
-            assert not np.shares_memory(prop.build(ics, ns), whole)
+        blocks = prop._store.blocks
+        for ics, ns in (
+            (range(4, 8), range(1, 3)),
+            ((5,), [2]),
+            ([0, 2], [0]),
+            ([3, 2, 1], [0]),
+            ([1, 1], [0]),
+            ([0], [3, 0]),
+        ):
+            got = prop.build(ics, ns)
+            assert all(np.shares_memory(view, blocks) for view in _views(got))
+            assert _share(got, whole)
+            # a dense copy is the caller's own memory
+            assert not np.shares_memory(np.asarray(got), blocks)
+        # cos folds n_theta = 4 to 3 values: rows 1 and 3 read one block
+        assert np.shares_memory(whole[1, 2], whole[3, 2])
+        assert not np.shares_memory(whole[0, 2], whole[2, 2])
+        assert blocks.shape == (3, 4, 16, 16)
+        assert whole.nbytes == 16 * 4 * 16 * 16 * 8  # the modeled dense bytes
+
+    def test_row_slices_are_sub_windows_onto_the_same_blocks(self):
+        prop = _input_propagator(small_test())
+        whole = prop.build(range(16), range(4))
+        dense = np.asarray(whole)
+        for a, b in ((0, 16), (3, 9), (5, 6), (7, 7), (12, 40)):
+            sub = whole[a:b]
+            assert isinstance(sub, CmatWindow) and sub.shape == dense[a:b].shape
+            assert np.array_equal(sub, dense[a:b])
+            if sub.shape[0]:
+                assert _share(sub, whole)
+        with pytest.raises(IndexError):
+            whole[::2]
+        with pytest.raises(IndexError):
+            whole[16, 0]
 
     def test_nothing_build_returns_can_be_written(self):
         prop = _input_propagator(small_test())
         for ics, ns in ((range(16), range(4)), ([7], [1]), ([4, 2, 9], [0, 3])):
             out = prop.build(ics, ns)
-            with pytest.raises(ValueError, match="read-only"):
+            with pytest.raises(TypeError):
                 out[0, 0, 0, 0] = 0.0
-        # nor can a window onto the shared tensor be made writeable again
-        with pytest.raises(ValueError, match="cannot set WRITEABLE"):
-            prop.build(range(16), range(4)).flags.writeable = True
+            with pytest.raises(ValueError, match="read-only"):
+                out[0, 0][0, 0] = 0.0
+            # nor can any block reachable from a window be made writeable again
+            for arr in [out[0, 0], out[:1][0, 0]] + _views(out) + _views(out[:1]):
+                with pytest.raises(ValueError, match="cannot set WRITEABLE"):
+                    arr.flags.writeable = True
+            for index in (out.keys, out.modes):
+                assert not index.flags.writeable
 
 
 class TestValidateBeforeTouchingSharedState:
@@ -192,12 +244,12 @@ class TestValidateBeforeTouchingSharedState:
     def test_a_failed_call_leaves_nothing_behind(self, inversions):
         prop = _input_propagator(_cold())
         prop.build([0, 1], [0])
-        filled_before = prop._tensor.filled.copy()
+        filled_before = prop._store.filled.copy()
         done = list(inversions)
         for ics, ns in (([2, 999], [1]), ([2], [1, 4]), ([2, 3, -1], [0, 1])):
             with pytest.raises(InputError):
                 prop.build(ics, ns)
-        assert np.array_equal(prop._tensor.filled, filled_before)
+        assert np.array_equal(prop._store.filled, filled_before)
         assert inversions == done
         # and the valid part of a failed request still has to be computed
         prop.build([2], [1])
@@ -239,8 +291,8 @@ class TestShareIffSignatureEqual:
         prop_a, prop_b = _input_propagator(a), _input_propagator(b)
         ics, ns = range(3, 9), range(1, 3)
         got_a, got_b = prop_a.build(ics, ns), prop_b.build(ics, ns)
-        assert prop_a._tensor is prop_b._tensor
-        assert np.shares_memory(got_a, got_b)
+        assert prop_a._store is prop_b._store
+        assert np.shares_memory(got_a[0, 0], got_b[0, 0])
         # each side's blocks, computed from its own operator with no sharing
         for prop in (prop_a, prop_b):
             want = reference_blocks(prop.operator, prop.dt, ics, ns)
@@ -253,8 +305,8 @@ class TestShareIffSignatureEqual:
         assert a.cmat_signature().diff(b.cmat_signature()) == (field,)
         prop_a, prop_b = _input_propagator(a), _input_propagator(b)
         got_a, got_b = prop_a.build([0, 1], [0, 1]), prop_b.build([0, 1], [0, 1])
-        assert prop_a._tensor is not prop_b._tensor
-        assert not np.shares_memory(got_a, got_b)
+        assert prop_a._store is not prop_b._store
+        assert not _share(got_a, got_b)
         assert np.array_equal(
             got_b, reference_blocks(prop_b.operator, prop_b.dt, [0, 1], [0, 1])
         )
@@ -299,6 +351,19 @@ class TestInversionCount:
         assert report.ok and report.max_abs == 0.0
         assert sum(inversions) == len(np.unique(profile)) * dims.nt == 20
 
+    def test_full_nl03c_inverts_forty_and_stores_forty_blocks(self, inversions):
+        # the whole (nc, nt) window of the full-size preset: 40 inversions,
+        # 20 MiB resident, 512 MiB modeled (16 radial x 8 theta, cos folds 8 to 5)
+        prop = _input_propagator(_cold(nl03c_scaled))
+        dims = prop.dims
+        whole = prop.build(range(dims.nc), range(dims.nt))
+        store = prop._store
+        assert (dims.nc, len(store.values), dims.nt) == (128, 5, 8)
+        assert sum(inversions) == 40 and store.filled.all()
+        assert store.blocks.nbytes == 40 * dims.nv**2 * 8
+        assert whole.nbytes == dims.nc * dims.nt * dims.nv**2 * 8
+        assert len(whole.tiles) <= 2 * dims.n_radial
+
     def test_small_ensemble_and_both_baselines_invert_twelve(self, inversions):
         members = _members(_cold(steps_per_report=1))
         machine = generic_cluster(n_nodes=2)
@@ -317,21 +382,26 @@ class TestInversionCount:
 class TestLifetime:
     def test_any_live_view_keeps_the_tensor_dropping_all_frees_it(self, inversions):
         inp = _cold()
-        view = _input_propagator(inp).build(range(4), [0])
+        window = _input_propagator(inp).build(range(4), [0])
         gc.collect()
-        # the propagator is gone, the view is not: nothing is inverted again
+        # the propagator is gone, the window is not: nothing is inverted again
         done = sum(inversions)
         again = _input_propagator(inp).build(range(4), [0])
         assert sum(inversions) == done
-        assert np.shares_memory(view, again)
-        del view, again
+        assert _share(window, again)
+        # a sub-window pins the store just as well
+        window, again = window[1:3], None
+        gc.collect()
+        _input_propagator(inp).build(range(4), [0])
+        assert sum(inversions) == done
+        del window
         gc.collect()
         _input_propagator(inp).build(range(4), [0])
         assert sum(inversions) == 2 * done
 
     def test_a_copy_does_not_pin_the_tensor(self, inversions):
         inp = _cold()
-        copy = _input_propagator(inp).build([2, 0], [0])
+        copy = np.asarray(_input_propagator(inp).build([2, 0], [0]))
         gc.collect()
         done = sum(inversions)
         _input_propagator(inp).build([2, 0], [0])
@@ -364,7 +434,7 @@ def test_simulated_clock_is_equal_on_cold_and_warm_tensor(charge, inversions):
     done = sum(inversions)
     warm = _simulated_figures(members, charge)
     assert sum(inversions) == done  # it really was warm
-    assert np.shares_memory(held, _input_propagator(members[1]).build([0], [0]))
+    assert _share(held, _input_propagator(members[1]).build([0], [0]))
     assert warm == cold
     assert cold[0] > 0.0 if charge else cold[0] == 0.0
     assert all(size > 0 for size in cold[3])
@@ -389,28 +459,36 @@ class TestCopyOnCorrupt:
         sims = base.simulations()
         private = sims[0].scheme  # a PrivateCollisionScheme on the same signature
         victim = scheme.shards[0][1].world_rank
-        shard = scheme.shard_of(victim)
-        rows = slice(shard.ic_indices[0], shard.ic_indices[-1] + 1)
         whole = scheme._prop.build(range(16), range(4))
+        blocks = scheme._prop._store.blocks
 
-        def slices_sharing_rows():
-            return [
-                arr
-                for arr in private._cmat.values()
-                if np.shares_memory(arr, scheme._cmat[victim])
-            ]
+        def reads_only_the_store(window):
+            return all(np.shares_memory(view, blocks) for view in _views(window))
 
-        assert slices_sharing_rows()  # a shard is a window onto the baseline's memory
-        others = {r: a.copy() for r, a in scheme._cmat.items() if r != victim}
-        baseline = {r: a.copy() for r, a in private._cmat.items()}
-        pristine = whole.copy()
-        good = scheme._cmat[victim].copy()
+        # a shard is a window onto the memory the baseline reads too
+        assert reads_only_the_store(scheme._cmat[victim])
+        assert any(_share(arr, scheme._cmat[victim]) for arr in private._cmat.values())
+        others = {r: np.array(a) for r, a in scheme._cmat.items() if r != victim}
+        baseline = {r: np.array(a) for r, a in private._cmat.items()}
+        pristine, stored = np.array(whole), blocks.copy()
+        good = np.array(scheme._cmat[victim])
 
         scheme.corrupt_shard(victim, seed=3)
 
-        assert not slices_sharing_rows()
-        assert not np.shares_memory(scheme._cmat[victim], whole)
-        assert not np.array_equal(scheme._cmat[victim], good)
+        # one row of the shard left the store, carrying the one flipped bit
+        bad = scheme._cmat[victim]
+        differs = [not np.array_equal(bad[i : i + 1], good[i : i + 1]) for i in range(len(good))]
+        (struck,) = np.flatnonzero(differs)
+        assert not reads_only_the_store(bad)
+        assert not reads_only_the_store(bad[struck : struck + 1])
+        assert not _share(bad[struck : struck + 1], whole)
+        for kept in (bad[:struck], bad[struck + 1 :]):
+            assert reads_only_the_store(kept)
+        flipped = np.asarray(bad).view(np.uint64) ^ good.view(np.uint64)
+        assert sum(bin(int(word)).count("1") for word in flipped.ravel()) == 1
+        assert not bad[struck, 0].flags.writeable
+        # nobody else saw it
+        assert np.array_equal(blocks, stored)
         assert np.array_equal(whole, pristine)
         for r, arr in others.items():
             assert np.array_equal(scheme._cmat[r], arr)
@@ -422,8 +500,7 @@ class TestCopyOnCorrupt:
 
         assert scheme.verify_shards() == ()
         assert np.array_equal(scheme._cmat[victim], good)
-        assert np.shares_memory(scheme._cmat[victim], whole[rows])
-        assert slices_sharing_rows()
+        assert reads_only_the_store(scheme._cmat[victim])
 
     def test_the_oracle_still_sees_a_corrupted_shard(self):
         # negative control: both sides read one host array, and the

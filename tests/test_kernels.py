@@ -262,18 +262,30 @@ class TestNoPathSearch:
 
 
 class TestShardChecksum:
-    def test_memoryview_digest_equals_tobytes_digest(self):
-        # exactly-rounded values, so the pin holds on any BLAS
-        shard = np.arange(3 * 2 * 4 * 4, dtype=np.float64).reshape(3, 2, 4, 4) / 7.0
-        digest = SharedCmatScheme._checksum(shard)
-        assert digest == hashlib.sha256(shard.tobytes()).hexdigest()
-        assert digest == "63f8d0baa762fa661fe0b34cec16521037051c83d77da96f4cccee8beeb334af"
-        built = CmatPropagator(_operator(), dt=0.02).build(range(3, 7), [0, 2])
-        assert SharedCmatScheme._checksum(built) == hashlib.sha256(built.tobytes()).hexdigest()
-        # a strided shard hashes as its C-ordered contents
-        assert SharedCmatScheme._checksum(shard[:, ::-1]) == hashlib.sha256(
-            np.ascontiguousarray(shard[:, ::-1]).tobytes()
+    def test_digest_is_the_index_then_every_tile_block_in_place(self):
+        prop = CmatPropagator(_operator(), dt=0.02)
+        # rows 3..6 read keys 1 0 1 2 (cos folds n_theta = 4 to 3 values):
+        # tiles 1 0 | 1 2, so key 1's blocks are hashed once per tile
+        built = prop.build(range(3, 7), [0, 2])
+        assert [view.shape[:2] for _, _, view in built.tiles] == [(2, 2), (2, 2)]
+        want = hashlib.sha256(built.keys.tobytes() + built.modes.tobytes())
+        for _, _, view in built.tiles:
+            want.update(np.ascontiguousarray(view).tobytes())
+        assert SharedCmatScheme._checksum(built) == want.hexdigest()
+        # rows of one value are one stored block, hashed once
+        same = prop.build([1, 1, 1], [0])
+        assert SharedCmatScheme._checksum(same) == hashlib.sha256(
+            same.keys.tobytes() + same.modes.tobytes() + same[0, 0].tobytes()
         ).hexdigest()
+        # the index is part of the content: the same blocks on other rows differ
+        assert SharedCmatScheme._checksum(prop.build([3, 4], [0])) != (
+            SharedCmatScheme._checksum(prop.build([4, 3], [0]))
+        )
+        # and every bit of every row is: one flipped anywhere changes the digest
+        for row in range(4):
+            struck = np.array(built[row : row + 1])
+            struck.view(np.uint64).flat[37 * row] ^= np.uint64(1)
+            assert SharedCmatScheme._checksum(built.with_row(row, struck)) != want.hexdigest()
 
 
 class TestBaseMatrixCache:
