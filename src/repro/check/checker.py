@@ -182,7 +182,7 @@ class CollectiveChecker:
         self._last_request_of: Dict[int, _PendingGroup] = {}
         self._membership: Dict[str, Tuple[int, ...]] = {}
         self._moved: Dict[int, _MovedBlock] = {}
-        #: world trace seqs observed via ``observe_event`` (lockstep)
+        #: world trace seqs observed via ``observe_collective`` (lockstep)
         self.observed_events = 0
         self._last_t: Dict[int, float] = {}
 
@@ -887,8 +887,11 @@ class CollectiveChecker:
                 k: v for k, v in self._moved.items() if v.ref() is not None
             }
 
-    def observe_event(self, event: "CollectiveEvent") -> None:
-        """Post-execution bookkeeping for a world trace event.
+    def observe_collective(
+        self, seq: int, kind: str, comm_label: str, ranks: Sequence[int],
+        t_start: float, cost_s: float, nonblocking: bool,
+    ) -> None:
+        """Post-execution bookkeeping for world trace event ``seq``.
 
         Validates the physical-time invariant the cost model must
         preserve — a rank's *blocking* collectives never run backwards
@@ -900,25 +903,27 @@ class CollectiveChecker:
         post time, so emission order carries no overlap information.
         """
         self.observed_events += 1
-        for r in event.ranks:
+        end = t_start + cost_s
+        for r in ranks:
             last = self._last_t.get(r)
-            if (
-                last is not None
-                and not event.nonblocking
-                and event.t_start < last - 1e-12
-            ):
+            if last is not None and not nonblocking and t_start < last - 1e-12:
                 raise ProtocolError(
-                    f"trace seq {event.seq}: {event.kind} on "
-                    f"{event.comm_label!r} starts at t={event.t_start:.9f} "
-                    f"but rank {r} was already past t={last:.9f} — "
-                    f"overlapping collectives on one rank",
+                    f"trace seq {seq}: {kind} on {comm_label!r} starts at "
+                    f"t={t_start:.9f} but rank {r} was already past "
+                    f"t={last:.9f} — overlapping collectives on one rank",
                     ranks=(r,),
-                    comm_labels=(event.comm_label,),
-                    seqs=(event.seq,),
+                    comm_labels=(comm_label,),
+                    seqs=(seq,),
                     code="overlap",
                 )
-            end = event.t_start + event.cost_s
             self._last_t[r] = end if last is None else max(last, end)
+
+    def observe_event(self, event: "CollectiveEvent") -> None:
+        """:meth:`observe_collective` of a recorded event."""
+        self.observe_collective(
+            event.seq, event.kind, event.comm_label, event.ranks,
+            event.t_start, event.cost_s, event.nonblocking,
+        )
 
     # ------------------------------------------------------------------
     # reporting

@@ -19,7 +19,7 @@ Export formats:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro import records
 from repro.errors import ReproError
@@ -119,12 +119,18 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        self.sum += float(value)
-        self.count += 1
-        for i, ub in enumerate(self.buckets):
-            if value <= ub:
-                self.counts[i] += 1
-                break
+        self.observe_each((value,))
+
+    def observe_each(self, values: Iterable[float]) -> None:
+        """Record each of ``values`` in turn: ``sum`` is added up in
+        their order, as that many :meth:`observe` calls would."""
+        for value in values:
+            self.sum += float(value)
+            self.count += 1
+            for i, ub in enumerate(self.buckets):
+                if value <= ub:
+                    self.counts[i] += 1
+                    break
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, +Inf last."""

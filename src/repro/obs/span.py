@@ -96,8 +96,10 @@ class SpanTracer:
 
     Interior spans are opened/closed with :meth:`begin`/:meth:`end` (or
     the :meth:`span` context manager, which reads a clock callable at
-    entry and exit); completed leaves are appended with :meth:`record`.
-    Parentage follows the open-span stack unless given explicitly.
+    entry and exit); completed leaves are appended with :meth:`record`,
+    a world's collective leaves a block at a time with
+    :meth:`record_rows`.  Parentage follows the open-span stack unless
+    given explicitly.
     """
 
     def __init__(self, *, time_offset: float = 0.0) -> None:
@@ -108,6 +110,8 @@ class SpanTracer:
         self._spans: List[Span] = []
         self._stack: List[Tuple[int, str, str, float, str, Tuple[int, ...], Dict[str, object]]] = []
         self._next_id = 0
+        # (rows, rows booked, first span_id, parent, time_offset), unbuilt
+        self._pending: List[Tuple[object, int, int, Optional[int], float]] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -202,6 +206,38 @@ class SpanTracer:
         self._spans.append(span)
         return span
 
+    def record_rows(self, rows, n: int) -> None:
+        """Append the first ``n`` rows of a world's
+        :class:`~repro.vmpi.tracer.CollectiveRows` as collective leaves
+        under the innermost open span, ids in row order.  The block is
+        kept with its first id, its parent and the current
+        :attr:`time_offset`; its spans are built on the first read."""
+        if n:
+            parent, offset = self.current_id, self.time_offset
+            self._pending.append((rows, n, self._next_id, parent, offset))
+            self._next_id += n
+
+    def _built(self) -> List[Span]:
+        """Every completed span (not in id order), the pending blocks'
+        built first."""
+        for rows, n, first_id, parent, offset in self._pending:
+            overlap = (
+                {} if rows.overlapped_s is None
+                else {"nonblocking": True, "overlapped_s": rows.overlapped_s}
+            )
+            self._spans.extend(
+                Span(
+                    first_id + i, f"{rows.kind} [{rows.labels[g]}]", "collective",
+                    t_start + offset, float(rows.costs[g]), parent, rows.category,
+                    rows.groups[g],
+                    {"nbytes": rows.nbytes[g], "comm": rows.labels[g],
+                     "last_arrival": last_arrival, **overlap},
+                )
+                for i, (g, t_start, last_arrival) in enumerate(rows.cells(n))
+            )
+        self._pending.clear()
+        return self._spans
+
     @contextlib.contextmanager
     def span(
         self,
@@ -228,14 +264,15 @@ class SpanTracer:
     @property
     def spans(self) -> Tuple[Span, ...]:
         """Completed spans in ``span_id`` order."""
-        return tuple(sorted(self._spans, key=lambda s: s.span_id))
+        return tuple(sorted(self._built(), key=lambda s: s.span_id))
 
     def __len__(self) -> int:
-        return len(self._spans)
+        # every id handed out names a completed span or an open one
+        return self._next_id - len(self._stack)
 
     def makespan(self) -> float:
         """Latest span end on the timeline (0.0 when empty)."""
-        return max((s.t_end for s in self._spans), default=0.0)
+        return max((s.t_end for s in self._built()), default=0.0)
 
     def children_of(self, span_id: Optional[int]) -> Tuple[Span, ...]:
         """Direct children of ``span_id`` (roots for ``None``)."""

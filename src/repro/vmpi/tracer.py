@@ -11,7 +11,7 @@ communicator) are *verified from the trace*, not just drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.records import Record
 
@@ -67,32 +67,93 @@ class CollectiveEvent(Record):
         return len(self.ranks)
 
 
+class CollectiveRows(NamedTuple):
+    """Charged collectives of one kind and category as the world holds
+    them: row ``m * len(groups) + g`` is round ``m`` on ``groups[g]``.
+    The per-group sequences may run past ``len(groups)``; ``t_starts``
+    has one entry per round; ``last_arrival`` and ``wait_s`` are round
+    0's, since every later round finds its group synchronised (wait
+    ``0.0``, last arrival its first rank); ``overlapped_s`` marks a
+    nonblocking completion (one row).
+    """
+
+    kind: str
+    groups: Tuple[Tuple[int, ...], ...]
+    n_nodes: Sequence[int]
+    nbytes: Sequence[int]
+    algorithms: Sequence[str]
+    labels: Sequence[str]
+    t_starts: Sequence[Sequence[float]]
+    costs: Sequence[float]
+    category: str
+    last_arrival: Sequence[int]
+    wait_s: Sequence[float]
+    overlapped_s: Optional[float] = None
+
+    def cells(self, n: int) -> Iterator[Tuple[int, float, int]]:
+        """``(group index, t_start, last arrival)`` of the first ``n`` rows."""
+        n_groups = len(self.groups)
+        for j in range(n):
+            m, g = divmod(j, n_groups)
+            yield g, self.t_starts[m][g], self.groups[g][0] if m else self.last_arrival[g]
+
+
 class TraceLog:
-    """Append-only log of collective events with query helpers."""
+    """Append-only log of collective events with query helpers.  A
+    world appends :class:`CollectiveRows` blocks, whose events are built
+    on the first read (``len()`` builds nothing), once, in order."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._events: List[CollectiveEvent] = []
+        # (rows, seq of the row before the first, rows booked), unbuilt
+        self._pending: List[Tuple[CollectiveRows, int, int]] = []
+        self._length = 0
 
     def record(self, event: CollectiveEvent) -> None:
         """Append ``event`` if tracing is enabled."""
         if self.enabled:
-            self._events.append(event)
+            self._built().append(event)
+            self._length += 1
+
+    def record_rows(self, rows: CollectiveRows, seq0: int, n: int) -> None:
+        """Append the first ``n`` rows of ``rows`` as events numbered
+        ``seq0 + 1`` on, if tracing is enabled."""
+        if self.enabled and n:
+            self._pending.append((rows, seq0, n))
+            self._length += n
+
+    def _built(self) -> List[CollectiveEvent]:
+        """Every event, the pending blocks' built first."""
+        for rows, seq0, n in self._pending:
+            nonblocking = rows.overlapped_s is not None
+            self._events.extend(
+                CollectiveEvent(
+                    seq0 + 1 + i, rows.kind, rows.labels[g], rows.groups[g],
+                    rows.n_nodes[g], rows.nbytes[g], rows.algorithms[g], t_start,
+                    rows.costs[g], rows.category, nonblocking,
+                )
+                for i, (g, t_start, _) in enumerate(rows.cells(n))
+            )
+        self._pending.clear()
+        return self._events
 
     def clear(self) -> None:
         """Drop all recorded events."""
         self._events.clear()
+        self._pending.clear()
+        self._length = 0
 
     @property
     def events(self) -> Tuple[CollectiveEvent, ...]:
         """Immutable view of all events."""
-        return tuple(self._events)
+        return tuple(self._built())
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._length
 
     def __iter__(self) -> Iterator[CollectiveEvent]:
-        return iter(self._events)
+        return iter(self._built())
 
     # ------------------------------------------------------------------
     # queries
@@ -107,7 +168,7 @@ class TraceLog:
     ) -> Tuple[CollectiveEvent, ...]:
         """Events matching every provided criterion."""
         out = []
-        for ev in self._events:
+        for ev in self._built():
             if kind is not None and ev.kind != kind:
                 continue
             if category is not None and ev.category != category:
@@ -122,7 +183,7 @@ class TraceLog:
     def comm_labels(self) -> Tuple[str, ...]:
         """Distinct communicator labels, in first-seen order."""
         seen: Dict[str, None] = {}
-        for ev in self._events:
+        for ev in self._built():
             seen.setdefault(ev.comm_label, None)
         return tuple(seen)
 
@@ -137,7 +198,7 @@ class TraceLog:
     def summary(self) -> "Dict[Tuple[str, str], Dict[str, float]]":
         """Aggregate by (kind, category): calls, bytes, time."""
         agg: Dict[Tuple[str, str], Dict[str, float]] = {}
-        for ev in self._events:
+        for ev in self._built():
             key = (ev.kind, ev.category)
             row = agg.setdefault(key, {"calls": 0, "bytes": 0, "time_s": 0.0})
             row["calls"] += 1

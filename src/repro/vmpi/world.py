@@ -19,9 +19,12 @@ ranks involved.
 
 A lockstep *statement* — ``rounds`` collectives in a row on each of
 ``G`` disjoint groups — is charged in one pass over a ``(G, P)`` clock
-index (:meth:`VirtualWorld.charge_collective_block`) and still booked
-as ``rounds x G`` collectives, one record each; a single blocking
-collective is the one-group one-round call of the same body.
+index (:meth:`VirtualWorld.charge_collective_block`) and booked as
+one :class:`~repro.vmpi.tracer.CollectiveRows` block of ``rounds x G``
+rows: the trace and the span log keep the block and build one event and
+one span per row when first read, the metric series are updated once
+per group.  A single blocking collective is the one-group one-round
+call of the same body, a nonblocking completion a one-row block.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.machine.memory import MemoryLedger
 from repro.machine.model import MachineModel
 from repro.machine.placement import BlockPlacement, Placement
 from repro.vmpi.cost import CommCostModel
-from repro.vmpi.tracer import CollectiveEvent, TraceLog
+from repro.vmpi.tracer import CollectiveRows, TraceLog
 
 
 @dataclass
@@ -149,9 +152,9 @@ class VirtualWorld:
             r: {} for r in range(self.n_ranks)
         }
         self._seq = 0
-        # rank group -> (the group as an int tuple, its clock index
-        # array, the nodes it touches)
-        self._groups: Dict[tuple, "tuple[tuple[int, ...], np.ndarray, int]"] = {}
+        # checked rank set -> (the set as an int tuple, its clock index
+        # array), for collectives and compute / sync charges alike
+        self._groups: Dict[tuple, "tuple[tuple[int, ...], np.ndarray]"] = {}
         # ordered family of disjoint equal-size groups -> (the groups,
         # their (G, P) clock index, their node counts)
         self._families: Dict[tuple, "tuple[tuple, np.ndarray, tuple]"] = {}
@@ -248,8 +251,8 @@ class VirtualWorld:
         by every :class:`~repro.vmpi.communicator.Communicator`
         collective before it is charged (buffer/kind/membership
         conformance, ``alltoall`` move semantics) and receives every
-        recorded :class:`~repro.vmpi.tracer.CollectiveEvent` through
-        ``observe_event`` (from :meth:`_record_collective`).  Violations raise
+        charged collective, as a row, through ``observe_collective``
+        (from :meth:`_record_rows`).  Violations raise
         :class:`~repro.errors.ProtocolError` at the offending call.  A
         world without a checker has exactly zero behavioural or cost
         difference.
@@ -303,18 +306,20 @@ class VirtualWorld:
 
         Exactly one of ``seconds`` / ``flops`` must be given; either may
         be a scalar (same charge for every rank) or a per-rank mapping.
+        The rank set is checked (in range, no rank twice) before any
+        clock moves.
         """
         if (seconds is None) == (flops is None):
             raise VmpiError("provide exactly one of seconds= or flops=")
-        rank_list = [ranks] if isinstance(ranks, (int, np.integer)) else list(ranks)
-        for r in rank_list:
-            if not 0 <= r < self.n_ranks:
-                raise VmpiError(f"rank {r} out of range [0, {self.n_ranks})")
+        if isinstance(ranks, (int, np.integer)):
+            ranks = (ranks,)
+        rank_list = self._group(ranks)[0]
         cat = category if category is not None else self.current_category
         mult = getattr(self.fault_injector, "compute_multiplier", None)
         # what kind of charge this is gets decided once, not per rank
         amount = seconds if flops is None else flops
-        if isinstance(amount, Mapping):
+        per_rank = isinstance(amount, Mapping)
+        if per_rank:
             amounts = [amount[r] for r in rank_list]
         else:
             amounts = [float(amount)] * len(rank_list)
@@ -326,38 +331,40 @@ class VirtualWorld:
                     to_seconds(fl, node=node_of(r))
                     for r, fl in zip(rank_list, amounts)
                 ]
-            else:
+            elif per_rank:
                 amounts = [to_seconds(fl) for fl in amounts]
+            else:
+                # one rate for every rank: one conversion per call
+                amounts = [to_seconds(float(amount))] * len(rank_list)
+        clock, booked = self.clock, cat or "uncategorized"
         charged: Dict[int, float] = {}
         for r, dt in zip(rank_list, amounts):
             if dt < 0:
                 raise VmpiError(f"negative time charge {dt} for rank {r}")
             if mult is not None:
-                dt *= mult(int(r))
-            self.clock[r] += dt
+                dt *= mult(r)
+            clock[r] += dt
             self._add_category_time(r, cat, dt)
-            charged[int(r)] = dt
+            charged[r] = dt
         if charged:
             total = sum(charged.values())
             if self.metrics is not None and total > 0.0:
                 self._counter(
-                    ("compute", cat),
-                    "vmpi_compute_rank_seconds_total",
-                    category=cat or "uncategorized",
+                    ("compute", cat), "vmpi_compute_rank_seconds_total", category=booked
                 ).inc(total)
             if self.tracer is not None:
                 # the span covers the rank whose clock the charge pushed
                 # furthest — the one that can pin a later collective
-                lead = max(charged, key=lambda r: (self.clock[r], -r))
+                lead = max(charged, key=lambda r: (clock[r], -r))
                 dt_lead = charged[lead]
                 if dt_lead > 0.0:
                     self.tracer.record(
-                        f"compute[{cat or 'uncategorized'}]",
+                        f"compute[{booked}]",
                         "compute",
-                        float(self.clock[lead]) - dt_lead,
+                        float(clock[lead]) - dt_lead,
                         dt_lead,
                         category=cat,
-                        ranks=tuple(charged),
+                        ranks=rank_list,
                         last_arrival=lead,
                     )
 
@@ -380,10 +387,10 @@ class VirtualWorld:
         factor = 1.0
         if self.fault_injector is not None:
             factor = self.fault_injector.on_collective(kind, ranks, comm_label)
-        ranks, idx, n_nodes = self._group(ranks)
+        ranks, idx = self._group(ranks)
         return self._charge_blocking(
-            kind, (ranks,), idx[None], (n_nodes,), (nbytes,), (comm_label,),
-            (algorithm,), category, factor,
+            kind, (ranks,), idx[None], (self.cost_model.n_nodes_of(ranks),),
+            (nbytes,), (comm_label,), (algorithm,), category, factor,
         )[0]
 
     def charge_collective_block(
@@ -411,7 +418,7 @@ class VirtualWorld:
         would book them — clocks, waits, category times, events, spans
         and series, bit for bit — with ``admit(g)`` (the checker's
         admission of one collective on ``groups[g]``) called before
-        each record.
+        each row is booked.
 
         The injector is asked once, through its non-raising
         ``collective_outlook(groups)``: the cost factor, and the first
@@ -491,35 +498,36 @@ class VirtualWorld:
                 for _ in range(rounds):
                     busy += cost
                 times[booked] = busy
-        names = [_algorithm_name(algorithm) for algorithm in algorithms]
-        for t_round in t_starts:
-            for g, ranks in enumerate(groups):
-                if admit is not None:
-                    admit(g)
-                self._record_collective(
-                    kind, labels[g], ranks, n_nodes[g], int(nbytes[g]), names[g],
-                    t_round[g], costs[g], category, last_arrival[g], wait_s[g],
-                )
-            last_arrival = [ranks[0] for ranks in groups]
-            wait_s = [0.0] * len(groups)
+        self._record_rows(
+            CollectiveRows(
+                kind, groups, n_nodes, [int(nb) for nb in nbytes],
+                [_algorithm_name(algorithm) for algorithm in algorithms], labels,
+                t_starts, costs, category, last_arrival, wait_s,
+            ),
+            admit,
+        )
         return costs
 
-    def _group(
-        self, ranks: Sequence[int]
-    ) -> "tuple[tuple[int, ...], np.ndarray, int]":
-        """``ranks`` as an int tuple and as a clock index array, and the
-        number of nodes they touch.
+    def _group(self, ranks: Iterable[int]) -> "tuple[tuple[int, ...], np.ndarray]":
+        """``ranks`` as an int tuple and as a clock index array.
 
-        All built once per distinct group and shared by every later
-        collective on it (the index array is read-only).
+        Both built — and the set checked to be in range with no rank
+        twice (:class:`~repro.errors.VmpiError` otherwise) — once per
+        distinct set, and shared by every later charge on it (the index
+        array is read-only).
         """
-        ranks = tuple(ranks)
-        got = self._groups.get(ranks)
+        key = tuple(ranks)
+        got = self._groups.get(key)
         if got is None:
-            ranks = tuple(int(r) for r in ranks)
+            ranks = tuple(int(r) for r in key)
+            for r in ranks:
+                if not 0 <= r < self.n_ranks:
+                    raise VmpiError(f"rank {r} out of range [0, {self.n_ranks})")
+            if len(set(ranks)) != len(ranks):
+                raise VmpiError(f"rank set {ranks} names a rank twice")
             idx = np.asarray(ranks, dtype=np.intp)
             idx.flags.writeable = False
-            got = self._groups[ranks] = (ranks, idx, self.cost_model.n_nodes_of(ranks))
+            got = self._groups[key] = (ranks, idx)
         return got
 
     def _family(
@@ -532,7 +540,7 @@ class VirtualWorld:
         got = self._families.get(groups)
         if got is None:
             key = groups
-            groups, indices, n_nodes = zip(*[self._group(ranks) for ranks in groups])
+            groups, indices = zip(*[self._group(ranks) for ranks in groups])
             flat = [r for ranks in groups for r in ranks]
             if len({len(ranks) for ranks in groups}) != 1 or len(set(flat)) != len(flat):
                 raise CollectiveError(
@@ -541,6 +549,7 @@ class VirtualWorld:
                 )
             idx = np.stack(indices)
             idx.flags.writeable = False
+            n_nodes = tuple(self.cost_model.n_nodes_of(ranks) for ranks in groups)
             got = self._families[key] = (groups, idx, n_nodes)
         return got
 
@@ -570,7 +579,7 @@ class VirtualWorld:
         factor = 1.0
         if self.fault_injector is not None:
             factor = self.fault_injector.on_collective(kind, ranks, comm_label)
-        ranks, idx, _ = self._group(ranks)
+        ranks, idx = self._group(ranks)
         clocks = self.clock[idx]
         last = int(clocks.argmax())
         # the injector's factor multiplies the memoised cost afterwards,
@@ -637,7 +646,7 @@ class VirtualWorld:
                 pending.kind, pending.ranks, pending.comm_label
             )
         pending.completed = True
-        _, idx, n_nodes = self._group(pending.ranks)
+        idx = self._group(pending.ranks)[1]
         t_done = pending.t_done
         cost = pending.cost_s
         waits = np.maximum(0.0, t_done - self.clock[idx])
@@ -652,101 +661,97 @@ class VirtualWorld:
         cat = pending.category
         for r, c in zip(pending.ranks, comm):
             self._add_category_time(r, cat, float(c))
-        self._record_collective(
-            pending.kind, pending.comm_label, pending.ranks, n_nodes,
-            pending.nbytes, _algorithm_name(pending.algorithm),
-            pending.t_post, cost, cat, pending.last_arrival, sync_s,
-            float(overlapped.sum()),
+        self._record_rows(
+            CollectiveRows(
+                pending.kind, (pending.ranks,),
+                (self.cost_model.n_nodes_of(pending.ranks),), (pending.nbytes,),
+                (_algorithm_name(pending.algorithm),), (pending.comm_label,),
+                ((pending.t_post,),), (cost,), cat, (pending.last_arrival,),
+                (sync_s,), float(overlapped.sum()),
+            )
         )
         return cost
 
-    def _record_collective(
-        self,
-        kind: str,
-        comm_label: str,
-        ranks: "tuple[int, ...]",
-        n_nodes: int,
-        nbytes: int,
-        algorithm: str,
-        t_start: float,
-        cost_s: float,
-        category: str,
-        last_arrival: int,
-        wait_s: float,
-        overlapped_s: Optional[float] = None,
+    def _record_rows(
+        self, rows: CollectiveRows, admit: "Optional[Callable[[int], None]]" = None
     ) -> None:
-        """The one place a charged collective becomes visible.
-
-        Appends the :class:`~repro.vmpi.tracer.CollectiveEvent` (next
-        ``seq``) to the trace, hands it to the checker, emits the
-        collective leaf span and feeds the metric series.  ``wait_s`` is
-        the entry wait summed over the participants; ``overlapped_s``
-        is given by nonblocking completions only, and is what marks the
-        event, the span and the extra overlap series as nonblocking.
+        """The one place charged collectives become visible: the rows go
+        to the trace (numbered on from the last ``seq``), the span log
+        and the metric series.  With an ``admit`` hook or a checker, each
+        row is first admitted (``admit(g)``), then overlap-checked; a
+        raise at row ``i`` leaves booked what a loop of single
+        collectives would — rows ``[0, i)``, and row ``i`` too in the
+        trace when the overlap check raised.
         """
-        nonblocking = overlapped_s is not None
-        self._seq += 1
-        event = CollectiveEvent(
-            seq=self._seq,
-            kind=kind,
-            comm_label=comm_label,
-            ranks=ranks,
-            n_nodes=n_nodes,
-            nbytes=nbytes,
-            algorithm=algorithm,
-            t_start=t_start,
-            cost_s=cost_s,
-            category=category,
-            nonblocking=nonblocking,
-        )
-        self.trace.record(event)
-        if self.checker is not None:
-            self.checker.observe_event(event)
-        if self.tracer is not None:
-            overlap_attrs = (
-                {"nonblocking": True, "overlapped_s": overlapped_s}
-                if nonblocking
-                else {}
-            )
-            self.tracer.record(
-                f"{kind} [{comm_label}]",
-                "collective",
-                t_start,
-                cost_s,
-                category=category,
-                ranks=ranks,
-                nbytes=nbytes,
-                comm=comm_label,
-                last_arrival=last_arrival,
-                **overlap_attrs,
-            )
-        if self.metrics is not None:
-            key = ("collective", kind, comm_label)
+        seq0, checker = self._seq, self.checker
+        n = len(rows.t_starts) * len(rows.groups)
+        traced = booked = 0
+        try:
+            if admit is None and checker is None:
+                traced = booked = n
+            else:
+                nonblocking = rows.overlapped_s is not None
+                for g, t_start, _ in rows.cells(n):
+                    if admit is not None:
+                        admit(g)
+                    traced += 1
+                    if checker is not None:
+                        checker.observe_collective(
+                            seq0 + traced, rows.kind, rows.labels[g], rows.groups[g],
+                            t_start, rows.costs[g], nonblocking,
+                        )
+                    booked += 1
+        finally:
+            self._seq += traced
+            self.trace.record_rows(rows, seq0, traced)
+            if self.tracer is not None:
+                self.tracer.record_rows(rows, booked)
+            if self.metrics is not None:
+                self._fold_series(rows, booked)
+
+    def _fold_series(self, rows: CollectiveRows, n: int) -> None:
+        """Feed the first ``n`` rows to the metric series once per group,
+        creating series in the order a row at a time would: bytes and
+        counts grow by their totals (integers, so exactly), waits by
+        round 0's — a later round adds ``0.0`` on the group's first rank
+        — and the cost histogram all groups share takes the costs in row
+        order.
+        """
+        if not n:
+            return
+        n_groups = len(rows.groups)
+        for g in range(min(n, n_groups)):
+            label, last = rows.labels[g], rows.last_arrival[g]
+            key = ("collective", rows.kind, label)
             bound = self._series.get(key)
             if bound is None:
-                counter, histogram = self.metrics.counter, self.metrics.histogram
+                counter = self.metrics.counter
                 bound = self._series[key] = (
-                    counter("vmpi_collective_bytes_total", kind=kind, comm=comm_label),
-                    counter("vmpi_collectives_total", kind=kind),
-                    counter("vmpi_coll_wait_seconds_total", comm=comm_label),
-                    histogram("vmpi_collective_cost_seconds", kind=kind),
+                    counter("vmpi_collective_bytes_total", kind=rows.kind, comm=label),
+                    counter("vmpi_collectives_total", kind=rows.kind),
+                    counter("vmpi_coll_wait_seconds_total", comm=label),
+                    self.metrics.histogram("vmpi_collective_cost_seconds", kind=rows.kind),
                 )
             bytes_total, collectives_total, wait_total, cost_seconds = bound
-            bytes_total.inc(float(nbytes))
-            collectives_total.inc()
-            wait_total.inc(wait_s)
+            count = (n - g + n_groups - 1) // n_groups
+            moved = float(rows.nbytes[g]) * count
+            assert bytes_total.value + moved <= 2**53, "byte total past exact floats"
+            bytes_total.inc(moved)
+            collectives_total.inc(count)
+            wait_total.inc(rows.wait_s[g])
             self._counter(
-                ("imposed", last_arrival),
-                "vmpi_imposed_wait_seconds_total",
-                rank=last_arrival,
-            ).inc(wait_s)
-            if nonblocking:
-                self._counter(
-                    ("overlapped", comm_label),
-                    "vmpi_coll_overlapped_seconds_total",
-                    comm=comm_label,
-                ).inc(overlapped_s)
-            cost_seconds.observe(cost_s)
+                ("imposed", last), "vmpi_imposed_wait_seconds_total", rank=last
+            ).inc(rows.wait_s[g])
+        for ranks in rows.groups[: max(0, n - n_groups)]:
+            self._counter(
+                ("imposed", ranks[0]), "vmpi_imposed_wait_seconds_total", rank=ranks[0]
+            ).inc(0.0)
+        if rows.overlapped_s is not None:
+            label = rows.labels[0]
+            self._counter(
+                ("overlapped", label), "vmpi_coll_overlapped_seconds_total", comm=label
+            ).inc(rows.overlapped_s)
+        cost_seconds.observe_each(rows.costs[j % n_groups] for j in range(n))
 
     def _counter(self, key: tuple, name: str, **labels: object):
         """The registry counter ``name{labels}``, looked up once per ``key``."""
@@ -771,18 +776,20 @@ class VirtualWorld:
         """Synchronise ``ranks`` to their max clock, then charge all of
         them ``seconds`` — the shape of a group-wide stall, such as the
         failure-detection timeout a surviving group burns waiting on a
-        dead peer.  Returns the synchronised start time."""
+        dead peer.  Returns the synchronised start time.  The rank set
+        is checked (in range, no rank twice) before any clock moves."""
         if seconds < 0:
             raise VmpiError(f"negative time charge {seconds}")
-        idx = np.asarray(list(ranks), dtype=np.intp)
-        if idx.size == 0:
+        ranks, idx = self._group(ranks)
+        if not ranks:
             return 0.0
-        t_start = float(self.clock[idx].max())
-        last = int(idx[int(np.argmax(self.clock[idx]))])
+        clocks = self.clock[idx]
+        t_start = float(clocks.max())
+        last = ranks[int(clocks.argmax())]
         self.clock[idx] = t_start + seconds
         cat = category if category is not None else self.current_category
-        for r in idx:
-            self._add_category_time(int(r), cat, seconds)
+        for r in ranks:
+            self._add_category_time(r, cat, seconds)
         if self.tracer is not None and seconds > 0.0:
             self.tracer.record(
                 f"sync[{cat or 'uncategorized'}]",
@@ -790,13 +797,13 @@ class VirtualWorld:
                 t_start,
                 float(seconds),
                 category=cat,
-                ranks=tuple(int(r) for r in idx),
+                ranks=ranks,
                 last_arrival=last,
             )
         if self.metrics is not None and seconds > 0.0:
             self.metrics.counter(
                 "vmpi_sync_seconds_total", category=cat or "uncategorized"
-            ).inc(float(seconds) * idx.size)
+            ).inc(float(seconds) * len(ranks))
         return t_start
 
     # ------------------------------------------------------------------

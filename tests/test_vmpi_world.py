@@ -68,6 +68,22 @@ class TestClocks:
         assert small_world.elapsed() == 7.0
         assert small_world.elapsed([0, 1]) == 0.0
 
+    def test_a_rank_named_twice_is_refused_before_any_clock_moves(self, small_world):
+        """It used to charge rank 0 twice while its span and metric said once."""
+        with pytest.raises(VmpiError, match="names a rank twice"):
+            small_world.charge_compute([0, 0], seconds=1.0)
+        assert not small_world.clock.any() and small_world.categories() == ()
+
+    @pytest.mark.parametrize("rank", [-1, 16], ids=["negative", "past-the-world"])
+    def test_sync_charge_refuses_a_rank_out_of_range_before_any_clock_moves(
+        self, small_world, rank
+    ):
+        """-1 used to move rank 15's clock and then raise a KeyError; 16
+        raised an IndexError."""
+        with pytest.raises(VmpiError, match=f"rank {rank} out of range"):
+            small_world.sync_charge([rank], 1.0)
+        assert not small_world.clock.any() and small_world.categories() == ()
+
     def test_reset_clocks(self, small_world):
         small_world.charge_compute(0, seconds=1.0, category="x")
         small_world.reset_clocks()
