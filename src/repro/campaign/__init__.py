@@ -42,12 +42,7 @@ from repro.campaign.report import (
     JobRecord,
     RequestRecord,
 )
-from repro.campaign.request import (
-    RequestQueue,
-    SimRequest,
-    input_from_dict,
-    input_to_dict,
-)
+from repro.campaign.request import RequestQueue, SimRequest
 from repro.campaign.runner import CampaignRunner
 
 __all__ = [
@@ -65,6 +60,4 @@ __all__ = [
     "RequestRecord",
     "SignatureBatcher",
     "SimRequest",
-    "input_from_dict",
-    "input_to_dict",
 ]

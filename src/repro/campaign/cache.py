@@ -161,17 +161,6 @@ class CmatCache:
             self.evictions += 1
 
     # ------------------------------------------------------------------
-    def corrupt(self, signature: CmatSignature) -> bool:
-        """Corrupt ``signature``'s resident record in place (fault
-        injection: a bit-flip in a cached tensor).  The stored checksum
-        is left stale — the next :meth:`lookup` must catch it.  Returns
-        whether a record was present to corrupt."""
-        entry = self._entries.get(signature.content_hash())
-        if entry is None:
-            return False
-        entry.nbytes ^= 1
-        return True
-
     def entries(self) -> List[CacheEntry]:
         """Resident entries, most recently used first."""
         return sorted(

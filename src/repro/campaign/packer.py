@@ -60,11 +60,6 @@ class JobShape:
     per_rank_cmat_bytes: int
     per_rank_state_bytes: int
 
-    @property
-    def per_rank_total_bytes(self) -> int:
-        """Per-rank footprint the memory probe admitted."""
-        return self.per_rank_cmat_bytes + self.per_rank_state_bytes
-
 
 @dataclass(frozen=True)
 class PackedJob:

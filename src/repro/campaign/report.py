@@ -83,11 +83,6 @@ class JobRecord(Record):
         """Campaign-clock completion time."""
         return self.start_s + self.elapsed_s
 
-    @property
-    def completed_members(self) -> int:
-        """Members that survived to the end of the job."""
-        return self.k - len(self.lost_request_ids)
-
 
 @dataclass(frozen=True)
 class WaveRecord(Record):

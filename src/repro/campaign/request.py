@@ -18,23 +18,11 @@ import heapq
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro import records
 from repro.errors import CampaignError
 from repro.cgyro.params import CgyroInput
-
-
-def input_to_dict(inp: CgyroInput) -> Dict[str, object]:
-    """JSON-safe dict of every :class:`CgyroInput` field."""
-    return records.dump(inp)
-
-
-def input_from_dict(data: Dict[str, object]) -> CgyroInput:
-    """Rebuild a validated :class:`CgyroInput` from :func:`input_to_dict`."""
-    return records.load(
-        CgyroInput, data, what="request input", error=CampaignError
-    )
 
 
 # ----------------------------------------------------------------------
@@ -134,12 +122,6 @@ class RequestQueue:
         request = heapq.heappop(self._heap)[-1]
         self._ids.discard(request.request_id)
         return request
-
-    def peek(self) -> SimRequest:
-        """The next request to serve, without removing it."""
-        if not self._heap:
-            raise CampaignError("peek into an empty request queue")
-        return self._heap[0][-1]
 
     def drain(self) -> List[SimRequest]:
         """Pop everything, in queue order."""

@@ -22,7 +22,7 @@ into completed simulations:
    that faults every wave can no longer loop forever.
 
 Jobs of one wave occupy disjoint node sets, so running each in its own
-world of ``machine.with_nodes(job.n_nodes)`` is exact: disjoint node
+world of ``machine.submachine(job.nodes)`` is exact: disjoint node
 sets never interact in the cost model.  The campaign clock advances by
 each wave's makespan (the slowest job); waves and rounds serialise.
 
@@ -510,8 +510,7 @@ class CampaignRunner:
 
         # the job world sees exactly the physical nodes the packer
         # assigned — on a heterogeneous machine their speed/bandwidth
-        # multipliers ride along (identical to with_nodes(n) when the
-        # machine is homogeneous and the nodes are the leading run)
+        # multipliers ride along
         world = VirtualWorld(
             self.machine.submachine(job.nodes),
             enforce_memory=self.enforce_memory,

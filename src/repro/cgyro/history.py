@@ -9,7 +9,7 @@ analysis helpers (saturation detection, time averages).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -74,26 +74,9 @@ class TimeHistory:
             return np.zeros((0, 0))
         return np.stack([r.phi2 for r in self._rows])
 
-    def category_series(self, category: str) -> np.ndarray:
-        """Per-interval time of one phase category."""
-        return np.array([r.categories.get(category, 0.0) for r in self._rows])
-
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
-    def total_flux(self) -> np.ndarray:
-        """Mode-summed flux per report, shape ``(n_reports,)``."""
-        return self.flux.sum(axis=1)
-
-    def mean_flux(self, *, last: int = 0) -> np.ndarray:
-        """Time-averaged flux spectrum over the last ``last`` reports
-        (0 = all)."""
-        f = self.flux
-        if f.shape[0] == 0:
-            raise InputError("empty history")
-        window = f[-last:] if last else f
-        return window.mean(axis=0)
-
     def is_saturated(self, *, window: int = 3, rel_tol: float = 0.5) -> bool:
         """Heuristic saturation check on the total field amplitude.
 

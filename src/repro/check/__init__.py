@@ -47,12 +47,7 @@ This package is the verification layer for both:
   including the Figure-1/Figure-3 structural checks.
 """
 
-from repro.check.checker import (
-    CollectiveChecker,
-    CollectivePost,
-    ROOTED_KINDS,
-    UNIFORM_NBYTES_KINDS,
-)
+from repro.check.checker import KNOWN_KINDS, CollectiveChecker, CollectivePost
 from repro.check.invariants import (
     ChaosReport,
     ChaosScenario,
@@ -81,8 +76,7 @@ from repro.check.tracelint import (
 __all__ = [
     "CollectiveChecker",
     "CollectivePost",
-    "UNIFORM_NBYTES_KINDS",
-    "ROOTED_KINDS",
+    "KNOWN_KINDS",
     "MODE_TOLERANCES",
     "ChaosReport",
     "ChaosScenario",

@@ -3,11 +3,12 @@
 :class:`CollectiveChecker` models the rules a real MPI job must obey
 and that lockstep execution silently bypasses:
 
+- every collective is one of :data:`KNOWN_KINDS`, the two the model
+  issues;
 - every member of a communicator must take part in each of its
-  collectives, with matched kind / reduce-op / dtype / root;
-- byte counts must agree where the kind's convention demands it
-  (AllReduce-family); vector kinds (AllToAll(v), Gather(v), ...) may
-  differ per rank;
+  collectives, with matched kind / reduce-op / dtype;
+- an AllReduce's byte counts must agree; an AllToAll(v)'s may differ
+  per rank;
 - a communicator label must always denote the same ordered rank group
   (label aliasing corrupts trace analysis and cost attribution);
 - a rank blocked in one collective may not post another — posting
@@ -42,23 +43,11 @@ from repro.errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.vmpi.communicator import Communicator
-    from repro.vmpi.tracer import CollectiveEvent
 
-#: Kinds whose convention requires every participant to contribute the
-#: same byte count (the AllReduce family).  Vector kinds — ``alltoall``
-#: covers MPI_Alltoall(v|w), ``allgather``/``gather`` their v-variants —
-#: legitimately differ per rank.
-UNIFORM_NBYTES_KINDS = frozenset(
-    {"barrier", "allreduce", "bcast", "reduce", "reduce_scatter", "scan", "sendrecv"}
-)
-
-#: Kinds that carry a root rank which must match across the group.
-ROOTED_KINDS = frozenset({"bcast", "reduce", "gather", "scatter"})
-
-#: Every kind the virtual MPI substrate can execute.
-KNOWN_KINDS = UNIFORM_NBYTES_KINDS | ROOTED_KINDS | frozenset(
-    {"alltoall", "allgather"}
-)
+#: Every kind the virtual MPI substrate executes: the str-phase
+#: AllReduce and the str<->coll AllToAll.  The cost model, the trace
+#: lint and replay and the traffic matrix refuse any other kind.
+KNOWN_KINDS = frozenset({"allreduce", "alltoall"})
 
 
 @dataclass(frozen=True)
@@ -79,7 +68,6 @@ class CollectivePost:
     nbytes: int
     op: str = ""
     dtype: str = ""
-    root: int = -1
     site: int = -1
 
     def describe(self) -> str:
@@ -132,10 +120,6 @@ class _PendingGroup:
     def missing(self) -> Tuple[int, ...]:
         return tuple(r for r in self.comm_ranks if r not in self.posts)
 
-    @property
-    def unwaited(self) -> Tuple[int, ...]:
-        return tuple(r for r in self.comm_ranks if r not in self.waited)
-
     def seqs(self) -> Tuple[int, ...]:
         return tuple(p.seq for p in self.posts.values())
 
@@ -165,9 +149,6 @@ class CollectiveChecker:
         self._seq = 0
         #: completed collectives, in completion order
         self.completed: List[Tuple[CollectivePost, ...]] = []
-        # in-flight collectives keyed by (label, membership): the label
-        # alone would conflate concurrent point-to-point pairs that
-        # legitimately share one communicator label
         self._open: Dict[Tuple[str, Tuple[int, ...]], _InFlight] = {}
         self._inflight_of: Dict[int, _InFlight] = {}
         # nonblocking request state: per communicator, the FIFO of
@@ -207,11 +188,9 @@ class CollectiveChecker:
         nbytes: int,
         op: str,
         dtype: str,
-        root: int,
         site: int,
         *,
         nonblocking: bool,
-        track_membership: bool = True,
     ) -> CollectivePost:
         """Number one rank's entry and run every per-rank admission check.
 
@@ -230,7 +209,6 @@ class CollectiveChecker:
             nbytes=int(nbytes),
             op=op,
             dtype=dtype,
-            root=int(root),
             site=int(site),
         )
         what = f"nonblocking {kind}" if nonblocking else kind
@@ -251,20 +229,19 @@ class CollectiveChecker:
                 seqs=(post.seq,),
                 code="membership",
             )
-        if track_membership:
-            known = self._membership.get(comm_label)
-            if known is None:
-                self._membership[comm_label] = comm_ranks
-            elif known != comm_ranks:
-                raise ProtocolError(
-                    f"communicator label {comm_label!r} changed membership: "
-                    f"first seen as {list(known)}, now {list(comm_ranks)} "
-                    f"({post.describe()})",
-                    ranks=(post.rank,),
-                    comm_labels=(comm_label,),
-                    seqs=(post.seq,),
-                    code="membership",
-                )
+        known = self._membership.get(comm_label)
+        if known is None:
+            self._membership[comm_label] = comm_ranks
+        elif known != comm_ranks:
+            raise ProtocolError(
+                f"communicator label {comm_label!r} changed membership: "
+                f"first seen as {list(known)}, now {list(comm_ranks)} "
+                f"({post.describe()})",
+                ranks=(post.rank,),
+                comm_labels=(comm_label,),
+                seqs=(post.seq,),
+                code="membership",
+            )
         blocked_in = self._inflight_of.get(post.rank)
         if blocked_in is not None:
             prior = blocked_in.posts[post.rank]
@@ -297,19 +274,12 @@ class CollectiveChecker:
         nbytes: int = 0,
         op: str = "",
         dtype: str = "",
-        root: int = -1,
         site: int = -1,
-        track_membership: bool = True,
     ) -> None:
-        """Enter ``rank`` into a collective; validate on completion.
-
-        ``track_membership=False`` skips the label->membership
-        consistency table (used for point-to-point subgroups, where one
-        label legitimately carries many rank pairs).
-        """
+        """Enter ``rank`` into a collective; validate on completion."""
         post = self._admit(
-            rank, comm_label, comm_ranks, kind, nbytes, op, dtype, root, site,
-            nonblocking=False, track_membership=track_membership,
+            rank, comm_label, comm_ranks, kind, nbytes, op, dtype, site,
+            nonblocking=False,
         )
         comm_ranks = post.comm_ranks
         entry = self._open.get((comm_label, comm_ranks))
@@ -328,17 +298,6 @@ class CollectiveChecker:
                     comm_labels=(comm_label,),
                     seqs=(first.seq, post.seq),
                     code="mismatch",
-                )
-            if post.rank in entry.posts:
-                prior = entry.posts[post.rank]
-                raise ProtocolError(
-                    f"rank {post.rank} posted {kind} on {comm_label!r} twice "
-                    f"in one collective ({prior.describe()}; then "
-                    f"{post.describe()})",
-                    ranks=(post.rank,),
-                    comm_labels=(comm_label,),
-                    seqs=(prior.seq, post.seq),
-                    code="duplicate",
                 )
         entry.posts[post.rank] = post
         self._inflight_of[post.rank] = entry
@@ -410,24 +369,13 @@ class CollectiveChecker:
                 _fail("reduce op", p, f"{ref.op!r} vs {p.op!r}")
             if p.dtype != ref.dtype:
                 _fail("dtype", p, f"{ref.dtype!r} vs {p.dtype!r}")
-            if kind in ROOTED_KINDS and p.root != ref.root:
-                _fail("root", p, f"{ref.root} vs {p.root}")
-            if kind in UNIFORM_NBYTES_KINDS and p.nbytes != ref.nbytes:
+            if kind == "allreduce" and p.nbytes != ref.nbytes:
                 _fail(
                     "byte count",
                     p,
                     f"{kind} requires a uniform contribution, got "
                     f"{ref.nbytes} vs {p.nbytes}",
                 )
-        if kind in ROOTED_KINDS and ref.root not in comm_ranks:
-            raise ProtocolError(
-                f"root {ref.root} of {kind} on {comm_label!r} is "
-                f"not a member (members: {list(comm_ranks)})",
-                ranks=comm_ranks,
-                comm_labels=(comm_label,),
-                seqs=tuple(p.seq for p in posts),
-                code="membership",
-            )
 
     def _complete(self, entry: _InFlight) -> None:
         """All members arrived: cross-validate, then retire the entry."""
@@ -451,7 +399,6 @@ class CollectiveChecker:
         nbytes: int = 0,
         op: str = "",
         dtype: str = "",
-        root: int = -1,
         site: int = -1,
     ) -> _PendingGroup:
         """One rank posts a nonblocking collective; never blocks.
@@ -466,7 +413,7 @@ class CollectiveChecker:
         is outstanding is a diagnosed ``inflight-overlap``.
         """
         post = self._admit(
-            rank, comm_label, comm_ranks, kind, nbytes, op, dtype, root, site,
+            rank, comm_label, comm_ranks, kind, nbytes, op, dtype, site,
             nonblocking=True,
         )
         comm_ranks = post.comm_ranks
@@ -679,7 +626,7 @@ class CollectiveChecker:
 
         ``programs`` maps world rank -> ordered list of op dicts.  A
         plain dict (``comm_label``, ``comm_ranks``, ``kind``,
-        optionally ``nbytes``/``op``/``dtype``/``root``) is a blocking
+        optionally ``nbytes``/``op``/``dtype``) is a blocking
         collective; with ``"mode": "post"`` it is a *nonblocking post*
         (the rank continues immediately), and ``{"mode": "wait"}`` waits
         on the rank's outstanding request — blocking until every group
@@ -737,8 +684,6 @@ class CollectiveChecker:
         *,
         op: str = "",
         dtypes: Optional[Mapping[int, str]] = None,
-        root: int = -1,
-        track_membership: bool = True,
     ) -> None:
         """Validate one lockstep-executed collective (all ranks at once).
 
@@ -758,9 +703,7 @@ class CollectiveChecker:
                 nbytes=int(nbytes_by_rank.get(r, 0)),
                 op=op,
                 dtype="" if dtypes is None else str(dtypes.get(r, "")),
-                root=root,
                 site=self.observed_events,
-                track_membership=track_membership,
             )
 
     def lockstep_post(
@@ -771,7 +714,6 @@ class CollectiveChecker:
         *,
         op: str = "",
         dtypes: Optional[Mapping[int, str]] = None,
-        root: int = -1,
     ) -> int:
         """Validate one lockstep-posted *nonblocking* collective.
 
@@ -791,7 +733,6 @@ class CollectiveChecker:
                 nbytes=int(nbytes_by_rank.get(r, 0)),
                 op=op,
                 dtype="" if dtypes is None else str(dtypes.get(r, "")),
-                root=root,
                 site=self.observed_events,
             )
         assert entry is not None and entry.complete
@@ -917,13 +858,6 @@ class CollectiveChecker:
                     code="overlap",
                 )
             self._last_t[r] = end if last is None else max(last, end)
-
-    def observe_event(self, event: "CollectiveEvent") -> None:
-        """:meth:`observe_collective` of a recorded event."""
-        self.observe_collective(
-            event.seq, event.kind, event.comm_label, event.ranks,
-            event.t_start, event.cost_s, event.nonblocking,
-        )
 
     # ------------------------------------------------------------------
     # reporting

@@ -5,7 +5,9 @@ record of a virtual job's communication.  This module re-derives the
 paper's structural claims from that record alone:
 
 - :func:`lint_trace` — generic conformance: monotone sequence numbers,
-  sane byte counts, stable communicator membership behind each label
+  known kinds (:data:`~repro.check.checker.KNOWN_KINDS`), ranks that
+  exist, sane byte counts, stable communicator membership behind each
+  label
   (a label whose rank set changes mid-trace is a *partially
   participating* collective), and per-rank time monotonicity.
 - :func:`verify_figure1` — CGYRO's structure: the str-phase AllReduces
@@ -111,38 +113,34 @@ def lint_trace(events: Sequence[CollectiveEvent]) -> TraceLintReport:
                     ev.seq, "ranks", f"duplicate participants: {list(ev.ranks)}"
                 )
             )
+        if any(r < 0 for r in ev.ranks):
+            problems.append(
+                TraceProblem(ev.seq, "ranks", f"negative rank in {list(ev.ranks)}")
+            )
         if ev.nbytes < 0:
             problems.append(
                 TraceProblem(ev.seq, "nbytes", f"negative byte count {ev.nbytes}")
-            )
-        if ev.kind == "barrier" and ev.nbytes != 0:
-            problems.append(
-                TraceProblem(
-                    ev.seq, "nbytes", f"barrier carrying {ev.nbytes} bytes"
-                )
             )
         if ev.cost_s < 0:
             problems.append(
                 TraceProblem(ev.seq, "time", f"negative duration {ev.cost_s}")
             )
-        # a label must always denote the same ordered group; sendrecv
-        # pairs legitimately share their communicator's label
-        if ev.kind != "sendrecv":
-            known = membership.get(ev.comm_label)
-            if known is None:
-                membership[ev.comm_label] = ev.ranks
-            elif known != ev.ranks:
-                missing = sorted(set(known) - set(ev.ranks))
-                extra = sorted(set(ev.ranks) - set(known))
-                problems.append(
-                    TraceProblem(
-                        ev.seq,
-                        "partial-participation",
-                        f"{ev.kind} on {ev.comm_label!r} ran with "
-                        f"{list(ev.ranks)} but the label's group is "
-                        f"{list(known)} (missing {missing}, extra {extra})",
-                    )
+        # a label must always denote the same ordered group
+        known = membership.get(ev.comm_label)
+        if known is None:
+            membership[ev.comm_label] = ev.ranks
+        elif known != ev.ranks:
+            missing = sorted(set(known) - set(ev.ranks))
+            extra = sorted(set(ev.ranks) - set(known))
+            problems.append(
+                TraceProblem(
+                    ev.seq,
+                    "partial-participation",
+                    f"{ev.kind} on {ev.comm_label!r} ran with "
+                    f"{list(ev.ranks)} but the label's group is "
+                    f"{list(known)} (missing {missing}, extra {extra})",
                 )
+            )
         for r in ev.ranks:
             prev = last_end.get(r)
             if prev is not None and ev.t_start < prev - _TIME_EPS:
@@ -330,23 +328,21 @@ def replay_trace(
     Each event becomes one program step for each of its participants
     (in trace order per rank); the programs are then simulated with
     :meth:`~repro.check.checker.CollectiveChecker.run_programs`.  A
-    trace a real blocking MPI job could not have executed — mismatched
-    kinds behind a label, a wait-for cycle — raises a diagnosed
-    :class:`~repro.errors.ProtocolError`.  Returns the checker for
-    inspection (``n_completed``, ``summary()``).
+    trace a real blocking MPI job could not have executed — an unknown
+    kind, mismatched kinds behind a label, a wait-for cycle — raises a
+    diagnosed :class:`~repro.errors.ProtocolError`.  Returns the checker
+    for inspection (``n_completed``, ``summary()``).
     """
     ck = checker if checker is not None else CollectiveChecker()
     programs: Dict[int, List[Dict[str, object]]] = {}
     for ev in sorted(events, key=lambda e: e.seq):
-        spec: Dict[str, object] = {
+        spec = {
             "comm_label": ev.comm_label,
             "comm_ranks": ev.ranks,
             "kind": ev.kind,
             "nbytes": ev.nbytes,
             "site": ev.seq,
         }
-        if ev.kind == "sendrecv":
-            spec["track_membership"] = False
         for r in ev.ranks:
             programs.setdefault(int(r), []).append(spec)
     ck.run_programs(programs)

@@ -54,17 +54,6 @@ def momentum_projector(
     return np.outer(vpar, u * vpar) / norm
 
 
-def apply_momentum_conservation(
-    c0: np.ndarray, vpar: np.ndarray, weights: np.ndarray, masses: np.ndarray
-) -> np.ndarray:
-    """Return ``Q C0 Q`` with ``Q = I - P`` (see module docstring)."""
-    nv = vpar.size
-    if c0.shape != (nv, nv):
-        raise InputError(f"c0 must be ({nv}, {nv}), got {c0.shape}")
-    q = np.eye(nv) - momentum_projector(vpar, weights, masses)
-    return q @ c0 @ q
-
-
 def energy_direction(
     energy: np.ndarray,
     weights: np.ndarray,

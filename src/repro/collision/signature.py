@@ -71,10 +71,6 @@ class CmatSignature:
             dt=float(dt),
         )
 
-    def matches(self, other: "CmatSignature") -> bool:
-        """Whether two simulations may share one cmat."""
-        return self == other
-
     def diff(self, other: "CmatSignature") -> Tuple[str, ...]:
         """Names of fields on which the two signatures disagree."""
         return tuple(

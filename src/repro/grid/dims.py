@@ -13,7 +13,6 @@ three collapsed tensor dimensions the paper reasons in terms of:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.errors import InputError
 
@@ -69,45 +68,6 @@ class GridDims:
     def nt(self) -> int:
         """Toroidal dimension: ``n_toroidal``."""
         return self.n_toroidal
-
-    @property
-    def state_size(self) -> int:
-        """Elements in one full (nc, nv, nt) tensor."""
-        return self.nc * self.nv * self.nt
-
-    # ------------------------------------------------------------------
-    # index flattening
-    # ------------------------------------------------------------------
-    def ic_of(self, ir: int, itheta: int) -> int:
-        """Flatten a configuration index (radial-major)."""
-        if not (0 <= ir < self.n_radial and 0 <= itheta < self.n_theta):
-            raise InputError(f"config index ({ir}, {itheta}) out of range")
-        return ir * self.n_theta + itheta
-
-    def unpack_ic(self, ic: int) -> Tuple[int, int]:
-        """Inverse of :meth:`ic_of`: returns ``(ir, itheta)``."""
-        if not 0 <= ic < self.nc:
-            raise InputError(f"ic {ic} out of range [0, {self.nc})")
-        return divmod(ic, self.n_theta)
-
-    def iv_of(self, ispec: int, ienergy: int, ixi: int) -> int:
-        """Flatten a velocity index (species-major)."""
-        ok = (
-            0 <= ispec < self.n_species
-            and 0 <= ienergy < self.n_energy
-            and 0 <= ixi < self.n_xi
-        )
-        if not ok:
-            raise InputError(f"velocity index ({ispec}, {ienergy}, {ixi}) out of range")
-        return (ispec * self.n_energy + ienergy) * self.n_xi + ixi
-
-    def unpack_iv(self, iv: int) -> Tuple[int, int, int]:
-        """Inverse of :meth:`iv_of`: returns ``(ispec, ienergy, ixi)``."""
-        if not 0 <= iv < self.nv:
-            raise InputError(f"iv {iv} out of range [0, {self.nv})")
-        rest, ixi = divmod(iv, self.n_xi)
-        ispec, ienergy = divmod(rest, self.n_energy)
-        return ispec, ienergy, ixi
 
     def describe(self) -> str:
         """Compact human-readable summary."""

@@ -106,24 +106,3 @@ class VelocityGrid:
     def flat_vpar(self) -> np.ndarray:
         """Parallel velocity ``sqrt(e) * xi`` at each ``iv``."""
         return np.sqrt(self.flat_energy()) * self.flat_xi()
-
-    # ------------------------------------------------------------------
-    # moments
-    # ------------------------------------------------------------------
-    def species_moment(self, values: np.ndarray, species_weights: np.ndarray) -> np.ndarray:
-        """Velocity moment ``sum_iv w(iv) * c_s(iv) * values[..., iv]``.
-
-        ``values`` has ``nv`` as its *last* axis; ``species_weights``
-        has shape ``(n_species,)`` and scales each species' block.
-        Returns an array with the ``nv`` axis contracted away.
-        """
-        if values.shape[-1] != self.dims.nv:
-            raise InputError(
-                f"last axis must be nv={self.dims.nv}, got {values.shape[-1]}"
-            )
-        if species_weights.shape != (self.dims.n_species,):
-            raise InputError(
-                f"species_weights must have shape ({self.dims.n_species},)"
-            )
-        w = self.flat_weights() * species_weights[self.flat_species()]
-        return values @ w

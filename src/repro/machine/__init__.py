@@ -18,7 +18,6 @@ from repro.machine.model import LinkParams, MachineModel
 from repro.machine.memory import MemoryLedger
 from repro.machine.placement import (
     BlockPlacement,
-    ExplicitPlacement,
     Placement,
     RoundRobinPlacement,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "Placement",
     "BlockPlacement",
     "RoundRobinPlacement",
-    "ExplicitPlacement",
     "frontier_like",
     "generic_cluster",
     "single_node",

@@ -56,19 +56,6 @@ class MemoryLedger:
         """High-water mark of :attr:`in_use_bytes`."""
         return self._peak
 
-    @property
-    def available_bytes(self) -> "int | float":
-        """Bytes that can still be allocated.
-
-        An integer for enforced ledgers (``alloc`` coerces sizes to
-        int, so a fractional remainder is unusable anyway — flooring
-        keeps ``would_fit(name, available_bytes)`` always true), or
-        ``inf`` when unenforced.
-        """
-        if math.isinf(self._limit):
-            return math.inf
-        return math.floor(self._limit) - self._in_use
-
     def size_of(self, name: str) -> int:
         """Bytes held by allocation ``name`` (0 if absent)."""
         return self._live.get(name, 0)
@@ -128,11 +115,6 @@ class MemoryLedger:
             raise KeyError(f"no live allocation named {name!r}") from None
         self._in_use -= nbytes
         return nbytes
-
-    def free_all(self) -> None:
-        """Release every live allocation (peak is preserved)."""
-        self._live.clear()
-        self._in_use = 0
 
     def would_fit(self, name: str, nbytes: "int | float") -> bool:
         """Whether ``alloc(name, nbytes)`` would succeed, without side

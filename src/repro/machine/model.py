@@ -141,16 +141,6 @@ class MachineModel:
         return self.n_nodes * self.ranks_per_node
 
     @property
-    def mem_per_node_bytes(self) -> float:
-        """Aggregate memory budget of one node."""
-        return self.mem_per_rank_bytes * self.ranks_per_node
-
-    @property
-    def total_memory_bytes(self) -> float:
-        """Aggregate memory budget of the whole machine."""
-        return self.mem_per_node_bytes * self.n_nodes
-
-    @property
     def is_heterogeneous(self) -> bool:
         """True when any per-node multiplier deviates from 1.0."""
         return (
@@ -181,44 +171,12 @@ class MachineModel:
             return 0
         return self.fault_domains.domain_of(node)
 
-    @property
-    def n_fault_domains(self) -> int:
-        """Correlated failure domains on this machine (1 without a
-        :attr:`fault_domains` declaration)."""
-        if self.fault_domains is None:
-            return 1
-        return self.fault_domains.n_domains(self.n_nodes)
-
-    def with_nodes(self, n_nodes: int) -> "MachineModel":
-        """Return a copy of this machine resized to ``n_nodes`` nodes.
-
-        For a machine with per-node multipliers the first ``n_nodes``
-        entries are kept when shrinking; growing pads with 1.0 (nominal
-        nodes).  Use :meth:`submachine` to select *specific* physical
-        nodes instead.
-        """
-
-        def resize(mult: Optional[Tuple[float, ...]]):
-            if mult is None:
-                return None
-            if n_nodes <= len(mult):
-                return mult[:n_nodes]
-            return mult + (1.0,) * (n_nodes - len(mult))
-
-        return replace(
-            self,
-            n_nodes=n_nodes,
-            node_speed=resize(self.node_speed),
-            node_bandwidth=resize(self.node_bandwidth),
-        )
-
     def submachine(self, nodes: Sequence[int]) -> "MachineModel":
         """The machine restricted to the given physical ``nodes``.
 
         Job worlds index nodes locally (0..len(nodes)-1); this carries
         the *physical* per-node multipliers over into that local space,
-        in the order given.  For a homogeneous machine this is exactly
-        ``with_nodes(len(nodes))``.
+        in the order given.
         """
         nodes = list(nodes)
         if not nodes:

@@ -11,7 +11,7 @@ entirely inside a node (DESIGN.md, section 5).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.errors import PlacementError
 from repro.machine.model import MachineModel
@@ -68,10 +68,6 @@ class Placement:
             return False
         return any(self.node_of(r) != first_node for r in it)
 
-    def n_nodes_used(self) -> int:
-        """Number of distinct nodes hosting any rank."""
-        return len(self.nodes_of(range(self.n_ranks)))
-
 
 class BlockPlacement(Placement):
     """Consecutive ranks pack each node in turn (launcher default)."""
@@ -96,30 +92,3 @@ class RoundRobinPlacement(Placement):
         self._check_rank(rank)
         return rank % self._nodes_used
 
-
-class ExplicitPlacement(Placement):
-    """Placement from an explicit rank -> node table.
-
-    Useful in tests and in what-if placement studies.
-    """
-
-    def __init__(self, machine: MachineModel, node_by_rank: Sequence[int]) -> None:
-        super().__init__(machine, len(node_by_rank))
-        table = tuple(int(n) for n in node_by_rank)
-        counts: Dict[int, int] = {}
-        for node in table:
-            if not 0 <= node < machine.n_nodes:
-                raise PlacementError(
-                    f"node {node} out of range [0, {machine.n_nodes}) for {machine.name}"
-                )
-            counts[node] = counts.get(node, 0) + 1
-            if counts[node] > machine.ranks_per_node:
-                raise PlacementError(
-                    f"node {node} oversubscribed: more than "
-                    f"{machine.ranks_per_node} ranks assigned"
-                )
-        self._table = table
-
-    def node_of(self, rank: int) -> int:
-        self._check_rank(rank)
-        return self._table[rank]

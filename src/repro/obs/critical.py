@@ -112,10 +112,6 @@ class CriticalPath:
         gaps.sort(key=lambda s: (-s.duration, s.t_start))
         return gaps[:n]
 
-    def span_ids(self) -> Tuple[int, ...]:
-        """Ids of the spans on the path, in path (ascending-time) order."""
-        return tuple(s.span_id for s in self.segments if s.span_id is not None)
-
 
 def _windows_by_rank(
     leaves: Sequence[Span], want_nonblocking: bool

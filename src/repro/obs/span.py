@@ -274,14 +274,6 @@ class SpanTracer:
         """Latest span end on the timeline (0.0 when empty)."""
         return max((s.t_end for s in self._built()), default=0.0)
 
-    def children_of(self, span_id: Optional[int]) -> Tuple[Span, ...]:
-        """Direct children of ``span_id`` (roots for ``None``)."""
-        return tuple(
-            s
-            for s in self.spans
-            if s.parent == span_id and s.span_id != span_id
-        )
-
     def leaves(self) -> Tuple[Span, ...]:
         """Spans of a leaf kind (see :data:`LEAF_KINDS`)."""
         return tuple(s for s in self.spans if s.kind in LEAF_KINDS)
@@ -314,22 +306,3 @@ class SpanTracer:
             )
             parent = span_id
         return tuple(out)
-
-    def render_tree(self, *, max_children: int = 8) -> str:
-        """Indented text rendering of the span tree (debug aid)."""
-        lines: List[str] = []
-
-        def walk(parent: Optional[int], depth: int) -> None:
-            kids = self.children_of(parent)
-            for i, s in enumerate(kids):
-                if i >= max_children:
-                    lines.append("  " * depth + f"... {len(kids) - i} more")
-                    break
-                lines.append(
-                    "  " * depth
-                    + f"{s.name} [{s.kind}] {s.t_start:.6f}+{s.duration:.6f}s"
-                )
-                walk(s.span_id, depth + 1)
-
-        walk(None, 0)
-        return "\n".join(lines)

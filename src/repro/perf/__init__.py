@@ -37,11 +37,6 @@ from repro.perf.report import (
     render_figure2,
     render_recovery_report,
 )
-from repro.perf.sweep import (
-    CollisionalitySweep,
-    EnsembleSizeSweep,
-    StrongScalingSweep,
-)
 
 __all__ = [
     "AnalyticBreakdown",
@@ -59,9 +54,6 @@ __all__ = [
     "calibrate_machine",
     "min_nodes_required",
     "cmat_dominance_ratio",
-    "EnsembleSizeSweep",
-    "StrongScalingSweep",
-    "CollisionalitySweep",
     "communication_matrix",
     "locality_report",
     "LocalityReport",

@@ -8,9 +8,12 @@ the pairwise transfers its algorithm performs:
 - ``alltoall``: every participant sends ``nbytes / p`` to every other
   participant (the personalised exchange's uniform approximation);
 - ``allreduce`` (ring): every participant sends ``2 nbytes (p-1)/p``
-  to its ring successor;
-- ``bcast``/``reduce``/``gather``/``scatter``: root-centric star
-  attribution; ``sendrecv``: the pair itself.
+  to its ring successor.
+
+Those are the two collectives the model issues
+(:data:`~repro.check.checker.KNOWN_KINDS`); any other kind, like a rank
+outside ``[0, n_ranks)`` or an event without participants, is a
+:class:`~repro.errors.VmpiError`.
 
 From the matrix, :func:`locality_report` splits traffic into
 intra-node vs inter-node bytes — quantifying the placement effect the
@@ -41,35 +44,28 @@ def communication_matrix(trace: TraceLog, n_ranks: int) -> np.ndarray:
     for ev in trace:
         ranks = ev.ranks
         p = len(ranks)
-        if max(ranks) >= n_ranks:
+        if not ranks:
+            raise VmpiError(f"trace event {ev.seq} has no participants")
+        if not 0 <= min(ranks) <= max(ranks) < n_ranks:
             raise VmpiError(
-                f"trace event involves rank {max(ranks)} outside "
+                f"trace event {ev.seq} involves ranks {list(ranks)} outside "
                 f"[0, {n_ranks})"
             )
+        if ev.kind not in ("allreduce", "alltoall"):
+            raise VmpiError(f"trace event {ev.seq}: unknown collective kind {ev.kind!r}")
         if p < 2 or ev.nbytes == 0:
             continue
-        if ev.kind == "sendrecv":
-            mat[ranks[0], ranks[1]] += ev.nbytes
-        elif ev.kind == "alltoall":
+        if ev.kind == "alltoall":
             share = ev.nbytes / p
             for i in ranks:
                 for j in ranks:
                     if i != j:
                         mat[i, j] += share
-        elif ev.kind in ("allreduce", "allgather"):
+        else:
             # ring: each rank streams to its successor
             volume = 2.0 * ev.nbytes * (p - 1) / p
             for idx, i in enumerate(ranks):
                 mat[i, ranks[(idx + 1) % p]] += volume
-        elif ev.kind in ("bcast", "scatter"):
-            root = ranks[0]
-            for j in ranks[1:]:
-                mat[root, j] += ev.nbytes / max(p - 1, 1)
-        elif ev.kind in ("reduce", "gather"):
-            root = ranks[0]
-            for i in ranks[1:]:
-                mat[i, root] += ev.nbytes / max(p - 1, 1)
-        # barriers carry no payload
     return mat
 
 

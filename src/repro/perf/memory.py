@@ -62,17 +62,6 @@ def cmat_dominance_ratio(inp: CgyroInput) -> float:
     return cmat_total_bytes(dims) / state_bytes_per_rank(inp, decomp)
 
 
-def total_bytes_per_rank(
-    inp: CgyroInput, n_ranks: int, *, ensemble_size: int = 1
-) -> int:
-    """Per-rank footprint of one simulation (or ensemble member) on
-    ``n_ranks`` ranks, with cmat shared over ``ensemble_size`` members."""
-    decomp = Decomposition.choose(inp.grid_dims(), n_ranks)
-    return state_bytes_per_rank(inp, decomp) + cmat_bytes_per_rank(
-        inp, decomp, ensemble_size=ensemble_size
-    )
-
-
 def member_decomp(
     inp: CgyroInput, k: int, ranks_per_member: int
 ) -> Optional[Decomposition]:

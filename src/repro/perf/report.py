@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import InputError
 from repro.cgyro.params import CgyroInput
-from repro.cgyro.timing import COMM_CATEGORIES, ReportRow, sum_rows
+from repro.cgyro.timing import ReportRow, sum_rows
 from repro.machine.model import MachineModel
 from repro.vmpi.world import VirtualWorld
 from repro.xgyro.baseline import SequentialCgyroBaseline
@@ -70,16 +70,6 @@ class Figure2Result:
     def str_comm_reduction(self) -> float:
         """CGYRO-sum str comm over XGYRO str comm (paper: ~145/33)."""
         return self.cgyro_sum.str_comm_s / self.xgyro.str_comm_s
-
-    def category_table(self) -> Dict[str, Dict[str, float]]:
-        """{'cgyro_sum'|'xgyro' -> category -> seconds} plus totals."""
-        out = {}
-        for name, row in (("cgyro_sum", self.cgyro_sum), ("xgyro", self.xgyro)):
-            cats = dict(row.categories)
-            cats["comm_total"] = row.comm_s
-            cats["TOTAL"] = row.wall_s
-            out[name] = cats
-        return out
 
 
 def figure2_comparison(

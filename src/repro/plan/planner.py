@@ -17,7 +17,7 @@ error, the honesty check every emitted plan carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.cgyro.params import CgyroInput
 from repro.errors import PlanError

@@ -305,13 +305,6 @@ class FaultPlan(records.Record):
             spec.validate(n_ranks=n_ranks, n_nodes=n_nodes)
 
     # ------------------------------------------------------------------
-    # plane selection
-    # ------------------------------------------------------------------
-    def data_specs(self) -> Tuple[FaultSpec, ...]:
-        """Data-plane specs, in plan order."""
-        return tuple(s for s in self.specs if s.kind in DATA_KINDS)
-
-    # ------------------------------------------------------------------
     # (de)serialisation
     # ------------------------------------------------------------------
     def to_json(self) -> str:

@@ -30,7 +30,7 @@ exactly reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,10 +119,6 @@ class NodeHealthTracker:
         return tuple(
             i for i in self._incidents if t0_s <= i.at_s < t1_s
         )
-
-    def incident_count(self, node: int) -> int:
-        """Incidents recorded against ``node``."""
-        return self._by_node.get(int(node), 0)
 
     def is_quarantined(self, node: int) -> bool:
         """Whether the circuit breaker has tripped for ``node``."""

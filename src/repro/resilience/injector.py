@@ -64,11 +64,6 @@ class FaultInjector:
             raise FaultPlanError(f"step must be >= 0, got {step}")
         self._step = step
 
-    @property
-    def current_step(self) -> int:
-        """Step most recently armed via :meth:`begin_step`."""
-        return self._step
-
     def _phase_matches(self, spec: FaultSpec) -> bool:
         return not spec.phase or spec.phase == self.world.current_category
 
@@ -186,19 +181,6 @@ class FaultInjector:
                 factor *= spec.factor
         return factor
 
-    def slowed_ranks(self) -> Tuple[int, ...]:
-        """Ranks with an active ``slowdown`` spec at the current step."""
-        out = set()
-        for spec in self._rank_slowdowns:
-            if spec.at_step <= self._step:
-                for r in range(self.world.n_ranks):
-                    if (
-                        r not in self._migrated
-                        and self._slowdown_targets_rank(spec, r)
-                    ):
-                        out.add(r)
-        return tuple(sorted(out))
-
     def mark_migrated(self, ranks: Sequence[int]) -> None:
         """Exempt ``ranks`` from slowdown targeting from now on.
 
@@ -233,8 +215,3 @@ class FaultInjector:
     def has_slowdowns(self) -> bool:
         """Whether the plan contains any rank/node ``slowdown`` spec."""
         return bool(self._rank_slowdowns)
-
-    # ------------------------------------------------------------------
-    def fail_summary(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """(dead ranks, dead nodes), sorted — for reports."""
-        return tuple(sorted(self.dead_ranks)), tuple(sorted(self.dead_nodes))

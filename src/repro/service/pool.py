@@ -232,10 +232,6 @@ class ElasticNodePool:
             int(n) for n, t in self.book["ready_at"].items() if t <= now  # type: ignore[union-attr]
         )
 
-    def next_ready(self) -> Optional[float]:
-        """Earliest pending provisioning completion, or ``None``."""
-        return min(self.ready_times(), default=None)
-
     def ready_times(self) -> List[float]:
         """Distinct pending provisioning-completion times, sorted —
         a recovered service re-arms one wake-up per entry."""

@@ -24,7 +24,7 @@ flushed members — holds by construction, and is property-tested in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.campaign.batcher import CandidateBatch, SignatureBatcher
@@ -94,15 +94,6 @@ class MovingWindow:
     def pending(self) -> Tuple[SimRequest, ...]:
         """Held requests, in admission order."""
         return tuple(self._held)
-
-    def held_since(self, request_id: str) -> float:
-        """When ``request_id`` entered the window."""
-        try:
-            return self._since[request_id]
-        except KeyError:
-            raise ServiceError(
-                f"request {request_id!r} is not held in the window"
-            ) from None
 
     def add(self, request: SimRequest, now: float) -> None:
         """Hold ``request`` from time ``now``."""

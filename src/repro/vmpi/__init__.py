@@ -7,10 +7,10 @@ and a rank's block is a view of it (``{world_rank: view}`` where a
 per-rank mapping is wanted), and a collective is an ordinary function
 call that
 
-1. moves the real bytes (functionally correct AllReduce / AllToAll(v) /
-   AllGather / Bcast / ...): a reduction takes its operand as one array
-   stacked over the members (:class:`RankStacked`, usually a strided
-   view) and delivers one read-only result shared by all of them; an
+1. moves the real bytes of the two collectives the model issues —
+   AllReduce (a sum) and AllToAll(v): a reduction takes its operand as
+   one array stacked over the members (:class:`RankStacked`, usually a
+   strided view) and delivers one read-only result shared by all; an
    ``alltoall`` hands per-rank blocks over by reference, and
 2. advances every participant's *simulated clock* by the modeled cost
    of that collective on the configured machine (entry synchronisation
@@ -36,30 +36,24 @@ Public surface:
   and MPI-style ``split``.
 - :func:`allreduce_rounds` — one statement's AllReduces over a family
   of disjoint communicators, charged as one block.
-- :class:`Request` / :func:`waitall` — handles for nonblocking
-  collectives (``iallreduce`` / ``ialltoall``); a posted collective's
+- :class:`Request` — the handle of a nonblocking collective (``iallreduce`` / ``ialltoall``); a posted collective's
   cost accrues concurrently with subsequent compute charges on the
   same ranks, and ``wait()`` pays only the uncovered remainder.
-- :class:`ReduceOp`, :class:`RankStacked` (a reduction's operand as
-  one array), algorithm enums, and the cost model.
+- :class:`RankStacked` (a reduction's operand as one array),
+  :func:`reduce_ranks` (the reduction), algorithm enums, and the cost
+  model.
 """
 
 from repro.vmpi.algorithms import (
     AllreduceAlgorithm,
     AlltoallAlgorithm,
     EffectiveLink,
-    allgather_cost,
     allreduce_cost,
     alltoall_cost,
-    barrier_cost,
-    bcast_cost,
-    gather_cost,
-    reduce_cost,
-    scatter_cost,
 )
-from repro.vmpi.communicator import Communicator, Request, allreduce_rounds, waitall
+from repro.vmpi.communicator import Communicator, Request, allreduce_rounds
 from repro.vmpi.cost import CommCostModel
-from repro.vmpi.datatypes import RankStacked, ReduceOp
+from repro.vmpi.datatypes import RankStacked, reduce_ranks
 from repro.vmpi.tracer import CollectiveEvent, TraceLog
 from repro.vmpi.world import PendingCollective, VirtualWorld
 
@@ -68,10 +62,9 @@ __all__ = [
     "Communicator",
     "Request",
     "PendingCollective",
-    "waitall",
     "allreduce_rounds",
-    "ReduceOp",
     "RankStacked",
+    "reduce_ranks",
     "AllreduceAlgorithm",
     "AlltoallAlgorithm",
     "EffectiveLink",
@@ -80,10 +73,4 @@ __all__ = [
     "CollectiveEvent",
     "allreduce_cost",
     "alltoall_cost",
-    "allgather_cost",
-    "bcast_cost",
-    "reduce_cost",
-    "gather_cost",
-    "scatter_cost",
-    "barrier_cost",
 ]

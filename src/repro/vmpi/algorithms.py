@@ -1,7 +1,8 @@
 """Collective algorithm cost formulas.
 
-Classic alpha-beta (Hockney) cost expressions for the collective
-algorithms production MPI libraries select between.  Each formula takes
+Classic alpha-beta (Hockney) cost expressions for the AllReduce and
+AllToAll algorithms production MPI libraries select between — the two
+collectives the model issues.  Each formula takes
 the participant count ``p``, a byte count whose meaning is
 collective-specific (documented per function), and an
 :class:`EffectiveLink` — the latency/bandwidth/overhead triple the cost
@@ -115,61 +116,3 @@ def alltoall_cost(
         steps = _log2ceil(p)
         return o + steps * (a + (nbytes / 2.0) / link.bandwidth_Bps)
     raise AssertionError(f"unhandled algorithm {algorithm}")
-
-
-def allgather_cost(p: int, nbytes: float, link: EffectiveLink) -> float:
-    """Ring allgather; ``nbytes`` is each rank's contribution."""
-    _check(p, nbytes)
-    if p == 1:
-        return link.overhead_s
-    return (
-        link.overhead_s
-        + (p - 1) * link.latency_s
-        + (p - 1) * nbytes / link.bandwidth_Bps
-    )
-
-
-def bcast_cost(p: int, nbytes: float, link: EffectiveLink) -> float:
-    """Binomial-tree broadcast of an ``nbytes`` message."""
-    _check(p, nbytes)
-    if p == 1:
-        return link.overhead_s
-    steps = _log2ceil(p)
-    return link.overhead_s + steps * (link.latency_s + nbytes / link.bandwidth_Bps)
-
-
-def reduce_cost(p: int, nbytes: float, link: EffectiveLink) -> float:
-    """Binomial-tree reduction to a root of an ``nbytes`` message."""
-    return bcast_cost(p, nbytes, link)
-
-
-def gather_cost(p: int, nbytes: float, link: EffectiveLink) -> float:
-    """Gather to root; ``nbytes`` is the total data landing at root."""
-    _check(p, nbytes)
-    if p == 1:
-        return link.overhead_s
-    steps = _log2ceil(p)
-    return (
-        link.overhead_s
-        + steps * link.latency_s
-        + nbytes * (p - 1) / p / link.bandwidth_Bps
-    )
-
-
-def scatter_cost(p: int, nbytes: float, link: EffectiveLink) -> float:
-    """Scatter from root; ``nbytes`` is the total data leaving root."""
-    return gather_cost(p, nbytes, link)
-
-
-def sendrecv_cost(nbytes: float, link: EffectiveLink) -> float:
-    """One point-to-point message of ``nbytes`` between two ranks."""
-    _check(2, nbytes)
-    return link.overhead_s + link.latency_s + nbytes / link.bandwidth_Bps
-
-
-def barrier_cost(p: int, link: EffectiveLink) -> float:
-    """Dissemination barrier (no payload)."""
-    _check(p, 0)
-    if p == 1:
-        return link.overhead_s
-    return link.overhead_s + _log2ceil(p) * link.latency_s

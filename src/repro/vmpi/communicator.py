@@ -4,8 +4,10 @@ A :class:`Communicator` is an *ordered* group of world ranks belonging
 to a :class:`~repro.vmpi.world.VirtualWorld`.  Its collective methods
 take and return data keyed by **world rank** — the natural indexing in
 lockstep SPMD, where one driver holds every rank's block — while block
-ordering inside ``alltoall``/``allgather`` follows **communicator
-rank**, exactly as MPI buffers do.
+ordering inside ``alltoall`` follows **communicator rank**, exactly as
+MPI buffers do.  The two collectives are the two the model issues:
+AllReduce inside the str phase and the AllToAll of the str<->coll
+transpose.
 
 Every collective performs the real data movement with NumPy and charges
 the modeled cost through the world (entry synchronisation + algorithm
@@ -21,9 +23,7 @@ shared by every member** — a member that wants to modify its result
 copies it.  :func:`allreduce_rounds` — many communicators reducing
 windows of one stacked operand, several rounds in a row — likewise
 reads its operand where it lies and returns one read-only array for
-everybody.  ``bcast``/``allgather`` return freshly-allocated arrays.
-``alltoall`` transfers the sent blocks *by
-reference* (like a rendezvous protocol handing off pages); senders must
+everybody.  ``alltoall`` transfers the sent blocks *by reference* (like a rendezvous protocol handing off pages); senders must
 treat submitted blocks as moved.  With a
 :class:`~repro.check.checker.CollectiveChecker` installed
 (``world.install_checker``), resubmitting a moved block raises a
@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.errors import CollectiveError, CommunicatorError, ProtocolError
-from repro.vmpi.datatypes import RankStacked, ReduceOp
+from repro.vmpi.datatypes import RankStacked, reduce_ranks
 
 ArrayLike = Union[np.ndarray, float, int, complex]
 
@@ -49,9 +49,8 @@ class Request:
 
     Returned by :meth:`Communicator.iallreduce` /
     :meth:`Communicator.ialltoall`.  Exactly one completion is allowed:
-    :meth:`wait` (or a :meth:`test` that returns True) charges the
-    uncovered remainder of the modeled cost and delivers the payload;
-    a second :meth:`wait` raises :class:`~repro.errors.ProtocolError`
+    :meth:`wait` charges the uncovered remainder of the modeled cost and
+    delivers the payload; a second :meth:`wait` raises :class:`~repro.errors.ProtocolError`
     (code ``double-wait``) even without a checker installed.
     """
 
@@ -68,17 +67,8 @@ class Request:
 
     @property
     def done(self) -> bool:
-        """Whether the request has been completed (waited or tested True)."""
+        """Whether the request has been waited on."""
         return self._done
-
-    def _complete(self):
-        ck = self.comm.world.checker
-        if ck is not None and self._ck_req is not None:
-            ck.lockstep_wait(self._ck_req)
-        self.comm.world.complete_collective(self._pending)
-        self._done = True
-        self.result = self._payload()
-        return self.result
 
     def wait(self):
         """Complete the collective; returns the payload.
@@ -94,34 +84,19 @@ class Request:
                 comm_labels=(self.comm.label,),
                 code="double-wait",
             )
-        return self._complete()
-
-    def test(self) -> bool:
-        """Nonblocking completion probe.
-
-        Returns True — completing the request and storing the payload
-        in :attr:`result` — when the cost window has already fully
-        elapsed on every participant's clock; returns False (charging
-        nothing, moving no clock) otherwise.  Idempotent once True.
-        """
-        if self._done:
-            return True
-        if not self.comm.world.collective_done(self._pending):
-            return False
-        self._complete()
-        return True
-
-
-def waitall(requests: Sequence["Request"]) -> List[object]:
-    """Wait on every request, in order; returns their payloads."""
-    return [req.wait() for req in requests]
+        ck = self.comm.world.checker
+        if ck is not None and self._ck_req is not None:
+            ck.lockstep_wait(self._ck_req)
+        self.comm.world.complete_collective(self._pending)
+        self._done = True
+        self.result = self._payload()
+        return self.result
 
 
 def allreduce_rounds(
     comms: Sequence["Communicator"],
     stack: np.ndarray,
     columns: Sequence[slice],
-    op: ReduceOp = ReduceOp.SUM,
 ) -> np.ndarray:
     """Every rank calls ``allreduce`` on its own communicator, once per
     round: the lockstep form of that one SPMD statement.
@@ -134,7 +109,7 @@ def allreduce_rounds(
     reduces the last-axis window ``columns[g]`` of it, one round at a
     time.  The rank axis is
     folded elementwise, so the whole operand is reduced by **one**
-    ``op.reduce(stack)`` — bit for bit what the per-(round, group)
+    :func:`~repro.vmpi.datatypes.reduce_ranks` — bit for bit what the per-(round, group)
     ``allreduce`` of ``stack[:, m, ..., columns[g]]`` delivers wherever
     such a window holds more than one element per rank (a one-element
     window is a 1-d reduction there, which NumPy folds pairwise from
@@ -162,7 +137,7 @@ def allreduce_rounds(
             f"allreduce_rounds: operand of shape {stack.shape} does not stack "
             f"the {size} ranks of each communicator as (size, rounds >= 1, ..., n)"
         )
-    result = op.reduce(stack)
+    result = reduce_ranks(stack)
     result.setflags(write=False)
     rounds, n = stack.shape[1], stack.shape[-1]
     column_bytes = stack.itemsize * math.prod(stack.shape[2:-1])
@@ -179,7 +154,7 @@ def allreduce_rounds(
 
         def admit(g: int) -> None:
             comm, sizes, dtypes = admissions[g]
-            ck.lockstep_collective(comm, "allreduce", sizes, op=op.name, dtypes=dtypes)
+            ck.lockstep_collective(comm, "allreduce", sizes, op="SUM", dtypes=dtypes)
 
     world.charge_collective_block(
         "allreduce",
@@ -307,10 +282,10 @@ class Communicator:
             )
 
     def _same_shape_arrays(
-        self, values: Mapping[int, ArrayLike], what: str, dtype: object = None
+        self, values: Mapping[int, ArrayLike], what: str
     ) -> List[np.ndarray]:
         """Members' contributions in comm-rank order, all of one shape."""
-        arrays = [np.asarray(values[r], dtype=dtype) for r in self._ranks]
+        arrays = [np.asarray(values[r]) for r in self._ranks]
         shape = arrays[0].shape
         for a, r in zip(arrays, self._ranks):
             if a.shape != shape:
@@ -327,20 +302,17 @@ class Communicator:
         nbytes: int,
         *,
         typed: Optional[Sequence[np.ndarray]] = None,
-        op: Optional[ReduceOp] = None,
-        root: int = -1,
-        cost_kind: Optional[str] = None,
+        op: str = "",
         algorithm: Optional[object] = None,
         payload: Optional[Callable[[], object]] = None,
     ) -> Optional[Request]:
         """Checker hook, then the world's charge: every collective ends here.
 
-        ``sizes`` are the members' byte counts in comm-rank order (none
-        for a barrier) and ``typed`` their buffers when the kind must
-        agree on a dtype; ``nbytes`` is what the cost formula of
-        ``cost_kind`` (default ``kind``) is evaluated at.  With
-        ``payload`` the collective is posted nonblocking instead, and
-        the :class:`Request` delivering ``payload()`` is returned.
+        ``sizes`` are the members' byte counts in comm-rank order and
+        ``typed`` their buffers when the kind must agree on a dtype;
+        ``nbytes`` is what the kind's cost formula is evaluated at.
+        With ``payload`` the collective is posted nonblocking instead,
+        and the :class:`Request` delivering ``payload()`` is returned.
         """
         world = self.world
         ck = world.checker
@@ -356,13 +328,12 @@ class Communicator:
                 self,
                 kind,
                 dict(zip(self._ranks, sizes)),
-                op="" if op is None else getattr(op, "name", str(op)),
+                op=op,
                 dtypes=dtypes,
-                root=root,
             )
         charge = world.charge_collective if payload is None else world.post_collective
         charged = charge(
-            cost_kind or kind,
+            kind,
             self._ranks,
             nbytes,
             comm_label=self.label,
@@ -375,10 +346,6 @@ class Communicator:
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
-    def barrier(self) -> None:
-        """Synchronise all members."""
-        self._issue("barrier", (), 0)
-
     def _rank_stacked(
         self, values: Mapping[int, ArrayLike], what: str
     ) -> Tuple[np.ndarray, Sequence[int], Sequence[np.ndarray]]:
@@ -401,7 +368,6 @@ class Communicator:
     def _allreduce(
         self,
         values: Mapping[int, ArrayLike],
-        op: ReduceOp,
         algorithm: Optional[object],
         nonblocking: bool,
     ) -> Union[Dict[int, np.ndarray], Request]:
@@ -409,7 +375,7 @@ class Communicator:
         stack, sizes, typed = self._rank_stacked(
             values, "iallreduce" if nonblocking else "allreduce"
         )
-        result = op.reduce(stack)
+        result = reduce_ranks(stack)
         result.setflags(write=False)  # a no-op on the scalar of a 1-d stack
         shared = dict.fromkeys(self._ranks, result)
         nbytes = max(sizes)
@@ -418,7 +384,7 @@ class Communicator:
             sizes,
             nbytes,
             typed=typed,
-            op=op,
+            op="SUM",
             algorithm=algorithm
             if algorithm is not None
             else self.world.cost_model.select_algorithm("allreduce"),
@@ -429,26 +395,20 @@ class Communicator:
     def allreduce(
         self,
         values: Mapping[int, ArrayLike],
-        op: ReduceOp = ReduceOp.SUM,
         *,
         algorithm: Optional[object] = None,
     ) -> Dict[int, np.ndarray]:
-        """Elementwise reduction; every member receives the result.
+        """Elementwise sum; every member receives the result.
 
         ``values`` maps world rank -> equal-shape array (or scalar):
         a :class:`RankStacked` view, reduced where it lies, or any
         other mapping, stacked first.  Every member maps to the *same*
-        read-only result array.
+        read-only result array.  ``algorithm`` overrides the cost
+        model's default for this one call.
         """
-        return self._allreduce(values, op, algorithm, False)
+        return self._allreduce(values, algorithm, False)
 
-    def iallreduce(
-        self,
-        values: Mapping[int, ArrayLike],
-        op: ReduceOp = ReduceOp.SUM,
-        *,
-        algorithm: Optional[object] = None,
-    ) -> Request:
+    def iallreduce(self, values: Mapping[int, ArrayLike]) -> Request:
         """Nonblocking :meth:`allreduce`; returns a :class:`Request`.
 
         The reduction is combined at post time (send buffers must not
@@ -456,13 +416,10 @@ class Communicator:
         accrues concurrently with compute charged on the same ranks,
         and ``wait()`` returns the per-rank result dict.
         """
-        return self._allreduce(values, op, algorithm, True)
+        return self._allreduce(values, None, True)
 
     def _alltoall(
-        self,
-        send: Mapping[int, Sequence[np.ndarray]],
-        algorithm: Optional[object],
-        nonblocking: bool,
+        self, send: Mapping[int, Sequence[np.ndarray]], nonblocking: bool
     ) -> Union[Dict[int, List[np.ndarray]], Request]:
         """Body of :meth:`alltoall` and :meth:`ialltoall`."""
         what = "ialltoall" if nonblocking else "alltoall"
@@ -490,18 +447,13 @@ class Communicator:
             "alltoall",
             sizes,
             nbytes,
-            algorithm=algorithm
-            if algorithm is not None
-            else self.world.cost_model.select_algorithm("alltoall"),
+            algorithm=self.world.cost_model.select_algorithm("alltoall"),
             payload=(lambda: recv) if nonblocking else None,
         )
         return request if nonblocking else recv
 
     def alltoall(
-        self,
-        send: Mapping[int, Sequence[np.ndarray]],
-        *,
-        algorithm: Optional[object] = None,
+        self, send: Mapping[int, Sequence[np.ndarray]]
     ) -> Dict[int, List[np.ndarray]]:
         """Personalised exchange (vector alltoall).
 
@@ -510,174 +462,13 @@ class Communicator:
         single method covers MPI_Alltoall(v|w).  Returns
         ``recv[world_rank][i]`` = block sent by communicator rank ``i``.
         """
-        return self._alltoall(send, algorithm, False)
+        return self._alltoall(send, False)
 
-    def ialltoall(
-        self,
-        send: Mapping[int, Sequence[np.ndarray]],
-        *,
-        algorithm: Optional[object] = None,
-    ) -> Request:
+    def ialltoall(self, send: Mapping[int, Sequence[np.ndarray]]) -> Request:
         """Nonblocking :meth:`alltoall`; returns a :class:`Request`.
 
         Blocks move by reference exactly as in the blocking form —
         they are *moved at post* (resubmitting one is a checker
         violation); ``wait()`` delivers the recv rows.
         """
-        return self._alltoall(send, algorithm, True)
-
-    def allgather(self, values: Mapping[int, ArrayLike]) -> Dict[int, List[np.ndarray]]:
-        """Every member receives every member's contribution.
-
-        Returns ``out[world_rank][i]`` = copy of comm-rank ``i``'s value.
-        """
-        self._check_participants(values, "allgather")
-        arrays = [np.asarray(values[r]) for r in self._ranks]
-        sizes = [a.nbytes for a in arrays]
-        self._issue("allgather", sizes, max(sizes))
-        return {r: [a.copy() for a in arrays] for r in self._ranks}
-
-    def bcast(self, value: ArrayLike, root: int) -> Dict[int, np.ndarray]:
-        """Broadcast ``value`` from world rank ``root`` to all members."""
-        self.comm_rank(root)  # validates membership
-        arr = np.asarray(value)
-        self._issue(
-            "bcast",
-            [arr.nbytes] * self.size,
-            arr.nbytes,
-            typed=[arr] * self.size,
-            root=root,
-        )
-        return {r: arr.copy() for r in self._ranks}
-
-    def reduce(
-        self,
-        values: Mapping[int, ArrayLike],
-        root: int,
-        op: ReduceOp = ReduceOp.SUM,
-    ) -> np.ndarray:
-        """Reduction delivered to ``root`` only; returns root's result."""
-        self._check_participants(values, "reduce")
-        self.comm_rank(root)
-        arrays = self._same_shape_arrays(values, "reduce")
-        result = op.combine(arrays)
-        sizes = [a.nbytes for a in arrays]
-        self._issue("reduce", sizes, max(sizes), typed=arrays, op=op, root=root)
-        return result
-
-    def gather(self, values: Mapping[int, ArrayLike], root: int) -> List[np.ndarray]:
-        """Gather members' values to ``root`` in communicator order."""
-        self._check_participants(values, "gather")
-        self.comm_rank(root)
-        arrays = [np.asarray(values[r]).copy() for r in self._ranks]
-        sizes = [a.nbytes for a in arrays]
-        self._issue("gather", sizes, sum(sizes), root=root)
-        return arrays
-
-    def scatter(self, blocks: Sequence[ArrayLike], root: int) -> Dict[int, np.ndarray]:
-        """Scatter ``blocks`` (comm-rank order) from ``root``."""
-        self.comm_rank(root)
-        if len(blocks) != self.size:
-            raise CollectiveError(
-                f"scatter on {self.label!r}: {len(blocks)} blocks for "
-                f"{self.size} ranks"
-            )
-        arrays = [np.asarray(b) for b in blocks]
-        sizes = [a.nbytes for a in arrays]
-        self._issue("scatter", sizes, sum(sizes), root=root)
-        return {r: arrays[i].copy() for i, r in enumerate(self._ranks)}
-
-    def reduce_scatter(
-        self,
-        values: Mapping[int, ArrayLike],
-        op: ReduceOp = ReduceOp.SUM,
-    ) -> Dict[int, np.ndarray]:
-        """Reduce, then scatter the result's blocks by comm rank.
-
-        Each rank contributes an array whose *first axis* has length
-        ``size``; rank ``j`` receives block ``j`` of the elementwise
-        reduction.  (The building block of ring AllReduce.)
-        """
-        self._check_participants(values, "reduce_scatter")
-        arrays = self._same_shape_arrays(values, "reduce_scatter")
-        shape = arrays[0].shape
-        if not shape or shape[0] != self.size:
-            raise CollectiveError(
-                f"reduce_scatter on {self.label!r}: first axis must have "
-                f"length {self.size}, got shape {shape}"
-            )
-        reduced = op.combine(arrays)
-        sizes = [a.nbytes for a in arrays]
-        # costed like the reduce-scatter half of a ring allreduce
-        self._issue(
-            "reduce_scatter",
-            sizes,
-            max(sizes) // 2,
-            typed=arrays,
-            op=op,
-            cost_kind="allreduce",
-        )
-        return {r: reduced[j].copy() for j, r in enumerate(self._ranks)}
-
-    def scan(
-        self,
-        values: Mapping[int, ArrayLike],
-        op: ReduceOp = ReduceOp.SUM,
-        *,
-        exclusive: bool = False,
-    ) -> Dict[int, np.ndarray]:
-        """Prefix reduction in comm-rank order (MPI_Scan / MPI_Exscan).
-
-        Rank ``j`` receives the reduction of comm ranks ``0..j``
-        (inclusive) or ``0..j-1`` (exclusive; rank 0 gets zeros).
-        """
-        self._check_participants(values, "scan")
-        arrays = self._same_shape_arrays(values, "scan", dtype=float)
-        out: Dict[int, np.ndarray] = {}
-        for j, r in enumerate(self._ranks):
-            upto = arrays[:j] if exclusive else arrays[: j + 1]
-            if upto:
-                out[r] = op.combine(upto)
-            else:
-                out[r] = np.zeros(arrays[0].shape)
-        sizes = [a.nbytes for a in arrays]
-        self._issue(
-            "scan", sizes, max(sizes), typed=arrays, op=op, cost_kind="reduce"
-        )
-        return out
-
-    def sendrecv(
-        self,
-        value: ArrayLike,
-        source: int,
-        dest: int,
-    ) -> np.ndarray:
-        """Point-to-point transfer from world rank ``source`` to ``dest``.
-
-        Only the two endpoints synchronise and are charged; returns a
-        copy of the payload (what ``dest`` received).
-        """
-        self.comm_rank(source)
-        self.comm_rank(dest)
-        arr = np.asarray(value)
-        if source == dest:
-            return arr.copy()
-        pair = (source, dest)
-        ck = self.world.checker
-        if ck is not None:
-            # only the endpoints participate; the pair is a subset of the
-            # communicator, so the label<->membership table must not bind
-            for r in pair:
-                ck.post(
-                    r,
-                    comm_label=self.label,
-                    comm_ranks=pair,
-                    kind="sendrecv",
-                    nbytes=int(arr.nbytes),
-                    dtype=str(arr.dtype),
-                    track_membership=False,
-                )
-        self.world.charge_collective(
-            "sendrecv", pair, arr.nbytes, comm_label=self.label
-        )
-        return arr.copy()
+        return self._alltoall(send, True)

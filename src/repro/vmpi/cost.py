@@ -34,15 +34,8 @@ from repro.vmpi.algorithms import (
     AllreduceAlgorithm,
     AlltoallAlgorithm,
     EffectiveLink,
-    allgather_cost,
     allreduce_cost,
     alltoall_cost,
-    barrier_cost,
-    bcast_cost,
-    gather_cost,
-    reduce_cost,
-    scatter_cost,
-    sendrecv_cost,
 )
 
 
@@ -141,11 +134,9 @@ class CommCostModel:
     ) -> float:
         """Cost in seconds of one collective call.
 
-        ``kind`` is one of ``allreduce``, ``alltoall``, ``allgather``,
-        ``bcast``, ``reduce``, ``gather``, ``scatter``, ``barrier``,
-        ``sendrecv`` (``ranks`` is then the source/dest pair).
-        ``nbytes`` follows each formula's per-kind convention (see
-        :mod:`repro.vmpi.algorithms`).
+        ``kind`` is ``allreduce`` or ``alltoall`` (any other kind is a
+        :class:`~repro.errors.CollectiveError`); ``nbytes`` follows each
+        formula's convention (see :mod:`repro.vmpi.algorithms`).
         """
         # The key carries the algorithm the formula will actually use, so
         # a default reassigned after construction is never served stale.
@@ -172,18 +163,4 @@ class CommCostModel:
             return allreduce_cost(p, nbytes, link, algo)
         if kind == "alltoall":
             return alltoall_cost(p, nbytes, link, algo)
-        if kind == "allgather":
-            return allgather_cost(p, nbytes, link)
-        if kind == "bcast":
-            return bcast_cost(p, nbytes, link)
-        if kind == "reduce":
-            return reduce_cost(p, nbytes, link)
-        if kind == "gather":
-            return gather_cost(p, nbytes, link)
-        if kind == "scatter":
-            return scatter_cost(p, nbytes, link)
-        if kind == "barrier":
-            return barrier_cost(p, link)
-        if kind == "sendrecv":
-            return sendrecv_cost(nbytes, link)
         raise CollectiveError(f"unknown collective kind {kind!r}")

@@ -1,8 +1,7 @@
-"""Reduction operators and operands for virtual-MPI collectives."""
+"""The operand of a virtual-MPI reduction, and the reduction itself."""
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Mapping
 from typing import Iterator, Sequence, Tuple
 
@@ -25,7 +24,7 @@ class RankStacked(Mapping):
     The rank axis should be the slowest-varying one, as it is in any
     basic slice of a C-ordered array whose first axis is the rank: that
     is the layout ``np.stack`` gives a plain ``{rank: array}`` operand
-    and hence the one :meth:`ReduceOp.reduce`'s fold order is stated for.
+    and hence the one :func:`reduce_ranks`' fold order is stated for.
     """
 
     __slots__ = ("ranks", "array")
@@ -53,41 +52,19 @@ class RankStacked(Mapping):
         return len(self.ranks)
 
 
-class ReduceOp(enum.Enum):
-    """Elementwise reduction operator, mirroring ``MPI.SUM`` and kin."""
+def reduce_ranks(stacked: np.ndarray) -> np.ndarray:
+    """Sum axis 0 — the rank axis — of a ``(size, ...)`` array: the one
+    reduction every AllReduce runs.
 
-    SUM = "sum"
-    PROD = "prod"
-    MAX = "max"
-    MIN = "min"
-
-    def reduce(self, stacked: np.ndarray) -> np.ndarray:
-        """Reduce axis 0 — the rank axis — of a ``(size, ...)`` array.
-
-        This is NumPy's axis-0 reduction: deterministic, in NumPy's
-        order.  With the rank axis slowest-varying and more than one
-        element per rank, every element is folded left to right over
-        the ranks, ``((a0 + a1) + a2) + ...``; a stack of scalars (or of
-        one-element arrays) is a 1-d reduction, which NumPy runs through
-        its unrolled pairwise inner loop — *not* a left fold.  Neither
-        depends on the strides of ``stacked``: reducing a strided view
-        equals reducing a stack of contiguous copies bit for bit
-        (``tests/test_vmpi_collectives.py`` pins that over group sizes
-        1-16, and that the rank order does matter).
-        """
-        if self is ReduceOp.SUM:
-            return stacked.sum(axis=0)
-        if self is ReduceOp.PROD:
-            return stacked.prod(axis=0)
-        if self is ReduceOp.MAX:
-            return stacked.max(axis=0)
-        if self is ReduceOp.MIN:
-            return stacked.min(axis=0)
-        raise AssertionError(f"unhandled ReduceOp {self}")
-
-    def combine(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Reduce a non-empty sequence of equal-shape arrays: stack them
-        in the given (comm-rank) order, then :meth:`reduce`."""
-        if len(arrays) == 0:
-            raise CollectiveError("cannot reduce an empty sequence")
-        return self.reduce(np.stack([np.asarray(a) for a in arrays], axis=0))
+    This is NumPy's axis-0 reduction: deterministic, in NumPy's order.
+    With the rank axis slowest-varying and more than one element per
+    rank, every element is folded left to right over the ranks,
+    ``((a0 + a1) + a2) + ...``; a stack of scalars (or of one-element
+    arrays) is a 1-d reduction, which NumPy runs through its unrolled
+    pairwise inner loop — *not* a left fold.  Neither depends on the
+    strides of ``stacked``: reducing a strided view equals reducing a
+    stack of contiguous copies bit for bit
+    (``tests/test_vmpi_collectives.py`` pins that over group sizes 1-16,
+    and that the rank order does matter).
+    """
+    return stacked.sum(axis=0)

@@ -187,10 +187,6 @@ class TraceLog:
             seen.setdefault(ev.comm_label, None)
         return tuple(seen)
 
-    def total_time(self, **criteria: Optional[str]) -> float:
-        """Sum of modeled durations over matching events."""
-        return sum(ev.cost_s for ev in self.filter(**criteria))
-
     def total_bytes(self, **criteria: Optional[str]) -> int:
         """Sum of byte counts over matching events."""
         return sum(ev.nbytes for ev in self.filter(**criteria))

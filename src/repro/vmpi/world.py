@@ -760,12 +760,6 @@ class VirtualWorld:
             got = self._series[key] = self.metrics.counter(name, **labels)
         return got
 
-    def collective_done(self, pending: PendingCollective) -> bool:
-        """Whether the cost window of ``pending`` has fully elapsed on
-        every participant's clock (a test that never advances time)."""
-        idx = self._group(pending.ranks)[1]
-        return bool(self.clock[idx].min() >= pending.t_done)
-
     def sync_charge(
         self,
         ranks: Sequence[int],
@@ -849,13 +843,3 @@ class VirtualWorld:
         return {
             c: self.category_time(c, ranks, reduce=reduce) for c in self.categories()
         }
-
-    def reset_clocks(self) -> None:
-        """Zero all clocks and category accumulators (trace retained)."""
-        self.clock[:] = 0.0
-        self.coll_wait_s[:] = 0.0
-        self.imposed_wait_s[:] = 0.0
-        self.overlapped_s[:] = 0.0
-        self._nb_inflight.clear()
-        for times in self._category_time.values():
-            times.clear()

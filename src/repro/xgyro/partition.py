@@ -55,29 +55,13 @@ def ensemble_coll_ranks(
     return tuple(out)
 
 
-def ensemble_nc_loc(decomp: Decomposition, n_members: int) -> int:
-    """Configuration points per rank in the shared-cmat distribution.
-
-    Raises when nc does not divide evenly over the ensemble-wide
-    group — the constraint the XGYRO launcher must satisfy.
-    """
-    group = n_members * decomp.n_proc_1
-    if decomp.dims.nc % group != 0:
-        raise DecompositionError(
-            f"nc={decomp.dims.nc} must divide over the ensemble coll group "
-            f"({n_members} members x P1={decomp.n_proc_1} = {group} ranks)"
-        )
-    return decomp.dims.nc // group
-
-
 def ensemble_nc_counts(decomp: Decomposition, n_members: int) -> Tuple[int, ...]:
     """Balanced per-rank nc ownership over the ensemble coll group.
 
-    Unlike :func:`ensemble_nc_loc` this does not require an even split:
-    the first ``nc % group`` comm ranks own one extra configuration
-    point.  An even split reproduces ``ensemble_nc_loc`` exactly.  The
-    uneven case is what makes a shrink-and-recover to k-1 members (or a
-    fresh non-power-of-two ensemble) possible — k-1 rarely divides nc.
+    The split need not be even: the first ``nc % group`` comm ranks
+    own one extra configuration point.  The uneven case is what makes a
+    shrink-and-recover to k-1 members (or a fresh non-power-of-two
+    ensemble) possible — k-1 rarely divides nc.
     Every coll rank must own at least one point (the shared tensor is
     distributed over *all* ranks of the ensemble).
     """
@@ -132,22 +116,6 @@ def proportional_nc_counts(
         counts[j] += 1
     assert sum(counts) == nc
     return tuple(counts)
-
-
-def ensemble_nc_slice(decomp: Decomposition, n_members: int, j: int) -> slice:
-    """Global nc range owned by ensemble-coll-comm rank ``j``.
-
-    Uses the balanced (possibly uneven) ownership of
-    :func:`ensemble_nc_counts`; identical to the historical even split
-    whenever nc divides over the group.
-    """
-    counts = ensemble_nc_counts(decomp, n_members)
-    if not 0 <= j < len(counts):
-        raise DecompositionError(
-            f"coll comm rank {j} out of range [0, {len(counts)})"
-        )
-    lo = sum(counts[:j])
-    return slice(lo, lo + counts[j])
 
 
 def member_of_rank(

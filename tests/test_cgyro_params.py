@@ -100,7 +100,7 @@ class TestPresets:
     def test_nl03c_cmat_dominance(self):
         """cmat ~10x the (~11.5 complex-buffer) solver state."""
         d = nl03c_scaled().grid_dims()
-        state = 11.5 * d.state_size * 16
+        state = 11.5 * d.nc * d.nv * d.nt * 16
         ratio = cmat_total_bytes(d) / state
         assert 9.0 < ratio < 13.0
 

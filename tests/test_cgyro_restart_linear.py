@@ -136,6 +136,16 @@ class TestLinearSolver:
         res = ls.growth_rate(1)
         assert res.gamma < 0
 
+    def test_collisions_damp_the_mode(self):
+        """A nu scan of one driven mode: more collisions, less growth.
+        (These points cannot share a cmat — nu is in its signature.)"""
+        inp = small_test(dlntdr=(9.0, 9.0), nonadiabatic_delta=0.3, delta_t=0.02)
+        gammas = [
+            LinearSolver(inp.with_updates(nu=nu)).growth_rate(1, tol=1e-6).gamma
+            for nu in (0.02, 0.4)
+        ]
+        assert gammas[0] > gammas[1]
+
     def test_power_estimates_arnoldi(self, driven):
         """Power iteration is a ballpark estimator of the Arnoldi gamma
         (the spectrum is clustered by the theta-parity degeneracy)."""

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
-from repro.check import CollectiveChecker, ROOTED_KINDS, UNIFORM_NBYTES_KINDS
+from repro.check import KNOWN_KINDS, CollectiveChecker
 from repro.cgyro.presets import small_test
 from repro.cgyro.solver import CgyroSimulation
 from repro.machine.presets import single_node
-from repro.vmpi.tracer import CollectiveEvent
 from repro.vmpi.world import VirtualWorld
 
 
@@ -29,8 +28,8 @@ class TestEngine:
         assert not ck._open
         assert ck.summary() == {("c0-1-2", "allreduce"): 1}
 
-    def test_kind_sets_are_consistent(self):
-        assert UNIFORM_NBYTES_KINDS & ROOTED_KINDS == {"bcast", "reduce"}
+    def test_the_known_kinds_are_the_two_the_model_issues(self):
+        assert KNOWN_KINDS == {"allreduce", "alltoall"}
 
     def test_unknown_kind(self):
         ck = CollectiveChecker()
@@ -42,7 +41,7 @@ class TestEngine:
     def test_non_member_post(self):
         ck = CollectiveChecker()
         with pytest.raises(ProtocolError) as exc:
-            ck.post(5, comm_label="c", comm_ranks=(0, 1), kind="barrier")
+            ck.post(5, comm_label="c", comm_ranks=(0, 1), kind="allreduce")
         assert exc.value.code == "membership"
         assert 5 in exc.value.ranks
 
@@ -65,10 +64,10 @@ class TestEngine:
 
     def test_duplicate_post(self):
         ck = CollectiveChecker()
-        ck.post(0, comm_label="c", comm_ranks=(0, 1), kind="barrier")
+        ck.post(0, comm_label="c", comm_ranks=(0, 1), kind="allreduce")
         with pytest.raises(ProtocolError) as exc:
-            ck.post(0, comm_label="c", comm_ranks=(0, 1), kind="barrier")
-        assert exc.value.code in ("duplicate", "mid-flight")
+            ck.post(0, comm_label="c", comm_ranks=(0, 1), kind="allreduce")
+        assert exc.value.code == "mid-flight"
 
     def test_op_mismatch(self):
         ck = CollectiveChecker()
@@ -103,55 +102,21 @@ class TestEngine:
         ck.post(1, comm_label="c", comm_ranks=(0, 1), kind="alltoall", nbytes=72)
         assert ck.n_completed == 1
 
-    def test_root_mismatch(self):
-        ck = CollectiveChecker()
-        ck.post(0, comm_label="c", comm_ranks=(0, 1), kind="bcast",
-                nbytes=8, root=0)
-        with pytest.raises(ProtocolError) as exc:
-            ck.post(1, comm_label="c", comm_ranks=(0, 1), kind="bcast",
-                    nbytes=8, root=1)
-        assert exc.value.code == "mismatch"
-        assert "root" in str(exc.value)
-
-    def test_root_must_be_member(self):
-        ck = CollectiveChecker()
-        ck.post(0, comm_label="c", comm_ranks=(0, 1), kind="bcast",
-                nbytes=8, root=7)
-        with pytest.raises(ProtocolError) as exc:
-            ck.post(1, comm_label="c", comm_ranks=(0, 1), kind="bcast",
-                    nbytes=8, root=7)
-        assert exc.value.code == "membership"
-
     def test_mid_flight_overlap(self):
         """A rank blocked in one collective may not post another."""
         ck = CollectiveChecker()
-        ck.post(0, comm_label="a", comm_ranks=(0, 1), kind="barrier")
+        ck.post(0, comm_label="a", comm_ranks=(0, 1), kind="allreduce")
         with pytest.raises(ProtocolError) as exc:
-            ck.post(0, comm_label="b", comm_ranks=(0, 2), kind="barrier")
+            ck.post(0, comm_label="b", comm_ranks=(0, 2), kind="allreduce")
         assert exc.value.code == "mid-flight"
         assert set(exc.value.comm_labels) == {"a", "b"}
-
-    def test_concurrent_sendrecv_pairs_share_a_label(self):
-        """Point-to-point pairs under one communicator label must not
-        be conflated into one in-flight collective."""
-        ck = CollectiveChecker()
-        ck.post(0, comm_label="sim", comm_ranks=(0, 1), kind="sendrecv",
-                nbytes=8, track_membership=False)
-        ck.post(2, comm_label="sim", comm_ranks=(2, 3), kind="sendrecv",
-                nbytes=8, track_membership=False)
-        ck.post(3, comm_label="sim", comm_ranks=(2, 3), kind="sendrecv",
-                nbytes=8, track_membership=False)
-        ck.post(1, comm_label="sim", comm_ranks=(0, 1), kind="sendrecv",
-                nbytes=8, track_membership=False)
-        assert ck.n_completed == 2
-        ck.assert_quiescent()
 
 
 class TestScheduleMode:
     def test_valid_programs_complete(self):
         ck = CollectiveChecker()
-        a = {"comm_label": "a", "comm_ranks": (0, 1), "kind": "barrier"}
-        b = {"comm_label": "b", "comm_ranks": (0, 1, 2, 3), "kind": "barrier"}
+        a = {"comm_label": "a", "comm_ranks": (0, 1), "kind": "allreduce"}
+        b = {"comm_label": "b", "comm_ranks": (0, 1, 2, 3), "kind": "alltoall"}
         n = ck.run_programs({0: [a, b], 1: [a, b], 2: [b], 3: [b]})
         assert n == 2
 
@@ -180,7 +145,7 @@ class TestScheduleMode:
 
     def test_missing_rank_is_diagnosed(self):
         ck = CollectiveChecker()
-        b = {"comm_label": "b", "comm_ranks": (0, 1, 2), "kind": "barrier"}
+        b = {"comm_label": "b", "comm_ranks": (0, 1, 2), "kind": "allreduce"}
         with pytest.raises(ProtocolError) as exc:
             ck.run_programs({0: [b], 1: [b], 2: []})
         assert exc.value.code == "deadlock"
@@ -214,19 +179,15 @@ class TestLockstepIntegration:
         assert np.array_equal(h0, h1)
         assert np.array_equal(clock0, clock1)
 
-    def test_observe_event_flags_time_overlap(self):
+    def test_observe_collective_flags_time_overlap(self):
         ck = CollectiveChecker()
 
-        def ev(seq, t_start, cost):
-            return CollectiveEvent(
-                seq=seq, kind="barrier", comm_label="c", ranks=(0, 1),
-                n_nodes=1, nbytes=0, algorithm="", t_start=t_start,
-                cost_s=cost, category="",
-            )
+        def observe(seq, t_start, cost):
+            ck.observe_collective(seq, "allreduce", "c", (0, 1), t_start, cost, False)
 
-        ck.observe_event(ev(1, 0.0, 1.0))
+        observe(1, 0.0, 1.0)
         with pytest.raises(ProtocolError) as exc:
-            ck.observe_event(ev(2, 0.5, 1.0))  # starts before rank freed
+            observe(2, 0.5, 1.0)  # starts before rank freed
         assert exc.value.code == "overlap"
 
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,8 @@ from repro.machine.presets import generic_cluster
 from repro.vmpi.export import export_trace_json, load_trace_json
 from repro.vmpi.world import VirtualWorld
 from repro.xgyro.driver import XgyroEnsemble
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -70,25 +76,29 @@ class TestLint:
         rep = lint_trace(bad)
         assert any(p.code == "ranks" for p in rep.problems)
 
-    def test_barrier_carrying_bytes(self, cgyro_events):
-        ev = cgyro_events[0]
-        bad = [dataclasses.replace(ev, kind="barrier", nbytes=64)]
+    def test_negative_byte_count(self, cgyro_events):
+        bad = [dataclasses.replace(cgyro_events[0], nbytes=-64)]
         rep = lint_trace(bad)
         assert any(p.code == "nbytes" for p in rep.problems)
+
+    @pytest.mark.parametrize("ranks", [(-1, 0), (0, -3)], ids=["first", "second"])
+    def test_negative_rank(self, cgyro_events, ranks):
+        """A rank below 0 used to lint and replay clean."""
+        bad = [dataclasses.replace(cgyro_events[0], ranks=ranks)]
+        rep = lint_trace(bad)
+        assert [p.code for p in rep.problems] == ["ranks"]
+        assert "negative rank" in rep.render()
 
     def test_label_aliasing_is_partial_participation(self, cgyro_events):
         """Re-labelling one event onto another group's label: the lint
         sees a collective some of the label's members skipped."""
         labels = {}
         for ev in cgyro_events:
-            if ev.kind != "sendrecv":
-                labels.setdefault(ev.comm_label, ev.ranks)
+            labels.setdefault(ev.comm_label, ev.ranks)
         (l1, r1), (l2, r2) = list(labels.items())[:2]
         assert r1 != r2
         bad = [
-            dataclasses.replace(ev, comm_label=l1)
-            if ev.comm_label == l2 and ev.kind != "sendrecv"
-            else ev
+            dataclasses.replace(ev, comm_label=l1) if ev.comm_label == l2 else ev
             for ev in cgyro_events
         ]
         rep = lint_trace(bad)
@@ -147,14 +157,11 @@ class TestReplay:
         mis-wired communicator — must fail replay, not pass silently."""
         labels = {}
         for ev in cgyro_events:
-            if ev.kind != "sendrecv":
-                labels.setdefault(ev.comm_label, ev.ranks)
+            labels.setdefault(ev.comm_label, ev.ranks)
         (l1, r1), (l2, r2) = list(labels.items())[:2]
         assert r1 != r2
         bad = [
-            dataclasses.replace(ev, comm_label=l1)
-            if ev.comm_label == l2 and ev.kind != "sendrecv"
-            else ev
+            dataclasses.replace(ev, comm_label=l1) if ev.comm_label == l2 else ev
             for ev in cgyro_events
         ]
         with pytest.raises(ProtocolError) as exc:
@@ -213,7 +220,7 @@ class TestCli:
 
     def test_lint_failure_exits_1(self, cgyro_events, tmp_path, capsys):
         ev = cgyro_events[0]
-        bad = [dataclasses.replace(ev, kind="barrier", nbytes=64)]
+        bad = [dataclasses.replace(ev, nbytes=-64)]
         path = tmp_path / "bad.json"
         self._save_trace(bad, path)
         assert cli_main(["check-trace", str(path), "--no-replay"]) == 1
@@ -222,13 +229,10 @@ class TestCli:
     def test_replay_failure_exits_2(self, cgyro_events, tmp_path, capsys):
         labels = {}
         for ev in cgyro_events:
-            if ev.kind != "sendrecv":
-                labels.setdefault(ev.comm_label, ev.ranks)
+            labels.setdefault(ev.comm_label, ev.ranks)
         (l1, _), (l2, _) = list(labels.items())[:2]
         bad = [
-            dataclasses.replace(ev, comm_label=l1)
-            if ev.comm_label == l2 and ev.kind != "sendrecv"
-            else ev
+            dataclasses.replace(ev, comm_label=l1) if ev.comm_label == l2 else ev
             for ev in cgyro_events
         ]
         path = tmp_path / "drift.json"
@@ -238,3 +242,25 @@ class TestCli:
 
     def test_nothing_to_check_exits_2(self, capsys):
         assert cli_main(["check-trace"]) == 2
+
+    def test_a_retired_kind_is_refused_not_crashed_on(self, tmp_path):
+        """A trace naming a collective the model no longer issues: the
+        lint lists it, the replay refuses it with the checker's own
+        diagnosis, and the CLI exits 2 without a traceback."""
+        path = tmp_path / "bcast.json"
+        path.write_text(
+            '{"format": "repro-trace-v1", "events": [{"seq": 1, "kind": "bcast", '
+            '"comm_label": "world", "ranks": [0, 1], "n_nodes": 1, "nbytes": 8, '
+            '"algorithm": "", "t_start": 0.0, "cost_s": 1e-06, "category": "", '
+            '"nonblocking": false}]}'
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "check-trace", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: unknown collective kind 'bcast'")
+        assert "Traceback" not in done.stderr
+        assert "[unknown-kind] seq 1: unknown collective kind 'bcast'" in done.stdout

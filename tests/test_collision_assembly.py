@@ -17,7 +17,7 @@ from repro.collision import (
     cmat_total_bytes,
 )
 from repro.collision.cmat import apply_flops, cmat_block_bytes
-from repro.collision.conservation import apply_momentum_conservation, momentum_projector
+from repro.collision.conservation import momentum_projector
 from repro.grid import ConfigGrid, GridDims, VelocityGrid
 
 
@@ -106,10 +106,6 @@ class TestMomentumConservation:
         rng = np.random.default_rng(seed)
         f = rng.normal(size=g.dims.nv)
         assert f @ (u * (c @ f)) <= 1e-10
-
-    def test_shape_validation(self):
-        with pytest.raises(InputError):
-            apply_momentum_conservation(np.eye(3), np.ones(4), np.ones(4), np.ones(4))
 
 
 class TestOperatorAssembly:
@@ -263,7 +259,7 @@ class TestCmatSizeAccounting:
     def test_cmat_dominates_state_for_large_nv(self):
         """The nl03c property: cmat ~ nv/(2*n_buffers) x other buffers."""
         d = GridDims(4, 4, 4, 16, 4, 2)  # nv = 256
-        state_bytes = d.state_size * 16  # one complex buffer
+        state_bytes = d.nc * d.nv * d.nt * 16  # one complex buffer
         assert cmat_total_bytes(d) / state_bytes == d.nv / 2
 
 
@@ -279,12 +275,12 @@ class TestCmatSignature:
         return s
 
     def test_equal_signatures_match(self):
-        assert self.sig().matches(self.sig())
+        assert self.sig() == self.sig()
         assert self.sig().diff(self.sig()) == ()
 
     def test_nu_change_breaks_match(self):
         a, b = self.sig(), self.sig(nu=0.5)
-        assert not a.matches(b)
+        assert a != b
         assert b.diff(a) == ("nu",)
 
     def test_dt_is_part_of_signature(self):

@@ -103,7 +103,7 @@ class TestSlowdown:
             world, _inputs(), plan=FaultPlan.none(), checkpoint_interval=1
         )
         assert runner.injector.compute_multiplier(0) == 1.0
-        assert runner.injector.slowed_ranks() == ()
+        assert not runner.injector.has_slowdowns
         assert runner.guard_sdc is False  # no bitflip specs: no scans
         assert runner.straggler_detector is None
 

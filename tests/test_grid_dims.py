@@ -22,37 +22,12 @@ class TestGridDims:
         assert d.nc == 24
         assert d.nv == 64
         assert d.nt == 4
-        assert d.state_size == 24 * 64 * 4
 
     def test_invalid_resolution_rejected(self):
         with pytest.raises(InputError):
             dims(nr=0)
         with pytest.raises(InputError):
             GridDims(4, 4, 4, 4, 4, -1)
-
-    def test_ic_roundtrip(self):
-        d = dims()
-        for ic in range(d.nc):
-            ir, it = d.unpack_ic(ic)
-            assert d.ic_of(ir, it) == ic
-
-    def test_iv_roundtrip(self):
-        d = dims()
-        for iv in range(d.nv):
-            s, e, x = d.unpack_iv(iv)
-            assert d.iv_of(s, e, x) == iv
-
-    def test_iv_is_species_major(self):
-        d = dims()
-        assert d.iv_of(0, 0, 0) == 0
-        assert d.iv_of(1, 0, 0) == d.n_energy * d.n_xi
-
-    def test_out_of_range_indices(self):
-        d = dims()
-        with pytest.raises(InputError):
-            d.ic_of(d.n_radial, 0)
-        with pytest.raises(InputError):
-            d.unpack_iv(d.nv)
 
     def test_describe(self):
         assert "nc=24" in dims().describe()
@@ -101,21 +76,6 @@ class TestVelocityGrid:
         e = g.flat_energy()
         per_species = (w * e).reshape(2, -1).sum(axis=1)
         np.testing.assert_allclose(per_species, 1.5, rtol=1e-12)
-
-    def test_species_moment_contract(self):
-        d = dims()
-        g = VelocityGrid.build(d)
-        values = np.ones((5, d.nv))
-        out = g.species_moment(values, np.array([2.0, 3.0]))
-        np.testing.assert_allclose(out, 5.0)  # 2*1 + 3*1 per unit weight sums
-
-    def test_species_moment_validates_shapes(self):
-        d = dims()
-        g = VelocityGrid.build(d)
-        with pytest.raises(InputError):
-            g.species_moment(np.ones((5, d.nv + 1)), np.ones(2))
-        with pytest.raises(InputError):
-            g.species_moment(np.ones((5, d.nv)), np.ones(3))
 
     def test_n_xi_one_rejected(self):
         with pytest.raises(InputError):

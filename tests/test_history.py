@@ -34,12 +34,6 @@ class TestAccumulation:
         assert hist.phi2.shape == (3, 3)
         np.testing.assert_allclose(hist.walls, 1.0)
 
-    def test_category_series(self):
-        hist = TimeHistory()
-        hist.extend([make_row(10), make_row(20)])
-        np.testing.assert_allclose(hist.category_series("str_comm"), [1.0, 2.0])
-        np.testing.assert_allclose(hist.category_series("absent"), [0.0, 0.0])
-
     def test_non_monotonic_steps_rejected(self):
         hist = TimeHistory()
         hist.append(make_row(10))
@@ -59,17 +53,6 @@ class TestAccumulation:
 
 
 class TestAnalysis:
-    def test_total_and_mean_flux(self):
-        hist = TimeHistory()
-        hist.extend([make_row(10, flux=[1.0, 1.0, 1.0]), make_row(20, flux=[3.0, 3.0, 3.0])])
-        np.testing.assert_allclose(hist.total_flux(), [3.0, 9.0])
-        np.testing.assert_allclose(hist.mean_flux(), [2.0, 2.0, 2.0])
-        np.testing.assert_allclose(hist.mean_flux(last=1), [3.0, 3.0, 3.0])
-
-    def test_mean_flux_empty_raises(self):
-        with pytest.raises(InputError):
-            TimeHistory().mean_flux()
-
     def test_saturation_detection(self):
         hist = TimeHistory()
         # growing amplitude: not saturated
@@ -96,8 +79,9 @@ class TestPersistence:
         back = TimeHistory.load(path)
         assert len(back) == 2
         np.testing.assert_allclose(back.flux, hist.flux)
-        np.testing.assert_allclose(back.category_series("str_comm"),
-                                   hist.category_series("str_comm"))
+        assert [r.categories for r in back._rows] == [
+            r.categories for r in hist._rows
+        ]
 
     def test_empty_save_rejected(self, tmp_path):
         with pytest.raises(InputError):

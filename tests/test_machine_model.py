@@ -41,8 +41,6 @@ class TestMachineModel:
     def test_derived_quantities(self):
         m = make_machine()
         assert m.n_ranks == 8
-        assert m.mem_per_node_bytes == 4096.0
-        assert m.total_memory_bytes == 8192.0
 
     def test_compute_seconds(self):
         m = make_machine(flops_per_rank=2e9)
@@ -51,11 +49,6 @@ class TestMachineModel:
     def test_compute_seconds_rejects_negative(self):
         with pytest.raises(MachineError):
             make_machine().compute_seconds(-1.0)
-
-    def test_with_nodes_resizes(self):
-        m = make_machine().with_nodes(16)
-        assert m.n_nodes == 16
-        assert m.n_ranks == 64
 
     @pytest.mark.parametrize(
         "field,value",

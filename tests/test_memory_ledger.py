@@ -47,7 +47,8 @@ class TestBasicAccounting:
     def test_exact_fit_succeeds(self):
         led = MemoryLedger(1000)
         led.alloc("a", 1000)
-        assert led.available_bytes == 0
+        assert led.in_use_bytes == 1000
+        assert not led.would_fit("b", 1)
 
     def test_unlimited_ledger_never_raises(self):
         led = MemoryLedger(None)
@@ -84,23 +85,11 @@ class TestBasicAccounting:
         with pytest.raises(ValueError):
             MemoryLedger(10).would_fit("a", -1)
 
-    def test_available_bytes_is_int_and_allocatable(self):
+    def test_a_fractional_limit_fits_its_floor(self):
         led = MemoryLedger(100.7)
         led.alloc("a", 60)
-        assert led.available_bytes == 40
-        assert isinstance(led.available_bytes, int)
-        assert led.would_fit("b", led.available_bytes)
-
-    def test_available_bytes_unlimited_is_inf(self):
-        assert math.isinf(MemoryLedger(None).available_bytes)
-
-    def test_free_all_preserves_peak(self):
-        led = MemoryLedger(100)
-        led.alloc("a", 70)
-        led.free_all()
-        assert led.in_use_bytes == 0
-        assert led.peak_bytes == 70
-        assert len(led) == 0
+        assert led.would_fit("b", 40)
+        assert not led.would_fit("b", 41)
 
     def test_report_lists_largest_first(self):
         led = MemoryLedger(1000, rank=3)

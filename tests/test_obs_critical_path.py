@@ -26,6 +26,11 @@ from repro.xgyro import XgyroEnsemble
 _CATS = ("str_comm", "str_compute", "coll_comm", "nl_compute", "")
 
 
+def _span_ids(path):
+    """Ids of the spans on the path, in path (ascending-time) order."""
+    return tuple(s.span_id for s in path.segments if s.span_id is not None)
+
+
 @st.composite
 def leaf_spans(draw, min_size=1, max_size=24):
     """Random leaf-span lists on a 4-rank toy timeline."""
@@ -94,12 +99,12 @@ class TestExtractionLaws:
     @settings(max_examples=100, deadline=None)
     def test_removing_non_critical_span_changes_nothing(self, spans):
         path = extract_critical_path(spans)
-        on_path = set(path.span_ids())
+        on_path = set(_span_ids(path))
         off_path = [s for s in spans if s.span_id not in on_path]
         for victim in off_path[:3]:
             pruned = [s for s in spans if s.span_id != victim.span_id]
             again = extract_critical_path(pruned)
-            assert again.span_ids() == path.span_ids()
+            assert _span_ids(again) == _span_ids(path)
             assert again.total_s == path.total_s
             assert [
                 (s.t_start, s.t_end, s.category) for s in again.segments
@@ -134,7 +139,7 @@ class TestExtractionLaws:
                  attrs={"last_arrival": 1}),
         ]
         path = extract_critical_path(spans)
-        assert path.span_ids() == (0, 2)  # slow rank chains, fast is off-path
+        assert _span_ids(path) == (0, 2)  # slow rank chains, fast is off-path
         assert path.idle_s == 0.0
 
 
@@ -172,7 +177,7 @@ class TestOverlappedAttribution:
                  ranks=(0, 1), attrs={"nonblocking": True}),
         ]
         path = extract_critical_path(spans)
-        assert set(path.span_ids()) == {0}  # the hidden window is off-path
+        assert set(_span_ids(path)) == {0}  # the hidden window is off-path
         cats = path.by_category()
         assert cats["str_compute"] == pytest.approx(2.0)
         assert cats[OVERLAPPED] == pytest.approx(2.0)

@@ -77,14 +77,6 @@ class TestSpanTracer:
         )
         assert Span.from_dict(s.to_dict()) == s
 
-    def test_render_tree_mentions_children(self):
-        tr = SpanTracer()
-        tr.begin("root", "step", 0.0)
-        tr.record("kid", "compute", 0.0, 1.0)
-        tr.end(1.0)
-        text = tr.render_tree()
-        assert "root" in text and "kid" in text
-
 
 class TestWorldInstrumentation:
     def test_world_span_is_nullcontext_without_tracer(self, small_world):

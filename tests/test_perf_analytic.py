@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cgyro import CgyroSimulation, small_test
-from repro.machine import generic_cluster, single_node
+from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
+from repro.machine import frontier_like, generic_cluster, single_node
 from repro.perf import predict_cgyro_interval, predict_xgyro_interval
 from repro.perf.analytic import AnalyticBreakdown
 from repro.vmpi import VirtualWorld
@@ -96,6 +97,37 @@ class TestQualitativeLaws:
         cgyro = predict_cgyro_interval(inp, machine, 16)
         xgyro = predict_xgyro_interval(k, inp, machine, 16)
         assert xgyro.str_comm < k * cgyro.str_comm
+
+    def test_ensemble_speedup_grows_with_k(self):
+        """The paper's throughput claim on the headline machine: k
+        sharing members on fixed nodes beat k sequential CGYRO runs by
+        more the larger k is."""
+        inp = nl03c_scaled()
+        machine = frontier_like(n_nodes=32, mem_per_rank_bytes=NL03C_SCALED_MEM_PER_RANK)
+        sequential = predict_cgyro_interval(inp, machine, machine.n_ranks).total
+        speedups = [
+            k * sequential / predict_xgyro_interval(k, inp, machine, machine.n_ranks).total
+            for k in (1, 2, 4, 8)
+        ]
+        assert speedups[0] == pytest.approx(1.0)
+        assert all(b > a for a, b in zip(speedups, speedups[1:]))
+
+    def test_strong_scaling_efficiency_degrades(self):
+        """One nl03c run across more nodes: each doubling buys less,
+        because the communication share keeps growing."""
+        inp = nl03c_scaled()
+        walls, ranks, comm_fractions = [], [], []
+        for n_nodes in (8, 16, 32):
+            machine = frontier_like(n_nodes=n_nodes)
+            pred = predict_cgyro_interval(inp, machine, machine.n_ranks)
+            comm = sum(pred.categories[c] for c in ("str_comm", "coll_comm", "nl_comm"))
+            walls.append(pred.total)
+            ranks.append(machine.n_ranks)
+            comm_fractions.append(comm / pred.total)
+        efficiency = [(walls[0] / w) / (n / ranks[0]) for w, n in zip(walls, ranks)]
+        assert efficiency[0] == pytest.approx(1.0)
+        assert all(b < a for a, b in zip(efficiency, efficiency[1:]))
+        assert all(b > a for a, b in zip(comm_fractions, comm_fractions[1:]))
 
     def test_scaled_breakdown(self):
         b = AnalyticBreakdown({"a": 1.0, "b": 2.0})

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import PlacementError
 from repro.machine import (
     BlockPlacement,
-    ExplicitPlacement,
     RoundRobinPlacement,
     generic_cluster,
 )
@@ -28,7 +27,6 @@ class TestBlockPlacement:
     def test_partial_job(self, machine):
         p = BlockPlacement(machine, 6)
         assert p.nodes_of(range(6)) == (0, 1)
-        assert p.n_nodes_used() == 2
 
     def test_group_profiling(self, machine):
         p = BlockPlacement(machine, 16)
@@ -60,18 +58,4 @@ class TestRoundRobinPlacement:
     def test_same_footprint_as_block(self, machine):
         block = BlockPlacement(machine, 10)
         rr = RoundRobinPlacement(machine, 10)
-        assert block.n_nodes_used() == rr.n_nodes_used() == 3
-
-
-class TestExplicitPlacement:
-    def test_table_is_respected(self, machine):
-        p = ExplicitPlacement(machine, [3, 3, 0, 1])
-        assert [p.node_of(r) for r in range(4)] == [3, 3, 0, 1]
-
-    def test_unknown_node_rejected(self, machine):
-        with pytest.raises(PlacementError):
-            ExplicitPlacement(machine, [0, 4])
-
-    def test_oversubscription_rejected(self, machine):
-        with pytest.raises(PlacementError):
-            ExplicitPlacement(machine, [0] * 5)  # 5 ranks on a 4-slot node
+        assert len(block.nodes_of(range(10))) == len(rr.nodes_of(range(10))) == 3

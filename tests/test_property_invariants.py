@@ -112,7 +112,7 @@ class TestLayoutAlgebra:
         ones = np.ones((dims.nc, dims.nv, dims.nt), dtype=complex)
         for layout in (Layout.STR, Layout.COLL):
             blocks = scatter_global(ones, layout, dec)
-            assert sum(b.size for b in blocks) == dims.state_size
+            assert sum(b.size for b in blocks) == ones.size
             np.testing.assert_array_equal(
                 gather_global(blocks, layout, dec), ones
             )

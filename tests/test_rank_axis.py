@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 import repro.cgyro.solver as solver_module
+import repro.vmpi.communicator as communicator_module
 from repro.cgyro import CgyroSimulation
 from repro.cgyro.fields import FieldSolver
 from repro.cgyro.presets import small_test
@@ -35,7 +36,7 @@ from repro.check import CollectiveChecker
 from repro.errors import CollectiveError, CommunicatorError
 from repro.machine import generic_cluster
 from repro.resilience import CheckpointStore
-from repro.vmpi import Communicator, RankStacked, ReduceOp, VirtualWorld
+from repro.vmpi import Communicator, RankStacked, VirtualWorld
 from repro.xgyro import SequentialCgyroBaseline, XgyroEnsemble
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -118,7 +119,7 @@ def test_a_stage_runs_once_per_member_and_models_what_it_did(monkeypatch, overla
     count(VirtualWorld, "charge_compute")
     # host calls on the reduction path (the gate below)
     count(Communicator, "allreduce")
-    count(ReduceOp, "reduce")
+    count(communicator_module, "reduce_ranks")
     count(solver_module, "allreduce_rounds")
 
     ens = _ensemble(overlap)
@@ -158,12 +159,13 @@ def test_a_stage_runs_once_per_member_and_models_what_it_did(monkeypatch, overla
         **{m.comm_sim.label: 1 for m in ens.members},  # the diagnostics
     }
 
-    # the host: a blocking field solve is one statement, one ``reduce``
-    # per chunk, and never goes through ``Communicator.allreduce``
+    # the host: a blocking field solve is one statement, one
+    # ``reduce_ranks`` per chunk, and never goes through
+    # ``Communicator.allreduce``
     blocks = 0 if overlap == "full" else n_chunks * field_solves
     assert calls["allreduce_rounds"] == blocks
     assert calls["allreduce"] == members  # the diagnostics again
-    assert calls["reduce"] == members + (
+    assert calls["reduce_ranks"] == members + (
         blocks if blocks else p2 * n_chunks * field_solves
     )
 
@@ -278,11 +280,8 @@ class TestStackedOperand:
         assert not waited[2].flags.writeable and np.array_equal(waited[2], out[5])
 
     @pytest.mark.parametrize("nonblocking", [False, True], ids=["blocking", "posted"])
-    @pytest.mark.parametrize("op", list(ReduceOp), ids=lambda op: op.name)
-    def test_a_plain_dict_and_its_stack_reduce_and_check_alike(self, op, nonblocking):
+    def test_a_plain_dict_and_its_stack_reduce_and_check_alike(self, nonblocking):
         _, view = self._operands()
-        if op in (ReduceOp.MAX, ReduceOp.MIN):
-            view = view.real
         ranks = [5, 2, 9]
         operands = {
             "dict": lambda: {r: np.ascontiguousarray(view[i]) for i, r in enumerate(ranks)},
@@ -297,9 +296,9 @@ class TestStackedOperand:
             world.install_checker(CollectiveChecker())
             comm = Communicator(world, ranks, label="g")
             if nonblocking:
-                results[kind] = comm.iallreduce(operand(), op).wait()[5]
+                results[kind] = comm.iallreduce(operand()).wait()[5]
             else:
-                results[kind] = comm.allreduce(operand(), op)[5]
+                results[kind] = comm.allreduce(operand())[5]
             admitted[kind] = world.checker.completed
             clocks[kind] = world.clock.copy()
             events[kind] = list(world.trace)

@@ -18,8 +18,7 @@ from repro.errors import (
 from repro.machine import generic_cluster
 from repro.machine.memory import MemoryLedger
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
-from repro.vmpi import VirtualWorld
-from repro.vmpi.datatypes import ReduceOp
+from repro.vmpi import Communicator, VirtualWorld, allreduce_rounds
 
 
 class TestFaultSpecValidation:
@@ -191,17 +190,18 @@ class TestFaultInjector:
         inj = FaultInjector(world, plan)
         world.install_fault_injector(inj)
         comm = world.comm_world()
+        values = {r: np.ones(2) for r in comm.ranks}
         inj.begin_step(1)  # not armed yet
-        comm.barrier()
+        comm.allreduce(values)
         inj.begin_step(2)
         with pytest.raises(RankFailure) as excinfo:
-            comm.barrier()
+            comm.allreduce(values)
         err = excinfo.value
         assert err.failed_ranks == (3,)
         assert err.failed_nodes == (0,)
         assert err.step == 2
         assert err.detection_timeout_s == 5.0
-        assert err.kind == "barrier"
+        assert err.kind == "allreduce"
         # the survivors paid the timeout; the dead rank's clock froze
         live = [r for r in range(8) if r != 3]
         assert all(world.clock[r] >= 5.0 for r in live)
@@ -213,7 +213,7 @@ class TestFaultInjector:
         inj = FaultInjector(world, plan)
         world.install_fault_injector(inj)
         with pytest.raises(RankFailure) as excinfo:
-            world.comm_world().barrier()
+            world.comm_world().allreduce({r: np.ones(2) for r in range(8)})
         assert excinfo.value.failed_ranks == (4, 5, 6, 7)
         assert excinfo.value.failed_nodes == (1,)
 
@@ -243,27 +243,29 @@ class TestFaultInjector:
         world = self._world()
         world.install_fault_injector(FaultInjector(world, plan))
         ref = VirtualWorld(generic_cluster(n_nodes=2, ranks_per_node=4))
+        values = {r: np.ones(2) for r in range(8)}
         for w, cat in ((world, "str_comm"), (ref, "str_comm")):
             comm = w.comm_world()
             with w.phase(cat):
-                comm.barrier()
+                comm.allreduce(values)
         assert world.elapsed() == ref.elapsed()  # wrong phase: no effect
         with world.phase("coll_comm"):
-            world.comm_world().barrier()
+            world.comm_world().allreduce(values)
         with ref.phase("coll_comm"):
-            ref.comm_world().barrier()
+            ref.comm_world().allreduce(values)
         assert world.elapsed() > ref.elapsed()
 
-    def test_sendrecv_detects_dead_peer(self):
+    def test_pair_detects_dead_peer(self):
         world = self._world()
         plan = FaultPlan(
             specs=(FaultSpec("rank_crash", at_step=0, rank=1),),
             detection_timeout_s=2.0,
         )
         world.install_fault_injector(FaultInjector(world, plan))
-        comm = world.comm_world()
-        with pytest.raises(RankFailure):
-            comm.sendrecv(np.ones(4), source=0, dest=1)
+        pair = Communicator(world, [0, 1], label="pair")
+        with pytest.raises(RankFailure) as excinfo:
+            pair.allreduce({0: np.ones(4), 1: np.ones(4)})
+        assert excinfo.value.failed_ranks == (1,)
 
 
 class TestErrorHierarchy:
@@ -287,4 +289,4 @@ class TestErrorHierarchy:
 
     def test_empty_reduce_is_collective_error(self):
         with pytest.raises(CollectiveError):
-            ReduceOp.SUM.combine([])
+            allreduce_rounds([], np.ones((1, 1, 1)), [])

@@ -50,11 +50,11 @@ class TestPoolLifecycle:
         transition(pool.book, grown, PROVISIONING, 10.0, ready_at)
         assert pool.state_of(1) == PROVISIONING
         assert pool.provisioned == 1 and pool.committed == 3
-        assert pool.next_ready() == 40.0
+        assert pool.ready_times() == [40.0]
         assert pool.due_ready(39.0) == []
         assert pool.due_ready(40.0) == [1, 2]
         transition(pool.book, [1, 2], IDLE, 40.0)
-        assert pool.due_ready(40.0) == [] and pool.next_ready() is None
+        assert pool.due_ready(40.0) == [] and pool.ready_times() == []
         assert pool.free_nodes(40.0) == [0, 1, 2]
 
     def test_grow_clamps_at_ceiling(self, machine):
@@ -122,7 +122,7 @@ class TestPoolLifecycle:
         # idle (1), busy (0), provisioning (2) and offline (3) alike
         assert transition(pool.book, [0, 1, 2, 3], OFFLINE, 2.0)
         assert pool.provisioned == 0 and pool.committed == 0
-        assert pool.next_ready() is None and pool.next_reclaim() is None
+        assert pool.ready_times() == [] and pool.next_reclaim() is None
         assert pool.book["idle_since"] == {} and pool.book["ready_at"] == {}
 
     def test_cost_integral_counts_provisioned_seconds(self, machine):

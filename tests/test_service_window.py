@@ -136,10 +136,6 @@ class TestWindowEdges:
         with pytest.raises(ServiceError):
             window.add(_request(0, 1), 1.0)
 
-    def test_held_since_unknown_id_raises(self):
-        with pytest.raises(ServiceError):
-            MovingWindow().held_since("ghost")
-
     def test_policy_validation(self):
         with pytest.raises(ServiceError):
             WindowPolicy(max_hold_s=-1.0)

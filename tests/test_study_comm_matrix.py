@@ -9,8 +9,10 @@ from repro.errors import InputError, VmpiError
 from repro.cgyro import CgyroSimulation, small_test
 from repro.cgyro.history import TimeHistory
 from repro.machine import BlockPlacement, generic_cluster, single_node
+from repro.check import KNOWN_KINDS
 from repro.perf.comm_matrix import communication_matrix, locality_report
-from repro.vmpi import Communicator, VirtualWorld
+from repro.vmpi import VirtualWorld
+from repro.vmpi.tracer import CollectiveEvent
 from repro.xgyro import XgyroEnsemble
 from repro.xgyro.input import write_ensemble
 from repro.xgyro.study import XgyroStudy
@@ -79,13 +81,6 @@ class TestXgyroStudy:
 
 
 class TestCommunicationMatrix:
-    def test_sendrecv_attribution(self):
-        world = VirtualWorld(single_node(ranks=4))
-        world.comm_world().sendrecv(np.ones(16), source=1, dest=3)  # 128 B
-        mat = communication_matrix(world.trace, 4)
-        assert mat[1, 3] == 128.0
-        assert mat.sum() == 128.0
-
     def test_alltoall_uniform_attribution(self):
         world = VirtualWorld(single_node(ranks=4))
         comm = world.comm_world()
@@ -103,27 +98,39 @@ class TestCommunicationMatrix:
         assert mat[3, 0] == pytest.approx(expected)  # ring wraps
         assert mat[0, 2] == 0.0
 
-    def test_bcast_and_reduce_star(self):
-        world = VirtualWorld(single_node(ranks=3))
-        comm = world.comm_world()
-        comm.bcast(np.ones(8), root=0)  # 64 B from comm-rank 0
-        comm.reduce({r: np.ones(8) for r in range(3)}, root=0)
-        mat = communication_matrix(world.trace, 3)
-        assert mat[0, 1] == pytest.approx(32.0)  # bcast split across 2
-        assert mat[1, 0] == pytest.approx(32.0)  # reduce inbound
-
-    def test_barrier_carries_nothing(self):
+    def test_an_empty_payload_carries_nothing(self):
         world = VirtualWorld(single_node(ranks=4))
-        world.comm_world().barrier()
+        world.comm_world().allreduce({r: np.ones(0) for r in range(4)})
         assert communication_matrix(world.trace, 4).sum() == 0.0
 
     def test_validation(self):
         world = VirtualWorld(single_node(ranks=4))
-        world.comm_world().barrier()
+        world.comm_world().allreduce({r: np.ones(2) for r in range(4)})
         with pytest.raises(VmpiError):
             communication_matrix(world.trace, 0)
         with pytest.raises(VmpiError):
             communication_matrix(world.trace, 2)
+
+    @pytest.mark.parametrize(
+        "ranks", [(-1, 0), ()], ids=["negative-rank", "no-participants"]
+    )
+    def test_a_rank_outside_the_world_is_refused(self, ranks):
+        """(-1, 0) used to book its bytes on mat[3, 0] and mat[0, 3] —
+        numpy wraps the -1 — and () raised a bare ValueError."""
+        event = CollectiveEvent(
+            seq=1, kind="allreduce", comm_label="c", ranks=ranks, n_nodes=1,
+            nbytes=8, algorithm="ring", t_start=0.0, cost_s=1e-6, category="",
+        )
+        with pytest.raises(VmpiError, match="trace event 1"):
+            communication_matrix(_subtrace([event]), 4)
+
+    def test_every_known_kind_is_attributed(self):
+        for kind in sorted(KNOWN_KINDS):
+            event = CollectiveEvent(
+                seq=1, kind=kind, comm_label="c", ranks=(0, 1), n_nodes=1,
+                nbytes=8, algorithm="", t_start=0.0, cost_s=1e-6, category="",
+            )
+            assert communication_matrix(_subtrace([event]), 2).sum() > 0.0
 
 
 class TestLocality:

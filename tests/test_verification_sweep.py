@@ -1,4 +1,4 @@
-"""Tests for numerical verification (convergence orders) and sweeps."""
+"""Tests for numerical verification (convergence orders)."""
 
 from __future__ import annotations
 
@@ -6,16 +6,9 @@ import pytest
 
 from repro.errors import InputError
 from repro.cgyro import small_test
-from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
 from repro.cgyro.verification import (
     split_step_convergence,
     streaming_convergence,
-)
-from repro.machine import frontier_like, generic_cluster
-from repro.perf.sweep import (
-    CollisionalitySweep,
-    EnsembleSizeSweep,
-    StrongScalingSweep,
 )
 
 
@@ -45,66 +38,3 @@ class TestConvergenceOrders:
             streaming_convergence(smooth_input, dts=(0.005, 0.01))
         with pytest.raises(InputError):
             streaming_convergence(smooth_input, t_final=0.0301, dts=(0.02, 0.01))
-
-
-class TestEnsembleSizeSweep:
-    def test_points_and_rendering(self):
-        machine = frontier_like(n_nodes=32, mem_per_rank_bytes=NL03C_SCALED_MEM_PER_RANK)
-        sweep = EnsembleSizeSweep(nl03c_scaled(), machine)
-        points = sweep.run([1, 2, 4, 8])
-        assert [p.k for p in points] == [1, 2, 4, 8]
-        # speedup grows with k (the paper's throughput claim)
-        speedups = [p.speedup_vs_sequential for p in points]
-        assert all(b > a for a, b in zip(speedups, speedups[1:]))
-        table = EnsembleSizeSweep.render(points)
-        assert "speedup" in table and " 8 " in table
-
-    def test_invalid_k_rejected(self):
-        machine = generic_cluster(n_nodes=4, ranks_per_node=4)
-        sweep = EnsembleSizeSweep(small_test(), machine)
-        with pytest.raises(InputError):
-            sweep.run([3])
-        with pytest.raises(InputError):
-            sweep.run([])
-
-
-class TestStrongScalingSweep:
-    def test_efficiency_degrades(self):
-        sweep = StrongScalingSweep(nl03c_scaled())
-        points = sweep.run([8, 16, 32])
-        eff = StrongScalingSweep.parallel_efficiency(points)
-        assert eff[0] == pytest.approx(1.0)
-        assert all(b < a for a, b in zip(eff, eff[1:]))
-        fractions = [p.comm_fraction for p in points]
-        assert all(b > a for a, b in zip(fractions, fractions[1:]))
-        assert "comm %" in StrongScalingSweep.render(points)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            StrongScalingSweep(small_test()).run([])
-
-    def test_empty_efficiency(self):
-        assert StrongScalingSweep.parallel_efficiency([]) == []
-
-
-class TestCollisionalitySweep:
-    def test_collisions_damp_the_mode(self):
-        inp = small_test(dlntdr=(9.0, 9.0), nonadiabatic_delta=0.3, delta_t=0.02)
-        sweep = CollisionalitySweep(inp, n_mode=1)
-        points = sweep.run([0.02, 0.4], tol=1e-6)
-        assert points[0].gamma > points[1].gamma
-        assert "gamma" in CollisionalitySweep.render(points)
-
-    def test_rejects_nonlinear_input(self):
-        with pytest.raises(InputError):
-            CollisionalitySweep(small_test(nonlinear=True))
-
-    def test_rejects_empty(self):
-        with pytest.raises(InputError):
-            CollisionalitySweep(small_test()).run([])
-
-    def test_scan_points_cannot_share_cmat(self):
-        """The contrast with gradient scans: nu changes the signature."""
-        inp = small_test()
-        sigs = {inp.with_updates(nu=nu).cmat_signature() for nu in (0.1, 0.2)}
-        assert len(sigs) == 2

@@ -10,14 +10,8 @@ from repro.vmpi import (
     AllreduceAlgorithm,
     AlltoallAlgorithm,
     EffectiveLink,
-    allgather_cost,
     allreduce_cost,
     alltoall_cost,
-    barrier_cost,
-    bcast_cost,
-    gather_cost,
-    reduce_cost,
-    scatter_cost,
 )
 
 LINK = EffectiveLink(latency_s=1e-6, bandwidth_Bps=1e9, overhead_s=1e-5)
@@ -89,30 +83,3 @@ class TestAlltoall:
 
     def test_single_rank(self):
         assert alltoall_cost(1, 1e6, LINK) == LINK.overhead_s
-
-
-class TestOtherCollectives:
-    def test_allgather_grows_with_p(self):
-        assert allgather_cost(16, 1024, LINK) > allgather_cost(4, 1024, LINK)
-
-    def test_bcast_logarithmic(self):
-        c2 = bcast_cost(2, 1024, LINK) - LINK.overhead_s
-        c16 = bcast_cost(16, 1024, LINK) - LINK.overhead_s
-        assert c16 == pytest.approx(4 * c2)
-
-    def test_reduce_equals_bcast_cost(self):
-        assert reduce_cost(8, 2048, LINK) == bcast_cost(8, 2048, LINK)
-
-    def test_gather_scatter_symmetric(self):
-        assert gather_cost(8, 4096, LINK) == scatter_cost(8, 4096, LINK)
-
-    def test_barrier_has_no_bandwidth_term(self):
-        fat = EffectiveLink(latency_s=1e-6, bandwidth_Bps=1e6, overhead_s=0.0)
-        thin = EffectiveLink(latency_s=1e-6, bandwidth_Bps=1e12, overhead_s=0.0)
-        assert barrier_cost(16, fat) == barrier_cost(16, thin)
-
-    def test_all_single_rank_cases(self):
-        assert allgather_cost(1, 10, LINK) == LINK.overhead_s
-        assert bcast_cost(1, 10, LINK) == LINK.overhead_s
-        assert gather_cost(1, 10, LINK) == LINK.overhead_s
-        assert barrier_cost(1, LINK) == LINK.overhead_s

@@ -84,19 +84,14 @@ class TestClocks:
             small_world.sync_charge([rank], 1.0)
         assert not small_world.clock.any() and small_world.categories() == ()
 
-    def test_reset_clocks(self, small_world):
-        small_world.charge_compute(0, seconds=1.0, category="x")
-        small_world.reset_clocks()
-        assert small_world.elapsed() == 0.0
-        assert small_world.category_time("x") == 0.0
-
 
 class TestCategories:
     def test_phase_context_labels_charges(self, small_world):
+        values = {r: np.ones(2) for r in range(small_world.n_ranks)}
         with small_world.phase("str_comm"):
-            small_world.comm_world().barrier()
+            small_world.comm_world().allreduce(values)
         with small_world.phase("coll_comm"):
-            small_world.comm_world().barrier()
+            small_world.comm_world().allreduce(values)
         assert small_world.category_time("str_comm") > 0
         assert small_world.category_time("coll_comm") > 0
         assert set(small_world.categories()) == {"str_comm", "coll_comm"}
@@ -140,9 +135,9 @@ class TestTracing:
     def test_collectives_are_traced(self, small_world):
         comm = small_world.comm_world()
         comm.allreduce({r: 1.0 for r in range(16)})
-        comm.barrier()
+        comm.alltoall({r: [np.ones(1)] * 16 for r in range(16)})
         events = small_world.trace.events
-        assert [e.kind for e in events] == ["allreduce", "barrier"]
+        assert [e.kind for e in events] == ["allreduce", "alltoall"]
         assert events[0].size == 16
         assert events[0].n_nodes == 4
         assert events[0].cost_s > 0
@@ -159,19 +154,18 @@ class TestTracing:
 
     def test_trace_can_be_disabled(self, small_machine):
         w = VirtualWorld(small_machine, trace=False)
-        w.comm_world().barrier()
+        w.comm_world().allreduce({r: 1.0 for r in range(w.n_ranks)})
         assert len(w.trace) == 0
 
     def test_trace_queries(self, small_world):
         comm = small_world.comm_world()
         with small_world.phase("a"):
-            comm.barrier()
+            comm.alltoall({r: [np.ones(1)] * 16 for r in range(16)})
         with small_world.phase("b"):
             comm.allreduce({r: np.ones(4) for r in range(16)})
         tr = small_world.trace
-        assert len(tr.filter(kind="barrier")) == 1
+        assert len(tr.filter(kind="alltoall")) == 1
         assert len(tr.filter(category="b")) == 1
-        assert tr.total_time(category="b") > 0
         assert tr.total_bytes(kind="allreduce") == 32
         assert "world" in tr.comm_labels()
         assert "allreduce" in tr.render_summary()

@@ -8,7 +8,6 @@ from repro.errors import DecompositionError, EnsembleValidationError
 from repro.cgyro import small_test
 from repro.grid import Decomposition
 from repro.xgyro import ensemble_coll_ranks, partition_ranks, validate_shareable
-from repro.xgyro.partition import ensemble_nc_loc, ensemble_nc_slice
 
 
 class TestPartitionRanks:
@@ -42,37 +41,6 @@ class TestEnsembleCollRanks:
         dec = Decomposition(dims, 2, 2)
         with pytest.raises(DecompositionError):
             ensemble_coll_ranks([(0, 1, 2)], dec, 0)
-
-
-class TestEnsembleNcDistribution:
-    def test_nc_loc_shrinks_by_k(self):
-        dims = small_test().grid_dims()  # nc=16
-        dec = Decomposition(dims, 2, 2)
-        assert ensemble_nc_loc(dec, 1) == 8
-        assert ensemble_nc_loc(dec, 2) == 4
-        assert ensemble_nc_loc(dec, 4) == 2
-
-    def test_slices_partition_nc(self):
-        dims = small_test().grid_dims()
-        dec = Decomposition(dims, 2, 2)
-        k = 2
-        covered = []
-        for j in range(k * dec.n_proc_1):
-            s = ensemble_nc_slice(dec, k, j)
-            covered.extend(range(*s.indices(dims.nc)))
-        assert covered == list(range(dims.nc))
-
-    def test_indivisible_nc_rejected(self):
-        dims = small_test(n_radial=3).grid_dims()  # nc=12
-        dec = Decomposition(dims, 2, 2)
-        with pytest.raises(DecompositionError, match="nc=12"):
-            ensemble_nc_loc(dec, 8)  # 16-way split of 12
-
-    def test_out_of_range_comm_rank(self):
-        dims = small_test().grid_dims()
-        dec = Decomposition(dims, 2, 2)
-        with pytest.raises(DecompositionError):
-            ensemble_nc_slice(dec, 2, 4)
 
 
 class TestValidateShareable:
