@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from repro.errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.vmpi.communicator import Communicator
+    from repro.vmpi.tracer import CollectiveRows
 
 #: Every kind the virtual MPI substrate executes: the str-phase
 #: AllReduce and the str<->coll AllToAll.  The cost model, the trace
@@ -77,6 +79,32 @@ class CollectivePost:
             f"seq {self.seq}: rank {self.rank} {self.kind} on "
             f"{self.comm_label!r} ({self.nbytes} B{extra})"
         )
+
+
+class _Admitted(NamedTuple):
+    """A clean lockstep statement admitted whole: ``rounds`` rounds on
+    each of ``groups`` (ranks sending ``sizes[g]``), built on the first
+    read post by post, numbered on from ``seq`` and sited from ``site``."""
+
+    kind: str
+    op: str
+    dtype: str
+    groups: Sequence[Tuple[int, ...]]
+    labels: Sequence[str]
+    sizes: Sequence[Tuple[int, ...]]
+    rounds: int
+    seq: int
+    site: int
+
+    def posts(self) -> Iterator[Tuple[CollectivePost, ...]]:
+        seq, site, kind, op, dtype = self.seq, self.site, self.kind, self.op, self.dtype
+        for _ in range(self.rounds):
+            for ranks, label, sizes in zip(self.groups, self.labels, self.sizes):
+                yield tuple(
+                    CollectivePost(seq + k + 1, r, label, ranks, kind, nb, op, dtype, site)
+                    for k, (r, nb) in enumerate(zip(ranks, sizes))
+                )
+                seq, site = seq + len(ranks), site + 1
 
 
 class _InFlight:
@@ -147,8 +175,8 @@ class CollectiveChecker:
 
     def __init__(self) -> None:
         self._seq = 0
-        #: completed collectives, in completion order
-        self.completed: List[Tuple[CollectivePost, ...]] = []
+        self._completed: List[Tuple[CollectivePost, ...]] = []
+        self._admitted: List[_Admitted] = []
         self._open: Dict[Tuple[str, Tuple[int, ...]], _InFlight] = {}
         self._inflight_of: Dict[int, _InFlight] = {}
         # nonblocking request state: per communicator, the FIFO of
@@ -171,9 +199,18 @@ class CollectiveChecker:
     # core engine
     # ------------------------------------------------------------------
     @property
+    def completed(self) -> List[Tuple[CollectivePost, ...]]:
+        """Completed collectives' posts, in completion order; what was
+        admitted whole is built here, on the first read, once."""
+        for statement in self._admitted:
+            self._completed.extend(statement.posts())
+        self._admitted.clear()
+        return self._completed
+
+    @property
     def n_completed(self) -> int:
-        """Collectives completed so far."""
-        return len(self.completed)
+        """Collectives completed so far (builds nothing)."""
+        return len(self._completed) + sum(s.rounds * len(s.groups) for s in self._admitted)
 
     def rank_is_blocked(self, rank: int) -> bool:
         """Whether ``rank`` is mid-flight in an incomplete collective."""
@@ -676,44 +713,76 @@ class CollectiveChecker:
     # ------------------------------------------------------------------
     # lockstep integration (world / communicator hooks)
     # ------------------------------------------------------------------
-    def lockstep_collective(
-        self,
-        comm: "Communicator",
-        kind: str,
-        nbytes_by_rank: Mapping[int, int],
-        *,
-        op: str = "",
-        dtypes: Optional[Mapping[int, str]] = None,
-    ) -> None:
-        """Validate one lockstep-executed collective (all ranks at once).
+    def _admit_whole(
+        self, kind: str, op: str, dtype: str, groups: Sequence[Tuple[int, ...]],
+        labels: Sequence[str], sizes: Sequence[Tuple[int, ...]], rounds: int,
+    ) -> bool:
+        """Admit ``rounds`` collectives on each of ``groups`` at once,
+        posts unbuilt, if none would raise (known kind, no rank busy,
+        each label keeping its membership); else change nothing."""
+        busy = self._inflight_of.keys() | self._request_of.keys()
+        membership = self._membership
+        if kind not in KNOWN_KINDS or len(set(labels)) != len(labels) or not all(
+            membership.get(label, ranks) == ranks and busy.isdisjoint(ranks)
+            for ranks, label in zip(groups, labels)
+        ):
+            return False
+        for ranks, label in zip(groups, labels):
+            membership.setdefault(label, ranks)
+        self._admitted.append(_Admitted(
+            kind, op, dtype, groups, labels, sizes, rounds, self._seq, self.observed_events
+        ))
+        self._seq += rounds * sum(map(len, groups))
+        return True
 
-        Called by :class:`~repro.vmpi.communicator.Communicator` before
-        the collective is charged; it must complete inline, so any
-        in-flight residue from earlier misuse surfaces immediately.
-        ``dtypes`` carries each rank's buffer dtype string; a mixed
-        group (one rank reducing float32 against float64 peers — which
-        lockstep NumPy would silently upcast) is a diagnosed mismatch.
-        """
-        for r in comm.ranks:
-            self.post(
-                r,
-                comm_label=comm.label,
-                comm_ranks=comm.ranks,
-                kind=kind,
-                nbytes=int(nbytes_by_rank.get(r, 0)),
-                op=op,
-                dtype="" if dtypes is None else str(dtypes.get(r, "")),
-                site=self.observed_events,
-            )
+    def lockstep_collective(
+        self, kind: str, ranks: Tuple[int, ...], label: str, sizes: Sequence[int],
+        *, op: str = "", dtypes: Optional[Sequence[str]] = None,
+    ) -> None:
+        """Validate one lockstep-executed blocking collective before it
+        is charged: admitted whole when clean, else posted rank by rank
+        through :meth:`post`, which raises the diagnosis.  ``sizes`` and
+        ``dtypes`` are per member, in communicator order; a mixed group
+        (float32 against float64 peers, which NumPy would silently
+        upcast) is a diagnosed mismatch."""
+        dtype = dtypes[0] if dtypes else ""
+        uniform = (dtypes is None or len(set(dtypes)) == 1) and (
+            kind != "allreduce" or len(set(sizes)) == 1
+        )
+        if uniform and self._admit_whole(kind, op, dtype, (ranks,), (label,), (tuple(sizes),), 1):
+            return
+        self._post_each(self.post, kind, ranks, label, sizes, op, dtypes)
+
+    def lockstep_rows(
+        self, rows: "CollectiveRows", admit: Optional[Tuple[str, str]] = None
+    ) -> bool:
+        """Admit (``admit = (op, dtype)``, each rank sending its group's
+        ``rows.nbytes``) and overlap-check a charged block at once if no
+        row would raise — only round 0 can overlap, as a later round
+        starts where the one before ended; else change nothing and return
+        False, for the caller to replay the rows one by one."""
+        groups, last_t = rows.groups, self._last_t
+        if rows.overlapped_s is None and any(
+            t_start < last_t.get(r, t_start) - 1e-12
+            for ranks, t_start in zip(groups, rows.t_starts[0]) for r in ranks
+        ):
+            return False
+        if admit is not None and not self._admit_whole(
+            rows.kind, *admit, groups, rows.labels,
+            [(nbytes,) * len(ranks) for ranks, nbytes in zip(groups, rows.nbytes)],
+            len(rows.t_starts),
+        ):
+            return False
+        self.observed_events += len(rows.t_starts) * len(groups)
+        for ranks, t_start, cost in zip(groups, rows.t_starts[-1], rows.costs):
+            end = t_start + cost
+            for r in ranks:
+                last_t[r] = max(last_t.get(r, end), end)
+        return True
 
     def lockstep_post(
-        self,
-        comm: "Communicator",
-        kind: str,
-        nbytes_by_rank: Mapping[int, int],
-        *,
-        op: str = "",
-        dtypes: Optional[Mapping[int, str]] = None,
+        self, kind: str, ranks: Tuple[int, ...], label: str, sizes: Sequence[int],
+        *, op: str = "", dtypes: Optional[Sequence[str]] = None,
     ) -> int:
         """Validate one lockstep-posted *nonblocking* collective.
 
@@ -723,20 +792,19 @@ class CollectiveChecker:
         member's request stays outstanding until :meth:`lockstep_wait`.
         Returns the request id to pass back at the wait.
         """
-        entry: Optional[_PendingGroup] = None
-        for r in comm.ranks:
-            entry = self.nb_post(
-                r,
-                comm_label=comm.label,
-                comm_ranks=comm.ranks,
-                kind=kind,
-                nbytes=int(nbytes_by_rank.get(r, 0)),
-                op=op,
-                dtype="" if dtypes is None else str(dtypes.get(r, "")),
-                site=self.observed_events,
-            )
-        assert entry is not None and entry.complete
+        entry = self._post_each(self.nb_post, kind, ranks, label, sizes, op, dtypes)
+        assert entry.complete
         return entry.req_id
+
+    def _post_each(self, post, kind, ranks, label, sizes, op, dtypes):
+        """``post`` (:meth:`post` or :meth:`nb_post`) every member in
+        communicator order; returns the last call's result."""
+        for k, r in enumerate(ranks):
+            got = post(
+                r, comm_label=label, comm_ranks=ranks, kind=kind, nbytes=int(sizes[k]),
+                op=op, dtype="" if dtypes is None else dtypes[k], site=self.observed_events,
+            )
+        return got
 
     def lockstep_wait(self, req_id: int) -> None:
         """Retire every rank of a lockstep-posted request.
@@ -790,7 +858,7 @@ class CollectiveChecker:
                         f"and may be sent exactly once",
                         ranks=(dup[0], sender),
                         comm_labels=(comm.label,),
-                        seqs=(self._seq,),
+                        seqs=(self._seq + 1,),
                         code="moved-block",
                     )
                 seen_here[key] = (sender, block)
@@ -865,9 +933,12 @@ class CollectiveChecker:
     def summary(self) -> Dict[Tuple[str, str], int]:
         """Completed-collective counts keyed by (comm label, kind)."""
         out: Dict[Tuple[str, str], int] = {}
-        for posts in self.completed:
+        for posts in self._completed:
             key = (posts[0].comm_label, posts[0].kind)
             out[key] = out.get(key, 0) + 1
+        for s in self._admitted:
+            for label in s.labels:
+                out[label, s.kind] = out.get((label, s.kind), 0) + s.rounds
         return out
 
     def membership(self) -> Dict[str, Tuple[int, ...]]:

@@ -142,20 +142,6 @@ def allreduce_rounds(
     rounds, n = stack.shape[1], stack.shape[-1]
     column_bytes = stack.itemsize * math.prod(stack.shape[2:-1])
     nbytes = [len(range(*window.indices(n))) * column_bytes for window in columns]
-    admit = None
-    ck = world.checker
-    if ck is not None:
-        # what the hook compares is the same for every round: built once
-        dtype = str(stack.dtype)
-        admissions = [
-            (comm, dict.fromkeys(comm.ranks, nb), dict.fromkeys(comm.ranks, dtype))
-            for comm, nb in zip(comms, nbytes)
-        ]
-
-        def admit(g: int) -> None:
-            comm, sizes, dtypes = admissions[g]
-            ck.lockstep_collective(comm, "allreduce", sizes, op="SUM", dtypes=dtypes)
-
     world.charge_collective_block(
         "allreduce",
         tuple([comm.ranks for comm in comms]),
@@ -163,7 +149,7 @@ def allreduce_rounds(
         rounds,
         comm_labels=[comm.label for comm in comms],
         algorithms=[world.cost_model.select_algorithm("allreduce")] * len(nbytes),
-        admit=admit,
+        admit=None if world.checker is None else ("SUM", str(stack.dtype)),
     )
     return result
 
@@ -323,14 +309,8 @@ class Communicator:
             if typed is not None:
                 # str(dtype) is slow: once per distinct dtype, not per rank
                 name_of = {dt: str(dt) for dt in {a.dtype for a in typed}}
-                dtypes = {r: name_of[a.dtype] for r, a in zip(self._ranks, typed)}
-            ck_req = hook(
-                self,
-                kind,
-                dict(zip(self._ranks, sizes)),
-                op=op,
-                dtypes=dtypes,
-            )
+                dtypes = [name_of[a.dtype] for a in typed]
+            ck_req = hook(kind, self._ranks, self.label, sizes, op=op, dtypes=dtypes)
         charge = world.charge_collective if payload is None else world.post_collective
         charged = charge(
             kind,

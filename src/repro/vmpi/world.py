@@ -30,9 +30,10 @@ call of the same body, a nonblocking completion a one-row block.
 from __future__ import annotations
 
 import contextlib
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -251,8 +252,8 @@ class VirtualWorld:
         by every :class:`~repro.vmpi.communicator.Communicator`
         collective before it is charged (buffer/kind/membership
         conformance, ``alltoall`` move semantics) and receives every
-        charged collective, as a row, through ``observe_collective``
-        (from :meth:`_record_rows`).  Violations raise
+        charged block of rows through ``lockstep_rows`` (from
+        :meth:`_record_rows`).  Violations raise
         :class:`~repro.errors.ProtocolError` at the offending call.  A
         world without a checker has exactly zero behavioural or cost
         difference.
@@ -306,8 +307,8 @@ class VirtualWorld:
 
         Exactly one of ``seconds`` / ``flops`` must be given; either may
         be a scalar (same charge for every rank) or a per-rank mapping.
-        The rank set is checked (in range, no rank twice) before any
-        clock moves.
+        The rank set (in range, no rank twice) and every amount (finite,
+        non-negative) are checked before anything is charged.
         """
         if (seconds is None) == (flops is None):
             raise VmpiError("provide exactly one of seconds= or flops=")
@@ -323,6 +324,10 @@ class VirtualWorld:
             amounts = [amount[r] for r in rank_list]
         else:
             amounts = [float(amount)] * len(rank_list)
+        for r, a in zip(rank_list, amounts if per_rank else amounts[:1]):
+            if not 0.0 <= a < math.inf:  # NaN fails too
+                what = "time" if flops is None else "flop"
+                raise VmpiError(f"{what} charge {a} for rank {r} is negative or not finite")
         if flops is not None:
             to_seconds = self.machine.compute_seconds
             if self.machine.node_speed is not None:
@@ -339,8 +344,6 @@ class VirtualWorld:
         clock, booked = self.clock, cat or "uncategorized"
         charged: Dict[int, float] = {}
         for r, dt in zip(rank_list, amounts):
-            if dt < 0:
-                raise VmpiError(f"negative time charge {dt} for rank {r}")
             if mult is not None:
                 dt *= mult(r)
             clock[r] += dt
@@ -403,7 +406,7 @@ class VirtualWorld:
         comm_labels: Sequence[str],
         algorithms: Sequence[Optional[object]],
         category: Optional[str] = None,
-        admit: "Optional[Callable[[int], None]]" = None,
+        admit: "Optional[tuple[str, str]]" = None,
     ) -> None:
         """Charge one lockstep statement: ``rounds`` back-to-back
         collectives of ``kind`` on each of ``groups``.
@@ -416,9 +419,9 @@ class VirtualWorld:
         collectives are booked exactly as that many
         :meth:`charge_collective` calls issued round-major, group-minor
         would book them — clocks, waits, category times, events, spans
-        and series, bit for bit — with ``admit(g)`` (the checker's
-        admission of one collective on ``groups[g]``) called before
-        each row is booked.
+        and series, bit for bit — and with ``admit = (op, dtype)`` a
+        checker admits each row as a blocking collective of that op and
+        dtype, as the loop's :meth:`Communicator.allreduce` would.
 
         The injector is asked once, through its non-raising
         ``collective_outlook(groups)``: the cost factor, and the first
@@ -438,8 +441,12 @@ class VirtualWorld:
                 algorithms, category, factor, rounds if dead is None else 1, admit,
             )
         if dead is not None:
-            if admit is not None:
-                admit(dead)
+            if admit is not None and self.checker is not None:
+                p = len(groups[dead])
+                self.checker.lockstep_collective(
+                    kind, groups[dead], comm_labels[dead], (nbytes[dead],) * p,
+                    op=admit[0], dtypes=(admit[1],) * p,
+                )
             self.fault_injector.on_collective(kind, groups[dead], comm_labels[dead])
 
     def _charge_blocking(
@@ -454,7 +461,7 @@ class VirtualWorld:
         category: Optional[str],
         factor: float,
         rounds: int = 1,
-        admit: "Optional[Callable[[int], None]]" = None,
+        admit: "Optional[tuple[str, str]]" = None,
     ) -> "list[float]":
         """The one blocking-charge body; returns each group's cost.
 
@@ -673,33 +680,35 @@ class VirtualWorld:
         return cost
 
     def _record_rows(
-        self, rows: CollectiveRows, admit: "Optional[Callable[[int], None]]" = None
+        self, rows: CollectiveRows, admit: "Optional[tuple[str, str]]" = None
     ) -> None:
         """The one place charged collectives become visible: the rows go
         to the trace (numbered on from the last ``seq``), the span log
-        and the metric series.  With an ``admit`` hook or a checker, each
-        row is first admitted (``admit(g)``), then overlap-checked; a
-        raise at row ``i`` leaves booked what a loop of single
-        collectives would — rows ``[0, i)``, and row ``i`` too in the
-        trace when the overlap check raised.
+        and the metric series.  A checker takes a clean block at once;
+        otherwise each row is admitted (with ``admit``), then
+        overlap-checked, so a raise at row ``i`` leaves booked what a
+        loop of single collectives would — rows ``[0, i)``, and row
+        ``i`` too in the trace when the overlap check raised.
         """
         seq0, checker = self._seq, self.checker
         n = len(rows.t_starts) * len(rows.groups)
-        traced = booked = 0
+        traced = booked = n
         try:
-            if admit is None and checker is None:
-                traced = booked = n
-            else:
+            if checker is not None and not checker.lockstep_rows(rows, admit):
+                traced = booked = 0
                 nonblocking = rows.overlapped_s is not None
                 for g, t_start, _ in rows.cells(n):
                     if admit is not None:
-                        admit(g)
-                    traced += 1
-                    if checker is not None:
-                        checker.observe_collective(
-                            seq0 + traced, rows.kind, rows.labels[g], rows.groups[g],
-                            t_start, rows.costs[g], nonblocking,
+                        p = len(rows.groups[g])
+                        checker.lockstep_collective(
+                            rows.kind, rows.groups[g], rows.labels[g], (rows.nbytes[g],) * p,
+                            op=admit[0], dtypes=(admit[1],) * p,
                         )
+                    traced += 1
+                    checker.observe_collective(
+                        seq0 + traced, rows.kind, rows.labels[g], rows.groups[g],
+                        t_start, rows.costs[g], nonblocking,
+                    )
                     booked += 1
         finally:
             self._seq += traced
@@ -772,8 +781,8 @@ class VirtualWorld:
         failure-detection timeout a surviving group burns waiting on a
         dead peer.  Returns the synchronised start time.  The rank set
         is checked (in range, no rank twice) before any clock moves."""
-        if seconds < 0:
-            raise VmpiError(f"negative time charge {seconds}")
+        if not 0.0 <= seconds < math.inf:  # NaN fails too
+            raise VmpiError(f"time charge {seconds} is negative or not finite")
         ranks, idx = self._group(ranks)
         if not ranks:
             return 0.0

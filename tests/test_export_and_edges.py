@@ -8,6 +8,7 @@ from repro.errors import InputError, VmpiError
 from repro.cgyro import CgyroSimulation, small_test
 from repro.machine import generic_cluster, single_node
 from repro.machine.model import GiB
+from repro.obs import MetricsRegistry, Telemetry
 from repro.vmpi import VirtualWorld
 
 
@@ -86,3 +87,31 @@ class TestWorldEdges:
             world.charge_compute(5, seconds=1.0)
         with pytest.raises(VmpiError):
             world.charge_compute(0, seconds=-1.0)
+
+    @pytest.mark.parametrize(
+        "charge",
+        [
+            {"seconds": {0: 1.0, 1: -1.0}},  # the bad amount is not the first
+            {"seconds": float("nan")},
+            {"seconds": {0: 1.0, 1: float("inf")}},
+            {"flops": float("inf")},
+            {"flops": {0: 1e9, 1: float("nan")}},
+        ],
+        ids=["negative-second", "nan", "inf-second", "inf-flops", "nan-flops"],
+    )
+    def test_a_refused_compute_charge_moves_nothing(self, charge):
+        world = VirtualWorld(single_node(ranks=3))
+        Telemetry().install(world)
+        with pytest.raises(VmpiError, match="negative or not finite"):
+            world.charge_compute([0, 1], category="x", **charge)
+        assert not world.clock.any() and world.categories() == ()
+        assert world.metrics.to_dict() == MetricsRegistry().to_dict()
+        assert len(world.tracer) == 0
+
+    @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf")])
+    def test_a_refused_sync_charge_moves_nothing(self, seconds):
+        world = VirtualWorld(single_node(ranks=3))
+        world.charge_compute([0], seconds=0.5)
+        with pytest.raises(VmpiError, match="negative or not finite"):
+            world.sync_charge([0, 1], seconds)
+        assert world.clock.tolist() == [0.5, 0.0, 0.0]

@@ -5,14 +5,13 @@ the metric series and the checker one :class:`CollectiveRows` block
 instead of ``rounds x G`` records.  These tests hold that block to
 ``==`` against the same statement made as ``rounds x G`` single
 ``charge_collective`` calls, round-major — on the whole run and at the
-prefixes a failing admission or overlap check leaves booked — and pin
+prefixes a refused admission or overlap check leaves booked — and pin
 that the two logs build their objects lazily: once, on the first read.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 import random
 import tempfile
 from pathlib import Path
@@ -34,10 +33,6 @@ _MACHINE = generic_cluster(n_nodes=4, ranks_per_node=4)
 #: the nonblocking collective interleaved with the statements, on ranks
 #: no drawn family uses
 _NB_RANKS = (14, 15)
-
-
-class _Refused(Exception):
-    """What the drawn admission raises."""
 
 
 @st.composite
@@ -75,7 +70,12 @@ def _families(draw):
     }
 
 
-def _block(world, family, hook=None):
+def _admission(family):
+    """The ``(op, dtype)`` a checker admits the family's rows with."""
+    return ("SUM" if family["kind"] == "allreduce" else "", "float64")
+
+
+def _block(world, family, admit=None):
     world.charge_collective_block(
         family["kind"],
         family["groups"],
@@ -83,23 +83,24 @@ def _block(world, family, hook=None):
         family["rounds"],
         comm_labels=family["labels"],
         algorithms=family["algorithms"],
-        admit=None if hook is None else _rows_counted(hook),
+        admit=admit,
     )
 
 
-def _rows_counted(hook):
-    """``admit(g)`` calling ``hook(row, g)``: the block's admission."""
-    rows = itertools.count()
-    return lambda g: hook(next(rows), g)
-
-
-def _singles(world, family, hook=None):
-    """The statement as single collectives, rounds outer."""
+def _singles(world, family, admit=None):
+    """The statement as single collectives, rounds outer; with
+    ``admit``, each first posted rank by rank to the checker."""
     groups = family["groups"]
-    for m in range(family["rounds"]):
+    for _ in range(family["rounds"]):
         for g, ranks in enumerate(groups):
-            if hook is not None:
-                hook(m * len(groups) + g, g)
+            if admit is not None:
+                ck = world.checker
+                for r in ranks:
+                    ck.post(
+                        r, comm_label=family["labels"][g], comm_ranks=ranks,
+                        kind=family["kind"], nbytes=family["nbytes"][g], op=admit[0],
+                        dtype=admit[1], site=ck.observed_events,
+                    )
             world.charge_collective(
                 family["kind"],
                 ranks,
@@ -143,6 +144,9 @@ def _books(world, *, clocks=True) -> dict:
         "series": list(world.metrics),
         "seq": world._seq,
         "observed": None if world.checker is None else world.checker.observed_events,
+        "checker": None
+        if world.checker is None
+        else (world.checker._seq, repr(world.checker.completed)),
     }
     if clocks:
         books.update(
@@ -214,52 +218,60 @@ def test_the_cost_histogram_is_summed_in_row_order():
 
 
 # -- failure prefixes --------------------------------------------------
+# A real violation can only meet a statement in its first round: after
+# it every label is adopted, no rank is mid-flight and every group starts
+# where its previous round ended.  So the failing row is drawn over the
+# first round's rows.
+def _diagnosis(error):
+    return (error.code, str(error), error.seqs, error.ranks, error.comm_labels)
+
+
 @settings(max_examples=40, deadline=None)
 @given(family=_families(), data=st.data())
 def test_a_refused_admission_leaves_the_rows_before_it(family, data):
-    n_rows = family["rounds"] * len(family["groups"])
-    refused = data.draw(st.integers(0, n_rows - 1), label="refused row")
-
-    def hook(row, g):
-        if row == refused:
-            raise _Refused(row)
-
-    books = []
+    refused = data.draw(st.integers(0, len(family["groups"]) - 1), label="refused row")
+    outcomes = []
     for book in (_block, _singles):
-        world = _world()
+        world = _world(checker=True)
         _skew(world, random.Random(family["seed"]))
-        with pytest.raises(_Refused):
-            book(world, family, hook)
-        books.append(_books(world, clocks=False))
-    assert books[0] == books[1]
-    assert len(books[0]["trace"]) == refused
+        # an unwaited request on one rank of the refused group
+        victim = family["groups"][refused][0]
+        world.checker.nb_post(
+            victim, comm_label="nb", comm_ranks=(victim,), kind="allreduce", nbytes=8
+        )
+        with pytest.raises(ProtocolError) as caught:
+            book(world, family, _admission(family))
+        outcomes.append((_diagnosis(caught.value), _books(world, clocks=False)))
+    assert outcomes[0] == outcomes[1]
+    (code, *_), books = outcomes[0]
+    if refused and len(set(family["labels"])) == 1:
+        # one label on two groups is a violation of its own, at row 1
+        assert code == "membership" and len(books["trace"]) == 1
+    else:
+        assert code == "inflight-overlap" and len(books["trace"]) == refused
 
 
 @settings(max_examples=40, deadline=None)
 @given(family=_families(), data=st.data())
 def test_an_overlap_leaves_the_row_in_the_trace_only(family, data):
-    n_rows = family["rounds"] * len(family["groups"])
-    failing = data.draw(st.integers(0, n_rows - 1), label="overlapping row")
-    books = []
+    failing = data.draw(st.integers(0, len(family["groups"]) - 1), label="overlapping row")
+    outcomes = []
     for book in (_block, _singles):
         world = _world(checker=True)
-
-        def hook(row, g):
-            if row == failing:
-                # the group's ranks are already busy far in the future
-                for r in family["groups"][g]:
-                    world.checker._last_t[r] = 1e9
-
         _skew(world, random.Random(family["seed"]))
+        # the group's ranks are already busy far in the future
+        for r in family["groups"][failing]:
+            world.checker._last_t[r] = 1e9
         with pytest.raises(ProtocolError) as caught:
-            book(world, family, hook)
+            book(world, family)
         assert caught.value.code == "overlap"
         assert caught.value.seqs == (failing + 1,)
-        books.append(_books(world, clocks=False))
-    assert books[0] == books[1]
-    assert len(books[0]["trace"]) == failing + 1
-    assert len(books[0]["spans"]) == 1 + failing  # the skew's compute span first
-    assert books[0]["observed"] == failing + 1
+        outcomes.append((_diagnosis(caught.value), _books(world, clocks=False)))
+    assert outcomes[0] == outcomes[1]
+    books = outcomes[0][1]
+    assert len(books["trace"]) == failing + 1
+    assert len(books["spans"]) == 1 + failing  # the skew's compute span first
+    assert books["observed"] == failing + 1
 
 
 # -- laziness ------------------------------------------------------------
