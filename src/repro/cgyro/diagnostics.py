@@ -36,8 +36,9 @@ def flux_spectrum(
     Summing the results over a partition of velocity space yields the
     full spectrum — the property the distributed reduction relies on.
     """
-    (weighted,) = velocity_moments(h, fields.flux_weights, iv_idx, nt_idx)
+    iv, nt = np.asarray(iv_idx, dtype=np.intp), np.asarray(nt_idx, dtype=np.intp)
+    (weighted,) = velocity_moments(h, fields.flux_weights[:, nt[:, None], iv])
     if phi.shape != weighted.shape:
         raise InputError(f"phi shape {phi.shape} inconsistent with h {h.shape}")
     q = (np.conj(phi) * weighted).sum(axis=0).imag
-    return k_theta_rho * np.asarray(nt_idx) * q
+    return k_theta_rho * nt * q

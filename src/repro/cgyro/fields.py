@@ -25,7 +25,7 @@ this code path, which is what makes their equivalence testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -66,29 +66,57 @@ def moment_table(j_table: np.ndarray, velocity_weights: np.ndarray) -> np.ndarra
     )
 
 
-def velocity_moments(
-    h: np.ndarray,
-    table: np.ndarray,
-    iv_idx: Sequence[int],
-    nt_idx: Sequence[int],
-) -> np.ndarray:
-    """``out[m, c, t] = sum_v table[m, nt_idx[t], iv_idx[v]] * h[c, v, t]``.
+class PreparedSets:
+    """What a kernel derives from each distinct ``(iv, nt)`` set, built
+    once by ``build(iv, nt)`` after every index is checked distinct and in
+    range (else :class:`~repro.errors.InputError`); ``build`` is passed per
+    call, not held, so no reference cycle outlives a dropped kernel."""
 
-    ``h`` is a complex128 ``(nc, len(iv_idx), len(nt_idx))`` block and
-    ``table`` a :func:`moment_table`; returns ``(n_mom, nc,
-    len(nt_idx))``.  All moments come out of one batched real GEMM on
-    the (re, im) columns of ``h``, one ``n_mom x niv`` by ``niv x 2``
-    product per (ic, n) pair.
+    def __init__(self, nv: int, nt: int) -> None:
+        self._sizes = (nv, nt)
+        self._sets: Dict[tuple, object] = {}
+
+    @staticmethod
+    def _checked(indices: np.ndarray, size: int, axis: str) -> np.ndarray:
+        if indices.ndim != 1 or (indices.size and indices.dtype.kind not in "iu"):
+            raise InputError(f"{axis} indices must be a 1-D sequence of integers")
+        if indices.size and not (0 <= indices.min() and indices.max() < size):
+            raise InputError(f"{axis} indices must lie in [0, {size}), got {indices}")
+        if np.unique(indices).size != indices.size:
+            raise InputError(f"{axis} indices must not repeat, got {indices}")
+        return indices.astype(np.intp)
+
+    def get(self, iv_idx: Sequence[int], nt_idx: Sequence[int], build: Callable) -> object:
+        """The prepared entry of a set, built by ``build`` the first time."""
+        iv, nt = np.asarray(iv_idx), np.asarray(nt_idx)
+        key = (iv.dtype, iv.tobytes(), nt.dtype, nt.tobytes())
+        if key not in self._sets:
+            sizes = zip((iv, nt), self._sizes, ("iv", "nt"))
+            self._sets[key] = build(*(self._checked(*args) for args in sizes))
+        return self._sets[key]
+
+
+def velocity_moments(
+    h: np.ndarray, weights: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``out[m, c, t] = sum_v weights[m, t, v] * h[c, v, t]``.
+
+    ``h`` is a complex128 ``(nc, niv, nnt)`` block and ``weights`` a
+    :func:`moment_table` gathered on the block's index sets,
+    ``table[:, nt[:, None], iv]``; the ``(n_mom, nc, nnt)`` result is
+    written into ``out`` (C-contiguous complex128) or a new array.  All
+    moments come out of one batched real GEMM on the (re, im) columns of
+    ``h``, one ``n_mom x niv`` by ``niv x 2`` product per (ic, n) pair.
     """
-    iv = np.asarray(iv_idx, dtype=np.intp)
-    nt = np.asarray(nt_idx, dtype=np.intp)
-    if h.shape[1:] != (iv.size, nt.size):
+    n_mom, nnt, niv = weights.shape
+    if h.shape[1:] != (niv, nnt):
         raise InputError(
-            f"block shape {h.shape} inconsistent with {iv.size} iv / "
-            f"{nt.size} nt indices"
+            f"block shape {h.shape} inconsistent with {niv} iv / {nnt} nt indices"
         )
-    weights = table[:, nt[:, None], iv]  # (n_mom, nnt, niv), contiguous
-    out = np.empty((table.shape[0], h.shape[0], nt.size), dtype=np.complex128)
+    shape = (n_mom, h.shape[0], nnt)
+    out = np.empty(shape, dtype=np.complex128) if out is None else out
+    if out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise InputError(f"out must be a C-contiguous complex128 {shape} array")
     np.matmul(
         weights.transpose(1, 0, 2)[:, None],  # (nnt, 1, n_mom, niv)
         real_columns(h).transpose(2, 0, 1, 3),  # (nnt, nc, niv, 2)
@@ -124,6 +152,8 @@ class FieldSolver:
         #: the weights :meth:`partial_moments` applies, stacked once,
         #: shape (n_moments, nt, nv)
         self.moment_weights = table[: self.n_moments]
+        #: per index set, the gathered (n_moments, nnt, niv) weights
+        self._weights = PreparedSets(dims.nv, nt)
         #: flux-diagnostic weight ``w J``, shape (1, nt, nv)
         self.flux_weights = moment_table(self.j_table, w[None, :])
         #: dielectric, shape (nt,)
@@ -173,11 +203,18 @@ class FieldSolver:
         return 2.0 * k_perp2 / self.inp.beta_e + self.inp.lambda_debye
 
     # ------------------------------------------------------------------
+    def _prepare_weights(self, iv: np.ndarray, nt: np.ndarray) -> np.ndarray:
+        weights = self.moment_weights[:, nt[:, None], iv]
+        weights.flags.writeable = False
+        return weights
+
     def partial_moments(
         self,
         h: np.ndarray,
         iv_idx: Sequence[int],
         nt_idx: Sequence[int],
+        *,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Moment contributions of a velocity subset.
 
@@ -186,7 +223,10 @@ class FieldSolver:
         h:
             Field block, shape ``(nc, len(iv_idx), len(nt_idx))``.
         iv_idx, nt_idx:
-            Global velocity / toroidal indices of the block's axes.
+            Global velocity / toroidal indices of the block's axes
+            (checked, and their weights gathered, once per distinct set).
+        out:
+            Optional C-contiguous complex128 array to write the result into.
 
         Returns
         -------
@@ -194,7 +234,7 @@ class FieldSolver:
         — row 0 the field moment, row 1 the upwind moment, row 2 (EM
         runs only) the parallel current.
         """
-        return velocity_moments(h, self.moment_weights, iv_idx, nt_idx)
+        return velocity_moments(h, self._weights.get(iv_idx, nt_idx, self._prepare_weights), out)
 
     def assemble(
         self, summed_moments: np.ndarray, nt_idx: Sequence[int]

@@ -94,7 +94,8 @@ class MomentCalculator:
         for s in range(self.dims.n_species):
             mask = spec == s
             if mask.any():
-                out[:, s] = velocity_moments(h[:, mask, :], self._weights, iv[mask], nt)
+                weights = self._weights[:, nt[:, None], iv[mask]]
+                out[:, s] = velocity_moments(h[:, mask, :], weights)
         density, parallel_flow, temperature = out
         return FluidMoments(density, parallel_flow, temperature)
 

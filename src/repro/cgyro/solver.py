@@ -63,7 +63,6 @@ from repro.grid import (
     transpose_nl_to_str,
     transpose_str_to_nl,
 )
-from repro.grid.layouts import nc_nl_slice
 from repro.vmpi import Communicator, RankStacked, VirtualWorld, allreduce_rounds
 
 #: Valid compute/comm overlap modes.  ``off`` is bit-identical to the
@@ -275,8 +274,8 @@ class CgyroSimulation:
             # GEMM, so the wider batch changes no bit
             partial = np.empty((dec.n_proc_1, n_mom, d.nc, d.nt), dtype=np.complex128)
             for i1, iv in enumerate(chunk_iv):
-                partial[i1] = self.fields.partial_moments(
-                    state[:, iv, :], self._all_iv[iv], self._all_nt
+                self.fields.partial_moments(
+                    state[:, iv, :], self._all_iv[iv], self._all_nt, out=partial[i1]
                 )
             self.world.charge_compute(
                 self.ranks,
@@ -349,42 +348,28 @@ class CgyroSimulation:
             return
         dec = self.decomp
         phi = self._solve_fields(self.h_global).phi
-        # move h and phi to the NL layout (nt complete); comm_2 rank j
-        # sits in toroidal group j, whose columns of phi it holds
+        # move h and phi to the NL layout (nt complete), one i1 column
+        # per comm_2 group; comm_2 rank j sits in toroidal group j,
+        # whose columns of phi it holds
         with self.world.phase("nl_comm"):
-            h_nl: Dict[int, np.ndarray] = {}
-            phi_nl: Dict[int, np.ndarray] = {}
+            columns = []
             for comm in self.comm2.values():
-                h_nl.update(transpose_str_to_nl(comm, self.h, dec))
-                send = {
-                    r: [
-                        phi[nc_nl_slice(dec, j), dec.nt_slice(i2)]
-                        for j in range(comm.size)
-                    ]
-                    for i2, r in enumerate(comm.ranks)
-                }
-                recv = comm.alltoall(send)
-                for r in comm.ranks:
-                    phi_nl[r] = np.concatenate(recv[r], axis=1)
-        k_r = self.cgrid.flat_k_radial()
-        dt = self.inp.delta_t
-        for r, (_, i2) in zip(self.ranks, self._coords):
-            bracket = toroidal_bracket(
-                h_nl[r],
-                phi_nl[r],
-                k_r[nc_nl_slice(dec, i2)],
-                k_theta_rho=self.inp.k_theta_rho,
-                nl_coeff=self.inp.nl_coeff,
+                phi_str = {r: phi[:, dec.nt_slice(i2)] for i2, r in enumerate(comm.ranks)}
+                h_col = transpose_str_to_nl(comm, self.h, dec)
+                columns.append((h_col, transpose_str_to_nl(comm, phi_str, dec)))
+        # the bracket is pointwise in ic, so one call per column is, bit
+        # for bit, its ranks' calls on their row ranges
+        k_r, inp = self.cgrid.flat_k_radial(), self.inp
+        for h_col, phi_col in columns:
+            h_col += inp.delta_t * toroidal_bracket(
+                h_col, phi_col, k_r, k_theta_rho=inp.k_theta_rho, nl_coeff=inp.nl_coeff
             )
-            h_nl[r] = h_nl[r] + dt * bracket
         self.world.charge_compute(
             self.ranks, flops=self.costs.nl_flops, category="nl_compute"
         )
         with self.world.phase("nl_comm"):
-            for comm in self.comm2.values():
-                back = transpose_nl_to_str(comm, h_nl, dec)
-                for r in comm.ranks:
-                    self.h[r][...] = back[r]
+            for comm, (h_col, _) in zip(self.comm2.values(), columns):
+                transpose_nl_to_str(comm, h_col, dec, self.h)
 
     # ------------------------------------------------------------------
     # full step and reporting

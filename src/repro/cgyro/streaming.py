@@ -16,21 +16,26 @@ The theta derivative is why the str layout keeps nc complete;
 everything else is pointwise.
 
 The operator acts on arbitrary (iv, nt) index subsets so the serial
-reference and every distributed rank run literally the same code.
+reference and every distributed rank run literally the same code; the
+coefficient tables of each distinct subset are built once.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import InputError
-from repro.cgyro.fields import flr_table
+from repro.cgyro.fields import PreparedSets, flr_table
 from repro.cgyro.params import CgyroInput
 from repro.grid.config_space import ConfigGrid
 from repro.grid.dims import GridDims
 from repro.grid.velocity import VelocityGrid
+
+#: drift inputs + index set -> 1j * omega, while an operator holds it
+_DRIFT: "weakref.WeakValueDictionary[tuple, np.ndarray]" = weakref.WeakValueDictionary()
 
 
 class StreamingOperator:
@@ -84,6 +89,45 @@ class StreamingOperator:
         )
         #: ExB shear Doppler shift per mode, shape (nt,)
         self.shear_n = inp.gamma_e * n_modes
+        self._tables = PreparedSets(dims.nv, dims.nt)
+
+    def _prepare(self, iv: np.ndarray, nt: np.ndarray) -> tuple:
+        """:meth:`rhs`'s read-only factors on one index set: ``vth vpar``,
+        ``(z/T) J``, ``-vth vpar``, ``c_up vth |vpar|``, ``c_uf vth |vpar|
+        J`` and ``1j (omega_star J)`` as complex128 ``(1, niv, nnt)``, then
+        ``1j omega`` ``(nc, niv, nnt)``.  Each is associated as the inline
+        expression was, and a real one is stored as the ``x + 0j`` NumPy
+        multiplies a complex operand by anyway: same bits, one unbuffered
+        loop per ``ic``.  ``1j omega``, the one state-sized table, is held
+        once per process for all operators with equal drift inputs
+        (ensemble members differ in gradients it does not read)."""
+        inp = self.inp
+        j = self.j_table[np.ix_(iv, nt)][None, :, :]
+        vth, vpar, avpar = (a[iv][None, :, None] for a in (self.vth, self.vpar, self.abs_vpar))
+        factors = (
+            vth * vpar,
+            self.zt[iv][None, :, None] * j,
+            -vth * vpar,
+            inp.upwind_coeff * vth * avpar,
+            inp.upwind_field_coeff * vth * avpar * j,
+            1j * (self.omega_star[np.ix_(iv, nt)][None, :, :] * j),
+        )
+        shape = (1, iv.size, nt.size)
+        tables = [np.ascontiguousarray(np.broadcast_to(f, shape), dtype=complex) for f in factors]
+        # everything the drift reads (box_length enters via k_radial)
+        key = (self.dims, inp.drift_coeff, inp.drift_r_coeff, inp.gamma_e, inp.k_theta_rho,
+               self.cgrid.k_radial.tobytes(), iv.tobytes(), nt.tobytes())
+        drift = _DRIFT.get(key)
+        if drift is None:
+            omega = (
+                self.cos_theta[:, None, None] * self.drift_vn[np.ix_(iv, nt)][None, :, :]
+                + self.drift_radial[:, None, None] * self.energy[iv][None, :, None]
+                + self.shear_n[nt][None, None, :]
+            )
+            drift = _DRIFT[key] = 1j * omega
+        for table in tables + [drift]:
+            table.flags.writeable = False
+        return (*tables, drift)
 
     def rhs(
         self,
@@ -110,50 +154,36 @@ class StreamingOperator:
             ``pot = phi - vth vpar apar`` in both the streamed
             ``chi`` and the gradient drive.
         """
-        iv = np.asarray(iv_idx)
-        nt = np.asarray(nt_idx)
-        if h.shape != (self.dims.nc, iv.size, nt.size):
-            raise InputError(
-                f"h shape {h.shape} != ({self.dims.nc}, {iv.size}, {nt.size})"
-            )
-        if phi.shape != (self.dims.nc, nt.size) or psi_u.shape != phi.shape:
+        vth_vpar, zt_j, stream, upwind, upwind_field, drive, drift = self._tables.get(
+            iv_idx, nt_idx, self._prepare
+        )
+        nc, niv, nnt = drift.shape
+        if h.shape != (nc, niv, nnt):
+            raise InputError(f"h shape {h.shape} != ({nc}, {niv}, {nnt})")
+        if phi.shape != (nc, nnt) or psi_u.shape != phi.shape:
             raise InputError("phi/psi_u must have shape (nc, len(nt_idx))")
         if apar is not None and apar.shape != phi.shape:
             raise InputError("apar must have shape (nc, len(nt_idx))")
-        inp = self.inp
-        j = self.j_table[np.ix_(iv, nt)]  # (niv, nnt)
-        vth = self.vth[iv][None, :, None]
-        vpar = self.vpar[iv][None, :, None]
-        avpar = self.abs_vpar[iv][None, :, None]
-
-        # generalised potential: phi - vth vpar A_par (EM runs)
+        # every table is purely real or imaginary: operand order moves no bit
+        # generalised potential phi - vth vpar A_par (EM runs), over all iv
         if apar is not None:
-            pot = phi[:, None, :] - vth * vpar * apar[:, None, :]
+            pot = phi[:, None, :] - vth_vpar * apar[:, None, :]
         else:
-            pot = phi[:, None, :]
+            pot = np.repeat(phi[:, None, :], niv, axis=1)
+        pot = pot.astype(np.complex128, copy=False)
 
         # parallel streaming of chi = h + (z/T) J pot
-        chi = h + self.zt[iv][None, :, None] * j[None, :, :] * pot
-        out = -vth * vpar * self.cgrid.d_dtheta_centered(chi)
+        out = self.cgrid.d_dtheta_centered(h + zt_j * pot)
+        np.multiply(stream, out, out=out)
         # upwind dissipation on h
-        out += inp.upwind_coeff * vth * avpar * self.cgrid.d_dtheta_upwind_diss(h)
+        out += upwind * self.cgrid.d_dtheta_upwind_diss(h)
         # upwind field correction (exercises the second str AllReduce)
-        if inp.upwind_field_coeff != 0.0:
-            diss_u = self.cgrid.d_dtheta_upwind_diss(psi_u)
-            out -= (
-                inp.upwind_field_coeff
-                * vth
-                * avpar
-                * j[None, :, :]
-                * diss_u[:, None, :]
-            )
+        if self.inp.upwind_field_coeff != 0.0:
+            diss_u = self.cgrid.d_dtheta_upwind_diss(psi_u)[:, None, :]
+            out -= upwind_field * np.repeat(diss_u, niv, axis=1)
         # gradient drive (acts on the generalised potential)
-        out += 1j * (self.omega_star[np.ix_(iv, nt)] * j)[None, :, :] * pot
+        out += np.multiply(drive, pot, out=pot)
         # drift (toroidal + radial curvature components) + ExB shear
-        omega = (
-            self.cos_theta[:, None, None] * self.drift_vn[np.ix_(iv, nt)][None, :, :]
-            + self.drift_radial[:, None, None] * self.energy[iv][None, :, None]
-            + self.shear_n[nt][None, None, :]
-        )
-        out -= 1j * omega * h
+        out -= np.multiply(drift, h, out=pot)
         return out
+

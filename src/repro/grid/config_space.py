@@ -56,20 +56,30 @@ class ConfigGrid:
     # ------------------------------------------------------------------
     # theta stencils (act on axis 1 of (n_radial, n_theta, ...) arrays)
     # ------------------------------------------------------------------
-    def _reshape_nc(self, values: np.ndarray) -> np.ndarray:
+    def _halo(self, values: np.ndarray) -> tuple:
+        """``values`` as ``(n_radial, n_theta, ...)`` and a copy with a
+        periodic ghost row each side of theta, whose slices ``pad[:, 2:]``
+        / ``pad[:, :-2]`` are the neighbours ``v[j + 1]`` / ``v[j - 1]``."""
         if values.shape[0] != self.dims.nc:
             raise InputError(
                 f"first axis must be nc={self.dims.nc}, got {values.shape[0]}"
             )
-        return values.reshape((self.dims.n_radial, self.dims.n_theta) + values.shape[1:])
+        nr, nth = self.dims.n_radial, self.dims.n_theta
+        v = values.reshape((nr, nth) + values.shape[1:])
+        pad = np.empty((nr, nth + 2) + values.shape[1:], dtype=values.dtype)
+        pad[:, 1:-1] = v
+        pad[:, 0] = v[:, -1]
+        pad[:, -1] = v[:, 0]
+        return v, pad
 
     def d_dtheta_centered(self, values: np.ndarray) -> np.ndarray:
         """Second-order centered d/dtheta along the theta coordinate.
 
         ``values`` has shape ``(nc, ...)``; returns the same shape.
         """
-        v = self._reshape_nc(values)
-        out = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * self.d_theta)
+        _, pad = self._halo(values)
+        out = np.subtract(pad[:, 2:], pad[:, :-2])
+        out /= 2.0 * self.d_theta
         return out.reshape(values.shape)
 
     def d_dtheta_upwind_diss(self, values: np.ndarray) -> np.ndarray:
@@ -82,10 +92,11 @@ class ConfigGrid:
         dissipation is weighted by |v_par| while the advection is
         weighted by v_par.
         """
-        v = self._reshape_nc(values)
-        out = (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / (
-            2.0 * self.d_theta
-        )
+        v, pad = self._halo(values)
+        out = np.multiply(2.0, v)
+        np.subtract(pad[:, 2:], out, out=out)
+        out += pad[:, :-2]
+        out /= 2.0 * self.d_theta
         return out.reshape(values.shape)
 
     def flat_k_radial(self) -> np.ndarray:

@@ -11,15 +11,17 @@ communicator, exactly mirroring CGYRO's phase transitions:
 - :func:`transpose_str_to_nl` / :func:`transpose_nl_to_str` run on a
   **comm_2** group (P2 ranks sharing an i1 column, in i2 order).
 
-Inputs and outputs are keyed by *world rank* (the communicator's
-members); communicator rank ``j`` must correspond to grid coordinate
-``i1 = j`` (comm_1) or ``i2 = j`` (comm_2), which is how the solver
-constructs them.
+Blocks are keyed by *world rank* (the communicator's members);
+communicator rank ``j`` must correspond to grid coordinate ``i1 = j``
+(comm_1) or ``i2 = j`` (comm_2), which is how the solver constructs
+them.  The NL side of a comm_2 group is one ``(nc, nv_loc, nt)`` i1
+column whose row ranges are its ranks' NL blocks: received blocks are
+written straight into it, and back into the STR blocks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -32,8 +34,7 @@ from repro.vmpi.communicator import Communicator
 def _check_blocks(
     comm: Communicator,
     blocks: Mapping[int, np.ndarray],
-    layout: Layout,
-    decomp: Decomposition,
+    shape: Tuple[int, ...],
     expected_size: int,
     what: str,
 ) -> None:
@@ -41,7 +42,6 @@ def _check_blocks(
         raise DecompositionError(
             f"{what}: communicator size {comm.size} != expected {expected_size}"
         )
-    shape = block_shape(layout, decomp)
     for r in comm.ranks:
         if r not in blocks:
             raise DecompositionError(f"{what}: missing block for world rank {r}")
@@ -61,7 +61,7 @@ def transpose_str_to_coll(
     Input blocks ``(nc, nv_loc, nt_loc)``; output ``(nc_loc, nv,
     nt_loc)`` with nv assembled in comm-rank (= i1) order.
     """
-    _check_blocks(comm1, blocks, Layout.STR, decomp, decomp.n_proc_1, "str->coll")
+    _check_blocks(comm1, blocks, block_shape(Layout.STR, decomp), decomp.n_proc_1, "str->coll")
     send = {
         r: [blocks[r][decomp.nc_slice(j), :, :] for j in range(comm1.size)]
         for r in comm1.ranks
@@ -76,7 +76,7 @@ def transpose_coll_to_str(
     decomp: Decomposition,
 ) -> Dict[int, np.ndarray]:
     """COLL -> STR within one toroidal group (inverse transpose)."""
-    _check_blocks(comm1, blocks, Layout.COLL, decomp, decomp.n_proc_1, "coll->str")
+    _check_blocks(comm1, blocks, block_shape(Layout.COLL, decomp), decomp.n_proc_1, "coll->str")
     send = {
         r: [blocks[r][:, decomp.nv_slice(j), :] for j in range(comm1.size)]
         for r in comm1.ranks
@@ -86,34 +86,45 @@ def transpose_coll_to_str(
 
 
 def transpose_str_to_nl(
-    comm2: Communicator,
-    blocks: Mapping[int, np.ndarray],
-    decomp: Decomposition,
-) -> Dict[int, np.ndarray]:
-    """STR -> NL across toroidal groups.
+    comm2: Communicator, blocks: Mapping[int, np.ndarray], decomp: Decomposition
+) -> np.ndarray:
+    """STR -> NL across toroidal groups, into the group's i1 column.
 
-    Input blocks ``(nc, nv_loc, nt_loc)``; output ``(nc_nl_loc, nv_loc,
-    nt)`` with nt assembled in comm-rank (= i2) order.
+    Input blocks ``(nc, nv_loc, nt_loc)``, or a field's ``(nc, nt_loc)``;
+    every received block is written straight into the returned column
+    ``(nc, [nv_loc,] nt)``, whose rows ``nc_nl_slice(decomp, j)`` are comm
+    rank ``j``'s NL block, nt assembled in comm-rank (= i2) order.
     """
-    _check_blocks(comm2, blocks, Layout.STR, decomp, decomp.n_proc_2, "str->nl")
-    send = {
-        r: [blocks[r][nc_nl_slice(decomp, j), :, :] for j in range(comm2.size)]
-        for r in comm2.ranks
-    }
-    recv = comm2.alltoall(send)
-    return {r: np.concatenate(recv[r], axis=2) for r in comm2.ranks}
+    shape = block_shape(Layout.STR, decomp)
+    first = blocks.get(comm2.ranks[0])
+    if first is not None and first.ndim == 2:
+        shape = (shape[0], shape[2])
+    _check_blocks(comm2, blocks, shape, decomp.n_proc_2, "str->nl")
+    rows = [nc_nl_slice(decomp, j) for j in range(comm2.size)]
+    recv = comm2.alltoall({r: [blocks[r][sel] for sel in rows] for r in comm2.ranks})
+    column = np.empty(shape[:-1] + (decomp.dims.nt,), dtype=first.dtype)
+    for sel, r in zip(rows, comm2.ranks):
+        for i, block in enumerate(recv[r]):
+            column[sel, ..., decomp.nt_slice(i)] = block
+    return column
 
 
 def transpose_nl_to_str(
-    comm2: Communicator,
-    blocks: Mapping[int, np.ndarray],
-    decomp: Decomposition,
-) -> Dict[int, np.ndarray]:
-    """NL -> STR across toroidal groups (inverse transpose)."""
-    _check_blocks(comm2, blocks, Layout.NL, decomp, decomp.n_proc_2, "nl->str")
-    send = {
-        r: [blocks[r][:, :, decomp.nt_slice(j)] for j in range(comm2.size)]
-        for r in comm2.ranks
-    }
-    recv = comm2.alltoall(send)
-    return {r: np.concatenate(recv[r], axis=0) for r in comm2.ranks}
+    comm2: Communicator, column: np.ndarray, decomp: Decomposition, out: Mapping[int, np.ndarray]
+) -> None:
+    """NL -> STR across toroidal groups (inverse transpose): the
+    group's ``(nc, nv_loc, nt)`` column as :func:`transpose_str_to_nl`
+    returns it, each received block written straight into ``out[r]``,
+    world rank ``r``'s STR block."""
+    shape = block_shape(Layout.STR, decomp)
+    _check_blocks(comm2, out, shape, decomp.n_proc_2, "nl->str")
+    if column.shape != shape[:-1] + (decomp.dims.nt,):
+        raise DecompositionError(f"nl->str: column shape {column.shape} is not {shape[:-1]} + (nt,)")
+    rows = [nc_nl_slice(decomp, j) for j in range(comm2.size)]
+    cols = [decomp.nt_slice(i) for i in range(comm2.size)]
+    recv = comm2.alltoall(
+        {r: [column[sel, :, c] for c in cols] for sel, r in zip(rows, comm2.ranks)}
+    )
+    for r in comm2.ranks:
+        for sel, block in zip(rows, recv[r]):
+            out[r][sel] = block

@@ -24,7 +24,7 @@ from repro.grid import (
     transpose_str_to_coll,
     transpose_str_to_nl,
 )
-from repro.grid.layouts import block_nbytes
+from repro.grid.layouts import block_nbytes, nc_nl_slice
 from repro.machine import single_node
 from repro.vmpi import Communicator, VirtualWorld
 
@@ -129,22 +129,60 @@ class TestTransposes:
         str_blocks = self._blocks(f, Layout.STR)
         expected = self._blocks(f, Layout.NL)
         for i1, comm in self.comm2.items():
-            got = transpose_str_to_nl(
+            column = transpose_str_to_nl(
                 comm, {r: str_blocks[r] for r in comm.ranks}, self.dec
             )
-            for r in comm.ranks:
-                np.testing.assert_array_equal(got[r], expected[r])
+            # the column is the i1 velocity slab of the global field, and
+            # its row ranges are its ranks' NL blocks
+            np.testing.assert_array_equal(column, f[:, self.dec.nv_slice(i1), :])
+            for j, r in enumerate(comm.ranks):
+                np.testing.assert_array_equal(
+                    column[nc_nl_slice(self.dec, j)], expected[r]
+                )
+
+    def test_str_to_nl_moves_a_field_like_the_state(self):
+        f = random_field(self.d, 7)
+        phi = f[:, 0, :]
+        for comm in self.comm2.values():
+            blocks = {
+                r: phi[:, self.dec.nt_slice(i2)] for i2, r in enumerate(comm.ranks)
+            }
+            column = transpose_str_to_nl(comm, blocks, self.dec)
+            np.testing.assert_array_equal(column, phi)
+            with pytest.raises(DecompositionError, match="block shape"):
+                transpose_str_to_nl(
+                    comm, {r: b[:, :1] for r, b in blocks.items()}, self.dec
+                )
 
     def test_nl_to_str_matches_direct_slicing(self):
         f = random_field(self.d, 4)
         nl_blocks = self._blocks(f, Layout.NL)
         expected = self._blocks(f, Layout.STR)
         for i1, comm in self.comm2.items():
-            got = transpose_nl_to_str(
-                comm, {r: nl_blocks[r] for r in comm.ranks}, self.dec
-            )
+            column = np.concatenate([nl_blocks[r] for r in comm.ranks], axis=0)
+            out = {
+                r: np.zeros(block_shape(Layout.STR, self.dec), complex)
+                for r in comm.ranks
+            }
+            assert transpose_nl_to_str(comm, column, self.dec, out) is None
             for r in comm.ranks:
-                np.testing.assert_array_equal(got[r], expected[r])
+                np.testing.assert_array_equal(out[r], expected[r])
+        # written in place into the STR layout's global array
+        g = np.zeros_like(f)
+        for i1, comm in self.comm2.items():
+            views = {
+                r: g[:, self.dec.nv_slice(i1), self.dec.nt_slice(i2)]
+                for i2, r in enumerate(comm.ranks)
+            }
+            transpose_nl_to_str(comm, f[:, self.dec.nv_slice(i1), :], self.dec, views)
+        np.testing.assert_array_equal(g, f)
+
+    def test_nl_to_str_rejects_a_wrong_column(self):
+        comm = self.comm2[0]
+        out = {r: np.zeros(block_shape(Layout.STR, self.dec), complex) for r in comm.ranks}
+        with pytest.raises(DecompositionError, match="column shape"):
+            transpose_nl_to_str(comm, np.zeros((16, 4, 2), complex), self.dec, out)
+        assert not self.world.trace.filter(kind="alltoall")
 
     def test_transposes_charge_alltoall_events(self):
         f = random_field(self.d, 5)
