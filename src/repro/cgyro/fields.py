@@ -104,24 +104,33 @@ def velocity_moments(
     ``h`` is a complex128 ``(nc, niv, nnt)`` block and ``weights`` a
     :func:`moment_table` gathered on the block's index sets,
     ``table[:, nt[:, None], iv]``; the ``(n_mom, nc, nnt)`` result is
-    written into ``out`` (C-contiguous complex128) or a new array.  All
-    moments come out of one batched real GEMM on the (re, im) columns of
-    ``h``, one ``n_mom x niv`` by ``niv x 2`` product per (ic, n) pair.
+    written into ``out`` (C-contiguous complex128) or a new array; an
+    ``out`` of shape ``(runs, n_mom, nc, nnt)`` splits the iv axis into
+    equal runs, run ``k``'s moments going into ``out[k]``.  All moments
+    come out of one batched real GEMM on the (re, im) columns of ``h``,
+    one ``n_mom x run`` by ``run x 2`` product per (run, ic, n), so a
+    run's moments are bit for bit those of a call on it alone.
     """
     n_mom, nnt, niv = weights.shape
     if h.shape[1:] != (niv, nnt):
         raise InputError(
             f"block shape {h.shape} inconsistent with {niv} iv / {nnt} nt indices"
         )
-    shape = (n_mom, h.shape[0], nnt)
+    nc = h.shape[0]
+    chunked = out is not None and out.ndim == 4
+    runs = out.shape[0] if chunked else 1
+    shape = (runs,) * chunked + (n_mom, nc, nnt)
     out = np.empty(shape, dtype=np.complex128) if out is None else out
     if out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
         raise InputError(f"out must be a C-contiguous complex128 {shape} array")
+    if not runs or niv % runs:
+        raise InputError(f"{runs} runs do not split {niv} iv points evenly")
+    run = niv // runs
     np.matmul(
-        weights.transpose(1, 0, 2)[:, None],  # (nnt, 1, n_mom, niv)
-        real_columns(h).transpose(2, 0, 1, 3),  # (nnt, nc, niv, 2)
-        out=real_columns(out).transpose(2, 1, 0, 3),  # (nnt, nc, n_mom, 2)
-    )
+        weights.reshape(n_mom, nnt, runs, run).transpose(2, 1, 0, 3)[:, :, None],
+        real_columns(h).reshape(nc, runs, run, nnt, 2).transpose(1, 3, 0, 2, 4),
+        out=real_columns(out).reshape(runs, n_mom, nc, nnt, 2).transpose(0, 3, 2, 1, 4),
+    )  # batch (runs, nnt, nc): (n_mom, run) @ (run, 2) -> (n_mom, 2)
     return out
 
 
@@ -226,13 +235,15 @@ class FieldSolver:
             Global velocity / toroidal indices of the block's axes
             (checked, and their weights gathered, once per distinct set).
         out:
-            Optional C-contiguous complex128 array to write the result into.
+            Optional C-contiguous complex128 array to write the result
+            into; one of shape ``(C, n_moments, nc, len(nt_idx))`` takes
+            the moments of C equal runs of ``iv_idx`` (:func:`velocity_moments`).
 
         Returns
         -------
         Stacked partial moments, shape ``(n_moments, nc, len(nt_idx))``
         — row 0 the field moment, row 1 the upwind moment, row 2 (EM
-        runs only) the parallel current.
+        runs only) the parallel current — or ``out``'s shape.
         """
         return velocity_moments(h, self._weights.get(iv_idx, nt_idx, self._prepare_weights), out)
 

@@ -16,10 +16,11 @@ Figure 1:
   reductions).  In SPMD source that is one statement in a moment loop;
   the lockstep driver issues it as one
   :func:`~repro.vmpi.allreduce_rounds` over the chunk's rank-stacked
-  partial moments, which the world books as ``n_mom x P2`` AllReduces.
-  The per-rank call count therefore scales with ``nv_loc``, and each
-  call's cost with the comm_1 group size — the interplay the paper's
-  Figure 2 turns on (DESIGN.md section 5).
+  partial moments, which the world books as ``n_mom x P2`` AllReduces
+  (the host forms the moments of every chunk of an i1 column in one
+  call, before the loop).  The per-rank call count therefore scales
+  with ``nv_loc``, and each call's cost with the comm_1 group size —
+  the interplay the paper's Figure 2 turns on (DESIGN.md section 5).
 - **nl** (optional): str->nl AllToAll on comm_2, toroidal bracket,
   back.
 - **coll**: delegated to the installed
@@ -160,11 +161,16 @@ class CgyroSimulation:
         ]
         self._all_iv = np.arange(d.nv, dtype=np.intp)
         self._all_nt = np.arange(d.nt, dtype=np.intp)
-        # per field-solve chunk, the global velocity slice it is for the
-        # ranks of each i1 column
-        self._chunk_iv = [
-            [slice(iv.start + c.start, iv.start + c.stop) for iv in self._nv_ranges]
-            for c in self.costs.chunks
+        # the field solve's moment calls, (i1, chunks, global iv slice):
+        # one per i1 column over its equal chunks, one more for a
+        # shorter tail chunk
+        chunks = self.costs.chunks
+        n_equal = sum(len(c) == len(chunks[0]) for c in chunks)
+        self._moment_calls = [
+            (i1, slice(a, b), slice(iv.start + chunks[a].start, iv.start + chunks[b - 1].stop))
+            for i1, iv in enumerate(self._nv_ranges)
+            for a, b in ((0, n_equal), (n_equal, len(chunks)))
+            if a < b
         ]
         # each comm_1 group with the toroidal columns its ranks own
         self._comm1_columns = [
@@ -268,15 +274,15 @@ class CgyroSimulation:
                 acc[:, :, columns] += req.wait()[req.comm.ranks[0]]
             pending.clear()
 
-        for chunk_iv, moment_flops in zip(self._chunk_iv, kc.chunk_moment_flops):
-            # row i1: the moments ranks (i1, *) form over *their own* iv
-            # chunk, for all nt at once — every (ic, n) pair is its own
-            # GEMM, so the wider batch changes no bit
-            partial = np.empty((dec.n_proc_1, n_mom, d.nc, d.nt), dtype=np.complex128)
-            for i1, iv in enumerate(chunk_iv):
-                self.fields.partial_moments(
-                    state[:, iv, :], self._all_iv[iv], self._all_nt, out=partial[i1]
-                )
+        # partials[i1, c]: the moments ranks (i1, *) form over *their
+        # own* chunk c, for all nt at once — every (c, ic, n) is its own
+        # GEMM, so the wider batch changes no bit
+        partials = np.empty((dec.n_proc_1, len(kc.chunks), n_mom, d.nc, d.nt), complex)
+        for i1, chunks, iv in self._moment_calls:
+            self.fields.partial_moments(
+                state[:, iv, :], self._all_iv[iv], self._all_nt, out=partials[i1, chunks]
+            )
+        for partial, moment_flops in zip(partials.swapaxes(0, 1), kc.chunk_moment_flops):
             self.world.charge_compute(
                 self.ranks,
                 flops=moment_flops,

@@ -159,6 +159,9 @@ class VirtualWorld:
         # ordered family of disjoint equal-size groups -> (the groups,
         # their (G, P) clock index, their node counts)
         self._families: Dict[tuple, "tuple[tuple, np.ndarray, tuple]"] = {}
+        # blocking statement (kind, groups, nbytes, algorithms, labels)
+        # -> its static half, shared by every block it books
+        self._statements: Dict[tuple, "tuple[tuple, ...]"] = {}
         # Metric series bound once per label set: ("collective", kind,
         # comm) -> (bytes, count, wait, cost histogram); ("imposed",
         # rank), ("overlapped", comm), ("compute", category) -> counter.
@@ -306,9 +309,9 @@ class VirtualWorld:
         """Advance rank clocks by local compute time.
 
         Exactly one of ``seconds`` / ``flops`` must be given; either may
-        be a scalar (same charge for every rank) or a per-rank mapping.
-        The rank set (in range, no rank twice) and every amount (finite,
-        non-negative) are checked before anything is charged.
+        be a scalar (same charge for every rank) or a mapping over exactly
+        the charged ranks.  The rank set (in range, no rank twice), the
+        keys and every amount (finite, non-negative) are checked first.
         """
         if (seconds is None) == (flops is None):
             raise VmpiError("provide exactly one of seconds= or flops=")
@@ -321,6 +324,9 @@ class VirtualWorld:
         amount = seconds if flops is None else flops
         per_rank = isinstance(amount, Mapping)
         if per_rank:
+            if amount.keys() != set(rank_list):
+                named = f"ranks {sorted(amount)}, not {sorted(rank_list)}"
+                raise VmpiError(f"per-rank charge names {named}")
             amounts = [amount[r] for r in rank_list]
         else:
             amounts = [float(amount)] * len(rank_list)
@@ -462,7 +468,7 @@ class VirtualWorld:
         factor: float,
         rounds: int = 1,
         admit: "Optional[tuple[str, str]]" = None,
-    ) -> "list[float]":
+    ) -> Sequence[float]:
         """The one blocking-charge body; returns each group's cost.
 
         ``idx`` is the ``(G, P)`` clock index of the disjoint
@@ -474,24 +480,43 @@ class VirtualWorld:
         ``cost`` added ``m`` times, a rank's category time takes
         ``rounds`` sequential adds — because that is what ``rounds``
         single collectives do, and ``t0 + m * cost`` rounds differently.
+        The static half — unscaled prices, ``int`` byte counts, algorithm
+        names, labels, first ranks — is built once per statement that
+        names its algorithms, and shared by every block it books.
         """
         if category is None:
             category = self.current_category
-        price = self.cost_model.collective_cost
-        costs = [
-            factor * price(kind, ranks, nb, algorithm=algo)
-            for ranks, nb, algo in zip(groups, nbytes, algorithms)
-        ]
+        key = (kind, tuple(groups), tuple(nbytes), tuple(algorithms), tuple(labels))
+        static = self._statements.get(key)
+        if static is None:
+            price = self.cost_model.collective_cost
+            static = (
+                tuple(price(kind, g, nb, algorithm=a) for g, nb, a in zip(groups, nbytes, key[3])),
+                tuple(int(nb) for nb in key[2]),
+                tuple(_algorithm_name(algorithm) for algorithm in key[3]),
+                key[4],
+                tuple(ranks[0] for ranks in groups),
+            )
+            if None not in key[3]:  # a default may be reassigned
+                self._statements[key] = static
+        costs, nbytes, names, labels, first = static
+        if factor != 1.0:
+            costs = [factor * cost for cost in costs]
         clocks = self.clock[idx]
-        last = clocks.argmax(axis=1).tolist()
-        t0 = clocks.max(axis=1)
-        waits = t0[:, None] - clocks
-        self.coll_wait_s[idx] += waits
-        # a group's total wait — the 1-d sum of its own row — is imposed
-        # by whoever arrived last
-        wait_s = [float(row.sum()) for row in waits]
-        last_arrival = [ranks[i] for ranks, i in zip(groups, last)]
-        self.imposed_wait_s[last_arrival] += wait_s
+        if idx.shape[1] == 1:
+            # one-rank groups: nobody waits, the only rank arrives last
+            t0 = clocks[:, 0]
+            wait_s, last_arrival = [0.0] * len(groups), first
+        else:
+            last = clocks.argmax(axis=1).tolist()
+            t0 = clocks.max(axis=1)
+            waits = t0[:, None] - clocks
+            self.coll_wait_s[idx] += waits
+            # a group's total wait — the sum of its own row — is imposed
+            # by whoever arrived last
+            wait_s = waits.sum(axis=1).tolist()
+            last_arrival = [ranks[i] for ranks, i in zip(groups, last)]
+            self.imposed_wait_s[last_arrival] += wait_s
         t_starts, t = [], t0.tolist()
         for _ in range(rounds):
             t_starts.append(t)
@@ -507,8 +532,7 @@ class VirtualWorld:
                 times[booked] = busy
         self._record_rows(
             CollectiveRows(
-                kind, groups, n_nodes, [int(nb) for nb in nbytes],
-                [_algorithm_name(algorithm) for algorithm in algorithms], labels,
+                kind, groups, n_nodes, nbytes, names, labels,
                 t_starts, costs, category, last_arrival, wait_s,
             ),
             admit,
@@ -813,10 +837,11 @@ class VirtualWorld:
     # reporting
     # ------------------------------------------------------------------
     def elapsed(self, ranks: Optional[Iterable[int]] = None) -> float:
-        """Simulated wall time: max clock over ``ranks`` (default all)."""
+        """Simulated wall time: max clock over ``ranks`` (default all;
+        checked as a charge's ranks are)."""
         if ranks is None:
             return float(self.clock.max())
-        idx = np.asarray(list(ranks), dtype=np.intp)
+        idx = self._group(ranks)[1]
         return float(self.clock[idx].max()) if idx.size else 0.0
 
     def category_time(
@@ -825,11 +850,11 @@ class VirtualWorld:
         """Accumulated time under ``category`` over ``ranks``.
 
         ``reduce`` selects the cross-rank aggregation: ``max``
-        (wall-like, default), ``mean``, or ``sum``.
+        (wall-like, default), ``mean``, or ``sum``; ``ranks`` are checked.
         """
         if reduce not in ("max", "mean", "sum"):
             raise VmpiError(f"unknown reduce {reduce!r}")
-        rank_list = list(range(self.n_ranks)) if ranks is None else list(ranks)
+        rank_list = range(self.n_ranks) if ranks is None else self._group(ranks)[0]
         vals = [self._category_time[r].get(category, 0.0) for r in rank_list]
         if not vals:
             return 0.0

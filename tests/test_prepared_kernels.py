@@ -205,6 +205,87 @@ class TestPartialMomentsOut:
             fs.partial_moments(h, iv, range(4), out=rows[:, 0].transpose(1, 0, 2))
 
 
+def _per_chunk_fields(sim, state):
+    """The field solve with one moments call per (i1, chunk), reduced
+    over the i1 rows and summed chunk by chunk, as the solver did before
+    each column's chunks became one call."""
+    d = sim.dims
+    acc = np.zeros((sim.fields.n_moments, d.nc, d.nt), complex)
+    for c in sim.costs.chunks:
+        partial = np.empty((sim.decomp.n_proc_1,) + acc.shape, complex)
+        for i1, iv in enumerate(sim._nv_ranges):
+            sl = slice(iv.start + c.start, iv.start + c.stop)
+            sim.fields.partial_moments(
+                state[:, sl, :], sim._all_iv[sl], sim._all_nt, out=partial[i1]
+            )
+        acc += partial.sum(axis=0)
+    return sim.fields.assemble(acc, sim._all_nt)
+
+
+class TestChunkedMoments:
+    """One ``partial_moments`` call over C equal runs is, run for run,
+    the C calls it replaces."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"beta_e": 0.01}], ids=["es", "em"])
+    @pytest.mark.parametrize("nt", [slice(2, 3), slice(0, 4)], ids=["nnt1", "full_nt"])
+    @pytest.mark.parametrize("runs, run", [(4, 4), (2, 3), (3, 5), (1, 6)])
+    def test_equal_to_one_call_per_run(self, overrides, nt, runs, run):
+        op = _operator(**overrides)
+        fs = FieldSolver(op.inp, op.dims, op.vgrid)
+        d = op.dims
+        state = _complex(np.random.default_rng(runs * run), (d.nc, d.nv, d.nt))
+        lo = d.nv - runs * run
+        iv, nts = range(lo, d.nv), range(*nt.indices(d.nt))
+        h = state[:, lo:, nt]
+        out = np.full((runs, fs.n_moments, d.nc, len(nts)), np.nan, complex)
+        assert fs.partial_moments(h, iv, nts, out=out) is out
+        for k in range(runs):
+            ks = slice(k * run, (k + 1) * run)
+            assert np.array_equal(out[k], fs.partial_moments(h[:, ks], iv[ks], nts))
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (lambda shape: np.empty(shape, np.complex64), "out must be"),
+            (lambda shape: np.empty(shape[:-1] + (2 * shape[-1],), complex)[..., ::2], "out must be"),
+            (lambda shape: np.empty((3,) + shape[1:], complex), "do not split"),
+            (lambda shape: np.empty((0,) + shape[1:], complex), "do not split"),
+            (lambda shape: np.empty(shape[:1] + (1,) + shape[2:], complex), "out must be"),
+        ],
+        ids=["dtype", "strided", "uneven", "no_runs", "n_mom"],
+    )
+    def test_a_bad_out_is_refused(self, bad, match):
+        op = _operator()
+        fs = FieldSolver(op.inp, op.dims, op.vgrid)
+        d = op.dims
+        h = np.zeros((d.nc, 8, d.nt), complex)
+        with pytest.raises(InputError, match=match):
+            fs.partial_moments(h, range(8), range(d.nt), out=bad((2, 2, d.nc, d.nt)))
+
+    @pytest.mark.parametrize("overlap", ["off", "str"])
+    def test_a_shorter_tail_chunk_gets_one_more_call(self, overlap, monkeypatch):
+        # nv = 40 over P1 = 4 columns: ten points a rank, chunks 4, 4, 2
+        sim = CgyroSimulation(
+            VirtualWorld(single_node(ranks=8)), range(8),
+            small_test(n_energy=5, n_toroidal=2), overlap=overlap,
+        )
+        assert [len(c) for c in sim.costs.chunks] == [4, 4, 2]
+        calls = []
+        real = FieldSolver.partial_moments
+
+        def counting(self, h, iv, nt, **kw):
+            calls.append(kw["out"].shape[0])
+            return real(self, h, iv, nt, **kw)
+
+        monkeypatch.setattr(FieldSolver, "partial_moments", counting)
+        state = _complex(np.random.default_rng(3), sim.h_global.shape)
+        got = sim._solve_fields(state)
+        assert calls == [2, 1] * sim.decomp.n_proc_1
+        monkeypatch.setattr(FieldSolver, "partial_moments", real)
+        want = _per_chunk_fields(sim, state)
+        assert np.array_equal(got.phi, want.phi) and np.array_equal(got.psi_u, want.psi_u)
+
+
 class TestPreparedOnce:
     def test_each_distinct_set_is_prepared_once_over_twelve_steps(self, monkeypatch):
         built = {"streaming": [], "fields": []}
@@ -226,9 +307,10 @@ class TestPreparedOnce:
             sim.step()
         assert sim.step_count == 12
         assert len(built["streaming"]) == 1
-        # one weight set per (i1, field-solve chunk), each gathered once
+        # one weight set per i1 column (its chunks are one call), each
+        # gathered once
         sets = built["fields"]
-        assert len(sets) == len(set(sets)) == sim.decomp.n_proc_1 * len(sim.costs.chunks)
+        assert len(sets) == len(set(sets)) == sim.decomp.n_proc_1
 
 
 class TestSharedDriftTable:

@@ -49,6 +49,20 @@ class TestClocks:
         assert small_world.clock[0] == 1.0
         assert small_world.clock[1] == 2.0
 
+    @pytest.mark.parametrize(
+        "amounts",
+        [{"flops": {0: 1.0}}, {"seconds": {0: 1.0, 1: 2.0, 7: 1.0}}, {"seconds": {0: 1.0, 5: 1.0}}],
+        ids=["missing", "extra", "other"],
+    )
+    def test_a_per_rank_mapping_must_name_exactly_the_charged_ranks(
+        self, small_world, amounts
+    ):
+        """A missing rank used to raise a bare KeyError; an extra one's
+        charge was silently dropped."""
+        with pytest.raises(VmpiError, match="per-rank charge names ranks"):
+            small_world.charge_compute([0, 1], **amounts)
+        assert not small_world.clock.any() and small_world.categories() == ()
+
     def test_requires_exactly_one_of_seconds_flops(self, small_world):
         with pytest.raises(VmpiError):
             small_world.charge_compute(0)
@@ -67,6 +81,18 @@ class TestClocks:
         small_world.charge_compute(5, seconds=7.0)
         assert small_world.elapsed() == 7.0
         assert small_world.elapsed([0, 1]) == 0.0
+
+    @pytest.mark.parametrize("ranks", [[-1], [16], [0, 0]], ids=["negative", "past", "twice"])
+    def test_elapsed_and_category_time_refuse_a_bad_rank_set(self, small_world, ranks):
+        """-1 used to wrap around to the last rank's clock; 16 raised a
+        bare IndexError, and category_time a bare KeyError."""
+        small_world.charge_compute(15, seconds=2.0, category="c")
+        with pytest.raises(VmpiError, match="out of range|names a rank twice"):
+            small_world.elapsed(ranks)
+        with pytest.raises(VmpiError, match="out of range|names a rank twice"):
+            small_world.category_time("c", ranks)
+        assert small_world.elapsed([]) == 0.0
+        assert small_world.elapsed(iter([15])) == small_world.category_time("c", (15,)) == 2.0
 
     def test_a_rank_named_twice_is_refused_before_any_clock_moves(self, small_world):
         """It used to charge rank 0 twice while its span and metric said once."""
