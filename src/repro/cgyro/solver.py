@@ -13,12 +13,13 @@ Figure 1:
   accumulated in *chunks* of the local velocity space, with one
   AllReduce over the comm_1 group per moment per chunk (pipelined
   partial-transform aggregation — CGYRO's ``field``/``upwind``
-  reductions).  In SPMD source that is one statement in a moment loop;
-  the lockstep driver issues it as one
-  :func:`~repro.vmpi.allreduce_rounds` over the chunk's rank-stacked
-  partial moments, which the world books as ``n_mom x P2`` AllReduces
-  (the host forms the moments of every chunk of an i1 column in one
-  call, before the loop).  The per-rank call count therefore scales
+  reductions).  In SPMD source that is one statement in a moment loop,
+  per chunk; the lockstep driver issues a whole blocking solve as one
+  :func:`~repro.vmpi.allreduce_rounds` over the rank-stacked partial
+  moments of every chunk, which the world books chunk by chunk as the
+  chunk's moment compute and then ``n_mom x P2`` AllReduces (the host
+  forms the moments of every chunk of an i1 column in one call,
+  before).  The per-rank call count therefore scales
   with ``nv_loc``, and each call's cost with the comm_1 group size —
   the interplay the paper's Figure 2 turns on (DESIGN.md section 5).
 - **nl** (optional): str->nl AllToAll on comm_2, toroidal bracket,
@@ -282,13 +283,11 @@ class CgyroSimulation:
             self.fields.partial_moments(
                 state[:, iv, :], self._all_iv[iv], self._all_nt, out=partials[i1, chunks]
             )
-        for partial, moment_flops in zip(partials.swapaxes(0, 1), kc.chunk_moment_flops):
-            self.world.charge_compute(
-                self.ranks,
-                flops=moment_flops,
-                category=compute_category,
-            )
-            if overlapped:
+        if overlapped:
+            for partial, moment_flops in zip(partials.swapaxes(0, 1), kc.chunk_moment_flops):
+                self.world.charge_compute(
+                    self.ranks, flops=moment_flops, category=compute_category
+                )
                 # wait the previous chunk's reductions (their cost has
                 # been accruing under this chunk's moment compute), then
                 # post this chunk's — one aggregated iallreduce per
@@ -305,14 +304,17 @@ class CgyroSimulation:
                         )
                         for comm, columns in self._comm1_columns
                     )
-            else:
-                # each moment is reduced separately, as in CGYRO: one
-                # statement, n_mom rounds on every comm_1 group
-                with self.world.phase(comm_category):
-                    acc += allreduce_rounds(
-                        self._comm1_groups, partial, self._nt_windows
-                    )
-        drain()
+            drain()
+        else:
+            # each moment is reduced separately, as in CGYRO: one
+            # statement, n_mom rounds on every comm_1 group, per chunk,
+            # after that chunk's moment compute — all chunks in one call
+            for summed in allreduce_rounds(
+                self._comm1_groups, partials, self._nt_windows, ranks=self.ranks,
+                flops=kc.chunk_moment_flops, compute_category=compute_category,
+                category=comm_category,
+            ):
+                acc += summed
         fields = self.fields.assemble(acc, self._all_nt)
         self.world.charge_compute(
             self.ranks,

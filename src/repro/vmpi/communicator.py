@@ -97,6 +97,11 @@ def allreduce_rounds(
     comms: Sequence["Communicator"],
     stack: np.ndarray,
     columns: Sequence[slice],
+    *,
+    ranks: Sequence[int] = (),
+    flops: Optional[Sequence[float]] = None,
+    compute_category: Optional[str] = None,
+    category: Optional[str] = None,
 ) -> np.ndarray:
     """Every rank calls ``allreduce`` on its own communicator, once per
     round: the lockstep form of that one SPMD statement.
@@ -107,21 +112,25 @@ def allreduce_rounds(
     ``stack`` has shape ``(size, rounds, ..., n)``: row ``i`` is what
     comm rank ``i`` of *every* group contributes, and group ``g``
     reduces the last-axis window ``columns[g]`` of it, one round at a
-    time.  The rank axis is
+    time.  Given per-chunk ``flops``, a chunk axis follows the rank
+    axis, ``(size, len(flops), rounds, ..., n)``: chunk ``c`` is the
+    statement a chunked loop issues after charging ``ranks`` the
+    compute of ``flops[c]`` under ``compute_category``.  The rank axis is
     folded elementwise, so the whole operand is reduced by **one**
     :func:`~repro.vmpi.datatypes.reduce_ranks` — bit for bit what the per-(round, group)
     ``allreduce`` of ``stack[:, m, ..., columns[g]]`` delivers wherever
     such a window holds more than one element per rank (a one-element
     window is a 1-d reduction there, which NumPy folds pairwise from
-    eight ranks up) — and **one** read-only ``(rounds, ..., n)`` array
-    comes back, whose window ``columns[g]`` is what the ranks of
-    ``comms[g]`` hold.
+    eight ranks up) — and **one** read-only array, ``stack`` less its
+    rank axis, comes back, whose window ``columns[g]`` is what the
+    ranks of ``comms[g]`` hold.
 
-    The world books ``rounds x len(comms)`` modeled AllReduces, each
-    with its group's own byte count, algorithm and price, each admitted
-    by an installed checker and recorded exactly as the double loop —
-    rounds outer, groups inner — of :meth:`Communicator.allreduce`
-    would have (:meth:`VirtualWorld.charge_collective_block`).
+    The world books ``rounds x len(comms)`` modeled AllReduces (per
+    chunk, after its compute charge), each with its group's own byte
+    count, algorithm and price, each admitted by an installed checker
+    and recorded exactly as the double loop — rounds outer, groups
+    inner — of :meth:`Communicator.allreduce` would have, in phase
+    ``category`` (:meth:`VirtualWorld.charge_collective_block`).
     """
     if len(comms) == 0 or len(columns) != len(comms):
         raise CollectiveError(
@@ -132,15 +141,18 @@ def allreduce_rounds(
     if any(comm.world is not world for comm in comms):
         raise CollectiveError("allreduce_rounds: communicators of different worlds")
     stack = np.asarray(stack)
-    if stack.ndim < 3 or stack.shape[0] != size or stack.shape[1] == 0:
+    axes = (size,) if flops is None else (size, len(flops))  # ranks, then chunks
+    lead = len(axes)
+    if stack.ndim < lead + 2 or stack.shape[:lead] != axes or 0 in stack.shape[1 : lead + 1]:
+        layout = "size" if flops is None else f"size, {len(flops)} chunks"
         raise CollectiveError(
             f"allreduce_rounds: operand of shape {stack.shape} does not stack "
-            f"the {size} ranks of each communicator as (size, rounds >= 1, ..., n)"
+            f"the {size} ranks of each communicator as ({layout}, rounds >= 1, ..., n)"
         )
     result = reduce_ranks(stack)
     result.setflags(write=False)
-    rounds, n = stack.shape[1], stack.shape[-1]
-    column_bytes = stack.itemsize * math.prod(stack.shape[2:-1])
+    rounds, n = stack.shape[lead], stack.shape[-1]
+    column_bytes = stack.itemsize * math.prod(stack.shape[lead + 1 : -1])
     nbytes = [len(range(*window.indices(n))) * column_bytes for window in columns]
     world.charge_collective_block(
         "allreduce",
@@ -149,7 +161,9 @@ def allreduce_rounds(
         rounds,
         comm_labels=[comm.label for comm in comms],
         algorithms=[world.cost_model.select_algorithm("allreduce")] * len(nbytes),
+        category=category,
         admit=None if world.checker is None else ("SUM", str(stack.dtype)),
+        ranks=ranks, flops=flops, compute_category=compute_category,
     )
     return result
 

@@ -318,8 +318,13 @@ class VirtualWorld:
         if isinstance(ranks, (int, np.integer)):
             ranks = (ranks,)
         rank_list = self._group(ranks)[0]
-        cat = category if category is not None else self.current_category
-        mult = getattr(self.fault_injector, "compute_multiplier", None)
+        self._book_compute(rank_list, self._compute_seconds(rank_list, seconds, flops), category)
+
+    def _compute_seconds(
+        self, rank_list: "tuple[int, ...]", seconds: object, flops: object
+    ) -> List[float]:
+        """Each rank's seconds of one :meth:`charge_compute` charge, its
+        keys and amounts checked (:class:`VmpiError`)."""
         # what kind of charge this is gets decided once, not per rank
         amount = seconds if flops is None else flops
         per_rank = isinstance(amount, Mapping)
@@ -334,19 +339,25 @@ class VirtualWorld:
             if not 0.0 <= a < math.inf:  # NaN fails too
                 what = "time" if flops is None else "flop"
                 raise VmpiError(f"{what} charge {a} for rank {r} is negative or not finite")
-        if flops is not None:
-            to_seconds = self.machine.compute_seconds
-            if self.machine.node_speed is not None:
-                node_of = self.placement.node_of
-                amounts = [
-                    to_seconds(fl, node=node_of(r))
-                    for r, fl in zip(rank_list, amounts)
-                ]
-            elif per_rank:
-                amounts = [to_seconds(fl) for fl in amounts]
-            else:
-                # one rate for every rank: one conversion per call
-                amounts = [to_seconds(float(amount))] * len(rank_list)
+        if flops is None:
+            return amounts
+        to_seconds = self.machine.compute_seconds
+        if self.machine.node_speed is not None:
+            node_of = self.placement.node_of
+            return [to_seconds(fl, node=node_of(r)) for r, fl in zip(rank_list, amounts)]
+        if per_rank:
+            return [to_seconds(fl) for fl in amounts]
+        # one rate for every rank: one conversion per charge
+        return [to_seconds(float(amount))] * len(rank_list)
+
+    def _book_compute(
+        self, rank_list: "tuple[int, ...]", amounts: Sequence[float], cat: Optional[str]
+    ) -> None:
+        """The one compute body: each rank's clock and category time
+        advance by its checked seconds (times the injector's
+        ``compute_multiplier``), then the counter and the span."""
+        cat = cat if cat is not None else self.current_category
+        mult = getattr(self.fault_injector, "compute_multiplier", None)
         clock, booked = self.clock, cat or "uncategorized"
         charged: Dict[int, float] = {}
         for r, dt in zip(rank_list, amounts):
@@ -399,7 +410,8 @@ class VirtualWorld:
         ranks, idx = self._group(ranks)
         return self._charge_blocking(
             kind, (ranks,), idx[None], (self.cost_model.n_nodes_of(ranks),),
-            (nbytes,), (comm_label,), (algorithm,), category, factor,
+            self._statement(kind, (ranks,), (nbytes,), (algorithm,), (comm_label,)),
+            category, factor,
         )[0]
 
     def charge_collective_block(
@@ -413,79 +425,86 @@ class VirtualWorld:
         algorithms: Sequence[Optional[object]],
         category: Optional[str] = None,
         admit: "Optional[tuple[str, str]]" = None,
+        ranks: Sequence[int] = (),
+        flops: Optional[Sequence[float]] = None,
+        compute_category: Optional[str] = None,
     ) -> None:
         """Charge one lockstep statement: ``rounds`` back-to-back
         collectives of ``kind`` on each of ``groups``.
 
         ``groups`` are ordered, pairwise disjoint and of equal size
-        (checked once per distinct family;
-        :class:`~repro.errors.CollectiveError` otherwise); ``nbytes``,
-        ``comm_labels`` and ``algorithms`` are per group, and each group
-        is priced on its own.  The ``rounds x len(groups)`` modeled
+        (checked once per distinct family); ``nbytes``, ``comm_labels``
+        and ``algorithms`` hold one entry per group, and each group is
+        priced on its own; ``rounds`` is an int ``>= 1``
+        (:class:`~repro.errors.CollectiveError` otherwise, before any
+        clock moves).  The ``rounds x len(groups)`` modeled
         collectives are booked exactly as that many
         :meth:`charge_collective` calls issued round-major, group-minor
         would book them — clocks, waits, category times, events, spans
         and series, bit for bit — and with ``admit = (op, dtype)`` a
         checker admits each row as a blocking collective of that op and
-        dtype, as the loop's :meth:`Communicator.allreduce` would.
+        dtype, as the loop's :meth:`Communicator.allreduce` would.  The
+        statement runs in phase ``category`` (default: the current one).
 
-        The injector is asked once, through its non-raising
-        ``collective_outlook(groups)``: the cost factor, and the first
-        group holding a dead rank.  That group's first collective is
-        where the death surfaces, so the groups before it are charged
-        their first round and ``on_collective`` then raises for it, as
-        it would have in the loop.
+        Given ``flops``, it is issued once per chunk, chunk ``c`` after
+        ``ranks`` are charged ``flops[c]`` under ``compute_category`` as
+        :meth:`charge_compute` would; checks, conversions, family and
+        static half are prepared once.  The injector is asked once per
+        statement, through its non-raising ``collective_outlook(groups)``:
+        the cost factor, and the first group holding a dead rank.  That
+        group's first collective is where the death surfaces, so the
+        groups before it are charged their first round and
+        ``on_collective`` then raises for it, as it would have in the
+        loop.
         """
         groups, idx, n_nodes = self._family(groups)
-        factor, dead = 1.0, None
-        if self.fault_injector is not None:
-            factor, dead = self.fault_injector.collective_outlook(groups)
-        live = len(groups) if dead is None else dead
-        if live:
-            self._charge_blocking(
-                kind, groups[:live], idx[:live], n_nodes, nbytes, comm_labels,
-                algorithms, category, factor, rounds if dead is None else 1, admit,
+        per_group = (len(nbytes), len(comm_labels), len(algorithms))
+        whole = isinstance(rounds, (int, np.integer)) and rounds >= 1
+        if not whole or per_group != (len(groups),) * 3:
+            raise CollectiveError(
+                f"a block of {len(groups)} groups needs rounds >= 1 and one byte count, label"
+                f" and algorithm per group, got rounds={rounds!r} and {per_group}"
             )
-        if dead is not None:
-            if admit is not None and self.checker is not None:
-                p = len(groups[dead])
-                self.checker.lockstep_collective(
-                    kind, groups[dead], comm_labels[dead], (nbytes[dead],) * p,
-                    op=admit[0], dtypes=(admit[1],) * p,
-                )
-            self.fault_injector.on_collective(kind, groups[dead], comm_labels[dead])
+        chunks: List[Optional[List[float]]] = [None]
+        if flops is not None:
+            ranks = self._group(ranks)[0]
+            chunks = [self._compute_seconds(ranks, None, fl) for fl in flops]
+        static = self._statement(kind, groups, nbytes, algorithms, comm_labels)
+        category = self.current_category if category is None else category
+        stack = self._category_stack
+        for seconds in chunks:
+            if seconds is not None:
+                self._book_compute(ranks, seconds, compute_category)
+            stack.append(category)  # `with self.phase(category)`, without its generator
+            try:
+                factor, dead = 1.0, None
+                if self.fault_injector is not None:
+                    factor, dead = self.fault_injector.collective_outlook(groups)
+                live = len(groups) if dead is None else dead
+                if live:
+                    self._charge_blocking(
+                        kind, groups[:live], idx[:live], n_nodes, static, category,
+                        factor, rounds if dead is None else 1, admit,
+                    )
+                if dead is not None:
+                    if admit is not None and self.checker is not None:
+                        p = len(groups[dead])
+                        self.checker.lockstep_collective(
+                            kind, groups[dead], comm_labels[dead], (nbytes[dead],) * p,
+                            op=admit[0], dtypes=(admit[1],) * p,
+                        )
+                    self.fault_injector.on_collective(kind, groups[dead], comm_labels[dead])
+            finally:
+                stack.pop()
 
-    def _charge_blocking(
-        self,
-        kind: str,
-        groups: "Sequence[tuple[int, ...]]",
-        idx: np.ndarray,
-        n_nodes: Sequence[int],
-        nbytes: Sequence[int],
-        labels: Sequence[str],
-        algorithms: Sequence[Optional[object]],
-        category: Optional[str],
-        factor: float,
-        rounds: int = 1,
-        admit: "Optional[tuple[str, str]]" = None,
-    ) -> Sequence[float]:
-        """The one blocking-charge body; returns each group's cost.
-
-        ``idx`` is the ``(G, P)`` clock index of the disjoint
-        ``groups``; the per-group sequences may run past ``G``.  Round
-        0 synchronises each group to its last arrival and books the
-        entry waits; every later round finds its group synchronised
-        (wait ``0.0``, last arrival its first rank).  Simulated time is
-        kept by *repeated* addition — round ``m`` starts at ``t0`` plus
-        ``cost`` added ``m`` times, a rank's category time takes
-        ``rounds`` sequential adds — because that is what ``rounds``
-        single collectives do, and ``t0 + m * cost`` rounds differently.
-        The static half — unscaled prices, ``int`` byte counts, algorithm
-        names, labels, first ranks — is built once per statement that
-        names its algorithms, and shared by every block it books.
-        """
-        if category is None:
-            category = self.current_category
+    def _statement(
+        self, kind: str, groups: "Sequence[tuple[int, ...]]", nbytes: Sequence[int],
+        algorithms: Sequence[Optional[object]], labels: Sequence[str],
+    ) -> "tuple[tuple, ...]":
+        """A blocking statement's static half — unscaled prices, ``int``
+        byte counts, algorithm names, labels, first ranks — built once
+        per statement that names its algorithms (a default may be
+        reassigned), and shared by every block it books."""
         key = (kind, tuple(groups), tuple(nbytes), tuple(algorithms), tuple(labels))
         static = self._statements.get(key)
         if static is None:
@@ -497,8 +516,37 @@ class VirtualWorld:
                 key[4],
                 tuple(ranks[0] for ranks in groups),
             )
-            if None not in key[3]:  # a default may be reassigned
+            if None not in key[3]:
                 self._statements[key] = static
+        return static
+
+    def _charge_blocking(
+        self,
+        kind: str,
+        groups: "Sequence[tuple[int, ...]]",
+        idx: np.ndarray,
+        n_nodes: Sequence[int],
+        static: "tuple[tuple, ...]",
+        category: Optional[str],
+        factor: float,
+        rounds: int = 1,
+        admit: "Optional[tuple[str, str]]" = None,
+    ) -> Sequence[float]:
+        """The one blocking-charge body; returns each group's cost.
+
+        ``idx`` is the ``(G, P)`` clock index of the disjoint
+        ``groups``, ``static`` the statement's :meth:`_statement`; the
+        per-group sequences may run past ``G``.  Round 0 synchronises
+        each group to its last arrival and books the entry waits; every
+        later round finds its group synchronised (wait ``0.0``, last
+        arrival its first rank).  Simulated time is kept by *repeated*
+        addition — round ``m`` starts at ``t0`` plus ``cost`` added
+        ``m`` times, a rank's category time takes ``rounds`` sequential
+        adds — because that is what ``rounds`` single collectives do,
+        and ``t0 + m * cost`` rounds differently.
+        """
+        if category is None:
+            category = self.current_category
         costs, nbytes, names, labels, first = static
         if factor != 1.0:
             costs = [factor * cost for cost in costs]

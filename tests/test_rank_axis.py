@@ -116,7 +116,9 @@ def test_a_stage_runs_once_per_member_and_models_what_it_did(monkeypatch, overla
 
     count(StreamingOperator, "rhs")
     count(FieldSolver, "partial_moments")
-    count(VirtualWorld, "charge_compute")
+    # booked compute charges: the one compute body, which
+    # ``charge_compute`` and a chunked field solve both call
+    count(VirtualWorld, "_book_compute")
     # host calls on the reduction path (the gate below)
     count(Communicator, "allreduce")
     count(communicator_module, "reduce_ranks")
@@ -141,7 +143,7 @@ def test_a_stage_runs_once_per_member_and_models_what_it_did(monkeypatch, overla
     assert calls["partial_moments"] <= p1 * n_chunks * field_solves
 
     # the model: one trace event per modeled collective
-    modeled = collections.Counter({"charge_compute": calls["charge_compute"]})
+    modeled = collections.Counter({"charge_compute": calls["_book_compute"]})
     for event in world.trace:
         modeled[("i" if event.nonblocking else "") + event.kind] += 1
         modeled["post_collective" if event.nonblocking else "charge_collective"] += 1
@@ -159,10 +161,10 @@ def test_a_stage_runs_once_per_member_and_models_what_it_did(monkeypatch, overla
         **{m.comm_sim.label: 1 for m in ens.members},  # the diagnostics
     }
 
-    # the host: a blocking field solve is one statement, one
-    # ``reduce_ranks`` per chunk, and never goes through
+    # the host: a blocking field solve is one ``allreduce_rounds`` call
+    # over its chunks, one ``reduce_ranks``, and never goes through
     # ``Communicator.allreduce``
-    blocks = 0 if overlap == "full" else n_chunks * field_solves
+    blocks = 0 if overlap == "full" else field_solves
     assert calls["allreduce_rounds"] == blocks
     assert calls["allreduce"] == members  # the diagnostics again
     assert calls["reduce_ranks"] == members + (

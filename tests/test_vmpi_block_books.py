@@ -23,9 +23,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.check import CollectiveChecker
-from repro.errors import ProtocolError
+from repro.errors import CollectiveError, ProtocolError
 from repro.machine import generic_cluster
 from repro.obs import Span, Telemetry, export_spans_jsonl
+from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.vmpi import AllreduceAlgorithm, AlltoallAlgorithm, VirtualWorld
 from repro.vmpi.tracer import CollectiveEvent
 
@@ -343,3 +344,62 @@ def test_zeroing_the_clocks_does_not_reach_the_unbuilt_rows():
         )
     assert books[0] == books[1]
     assert len(books[0][0]) == 6 and any(e.t_start > 0.0 for e in world.trace)
+
+
+# -- a malformed statement is refused before a clock moves -------------
+def _malformed(**changes):
+    statement = {
+        "groups": ((0, 1), (2, 3)),
+        "nbytes": [8, 8],
+        "rounds": 2,
+        "comm_labels": ["a", "b"],
+        "algorithms": [None, None],
+    }
+    return {**statement, **changes}
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        _malformed(groups=((0, 1),), nbytes=[8], comm_labels=["a"], algorithms=[None], rounds=0),
+        _malformed(rounds=-1),
+        _malformed(rounds=2.0),
+        _malformed(nbytes=[8]),
+        _malformed(nbytes=[8, 8, 8]),
+        _malformed(comm_labels=["a"]),
+        _malformed(algorithms=[None]),
+    ],
+    ids=[
+        "zero-rounds",
+        "negative-rounds",
+        "float-rounds",
+        "nbytes-short",
+        "nbytes-long",
+        "labels-short",
+        "algorithms-short",
+    ],
+)
+@pytest.mark.parametrize("guard", ["bare", "checked", "armed"])
+def test_a_malformed_statement_moves_no_clock(statement, guard):
+    """At the parent a zero-round statement still synchronised its
+    group and booked the entry waits, and a per-group sequence shorter
+    than the groups rewound the other groups' clocks (rank 2: 1.0 ->
+    7e-06), failing only at the first read of the trace."""
+    world = _world(checker=guard == "checked")
+    if guard == "armed":
+        # a crash armed for step 0: asking the injector would kill rank 3
+        plan = FaultPlan(specs=(FaultSpec("rank_crash", at_step=0, rank=3),))
+        world.install_fault_injector(FaultInjector(world, plan))
+    world.charge_compute(0, seconds=1.0)
+    world.charge_compute(2, seconds=1.0)
+    before = _books(world)
+    with pytest.raises(CollectiveError, match="rounds >= 1 and one byte count"):
+        world.charge_collective_block("allreduce", **statement)
+    assert _books(world) == before
+    assert world.clock[:4].tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert not world.coll_wait_s.any() and not world.imposed_wait_s.any()
+    assert len(world.trace) == 0 and world.trace.events == ()
+    if guard == "armed":
+        assert not world.fault_injector.dead_ranks
+    if guard == "checked":
+        assert world.checker.completed == []
