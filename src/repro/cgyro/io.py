@@ -81,8 +81,8 @@ def parse_input_file(path: Union[str, Path]) -> CgyroInput:
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
-    scalars: Dict[str, str] = {}
-    per_species: Dict[str, Dict[int, str]] = {}
+    kwargs: Dict[str, object] = {}
+    per_species: Dict[str, Dict[int, object]] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,51 +91,55 @@ def parse_input_file(path: Union[str, Path]) -> CgyroInput:
             raise InputError(f"{path}:{lineno}: expected KEY=VALUE, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         prefix, _, suffix = key.rpartition("_")
+        field = _SCALAR_KEYS.get(key)
+        where = f"{path}:{lineno}: {key}"
         if prefix in ("NAME", "Z", "MASS", "DENS", "TEMP", "DLNNDR", "DLNTDR") and suffix.isdigit():
-            per_species.setdefault(prefix, {})[int(suffix)] = value
-        elif key in _SCALAR_KEYS:
-            scalars[key] = value
-        else:
+            per_species.setdefault(prefix, {})[int(suffix)] = (
+                value if prefix == "NAME" else _number(where, value, float)
+            )
+        elif field is None:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-
-    kwargs: Dict[str, object] = {}
-    for key, value in scalars.items():
-        field = _SCALAR_KEYS[key]
-        if field == "name":
+        elif field == "name":
             kwargs[field] = value
         elif field in _BOOL_FIELDS:
-            kwargs[field] = bool(int(value))
-        elif field in _INT_FIELDS:
-            kwargs[field] = int(value)
+            kwargs[field] = bool(_number(where, value, int))
         else:
-            kwargs[field] = float(value)
+            kwargs[field] = _number(where, value, int if field in _INT_FIELDS else float)
 
-    n_species = int(kwargs.get("n_species", 2))
-    if per_species:
-        species: List[SpeciesParams] = []
-        dlnndr: List[float] = []
-        dlntdr: List[float] = []
-        for s in range(1, n_species + 1):
-            try:
-                species.append(
-                    SpeciesParams(
-                        name=per_species.get("NAME", {}).get(s, f"s{s}"),
-                        z=float(per_species["Z"][s]),
-                        mass=float(per_species["MASS"][s]),
-                        dens=float(per_species["DENS"][s]),
-                        temp=float(per_species["TEMP"][s]),
+    try:
+        if per_species:
+            species: List[SpeciesParams] = []
+            dlnndr: List[float] = []
+            dlntdr: List[float] = []
+            for s in range(1, int(kwargs.get("n_species", 2)) + 1):
+                try:
+                    species.append(
+                        SpeciesParams(
+                            name=per_species.get("NAME", {}).get(s, f"s{s}"),
+                            z=per_species["Z"][s],
+                            mass=per_species["MASS"][s],
+                            dens=per_species["DENS"][s],
+                            temp=per_species["TEMP"][s],
+                        )
                     )
-                )
-                dlnndr.append(float(per_species.get("DLNNDR", {}).get(s, 1.0)))
-                dlntdr.append(float(per_species.get("DLNTDR", {}).get(s, 3.0)))
-            except KeyError as exc:
-                raise InputError(
-                    f"{path}: species {s} is missing field {exc.args[0]}"
-                ) from None
-        kwargs["species"] = tuple(species)
-        kwargs["dlnndr"] = tuple(dlnndr)
-        kwargs["dlntdr"] = tuple(dlntdr)
-    return CgyroInput(**kwargs)
+                    dlnndr.append(per_species.get("DLNNDR", {}).get(s, 1.0))
+                    dlntdr.append(per_species.get("DLNTDR", {}).get(s, 3.0))
+                except KeyError as exc:
+                    raise InputError(f"species {s} is missing field {exc.args[0]}") from None
+            kwargs["species"] = tuple(species)
+            kwargs["dlnndr"] = tuple(dlnndr)
+            kwargs["dlntdr"] = tuple(dlntdr)
+        return CgyroInput(**kwargs)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _number(where: str, value: str, kind: type):
+    """``kind(value)``, or an InputError naming the file, line and key."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise InputError(f"{where}: {value!r} is not a valid {kind.__name__}") from None
 
 
 def write_timing_csv(rows: Sequence[ReportRow], path: Union[str, Path]) -> None:

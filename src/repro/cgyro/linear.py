@@ -18,10 +18,9 @@ the matrix-free step map, and implicitly-restarted Arnoldi
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigs
 
 from repro.errors import InputError
 from repro.cgyro.fields import FieldSolver
@@ -29,6 +28,9 @@ from repro.cgyro.params import CgyroInput
 from repro.cgyro.streaming import StreamingOperator
 from repro.collision import CmatPropagator, CollisionOperator, apply_propagator
 from repro.grid import ConfigGrid, VelocityGrid
+
+if TYPE_CHECKING:  # pragma: no cover - imported where it is called
+    from scipy.sparse.linalg import LinearOperator
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,7 @@ class LinearSolver:
 
     def step_operator(self, n_mode: int) -> LinearOperator:
         """The mode-``n`` step map as a scipy LinearOperator."""
+        from scipy.sparse.linalg import LinearOperator  # only linear mode loads it
         size = self.dims.nc * self.dims.nv
         shape3 = (self.dims.nc, self.dims.nv, 1)
 
@@ -177,6 +180,7 @@ class LinearSolver:
         degenerate pair, which ARPACK cannot converge with ``k=1``; a
         small cluster is requested and the largest modulus returned.
         """
+        from scipy.sparse.linalg import eigs  # only linear mode loads it
         rng = np.random.default_rng(seed)
         size = self.dims.nc * self.dims.nv
         v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)

@@ -13,7 +13,8 @@ rests on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
 from repro.errors import InputError
@@ -110,6 +111,17 @@ class CgyroInput:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        # every float is finite (a NaN passes each range check below)
+        floats = [(name, getattr(self, name)) for name in _FLOAT_FIELDS]
+        floats += [(name, v) for name in ("dlnndr", "dlntdr") for v in getattr(self, name)]
+        floats += [
+            (f"species {sp.name!r} {name}", getattr(sp, name))
+            for sp in self.species
+            for name in ("z", "mass", "dens", "temp")
+        ]
+        for name, value in floats:
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         self.grid_dims()  # validates resolutions
         if len(self.species) != self.n_species:
             raise InputError(
@@ -172,3 +184,6 @@ class CgyroInput:
     def with_updates(self, **overrides) -> "CgyroInput":
         """A copy with the given fields replaced (sweep helper)."""
         return replace(self, **overrides)
+
+
+_FLOAT_FIELDS = tuple(f.name for f in fields(CgyroInput) if f.type == "float")

@@ -21,6 +21,7 @@ from typing import Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+import scipy.linalg  # noqa: F401 -- roots_genlaguerre's first call imports it: pay it here
 from scipy.special import roots_genlaguerre
 
 from repro.errors import InputError

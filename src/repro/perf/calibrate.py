@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.cgyro.params import CgyroInput
 from repro.cgyro.presets import nl03c_scaled
@@ -110,6 +109,7 @@ def calibrate_machine(
         got = _predict(machine, inp, n_members, total_ranks)
         return np.array([np.log(got[k] / targets[k]) for k in keys])
 
+    from scipy.optimize import least_squares  # only this cold fit needs it
     fit = least_squares(residuals, np.log(np.asarray(x0, dtype=float)))
     o, a, rate = np.exp(fit.x)
     machine = _build_machine(o, a, rate, n_nodes=n_nodes, mem_per_rank=mem_per_rank)

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import InputError
 from repro.cgyro import CgyroInput, linear_benchmark, nl03c_scaled, small_test
 from repro.collision.cmat import cmat_total_bytes
+from repro.collision.params import SpeciesParams
 
 
 class TestValidation:
@@ -32,6 +33,13 @@ class TestValidation:
             ("upwind_coeff", -1.0),
             ("amp", 0.0),
             ("nu", -0.5),
+            # a NaN passes every range check; each float must be finite
+            ("delta_t", float("nan")),
+            ("amp", float("nan")),
+            ("nu", float("inf")),
+            ("gamma_e", float("-inf")),
+            ("dlntdr", (3.0, float("nan"))),
+            ("species", (SpeciesParams("i", 1.0, float("nan"), 1.0, 1.0),) * 2),
         ],
     )
     def test_invalid_values_rejected(self, field, value):

@@ -36,6 +36,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro import records
 from repro.campaign import RequestQueue, SimRequest
+from repro.cgyro.io import write_input_file
 from repro.cgyro.params import CgyroInput
 from repro.cgyro.presets import small_test
 from repro.check.oracle import EquivalenceReport, FieldDelta, MemberCheck
@@ -418,6 +419,7 @@ class TestCliRefusesGarbage:
             ["campaign", "{file}"],
             ["campaign", "{requests}", "--plan", "{file}"],
             ["campaign", "{requests}", "--faults", "0:{file}"],
+            ["run-cgyro", "{file}"],
         ],
         ids=lambda argv: argv[0] + (argv[-2] if argv[-2].startswith("--") else ""),
     )
@@ -434,6 +436,38 @@ class TestCliRefusesGarbage:
         assert code == 2, err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(garbage) in err
+
+    @pytest.mark.parametrize(
+        "line,named",
+        [
+            ("N_RADIAL=abc", "N_RADIAL"),
+            ("N_RADIAL=4.5", "N_RADIAL"),
+            ("NU=0.1.2", "NU"),
+            ("CONSERVE_MOMENTUM=yes", "CONSERVE_MOMENTUM"),
+            ("MASS_1=heavy", "MASS_1"),
+            ("DELTA_T=nan", "delta_t"),
+            ("AMP=nan", "amp"),
+            ("NU=inf", "nu"),
+            ("DLNTDR_2=nan", "dlntdr"),
+            ("TEMP_2=-inf", "temp"),
+        ],
+    )
+    def test_run_cgyro_refuses_a_bad_value(self, line, named, tmp_path, capsys):
+        """A value that is not a number, or not a finite one, is one
+        ``error:`` line naming the file and the key; never a traceback
+        or a run that prints ``nan``."""
+        path = tmp_path / "input.cgyro"
+        write_input_file(small_test(), path)
+        text = path.read_text()
+        path.write_text(text + line + "\n")
+        code = repro_main(["run-cgyro", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        if named.isupper():  # a value that is no number: its line and key
+            named = f"{path}:{len(text.splitlines()) + 1}: {named}"
+        assert named in err
 
 
 # ----------------------------------------------------------------------
