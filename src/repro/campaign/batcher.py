@@ -44,11 +44,6 @@ class CandidateBatch:
         """Content address of the shared tensor (cache key)."""
         return self.signature.content_hash()
 
-    @property
-    def steps_per_report(self) -> int:
-        """Common reporting cadence of every member."""
-        return self.requests[0].input.steps_per_report
-
 
 class SignatureBatcher:
     """Groups pending requests into candidate ensembles by signature.

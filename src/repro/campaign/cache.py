@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import CampaignError
 from repro.collision.signature import CmatSignature
@@ -84,12 +84,6 @@ class CmatCache:
         self.seconds_saved = 0.0
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, signature: CmatSignature) -> bool:
-        return signature.content_hash() in self._entries
-
     @property
     def in_use_bytes(self) -> int:
         """Bytes of tensor currently resident."""
@@ -161,12 +155,6 @@ class CmatCache:
             self.evictions += 1
 
     # ------------------------------------------------------------------
-    def entries(self) -> List[CacheEntry]:
-        """Resident entries, most recently used first."""
-        return sorted(
-            self._entries.values(), key=lambda e: -e.last_used
-        )
-
     def stats(self) -> Dict[str, float]:
         """Accounting snapshot for reports.
 

@@ -89,11 +89,6 @@ class PackedJob:
         """Nodes occupied."""
         return self.shape.n_nodes
 
-    @property
-    def request_ids(self) -> Tuple[str, ...]:
-        """Member request ids, in member order."""
-        return tuple(r.request_id for r in self.requests)
-
 
 class CampaignPacker:
     """Chooses k, node counts, and node placements for candidate batches.

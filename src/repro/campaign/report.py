@@ -78,11 +78,6 @@ class JobRecord(Record):
     n_recoveries: int
     lost_request_ids: Tuple[str, ...]
 
-    @property
-    def finish_s(self) -> float:
-        """Campaign-clock completion time."""
-        return self.start_s + self.elapsed_s
-
 
 @dataclass(frozen=True)
 class WaveRecord(Record):

@@ -99,9 +99,6 @@ class RequestQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def __contains__(self, request_id: str) -> bool:
-        return request_id in self._ids
-
     def submit(self, request: SimRequest) -> None:
         """Add one request; raises on a duplicate live id."""
         if request.request_id in self._ids:

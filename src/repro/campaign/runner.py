@@ -481,7 +481,8 @@ class CampaignRunner:
             if wait <= 0.0:
                 continue
             node = job.nodes[world.placement.node_of(rank)]
-            dom = self.machine.domain_of(node)
+            domains = self.machine.fault_domains
+            dom = 0 if domains is None else domains.domain_of(node)
             per_domain[dom] = per_domain.get(dom, 0.0) + wait
         for dom, wait in sorted(per_domain.items()):
             tele.metrics.counter(

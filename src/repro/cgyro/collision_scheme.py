@@ -21,7 +21,6 @@ str<->coll transposes run on:
 
 from __future__ import annotations
 
-import abc
 from typing import TYPE_CHECKING, Dict
 
 import numpy as np
@@ -39,20 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cgyro.solver import CgyroSimulation
 
 
-class CollisionScheme(abc.ABC):
-    """Strategy object for cmat placement and the coll phase."""
+class CollisionScheme:
+    """Strategy object for cmat placement and the coll phase.
 
-    @abc.abstractmethod
-    def setup(self, sim: "CgyroSimulation") -> None:
-        """Build/allocate this simulation's cmat share (called once)."""
-
-    @abc.abstractmethod
-    def step(self, sim: "CgyroSimulation") -> None:
-        """Advance the collisional phase of ``sim`` in place."""
-
-    @abc.abstractmethod
-    def cmat_bytes_per_rank(self, sim: "CgyroSimulation") -> int:
-        """Per-rank cmat footprint under this scheme."""
+    A scheme implements ``setup(sim)`` (build/allocate this simulation's
+    cmat share, called once), ``step(sim)`` (advance the collisional
+    phase of ``sim`` in place) and ``cmat_bytes_per_rank(sim)`` (the
+    per-rank cmat footprint under this scheme).
+    """
 
 
 class PrivateCollisionScheme(CollisionScheme):

@@ -14,7 +14,12 @@ from typing import List, Union
 import numpy as np
 
 from repro.errors import InputError
+from repro.cgyro.restart import read_npz
 from repro.cgyro.timing import ReportRow
+
+#: The arrays :meth:`TimeHistory.save` writes; ``categories`` is
+#: fixed-width text, so a load never unpickles.
+_KEYS = ("steps", "times", "walls", "flux", "phi2", "categories", "category_times")
 
 
 class TimeHistory:
@@ -33,11 +38,6 @@ class TimeHistory:
         if self._rows and row.flux.shape != self._rows[-1].flux.shape:
             raise InputError("flux spectrum shape changed mid-history")
         self._rows.append(row)
-
-    def extend(self, rows: "List[ReportRow]") -> None:
-        """Record several intervals."""
-        for row in rows:
-            self.append(row)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -109,31 +109,39 @@ class TimeHistory:
             walls=self.walls,
             flux=self.flux,
             phi2=self.phi2,
-            categories=np.array(categories, dtype=object),
+            categories=np.array(categories, dtype=str),
             category_times=cat_matrix,
         )
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "TimeHistory":
-        """Read a history written by :meth:`save`."""
+        """Read a history written by :meth:`save`; anything else (a
+        pickled array included) is an :class:`~repro.errors.InputError`."""
         path = Path(path)
         if not path.exists():
             raise InputError(f"history file not found: {path}")
+        data = read_npz(path, _KEYS, "history")
+        n, nt, categories = data["steps"].size, data["flux"].shape[1:2], data["categories"]
+        shapes = {"steps": (n,), "times": (n,), "walls": (n,), "flux": (n, *nt),
+                  "phi2": (n, *nt), "categories": (categories.size,),
+                  "category_times": (n, categories.size)}
+        if categories.dtype.kind != "U" or len(nt) != 1 or any(
+            data[key].shape != shape for key, shape in shapes.items()
+        ):
+            raise InputError(f"history {path}: arrays of mismatched shapes or kinds")
         hist = cls()
-        with np.load(path, allow_pickle=True) as data:
-            categories = [str(c) for c in data["categories"]]
-            for i in range(len(data["steps"])):
-                hist.append(
-                    ReportRow(
-                        step=int(data["steps"][i]),
-                        time=float(data["times"][i]),
-                        wall_s=float(data["walls"][i]),
-                        categories={
-                            c: float(data["category_times"][i, j])
-                            for j, c in enumerate(categories)
-                        },
-                        flux=np.array(data["flux"][i]),
-                        phi2=np.array(data["phi2"][i]),
-                    )
+        for i in range(n):
+            hist.append(
+                ReportRow(
+                    step=int(data["steps"][i]),
+                    time=float(data["times"][i]),
+                    wall_s=float(data["walls"][i]),
+                    categories={
+                        str(c): float(data["category_times"][i, j])
+                        for j, c in enumerate(categories)
+                    },
+                    flux=np.array(data["flux"][i]),
+                    phi2=np.array(data["phi2"][i]),
                 )
+            )
         return hist

@@ -37,18 +37,6 @@ class FluidMoments:
     parallel_flow: np.ndarray
     temperature: np.ndarray
 
-    @property
-    def n_species(self) -> int:
-        """Number of species."""
-        return self.density.shape[0]
-
-    def __add__(self, other: "FluidMoments") -> "FluidMoments":
-        return FluidMoments(
-            density=self.density + other.density,
-            parallel_flow=self.parallel_flow + other.parallel_flow,
-            temperature=self.temperature + other.temperature,
-        )
-
 
 class MomentCalculator:
     """Computes :class:`FluidMoments` from distribution blocks."""

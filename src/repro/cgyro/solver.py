@@ -205,21 +205,6 @@ class CgyroSimulation:
         return self._h_global
 
     # ------------------------------------------------------------------
-    # topology helpers (inspection; the step path uses the tables)
-    # ------------------------------------------------------------------
-    def local_coords(self, world_rank: int) -> Tuple[int, int]:
-        """Grid coordinates (i1, i2) of a member world rank."""
-        return self._coords[self.comm_sim.comm_rank(world_rank)]
-
-    def iv_idx(self, world_rank: int) -> range:
-        """Global velocity indices owned by ``world_rank`` (STR layout)."""
-        return self._nv_ranges[self.local_coords(world_rank)[0]]
-
-    def nt_idx(self, world_rank: int) -> range:
-        """Global toroidal indices owned by ``world_rank``."""
-        return self._nt_ranges[self.local_coords(world_rank)[1]]
-
-    # ------------------------------------------------------------------
     # memory
     # ------------------------------------------------------------------
     def _allocate_buffers(self) -> None:

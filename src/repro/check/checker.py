@@ -926,21 +926,3 @@ class CollectiveChecker:
                     code="overlap",
                 )
             self._last_t[r] = end if last is None else max(last, end)
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def summary(self) -> Dict[Tuple[str, str], int]:
-        """Completed-collective counts keyed by (comm label, kind)."""
-        out: Dict[Tuple[str, str], int] = {}
-        for posts in self._completed:
-            key = (posts[0].comm_label, posts[0].kind)
-            out[key] = out.get(key, 0) + 1
-        for s in self._admitted:
-            for label in s.labels:
-                out[label, s.kind] = out.get((label, s.kind), 0) + s.rounds
-        return out
-
-    def membership(self) -> Dict[str, Tuple[int, ...]]:
-        """Adopted label -> ordered membership table."""
-        return dict(self._membership)

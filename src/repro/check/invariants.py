@@ -158,11 +158,6 @@ class ChaosReport(Record):
         """True iff every invariant passed."""
         return all(c.passed for c in self.checks)
 
-    @property
-    def failures(self) -> Tuple[InvariantCheck, ...]:
-        """The failed checks, in declaration order."""
-        return tuple(c for c in self.checks if not c.passed)
-
 
 def _disposition_ids(report) -> Dict[str, List[str]]:
     """Request ids by final disposition, sorted for stable comparison."""
@@ -387,10 +382,11 @@ def run_scenario(
             n_wal_events=out.n_wal_events,
         )
     if raise_on_violation and not out.ok:
+        failures = [c for c in out.checks if not c.passed]
         raise InvariantViolation(
             f"chaos scenario {scenario.name!r} violated "
-            f"{len(out.failures)} invariant(s): "
-            + "; ".join(f"{c.name} ({c.detail})" for c in out.failures)
+            f"{len(failures)} invariant(s): "
+            + "; ".join(f"{c.name} ({c.detail})" for c in failures)
         )
     return out
 

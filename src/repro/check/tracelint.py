@@ -331,7 +331,7 @@ def replay_trace(
     trace a real blocking MPI job could not have executed — an unknown
     kind, mismatched kinds behind a label, a wait-for cycle — raises a
     diagnosed :class:`~repro.errors.ProtocolError`.  Returns the checker
-    for inspection (``n_completed``, ``summary()``).
+    for inspection (``n_completed``, ``completed``).
     """
     ck = checker if checker is not None else CollectiveChecker()
     programs: Dict[int, List[Dict[str, object]]] = {}

@@ -12,7 +12,7 @@ manifests in the reproduction.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import LedgerError, MemoryLimitExceeded
 
@@ -42,11 +42,6 @@ class MemoryLedger:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def limit_bytes(self) -> float:
-        """Capacity of the ledger (``inf`` when unenforced)."""
-        return self._limit
-
-    @property
     def in_use_bytes(self) -> int:
         """Bytes currently allocated."""
         return self._in_use
@@ -66,12 +61,6 @@ class MemoryLedger:
 
     def __contains__(self, name: str) -> bool:
         return name in self._live
-
-    def __iter__(self) -> Iterator[Tuple[str, int]]:
-        return iter(self._live.items())
-
-    def __len__(self) -> int:
-        return len(self._live)
 
     # ------------------------------------------------------------------
     # mutation

@@ -162,15 +162,6 @@ class MachineModel:
             raise MachineError(f"node {node} out of range [0, {self.n_nodes})")
         return 1.0 if self.node_bandwidth is None else self.node_bandwidth[node]
 
-    def domain_of(self, node: int) -> int:
-        """Fault-domain id of ``node`` (0 for every node when the
-        machine declares no fault domains)."""
-        if node < 0 or node >= self.n_nodes:
-            raise MachineError(f"node {node} out of range [0, {self.n_nodes})")
-        if self.fault_domains is None:
-            return 0
-        return self.fault_domains.domain_of(node)
-
     def submachine(self, nodes: Sequence[int]) -> "MachineModel":
         """The machine restricted to the given physical ``nodes``.
 

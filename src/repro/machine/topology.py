@@ -124,10 +124,6 @@ class FaultDomains:
         lo = domain * self.nodes_per_domain
         return list(range(lo, min(lo + self.nodes_per_domain, n_nodes)))
 
-    def spread(self, nodes: Iterable[int]) -> int:
-        """Distinct fault domains a node set touches."""
-        return len({self.domain_of(n) for n in nodes})
-
     def interleave(self, nodes: Sequence[int]) -> List[int]:
         """Reorder ``nodes`` round-robin across domains: the first
         pick of every domain (ascending), then the second of each, and

@@ -78,10 +78,6 @@ class Telemetry:
         """Install both halves on a virtual world."""
         world.install_telemetry(tracer=self.tracer, metrics=self.metrics)
 
-    def report(self) -> str:
-        """The combined attribution report over everything recorded."""
-        return render_telemetry_report(self.tracer.spans, metrics=self.metrics)
-
 
 __all__ = [
     "Telemetry",

@@ -57,18 +57,6 @@ class Counter:
             raise ReproError(f"counter increment must be >= 0, got {amount}")
         self.value += amount
 
-    def snapshot(self) -> float:
-        """The cumulative value, frozen for later :meth:`delta`."""
-        return self.value
-
-    def delta(self, since: float) -> float:
-        """Growth since a :meth:`snapshot` (monotone, so never < 0)."""
-        if since > self.value:
-            raise ReproError(
-                f"counter snapshot {since} is ahead of value {self.value}"
-            )
-        return self.value - since
-
 
 class Gauge:
     """Last-write-wins instantaneous value."""
@@ -85,14 +73,6 @@ class Gauge:
     def max(self, value: float) -> None:
         """Raise the gauge to ``value`` if larger (high-water marks)."""
         self.value = max(self.value, float(value))
-
-    def snapshot(self) -> float:
-        """The current value, frozen for later :meth:`delta`."""
-        return self.value
-
-    def delta(self, since: float) -> float:
-        """Signed change since a :meth:`snapshot` (gauges may fall)."""
-        return self.value - since
 
 
 class HistogramSnapshot(NamedTuple):
@@ -338,13 +318,6 @@ class MetricsRegistry:
             if n == name:
                 out.append((dict(key), h))
         return out
-
-    def names(self) -> Tuple[str, ...]:
-        """Distinct metric names, sorted."""
-        out = {n for n, _ in self._counters}
-        out.update(n for n, _ in self._gauges)
-        out.update(n for n, _ in self._histograms)
-        return tuple(sorted(out))
 
     def __iter__(self) -> Iterator[Tuple[str, LabelKey, str, float]]:
         """Yield ``(name, labels, type, value)`` for scalar metrics."""

@@ -121,11 +121,6 @@ class SpanTracer:
         """``span_id`` of the innermost open span (``None`` at root)."""
         return self._stack[-1][0] if self._stack else None
 
-    @property
-    def depth(self) -> int:
-        """Number of currently open spans."""
-        return len(self._stack)
-
     def begin(
         self,
         name: str,
@@ -269,14 +264,6 @@ class SpanTracer:
     def __len__(self) -> int:
         # every id handed out names a completed span or an open one
         return self._next_id - len(self._stack)
-
-    def makespan(self) -> float:
-        """Latest span end on the timeline (0.0 when empty)."""
-        return max((s.t_end for s in self._built()), default=0.0)
-
-    def leaves(self) -> Tuple[Span, ...]:
-        """Spans of a leaf kind (see :data:`LEAF_KINDS`)."""
-        return tuple(s for s in self.spans if s.kind in LEAF_KINDS)
 
     def open_spans(self, t_now: float) -> Tuple[Span, ...]:
         """The live view: still-open spans synthesised as of ``t_now``.

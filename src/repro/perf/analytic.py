@@ -219,12 +219,6 @@ class AnalyticBreakdown:
         """Streaming communication time."""
         return self.categories.get("str_comm", 0.0)
 
-    def scaled(self, factor: float) -> "AnalyticBreakdown":
-        """Every category multiplied by ``factor``."""
-        return AnalyticBreakdown(
-            {k: v * factor for k, v in self.categories.items()}
-        )
-
 
 def predict_xgyro_interval(
     inputs_count: int,

@@ -63,10 +63,6 @@ class CheckpointStore:
         """Whether :meth:`save` has run at least once."""
         return self.step >= 0
 
-    def labels(self) -> "tuple[str, ...]":
-        """Member labels currently checkpointed."""
-        return tuple(self._members)
-
     # ------------------------------------------------------------------
     def save(self, ensemble: "XgyroEnsemble") -> None:
         """Snapshot every current member (replaces the previous save)."""

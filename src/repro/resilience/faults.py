@@ -3,10 +3,9 @@
 A :class:`FaultPlan` is a declarative list of :class:`FaultSpec`
 entries — *this rank dies at that step*, *that node drops out*, *this
 link degrades* — plus the detection timeout the machine charges when a
-group discovers a dead peer.  Plans are pure data: JSON-serialisable,
-seedable via :meth:`FaultPlan.random`, and validated against a world
-before use, so a faulted run is exactly reproducible from (plan, input)
-alone.  Injection itself lives in :mod:`repro.resilience.injector`.
+group discovers a dead peer.  Plans are pure data: JSON-serialisable
+and validated against a world before use, so a faulted run is exactly
+reproducible from (plan, input) alone.  Injection itself lives in :mod:`repro.resilience.injector`.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Tuple, Union
-
-import numpy as np
+from typing import Tuple, Union
 
 from repro import records
 from repro.errors import FaultPlanError
@@ -178,123 +175,6 @@ class FaultPlan(records.Record):
     def none(cls) -> "FaultPlan":
         """The empty plan: a run under it is bit-identical to no plan."""
         return cls(specs=(), detection_timeout_s=0.0)
-
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        *,
-        n_steps: int,
-        n_ranks: int,
-        n_nodes: int,
-        n_faults: int = 1,
-        kinds: Union[str, Sequence[str]] = ("rank_crash", "node_loss"),
-        detection_timeout_s: float = 30.0,
-        horizon_s: float = 0.0,
-        n_domains: int = 0,
-    ) -> "FaultPlan":
-        """Seeded random plan (the ensemble-campaign generator).
-
-        Steps are drawn uniformly from ``[1, n_steps)`` so step 0 — the
-        initial checkpoint — always completes.  ``kinds`` may be any
-        subset of :data:`KINDS`, the string ``"all"`` (every kind), or
-        ``"data"`` / ``"control"`` for one plane; control-plane kinds
-        need ``horizon_s > 0`` to draw ``at_s`` from, and
-        ``domain_loss`` additionally needs ``n_domains >= 1``.
-        """
-        if n_steps < 2:
-            raise FaultPlanError(f"need n_steps >= 2 to place faults, got {n_steps}")
-        if isinstance(kinds, str):
-            try:
-                kinds = {
-                    "all": KINDS,
-                    "data": DATA_KINDS,
-                    "control": CONTROL_KINDS,
-                }[kinds]
-            except KeyError:
-                raise FaultPlanError(
-                    f"kinds must be a sequence of kinds or one of "
-                    f"'all'/'data'/'control', got {kinds!r}"
-                ) from None
-        for k in kinds:
-            if k not in KINDS:
-                raise FaultPlanError(f"unknown fault kind {k!r}")
-            if k in CONTROL_KINDS and horizon_s <= 0:
-                raise FaultPlanError(
-                    f"sampling {k!r} needs horizon_s > 0 to draw at_s from"
-                )
-            if k == "domain_loss" and n_domains < 1:
-                raise FaultPlanError(
-                    "sampling 'domain_loss' needs n_domains >= 1"
-                )
-        rng = np.random.default_rng(seed)
-        specs = []
-        for _ in range(n_faults):
-            kind = kinds[int(rng.integers(len(kinds)))]
-            at_step = int(rng.integers(1, n_steps))
-            if kind == "rank_crash":
-                specs.append(
-                    FaultSpec(kind, at_step, rank=int(rng.integers(n_ranks)))
-                )
-            elif kind == "node_loss":
-                specs.append(
-                    FaultSpec(kind, at_step, node=int(rng.integers(n_nodes)))
-                )
-            elif kind == "slowdown":
-                specs.append(
-                    FaultSpec(
-                        kind,
-                        at_step,
-                        rank=int(rng.integers(n_ranks)),
-                        factor=float(1.0 + 9.0 * rng.random()),
-                    )
-                )
-            elif kind == "bitflip":
-                specs.append(
-                    FaultSpec(kind, at_step, rank=int(rng.integers(n_ranks)))
-                )
-            elif kind == "link_slowdown":
-                specs.append(
-                    FaultSpec(
-                        kind,
-                        at_step,
-                        factor=float(1.0 + 9.0 * rng.random()),
-                    )
-                )
-            elif kind == "service_crash":
-                specs.append(
-                    FaultSpec(
-                        kind,
-                        0,
-                        at_s=float(horizon_s * rng.random()),
-                        duration_s=float(0.05 * horizon_s * rng.random()),
-                    )
-                )
-            elif kind == "provision_fail":
-                specs.append(
-                    FaultSpec(
-                        kind,
-                        0,
-                        at_s=float(horizon_s * rng.random()),
-                        duration_s=float(60.0 * rng.random()),
-                    )
-                )
-            else:  # domain_loss
-                specs.append(
-                    FaultSpec(
-                        kind,
-                        0,
-                        node=int(rng.integers(n_domains)),
-                        at_s=float(horizon_s * rng.random()),
-                    )
-                )
-        plan = cls(
-            specs=tuple(specs),
-            detection_timeout_s=detection_timeout_s,
-            seed=seed,
-        )
-        plan.validate_for(n_ranks=n_ranks, n_nodes=n_nodes)
-        return plan
 
     # ------------------------------------------------------------------
     # validation

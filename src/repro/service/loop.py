@@ -879,10 +879,11 @@ class OnlineService:
             wave = self._waves[job_id]
             job = wave.job
             wave.dead_nodes |= failed & set(job.nodes)
-            lost_ids = {
+            rpm, rpn = job.shape.ranks_per_member, self.machine.ranks_per_node
+            lost_ids = {  # the members with a rank on a failed node
                 req.request_id
                 for m, req in enumerate(job.requests)
-                if self._member_nodes(job, m) & failed
+                if {job.nodes[r // rpn] for r in range(m * rpm, (m + 1) * rpm)} & failed
             }
             completed, lost = self._outcome(
                 wave, lost_ids | set(man["lost_ids"])  # type: ignore[arg-type]
@@ -992,15 +993,6 @@ class OnlineService:
                 n_members_after=members_after,
             )
         )
-
-    def _member_nodes(self, job: PackedJob, member: int) -> set:
-        """Physical node ids member ``member``'s ranks occupy."""
-        rpm = job.shape.ranks_per_member
-        rpn = self.machine.ranks_per_node
-        return {
-            job.nodes[r // rpn]
-            for r in range(member * rpm, (member + 1) * rpm)
-        }
 
     def _restore_domain(self, nodes: Tuple[int, ...]) -> None:
         """A lost domain's hardware comes back: clear its health

@@ -310,11 +310,6 @@ class ReplayTraffic(TrafficModel):
         super().__init__([requests[0].input])
         self.requests = tuple(requests)
 
-    def arrival_times(
-        self, horizon_s: float, rng: np.random.Generator
-    ) -> List[float]:  # pragma: no cover - generate() is overridden
-        return [r.arrival_s for r in self.requests if r.arrival_s < horizon_s]
-
     def generate(self, horizon_s: float) -> List[SimRequest]:
         """The wrapped stream, cut at the horizon."""
         if horizon_s <= 0:

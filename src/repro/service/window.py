@@ -24,7 +24,7 @@ flushed members — holds by construction, and is property-tested in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ServiceError
 from repro.campaign.batcher import CandidateBatch, SignatureBatcher
@@ -85,16 +85,6 @@ class MovingWindow:
         self._since: Dict[str, float] = {}  # request_id -> held-since
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._held)
-
-    def __bool__(self) -> bool:
-        return bool(self._held)
-
-    def pending(self) -> Tuple[SimRequest, ...]:
-        """Held requests, in admission order."""
-        return tuple(self._held)
-
     def add(self, request: SimRequest, now: float) -> None:
         """Hold ``request`` from time ``now``."""
         if request.request_id in self._since:

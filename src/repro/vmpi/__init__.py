@@ -34,7 +34,7 @@ Public surface:
 
 - :class:`VirtualWorld` — ranks, clocks, memory ledgers, trace log.
 - :class:`Communicator` — ordered rank group with collective methods
-  and MPI-style ``split``.
+  and sub-communicators (``sub``).
 - :func:`allreduce_rounds` — one statement's AllReduces over a family
   of disjoint communicators, charged as one block (or one block per
   chunk, each after its compute charge).

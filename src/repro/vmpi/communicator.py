@@ -65,11 +65,6 @@ class Request:
         self.result = None
         self._done = False
 
-    @property
-    def done(self) -> bool:
-        """Whether the request has been waited on."""
-        return self._done
-
     def wait(self):
         """Complete the collective; returns the payload.
 
@@ -202,29 +197,6 @@ class Communicator:
         """World ranks in communicator order."""
         return self._ranks
 
-    def __contains__(self, world_rank: int) -> bool:
-        return world_rank in self._index
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Communicator({self.label!r}, size={self.size}, ranks={self._ranks})"
-
-    def comm_rank(self, world_rank: int) -> int:
-        """Communicator rank of ``world_rank``."""
-        try:
-            return self._index[world_rank]
-        except KeyError:
-            raise CommunicatorError(
-                f"world rank {world_rank} is not in communicator {self.label!r}"
-            ) from None
-
-    def world_rank(self, comm_rank: int) -> int:
-        """World rank sitting at ``comm_rank``."""
-        if not 0 <= comm_rank < self.size:
-            raise CommunicatorError(
-                f"comm rank {comm_rank} out of range [0, {self.size})"
-            )
-        return self._ranks[comm_rank]
-
     def sub(self, world_ranks: Sequence[int], *, label: Optional[str] = None) -> "Communicator":
         """Sub-communicator of the given world ranks (must be members)."""
         for r in world_ranks:
@@ -235,39 +207,6 @@ class Communicator:
         return Communicator(
             self.world, world_ranks, label=label or f"{self.label}.sub"
         )
-
-    def split(
-        self,
-        color_of: Union[Mapping[int, int], Callable[[int], int]],
-        *,
-        key_of: Optional[Union[Mapping[int, int], Callable[[int], int]]] = None,
-        label: Optional[str] = None,
-    ) -> Dict[int, "Communicator"]:
-        """MPI_Comm_split: partition members by color, order by key.
-
-        ``color_of``/``key_of`` map *world rank* to color/key.  Returns
-        a dict color -> new communicator; in lockstep SPMD the caller
-        sees every piece at once.  Ties in key are broken by the rank's
-        order in this communicator, matching MPI.
-        """
-        def call(fn, r):
-            return fn[r] if isinstance(fn, Mapping) else fn(r)
-
-        buckets: Dict[int, List[Tuple[int, int, int]]] = {}
-        for i, r in enumerate(self._ranks):
-            color = int(call(color_of, r))
-            key = int(call(key_of, r)) if key_of is not None else i
-            buckets.setdefault(color, []).append((key, i, r))
-        out: Dict[int, Communicator] = {}
-        for color, entries in buckets.items():
-            entries.sort()
-            ranks = [r for _, _, r in entries]
-            out[color] = Communicator(
-                self.world,
-                ranks,
-                label=f"{label or self.label}.c{color}",
-            )
-        return out
 
     # ------------------------------------------------------------------
     # shared preparation and the single issue path

@@ -138,12 +138,6 @@ class TraceLog:
         self._pending.clear()
         return self._events
 
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self._events.clear()
-        self._pending.clear()
-        self._length = 0
-
     @property
     def events(self) -> Tuple[CollectiveEvent, ...]:
         """Immutable view of all events."""
@@ -179,17 +173,6 @@ class TraceLog:
                 continue
             out.append(ev)
         return tuple(out)
-
-    def comm_labels(self) -> Tuple[str, ...]:
-        """Distinct communicator labels, in first-seen order."""
-        seen: Dict[str, None] = {}
-        for ev in self._built():
-            seen.setdefault(ev.comm_label, None)
-        return tuple(seen)
-
-    def total_bytes(self, **criteria: Optional[str]) -> int:
-        """Sum of byte counts over matching events."""
-        return sum(ev.nbytes for ev in self.filter(**criteria))
 
     def summary(self) -> "Dict[Tuple[str, str], Dict[str, float]]":
         """Aggregate by (kind, category): calls, bytes, time."""

@@ -684,16 +684,6 @@ class VirtualWorld:
         self._nb_inflight.append(pending)
         return pending
 
-    def abandon_inflight(self) -> None:
-        """Drop all open nonblocking cost windows.
-
-        Fault-recovery hook, mirroring
-        :meth:`~repro.check.CollectiveChecker.abandon_inflight`: after
-        a rank failure the stranded windows can never complete, and
-        must not serialize the replay's fresh posts behind them.
-        """
-        self._nb_inflight.clear()
-
     def complete_collective(self, pending: PendingCollective) -> float:
         """Wait on a posted collective; charge the uncovered remainder.
 

@@ -88,9 +88,3 @@ class SequentialCgyroBaseline:
         return [
             self._simulation(inp).run_report_interval() for inp in self.inputs
         ]
-
-    def summed(self) -> ReportRow:
-        """Run one interval of every input and sum (sequential walls add)."""
-        row = sum_rows(self.run_report_interval())
-        assert row is not None  # inputs is non-empty
-        return row

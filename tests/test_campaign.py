@@ -99,7 +99,7 @@ class TestRequestQueue:
             q.submit(SimRequest(request_id="r0", input=base))
         popped = q.pop()
         q.submit(popped.requeued())  # free again after pop
-        assert "r0" in q
+        assert [r.request_id for r in q.pending()] == ["r0"]
 
     def test_pop_empty_raises(self):
         q = RequestQueue()
@@ -155,7 +155,7 @@ class TestCmatCache:
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == 0.5
         assert cache.seconds_saved == 2.5
-        assert sig in cache and len(cache) == 1
+        assert list(cache._entries) == [sig.content_hash()]
 
     def test_lru_eviction_under_capacity(self, base):
         cache = CmatCache(capacity_bytes=250)
@@ -167,10 +167,10 @@ class TestCmatCache:
             cache.insert(sig, nbytes=100, build_s=1.0)
         # 300 B > 250 B: the least recently used entry (sigs[0]) went
         assert cache.evictions == 1
-        assert sigs[0] not in cache and sigs[1] in cache and sigs[2] in cache
+        assert set(cache._entries) == {s.content_hash() for s in sigs[1:]}
         cache.lookup(sigs[1])  # refresh -> sigs[2] is now LRU
         cache.insert(sigs[0], nbytes=100, build_s=1.0)
-        assert sigs[2] not in cache and sigs[1] in cache
+        assert set(cache._entries) == {s.content_hash() for s in sigs[:2]}
 
     def test_invalid_arguments_raise(self, base):
         with pytest.raises(CampaignError):

@@ -51,7 +51,7 @@ class TestCacheIntegrity:
         sig = small_test().cmat_signature()
         cache.insert(sig, 1024, 2.0)
         assert cache.lookup(sig) is not None
-        (entry,) = cache.entries()
+        (entry,) = cache._entries.values()
         entry.nbytes ^= 1  # a bit-flip in the resident record; checksum stale
         assert cache.lookup(sig) is None  # served nothing corrupted
         stats = cache.stats()
@@ -110,7 +110,7 @@ class TestBoundedRetry:
         first = report.jobs[0]
         retry_jobs = [j for j in report.jobs[1:] if j.k == 1]
         assert retry_jobs
-        assert retry_jobs[0].start_s >= first.finish_s + 50.0
+        assert retry_jobs[0].start_s >= first.start_s + first.elapsed_s + 50.0
 
     def test_legacy_unbounded_requeue_with_retry_none(self):
         # a one-shot per-job fault plan: the retry dispatch is clean,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,37 @@ class TestCheckpointRestart:
         ref = SerialReference(inp)
         with pytest.raises(InputError):
             save_checkpoint(tmp_path / "x.npz", ref.h, inp, step=-1, time=0.0)
+
+    @pytest.mark.parametrize(
+        "case", ["not-a-zip", "truncated", "missing-key", "negative-step-nan-time", "inf-in-h"]
+    )
+    def test_garbage_refused_before_any_state_moves(self, case, tmp_path):
+        """Every damaged checkpoint is one InputError naming the file;
+        never a numpy / zipfile traceback or a resume at step -3."""
+        inp = small_test()
+        ref = SerialReference(inp)
+        path = tmp_path / "ck.npz"
+        ref.save_checkpoint(path)
+        with np.load(path) as data:
+            fields = dict(data)
+        if case == "not-a-zip":
+            path.write_bytes(b"\x00garbage, not an npz archive")
+        elif case == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            if case == "missing-key":
+                del fields["time"]
+            elif case == "negative-step-nan-time":
+                fields.update(step=np.int64(-5), time=np.float64("nan"))
+            else:
+                fields["h"] = fields["h"].copy()
+                fields["h"][0, 0, 0] = np.inf
+            np.savez(path, **fields)
+        before = ref.h.copy()
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            ref.load_checkpoint(path)
+        np.testing.assert_array_equal(ref.h, before)
+        assert (ref.step_count, ref.time) == (0, 0.0)
 
 
 class TestLinearSolver:

@@ -26,7 +26,8 @@ class TestEngine:
         _group(ck, (0, 1, 2), nbytes=64, op="SUM", dtype="float64")
         assert ck.n_completed == 1
         assert not ck._open
-        assert ck.summary() == {("c0-1-2", "allreduce"): 1}
+        (posts,) = ck.completed
+        assert {(p.comm_label, p.kind) for p in posts} == {("c0-1-2", "allreduce")}
 
     def test_the_known_kinds_are_the_two_the_model_issues(self):
         assert KNOWN_KINDS == {"allreduce", "alltoall"}

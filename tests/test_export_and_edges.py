@@ -24,14 +24,6 @@ class TestSolverGuards:
         with pytest.raises(InputError):
             sim.run(-1)
 
-    def test_rank_helpers_reject_foreign_ranks(self):
-        world = VirtualWorld(single_node(ranks=8))
-        sim = CgyroSimulation(world, range(4), small_test())
-        from repro.errors import CommunicatorError
-
-        with pytest.raises(CommunicatorError):
-            sim.iv_idx(7)
-
     def test_two_sims_same_rank_same_label_collide_loudly(self):
         """Accidentally stacking two simulations on one rank block is
         caught by the ledger (duplicate named allocations)."""

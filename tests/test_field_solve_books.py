@@ -156,7 +156,6 @@ def _books(world, sims, failure) -> dict:
         "spans": [json.dumps(s.to_dict(), sort_keys=True) for s in world.tracer.spans],
         "metrics": world.metrics.to_dict(),
         "checker_posts": repr(checker.completed),
-        "checker_summary": checker.summary(),
     }
 
 

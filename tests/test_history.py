@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,32 @@ def make_row(step, flux=None, phi2=None, wall=1.0):
     )
 
 
+def _history(*rows):
+    hist = TimeHistory()
+    for row in rows:
+        hist.append(row)
+    return hist
+
+
+FIRED = []
+
+
+def _fire():
+    FIRED.append(True)
+    return "str_comm"
+
+
+class _Sentinel:
+    """Unpickling this runs :func:`_fire`: arbitrary code, as far as a
+    loader of untrusted files is concerned."""
+
+    def __reduce__(self):
+        return (_fire, ())
+
+
 class TestAccumulation:
     def test_series_shapes(self):
-        hist = TimeHistory()
-        hist.extend([make_row(10), make_row(20), make_row(30)])
+        hist = _history(make_row(10), make_row(20), make_row(30))
         assert len(hist) == 3
         assert hist.steps.tolist() == [10, 20, 30]
         assert hist.flux.shape == (3, 3)
@@ -72,8 +96,7 @@ class TestAnalysis:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
-        hist = TimeHistory()
-        hist.extend([make_row(10), make_row(20)])
+        hist = _history(make_row(10), make_row(20))
         path = tmp_path / "hist.npz"
         hist.save(path)
         back = TimeHistory.load(path)
@@ -94,10 +117,36 @@ class TestPersistence:
     def test_records_real_run(self, tmp_path):
         world = VirtualWorld(single_node(ranks=4))
         sim = CgyroSimulation(world, range(4), small_test(steps_per_report=2))
-        hist = TimeHistory()
-        hist.extend(sim.run(3))
+        hist = _history(*sim.run(3))
         assert len(hist) == 3
         assert np.all(hist.walls > 0)
         path = tmp_path / "run.npz"
         hist.save(path)
         assert TimeHistory.load(path).steps.tolist() == [2, 4, 6]
+
+    def test_pickled_file_refused_and_never_unpickled(self, tmp_path):
+        row = make_row(10)
+        path = tmp_path / "hist.npz"
+        np.savez(
+            path, steps=np.array([10]), times=np.array([0.1]), walls=np.array([1.0]),
+            flux=row.flux[None], phi2=row.phi2[None],
+            categories=np.array([_Sentinel()], dtype=object),
+            category_times=np.array([[0.5]]),
+        )
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            TimeHistory.load(path)
+        assert not FIRED
+
+    def test_malformed_file_refused(self, tmp_path):
+        hist = _history(make_row(10), make_row(20))
+        path = tmp_path / "hist.npz"
+        hist.save(path)
+        with np.load(path) as data:
+            fields = dict(data)
+        assert fields["categories"].dtype.kind == "U"
+        np.savez(path, **dict(fields, walls=fields["walls"][:1]))
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            TimeHistory.load(path)
+        path.write_bytes(b"not an archive")
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            TimeHistory.load(path)

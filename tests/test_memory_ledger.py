@@ -53,7 +53,7 @@ class TestBasicAccounting:
     def test_unlimited_ledger_never_raises(self):
         led = MemoryLedger(None)
         led.alloc("huge", 10**15)
-        assert math.isinf(led.limit_bytes)
+        assert math.isinf(led._limit)
 
     def test_duplicate_name_rejected(self):
         led = MemoryLedger(1000)

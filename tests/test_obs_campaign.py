@@ -40,7 +40,7 @@ class TestCampaignSpans:
         )
         kinds = {s.kind for s in tele.tracer.spans}
         assert {"campaign", "wave", "job", "collective"} <= kinds
-        assert tele.tracer.depth == 0
+        assert tele.tracer.current_id is None
         # the campaign root spans the whole makespan
         roots = [s for s in tele.tracer.spans if s.kind == "campaign"]
         assert len(roots) == 1

@@ -220,21 +220,6 @@ class TestWindowedDeltaProtocol:
         with pytest.raises(ReproError, match="counts"):
             Histogram.from_state((1.0, 2.0), (1,), 0.5, 1)
 
-    def test_counter_and_gauge_deltas(self):
-        reg = MetricsRegistry()
-        c = reg.counter("events")
-        c.inc(3.0)
-        mark = c.snapshot()
-        c.inc(2.0)
-        assert c.delta(mark) == 2.0
-        with pytest.raises(ReproError, match="ahead"):
-            reg.counter("other").delta(1.0)
-        g = reg.gauge("depth")
-        g.set(5.0)
-        mark = g.snapshot()
-        g.set(2.0)
-        assert g.delta(mark) == -3.0  # gauges may fall
-
     def test_registry_read_only_lookups(self):
         reg = MetricsRegistry()
         assert reg.histogram_or_none("ttr") is None

@@ -9,7 +9,6 @@ from repro.cgyro import CgyroSimulation, small_test
 from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
 from repro.machine import frontier_like, generic_cluster, single_node
 from repro.perf import predict_cgyro_interval, predict_xgyro_interval
-from repro.perf.analytic import AnalyticBreakdown
 from repro.vmpi import VirtualWorld
 from repro.xgyro import XgyroEnsemble
 
@@ -128,10 +127,3 @@ class TestQualitativeLaws:
         assert efficiency[0] == pytest.approx(1.0)
         assert all(b < a for a, b in zip(efficiency, efficiency[1:]))
         assert all(b > a for a, b in zip(comm_fractions, comm_fractions[1:]))
-
-    def test_scaled_breakdown(self):
-        b = AnalyticBreakdown({"a": 1.0, "b": 2.0})
-        s = b.scaled(3.0)
-        assert s.categories == {"a": 3.0, "b": 6.0}
-        assert s.total == 9.0
-        assert b.total == 3.0

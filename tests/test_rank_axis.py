@@ -232,7 +232,7 @@ class TestRanksHoldViews:
     def test_writing_into_a_block_writes_the_array_and_rebinding_raises(self):
         sim = _ensemble().members[0]
         r = sim.ranks[3]
-        i1, i2 = sim.local_coords(r)
+        i1, i2 = sim.decomp.coords_of(3)
         sim.h[r][...] = 7.0
         block = sim.h_global[:, sim.decomp.nv_slice(i1), sim.decomp.nt_slice(i2)]
         assert (block == 7.0).all() and (sim.h_global == 7.0).sum() == block.size
@@ -242,17 +242,6 @@ class TestRanksHoldViews:
             del sim.h[r]
         with pytest.raises(AttributeError):
             sim.h_global = sim.h_global + 1.0
-
-    def test_rank_helpers_answer_from_the_tables(self):
-        sim = _ensemble().members[1]
-        dec, d = sim.decomp, sim.dims
-        for lr, r in enumerate(sim.ranks):
-            i1, i2 = dec.coords_of(lr)
-            assert sim.local_coords(r) == (i1, i2)
-            assert sim.iv_idx(r) == range(*dec.nv_slice(i1).indices(d.nv))
-            assert sim.nt_idx(r) == range(*dec.nt_slice(i2).indices(d.nt))
-        with pytest.raises(CommunicatorError):
-            sim.nt_idx(0)  # a rank of member 0
 
 
 # ----------------------------------------------------------------------

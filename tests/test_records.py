@@ -420,6 +420,7 @@ class TestCliRefusesGarbage:
             ["campaign", "{requests}", "--plan", "{file}"],
             ["campaign", "{requests}", "--faults", "0:{file}"],
             ["run-cgyro", "{file}"],
+            ["run-cgyro", "{case}", "--resume", "{file}"],
         ],
         ids=lambda argv: argv[0] + (argv[-2] if argv[-2].startswith("--") else ""),
     )
@@ -429,8 +430,9 @@ class TestCliRefusesGarbage:
         garbage.write_text(text)
         requests = tmp_path / "requests.json"
         _write_queue(requests)
+        write_input_file(small_test(), tmp_path / "input.cgyro")
         code = repro_main(
-            [a.format(file=garbage, requests=requests) for a in argv]
+            [a.format(file=garbage, requests=requests, case=tmp_path) for a in argv]
         )
         err = capsys.readouterr().err
         assert code == 2, err

@@ -111,56 +111,6 @@ class TestFaultPlanSerialisation:
         assert again.specs[0].at_s == spec.at_s
         assert again.specs[0].duration_s == spec.duration_s
 
-    def test_random_is_seed_deterministic(self):
-        kw = dict(n_steps=10, n_ranks=16, n_nodes=4, n_faults=3)
-        a = FaultPlan.random(7, **kw)
-        b = FaultPlan.random(7, **kw)
-        c = FaultPlan.random(8, **kw)
-        assert a == b
-        assert a != c
-        assert len(a.specs) == 3
-        a.validate_for(n_ranks=16, n_nodes=4)
-
-    def test_random_all_samples_every_kind(self):
-        """``kinds="all"`` draws from both planes and every spec
-        validates; across enough draws each of the 8 kinds appears."""
-        from repro.resilience.faults import KINDS
-
-        plan = FaultPlan.random(
-            11,
-            n_steps=10,
-            n_ranks=16,
-            n_nodes=4,
-            n_faults=120,
-            kinds="all",
-            horizon_s=600.0,
-            n_domains=2,
-        )
-        plan.validate_for(n_ranks=16, n_nodes=4)
-        seen = {s.kind for s in plan.specs}
-        assert seen == set(KINDS)
-        for s in plan.specs:
-            if s.kind in ("service_crash", "provision_fail", "domain_loss"):
-                assert 0.0 <= s.at_s <= 600.0
-                assert s.duration_s >= 0.0
-
-    def test_random_control_kinds_need_a_horizon(self):
-        with pytest.raises(FaultPlanError, match="horizon_s"):
-            FaultPlan.random(
-                1, n_steps=5, n_ranks=8, n_nodes=2, kinds="control"
-            )
-
-    def test_random_domain_loss_needs_domains(self):
-        with pytest.raises(FaultPlanError, match="n_domains"):
-            FaultPlan.random(
-                1,
-                n_steps=5,
-                n_ranks=8,
-                n_nodes=2,
-                kinds=("domain_loss",),
-                horizon_s=100.0,
-            )
-
 
 class TestFaultInjector:
     def _world(self):

@@ -453,4 +453,4 @@ class TestInvariantsRunner:
             run_scenario(scenario)
         result = run_scenario(scenario, raise_on_violation=False)
         assert not result.ok
-        assert [c.name for c in result.failures] == ["slo-floor"]
+        assert [c.name for c in result.checks if not c.passed] == ["slo-floor"]

@@ -43,7 +43,7 @@ def test_force_flush_is_group_by_signature_partition(families):
         for _, indices in group_by_signature([r.input for r in requests])
     ]
     assert got == expected
-    assert not window.pending()
+    assert not window._held
     # and no batch mixes signatures or cadences
     for batch in batches:
         sigs = {r.input.cmat_signature() for r in batch.requests}
@@ -87,7 +87,7 @@ def test_no_request_waits_past_max_hold(families, gaps, hold, min_batch):
         added_at[req.request_id] = t
         window.add(req, t)
         drain(t)  # min_batch may have been reached
-    while window:
+    while window._held:
         expiry = window.next_expiry()
         assert expiry is not None
         drain(expiry)
@@ -107,7 +107,7 @@ class TestWindowEdges:
         window.add(_request(1, 0), 1.0)
         [batch] = window.flush(1.0)
         assert [r.request_id for r in batch.requests] == ["r0", "r1"]
-        assert not window
+        assert not window._held
 
     def test_max_batch_splits_and_remainder_keeps_waiting(self):
         window = MovingWindow(
@@ -118,7 +118,7 @@ class TestWindowEdges:
         batches = window.flush(0.0)
         assert [b.size for b in batches] == [2, 2]
         # the size-1 remainder is below min_batch and not yet old
-        assert [r.request_id for r in window.pending()] == ["r4"]
+        assert [r.request_id for r in window._held] == ["r4"]
         [rest] = window.flush(1e9)
         assert rest.size == 1
 
@@ -148,4 +148,4 @@ class TestWindowEdges:
         window = MovingWindow()
         assert window.flush(0.0) == []
         assert window.next_expiry() is None
-        assert len(window) == 0
+        assert not window._held

@@ -319,16 +319,6 @@ def test_len_builds_nothing_and_a_read_builds_once(built):
     assert len(world.trace) == len(world.tracer) == 6
 
 
-def test_clear_leaves_nothing_pending(built):
-    world = _world()
-    _statement(world)
-    world.trace.clear()
-    assert len(world.trace) == 0 and world.trace.events == ()
-    assert not built["CollectiveEvent"]
-    world.charge_collective("allreduce", (0, 1), 0, comm_label="a")
-    assert [e.seq for e in world.trace] == [7]
-
-
 def test_zeroing_the_clocks_does_not_reach_the_unbuilt_rows():
     books = []
     for read_first in (True, False):

@@ -1,4 +1,4 @@
-"""Tests for communicator structure: membership, translation, split."""
+"""Tests for communicator structure: membership and sub-communicators."""
 
 from __future__ import annotations
 
@@ -13,25 +13,6 @@ class TestStructure:
         comm = small_world.comm_world()
         assert comm.size == 16
         assert comm.ranks == tuple(range(16))
-
-    def test_rank_translation_roundtrip(self, small_world):
-        comm = Communicator(small_world, [5, 2, 9], label="t")
-        assert comm.comm_rank(5) == 0
-        assert comm.comm_rank(2) == 1
-        assert comm.world_rank(2) == 9
-        for i in range(comm.size):
-            assert comm.comm_rank(comm.world_rank(i)) == i
-
-    def test_membership(self, small_world):
-        comm = Communicator(small_world, [1, 3])
-        assert 1 in comm and 3 in comm and 2 not in comm
-
-    def test_nonmember_translation_raises(self, small_world):
-        comm = Communicator(small_world, [1, 3])
-        with pytest.raises(CommunicatorError):
-            comm.comm_rank(2)
-        with pytest.raises(CommunicatorError):
-            comm.world_rank(2)
 
     def test_empty_comm_rejected(self, small_world):
         with pytest.raises(CommunicatorError):
@@ -51,39 +32,3 @@ class TestStructure:
         assert sub.ranks == (2, 0)
         with pytest.raises(CommunicatorError):
             comm.sub([4])
-
-
-class TestSplit:
-    def test_split_partitions_members(self, small_world):
-        comm = small_world.comm_world()
-        pieces = comm.split(lambda r: r % 4)
-        assert set(pieces) == {0, 1, 2, 3}
-        all_ranks = sorted(r for c in pieces.values() for r in c.ranks)
-        assert all_ranks == list(range(16))
-
-    def test_split_orders_by_key(self, small_world):
-        comm = small_world.comm_world()
-        pieces = comm.split(lambda r: 0, key_of=lambda r: -r)
-        assert pieces[0].ranks == tuple(reversed(range(16)))
-
-    def test_split_default_key_preserves_comm_order(self, small_world):
-        comm = Communicator(small_world, [7, 3, 11, 1], label="base")
-        pieces = comm.split({7: 0, 3: 1, 11: 0, 1: 1})
-        assert pieces[0].ranks == (7, 11)
-        assert pieces[1].ranks == (3, 1)
-
-    def test_split_mimics_cgyro_grid(self, small_world):
-        """The P1 x P2 split used by the solver: 4 toroidal groups of 4."""
-        comm = small_world.comm_world()
-        p1 = 4
-        comm1 = comm.split(lambda r: r // p1, label="comm1")  # within group
-        comm2 = comm.split(lambda r: r % p1, label="comm2")  # across groups
-        assert all(c.size == 4 for c in comm1.values())
-        assert all(c.size == 4 for c in comm2.values())
-        assert comm1[0].ranks == (0, 1, 2, 3)
-        assert comm2[0].ranks == (0, 4, 8, 12)
-
-    def test_split_labels_include_color(self, small_world):
-        pieces = small_world.comm_world().split(lambda r: r % 2, label="str")
-        assert pieces[0].label == "str.c0"
-        assert pieces[1].label == "str.c1"
