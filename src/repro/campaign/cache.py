@@ -5,9 +5,8 @@ members; *between* jobs of a campaign the same logic applies in time:
 a job whose :class:`~repro.collision.signature.CmatSignature` matches a
 tensor the machine already assembled can skip re-assembly entirely.
 :class:`CmatCache` is that reuse made explicit — a content-addressed
-map from signature hash to an assembled-tensor record, with LRU
-eviction against a byte budget and hit/miss/eviction accounting in
-simulated seconds saved.
+map from signature hash to an assembled-tensor record, with
+hit/miss/eviction accounting in simulated seconds saved.
 
 The cache stores *accounting records*, not arrays: the virtual
 machine's tensors are rebuilt numerically either way (they are needed
@@ -47,7 +46,6 @@ class CacheEntry:
     nbytes: int
     build_s: float
     hits: int = 0
-    last_used: int = field(default=0, repr=False)
     checksum: str = field(default="", repr=False)
 
     def content_checksum(self) -> str:
@@ -58,25 +56,11 @@ class CacheEntry:
 
 
 class CmatCache:
-    """Content-addressed cache of assembled collisional tensors.
+    """Content-addressed cache of assembled collisional tensors; every
+    tensor stays resident (the only evictions are corrupted records)."""
 
-    Parameters
-    ----------
-    capacity_bytes:
-        Total bytes of tensor the machine may keep resident across
-        jobs; ``None`` disables eviction.  An entry larger than the
-        whole capacity is counted as an immediate eviction (it can
-        never be kept).
-    """
-
-    def __init__(self, capacity_bytes: "float | None" = None) -> None:
-        if capacity_bytes is not None and capacity_bytes < 0:
-            raise CampaignError(
-                f"capacity_bytes must be >= 0, got {capacity_bytes}"
-            )
-        self.capacity_bytes = capacity_bytes
+    def __init__(self) -> None:
         self._entries: Dict[str, CacheEntry] = {}
-        self._clock = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -109,7 +93,6 @@ class CmatCache:
         """
         key = signature.content_hash()
         entry = self._entries.get(key)
-        self._clock += 1
         if entry is None:
             self.misses += 1
             return None
@@ -120,7 +103,6 @@ class CmatCache:
             self.misses += 1
             return None
         entry.hits += 1
-        entry.last_used = self._clock
         self.hits += 1
         self.seconds_saved += entry.build_s
         return entry
@@ -128,31 +110,18 @@ class CmatCache:
     def insert(
         self, signature: CmatSignature, nbytes: int, build_s: float
     ) -> CacheEntry:
-        """Record a freshly assembled tensor; evicts LRU entries until
-        the capacity holds.  Re-inserting an existing key refreshes its
-        record (sizes can change when a recovery rebalanced shards)."""
+        """Record a freshly assembled tensor.  Re-inserting an existing
+        key refreshes its record (sizes can change when a recovery
+        rebalanced shards)."""
         if nbytes < 0:
             raise CampaignError(f"nbytes must be >= 0, got {nbytes}")
         if build_s < 0:
             raise CampaignError(f"build_s must be >= 0, got {build_s}")
         key = signature.content_hash()
-        self._clock += 1
-        entry = CacheEntry(
-            key=key, nbytes=int(nbytes), build_s=float(build_s),
-            last_used=self._clock,
-        )
+        entry = CacheEntry(key=key, nbytes=int(nbytes), build_s=float(build_s))
         entry.checksum = entry.content_checksum()
         self._entries[key] = entry
-        self._evict()
         return entry
-
-    def _evict(self) -> None:
-        if self.capacity_bytes is None:
-            return
-        while self._entries and self.in_use_bytes > self.capacity_bytes:
-            lru = min(self._entries.values(), key=lambda e: e.last_used)
-            del self._entries[lru.key]
-            self.evictions += 1
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
@@ -165,8 +134,7 @@ class CmatCache:
         - ``in_use_bytes`` — bytes of resident tensor;
         - ``hits`` / ``misses`` — lookup outcomes (an integrity
           failure counts as a miss);
-        - ``evictions`` — records dropped (LRU pressure *or* integrity
-          eviction);
+        - ``evictions`` — records dropped (integrity evictions);
         - ``integrity_failures`` — corrupted records caught and
           evicted by lookup verification;
         - ``hit_rate`` — ``hits / (hits + misses)``, 0.0 at zero

@@ -144,19 +144,11 @@ class RequestQueue:
         return text
 
     @classmethod
-    def from_json(cls, source: Union[str, Path]) -> "RequestQueue":
-        """Load a queue from a JSON file path or a JSON string (one
-        starting with ``{``); anything but ``{"requests": [...]}`` of
-        well-formed requests is a :class:`~repro.errors.CampaignError`
-        naming file and key."""
-        text = str(source)
-        if isinstance(source, Path) or not text.lstrip().startswith("{"):
-            doc = records.load_json(_QueueFile, source, error=CampaignError)
-        else:
-            doc = records.load_text(
-                _QueueFile, text, what="request JSON", error=CampaignError
-            )
-        return cls(doc.requests)
+    def from_json(cls, path: Union[str, Path]) -> "RequestQueue":
+        """Load a queue from a JSON file; anything but
+        ``{"requests": [...]}`` of well-formed requests is a
+        :class:`~repro.errors.CampaignError` naming file and key."""
+        return cls(records.load_json(_QueueFile, path, error=CampaignError).requests)
 
 
 @dataclass(frozen=True)

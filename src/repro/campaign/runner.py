@@ -103,9 +103,10 @@ class CampaignRunner:
     telemetry:
         Optional :class:`~repro.obs.Telemetry` bundle.  Every dispatch
         installs it on the job's world with the tracer's
-        ``time_offset`` pointed at the wave's campaign-clock start, so
-        one span tree — campaign > wave > job > step > phase >
-        collective — covers the whole run at campaign-absolute times.
+        ``time_offset`` pointed at the job's campaign-clock start, so
+        its job > step > phase > collective spans land at
+        campaign-absolute times under the caller's open span (the
+        online service's root).
     """
 
     def __init__(
@@ -181,6 +182,8 @@ class CampaignRunner:
         """
         if start_s < 0:
             raise CampaignError(f"start_s must be >= 0, got {start_s}")
+        if steps is not None and steps < 1:
+            raise CampaignError(f"steps must be >= 1, got {steps}")
         clock = float(start_s)
         jobs: List[JobRecord] = []
         done: List[RequestRecord] = []
@@ -189,11 +192,6 @@ class CampaignRunner:
         peak_cmat = 0
         rounds = 0
         self._imposed_wait_s = 0.0
-        tele = self.telemetry
-        root_span = None
-        if tele is not None:
-            tele.tracer.time_offset = 0.0
-            root_span = tele.tracer.begin("campaign", "campaign", clock)
         while queue:
             if rounds >= max_rounds:
                 raise CampaignError(
@@ -208,27 +206,20 @@ class CampaignRunner:
                 if self._hold_until.get(r.request_id, 0.0) > clock
             ]
             ready = [r for r in pending if r not in held]
+            for r in held:
+                queue.submit(r)
             if not ready:
                 # every pending request is backing off — idle the
                 # campaign clock forward to the earliest release
                 clock = min(self._hold_until[r.request_id] for r in held)
-                for r in held:
-                    queue.submit(r)
                 rounds += 1
                 continue
-            for r in held:
-                queue.submit(r)
             batches = self.batcher.batch(ready)
             waves = self.packer.pack(batches, job_id_offset=len(jobs))
             for wave in waves:
                 wave_makespan = 0.0
                 wave_nodes: set = set()
                 wave_idx = wave[0].wave if wave else 0
-                if tele is not None:
-                    tele.tracer.time_offset = 0.0
-                    tele.tracer.begin(
-                        f"wave{wave_idx}", "wave", clock, round=rounds
-                    )
                 for job in wave:
                     record, completed, lost = self._dispatch(
                         job, rounds, clock, steps
@@ -253,18 +244,7 @@ class CampaignRunner:
                     )
                 )
                 clock += wave_makespan
-                if tele is not None:
-                    tele.tracer.time_offset = 0.0
-                    tele.tracer.end(clock)
             rounds += 1
-        if tele is not None and root_span is not None:
-            tele.tracer.time_offset = 0.0
-            tele.tracer.end(clock)
-            for node in self.health.quarantined:
-                tele.metrics.gauge("node_quarantined", node=node).set(1.0)
-            if self.cache is not None:
-                for key, val in self.cache.stats().items():
-                    tele.metrics.gauge(f"campaign_cache_{key}").set(val)
         return CampaignReport(
             machine_name=self.machine.name,
             machine_n_nodes=self.machine.n_nodes,
@@ -322,6 +302,8 @@ class CampaignRunner:
         the clock and the requeue policy for the returned lost
         requests.
         """
+        if steps is not None and steps < 1:
+            raise CampaignError(f"steps must be >= 1, got {steps}")
         return self._dispatch(job, round_idx, start_s, steps)
 
     # ------------------------------------------------------------------
@@ -337,15 +319,9 @@ class CampaignRunner:
         dead-letter it once the attempt cap is exhausted."""
         outcome = retry_or_abandon(self.retry, req, record.job_id)
         if isinstance(outcome, AbandonedRecord):
-            if self.telemetry is not None:
-                self.telemetry.metrics.counter(
-                    "campaign_dead_letters_total"
-                ).inc()
             abandoned.append(outcome)
             return
         self._hold_until[req.request_id] = clock + record.elapsed_s + outcome
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter("campaign_retries_total").inc()
         queue.submit(req.requeued())
 
     # ------------------------------------------------------------------

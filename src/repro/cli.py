@@ -297,11 +297,7 @@ def cmd_linear(args: argparse.Namespace) -> int:
         inp = inp.with_updates(nonlinear=False)
         print("note: NONLINEAR_FLAG disabled for linear analysis")
     solver = LinearSolver(inp)
-    modes = (
-        [int(m) for m in args.modes.split(",")]
-        if args.modes
-        else list(range(1, inp.n_toroidal))
-    )
+    modes = [int(m) for m in args.modes.split(",")] if args.modes else None
     print(f"{inp.name}: linear spectrum ({args.method})")
     print(f"{'n':>4s} {'gamma':>12s} {'omega':>12s} {'stable':>8s}")
     for res in solver.spectrum(modes=modes, method=args.method, tol=args.tol):
@@ -667,16 +663,7 @@ def _traced_run(args: argparse.Namespace):
         inputs = parse_ensemble(args.input)
         machine = _machine_from_args(args)
     elif args.nl03c:
-        machine = frontier_like(
-            n_nodes=32, mem_per_rank_bytes=NL03C_SCALED_MEM_PER_RANK
-        )
-        base = nl03c_scaled()
-        inputs = [
-            base.with_updates(
-                dlntdr=(3.0 + 0.1 * m, 3.0 + 0.1 * m), name=f"nl03c.m{m}"
-            )
-            for m in range(4)
-        ]
+        machine, inputs = _nl03c_ensemble(4)
     else:
         machine = generic_cluster(n_nodes=4, ranks_per_node=4)
         inputs = [
@@ -870,15 +857,21 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure2(args: argparse.Namespace) -> int:
+def _nl03c_ensemble(k: int):
+    """Figure 2's machine and the first ``k`` of its nl03c members."""
     machine = frontier_like(
         n_nodes=32, mem_per_rank_bytes=NL03C_SCALED_MEM_PER_RANK
     )
     base = nl03c_scaled()
     inputs = [
         base.with_updates(dlntdr=(3.0 + 0.1 * m, 3.0 + 0.1 * m), name=f"nl03c.m{m}")
-        for m in range(8)
+        for m in range(k)
     ]
+    return machine, inputs
+
+
+def cmd_figure2(args: argparse.Namespace) -> int:
+    machine, inputs = _nl03c_ensemble(8)
     result = figure2_comparison(
         inputs, machine, measure_steps=args.measure_steps, enforce_memory=True
     )

@@ -140,16 +140,6 @@ class MachineModel:
         """Total ranks the machine can host."""
         return self.n_nodes * self.ranks_per_node
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        """True when any per-node multiplier deviates from 1.0."""
-        return (
-            self.node_speed is not None and any(m != 1.0 for m in self.node_speed)
-        ) or (
-            self.node_bandwidth is not None
-            and any(m != 1.0 for m in self.node_bandwidth)
-        )
-
     def speed_of(self, node: int) -> float:
         """Compute-speed multiplier of ``node`` (1.0 when homogeneous)."""
         if node < 0 or node >= self.n_nodes:
@@ -202,23 +192,8 @@ class MachineModel:
 
     def describe(self) -> str:
         """One-paragraph human-readable description."""
-        hetero = ""
-        if self.is_heterogeneous:
-            speeds = sorted(
-                {self.speed_of(n) for n in range(self.n_nodes)}
-            )
-            bws = sorted(
-                {self.bandwidth_factor_of(n) for n in range(self.n_nodes)}
-            )
-            hetero = (
-                ", heterogeneous (speed x"
-                + "/".join(f"{m:g}" for m in speeds)
-                + ", nic x"
-                + "/".join(f"{m:g}" for m in bws)
-                + ")"
-            )
         return (
-            f"{self.name}{hetero}: {self.n_nodes} nodes x {self.ranks_per_node} ranks "
+            f"{self.name}: {self.n_nodes} nodes x {self.ranks_per_node} ranks "
             f"({self.n_ranks} ranks), {self.mem_per_rank_bytes / MiB:.2f} MiB/rank, "
             f"{self.flops_per_rank / 1e9:.2f} GF/s/rank, "
             f"intra {self.intra.latency_s * 1e6:.2f} us / "

@@ -108,6 +108,8 @@ class CriticalPath:
 
     def top_stalls(self, n: int = 5) -> List[CriticalSegment]:
         """Largest idle gaps on the path, longest first."""
+        if n < 0:
+            raise ReproError(f"top_stalls needs n >= 0, got {n}")
         gaps = [s for s in self.segments if s.span_id is None and s.duration > 0]
         gaps.sort(key=lambda s: (-s.duration, s.t_start))
         return gaps[:n]

@@ -8,9 +8,8 @@ CI artifacts be diffed and goldens be committed.
 ``export_spans_chrome`` writes the span *tree* as a Perfetto-loadable
 trace: ``pid`` is the ensemble member (named via process-name metadata
 events so member overlap is visible as parallel process lanes),
-``tid`` is the world rank, and two counter tracks are derived from the
-leaf spans — collective bytes in flight, and per-job memory high-water
-marks carried on job/member span attrs.
+``tid`` is the world rank, and a counter track of collective bytes in
+flight is derived from the leaf spans.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def export_spans_chrome(
 
 
 def _counter_events(spans: Iterable[Span]) -> List[Dict[str, object]]:
-    """Counter tracks: bytes in flight and memory high-water marks."""
+    """The bytes-in-flight counter track."""
     events: List[Dict[str, object]] = []
     # bytes in flight: +nbytes at each collective start, -nbytes at end
     edges: List[tuple] = []
@@ -131,16 +130,4 @@ def _counter_events(spans: Iterable[Span]) -> List[Dict[str, object]]:
                 "args": {"bytes": in_flight},
             }
         )
-    for s in spans:
-        hwm = s.attrs.get("mem_high_water_bytes")
-        if hwm:
-            events.append(
-                {
-                    "name": "mem_high_water_bytes",
-                    "ph": "C",
-                    "ts": s.t_end * 1e6,
-                    "pid": 0,
-                    "args": {"bytes": int(hwm)},  # type: ignore[arg-type]
-                }
-            )
     return events

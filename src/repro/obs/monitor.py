@@ -44,8 +44,7 @@ Wire-up: pass ``monitor=ServiceMonitor(...)`` to
 rollups are deltas over its registry).  The service calls
 :meth:`ServiceMonitor.begin` / :meth:`~ServiceMonitor.advance` /
 :meth:`~ServiceMonitor.finish`; the finished summary lands on
-``ServiceReport.monitoring`` and renders in ``render_service_report``
-and the ``repro monitor`` CLI.
+``ServiceReport.monitoring`` and renders in the ``repro monitor`` CLI.
 """
 
 from __future__ import annotations

@@ -243,6 +243,8 @@ class OnlineService:
         self.admission = AdmissionController(max_pending)
         self.fairness = FairSharePolicy(weights)
         self.default_slo_s = default_slo_s
+        if steps is not None and steps < 1:
+            raise ServiceError(f"steps must be >= 1, got {steps}")
         self.steps = steps
         self.telemetry = telemetry
         self.monitor = monitor

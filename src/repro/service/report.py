@@ -282,44 +282,6 @@ def render_service_report(report: ServiceReport) -> str:
         f"{report.pool_node_seconds:.0f} node-s provisioned, "
         f"{100.0 * report.pool_utilisation:.1f}% busy",
     ]
-    res = report.resilience
-    if res:
-        causes = res.get("dead_letters_by_cause") or {}
-        cause_txt = (
-            " (" + ", ".join(f"{k} {v}" for k, v in sorted(causes.items())) + ")"
-            if causes
-            else ""
-        )
-        lines.append(
-            f"  resilience       : {res.get('retries', 0)} retries, "
-            f"{res.get('dead_letters', 0)} dead-letters{cause_txt}, "
-            f"{res.get('recovery_seconds', 0.0):.1f} s recovering"
-        )
-        control = []
-        if res.get("crashes"):
-            control.append(f"{res['crashes']} service crash(es)")
-        if res.get("provision_failures"):
-            control.append(
-                f"{res['provision_failures']} provision failure(s)"
-            )
-        if res.get("provision_stall_seconds"):
-            control.append(
-                f"{res['provision_stall_seconds']:.0f} s provisioning stall"
-            )
-        if res.get("domain_losses"):
-            control.append(f"{res['domain_losses']} domain loss(es)")
-        if control:
-            lines.append("  control faults   : " + ", ".join(control))
-    mon = report.monitoring
-    if mon:
-        lines.append(
-            f"  monitoring       : {mon.get('n_windows', 0)} windows x "
-            f"{float(mon.get('window_s', 0.0)):g} s, "
-            f"{mon.get('n_fired', 0)} alert(s) fired / "
-            f"{mon.get('n_resolved', 0)} resolved"
-        )
-        for inc in mon.get("incidents", []):  # type: ignore[union-attr]
-            lines.append(f"    {inc['narrative']}")
     tenants = report.tenant_summary()
     if len(tenants) > 1:
         lines.append("  tenants:")

@@ -104,6 +104,8 @@ class TrafficModel:
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ServiceError(f"duplicate tenant names: {names}")
+        if seed < 0:
+            raise ServiceError(f"seed must be >= 0, got {seed}")
         self.workload = tuple(workload)
         self.tenants = tuple(tenants)
         self.seed = int(seed)

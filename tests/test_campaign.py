@@ -116,21 +116,24 @@ class TestRequestQueue:
         assert drained == snapshot
         assert len(q) == 0
 
-    def test_json_round_trip_file_and_string(self, base, tmp_path):
+    def test_json_round_trip_through_a_file(self, base, tmp_path):
         q = RequestQueue(_requests(base, 3, families=2))
         path = tmp_path / "reqs.json"
-        text = q.to_json(path)
-        for source in (path, text):
+        q.to_json(path)
+        for source in (path, str(path)):
             clone = RequestQueue.from_json(source)
             assert [r.request_id for r in clone.pending()] == [
                 r.request_id for r in q.pending()
             ]
 
     def test_bad_json_raises(self, tmp_path):
-        with pytest.raises(CampaignError, match="request JSON: not valid JSON"):
-            RequestQueue.from_json("{nope")
+        path = tmp_path / "reqs.json"
+        path.write_text("{nope")
+        with pytest.raises(CampaignError, match="reqs.json: not valid JSON"):
+            RequestQueue.from_json(path)
+        path.write_text('{"jobs": []}')
         with pytest.raises(CampaignError, match="requests"):
-            RequestQueue.from_json('{"jobs": []}')
+            RequestQueue.from_json(path)
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +160,7 @@ class TestCmatCache:
         assert cache.seconds_saved == 2.5
         assert list(cache._entries) == [sig.content_hash()]
 
-    def test_lru_eviction_under_capacity(self, base):
-        cache = CmatCache(capacity_bytes=250)
-        sigs = [
-            base.with_updates(nu=base.nu * (1 + i)).cmat_signature()
-            for i in range(3)
-        ]
-        for sig in sigs:
-            cache.insert(sig, nbytes=100, build_s=1.0)
-        # 300 B > 250 B: the least recently used entry (sigs[0]) went
-        assert cache.evictions == 1
-        assert set(cache._entries) == {s.content_hash() for s in sigs[1:]}
-        cache.lookup(sigs[1])  # refresh -> sigs[2] is now LRU
-        cache.insert(sigs[0], nbytes=100, build_s=1.0)
-        assert set(cache._entries) == {s.content_hash() for s in sigs[:2]}
-
     def test_invalid_arguments_raise(self, base):
-        with pytest.raises(CampaignError):
-            CmatCache(capacity_bytes=-1)
         cache = CmatCache()
         with pytest.raises(CampaignError):
             cache.insert(base.cmat_signature(), nbytes=-1, build_s=0.0)
@@ -585,3 +571,16 @@ class TestServiceFacingExtensions:
             CampaignRunner(machine).run(
                 RequestQueue(_requests(base, 1)), steps=1, start_s=-1.0
             )
+
+    def test_zero_steps_raise_before_anything_runs(self, base, machine):
+        """A job of zero steps serves nothing: both entry points refuse
+        it before the queue drains or the cache is probed."""
+        runner = CampaignRunner(machine)
+        queue = RequestQueue(_requests(base, 2))
+        with pytest.raises(CampaignError, match="steps must be >= 1, got 0"):
+            runner.run(queue, steps=0)
+        assert len(queue) == 2
+        job = runner.packer.pack(runner.batcher.batch(queue.drain()))[0][0]
+        with pytest.raises(CampaignError, match="steps must be >= 1, got -1"):
+            runner.dispatch(job, steps=-1)
+        assert runner.cache.misses == runner.cache.hits == 0

@@ -61,13 +61,6 @@ class TestMultiplierValidation:
         m = generic_cluster(n_nodes=4)
         assert m.node_speed is None
         assert m.node_bandwidth is None
-        assert not m.is_heterogeneous
-
-    def test_all_ones_is_not_heterogeneous(self):
-        from dataclasses import replace
-
-        m = replace(generic_cluster(n_nodes=2), node_speed=(1.0, 1.0))
-        assert not m.is_heterogeneous
 
     def test_accessor_range_checks(self):
         m = throttled_frontier(4, n_throttled=2)
@@ -105,10 +98,6 @@ class TestSubmachine:
         # node omitted: nominal rate, as before
         assert m.compute_seconds(1.0e6) == pytest.approx(fast)
 
-    def test_describe_mentions_heterogeneity(self):
-        assert "heterogeneous" in throttled_frontier(4, n_throttled=1).describe()
-        assert "heterogeneous" not in generic_cluster(4).describe()
-
 
 # ----------------------------------------------------------------------
 # presets
@@ -116,7 +105,6 @@ class TestSubmachine:
 class TestHeterogeneousPresets:
     def test_throttled_frontier_shape(self):
         m = throttled_frontier(8, n_throttled=3, speed_factor=0.7)
-        assert m.is_heterogeneous
         assert m.node_speed == (1.0,) * 5 + (0.7,) * 3
         assert m.node_bandwidth is None  # network untouched
         base = frontier_like(8)

@@ -128,6 +128,15 @@ class TestExtractionLaws:
         assert path.idle_s == pytest.approx(2.0)
         assert path.top_stalls()[0].duration == pytest.approx(2.0)
 
+    def test_top_stalls_refuses_a_negative_count(self):
+        """``gaps[:-1]`` would silently drop the shortest stall."""
+        spans = [Span(0, "a", "compute", 0.0, 1.0, ranks=(0,)),
+                 Span(1, "b", "compute", 3.0, 1.0, ranks=(0,))]
+        path = extract_critical_path(spans)
+        assert path.top_stalls(0) == []
+        with pytest.raises(ReproError, match="n >= 0, got -1"):
+            path.top_stalls(-1)
+
     def test_chain_follows_last_arrival(self):
         """The walk hops onto the rank that pinned the collective."""
         spans = [

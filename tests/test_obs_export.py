@@ -77,18 +77,6 @@ class TestSpanChrome:
         counters = [e for e in events if e["ph"] == "C"]
         assert any(e["name"] == "bytes_in_flight" for e in counters)
 
-    def test_mem_high_water_counter_track(self, tmp_path):
-        spans = [
-            Span(0, "job.mem", "marker", 3.0, 0.0,
-                 attrs={"mem_high_water_bytes": 4096}),
-            Span(1, "c", "compute", 0.0, 1.0, ranks=(0,)),
-        ]
-        path = tmp_path / "t.json"
-        export_spans_chrome(spans, path)
-        events = json.loads(path.read_text())["traceEvents"]
-        hwm = [e for e in events if e.get("name") == "mem_high_water_bytes"]
-        assert hwm and hwm[0]["args"]["bytes"] == 4096
-
 
 class TestVmpiChromeMemberLanes:
     """Collective leaf spans of a real ensemble get per-member pids."""

@@ -10,13 +10,18 @@ series, and cause attribution on the builtin fault schedules.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cgyro.presets import small_test
 from repro.check import builtin_scenarios
 from repro.errors import ReproError
+from repro.machine.model import KiB
+from repro.machine.presets import generic_cluster
+from repro.machine.topology import FaultDomains
 from repro.obs import (
     AlertEngine,
     AlertRule,
@@ -30,7 +35,8 @@ from repro.obs import (
     render_monitor_report,
 )
 from repro.obs.monitor import WindowRollup, _cause_signals
-from repro.service.report import render_service_report
+from repro.resilience import FaultPlan, FaultSpec
+from repro.service import OnlineService, PoissonTraffic, WindowPolicy
 
 SCENARIOS = builtin_scenarios(smoke=True)
 
@@ -445,15 +451,6 @@ class TestWiring:
         with pytest.raises(ReproError, match="different telemetry"):
             monitor.bind(Telemetry())
 
-    def test_service_report_renders_monitoring_block(self):
-        report, _ = _run(
-            "crash-resume", monitor=ServiceMonitor(window_s=60.0)
-        )
-        text = render_service_report(report)
-        assert "monitoring" in text
-        assert "windows x" in text
-        assert "inc001" in text
-
     def test_render_monitor_report_off(self):
         assert render_monitor_report({}) == "monitoring: off\n"
 
@@ -465,3 +462,62 @@ class TestWiring:
         assert "FIRED" in text
         assert "resolved" in text
         assert "control-crash" in text
+
+
+class TestDomainWait:
+    """``campaign_domain_imposed_wait_seconds_total`` at both ends: the
+    campaign runner writes it per fault domain, the monitor's
+    ``domain_wait_max_s`` (which the default rulebook's anomaly rule
+    reads) is its largest per-window delta."""
+
+    @staticmethod
+    def _run(window_s):
+        machine = dataclasses.replace(
+            generic_cluster(n_nodes=4), mem_per_rank_bytes=96.0 * KiB,
+            fault_domains=FaultDomains(nodes_per_domain=2),
+        )
+        stragglers = {node: FaultPlan(specs=(FaultSpec("slowdown", at_step=0, rank=0,
+                                                       factor=factor),))
+                      for node, factor in ((0, 2.0), (2, 4.0))}
+        tele, monitor = Telemetry(), ServiceMonitor(window_s=window_s)
+        service = OnlineService(
+            machine, PoissonTraffic([small_test()], rate_per_s=0.05, seed=3),
+            window=WindowPolicy(max_hold_s=30.0, min_batch=2), min_nodes=4, max_nodes=4,
+            node_faults=stragglers, telemetry=tele, monitor=monitor,
+        )
+        worlds = []
+        book = service.runner._finish_job_telemetry
+
+        def spy(job, world):
+            worlds.append((job.nodes, world.placement, world.imposed_wait_s.copy()))
+            book(job, world)
+
+        service.runner._finish_job_telemetry = spy
+        service.run(600.0)
+        counters = {dict(key).get("domain"): value for name, key, _, value in tele.metrics
+                    if name == "campaign_domain_imposed_wait_seconds_total"}
+        return worlds, counters, monitor.rollups, tele.metrics
+
+    def test_counter_is_each_domains_share_of_the_imposed_wait(self):
+        worlds, counters, _, metrics = self._run(60.0)
+        share = {}
+        for nodes, placement, waits in worlds:
+            for rank, wait in enumerate(waits):
+                domain = str(nodes[placement.node_of(rank)] // 2)
+                share[domain] = share.get(domain, 0.0) + float(wait)
+        assert set(counters) == {"0", "1"}  # one straggler in each domain
+        assert counters == pytest.approx({d: w for d, w in share.items() if w > 0})
+        (total,) = [v for n, _, _, v in metrics if n == "campaign_imposed_wait_seconds_total"]
+        assert sum(counters.values()) == pytest.approx(total)
+
+    def test_rollup_domain_wait_max_is_the_largest_domain(self):
+        _, counters, rollups, _ = self._run(1000.0)
+        (whole,) = rollups  # one window spans the run
+        assert whole.domains == pytest.approx(counters)
+        assert whole.metrics["domain_wait_max_s"] == max(counters.values())
+        _, _, windows, _ = self._run(60.0)
+        assert len(windows) > 1
+        for rollup in windows:
+            assert rollup.metrics["domain_wait_max_s"] == max(rollup.domains.values(), default=0.0)
+        for domain, total in counters.items():
+            assert sum(r.domains.get(domain, 0.0) for r in windows) == pytest.approx(total)

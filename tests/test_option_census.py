@@ -94,9 +94,6 @@ ALLOWED = {
     ("recover_service", "resume_delay_s"):
         "detection + restart downtime of a crashed control plane; "
         "exactly-once recovery must hold for any value",
-    ("CmatCache", "capacity_bytes"):
-        "memory bound on the warm-tensor cache; its `evictions` count "
-        "is in pinned campaign bytes",
     ("resilient_differential_oracle", "overlap"):
         "the oracle that certifies a rank dying under an in-flight "
         "nonblocking collective still recovers bit-identically",

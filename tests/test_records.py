@@ -440,6 +440,31 @@ class TestCliRefusesGarbage:
         assert str(garbage) in err
 
     @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["serve", "--seed", "-1", "--horizon", "100"], "seed must be >= 0, got -1"),
+            (["chaos", "--smoke", "--scenario", "kitchen-sink", "--seed", "-3"],
+             "seed must be >= 0, got -3"),
+            (["campaign", "{requests}", "--steps", "0"], "steps must be >= 1, got 0"),
+            (["serve", "--steps", "0", "--horizon", "100"], "steps must be >= 1, got 0"),
+            (["trace", "--top-stalls", "-1"], "n >= 0, got -1"),
+        ],
+        ids=["serve-seed", "chaos-seed", "campaign-steps", "serve-steps", "trace-top-stalls"],
+    )
+    def test_exit_two_on_an_out_of_range_number(self, argv, named, tmp_path, capsys):
+        """A negative seed, zero steps or a negative stall count is one
+        ``error:`` line naming it; never a numpy traceback or a run that
+        serves nothing and reports it served."""
+        requests = tmp_path / "requests.json"
+        _write_queue(requests)
+        code = repro_main([a.format(requests=requests) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert "served" not in out and "steps 0" not in out
+
+    @pytest.mark.parametrize(
         "line,named",
         [
             ("N_RADIAL=abc", "N_RADIAL"),

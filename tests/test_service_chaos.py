@@ -33,7 +33,6 @@ from repro.service import (
     ServiceJournal,
     WindowPolicy,
     recover_service,
-    render_service_report,
     replay,
 )
 
@@ -123,12 +122,6 @@ class TestServiceCrash:
         resume, cold = self._run("resume"), self._run("cold")
         assert resume.n_served > cold.n_served
         assert resume.n_abandoned < cold.n_abandoned
-
-    def test_report_renders_the_control_fault_lines(self):
-        text = render_service_report(self._run("resume"))
-        assert "resilience" in text
-        assert "control faults" in text
-
 
 class TestProvisionFail:
     def test_refusal_and_stall_are_charged(self):

@@ -234,6 +234,12 @@ class TestFaultsAndRetries:
         with pytest.raises(ServiceError):
             service.run(10.0)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_jobs_of_no_steps_are_refused(self, steps):
+        """A zero-step job would report its requests served."""
+        with pytest.raises(ServiceError, match=f"steps must be >= 1, got {steps}"):
+            _service(steps=steps)
+
 
 class TestTelemetry:
     def test_spans_and_metrics_cover_the_run(self):

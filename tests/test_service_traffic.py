@@ -149,6 +149,14 @@ class TestValidation:
                 period_s=100.0,
             )
 
+    def test_negative_seed_rejected(self):
+        """Refused at construction, before a generator is seeded."""
+        with pytest.raises(ServiceError, match="seed must be >= 0, got -1"):
+            PoissonTraffic(WORKLOAD, rate_per_s=1.0, seed=-1)
+        with pytest.raises(ServiceError, match="seed"):
+            DiurnalTraffic(WORKLOAD, base_rate_per_s=0.1, peak_rate_per_s=0.5,
+                           period_s=100.0, seed=-2)
+
     def test_tenant_validation(self):
         with pytest.raises(ServiceError):
             TenantSpec("")
