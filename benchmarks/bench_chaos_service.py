@@ -144,7 +144,7 @@ def scenario(smoke):
         workload, rate_per_s=rate, tenants=tenants, seed=42
     ).generate(horizon)
     kwargs = dict(
-        window=window, default_slo_s=slo_s, steps=steps, chaos=plan, **pool
+        window=window, steps=steps, chaos=plan, **pool
     )
     return machine, stream, horizon, kwargs
 

@@ -109,10 +109,9 @@ def scenario(smoke):
     stream = PoissonTraffic(
         workload, rate_per_s=rate, tenants=tenants, seed=42
     ).generate(horizon)
-    windowed = dict(window=window, default_slo_s=slo_s, steps=steps, **pool)
+    windowed = dict(window=window, steps=steps, **pool)
     fifo = dict(
         window=WindowPolicy(max_hold_s=0.0, min_batch=1, max_batch=1),
-        default_slo_s=slo_s,
         steps=steps,
         prefer_larger_k=False,
         use_cache=False,

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.collision.signature import CmatSignature
+from repro.errors import CampaignError
 from repro.campaign.request import SimRequest
 from repro.xgyro.validate import group_by_signature
 
@@ -58,7 +59,7 @@ class SignatureBatcher:
 
     def __init__(self, *, max_batch: "int | None" = None) -> None:
         if max_batch is not None and max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+            raise CampaignError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
 
     def batch(self, requests: Sequence[SimRequest]) -> List[CandidateBatch]:

@@ -85,7 +85,6 @@ class ChaosScenario:
     snapshot_interval: int = 9
     crash_samples: int = 3
     slo_floor: float = 0.0
-    default_slo_s: float = 3600.0
 
     def machine(self) -> MachineModel:
         """The fault-domain-annotated, memory-tight test cluster."""
@@ -118,7 +117,6 @@ class ChaosScenario:
             max_nodes=self.max_nodes,
             provision_delay_s=self.provision_delay_s,
             idle_reclaim_s=self.idle_reclaim_s,
-            default_slo_s=self.default_slo_s,
             journal=journal,
             chaos=self.plan,
             recovery=self.recovery,

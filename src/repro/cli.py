@@ -23,7 +23,7 @@ a launcher invocation — against the virtual machine:
                                [--chrome-out T.json]
     python -m repro metrics    [FILE] [--nl03c] [--json M.json]
                                [--load M.json --quantile NAME:q]
-    python -m repro perf-gate  BENCH.json BASELINE.json [--tolerance 0.05]
+    python -m repro perf-gate  BENCH.json BASELINE.json
     python -m repro monitor    [--smoke --scenario NAME --window S
                                 --rules RULES.json --json OUT.json
                                 --rollups-out DIR]
@@ -234,6 +234,8 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    if args.members < 1:
+        raise ReproError(f"--members must be >= 1, got {args.members}")
     if args.autotune or args.smoke:
         return _cmd_plan_autotune(args)
     if args.directory is None:
@@ -297,7 +299,12 @@ def cmd_linear(args: argparse.Namespace) -> int:
         inp = inp.with_updates(nonlinear=False)
         print("note: NONLINEAR_FLAG disabled for linear analysis")
     solver = LinearSolver(inp)
-    modes = [int(m) for m in args.modes.split(",")] if args.modes else None
+    try:
+        modes = [int(m) for m in args.modes.split(",")] if args.modes else None
+    except ValueError:
+        raise ReproError(
+            f"--modes wants comma-separated integers, got {args.modes!r}"
+        ) from None
     print(f"{inp.name}: linear spectrum ({args.method})")
     print(f"{'n':>4s} {'gamma':>12s} {'omega':>12s} {'stable':>8s}")
     for res in solver.spectrum(modes=modes, method=args.method, tol=args.tol):
@@ -347,7 +354,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         plans = {}
         for spec in specs or ():
             idx, _, path = spec.partition(":")
-            if not path:
+            if not path or not idx.isdecimal():
                 raise ReproError(
                     f"{flag} wants {metavar}:PLAN.json, got {spec!r}"
                 )
@@ -439,14 +446,14 @@ def _serve_tenants(specs):
         return DEFAULT_TENANTS
     tenants = []
     for spec in specs:
-        parts = spec.split(":")
-        if len(parts) != 3:
+        try:
+            name, weight, slo_s = spec.split(":")
+            weight, slo_s = float(weight), float(slo_s)
+        except ValueError:
             raise ReproError(
                 f"--tenant wants NAME:WEIGHT:SLO_S, got {spec!r}"
-            )
-        tenants.append(
-            TenantSpec(parts[0], weight=float(parts[1]), slo_s=float(parts[2]))
-        )
+            ) from None
+        tenants.append(TenantSpec(name, weight=weight, slo_s=slo_s))
     return tuple(tenants)
 
 
@@ -515,7 +522,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         window=window,
         max_pending=args.max_pending,
         weights=weights,
-        default_slo_s=args.slo,
         steps=args.steps,
         min_nodes=args.min_nodes,
         max_nodes=args.max_nodes,
@@ -626,7 +632,6 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     from repro.check import differential_oracle
-    from repro.perf import render_equivalence_report
 
     inputs = parse_ensemble(args.input)
     machine = _machine_from_args(args)
@@ -640,7 +645,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         enforce_memory=args.enforce_memory,
         overlap=args.overlap,
     )
-    print(render_equivalence_report(report))
+    print(report.render())
     if args.json:
         Path(args.json).write_text(report.to_json())
         print(f"report written to {args.json}")
@@ -755,9 +760,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_perf_gate(args: argparse.Namespace) -> int:
     from repro.obs import run_gate
 
-    result = run_gate(
-        args.current, args.baseline, tolerance=args.tolerance
-    )
+    result = run_gate(args.current, args.baseline)
     print(result.render())
     return 0 if result.ok else 1
 
@@ -1113,8 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window: cap members per batch")
     p.add_argument("--max-pending", type=int, default=None,
                    help="admission bound; arrivals beyond it are shed")
-    p.add_argument("--slo", type=float, default=None,
-                   help="deadline stamped on requests without one (s)")
     p.add_argument("--min-nodes", type=int, default=1,
                    help="pool floor (provisioned at t=0)")
     p.add_argument("--max-nodes", type=int, default=None,
@@ -1275,15 +1276,11 @@ def build_parser() -> argparse.ArgumentParser:
         "perf-gate",
         help="compare a fresh bench-record file against a committed "
         "baseline with tolerance bands",
+        description="fails unless every metric is within ±5% of its "
+        "baseline either way, none is missing and none is new",
     )
-    p.add_argument("current", help="fresh bench records (e.g. BENCH_PR5.json)")
+    p.add_argument("current", help="fresh bench records (pytest benchmarks --json)")
     p.add_argument("baseline", help="committed baseline record file")
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="relative tolerance band per metric (default 0.05)",
-    )
     p.set_defaults(func=cmd_perf_gate)
 
     p = sub.add_parser(

@@ -13,7 +13,7 @@ and metric set for a whole campaign.  On top of that sit:
 - :mod:`repro.obs.export` — byte-stable JSONL span logs and nested
   Chrome/Perfetto traces (pid=member, tid=rank, counter tracks);
 - :mod:`repro.obs.gate` — the bench-record schema and the CI
-  perf-regression gate;
+  perf gate;
 - :mod:`repro.obs.monitor` — the live monitoring plane for the online
   service: streaming window rollups, burn-rate/anomaly alert rules,
   and automated incident diagnosis.
@@ -39,7 +39,6 @@ from repro.obs.gate import (
     GateResult,
     compare_bench_records,
     load_bench_records,
-    metric_direction,
     run_gate,
     write_bench_records,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "GateResult",
     "compare_bench_records",
     "load_bench_records",
-    "metric_direction",
     "run_gate",
     "write_bench_records",
 ]

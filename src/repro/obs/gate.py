@@ -1,28 +1,20 @@
-"""The perf-regression gate: bench records vs committed baselines.
+"""The perf gate: bench records vs the committed baseline.
 
-Every ``bench_*.py`` smoke run writes one machine-readable record per
-bench (via the shared ``--json`` writer in ``benchmarks/conftest.py``)
-into a bench-record file::
+Every ``bench_*.py`` writes one machine-readable record per bench (via
+the shared ``--json`` writer in ``benchmarks/conftest.py``) into a
+bench-record file::
 
     {"format": "repro-bench-v1",
      "records": {"figure2_headline": {"xgyro_wall_s": 0.81, ...}, ...}}
 
-CI compares each lane's fresh file against that lane's baseline under
-``benchmarks/baselines/`` with a relative tolerance band per metric.
-Every record has one owner: the autotune, service, overlap, chaos and
-monitor lanes' files hold their own bench's record, ``BENCH_PR5.json``
-those of every other bench (the whole-suite run reports the per-lane
-benches as ``new``, which passes).
-The virtual machine is deterministic, so the band exists to absorb
-*intentional* model changes, not noise: a metric drifting beyond it in
-the *worse* direction fails the gate; drifting in the *better*
-direction is reported as an improvement (re-baseline to lock it in).
-
-Metric direction is inferred from the name: anything mentioning
-``speedup``/``throughput``/``saved``/``hit_rate``/``reduction``/
-``utilisation``/``efficiency`` is higher-is-better; everything else
-(walls, makespans, fractions, overheads, byte counts) is
-lower-is-better.
+CI runs the whole suite once (``pytest benchmarks --smoke --json``) and
+compares that file against the one baseline,
+``benchmarks/baselines/BENCH.json``.  The virtual machine is
+deterministic, so every metric is judged two-sided: a relative change
+beyond :data:`BAND` in either direction is ``drifted``, a baseline
+metric the run did not write is ``missing`` and one the baseline lacks
+is ``new``; each of the three fails.  A change that moves a figure on
+purpose re-baselines it in the same commit.
 """
 
 from __future__ import annotations
@@ -36,6 +28,9 @@ from repro.records import dump, load_json, write_json
 
 BENCH_FORMAT = "repro-bench-v1"
 
+#: Relative change either way beyond which a metric fails the gate.
+BAND = 0.05
+
 
 @dataclass(frozen=True)
 class _BenchFile:
@@ -44,27 +39,6 @@ class _BenchFile:
     records: Dict[str, Dict[str, float]]
 
     record_tag = BENCH_FORMAT
-
-#: Substrings marking a metric as higher-is-better.
-HIGHER_IS_BETTER = (
-    "speedup",
-    "throughput",
-    "goodput",
-    "attainment",
-    "saved",
-    "savings",
-    "hit_rate",
-    "reduction",
-    "utilisation",
-    "utilization",
-    "efficiency",
-)
-
-
-def metric_direction(name: str) -> int:
-    """+1 when larger values are better, -1 when smaller are."""
-    low = name.lower()
-    return 1 if any(tag in low for tag in HIGHER_IS_BETTER) else -1
 
 
 def write_bench_records(
@@ -97,14 +71,13 @@ class GateFinding:
     metric: str
     baseline: float
     current: float
-    verdict: str  # "ok" | "improved" | "regressed" | "missing" | "new"
+    verdict: str  # "ok" | "drifted" | "missing" | "new"
 
     @property
     def rel_change(self) -> float:
-        """Signed relative change vs the baseline (0 when baseline 0)."""
-        if self.baseline == 0.0:
-            return 0.0 if self.current == 0.0 else float("inf")
-        return (self.current - self.baseline) / abs(self.baseline)
+        """Signed relative change vs the baseline (vs 1 when the
+        baseline is 0)."""
+        return (self.current - self.baseline) / (abs(self.baseline) or 1.0)
 
 
 @dataclass
@@ -112,28 +85,27 @@ class GateResult:
     """Outcome of comparing a bench-record file against a baseline."""
 
     findings: List[GateFinding]
-    tolerance: float
 
     @property
-    def regressions(self) -> List[GateFinding]:
-        """Findings that fail the gate."""
-        return [f for f in self.findings if f.verdict in ("regressed", "missing")]
+    def failures(self) -> List[GateFinding]:
+        """Findings that fail the gate: every one but ``ok``."""
+        return [f for f in self.findings if f.verdict != "ok"]
 
     @property
     def ok(self) -> bool:
-        """True when no metric regressed and none went missing."""
-        return not self.regressions
+        """True when every metric is within the band on both sides."""
+        return not self.failures
 
     def render(self) -> str:
-        """Human-readable gate table, worst news first."""
-        order = {"regressed": 0, "missing": 1, "improved": 2, "new": 3, "ok": 4}
+        """Human-readable gate table, failures first."""
+        order = {"drifted": 0, "missing": 1, "new": 2, "ok": 3}
         rows = sorted(
             self.findings, key=lambda f: (order[f.verdict], f.bench, f.metric)
         )
         lines = [
-            f"perf gate — tolerance ±{self.tolerance:.0%}, "
+            f"perf gate — band ±{BAND:.0%} either way, "
             f"{len(self.findings)} metric(s), "
-            f"{len(self.regressions)} regression(s)",
+            f"{len(self.failures)} failure(s)",
             f"{'bench':<28s} {'metric':<28s} {'baseline':>12s} "
             f"{'current':>12s} {'change':>8s}  verdict",
         ]
@@ -153,19 +125,15 @@ class GateResult:
 def compare_bench_records(
     current: Mapping[str, Mapping[str, float]],
     baseline: Mapping[str, Mapping[str, float]],
-    *,
-    tolerance: float = 0.05,
 ) -> GateResult:
-    """Gate ``current`` against ``baseline`` with a relative band.
+    """Gate ``current`` against ``baseline``, metric by metric.
 
-    Baseline metrics absent from ``current`` are *failures* (a bench
-    silently stopped reporting is exactly the rot the gate exists to
-    catch); current metrics absent from the baseline are reported as
-    ``new`` and pass (commit a refreshed baseline to start tracking
-    them).
+    A value more than :data:`BAND` away from its baseline either way
+    (a NaN too) is ``drifted``; a baseline metric absent from
+    ``current`` is ``missing`` (a bench that silently stopped reporting
+    is the rot the gate exists to catch), and a current metric absent
+    from the baseline is ``new`` (an untracked figure).  All three fail.
     """
-    if tolerance < 0:
-        raise ReproError(f"tolerance must be >= 0, got {tolerance}")
     findings: List[GateFinding] = []
     for bench, base_metrics in sorted(baseline.items()):
         cur_metrics = current.get(bench, {})
@@ -176,17 +144,10 @@ def compare_bench_records(
                 )
                 continue
             cur_val = cur_metrics[metric]
-            scale = abs(base_val) if base_val != 0.0 else 1.0
-            rel = (cur_val - base_val) / scale
-            worse = rel * metric_direction(metric) < -tolerance
-            better = rel * metric_direction(metric) > tolerance
+            within = abs(cur_val - base_val) <= BAND * (abs(base_val) or 1.0)
             findings.append(
                 GateFinding(
-                    bench,
-                    metric,
-                    base_val,
-                    cur_val,
-                    "regressed" if worse else "improved" if better else "ok",
+                    bench, metric, base_val, cur_val, "ok" if within else "drifted"
                 )
             )
     for bench, cur_metrics in sorted(current.items()):
@@ -196,18 +157,13 @@ def compare_bench_records(
                 findings.append(
                     GateFinding(bench, metric, float("nan"), cur_val, "new")
                 )
-    return GateResult(findings=findings, tolerance=tolerance)
+    return GateResult(findings)
 
 
 def run_gate(
-    current_path: Union[str, Path],
-    baseline_path: Union[str, Path],
-    *,
-    tolerance: float = 0.05,
+    current_path: Union[str, Path], baseline_path: Union[str, Path]
 ) -> GateResult:
     """Load both record files and compare (the CLI/CI entry point)."""
     return compare_bench_records(
-        load_bench_records(current_path),
-        load_bench_records(baseline_path),
-        tolerance=tolerance,
+        load_bench_records(current_path), load_bench_records(baseline_path)
     )

@@ -33,7 +33,6 @@ from repro.perf.report import (
     Figure2Result,
     figure2_comparison,
     render_campaign_report,
-    render_equivalence_report,
     render_figure2,
     render_recovery_report,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "Figure2Result",
     "figure2_comparison",
     "render_campaign_report",
-    "render_equivalence_report",
     "render_figure2",
     "render_recovery_report",
     "render_figure1",

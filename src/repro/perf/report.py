@@ -299,13 +299,3 @@ def render_recovery_report(result, ledger=None) -> str:
         lines.append("per-event:")
         lines.extend("  " + ln for ln in ledger.render().splitlines())
     return "\n".join(lines)
-
-
-def render_equivalence_report(report) -> str:
-    """Text rendering of a differential-oracle outcome.
-
-    ``report`` is a :class:`~repro.check.oracle.EquivalenceReport`;
-    delegates to its own renderer so CLI and library callers print the
-    same table.
-    """
-    return report.render()

@@ -71,7 +71,6 @@ knobs — byte-identical report.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -167,9 +166,6 @@ class OnlineService:
         requests; ``None`` never sheds.
     weights:
         Tenant fair-share weights (unlisted tenants weigh 1.0).
-    default_slo_s:
-        Deadline stamped on admitted requests that arrive without one
-        (``None`` leaves them deadline-free).
     steps:
         Per-job step override; default is each job's
         ``steps_per_report`` cadence.
@@ -219,7 +215,6 @@ class OnlineService:
         window: Optional[WindowPolicy] = None,
         max_pending: Optional[int] = None,
         weights: Optional[Mapping[str, float]] = None,
-        default_slo_s: Optional[float] = None,
         steps: Optional[int] = None,
         min_nodes: int = 1,
         max_nodes: Optional[int] = None,
@@ -242,7 +237,6 @@ class OnlineService:
         self._window_policy = window
         self.admission = AdmissionController(max_pending)
         self.fairness = FairSharePolicy(weights)
-        self.default_slo_s = default_slo_s
         if steps is not None and steps < 1:
             raise ServiceError(f"steps must be >= 1, got {steps}")
         self.steps = steps
@@ -592,10 +586,6 @@ class OnlineService:
                 entry["resil"] = self._take_tally()
             self._log("arrival", entry)
             return
-        if req.deadline_s is None and self.default_slo_s is not None:
-            req = dataclasses.replace(
-                req, deadline_s=req.arrival_s + self.default_slo_s
-            )
         self._by_id[req.request_id] = req
         self._log(
             "arrival", {"request": req.to_dict(), "outcome": "admit"}

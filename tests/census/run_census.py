@@ -304,6 +304,13 @@ FaultPlan(specs=(FaultSpec("node_loss", at_step=3, node=0),
           detection_timeout_s=10.0).to_file("flaky-node.json")
 """
 
+SAME_BYTES = """\
+import sys
+from pathlib import Path
+a, b = sys.argv[1:]
+sys.exit(f"{a} and {b} differ" if Path(a).read_bytes() != Path(b).read_bytes() else 0)
+"""
+
 GOLDEN_WAL = """\
 from repro.check import builtin_scenarios
 from repro.service import ServiceJournal
@@ -333,6 +340,9 @@ def commands() -> Iterator[Command]:
     yield _repro("metrics", "--json", "metrics.json")
     yield _repro("serve", "--smoke", "--json", "serve-report.json")
     yield _repro("plan", "--smoke", "--validate", "--json", "plan.json")
+    # the plan artifact is byte-stable: a rerun writes the same bytes
+    yield _repro("plan", "--smoke", "--json", "plan-rerun.json")
+    yield _python("-c", SAME_BYTES, "plan.json", "plan-rerun.json")
     yield _repro("chaos", "--smoke", "--json", "chaos.json")
     yield _repro("monitor", "--smoke", "--json", "monitor.json", "--rollups-out", "rollups")
     yield _python("-c", GOLDEN_WAL)
@@ -341,9 +351,8 @@ def commands() -> Iterator[Command]:
                  ["monitor", "--smoke", "--rules", "garbage.json"]):
         yield _repro(*argv, exit_code=2)
     yield _python("-m", "pytest", "-q", "-p", "no:cacheprovider", str(ROOT / "benchmarks"),
-                  "--smoke", "--json", "BENCH_PR5.json")
-    yield _repro("perf-gate", "BENCH_PR5.json",
-                 str(ROOT / "benchmarks" / "baselines" / "BENCH_PR5.json"))
+                  "--smoke", "--json", "bench.json")
+    yield _repro("perf-gate", "bench.json", str(ROOT / "benchmarks" / "baselines" / "BENCH.json"))
     # -- the commands no CI step runs ---------------------------------
     yield _repro("run-cgyro", "case", "--timing-out", "case.timing",
                  "--checkpoint", "case.npz")
@@ -381,7 +390,7 @@ def commands() -> Iterator[Command]:
     yield _repro("campaign", "requests.json", "--fifo")
     yield _repro("campaign", "requests.json", "--flaky-node", "0:flaky-node.json",
                  "--max-attempts", "1")
-    yield _repro("serve", "--traffic", "bursty", "--fifo", "--horizon", "300", "--slo", "120",
+    yield _repro("serve", "--traffic", "bursty", "--fifo", "--horizon", "300",
                  "--max-pending", "2", "--tenant", "alice:2:400", "--tenant", "bob:1:600")
     yield _repro("chaos", "--smoke", "--scenario", "provision-stall", "--seed", "0")
     yield _repro("monitor", "--smoke", "--scenario", "kitchen-sink")
@@ -396,6 +405,13 @@ def commands() -> Iterator[Command]:
     yield _repro("serve", "--seed", "-1", "--horizon", "100", exit_code=2)
     yield _repro("campaign", "requests.json", "--steps", "0", exit_code=2)
     yield _repro("trace", "--top-stalls", "-1", exit_code=2)
+    for argv in (["campaign", "requests.json", "--faults", "abc:faults.json"],
+                 ["campaign", "requests.json", "--flaky-node", "abc:faults.json"],
+                 ["serve", "--tenant", "a:x:1", "--horizon", "100"],
+                 ["linear", "case", "--modes", "x"], ["linear", "case", "--modes", ","],
+                 ["campaign", "requests.json", "--max-batch", "0"],
+                 ["plan", "case", "--members", "0"]):
+        yield _repro(*argv, exit_code=2)
 
 
 def run(work: Path) -> List[str]:

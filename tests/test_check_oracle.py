@@ -10,7 +10,6 @@ from repro.check import MODE_TOLERANCES, EquivalenceReport, differential_oracle
 from repro.cgyro.presets import small_test
 from repro.errors import InputError
 from repro.machine.presets import generic_cluster
-from repro.perf import render_equivalence_report
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -63,7 +62,7 @@ class TestMemberMode:
         assert len(again.checks) == len(member_report.checks)
 
     def test_render_verdict(self, member_report):
-        out = render_equivalence_report(member_report)
+        out = member_report.render()
         assert "EQUIVALENT" in out
         assert "(exact)" in out  # exact tolerance is called out
 

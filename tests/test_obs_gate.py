@@ -1,22 +1,39 @@
-"""Bench-record schema and the perf-regression gate."""
+"""Bench-record schema and the two-sided perf gate."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
 from repro.obs import (
     compare_bench_records,
     load_bench_records,
-    metric_direction,
     run_gate,
     write_bench_records,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+BASELINE = ROOT / "benchmarks" / "baselines" / "BENCH.json"
 
 BASE = {
     "figure2": {"xgyro_wall_s": 250.0, "speedup": 1.5},
     "memory": {"cmat_bytes": 1000.0},
 }
+
+
+def _with(bench, metric, value):
+    """``BASE`` with one metric set to ``value``."""
+    cur = {name: dict(metrics) for name, metrics in BASE.items()}
+    cur[bench][metric] = value
+    return cur
+
+
+def _verdicts(result):
+    return {(f.bench, f.metric): f.verdict for f in result.findings}
 
 
 class TestRecords:
@@ -34,74 +51,86 @@ class TestRecords:
         with pytest.raises(ReproError):
             load_bench_records(p)
 
-    def test_direction_inference(self):
-        assert metric_direction("speedup") == 1
-        assert metric_direction("throughput_member_steps_per_s") == 1
-        assert metric_direction("str_comm_reduction") == 1
-        assert metric_direction("cache_seconds_saved") == 1
-        assert metric_direction("xgyro_wall_s") == -1
-        assert metric_direction("cmat_bytes") == -1
-        assert metric_direction("detection_s") == -1
-
 
 class TestGate:
-    def test_within_tolerance_is_ok(self):
+    def test_within_the_band_is_ok(self):
         cur = {
-            "figure2": {"xgyro_wall_s": 252.0, "speedup": 1.49},
+            "figure2": {"xgyro_wall_s": 262.0, "speedup": 1.43},
             "memory": {"cmat_bytes": 1000.0},
         }
-        result = compare_bench_records(cur, BASE, tolerance=0.05)
+        result = compare_bench_records(cur, BASE)
         assert result.ok
         assert all(f.verdict == "ok" for f in result.findings)
 
-    def test_worse_beyond_tolerance_regresses(self):
-        cur = {
-            "figure2": {"xgyro_wall_s": 280.0, "speedup": 1.5},
-            "memory": {"cmat_bytes": 1000.0},
-        }
-        result = compare_bench_records(cur, BASE, tolerance=0.05)
+    @pytest.mark.parametrize("metric", ["xgyro_wall_s", "speedup"])
+    @pytest.mark.parametrize("factor", [1.06, 0.94])
+    def test_six_percent_either_way_drifts(self, metric, factor):
+        """No metric has a better direction: a wall that fell 6 % fails
+        as surely as a speedup that fell 6 %."""
+        cur = _with("figure2", metric, BASE["figure2"][metric] * factor)
+        result = compare_bench_records(cur, BASE)
         assert not result.ok
-        (bad,) = result.regressions
-        assert (bad.bench, bad.metric) == ("figure2", "xgyro_wall_s")
-        assert bad.rel_change == pytest.approx(0.12)
+        (bad,) = result.failures
+        assert (bad.bench, bad.metric, bad.verdict) == ("figure2", metric, "drifted")
+        assert bad.rel_change == pytest.approx(factor - 1.0)
 
-    def test_direction_flips_for_higher_is_better(self):
-        """A *drop* in speedup regresses; a drop in wall improves."""
-        cur = {
-            "figure2": {"xgyro_wall_s": 200.0, "speedup": 1.2},
-            "memory": {"cmat_bytes": 1000.0},
-        }
-        result = compare_bench_records(cur, BASE, tolerance=0.05)
-        verdicts = {
-            (f.bench, f.metric): f.verdict for f in result.findings
-        }
-        assert verdicts[("figure2", "speedup")] == "regressed"
-        assert verdicts[("figure2", "xgyro_wall_s")] == "improved"
+    def test_new_metric_fails(self):
+        cur = _with("memory", "brand_new", 7.0)
+        result = compare_bench_records(cur, BASE)
+        assert _verdicts(result)[("memory", "brand_new")] == "new"
+        assert [f.metric for f in result.failures] == ["brand_new"]
 
-    def test_missing_metric_fails_new_metric_passes(self):
-        cur = {
-            "figure2": {"speedup": 1.5, "brand_new": 7.0},
-            "memory": {"cmat_bytes": 1000.0},
-        }
-        result = compare_bench_records(cur, BASE, tolerance=0.05)
-        verdicts = {
-            (f.bench, f.metric): f.verdict for f in result.findings
-        }
-        assert verdicts[("figure2", "xgyro_wall_s")] == "missing"
-        assert verdicts[("figure2", "brand_new")] == "new"
-        assert not result.ok
+    def test_missing_metric_fails(self):
+        cur = {"figure2": {"speedup": 1.5}, "memory": {"cmat_bytes": 1000.0}}
+        result = compare_bench_records(cur, BASE)
+        assert _verdicts(result)[("figure2", "xgyro_wall_s")] == "missing"
+        assert [f.metric for f in result.failures] == ["xgyro_wall_s"]
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ReproError):
-            compare_bench_records({}, {}, tolerance=-0.1)
+    def test_one_ulp_is_ok(self):
+        cur = _with("figure2", "speedup", np.nextafter(1.5, 2.0))
+        assert compare_bench_records(cur, BASE).ok
+
+    def test_nan_drifts(self):
+        cur = _with("memory", "cmat_bytes", float("nan"))
+        assert _verdicts(compare_bench_records(cur, BASE))[
+            ("memory", "cmat_bytes")] == "drifted"
 
     def test_run_gate_end_to_end(self, tmp_path):
         base_p = tmp_path / "base.json"
         cur_p = tmp_path / "cur.json"
         write_bench_records(BASE, base_p)
         write_bench_records(BASE, cur_p)
-        result = run_gate(cur_p, base_p, tolerance=0.05)
+        result = run_gate(cur_p, base_p)
         assert result.ok
         text = result.render()
-        assert "0 regression(s)" in text
+        assert "0 failure(s)" in text
         assert "figure2" in text
+
+
+def _recorded_benches():
+    """{bench name: file} of every ``bench_json.record("name", ...)``
+    under ``benchmarks/``."""
+    found = {}
+    for path in sorted((ROOT / "benchmarks").glob("bench_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "record"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "bench_json"
+            ):
+                (name,) = node.args
+                assert isinstance(name, ast.Constant), f"{path.name}:{node.lineno}"
+                found[name.value] = path.name
+    return found
+
+
+def test_baseline_holds_every_recorded_bench_and_no_other():
+    """A bench that records into a name the baseline lacks (or a
+    baseline bench nothing records any more) is red before any bench
+    runs."""
+    recorded = _recorded_benches()
+    baseline = load_bench_records(BASELINE)
+    assert sorted(recorded) == sorted(baseline)
+    assert sorted(p.name for p in BASELINE.parent.iterdir()) == ["BENCH.json"]

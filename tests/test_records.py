@@ -465,6 +465,39 @@ class TestCliRefusesGarbage:
         assert "served" not in out and "steps 0" not in out
 
     @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["campaign", "{requests}", "--faults", "abc:{faults}"],
+             "--faults wants JOB_INDEX:PLAN.json, got 'abc:"),
+            (["campaign", "{requests}", "--flaky-node", "abc:{faults}"],
+             "--flaky-node wants NODE:PLAN.json, got 'abc:"),
+            (["serve", "--tenant", "a:x:1", "--horizon", "100"],
+             "--tenant wants NAME:WEIGHT:SLO_S, got 'a:x:1'"),
+            (["linear", "{case}", "--modes", "x"], "--modes wants comma-separated integers"),
+            (["linear", "{case}", "--modes", ","], "--modes wants comma-separated integers"),
+            (["campaign", "{requests}", "--max-batch", "0"], "max_batch must be >= 1, got 0"),
+            (["plan", "{case}", "--members", "0"], "--members must be >= 1, got 0"),
+        ],
+        ids=["faults-key", "flaky-node-key", "tenant-weight", "linear-modes",
+             "linear-modes-empty", "campaign-max-batch", "plan-members"],
+    )
+    def test_exit_two_on_a_malformed_option(self, argv, named, tmp_path, capsys):
+        """A malformed option value is one ``error:`` line naming it;
+        never an ``int()`` / ``float()`` traceback, nor an empty table."""
+        requests, faults = tmp_path / "requests.json", tmp_path / "faults.json"
+        _write_queue(requests)
+        FaultPlan(specs=(FaultSpec("bitflip", at_step=0, rank=0),)).to_file(faults)
+        write_input_file(small_test(), tmp_path / "input.cgyro")
+        code = repro_main(
+            [a.format(requests=requests, faults=faults, case=tmp_path) for a in argv]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert "member(s)" not in out
+
+    @pytest.mark.parametrize(
         "line,named",
         [
             ("N_RADIAL=abc", "N_RADIAL"),

@@ -58,7 +58,6 @@ def _service(machine=None, traffic=None, **kwargs):
         max_nodes=machine.n_nodes,
         provision_delay_s=20.0,
         idle_reclaim_s=120.0,
-        default_slo_s=3600.0,
     )
     defaults.update(kwargs)
     return OnlineService(machine, traffic, **defaults)

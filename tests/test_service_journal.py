@@ -69,7 +69,6 @@ def _service(journal=None, chaos=PLAN, recovery="resume"):
         journal=journal,
         chaos=chaos,
         recovery=recovery,
-        default_slo_s=3600.0,
     )
 
 

@@ -142,20 +142,6 @@ class TestElasticPool:
 
 
 class TestDeadlinesAndTenants:
-    def test_default_slo_is_stamped_when_absent(self):
-        stream = [
-            SimRequest(request_id=f"r{i}", input=small_test(),
-                       arrival_s=float(i * 10))
-            for i in range(4)
-        ]
-        report = _service(
-            traffic=replay(stream), default_slo_s=500.0,
-            window=WindowPolicy(max_hold_s=10.0, min_batch=2),
-        ).run(100.0)
-        assert report.n_served == 4
-        for rec in report.served:
-            assert rec.deadline_s == pytest.approx(rec.arrival_s + 500.0)
-
     def test_impossible_deadline_is_a_recorded_slo_miss(self):
         stream = [
             SimRequest(request_id="hopeless", input=small_test(),
