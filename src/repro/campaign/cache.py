@@ -45,8 +45,8 @@ class CacheEntry:
     key: str
     nbytes: int
     build_s: float
-    hits: int = 0
-    checksum: str = field(default="", repr=False)
+    hits: int = field(default=0, init=False)
+    checksum: str = field(default="", init=False, repr=False)
 
     def content_checksum(self) -> str:
         """Checksum over the fields that model the tensor's content."""

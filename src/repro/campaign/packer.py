@@ -200,6 +200,20 @@ class CampaignPacker:
     # ------------------------------------------------------------------
     # splitting oversized groups
     # ------------------------------------------------------------------
+    def largest_shape(
+        self, requests: Sequence[SimRequest], max_nodes: int
+    ) -> Optional[JobShape]:
+        """The job shape of the largest prefix of same-signature
+        ``requests`` that fits on ``max_nodes`` nodes (k descending; k=1
+        only without ``prefer_larger_k``), or ``None`` when not even one
+        member does."""
+        top_k = len(requests) if self.prefer_larger_k else 1
+        for k in range(top_k, 0, -1):
+            shape = self.shape_for(requests[0].input, k, max_nodes=max_nodes)
+            if shape is not None:
+                return shape
+        return None
+
     def split(
         self, batch: CandidateBatch
     ) -> List[Tuple[Tuple[SimRequest, ...], JobShape]]:
@@ -215,14 +229,7 @@ class CampaignPacker:
         remaining = list(batch.requests)
         n_avail = len(self.available_nodes())
         while remaining:
-            top_k = len(remaining) if self.prefer_larger_k else 1
-            chosen: Optional[JobShape] = None
-            for k in range(top_k, 0, -1):
-                chosen = self.shape_for(
-                    remaining[0].input, k, max_nodes=n_avail
-                )
-                if chosen is not None:
-                    break
+            chosen = self.largest_shape(remaining, n_avail)
             if chosen is None:
                 quarantined = self.machine.n_nodes - n_avail
                 detail = (
@@ -314,7 +321,6 @@ class CampaignPacker:
         batches: Sequence[CandidateBatch],
         *,
         job_id_offset: int = 0,
-        wave_offset: int = 0,
     ) -> List[List[PackedJob]]:
         """Pack candidate batches into waves of co-scheduled jobs.
 
@@ -331,10 +337,8 @@ class CampaignPacker:
         are free (a new wave if none).  Without a plan the packing is
         bit-identical to the plan-free packer.
 
-        ``job_id_offset`` and ``wave_offset`` let a caller that packs
-        mid-stream (several pack calls over one campaign, or the online
-        service slicing a moving window) keep job ids and wave indices
-        globally unique instead of restarting at zero.
+        ``job_id_offset`` lets a caller that packs several times over
+        one campaign keep job ids unique instead of restarting at zero.
         """
         waves: List[List[PackedJob]] = []
         free_nodes: List[set] = []
@@ -377,7 +381,7 @@ class CampaignPacker:
                 waves[wave_idx].append(
                     PackedJob(
                         job_id=f"job{seq:03d}",
-                        wave=wave_idx + wave_offset,
+                        wave=wave_idx,
                         requests=requests,
                         signature_key=batch.signature_key,
                         shape=shape,

@@ -207,14 +207,12 @@ class CampaignReport:
             return 0.0
         return sum(j.k for j in self.jobs) / len(self.jobs)
 
-    def latency_percentiles(
-        self, qs: Tuple[float, ...] = (50.0, 90.0, 99.0)
-    ) -> Dict[str, float]:
+    def latency_percentiles(self) -> Dict[str, float]:
         """Queue-latency percentiles over completed requests."""
         if not self.requests:
             raise CampaignError("no completed requests to take percentiles of")
         lat = np.array([r.queue_latency_s for r in self.requests])
-        return {f"p{q:g}": float(np.percentile(lat, q)) for q in qs}
+        return {f"p{q:g}": float(np.percentile(lat, q)) for q in (50.0, 90.0, 99.0)}
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

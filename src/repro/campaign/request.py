@@ -134,11 +134,11 @@ class RequestQueue:
     # ------------------------------------------------------------------
     # JSON round trip
     # ------------------------------------------------------------------
-    def to_json(self, path: "Union[str, Path, None]" = None, *, indent: int = 2) -> str:
+    def to_json(self, path: "Union[str, Path, None]" = None) -> str:
         """Serialise the pending requests (queue order); optionally write
         the JSON to ``path``."""
         doc = _QueueFile(tuple(self.pending()))
-        text = json.dumps(records.dump(doc), indent=indent)
+        text = json.dumps(records.dump(doc), indent=2)
         if path is not None:
             Path(path).write_text(text + "\n")
         return text

@@ -163,7 +163,6 @@ class CampaignRunner:
         *,
         steps: Optional[int] = None,
         max_rounds: int = 100,
-        start_s: float = 0.0,
     ) -> CampaignReport:
         """Serve ``queue`` to empty and return the campaign report.
 
@@ -172,19 +171,10 @@ class CampaignRunner:
         of its members (``steps_per_report``, common within a job by
         construction).  ``max_rounds`` bounds the requeue loop against
         a pathological fault-plan mapping that keeps killing retries.
-
-        ``start_s`` places the campaign clock at an externally-advanced
-        time: waves, job records, and spans land at ``start_s``-absolute
-        times instead of restarting at zero, so a caller already living
-        on a larger timeline (the online service draining its backlog
-        mid-stream) can invoke a drain without folding time back to the
-        origin.  The report's ``makespan_s`` stays a duration.
         """
-        if start_s < 0:
-            raise CampaignError(f"start_s must be >= 0, got {start_s}")
         if steps is not None and steps < 1:
             raise CampaignError(f"steps must be >= 1, got {steps}")
-        clock = float(start_s)
+        clock = 0.0
         jobs: List[JobRecord] = []
         done: List[RequestRecord] = []
         abandoned: List[AbandonedRecord] = []
@@ -248,7 +238,7 @@ class CampaignRunner:
         return CampaignReport(
             machine_name=self.machine.name,
             machine_n_nodes=self.machine.n_nodes,
-            makespan_s=clock - start_s,
+            makespan_s=clock,
             jobs=jobs,
             requests=done,
             cache=self.cache.stats() if self.cache is not None else {},
@@ -289,7 +279,6 @@ class CampaignRunner:
         job: PackedJob,
         *,
         start_s: float = 0.0,
-        round_idx: int = 0,
         steps: Optional[int] = None,
     ) -> Tuple[JobRecord, List[RequestRecord], List]:
         """Run one packed job at campaign time ``start_s``.
@@ -304,7 +293,7 @@ class CampaignRunner:
         """
         if steps is not None and steps < 1:
             raise CampaignError(f"steps must be >= 1, got {steps}")
-        return self._dispatch(job, round_idx, start_s, steps)
+        return self._dispatch(job, 0, start_s, steps)
 
     # ------------------------------------------------------------------
     def _requeue_or_abandon(

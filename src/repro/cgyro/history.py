@@ -77,19 +77,19 @@ class TimeHistory:
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
-    def is_saturated(self, *, window: int = 3, rel_tol: float = 0.5) -> bool:
+    def is_saturated(self) -> bool:
         """Heuristic saturation check on the total field amplitude.
 
         True when the relative spread of ``sum_n |phi|^2`` over the
-        last ``window`` reports is below ``rel_tol``.
+        last three reports is below one half.
         """
-        if len(self._rows) < window:
+        if len(self._rows) < 3:
             return False
-        tail = self.phi2.sum(axis=1)[-window:]
+        tail = self.phi2.sum(axis=1)[-3:]
         mean = tail.mean()
         if mean == 0.0:
             return True
-        return float(np.ptp(tail)) / mean < rel_tol
+        return float(np.ptp(tail)) / mean < 0.5
 
     # ------------------------------------------------------------------
     # persistence

@@ -133,8 +133,6 @@ class LinearSolver:
         n_mode: int,
         *,
         tol: float = 1e-6,
-        max_iter: int = 3000,
-        seed: int = 0,
     ) -> ModeResult:
         """Dominant-eigenvalue *estimate* by deterministic power iteration.
 
@@ -146,13 +144,13 @@ class LinearSolver:
         estimator; :meth:`growth_rate_arnoldi` (the default) resolves
         the cluster properly.
         """
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         shape = (self.dims.nc, self.dims.nv, 1)
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         v /= np.linalg.norm(v)
         modulus_old = 0.0
         lam = 0.0 + 0.0j
-        for it in range(1, max_iter + 1):
+        for it in range(1, 3001):
             w = self.step_mode(v, n_mode)
             lam = np.vdot(v, w)  # Rayleigh quotient, carries the phase
             modulus = float(np.linalg.norm(w))  # growth factor -> |lambda|
@@ -168,11 +166,11 @@ class LinearSolver:
             modulus_old = modulus
         raise InputError(
             f"power iteration did not converge for mode {n_mode} in "
-            f"{max_iter} iterations; try method='arnoldi'"
+            "3000 iterations; try method='arnoldi'"
         )
 
     def growth_rate_arnoldi(
-        self, n_mode: int, *, tol: float = 1e-8, seed: int = 0
+        self, n_mode: int, *, tol: float = 1e-8
     ) -> ModeResult:
         """Dominant eigenvalue by implicitly-restarted Arnoldi.
 
@@ -181,7 +179,7 @@ class LinearSolver:
         small cluster is requested and the largest modulus returned.
         """
         from scipy.sparse.linalg import eigs  # only linear mode loads it
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         size = self.dims.nc * self.dims.nv
         v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         k = min(6, size - 2)

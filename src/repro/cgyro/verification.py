@@ -17,11 +17,10 @@ the same helpers to pick dt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.errors import InputError
 from repro.cgyro.params import CgyroInput
 from repro.cgyro.reference import SerialReference, initial_condition
 
@@ -42,14 +41,16 @@ class ConvergenceResult:
         return "\n".join(lines)
 
 
-def _advance(inp: CgyroInput, t_final: float, *, collisions: bool) -> np.ndarray:
-    dt = inp.delta_t
-    n_steps = round(t_final / dt)
-    if abs(n_steps * dt - t_final) > 1e-12 * t_final:
-        raise InputError(f"t_final={t_final} is not a multiple of dt={dt}")
+#: final time and step sizes of every self-convergence study: each dt
+#: divides ``_T_FINAL``, and so does the fine reference's ``_DTS[-1] / 4``
+_T_FINAL = 0.08
+_DTS = (0.02, 0.01, 0.005)
+
+
+def _advance(inp: CgyroInput, *, collisions: bool) -> np.ndarray:
     ref = SerialReference(inp)
     h = initial_condition(inp)
-    for _ in range(n_steps):
+    for _ in range(round(_T_FINAL / inp.delta_t)):
         h = ref.streaming_step(h)
         if collisions:
             h = ref.collision_step(h)
@@ -61,51 +62,28 @@ def _observed_order(dts: Sequence[float], errors: Sequence[float]) -> float:
     return float(logs[0])
 
 
-def _self_convergence(
-    inp: CgyroInput,
-    *,
-    t_final: float,
-    dts: Sequence[float],
-    collisions: bool,
-) -> ConvergenceResult:
-    if len(dts) < 2:
-        raise InputError("need at least two step sizes")
-    if any(b >= a for a, b in zip(dts, dts[1:])):
-        raise InputError("step sizes must be strictly decreasing")
-    fine_dt = dts[-1] / 4.0
-    reference = _advance(
-        inp.with_updates(delta_t=fine_dt), t_final, collisions=collisions
-    )
+def _self_convergence(inp: CgyroInput, *, collisions: bool) -> ConvergenceResult:
+    reference = _advance(inp.with_updates(delta_t=_DTS[-1] / 4.0), collisions=collisions)
     ref_norm = np.linalg.norm(reference)
     errors = []
-    for dt in dts:
-        h = _advance(inp.with_updates(delta_t=dt), t_final, collisions=collisions)
+    for dt in _DTS:
+        h = _advance(inp.with_updates(delta_t=dt), collisions=collisions)
         errors.append(float(np.linalg.norm(h - reference) / ref_norm))
     return ConvergenceResult(
-        dts=list(dts), errors=errors, observed_order=_observed_order(dts, errors)
+        dts=list(_DTS), errors=errors, observed_order=_observed_order(_DTS, errors)
     )
 
 
-def streaming_convergence(
-    inp: CgyroInput,
-    *,
-    t_final: float = 0.08,
-    dts: Sequence[float] = (0.02, 0.01, 0.005),
-) -> ConvergenceResult:
+def streaming_convergence(inp: CgyroInput) -> ConvergenceResult:
     """Temporal self-convergence of the streaming phase alone.
 
     Collisions are excluded, so the exact solution of the semi-discrete
     system is smooth in dt and the RK4 order (4) should be observed.
     """
-    return _self_convergence(inp, t_final=t_final, dts=dts, collisions=False)
+    return _self_convergence(inp, collisions=False)
 
 
-def split_step_convergence(
-    inp: CgyroInput,
-    *,
-    t_final: float = 0.08,
-    dts: Sequence[float] = (0.02, 0.01, 0.005),
-) -> ConvergenceResult:
+def split_step_convergence(inp: CgyroInput) -> ConvergenceResult:
     """Temporal self-convergence of the full split step.
 
     The Lie (first-order) splitting between the explicit streaming
@@ -113,4 +91,4 @@ def split_step_convergence(
     to order ~1 — the documented accuracy trade the implicit-propagator
     design makes.
     """
-    return _self_convergence(inp, t_final=t_final, dts=dts, collisions=True)
+    return _self_convergence(inp, collisions=True)

@@ -29,7 +29,7 @@ Invariants checked per scenario:
   :class:`~repro.check.checker.CollectiveChecker`; a protocol
   violation in any wave fails the scenario.
 - **slo-floor** — degradation is bounded: SLO attainment stays at or
-  above the scenario's declared floor even under faults.
+  above the floor every scenario runs with (0).
 - **exactly-once** — crash the control plane at sampled WAL indices
   and recover; every recovered run must reach the *identical*
   disposition for every request as the uncrashed run.
@@ -44,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvariantViolation, JournalCrash, ProtocolError
 from repro.machine import generic_cluster
@@ -56,45 +56,32 @@ from repro.resilience import FaultPlan, FaultSpec
 
 @dataclass(frozen=True)
 class ChaosScenario:
-    """One named fault schedule plus the service shape it runs against.
+    """One named fault schedule plus the service it runs against.
 
-    The default machine is deliberately memory-tight (96 KiB/rank on
-    the generic cluster): the small-test workload then needs multiple
-    nodes per member, so the elastic pool must actually grow —
-    otherwise ``provision_fail`` never fires and ``domain_loss`` can
-    never hit a live job.
+    Every scenario runs the same service: Poisson traffic at 0.05/s on
+    an elastic pool of 1–8 nodes (20 s provisioning, 120 s idle
+    reclaim), domain-spread placement and WAL resume.  The machine is
+    deliberately memory-tight (96 KiB/rank on the generic cluster): the
+    small-test workload then needs multiple nodes per member, so the
+    elastic pool must actually grow — otherwise ``provision_fail``
+    never fires and ``domain_loss`` can never hit a live job.
     """
 
     name: str
     description: str
     plan: FaultPlan
     horizon_s: float = 1200.0
-    rate_per_s: float = 0.05
     seed: int = 7
-    n_nodes: int = 8
-    nodes_per_domain: int = 2
-    mem_per_rank_kib: int = 96
-    min_nodes: int = 1
-    max_nodes: int = 8
-    provision_delay_s: float = 20.0
-    idle_reclaim_s: float = 120.0
-    max_hold_s: float = 30.0
-    min_batch: int = 2
-    recovery: str = "resume"
-    spread_domains: bool = True
-    snapshot_interval: int = 9
     crash_samples: int = 3
-    slo_floor: float = 0.0
+    #: WAL snapshot cadence of every run, crashed or not
+    snapshot_interval: ClassVar[int] = 9
 
     def machine(self) -> MachineModel:
         """The fault-domain-annotated, memory-tight test cluster."""
-        base = generic_cluster(n_nodes=self.n_nodes)
         return dataclasses.replace(
-            base,
-            mem_per_rank_bytes=float(self.mem_per_rank_kib * KiB),
-            fault_domains=FaultDomains(
-                nodes_per_domain=self.nodes_per_domain
-            ),
+            generic_cluster(n_nodes=8),
+            mem_per_rank_bytes=float(96 * KiB),
+            fault_domains=FaultDomains(nodes_per_domain=2),
         )
 
     def build(self, *, journal=None, telemetry=None, monitor=None):
@@ -107,20 +94,16 @@ class ChaosScenario:
         workload = [small_test(), small_test(nu=0.2)]
         return OnlineService(
             self.machine(),
-            PoissonTraffic(
-                workload, rate_per_s=self.rate_per_s, seed=self.seed
-            ),
-            window=WindowPolicy(
-                max_hold_s=self.max_hold_s, min_batch=self.min_batch
-            ),
-            min_nodes=self.min_nodes,
-            max_nodes=self.max_nodes,
-            provision_delay_s=self.provision_delay_s,
-            idle_reclaim_s=self.idle_reclaim_s,
+            PoissonTraffic(workload, rate_per_s=0.05, seed=self.seed),
+            window=WindowPolicy(max_hold_s=30.0, min_batch=2),
+            min_nodes=1,
+            max_nodes=8,
+            provision_delay_s=20.0,
+            idle_reclaim_s=120.0,
             journal=journal,
             chaos=self.plan,
-            recovery=self.recovery,
-            spread_domains=self.spread_domains,
+            recovery="resume",
+            spread_domains=True,
             checker_factory=CollectiveChecker,
             telemetry=telemetry,
             monitor=monitor,
@@ -308,9 +291,8 @@ def run_scenario(
     # -- bounded degradation ------------------------------------------
     check(
         "slo-floor",
-        report.slo_attainment >= scenario.slo_floor,
-        f"slo_attainment={report.slo_attainment:.3f} "
-        f"floor={scenario.slo_floor:.3f}",
+        report.slo_attainment >= 0.0,
+        f"slo_attainment={report.slo_attainment:.3f} floor=0.000",
     )
 
     # -- exactly-once: crash anywhere, recover to the same books ------
@@ -332,42 +314,28 @@ def run_scenario(
         except JournalCrash:
             pass
         recovered = recover_service(
-            scenario.build(),
-            crashed,
-            horizon_s=scenario.horizon_s,
-            mode=scenario.recovery,
+            scenario.build(), crashed, horizon_s=scenario.horizon_s
         )
         rec_ids = _disposition_ids(recovered)
         conserved = (
             recovered.n_served + recovered.n_shed + recovered.n_abandoned
             == recovered.offered
         )
-        if scenario.recovery == "resume":
-            same = rec_ids == base_ids and recovered.offered == report.offered
-            detail = (
-                "identical dispositions after recovery"
-                if same
-                else "disposition drift: "
-                + json.dumps(
-                    {
-                        key: sorted(
-                            set(rec_ids[key]) ^ set(base_ids[key])
-                        )[:4]
-                        for key in ("served", "shed", "dead")
-                        if rec_ids[key] != base_ids[key]
-                    },
-                    sort_keys=True,
-                )
+        same = rec_ids == base_ids and recovered.offered == report.offered
+        detail = (
+            "identical dispositions after recovery"
+            if same
+            else "disposition drift: "
+            + json.dumps(
+                {
+                    key: sorted(set(rec_ids[key]) ^ set(base_ids[key]))[:4]
+                    for key in ("served", "shed", "dead")
+                    if rec_ids[key] != base_ids[key]
+                },
+                sort_keys=True,
             )
-            check(f"exactly-once@{k}", same and conserved, detail)
-        else:
-            # cold recovery deliberately dead-letters in-flight work;
-            # conservation (not identity) is the contract.
-            check(
-                f"exactly-once@{k}",
-                conserved,
-                f"cold recovery conserved {recovered.offered} requests",
-            )
+        )
+        check(f"exactly-once@{k}", same and conserved, detail)
 
     if telemetry is not None:
         telemetry.tracer.record(

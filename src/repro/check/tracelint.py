@@ -318,11 +318,7 @@ def verify_figure3(events: Sequence[CollectiveEvent]) -> TraceLintReport:
     )
 
 
-def replay_trace(
-    events: Sequence[CollectiveEvent],
-    *,
-    checker: Optional[CollectiveChecker] = None,
-) -> CollectiveChecker:
+def replay_trace(events: Sequence[CollectiveEvent]) -> CollectiveChecker:
     """Deterministically re-execute a trace under blocking semantics.
 
     Each event becomes one program step for each of its participants
@@ -333,7 +329,7 @@ def replay_trace(
     diagnosed :class:`~repro.errors.ProtocolError`.  Returns the checker
     for inspection (``n_completed``, ``completed``).
     """
-    ck = checker if checker is not None else CollectiveChecker()
+    ck = CollectiveChecker()
     programs: Dict[int, List[Dict[str, object]]] = {}
     for ev in sorted(events, key=lambda e: e.seq):
         spec = {

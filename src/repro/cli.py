@@ -765,13 +765,10 @@ def cmd_perf_gate(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.check import (
-        builtin_scenarios,
-        render_chaos_report,
-        run_scenario,
-    )
-    from repro.obs import Telemetry
+def _chaos_scenarios(args: argparse.Namespace):
+    """The built-in chaos scenarios ``--scenario`` names (all of them
+    when it names none), in built-in order."""
+    from repro.check import builtin_scenarios
 
     scenarios = builtin_scenarios(smoke=args.smoke)
     if args.scenario:
@@ -784,6 +781,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 f"known: {sorted(known)}"
             )
         scenarios = tuple(s for s in scenarios if s.name in wanted)
+    return scenarios
+
+
+def cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.check import render_chaos_report, run_scenario
+    from repro.obs import Telemetry
+
+    scenarios = _chaos_scenarios(args)
     if args.seed is not None:
         scenarios = tuple(
             dataclasses.replace(s, seed=args.seed) for s in scenarios
@@ -805,7 +810,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.check import builtin_scenarios
     from repro.obs import (
         ServiceMonitor,
         Telemetry,
@@ -815,17 +819,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         render_monitor_report,
     )
 
-    scenarios = builtin_scenarios(smoke=args.smoke)
-    if args.scenario:
-        wanted = set(args.scenario)
-        known = {s.name for s in scenarios}
-        missing = sorted(wanted - known)
-        if missing:
-            raise ReproError(
-                f"unknown chaos scenario(s) {missing}; "
-                f"known: {sorted(known)}"
-            )
-        scenarios = tuple(s for s in scenarios if s.name in wanted)
+    scenarios = _chaos_scenarios(args)
     rules = (
         load_rulebook(args.rules) if args.rules else default_rulebook()
     )

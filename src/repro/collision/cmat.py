@@ -48,14 +48,14 @@ from repro.grid.dims import GridDims
 from repro.grid.layouts import real_columns
 
 
-def cmat_total_bytes(dims: GridDims, dtype=np.float64) -> int:
-    """Bytes of the full (undistributed) cmat tensor."""
-    return dims.nv * dims.nv * dims.nc * dims.nt * np.dtype(dtype).itemsize
+def cmat_total_bytes(dims: GridDims) -> int:
+    """Bytes of the full (undistributed) float64 cmat tensor."""
+    return dims.nv * dims.nv * dims.nc * dims.nt * 8
 
 
-def cmat_block_bytes(dims: GridDims, n_ic: int, n_modes: int, dtype=np.float64) -> int:
-    """Bytes of a cmat block covering ``n_ic`` x ``n_modes`` pairs."""
-    return dims.nv * dims.nv * n_ic * n_modes * np.dtype(dtype).itemsize
+def cmat_block_bytes(dims: GridDims, n_ic: int, n_modes: int) -> int:
+    """Bytes of a float64 cmat block covering ``n_ic`` x ``n_modes`` pairs."""
+    return dims.nv * dims.nv * n_ic * n_modes * 8
 
 
 class _SharedCmat:

@@ -78,9 +78,9 @@ def block_shape(layout: Layout, decomp: Decomposition) -> Tuple[int, int, int]:
     raise AssertionError(f"unhandled layout {layout}")
 
 
-def block_nbytes(layout: Layout, decomp: Decomposition, dtype=np.complex128) -> int:
-    """Bytes of one per-rank block under ``layout``."""
-    return math.prod(block_shape(layout, decomp)) * np.dtype(dtype).itemsize
+def block_nbytes(layout: Layout, decomp: Decomposition) -> int:
+    """Bytes of one per-rank complex128 block under ``layout``."""
+    return math.prod(block_shape(layout, decomp)) * 16
 
 
 def scatter_global(

@@ -12,7 +12,7 @@ manifests in the reproduction.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import LedgerError, MemoryLimitExceeded
 
@@ -122,11 +122,9 @@ class MemoryLedger:
             return False
         return self._in_use + nbytes <= self._limit
 
-    def report(self, *, top: Optional[int] = None) -> str:
+    def report(self) -> str:
         """Human-readable usage table, largest allocations first."""
         rows = sorted(self._live.items(), key=lambda kv: -kv[1])
-        if top is not None:
-            rows = rows[:top]
         lines = [f"memory ledger (rank={self._rank}):"]
         for name, nbytes in rows:
             share = nbytes / self._in_use if self._in_use else 0.0

@@ -23,7 +23,6 @@ from repro.machine.model import GiB, MiB, LinkParams, MachineModel
 def frontier_like(
     n_nodes: int = 32,
     *,
-    ranks_per_node: int = 8,
     mem_per_rank_bytes: float = 64.0 * GiB,
     flops_per_rank: float = 1.219734e7,
     inter_latency_s: float = 1.540863e-4,
@@ -43,7 +42,7 @@ def frontier_like(
     return MachineModel(
         name=f"frontier-like-{n_nodes}n",
         n_nodes=n_nodes,
-        ranks_per_node=ranks_per_node,
+        ranks_per_node=8,
         mem_per_rank_bytes=mem_per_rank_bytes,
         flops_per_rank=flops_per_rank,
         intra=LinkParams(latency_s=2.0e-6, bandwidth_Bps=50.0 * GiB),
@@ -56,14 +55,13 @@ def generic_cluster(
     n_nodes: int = 4,
     *,
     ranks_per_node: int = 4,
-    mem_per_rank_bytes: float = 4.0 * GiB,
 ) -> MachineModel:
     """A small commodity cluster, handy for tests and examples."""
     return MachineModel(
         name=f"generic-cluster-{n_nodes}n",
         n_nodes=n_nodes,
         ranks_per_node=ranks_per_node,
-        mem_per_rank_bytes=mem_per_rank_bytes,
+        mem_per_rank_bytes=4.0 * GiB,
         flops_per_rank=1.0e9,
         intra=LinkParams(latency_s=1.0e-6, bandwidth_Bps=20.0 * GiB),
         inter=LinkParams(latency_s=20.0e-6, bandwidth_Bps=10.0 * GiB),
@@ -75,13 +73,12 @@ def throttled_frontier(
     n_nodes: int = 32,
     *,
     n_throttled: int = 16,
-    speed_factor: float = 0.7,
     mem_per_rank_bytes: float = 64.0 * GiB,
 ) -> MachineModel:
     """Frontier-like, but the last ``n_throttled`` nodes run slow.
 
     Models a power-capped / thermally-throttled partition: the throttled
-    nodes sustain ``speed_factor`` of the nominal compute rate while the
+    nodes sustain 0.7 of the nominal compute rate while the
     network is untouched.  This is the canonical shape where *unbalanced*
     ``CollShard`` splits pay off — balanced shards make the slow nodes
     the collision-phase stragglers.
@@ -90,10 +87,8 @@ def throttled_frontier(
         raise MachineError(
             f"n_throttled must be in [0, {n_nodes}], got {n_throttled}"
         )
-    if not 0 < speed_factor <= 1.0:
-        raise MachineError(f"speed_factor must be in (0, 1], got {speed_factor}")
     base = frontier_like(n_nodes, mem_per_rank_bytes=mem_per_rank_bytes)
-    speed = (1.0,) * (n_nodes - n_throttled) + (speed_factor,) * n_throttled
+    speed = (1.0,) * (n_nodes - n_throttled) + (0.7,) * n_throttled
     return replace(
         base,
         name=f"throttled-frontier-{n_nodes}n-{n_throttled}slow",
@@ -105,36 +100,21 @@ def mixed_generation_cluster(
     n_nodes: int = 8,
     *,
     ranks_per_node: int = 4,
-    old_fraction: float = 0.5,
-    old_speed: float = 0.6,
-    old_bandwidth: float = 0.5,
-    mem_per_rank_bytes: float = 4.0 * GiB,
 ) -> MachineModel:
     """Two hardware generations in one cluster.
 
-    The trailing ``old_fraction`` of the nodes are the previous
-    generation: slower accelerators *and* an older NIC, so both the
-    compute and bandwidth multipliers drop.  Mirrors the mixed
-    PVC/MI250X-style ensembles of the Intel Max GPU evaluation
-    (PAPERS.md).
+    The trailing half of the nodes are the previous generation: slower
+    accelerators (0.6 of the rate) *and* an older NIC (0.5 of the
+    bandwidth).  Mirrors the mixed PVC/MI250X-style ensembles of the
+    Intel Max GPU evaluation (PAPERS.md).
     """
-    if not 0.0 <= old_fraction <= 1.0:
-        raise MachineError(f"old_fraction must be in [0, 1], got {old_fraction}")
-    if not 0 < old_speed <= 1.0:
-        raise MachineError(f"old_speed must be in (0, 1], got {old_speed}")
-    if not 0 < old_bandwidth <= 1.0:
-        raise MachineError(
-            f"old_bandwidth must be in (0, 1], got {old_bandwidth}"
-        )
-    n_old = int(round(n_nodes * old_fraction))
-    base = generic_cluster(
-        n_nodes, ranks_per_node=ranks_per_node, mem_per_rank_bytes=mem_per_rank_bytes
-    )
+    n_old = int(round(n_nodes * 0.5))
+    base = generic_cluster(n_nodes, ranks_per_node=ranks_per_node)
     return replace(
         base,
         name=f"mixed-generation-{n_nodes}n-{n_old}old",
-        node_speed=(1.0,) * (n_nodes - n_old) + (old_speed,) * n_old,
-        node_bandwidth=(1.0,) * (n_nodes - n_old) + (old_bandwidth,) * n_old,
+        node_speed=(1.0,) * (n_nodes - n_old) + (0.6,) * n_old,
+        node_bandwidth=(1.0,) * (n_nodes - n_old) + (0.5,) * n_old,
     )
 
 
@@ -143,13 +123,11 @@ def degraded_fabric_cluster(
     *,
     ranks_per_node: int = 4,
     n_degraded: int = 2,
-    bandwidth_factor: float = 0.25,
-    mem_per_rank_bytes: float = 4.0 * GiB,
 ) -> MachineModel:
     """Uniform compute, but some nodes sit behind a sick NIC/switch.
 
     Compute is homogeneous; only the inter-node bandwidth of the last
-    ``n_degraded`` nodes is reduced.  Exercises the *bandwidth* half of
+    ``n_degraded`` nodes is reduced, to a quarter.  Exercises the *bandwidth* half of
     the heterogeneity model in isolation — a planner should route the
     communication-heavy groups off the degraded nodes.
     """
@@ -157,18 +135,11 @@ def degraded_fabric_cluster(
         raise MachineError(
             f"n_degraded must be in [0, {n_nodes}], got {n_degraded}"
         )
-    if not 0 < bandwidth_factor <= 1.0:
-        raise MachineError(
-            f"bandwidth_factor must be in (0, 1], got {bandwidth_factor}"
-        )
-    base = generic_cluster(
-        n_nodes, ranks_per_node=ranks_per_node, mem_per_rank_bytes=mem_per_rank_bytes
-    )
+    base = generic_cluster(n_nodes, ranks_per_node=ranks_per_node)
     return replace(
         base,
         name=f"degraded-fabric-{n_nodes}n-{n_degraded}deg",
-        node_bandwidth=(1.0,) * (n_nodes - n_degraded)
-        + (bandwidth_factor,) * n_degraded,
+        node_bandwidth=(1.0,) * (n_nodes - n_degraded) + (0.25,) * n_degraded,
     )
 
 
@@ -176,46 +147,33 @@ def tiered_gpu_cluster(
     n_nodes: int = 12,
     *,
     ranks_per_node: int = 4,
-    tier_speeds: "tuple[float, ...]" = (1.0, 0.8, 0.55),
-    mem_per_rank_bytes: float = 4.0 * GiB,
 ) -> MachineModel:
-    """Three GPU tiers in equal thirds (fast / mid / slow).
+    """Three GPU tiers in equal thirds (fast / mid / slow: speeds 1.0,
+    0.8 and 0.55).
 
     A coarse stand-in for an ensemble spanning several accelerator
     generations at once; the node list is tiered contiguously so block
     placement maps members onto homogeneous-ish slices.
     """
-    if not tier_speeds:
-        raise MachineError("tier_speeds must not be empty")
-    if any(not 0 < s <= 1.0 for s in tier_speeds):
-        raise MachineError(f"tier speeds must be in (0, 1], got {tier_speeds}")
-    n_tiers = len(tier_speeds)
-    base = generic_cluster(
-        n_nodes, ranks_per_node=ranks_per_node, mem_per_rank_bytes=mem_per_rank_bytes
-    )
-    per = n_nodes // n_tiers
-    extra = n_nodes % n_tiers
+    base = generic_cluster(n_nodes, ranks_per_node=ranks_per_node)
+    per, extra = divmod(n_nodes, 3)
     speed: "list[float]" = []
-    for i, s in enumerate(tier_speeds):
+    for i, s in enumerate((1.0, 0.8, 0.55)):
         speed.extend([s] * (per + (1 if i < extra else 0)))
     return replace(
         base,
-        name=f"tiered-gpu-{n_nodes}n-{n_tiers}t",
+        name=f"tiered-gpu-{n_nodes}n-3t",
         node_speed=tuple(speed),
     )
 
 
-def single_node(
-    ranks: int = 8,
-    *,
-    mem_per_rank_bytes: float = 256.0 * MiB,
-) -> MachineModel:
+def single_node(ranks: int = 8) -> MachineModel:
     """A single shared-memory node; all communication is intra-node."""
     return MachineModel(
         name=f"single-node-{ranks}r",
         n_nodes=1,
         ranks_per_node=ranks,
-        mem_per_rank_bytes=mem_per_rank_bytes,
+        mem_per_rank_bytes=256.0 * MiB,
         flops_per_rank=1.0e9,
         intra=LinkParams(latency_s=0.5e-6, bandwidth_Bps=40.0 * GiB),
         inter=LinkParams(latency_s=0.5e-6, bandwidth_Bps=40.0 * GiB),

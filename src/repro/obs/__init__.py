@@ -70,8 +70,8 @@ from repro.obs.span import LEAF_KINDS, Span, SpanTracer
 class Telemetry:
     """One tracer + one registry, shared across a whole run."""
 
-    tracer: SpanTracer = field(default_factory=SpanTracer)
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    tracer: SpanTracer = field(default_factory=SpanTracer, init=False)
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry, init=False)
 
     def install(self, world) -> None:
         """Install both halves on a virtual world."""

@@ -57,17 +57,14 @@ def _member_of_span(span: Span, by_id: Dict[int, Span]) -> Optional[int]:
 def export_spans_chrome(
     spans: Sequence[Span],
     path: Union[str, Path],
-    *,
-    counters: bool = True,
 ) -> int:
     """Write the span tree as Chrome trace-event JSON; returns span count.
 
     One complete ("X") event per (span, rank) — rankless scheduler
     spans land on tid 0 — with ``pid`` the owning ensemble member
     (+1; pid 0 is the ensemble/scheduler lane), named through
-    process-name metadata events.  ``counters=True`` adds two counter
-    tracks: ``bytes_in_flight`` (sum of concurrently-active collective
-    payloads) and ``mem_high_water_bytes`` (from span attrs).
+    process-name metadata events, then the ``bytes_in_flight`` counter
+    track (sum of concurrently-active collective payloads).
     """
     by_id = {s.span_id: s for s in spans}
     events: List[Dict[str, object]] = []
@@ -99,8 +96,7 @@ def export_spans_chrome(
         }
         for pid, name in sorted(pids.items())
     ]
-    if counters:
-        events.extend(_counter_events(spans))
+    events.extend(_counter_events(spans))
     Path(path).write_text(
         json.dumps({"traceEvents": meta + events, "displayTimeUnit": "ms"})
     )

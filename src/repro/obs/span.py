@@ -98,15 +98,14 @@ class SpanTracer:
     the :meth:`span` context manager, which reads a clock callable at
     entry and exit); completed leaves are appended with :meth:`record`,
     a world's collective leaves a block at a time with
-    :meth:`record_rows`.  Parentage follows the open-span stack unless
-    given explicitly.
+    :meth:`record_rows`.  Parentage follows the open-span stack.
     """
 
-    def __init__(self, *, time_offset: float = 0.0) -> None:
+    def __init__(self) -> None:
         #: Added to every recorded time — the campaign runner points
         #: this at the wave's campaign-clock start before dispatching a
         #: job so the job world's local times land absolutely.
-        self.time_offset = float(time_offset)
+        self.time_offset = 0.0
         self._spans: List[Span] = []
         self._stack: List[Tuple[int, str, str, float, str, Tuple[int, ...], Dict[str, object]]] = []
         self._next_id = 0
@@ -175,16 +174,10 @@ class SpanTracer:
         *,
         category: str = "",
         ranks: Sequence[int] = (),
-        parent: Optional[int] = "stack",  # type: ignore[assignment]
         **attrs: object,
     ) -> Span:
-        """Append an already-completed (leaf) span.
-
-        ``parent`` defaults to the innermost open span; pass ``None``
-        to force a root.
-        """
-        if parent == "stack":
-            parent = self.current_id
+        """Append an already-completed (leaf) span under the innermost
+        open one."""
         span_id = self._next_id
         self._next_id += 1
         span = Span(
@@ -193,7 +186,7 @@ class SpanTracer:
             kind=kind,
             t_start=t_start + self.time_offset,
             duration=float(duration),
-            parent=parent,
+            parent=self.current_id,
             category=category,
             ranks=_rank_tuple(ranks),
             attrs=attrs,

@@ -30,7 +30,8 @@ import numpy as np
 
 from repro.cgyro.params import CgyroInput
 from repro.cgyro.presets import nl03c_scaled
-from repro.machine.model import GiB, MiB, LinkParams, MachineModel
+from repro.machine.model import MiB, MachineModel
+from repro.machine.presets import frontier_like
 from repro.perf.analytic import predict_cgyro_interval, predict_xgyro_interval
 
 #: Published Figure-2 numbers (seconds per reporting step).
@@ -58,21 +59,6 @@ class CalibrationResult:
             lines.append(f"  {key:<18s} target {want:8.1f}  achieved {got:8.1f}")
         lines.append(f"  relative residual {self.residual:.3f}")
         return "\n".join(lines)
-
-
-def _build_machine(
-    o: float, a_inter: float, rate: float, *, n_nodes: int, mem_per_rank: float
-) -> MachineModel:
-    return MachineModel(
-        name=f"frontier-like-{n_nodes}n",
-        n_nodes=n_nodes,
-        ranks_per_node=8,
-        mem_per_rank_bytes=mem_per_rank,
-        flops_per_rank=rate,
-        intra=LinkParams(latency_s=2.0e-6, bandwidth_Bps=50.0 * GiB),
-        inter=LinkParams(latency_s=a_inter, bandwidth_Bps=25.0 * GiB),
-        per_call_overhead_s=o,
-    )
 
 
 def _predict(machine: MachineModel, inp: CgyroInput, k: int, total_ranks: int):
@@ -103,16 +89,16 @@ def calibrate_machine(
 
     def residuals(logx: np.ndarray) -> np.ndarray:
         o, a, rate = np.exp(logx)
-        machine = _build_machine(
-            o, a, rate, n_nodes=n_nodes, mem_per_rank=mem_per_rank
-        )
+        machine = frontier_like(n_nodes, mem_per_rank_bytes=mem_per_rank, flops_per_rank=rate,
+                                inter_latency_s=a, per_call_overhead_s=o)
         got = _predict(machine, inp, n_members, total_ranks)
         return np.array([np.log(got[k] / targets[k]) for k in keys])
 
     from scipy.optimize import least_squares  # only this cold fit needs it
     fit = least_squares(residuals, np.log(np.asarray(x0, dtype=float)))
     o, a, rate = np.exp(fit.x)
-    machine = _build_machine(o, a, rate, n_nodes=n_nodes, mem_per_rank=mem_per_rank)
+    machine = frontier_like(n_nodes, mem_per_rank_bytes=mem_per_rank, flops_per_rank=rate,
+                            inter_latency_s=a, per_call_overhead_s=o)
     achieved = _predict(machine, inp, n_members, total_ranks)
     residual = float(
         np.sqrt(np.mean([(achieved[k] / targets[k] - 1.0) ** 2 for k in keys]))

@@ -121,7 +121,6 @@ def min_nodes_required(
     machine: MachineModel,
     *,
     ensemble_size: int = 1,
-    max_nodes: Optional[int] = None,
 ) -> int:
     """Smallest node count on which the job fits.
 
@@ -129,12 +128,11 @@ def min_nodes_required(
     rank of the nodes.  For k > 1: k members sharing cmat, the job
     spanning all ranks of the nodes (each member gets 1/k of them).
     Returns the node count, or raises :class:`DecompositionError` if
-    nothing up to ``max_nodes`` fits.
+    nothing up to the machine's node count fits.
     """
-    limit = max_nodes if max_nodes is not None else machine.n_nodes
-    for n_nodes, _, _ in feasible_shapes(machine, inp, ensemble_size, limit):
+    for n_nodes, _, _ in feasible_shapes(machine, inp, ensemble_size, machine.n_nodes):
         return n_nodes
     raise DecompositionError(
-        f"{inp.name}: no node count up to {limit} fits "
+        f"{inp.name}: no node count up to {machine.n_nodes} fits "
         f"{ensemble_size} member(s) on {machine.name}"
     )

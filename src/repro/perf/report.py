@@ -96,10 +96,12 @@ def figure2_comparison(
         inp.with_updates(steps_per_report=measure_steps) for inp in inputs
     ]
 
-    baseline = SequentialCgyroBaseline(
+    # the baseline is not kept: its simulations are released before the
+    # ensemble is built, so the two never hold host memory at once
+    baseline_rows = SequentialCgyroBaseline(
         machine, short_inputs, enforce_memory=enforce_memory
-    )
-    cgyro_rows = [_scale_row(r, factor) for r in baseline.run_report_interval()]
+    ).run_interval()
+    cgyro_rows = [_scale_row(r, factor) for r in baseline_rows]
     cgyro_sum = sum_rows(cgyro_rows)
     assert cgyro_sum is not None
 
@@ -160,11 +162,10 @@ def render_figure2(result: Figure2Result, *, paper: Optional[Dict[str, float]] =
     return "\n".join(lines)
 
 
-def render_campaign_report(report, *, jobs: bool = True) -> str:
+def render_campaign_report(report) -> str:
     """Text rendering of a campaign run's service-level accounting.
 
-    ``report`` is a :class:`~repro.campaign.report.CampaignReport`;
-    ``jobs=False`` drops the per-job table for large campaigns.  All
+    ``report`` is a :class:`~repro.campaign.report.CampaignReport`.  All
     quantities are simulated seconds.
     """
     lines = [
@@ -236,7 +237,7 @@ def render_campaign_report(report, *, jobs: bool = True) -> str:
                 f"{w.wave:>4d} {w.round:>3d} {w.start_s:>9.3f} "
                 f"{w.end_s:>9.3f} {w.n_jobs:>4d} {w.nodes_busy:>10d}"
             )
-    if jobs and report.jobs:
+    if report.jobs:
         lines.append(
             f"{'job':<8s} {'rnd':>3s} {'wave':>4s} {'k':>3s} {'nodes':>5s} "
             f"{'steps':>5s} {'start':>9s} {'elapsed':>9s} {'cmat':>6s} "

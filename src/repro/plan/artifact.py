@@ -123,6 +123,10 @@ class Plan(records.Record):
     record_tag = PLAN_FORMAT
     record_error = PlanError
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise PlanError(f"seed must be >= 0, got {self.seed}")
+
     @property
     def rounds(self) -> int:
         """Sequential jobs needed to serve all requested members."""

@@ -157,6 +157,8 @@ class Planner:
     # ------------------------------------------------------------------
     def plan(self, seed: int = 0) -> Plan:
         """Run the search and emit the tuned :class:`Plan` artifact."""
+        if seed < 0:
+            raise PlanError(f"seed must be >= 0, got {seed}")
         self._n_evaluated = 0
         base = list(
             enumerate_candidates(self.machine, self.inp, self.n_members)

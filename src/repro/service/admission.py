@@ -159,11 +159,10 @@ class FairSharePolicy:
         served: Mapping[str, float],
         members: Iterable[SimRequest],
         seq: int,
-        *,
-        default_deadline_s: float = float("inf"),
     ) -> Tuple[float, float, int]:
         """Dispatch-order key for one ready batch: least-served member
-        tenant first, then earliest deadline, then flush sequence."""
+        tenant first, then earliest deadline (none: last), then flush
+        sequence."""
         members = list(members)
         if not members:
             raise ServiceError("cannot key an empty batch")
@@ -171,7 +170,7 @@ class FairSharePolicy:
             self.normalised_service(served, r.tenant) for r in members
         )
         deadline = min(
-            r.deadline_s if r.deadline_s is not None else default_deadline_s
+            r.deadline_s if r.deadline_s is not None else float("inf")
             for r in members
         )
         return (service, deadline, seq)

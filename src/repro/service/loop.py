@@ -145,7 +145,7 @@ class _Wave:
     job: PackedJob
     completed: list
     lost: list  # fault-lost members as (request, cause)
-    dead_nodes: Set[int] = field(default_factory=set)
+    dead_nodes: Set[int] = field(default_factory=set, init=False)
 
 
 class OnlineService:
@@ -1056,19 +1056,6 @@ class OnlineService:
                     )
         self._arm_timers(view.next_expiry())
 
-    def _largest_shape(self, reqs: List[SimRequest], max_nodes: int):
-        """The job shape of the largest prefix of batch ``reqs`` that
-        fits on ``max_nodes`` nodes (k descending; k=1 only in the FIFO
-        baseline), or ``None`` when not even one member does."""
-        top_k = len(reqs) if self.packer.prefer_larger_k else 1
-        for k in range(top_k, 0, -1):
-            shape = self.packer.shape_for(
-                reqs[0].input, k, max_nodes=max_nodes
-            )
-            if shape is not None:
-                return shape
-        return None
-
     def _try_place(
         self, rb: Dict[str, object], reqs: List[SimRequest]
     ) -> bool:
@@ -1078,7 +1065,7 @@ class OnlineService:
         free = self.pool.free_nodes(self._now)
         if not free:
             return False
-        shape = self._largest_shape(reqs, len(free))
+        shape = self.packer.largest_shape(reqs, len(free))
         if shape is None:
             return False
         wave = self.state.job_seq
@@ -1145,7 +1132,7 @@ class OnlineService:
         """Ask the pool for the most underserved blocked batch's
         deficit, or prove the service is stuck and raise."""
         rb, reqs = self._ready_order()[0]
-        target = self._largest_shape(reqs, self.pool.max_nodes)
+        target = self.packer.largest_shape(reqs, self.pool.max_nodes)
         if target is None:
             raise ServiceError(
                 f"request {reqs[0].request_id!r} cannot fit on "

@@ -75,7 +75,7 @@ class TrafficModel:
     those times into fully-formed :class:`SimRequest` objects by
     cycling the workload (uniformly at random — repeats across
     requests are the sharing opportunity) and sampling a tenant by
-    weight.
+    weight.  Request ids are ``f"req{i:05d}"``.
 
     Parameters
     ----------
@@ -85,8 +85,6 @@ class TrafficModel:
         Tenant population; defaults to a single ``"default"`` tenant.
     seed:
         Seed for the model's private generator.
-    prefix:
-        Request-id prefix (ids are ``f"{prefix}{i:05d}"``).
     """
 
     def __init__(
@@ -95,7 +93,6 @@ class TrafficModel:
         *,
         tenants: Sequence[TenantSpec] = DEFAULT_TENANTS,
         seed: int = 0,
-        prefix: str = "req",
     ) -> None:
         if not workload:
             raise ServiceError("traffic needs a non-empty workload pool")
@@ -109,7 +106,6 @@ class TrafficModel:
         self.workload = tuple(workload)
         self.tenants = tuple(tenants)
         self.seed = int(seed)
-        self.prefix = prefix
 
     # ------------------------------------------------------------------
     def arrival_times(
@@ -132,7 +128,7 @@ class TrafficModel:
             tenant = self.tenants[int(rng.choice(len(self.tenants), p=weights))]
             requests.append(
                 SimRequest(
-                    request_id=f"{self.prefix}{i:05d}",
+                    request_id=f"req{i:05d}",
                     input=inp,
                     arrival_s=float(at),
                     tenant=tenant.name,
@@ -153,9 +149,8 @@ class PoissonTraffic(TrafficModel):
         rate_per_s: float,
         tenants: Sequence[TenantSpec] = DEFAULT_TENANTS,
         seed: int = 0,
-        prefix: str = "req",
     ) -> None:
-        super().__init__(workload, tenants=tenants, seed=seed, prefix=prefix)
+        super().__init__(workload, tenants=tenants, seed=seed)
         if rate_per_s <= 0:
             raise ServiceError(f"rate_per_s must be > 0, got {rate_per_s}")
         self.rate_per_s = float(rate_per_s)
@@ -192,9 +187,8 @@ class BurstyTraffic(TrafficModel):
         mean_burst_s: float,
         tenants: Sequence[TenantSpec] = DEFAULT_TENANTS,
         seed: int = 0,
-        prefix: str = "req",
     ) -> None:
-        super().__init__(workload, tenants=tenants, seed=seed, prefix=prefix)
+        super().__init__(workload, tenants=tenants, seed=seed)
         for name, val in (
             ("calm_rate_per_s", calm_rate_per_s),
             ("burst_rate_per_s", burst_rate_per_s),
@@ -254,9 +248,8 @@ class DiurnalTraffic(TrafficModel):
         period_s: float,
         tenants: Sequence[TenantSpec] = DEFAULT_TENANTS,
         seed: int = 0,
-        prefix: str = "req",
     ) -> None:
-        super().__init__(workload, tenants=tenants, seed=seed, prefix=prefix)
+        super().__init__(workload, tenants=tenants, seed=seed)
         if base_rate_per_s < 0:
             raise ServiceError(
                 f"base_rate_per_s must be >= 0, got {base_rate_per_s}"

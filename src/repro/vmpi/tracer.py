@@ -157,8 +157,6 @@ class TraceLog:
         *,
         kind: Optional[str] = None,
         category: Optional[str] = None,
-        comm_label: Optional[str] = None,
-        involving_rank: Optional[int] = None,
     ) -> Tuple[CollectiveEvent, ...]:
         """Events matching every provided criterion."""
         out = []
@@ -166,10 +164,6 @@ class TraceLog:
             if kind is not None and ev.kind != kind:
                 continue
             if category is not None and ev.category != category:
-                continue
-            if comm_label is not None and ev.comm_label != comm_label:
-                continue
-            if involving_rank is not None and involving_rank not in ev.ranks:
                 continue
             out.append(ev)
         return tuple(out)

@@ -69,7 +69,7 @@ class PendingCollective:
     t_post: float
     cost_s: float
     last_arrival: int
-    completed: bool = field(default=False)
+    completed: bool = field(default=False, init=False)
 
     @property
     def t_done(self) -> float:
@@ -266,11 +266,11 @@ class VirtualWorld:
     # ------------------------------------------------------------------
     # communicators
     # ------------------------------------------------------------------
-    def comm_world(self, label: str = "world"):
-        """The communicator containing every rank of the world."""
+    def comm_world(self):
+        """The communicator ``"world"`` containing every rank of the world."""
         from repro.vmpi.communicator import Communicator
 
-        return Communicator(self, tuple(range(self.n_ranks)), label=label)
+        return Communicator(self, tuple(range(self.n_ranks)), label="world")
 
     # ------------------------------------------------------------------
     # phase/category context
@@ -396,7 +396,6 @@ class VirtualWorld:
         *,
         comm_label: str,
         algorithm: Optional[object] = None,
-        category: Optional[str] = None,
     ) -> float:
         """Synchronise ``ranks``, charge the modeled collective cost.
 
@@ -411,7 +410,7 @@ class VirtualWorld:
         return self._charge_blocking(
             kind, (ranks,), idx[None], (self.cost_model.n_nodes_of(ranks),),
             self._statement(kind, (ranks,), (nbytes,), (algorithm,), (comm_label,)),
-            category, factor,
+            None, factor,
         )[0]
 
     def charge_collective_block(
@@ -640,7 +639,6 @@ class VirtualWorld:
         *,
         comm_label: str,
         algorithm: Optional[object] = None,
-        category: Optional[str] = None,
     ) -> PendingCollective:
         """Post a nonblocking collective; clocks do not advance.
 
@@ -669,7 +667,7 @@ class VirtualWorld:
             nbytes=int(nbytes),
             comm_label=comm_label,
             algorithm=algorithm,
-            category=category if category is not None else self.current_category,
+            category=self.current_category,
             t_post=float(clocks[last]),
             cost_s=factor
             * self.cost_model.collective_cost(

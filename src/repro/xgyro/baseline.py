@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from repro.errors import EnsembleValidationError, InputError
 from repro.cgyro.params import CgyroInput
 from repro.cgyro.solver import CgyroSimulation
-from repro.cgyro.timing import ReportRow, sum_rows
+from repro.cgyro.timing import ReportRow
 from repro.machine.model import MachineModel
 from repro.vmpi.world import VirtualWorld
 
@@ -48,8 +48,6 @@ class SequentialCgyroBaseline:
         multi-interval trajectories continue instead of restarting —
         what the differential oracle (:mod:`repro.check.oracle`) needs
         to compare interval *n* against interval *n* of the ensemble.
-        Do not mix with :meth:`run_report_interval`, which rebuilds
-        fresh worlds (single-interval semantics) on every call.
         """
         if self._sims is None:
             self._sims = [self._simulation(inp) for inp in self.inputs]
@@ -73,18 +71,3 @@ class SequentialCgyroBaseline:
                 f"inputs disagree on steps_per_report: {sorted(cadences)}"
             )
         return [sim.run_report_interval() for sim in self.simulations()]
-
-    def run_report_interval(self) -> List[ReportRow]:
-        """Run one reporting interval of every input, sequentially.
-
-        Returns one row per input; aggregate with :meth:`summed` or
-        :func:`repro.cgyro.timing.sum_rows`.
-        """
-        cadences = {inp.steps_per_report for inp in self.inputs}
-        if len(cadences) != 1:
-            raise InputError(
-                f"inputs disagree on steps_per_report: {sorted(cadences)}"
-            )
-        return [
-            self._simulation(inp).run_report_interval() for inp in self.inputs
-        ]

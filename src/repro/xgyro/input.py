@@ -29,18 +29,14 @@ from repro.xgyro.validate import validate_shareable
 def write_ensemble(
     inputs: Sequence[CgyroInput],
     root: Union[str, Path],
-    *,
-    dir_names: "Sequence[str] | None" = None,
 ) -> Path:
-    """Materialise an ensemble on disk; returns the input.xgyro path."""
+    """Materialise an ensemble on disk (member ``m`` in directory
+    ``member{m:02d}``); returns the input.xgyro path."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    if dir_names is None:
-        dir_names = [f"member{m:02d}" for m in range(len(inputs))]
-    if len(dir_names) != len(inputs):
-        raise InputError("dir_names must match inputs in length")
     lines = [f"N_ENSEMBLE={len(inputs)}"]
-    for name, inp in zip(dir_names, inputs):
+    for m, inp in enumerate(inputs):
+        name = f"member{m:02d}"
         member_dir = root / name
         member_dir.mkdir(parents=True, exist_ok=True)
         write_input_file(inp, member_dir / "input.cgyro")
@@ -50,9 +46,7 @@ def write_ensemble(
     return top
 
 
-def parse_ensemble(
-    path: Union[str, Path], *, validate: bool = True
-) -> List[CgyroInput]:
+def parse_ensemble(path: Union[str, Path]) -> List[CgyroInput]:
     """Parse an ``input.xgyro`` file into the member inputs."""
     path = Path(path)
     if not path.exists():
@@ -81,6 +75,5 @@ def parse_ensemble(
     inputs = [
         parse_input_file(path.parent / d / "input.cgyro") for d in dirs
     ]
-    if validate:
-        validate_shareable(inputs)
+    validate_shareable(inputs)
     return inputs

@@ -407,8 +407,6 @@ class TestCampaignReport:
         assert "cmat cache" in text
         for job in report.jobs:
             assert job.job_id in text
-        brief = render_campaign_report(report, jobs=False)
-        assert report.jobs[0].job_id not in brief
 
 
 # ---------------------------------------------------------------------------
@@ -536,41 +534,6 @@ class TestServiceFacingExtensions:
         retry = req.requeued()
         assert retry.attempt == 1
         assert (retry.tenant, retry.deadline_s) == ("t", 9.0)
-
-    def test_pack_wave_offset(self, base, machine):
-        packer = CampaignPacker(machine, prefer_larger_k=False)
-        batches = [
-            CandidateBatch(base.cmat_signature(), tuple(_requests(base, 6)))
-        ]
-        plain = [j.wave for w in packer.pack(batches) for j in w]
-        shifted = [
-            j.wave for w in packer.pack(batches, wave_offset=3) for j in w
-        ]
-        assert shifted == [w + 3 for w in plain]
-
-    def test_run_with_start_offset_shifts_the_clock(self, base, machine):
-        kwargs = dict(steps=2)
-        r0 = CampaignRunner(machine).run(
-            RequestQueue(_requests(base, 4)), **kwargs
-        )
-        r1 = CampaignRunner(machine).run(
-            RequestQueue(_requests(base, 4)), start_s=100.0, **kwargs
-        )
-        # makespan is an elapsed time: unchanged by where the clock starts
-        assert r1.makespan_s == pytest.approx(r0.makespan_s)
-        # but every record lands at start_s-absolute times
-        assert all(j.start_s >= 100.0 for j in r1.jobs)
-        assert all(r.finish_s >= 100.0 for r in r1.requests)
-        shifted = {
-            (j.job_id, j.start_s - 100.0) for j in r1.jobs
-        }
-        assert shifted == {(j.job_id, j.start_s) for j in r0.jobs}
-
-    def test_negative_start_offset_raises(self, base, machine):
-        with pytest.raises(CampaignError, match="start_s"):
-            CampaignRunner(machine).run(
-                RequestQueue(_requests(base, 1)), steps=1, start_s=-1.0
-            )
 
     def test_zero_steps_raise_before_anything_runs(self, base, machine):
         """A job of zero steps serves nothing: both entry points refuse

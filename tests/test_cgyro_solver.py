@@ -3,6 +3,8 @@ reference, Figure-1 communicator structure, timing, and memory."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -203,13 +205,13 @@ class TestMemoryEnforcement:
     def test_oversubscribed_memory_raises(self):
         """With a tiny per-rank budget, setup OOMs — the mechanism behind
         'a single CGYRO simulation requires at least 32 nodes'."""
-        machine = single_node(ranks=4, mem_per_rank_bytes=10_000.0)
+        machine = replace(single_node(4), mem_per_rank_bytes=10_000.0)
         world = VirtualWorld(machine, enforce_memory=True)
         with pytest.raises(MemoryLimitExceeded):
             CgyroSimulation(world, range(4), small_test())
 
     def test_fits_with_adequate_memory(self):
-        machine = single_node(ranks=4, mem_per_rank_bytes=64 * 2**20)
+        machine = replace(single_node(4), mem_per_rank_bytes=64 * 2**20)
         world = VirtualWorld(machine, enforce_memory=True)
         sim = CgyroSimulation(world, range(4), small_test())
         assert world.ledgers[0].in_use_bytes > 0

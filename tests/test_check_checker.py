@@ -199,7 +199,7 @@ class TestAlltoallMoveSemantics:
         world = VirtualWorld(single_node(ranks=4))
         ck = CollectiveChecker()
         world.install_checker(ck)
-        comm = world.comm_world(label="w")
+        comm = world.comm_world()
         return world, comm, ck
 
     def test_resubmitting_moved_block_raises(self):

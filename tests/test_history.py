@@ -82,16 +82,16 @@ class TestAnalysis:
         # growing amplitude: not saturated
         for i, amp in enumerate([1.0, 4.0, 16.0]):
             hist.append(make_row(10 * (i + 1), phi2=[amp, amp, amp]))
-        assert not hist.is_saturated(window=3)
+        assert not hist.is_saturated()
         # flat amplitude tail: saturated
         for i, amp in enumerate([16.1, 15.9, 16.0]):
             hist.append(make_row(100 + 10 * i, phi2=[amp, amp, amp]))
-        assert hist.is_saturated(window=3)
+        assert hist.is_saturated()
 
     def test_saturation_needs_enough_reports(self):
         hist = TimeHistory()
         hist.append(make_row(10))
-        assert not hist.is_saturated(window=3)
+        assert not hist.is_saturated()
 
 
 class TestPersistence:

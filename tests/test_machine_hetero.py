@@ -72,10 +72,10 @@ class TestMultiplierValidation:
 
 class TestSubmachine:
     def test_picks_specific_nodes_in_order(self):
-        m = throttled_frontier(4, n_throttled=2, speed_factor=0.5)
+        m = throttled_frontier(4, n_throttled=2)
         sub = m.submachine([3, 0])
         assert sub.n_nodes == 2
-        assert sub.node_speed == (0.5, 1.0)
+        assert sub.node_speed == (0.7, 1.0)
 
     def test_homogeneous_submachine_is_the_machine_resized(self):
         m = generic_cluster(n_nodes=4)
@@ -91,10 +91,10 @@ class TestSubmachine:
             m.submachine([0, 4])
 
     def test_compute_seconds_node_aware(self):
-        m = throttled_frontier(4, n_throttled=2, speed_factor=0.5)
+        m = throttled_frontier(4, n_throttled=2)
         fast = m.compute_seconds(1.0e6, node=0)
         slow = m.compute_seconds(1.0e6, node=3)
-        assert slow == pytest.approx(2.0 * fast)
+        assert slow == pytest.approx(fast / 0.7)
         # node omitted: nominal rate, as before
         assert m.compute_seconds(1.0e6) == pytest.approx(fast)
 
@@ -104,7 +104,7 @@ class TestSubmachine:
 # ----------------------------------------------------------------------
 class TestHeterogeneousPresets:
     def test_throttled_frontier_shape(self):
-        m = throttled_frontier(8, n_throttled=3, speed_factor=0.7)
+        m = throttled_frontier(8, n_throttled=3)
         assert m.node_speed == (1.0,) * 5 + (0.7,) * 3
         assert m.node_bandwidth is None  # network untouched
         base = frontier_like(8)
@@ -112,17 +112,17 @@ class TestHeterogeneousPresets:
         assert m.flops_per_rank == base.flops_per_rank
 
     def test_mixed_generation_has_both_multipliers(self):
-        m = mixed_generation_cluster(8, old_fraction=0.25)
-        assert m.node_speed == (1.0,) * 6 + (0.6,) * 2
-        assert m.node_bandwidth == (1.0,) * 6 + (0.5,) * 2
+        m = mixed_generation_cluster(8)
+        assert m.node_speed == (1.0,) * 4 + (0.6,) * 4
+        assert m.node_bandwidth == (1.0,) * 4 + (0.5,) * 4
 
     def test_degraded_fabric_is_bandwidth_only(self):
-        m = degraded_fabric_cluster(8, n_degraded=2, bandwidth_factor=0.25)
+        m = degraded_fabric_cluster(8, n_degraded=2)
         assert m.node_speed is None
         assert m.node_bandwidth == (1.0,) * 6 + (0.25,) * 2
 
     def test_tiered_gpu_covers_all_nodes(self):
-        m = tiered_gpu_cluster(13, tier_speeds=(1.0, 0.8, 0.55))
+        m = tiered_gpu_cluster(13)
         assert len(m.node_speed) == 13
         assert set(m.node_speed) == {1.0, 0.8, 0.55}
         # contiguous tiers, fast first
@@ -130,13 +130,9 @@ class TestHeterogeneousPresets:
 
     def test_preset_parameter_validation(self):
         with pytest.raises(MachineError):
-            throttled_frontier(4, speed_factor=0.0)
-        with pytest.raises(MachineError):
-            mixed_generation_cluster(4, old_fraction=1.5)
+            throttled_frontier(4, n_throttled=5)
         with pytest.raises(MachineError):
             degraded_fabric_cluster(4, n_degraded=9)
-        with pytest.raises(MachineError):
-            tiered_gpu_cluster(6, tier_speeds=())
 
     def test_presets_usable_standalone(self):
         # a world on a heterogeneous preset runs without the planner
@@ -152,7 +148,7 @@ class TestHeterogeneousPresets:
 # ----------------------------------------------------------------------
 class TestHeterogeneousCosts:
     def test_effective_link_min_over_degraded_node(self):
-        m = degraded_fabric_cluster(4, ranks_per_node=2, bandwidth_factor=0.25)
+        m = degraded_fabric_cluster(4, ranks_per_node=2)
         cm = CommCostModel(m, BlockPlacement(m, m.n_ranks))
         healthy = cm.effective_link([0, 2])       # nodes 0, 1
         degraded = cm.effective_link([0, 2, 7])   # + node 3 (degraded)
@@ -171,7 +167,7 @@ class TestHeterogeneousCosts:
             assert cm.effective_link(group) == cm1.effective_link(group)
 
     def test_sharing_still_divides_bandwidth(self):
-        m = degraded_fabric_cluster(4, ranks_per_node=2, bandwidth_factor=0.5)
+        m = degraded_fabric_cluster(4, ranks_per_node=2)
         cm = CommCostModel(m, BlockPlacement(m, m.n_ranks))
         one_per_node = cm.effective_link([0, 2])
         two_per_node = cm.effective_link([0, 1, 2, 3])
@@ -180,14 +176,14 @@ class TestHeterogeneousCosts:
         )
 
     def test_charge_compute_on_slow_node(self):
-        m = throttled_frontier(2, n_throttled=1, speed_factor=0.5)
+        m = throttled_frontier(2, n_throttled=1)
         world = VirtualWorld(m)
         rpn = m.ranks_per_node
         world.charge_compute(0, flops=1.0e6)          # node 0, nominal
         world.charge_compute(rpn, flops=1.0e6)        # node 1, throttled
         t_fast = world.elapsed([0])
         t_slow = world.elapsed([rpn])
-        assert t_slow == pytest.approx(2.0 * t_fast)
+        assert t_slow == pytest.approx(t_fast / 0.7)
 
     def test_homogeneous_charge_compute_unchanged(self):
         m = generic_cluster(n_nodes=2)

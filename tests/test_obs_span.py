@@ -35,14 +35,15 @@ class TestSpanTracer:
         tr = SpanTracer()
         outer = tr.begin("outer", "step", 0.0)
         leaf = tr.record("ar", "collective", 0.5, 0.25, ranks=(0, 1))
-        root = tr.record("free", "compute", 0.0, 0.1, parent=None)
         tr.end(1.0)
+        root = tr.record("free", "compute", 0.0, 0.1)
         assert leaf.parent == outer
         assert root.parent is None
         assert leaf.ranks == (0, 1)
 
     def test_time_offset_shifts_all_recorded_times(self):
-        tr = SpanTracer(time_offset=100.0)
+        tr = SpanTracer()
+        tr.time_offset = 100.0
         tr.begin("job", "job", 0.0)
         tr.record("leaf", "compute", 1.0, 2.0)
         span = tr.end(5.0)

@@ -129,6 +129,12 @@ class TestPlanArtifact:
         # rounds: ceil(5 / 2)
         assert plan.rounds == 3
         assert plan.predicted_speedup == pytest.approx(1.2)
+        # a negative seed is no seed the planner emits: the loader refuses it
+        doc = json.loads(path.read_text())
+        doc["seed"] = -1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PlanError, match="seed must be >= 0, got -1"):
+            load_plan(path)
 
     def test_format_tag_enforced(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -448,8 +448,10 @@ class TestCliRefusesGarbage:
             (["campaign", "{requests}", "--steps", "0"], "steps must be >= 1, got 0"),
             (["serve", "--steps", "0", "--horizon", "100"], "steps must be >= 1, got 0"),
             (["trace", "--top-stalls", "-1"], "n >= 0, got -1"),
+            (["plan", "--smoke", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
-        ids=["serve-seed", "chaos-seed", "campaign-steps", "serve-steps", "trace-top-stalls"],
+        ids=["serve-seed", "chaos-seed", "campaign-steps", "serve-steps", "trace-top-stalls",
+             "plan-seed"],
     )
     def test_exit_two_on_an_out_of_range_number(self, argv, named, tmp_path, capsys):
         """A negative seed, zero steps or a negative stall count is one

@@ -432,17 +432,20 @@ class TestInvariantsRunner:
         text = render_chaos_report([result])
         assert "mini-crash" in text and "PASS" in text
 
-    def test_impossible_slo_floor_raises_invariant_violation(self):
+    def test_failed_invariant_raises_invariant_violation(self, monkeypatch):
+        import repro.check.invariants as invariants
+
+        # a replay that never matches the books: the wal-replay check fails
+        monkeypatch.setattr(invariants, "replay_matches_report", lambda *a: False)
         scenario = ChaosScenario(
-            name="too-strict",
-            description="an SLO floor no service can meet",
+            name="bad-replay",
+            description="a WAL replay that disagrees with the report",
             plan=FaultPlan(specs=()),
             horizon_s=200.0,
             crash_samples=0,
-            slo_floor=1.5,
         )
-        with pytest.raises(InvariantViolation, match="slo-floor"):
+        with pytest.raises(InvariantViolation, match="wal-replay"):
             run_scenario(scenario)
         result = run_scenario(scenario, raise_on_violation=False)
         assert not result.ok
-        assert [c.name for c in result.checks if not c.passed] == ["slo-floor"]
+        assert [c.name for c in result.checks if not c.passed] == ["wal-replay"]

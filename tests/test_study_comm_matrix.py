@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ def study_dir(tmp_path):
 
 class TestXgyroStudy:
     def test_run_and_outputs(self, study_dir):
-        machine = single_node(ranks=8, mem_per_rank_bytes=64 * 2**20)
+        machine = replace(single_node(8), mem_per_rank_bytes=64 * 2**20)
         study = XgyroStudy(study_dir, machine)
         reports = study.run(2)
         assert len(reports) == 2
@@ -44,7 +46,7 @@ class TestXgyroStudy:
         assert "g2.0" in summary and "g4.0" in summary
 
     def test_histories_reloadable(self, study_dir):
-        machine = single_node(ranks=8, mem_per_rank_bytes=64 * 2**20)
+        machine = replace(single_node(8), mem_per_rank_bytes=64 * 2**20)
         study = XgyroStudy(study_dir, machine)
         study.run(1)
         study.write_outputs(checkpoints=False)
@@ -53,7 +55,7 @@ class TestXgyroStudy:
         assert not (study_dir / "member00" / "checkpoint.npz").exists()
 
     def test_checkpoints_resume_members(self, study_dir):
-        machine = single_node(ranks=8, mem_per_rank_bytes=64 * 2**20)
+        machine = replace(single_node(8), mem_per_rank_bytes=64 * 2**20)
         study = XgyroStudy(study_dir, machine)
         study.run(1)
         study.write_outputs()
@@ -71,7 +73,7 @@ class TestXgyroStudy:
             XgyroStudy(tmp_path, single_node(ranks=4))
 
     def test_outputs_before_run_rejected(self, study_dir):
-        study = XgyroStudy(study_dir, single_node(ranks=8, mem_per_rank_bytes=64 * 2**20))
+        study = XgyroStudy(study_dir, replace(single_node(8), mem_per_rank_bytes=64 * 2**20))
         with pytest.raises(InputError):
             study.write_outputs()
         with pytest.raises(InputError):

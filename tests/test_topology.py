@@ -96,6 +96,6 @@ class TestTopologyAwareCosts:
         local.allreduce(data)
         data = {r: np.ones(64) for r in globl.ranks}
         globl.allreduce(data)
-        ev_local = world.trace.filter(comm_label="local")[0]
-        ev_global = world.trace.filter(comm_label="global")[0]
+        ev_local = next(ev for ev in world.trace if ev.comm_label == "local")
+        ev_global = next(ev for ev in world.trace if ev.comm_label == "global")
         assert ev_global.cost_s > ev_local.cost_s

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import InputError
 from repro.cgyro import small_test
 from repro.cgyro.verification import (
     split_step_convergence,
@@ -30,11 +29,3 @@ class TestConvergenceOrders:
         res = split_step_convergence(smooth_input)
         print("\n" + res.render())
         assert 0.7 < res.observed_order < 1.6
-
-    def test_validation(self, smooth_input):
-        with pytest.raises(InputError):
-            streaming_convergence(smooth_input, dts=(0.01,))
-        with pytest.raises(InputError):
-            streaming_convergence(smooth_input, dts=(0.005, 0.01))
-        with pytest.raises(InputError):
-            streaming_convergence(smooth_input, t_final=0.0301, dts=(0.02, 0.01))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ class TestConstruction:
             VirtualWorld(small_machine, n_ranks=17)
 
     def test_memory_enforcement_flag(self):
-        m = single_node(ranks=2, mem_per_rank_bytes=100.0)
+        m = replace(single_node(2), mem_per_rank_bytes=100.0)
         enforced = VirtualWorld(m, enforce_memory=True)
         with pytest.raises(MemoryLimitExceeded):
             enforced.ledgers[0].alloc("big", 200)
@@ -206,8 +208,8 @@ class TestCostPlacementCoupling:
         data_s = {r: np.ones(1024) for r in spread.ranks}
         intra.allreduce(data_i)
         spread.allreduce(data_s)
-        ev_i = small_world.trace.filter(comm_label="intra")[0]
-        ev_s = small_world.trace.filter(comm_label="spread")[0]
+        ev_i = next(ev for ev in small_world.trace if ev.comm_label == "intra")
+        ev_s = next(ev for ev in small_world.trace if ev.comm_label == "spread")
         assert ev_i.cost_s < ev_s.cost_s
         assert ev_i.n_nodes == 1 and ev_s.n_nodes == 4
 
@@ -224,6 +226,6 @@ class TestCostPlacementCoupling:
         two_nodes_dense.allreduce(data)
         data = {r: np.ones(payload // 8) for r in two_per_node.ranks}
         two_per_node.allreduce(data)
-        dense = small_world.trace.filter(comm_label="dense")[0]
-        sparse = small_world.trace.filter(comm_label="sparse")[0]
+        dense = next(ev for ev in small_world.trace if ev.comm_label == "dense")
+        sparse = next(ev for ev in small_world.trace if ev.comm_label == "sparse")
         assert dense.cost_s > sparse.cost_s

@@ -256,7 +256,7 @@ class TestSequentialBaseline:
     def test_baseline_rows_per_input(self):
         machine = single_node(ranks=8)
         base = SequentialCgyroBaseline(machine, sweep_inputs(2))
-        rows = base.run_report_interval()
+        rows = base.run_interval()
         assert len(rows) == 2
         assert all(r.wall_s > 0 for r in rows)
 
@@ -266,7 +266,7 @@ class TestSequentialBaseline:
         ens = XgyroEnsemble(make_world(16), inputs)
         report = ens.run_report_interval()
         base = SequentialCgyroBaseline(machine, inputs)
-        rows = base.run_report_interval()
+        rows = base.run_interval()
         for ens_row, base_row in zip(report.member_rows, rows):
             np.testing.assert_allclose(
                 ens_row.flux, base_row.flux, rtol=1e-9, atol=1e-20
