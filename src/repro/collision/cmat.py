@@ -81,6 +81,12 @@ class _SharedCmat:
 _TENSORS: "weakref.WeakValueDictionary[CmatSignature, _SharedCmat]" = weakref.WeakValueDictionary()
 
 
+def live_stores() -> List[_SharedCmat]:
+    """Every store somebody holds now; whoever keeps the list keeps
+    them, inverted blocks and all, for the next propagator."""
+    return list(_TENSORS.values())
+
+
 def _runs(indices: np.ndarray) -> List[Tuple[slice, slice]]:
     """``indices`` cut left to right into maximal arithmetic runs: one
     ``(positions, values)`` slice pair each, a constant run's ``values``

@@ -18,6 +18,8 @@ Export formats:
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -52,9 +54,9 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0)."""
-        if amount < 0:
-            raise ReproError(f"counter increment must be >= 0, got {amount}")
+        """Add ``amount`` (must be finite and >= 0)."""
+        if not 0 <= amount < math.inf:  # NaN fails too
+            raise ReproError(f"counter increment must be finite and >= 0, got {amount}")
         self.value += amount
 
 
@@ -103,14 +105,17 @@ class Histogram:
 
     def observe_each(self, values: Iterable[float]) -> None:
         """Record each of ``values`` in turn: ``sum`` is added up in
-        their order, as that many :meth:`observe` calls would."""
+        their order, as that many :meth:`observe` calls would; NaN is refused."""
+        buckets, counts = self.buckets, self.counts
         for value in values:
-            self.sum += float(value)
+            value = float(value)
+            if value != value:
+                raise ReproError("histogram observation is NaN")
+            self.sum += value
             self.count += 1
-            for i, ub in enumerate(self.buckets):
-                if value <= ub:
-                    self.counts[i] += 1
-                    break
+            i = bisect.bisect_left(buckets, value)  # the first bound >= value
+            if i < len(counts):
+                counts[i] += 1
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, +Inf last."""
@@ -203,13 +208,17 @@ class Histogram:
         total: float,
         count: int,
     ) -> "Histogram":
-        """Rebuild a histogram from exported state (see ``to_dict``)."""
+        """Rebuild a histogram from exported state (see ``to_dict``),
+        refusing counts below 0 or past ``count`` and a non-finite sum."""
         out = cls(tuple(float(b) for b in buckets))
         if len(counts) != len(out.buckets):
             raise ReproError(
                 f"histogram state has {len(counts)} counts for "
                 f"{len(out.buckets)} buckets"
             )
+        if min(counts, default=0) < 0 or sum(counts) > count or not math.isfinite(total):
+            state = f"counts {list(counts)} of {count} observation(s) summing to {total}"
+            raise ReproError(f"histogram state is not a histogram: {state}")
         out.counts = [int(c) for c in counts]
         out.sum = float(total)
         out.count = int(count)
@@ -367,18 +376,19 @@ class MetricsRegistry:
         snap = records.load(_Snapshot, payload, what=what)
         reg = cls()
         # keyed directly: a label may be called anything in a file
-        for row in snap.counters:
-            c = reg._counters[(row.name, _label_key(row.labels))] = Counter()
-            c.inc(row.value)
-        for row in snap.gauges:
-            g = reg._gauges[(row.name, _label_key(row.labels))] = Gauge()
-            g.set(row.value)
-        for row in snap.histograms:
-            reg._histograms[(row.name, _label_key(row.labels))] = (
-                Histogram.from_state(
-                    row.buckets, row.counts, row.sum, row.count
+        try:
+            for row in snap.counters:
+                c = reg._counters[(row.name, _label_key(row.labels))] = Counter()
+                c.inc(row.value)
+            for row in snap.gauges:
+                g = reg._gauges[(row.name, _label_key(row.labels))] = Gauge()
+                g.set(row.value)
+            for row in snap.histograms:
+                reg._histograms[(row.name, _label_key(row.labels))] = (
+                    Histogram.from_state(row.buckets, row.counts, row.sum, row.count)
                 )
-            )
+        except ReproError as exc:
+            raise ReproError(f"{what}: {row.name}: {exc}") from None
         return reg
 
     def render_prometheus(self) -> str:

@@ -28,6 +28,7 @@ spans land at campaign-absolute times and the tree stays one timeline.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -197,32 +198,44 @@ class SpanTracer:
     def record_rows(self, rows, n: int) -> None:
         """Append the first ``n`` rows of a world's
         :class:`~repro.vmpi.tracer.CollectiveRows` as collective leaves
-        under the innermost open span, ids in row order.  The block is
-        kept with its first id, its parent and the current
+        under the innermost open span, each chunk's compute leaf (if
+        stamped) before its rows, ids in that order.  The block is kept
+        with its first id, its parent and the current
         :attr:`time_offset`; its spans are built on the first read."""
-        if n:
+        stamps = () if rows.compute is None else rows.compute[2]
+        n_spans = n + sum(stamps[c][1] is not None for c, _ in rows.chunks(n)) if stamps else n
+        if n_spans:
             parent, offset = self.current_id, self.time_offset
             self._pending.append((rows, n, self._next_id, parent, offset))
-            self._next_id += n
+            self._next_id += n_spans
 
     def _built(self) -> List[Span]:
         """Every completed span (not in id order), the pending blocks'
         built first."""
-        for rows, n, first_id, parent, offset in self._pending:
+        for rows, n, span_id, parent, offset in self._pending:
             overlap = (
                 {} if rows.overlapped_s is None
                 else {"nonblocking": True, "overlapped_s": rows.overlapped_s}
             )
-            self._spans.extend(
-                Span(
-                    first_id + i, f"{rows.kind} [{rows.labels[g]}]", "collective",
-                    t_start + offset, float(rows.costs[g]), parent, rows.category,
-                    rows.groups[g],
-                    {"nbytes": rows.nbytes[g], "comm": rows.labels[g],
-                     "last_arrival": last_arrival, **overlap},
-                )
-                for i, (g, t_start, last_arrival) in enumerate(rows.cells(n))
-            )
+            cells, compute = rows.cells(n), rows.compute
+            for c, k in rows.chunks(n):
+                if compute is not None and compute[2][c][1] is not None:
+                    (t_start, duration, lead), category = compute[2][c][1], compute[0]
+                    self._spans.append(Span(
+                        span_id, f"compute[{category or 'uncategorized'}]", "compute",
+                        t_start + offset, float(duration), parent, category, compute[1],
+                        {"last_arrival": lead},
+                    ))
+                    span_id += 1
+                for g, t_start, last_arrival in itertools.islice(cells, k):
+                    self._spans.append(Span(
+                        span_id, f"{rows.kind} [{rows.labels[g]}]", "collective",
+                        t_start + offset, float(rows.costs[g]), parent, rows.category,
+                        rows.groups[g],
+                        {"nbytes": rows.nbytes[g], "comm": rows.labels[g],
+                         "last_arrival": last_arrival, **overlap},
+                    ))
+                    span_id += 1
         self._pending.clear()
         return self._spans
 

@@ -20,10 +20,11 @@ A *lockstep statement* — every rank calling ``allreduce`` on its own
 communicator, several rounds in a row, which SPMD source spells as one
 call in a loop — is ``rounds x G`` modeled collectives:
 :func:`allreduce_rounds` reduces the data once, and the world keeps the
-books per modeled collective (each its own price, trace event, span,
-metric updates and checker admission, in the order the loop of single
-collectives would have produced them) — given per-chunk flops, for a
-chunked loop of statements, each chunk's compute charge first.
+books of every modeled collective (each its own price, trace event,
+span, metric updates and checker admission, as the loop of single
+collectives would have produced them) in one booking — given per-chunk
+flops, for a whole chunked loop of statements, each chunk's compute
+charge first.
 
 This preserves exactly what the paper's argument depends on — which
 processes participate in each collective, how many bytes move, and
@@ -36,8 +37,8 @@ Public surface:
 - :class:`Communicator` — ordered rank group with collective methods
   and sub-communicators (``sub``).
 - :func:`allreduce_rounds` — one statement's AllReduces over a family
-  of disjoint communicators, charged as one block (or one block per
-  chunk, each after its compute charge).
+  of disjoint communicators, charged as one block (given per-chunk
+  flops, all chunks, each after its compute charge, as one block).
 - :class:`Request` — the handle of a nonblocking collective (``iallreduce`` / ``ialltoall``); a posted collective's
   cost accrues concurrently with subsequent compute charges on the
   same ranks, and ``wait()`` pays only the uncovered remainder.

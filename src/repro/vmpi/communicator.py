@@ -125,7 +125,9 @@ def allreduce_rounds(
     count, algorithm and price, each admitted by an installed checker
     and recorded exactly as the double loop — rounds outer, groups
     inner — of :meth:`Communicator.allreduce` would have, in phase
-    ``category`` (:meth:`VirtualWorld.charge_collective_block`).
+    ``category``; all chunks are one booking, and one block in the
+    trace and the span log, while the injector's answer holds
+    (:meth:`VirtualWorld.charge_collective_block`).
     """
     if len(comms) == 0 or len(columns) != len(comms):
         raise CollectiveError(

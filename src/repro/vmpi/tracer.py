@@ -69,12 +69,16 @@ class CollectiveEvent(Record):
 
 class CollectiveRows(NamedTuple):
     """Charged collectives of one kind and category as the world holds
-    them: row ``m * len(groups) + g`` is round ``m`` on ``groups[g]``.
-    The per-group sequences may run past ``len(groups)``; ``t_starts``
-    has one entry per round; ``last_arrival`` and ``wait_s`` are round
-    0's, since every later round finds its group synchronised (wait
-    ``0.0``, last arrival its first rank); ``overlapped_s`` marks a
-    nonblocking completion (one row).
+    them: chunks of ``rounds`` rounds, row ``m * len(groups) + g`` being
+    round ``m`` (counted on across chunks) on ``groups[g]``.  The
+    per-group sequences may run past ``len(groups)``; ``t_starts`` has
+    one entry per round; ``last_arrival`` and ``wait_s`` one per chunk,
+    its round 0's, since every later round finds its group synchronised
+    (wait ``0.0``, last arrival its first rank).  ``compute`` is ``None`` or
+    the compute charge before each chunk's rows: ``(category, ranks,
+    stamps)``, a chunk's stamp being ``(total seconds, span)`` as
+    :meth:`VirtualWorld._book_compute` returns it; ``overlapped_s``
+    marks a nonblocking completion (one row).
     """
 
     kind: str
@@ -86,16 +90,26 @@ class CollectiveRows(NamedTuple):
     t_starts: Sequence[Sequence[float]]
     costs: Sequence[float]
     category: str
-    last_arrival: Sequence[int]
-    wait_s: Sequence[float]
+    rounds: int
+    last_arrival: Sequence[Sequence[int]]
+    wait_s: Sequence[Sequence[float]]
+    compute: Optional[Tuple[str, Tuple[int, ...], Sequence[tuple]]]
     overlapped_s: Optional[float] = None
 
     def cells(self, n: int) -> Iterator[Tuple[int, float, int]]:
         """``(group index, t_start, last arrival)`` of the first ``n`` rows."""
-        n_groups = len(self.groups)
+        n_groups, rounds = len(self.groups), self.rounds
         for j in range(n):
-            m, g = divmod(j, n_groups)
-            yield g, self.t_starts[m][g], self.groups[g][0] if m else self.last_arrival[g]
+            q, g = divmod(j, n_groups)
+            c, m = divmod(q, rounds)
+            yield g, self.t_starts[q][g], self.groups[g][0] if m else self.last_arrival[c][g]
+
+    def chunks(self, n: int) -> Iterator[Tuple[int, int]]:
+        """``(chunk, rows of it booked)`` of each chunk the first ``n``
+        rows reach (its compute is booked before its first row)."""
+        per_chunk = self.rounds * len(self.groups)
+        chunks = range(len(self.t_starts) // self.rounds)
+        return ((c, min(per_chunk, n - c * per_chunk)) for c in chunks if c * per_chunk <= n)
 
 
 class TraceLog:

@@ -18,19 +18,21 @@ by the modeled cost.  Wall time of a run is the max clock over the
 ranks involved.
 
 A lockstep *statement* — ``rounds`` collectives in a row on each of
-``G`` disjoint groups — is charged in one pass over a ``(G, P)`` clock
-index (:meth:`VirtualWorld.charge_collective_block`) and booked as
-one :class:`~repro.vmpi.tracer.CollectiveRows` block of ``rounds x G``
-rows: the trace and the span log keep the block and build one event and
-one span per row when first read, the metric series are updated once
-per group.  A single blocking collective is the one-group one-round
-call of the same body, a nonblocking completion a one-row block.
+``G`` disjoint groups, per chunk after its compute charge — is charged
+in one pass (:meth:`VirtualWorld.charge_collective_block`) and booked
+as one :class:`~repro.vmpi.tracer.CollectiveRows` block: the trace and
+the span log build one event and one span per row (one compute span
+per chunk) when first read, the metric series take it in one fold.  A
+single blocking collective is the one-chunk one-group one-round call
+of the same body, a nonblocking completion a one-row block.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
@@ -234,16 +236,17 @@ class VirtualWorld:
         cost multiplier (1.0 when healthy) or raising
         :class:`~repro.errors.RankFailure` after charging the detection
         timeout through :meth:`sync_charge`; an injector that only ever
-        meets single collectives needs nothing else.  A block
-        (:meth:`charge_collective_block`) asks once for
+        meets single collectives needs nothing else.  A statement
+        (:meth:`charge_collective_block`) asks once per chunk for
         ``collective_outlook(groups) -> (factor, dead)``, which must
-        not raise: the multiplier every collective of the block would
+        not raise: the multiplier every collective of the chunk would
         get — it may depend on the step and the phase, not on the group
         — and the index of the first group ``on_collective`` would
         raise for, or ``None``; ``on_collective`` is then called for
         that group only, at the point the loop would have reached it.
-        A world without an injector has exactly zero behavioural or
-        cost difference.
+        Its ``compute_multiplier(rank)``, like the outlook, may depend
+        on the step and the phase only.  A world without an injector
+        has exactly zero behavioural or cost difference.
         """
         self.fault_injector = injector
 
@@ -318,7 +321,17 @@ class VirtualWorld:
         if isinstance(ranks, (int, np.integer)):
             ranks = (ranks,)
         rank_list = self._group(ranks)[0]
-        self._book_compute(rank_list, self._compute_seconds(rank_list, seconds, flops), category)
+        cat = category if category is not None else self.current_category
+        charged, (total, span) = self._book_compute(
+            rank_list, self._compute_seconds(rank_list, seconds, flops), self.clock
+        )
+        for r, dt in zip(rank_list, charged):
+            self._add_category_time(r, cat, dt)
+        if self.metrics is not None and total > 0.0:
+            self._compute_counter(cat).inc(total)
+        if self.tracer is not None and span is not None:
+            self.tracer.record(f"compute[{cat or 'uncategorized'}]", "compute", span[0],
+                               span[1], category=cat, ranks=rank_list, last_arrival=span[2])
 
     def _compute_seconds(
         self, rank_list: "tuple[int, ...]", seconds: object, flops: object
@@ -351,42 +364,33 @@ class VirtualWorld:
         return [to_seconds(float(amount))] * len(rank_list)
 
     def _book_compute(
-        self, rank_list: "tuple[int, ...]", amounts: Sequence[float], cat: Optional[str]
-    ) -> None:
-        """The one compute body: each rank's clock and category time
-        advance by its checked seconds (times the injector's
-        ``compute_multiplier``), then the counter and the span."""
-        cat = cat if cat is not None else self.current_category
+        self, rank_list: "tuple[int, ...]", amounts: Sequence[float], clock: "list | np.ndarray"
+    ) -> "tuple[List[float], tuple]":
+        """The one compute body (of a :meth:`charge_compute` or a chunk):
+        ``clock`` advances by each rank's checked seconds times the
+        injector's ``compute_multiplier``.  Returns the seconds charged
+        and the stamp ``(total, span)``, the span ``(t_start, seconds,
+        rank)`` of the rank pushed furthest, or ``None``."""
         mult = getattr(self.fault_injector, "compute_multiplier", None)
-        clock, booked = self.clock, cat or "uncategorized"
-        charged: Dict[int, float] = {}
+        charged: List[float] = []
         for r, dt in zip(rank_list, amounts):
             if mult is not None:
                 dt *= mult(r)
             clock[r] += dt
-            self._add_category_time(r, cat, dt)
-            charged[r] = dt
-        if charged:
-            total = sum(charged.values())
-            if self.metrics is not None and total > 0.0:
-                self._counter(
-                    ("compute", cat), "vmpi_compute_rank_seconds_total", category=booked
-                ).inc(total)
-            if self.tracer is not None:
-                # the span covers the rank whose clock the charge pushed
-                # furthest — the one that can pin a later collective
-                lead = max(charged, key=lambda r: (clock[r], -r))
-                dt_lead = charged[lead]
-                if dt_lead > 0.0:
-                    self.tracer.record(
-                        f"compute[{booked}]",
-                        "compute",
-                        float(clock[lead]) - dt_lead,
-                        dt_lead,
-                        category=cat,
-                        ranks=rank_list,
-                        last_arrival=lead,
-                    )
+            charged.append(dt)
+        if self.tracer is None:  # nobody reads the span
+            return charged, (sum(charged), None)
+        ends = [clock[r] for r in rank_list]  # the latest clock, of a tie the lowest rank
+        t_end, _, dt_lead, rank = max(
+            zip(ends, map(operator.neg, rank_list), charged, rank_list), default=(0.0, 0, 0.0, 0)
+        )
+        span = (float(t_end) - dt_lead, dt_lead, rank) if dt_lead > 0.0 else None
+        return charged, (sum(charged), span)
+
+    def _compute_counter(self, cat: str):
+        """The compute-seconds counter of category ``cat``."""
+        name, booked = "vmpi_compute_rank_seconds_total", cat or "uncategorized"
+        return self._counter(("compute", cat), name, category=booked)
 
     def charge_collective(
         self,
@@ -432,29 +436,25 @@ class VirtualWorld:
         collectives of ``kind`` on each of ``groups``.
 
         ``groups`` are ordered, pairwise disjoint and of equal size
-        (checked once per distinct family); ``nbytes``, ``comm_labels``
-        and ``algorithms`` hold one entry per group, and each group is
-        priced on its own; ``rounds`` is an int ``>= 1``
-        (:class:`~repro.errors.CollectiveError` otherwise, before any
-        clock moves).  The ``rounds x len(groups)`` modeled
-        collectives are booked exactly as that many
-        :meth:`charge_collective` calls issued round-major, group-minor
-        would book them — clocks, waits, category times, events, spans
-        and series, bit for bit — and with ``admit = (op, dtype)`` a
-        checker admits each row as a blocking collective of that op and
-        dtype, as the loop's :meth:`Communicator.allreduce` would.  The
-        statement runs in phase ``category`` (default: the current one).
+        (checked once per family); ``nbytes``, ``comm_labels`` and
+        ``algorithms`` hold one entry per group, each group priced on its
+        own; ``rounds`` is an int ``>= 1`` (else
+        :class:`~repro.errors.CollectiveError`, before a clock moves).
+        The modeled collectives are booked bit for bit as the
+        round-major, group-minor loop of :meth:`charge_collective` would
+        book them, with ``admit = (op, dtype)`` each admitted by a
+        checker as the loop's :meth:`Communicator.allreduce` would be, in
+        phase ``category`` (default: the current one).
 
         Given ``flops``, it is issued once per chunk, chunk ``c`` after
         ``ranks`` are charged ``flops[c]`` under ``compute_category`` as
-        :meth:`charge_compute` would; checks, conversions, family and
-        static half are prepared once.  The injector is asked once per
-        statement, through its non-raising ``collective_outlook(groups)``:
-        the cost factor, and the first group holding a dead rank.  That
-        group's first collective is where the death surfaces, so the
-        groups before it are charged their first round and
-        ``on_collective`` then raises for it, as it would have in the
-        loop.
+        :meth:`charge_compute` would.  The injector is asked once per
+        chunk (``collective_outlook(groups)``, which does not raise): the
+        cost factor and the first group holding a dead rank.  The chunks
+        it answers alike are one block, one booking; a changed factor
+        starts the next.  A death books the chunks before it, then its
+        chunk's compute and round 0 on the groups before the dead one,
+        and ``on_collective`` raises for it, as in the loop.
         """
         groups, idx, n_nodes = self._family(groups)
         per_group = (len(nbytes), len(comm_labels), len(algorithms))
@@ -464,37 +464,38 @@ class VirtualWorld:
                 f"a block of {len(groups)} groups needs rounds >= 1 and one byte count, label"
                 f" and algorithm per group, got rounds={rounds!r} and {per_group}"
             )
-        chunks: List[Optional[List[float]]] = [None]
+        seconds: List[Optional[List[float]]] = [None]
         if flops is not None:
             ranks = self._group(ranks)[0]
-            chunks = [self._compute_seconds(ranks, None, fl) for fl in flops]
+            seconds = [self._compute_seconds(ranks, None, fl) for fl in flops]
+            compute_category = (self.current_category if compute_category is None
+                                else compute_category)
         static = self._statement(kind, groups, nbytes, algorithms, comm_labels)
         category = self.current_category if category is None else category
-        stack = self._category_stack
-        for seconds in chunks:
-            if seconds is not None:
-                self._book_compute(ranks, seconds, compute_category)
-            stack.append(category)  # `with self.phase(category)`, without its generator
-            try:
-                factor, dead = 1.0, None
-                if self.fault_injector is not None:
-                    factor, dead = self.fault_injector.collective_outlook(groups)
-                live = len(groups) if dead is None else dead
-                if live:
-                    self._charge_blocking(
-                        kind, groups[:live], idx[:live], n_nodes, static, category,
-                        factor, rounds if dead is None else 1, admit,
+        outlooks = [(1.0, None)] * len(seconds)
+        if self.fault_injector is not None:
+            with self.phase(category):  # asked once per chunk, up to a death
+                outlooks = [self.fault_injector.collective_outlook(groups)]
+                while len(outlooks) < len(seconds) and outlooks[-1][1] is None:
+                    outlooks.append(self.fault_injector.collective_outlook(groups))
+        stop = 0
+        for (factor, dead), run in itertools.groupby(outlooks):
+            c, stop = stop, stop + len(list(run))
+            live = len(groups) if dead is None else dead
+            self._charge_blocking(
+                kind, groups[:live], idx[:live], n_nodes, static, category, factor,
+                rounds if dead is None else 1, admit,
+                None if flops is None else (ranks, seconds[c:stop], compute_category),
+            )
+            if dead is not None:
+                if admit is not None and self.checker is not None:
+                    p = len(groups[dead])
+                    self.checker.lockstep_collective(
+                        kind, groups[dead], comm_labels[dead], (nbytes[dead],) * p,
+                        op=admit[0], dtypes=(admit[1],) * p,
                     )
-                if dead is not None:
-                    if admit is not None and self.checker is not None:
-                        p = len(groups[dead])
-                        self.checker.lockstep_collective(
-                            kind, groups[dead], comm_labels[dead], (nbytes[dead],) * p,
-                            op=admit[0], dtypes=(admit[1],) * p,
-                        )
+                with self.phase(category):
                     self.fault_injector.on_collective(kind, groups[dead], comm_labels[dead])
-            finally:
-                stack.pop()
 
     def _statement(
         self, kind: str, groups: "Sequence[tuple[int, ...]]", nbytes: Sequence[int],
@@ -520,70 +521,81 @@ class VirtualWorld:
         return static
 
     def _charge_blocking(
-        self,
-        kind: str,
-        groups: "Sequence[tuple[int, ...]]",
-        idx: np.ndarray,
-        n_nodes: Sequence[int],
-        static: "tuple[tuple, ...]",
-        category: Optional[str],
-        factor: float,
-        rounds: int = 1,
-        admit: "Optional[tuple[str, str]]" = None,
+        self, kind: str, groups: "Sequence[tuple[int, ...]]", idx: np.ndarray,
+        n_nodes: Sequence[int], static: "tuple[tuple, ...]", category: Optional[str],
+        factor: float, rounds: int = 1, admit: "Optional[tuple[str, str]]" = None,
+        compute: "Optional[tuple[tuple[int, ...], Sequence[List[float]], str]]" = None,
     ) -> Sequence[float]:
         """The one blocking-charge body; returns each group's cost.
 
-        ``idx`` is the ``(G, P)`` clock index of the disjoint
-        ``groups``, ``static`` the statement's :meth:`_statement`; the
-        per-group sequences may run past ``G``.  Round 0 synchronises
-        each group to its last arrival and books the entry waits; every
-        later round finds its group synchronised (wait ``0.0``, last
-        arrival its first rank).  Simulated time is kept by *repeated*
-        addition — round ``m`` starts at ``t0`` plus ``cost`` added
-        ``m`` times, a rank's category time takes ``rounds`` sequential
-        adds — because that is what ``rounds`` single collectives do,
-        and ``t0 + m * cost`` rounds differently.
+        ``idx`` is the ``(G, P)`` clock index of ``groups``, ``static``
+        the :meth:`_statement` (its sequences may run past ``G``).
+        ``compute = (ranks, seconds, category)`` makes it one chunk per
+        ``seconds[c]``, booked on ``ranks`` (:meth:`_book_compute`)
+        before the chunk's rounds.  Round 0 synchronises each group and
+        books the entry waits; a later round finds it synchronised.
+        Time is kept by *repeated* addition, as single charges keep it.
+        The block is prepared on a copy of the clocks and handed to a
+        checker whole before it is committed.
         """
-        if category is None:
-            category = self.current_category
+        category = self.current_category if category is None else category
         costs, nbytes, names, labels, first = static
         if factor != 1.0:
             costs = [factor * cost for cost in costs]
-        clocks = self.clock[idx]
-        if idx.shape[1] == 1:
-            # one-rank groups: nobody waits, the only rank arrives last
-            t0 = clocks[:, 0]
-            wait_s, last_arrival = [0.0] * len(groups), first
-        else:
-            last = clocks.argmax(axis=1).tolist()
-            t0 = clocks.max(axis=1)
-            waits = t0[:, None] - clocks
-            self.coll_wait_s[idx] += waits
-            # a group's total wait — the sum of its own row — is imposed
-            # by whoever arrived last
-            wait_s = waits.sum(axis=1).tolist()
-            last_arrival = [ranks[i] for ranks, i in zip(groups, last)]
-            self.imposed_wait_s[last_arrival] += wait_s
-        t_starts, t = [], t0.tolist()
-        for _ in range(rounds):
-            t_starts.append(t)
-            t = [t_g + cost for t_g, cost in zip(t, costs)]
-        self.clock[idx] = np.asarray(t)[:, None]
-        booked = category or "uncategorized"
-        for ranks, cost in zip(groups, costs):
-            for r in ranks:
-                times = self._category_time[r]
-                busy = times.get(booked, 0.0)
-                for _ in range(rounds):
-                    busy += cost
-                times[booked] = busy
-        self._record_rows(
-            CollectiveRows(
-                kind, groups, n_nodes, nbytes, names, labels,
-                t_starts, costs, category, last_arrival, wait_s,
-            ),
-            admit,
+        ranks, seconds, compute_cat = compute if compute is not None else ((), [None], "")
+        clock, clock0 = self.clock.tolist(), None
+        t_starts, last_arrival, wait_s, waits, charged, stamps = [], [], [], [], [], []
+        for amounts in seconds:
+            if amounts is not None:
+                dts, stamp = self._book_compute(ranks, amounts, clock)
+                charged.append(dts)
+                stamps.append(stamp)
+            if idx.shape[1] == 1:
+                # one-rank groups: nobody waits, the only rank arrives last
+                t = [clock[ranks_g[0]] for ranks_g in groups]
+                wait_s.append([0.0] * len(groups))
+                last_arrival.append(first)
+            else:
+                clocks = np.asarray(clock)[idx]
+                last = clocks.argmax(axis=1).tolist()
+                t0 = clocks.max(axis=1)
+                waits.append(t0[:, None] - clocks)
+                # a group's total wait is imposed by whoever arrived last
+                wait_s.append(waits[-1].sum(axis=1).tolist())
+                last_arrival.append([g[i] for g, i in zip(groups, last)])
+                t = t0.tolist()
+            for _ in range(rounds):
+                t_starts.append(t)
+                t = [t_g + cost for t_g, cost in zip(t, costs)]
+            for ranks_g, t_g in zip(groups, t):
+                for r in ranks_g:
+                    clock[r] = t_g
+            clock0 = clock0 or clock[:]  # the clocks once chunk 0 is booked
+        rows = CollectiveRows(
+            kind, groups, n_nodes, nbytes, names, labels, t_starts, costs, category,
+            rounds, last_arrival, wait_s, None if compute is None else (compute_cat, ranks, stamps),
         )
+        # a block the checker refuses raises in its first chunk's replay,
+        # so that chunk alone is committed, as the loop committed it
+        clean = self.checker is None or self.checker.lockstep_rows(rows, admit)
+        n_chunks = len(seconds) if clean else 1
+        self.clock[:] = clock if clean else clock0
+        for w, last, total in zip(waits[:n_chunks], last_arrival, wait_s):
+            self.coll_wait_s[idx] += w
+            self.imposed_wait_s[last] += total
+        booked = category or "uncategorized"
+        for dts in (charged or [()])[:n_chunks]:
+            for r, dt in zip(ranks, dts):
+                self._add_category_time(r, compute_cat, dt)
+            for group, cost in zip(groups, costs):
+                for r in group:
+                    times = self._category_time[r]
+                    busy = times.get(booked, 0.0)
+                    for _ in range(rounds):
+                        busy += cost
+                    times[booked] = busy
+        self._record_rows(rows if clean else rows._replace(t_starts=t_starts[:rounds]), admit, clean)
+        assert clean or len(seconds) == 1, "a refused block replayed past its first chunk"
         return costs
 
     def _group(self, ranks: Iterable[int]) -> "tuple[tuple[int, ...], np.ndarray]":
@@ -728,33 +740,30 @@ class VirtualWorld:
         cat = pending.category
         for r, c in zip(pending.ranks, comm):
             self._add_category_time(r, cat, float(c))
-        self._record_rows(
-            CollectiveRows(
-                pending.kind, (pending.ranks,),
-                (self.cost_model.n_nodes_of(pending.ranks),), (pending.nbytes,),
-                (_algorithm_name(pending.algorithm),), (pending.comm_label,),
-                ((pending.t_post,),), (cost,), cat, (pending.last_arrival,),
-                (sync_s,), float(overlapped.sum()),
-            )
+        rows = CollectiveRows(
+            pending.kind, (pending.ranks,),
+            (self.cost_model.n_nodes_of(pending.ranks),), (pending.nbytes,),
+            (_algorithm_name(pending.algorithm),), (pending.comm_label,),
+            ((pending.t_post,),), (cost,), cat, 1, ((pending.last_arrival,),),
+            ((sync_s,),), None, float(overlapped.sum()),
         )
+        self._record_rows(rows, None, self.checker is None or self.checker.lockstep_rows(rows))
         return cost
 
     def _record_rows(
-        self, rows: CollectiveRows, admit: "Optional[tuple[str, str]]" = None
+        self, rows: CollectiveRows, admit: "Optional[tuple[str, str]]", clean: bool
     ) -> None:
-        """The one place charged collectives become visible: the rows go
-        to the trace (numbered on from the last ``seq``), the span log
-        and the metric series.  A checker takes a clean block at once;
-        otherwise each row is admitted (with ``admit``), then
-        overlap-checked, so a raise at row ``i`` leaves booked what a
-        loop of single collectives would — rows ``[0, i)``, and row
-        ``i`` too in the trace when the overlap check raised.
-        """
+        """The one place charged collectives become visible: the trace
+        (numbered on from the last ``seq``), the span log and the series.
+        A checker took a ``clean`` block whole; otherwise each row is
+        admitted (with ``admit``), then overlap-checked, so a raise at
+        row ``i`` leaves rows ``[0, i)`` booked, as the loop would, and
+        row ``i`` in the trace too when the overlap check raised."""
         seq0, checker = self._seq, self.checker
         n = len(rows.t_starts) * len(rows.groups)
         traced = booked = n
         try:
-            if checker is not None and not checker.lockstep_rows(rows, admit):
+            if not clean:
                 traced = booked = 0
                 nonblocking = rows.overlapped_s is not None
                 for g, t_start, _ in rows.cells(n):
@@ -779,48 +788,49 @@ class VirtualWorld:
                 self._fold_series(rows, booked)
 
     def _fold_series(self, rows: CollectiveRows, n: int) -> None:
-        """Feed the first ``n`` rows to the metric series once per group,
-        creating series in the order a row at a time would: bytes and
-        counts grow by their totals (integers, so exactly), waits by
-        round 0's — a later round adds ``0.0`` on the group's first rank
-        — and the cost histogram all groups share takes the costs in row
-        order.
-        """
-        if not n:
-            return
-        n_groups = len(rows.groups)
-        for g in range(min(n, n_groups)):
-            label, last = rows.labels[g], rows.last_arrival[g]
-            key = ("collective", rows.kind, label)
-            bound = self._series.get(key)
-            if bound is None:
-                counter = self.metrics.counter
-                bound = self._series[key] = (
-                    counter("vmpi_collective_bytes_total", kind=rows.kind, comm=label),
-                    counter("vmpi_collectives_total", kind=rows.kind),
-                    counter("vmpi_coll_wait_seconds_total", comm=label),
-                    self.metrics.histogram("vmpi_collective_cost_seconds", kind=rows.kind),
+        """Feed the chunks the first ``n`` rows reach to the series,
+        created in the order single charges would: per chunk the compute
+        seconds, each group's wait and the wait it imposed (round 0's); bytes
+        and counts by block totals (integers, so exact), costs in row order."""
+        series, kind, n_groups = self._series, rows.kind, len(rows.groups)
+        imposed = "vmpi_imposed_wait_seconds_total"
+        for c, k in rows.chunks(n):
+            if rows.compute is not None and rows.compute[2][c][0] > 0.0:
+                self._compute_counter(rows.compute[0]).inc(rows.compute[2][c][0])
+            for label, last, wait in zip(rows.labels[:k], rows.last_arrival[c], rows.wait_s[c]):
+                bound = series.get(("collective", kind, label))
+                if bound is None:
+                    counter = self.metrics.counter
+                    bound = series[("collective", kind, label)] = (
+                        counter("vmpi_collective_bytes_total", kind=kind, comm=label),
+                        counter("vmpi_collectives_total", kind=kind),
+                        counter("vmpi_coll_wait_seconds_total", comm=label),
+                        self.metrics.histogram("vmpi_collective_cost_seconds", kind=kind),
+                    )
+                by_last = series.get(("imposed", last)) or self._counter(
+                    ("imposed", last), imposed, rank=last
                 )
-            bytes_total, collectives_total, wait_total, cost_seconds = bound
+                if wait:  # adding 0.0 moves no total
+                    bound[2].inc(wait)
+                    by_last.inc(wait)
+            for ranks in rows.groups[: max(0, k - n_groups)]:
+                if ("imposed", ranks[0]) not in series:
+                    self._counter(("imposed", ranks[0]), imposed, rank=ranks[0])
+        for g in range(min(n, n_groups)):
+            bytes_total, collectives_total = series[("collective", kind, rows.labels[g])][:2]
             count = (n - g + n_groups - 1) // n_groups
             moved = float(rows.nbytes[g]) * count
             assert bytes_total.value + moved <= 2**53, "byte total past exact floats"
             bytes_total.inc(moved)
             collectives_total.inc(count)
-            wait_total.inc(rows.wait_s[g])
-            self._counter(
-                ("imposed", last), "vmpi_imposed_wait_seconds_total", rank=last
-            ).inc(rows.wait_s[g])
-        for ranks in rows.groups[: max(0, n - n_groups)]:
-            self._counter(
-                ("imposed", ranks[0]), "vmpi_imposed_wait_seconds_total", rank=ranks[0]
-            ).inc(0.0)
-        if rows.overlapped_s is not None:
-            label = rows.labels[0]
-            self._counter(
-                ("overlapped", label), "vmpi_coll_overlapped_seconds_total", comm=label
-            ).inc(rows.overlapped_s)
-        cost_seconds.observe_each(rows.costs[j % n_groups] for j in range(n))
+        if n:
+            if rows.overlapped_s is not None:
+                label = rows.labels[0]
+                self._counter(
+                    ("overlapped", label), "vmpi_coll_overlapped_seconds_total", comm=label
+                ).inc(rows.overlapped_s)
+            costs = itertools.islice(itertools.cycle(rows.costs[:n_groups]), n)  # row order
+            series[("collective", kind, rows.labels[0])][3].observe_each(costs)
 
     def _counter(self, key: tuple, name: str, **labels: object):
         """The registry counter ``name{labels}``, looked up once per ``key``."""

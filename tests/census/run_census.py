@@ -311,6 +311,23 @@ a, b = sys.argv[1:]
 sys.exit(f"{a} and {b} differ" if Path(a).read_bytes() != Path(b).read_bytes() else 0)
 """
 
+#: metrics.json spoilt five ways no registry could have written
+CORRUPT_METRICS = """\
+import json
+def spoil(name, change):
+    snap = json.load(open("metrics.json"))
+    change(snap["counters"][0], snap["histograms"][0])
+    json.dump(snap, open(name, "w"))
+spoil("nan-counter.json", lambda c, h: c.update(value=float("nan")))
+spoil("inf-counter.json", lambda c, h: c.update(value=float("inf")))
+spoil("negative-bucket.json", lambda c, h: h["counts"].__setitem__(0, -5))
+spoil("counts-past-count.json", lambda c, h: h.update(count=0, counts=[1] + [0] * 11))
+spoil("infinite-sum.json", lambda c, h: h.update(sum=float("inf")))
+"""
+
+#: the corrupt snapshots CORRUPT_METRICS writes
+SPOILT = ("nan-counter", "inf-counter", "negative-bucket", "counts-past-count", "infinite-sum")
+
 GOLDEN_WAL = """\
 from repro.check import builtin_scenarios
 from repro.service import ServiceJournal
@@ -405,6 +422,10 @@ def commands() -> Iterator[Command]:
     yield _repro("serve", "--seed", "-1", "--horizon", "100", exit_code=2)
     yield _repro("campaign", "requests.json", "--steps", "0", exit_code=2)
     yield _repro("trace", "--top-stalls", "-1", exit_code=2)
+    yield _python("-c", CORRUPT_METRICS)
+    for name in SPOILT:
+        yield _repro("metrics", "--load", f"{name}.json",
+                     "--quantile", "vmpi_collective_cost_seconds:0.5", exit_code=2)
     for argv in (["campaign", "requests.json", "--faults", "abc:faults.json"],
                  ["campaign", "requests.json", "--flaky-node", "abc:faults.json"],
                  ["serve", "--tenant", "a:x:1", "--horizon", "100"],

@@ -41,7 +41,7 @@ def _row_by_row(world: VirtualWorld) -> None:
                 op=op, dtype="" if dtypes is None else dtypes[k], site=ck.observed_events,
             )
 
-    def record_rows(rows, admit=None):
+    def record_rows(rows, admit, clean):
         seq0, n = world._seq, len(rows.t_starts) * len(rows.groups)
         traced = booked = 0
         try:
@@ -65,6 +65,7 @@ def _row_by_row(world: VirtualWorld) -> None:
             world._fold_series(rows, booked)
 
     ck.lockstep_collective = lockstep_collective
+    ck.lockstep_rows = lambda rows, admit=None: False  # never whole
     world._record_rows = record_rows
 
 

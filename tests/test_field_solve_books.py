@@ -27,7 +27,7 @@ import pytest
 from repro.cgyro import CgyroSimulation
 from repro.cgyro.presets import small_test
 from repro.check import CollectiveChecker
-from repro.errors import CollectiveError, RankFailure, VmpiError
+from repro.errors import CollectiveError, ProtocolError, RankFailure, VmpiError
 from repro.machine import generic_cluster, single_node
 from repro.obs import Telemetry
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
@@ -240,3 +240,145 @@ def test_the_chunk_axis_reduces_once_and_returns_every_chunk():
     kinds = [json.loads(s)["kind"] for s in _books(world, [], None)["spans"]]
     assert kinds == (["compute"] + ["collective"] * 4) * 3
     assert {ev.category for ev in world.trace} == {"m"}
+
+
+# -- more shapes: what serve, steps and a flickering link book -----------
+class _Flickers(FaultInjector):
+    """Doubles every third outlook's link factor: the factor changes
+    between two chunks of one field solve."""
+
+    def __init__(self, world):
+        super().__init__(world, FaultPlan(specs=()))
+        self.asked = 0
+
+    def collective_outlook(self, groups):
+        self.asked += 1
+        factor, dead = super().collective_outlook(groups)
+        return factor * (2.0 if self.asked % 3 == 0 else 1.0), dead
+
+
+def _serve_shape():
+    """Serve's: two linear members of 4 ranks each (P1 = 1, so every
+    statement runs on one-rank groups), an injector with no specs,
+    telemetry on, no checker."""
+    world = VirtualWorld(generic_cluster(n_nodes=2, ranks_per_node=4))
+    Telemetry().install(world)
+    world.install_fault_injector(FaultInjector(world, FaultPlan(specs=())))
+    inputs = [small_test(name=f"m{i}", dlntdr=(2.0 + i, 2.0 + i)) for i in range(2)]
+    ens = XgyroEnsemble(world, inputs)
+    assert {len(c.ranks) for m in ens.members for c in m.comm1.values()} == {1}
+    return world, list(ens.members), ens.run_report_interval
+
+
+def _bare_ensemble(injector=None):
+    """Steps' instruments: no telemetry, no checker."""
+    world = VirtualWorld(generic_cluster(n_nodes=4, ranks_per_node=4))
+    if injector is not None:
+        world.install_fault_injector(injector(world))
+    inputs = [
+        small_test(name=f"m{i}", nonlinear=True, dlntdr=(3.0 + 0.1 * i, 3.0 + 0.1 * i))
+        for i in range(2)
+    ]
+    ens = XgyroEnsemble(world, inputs)
+    return world, list(ens.members), ens.run_report_interval
+
+
+def _unclean():
+    """A rank of comm_1 group 1 is mid-flight in an unwaited request, so
+    the checker refuses the solve's block whole: it is replayed row by
+    row and raises at round 0 of chunk 0 on group 1."""
+    world = _instrument(VirtualWorld(single_node(ranks=8)))
+    sim = CgyroSimulation(world, range(8), small_test())
+    victim = sim._comm1_groups[1].ranks[0]
+    world.checker.nb_post(victim, comm_label="nb", comm_ranks=(victim,), kind="allreduce", nbytes=8)
+    return world, [sim], lambda: sim._solve_fields(sim.h_global)
+
+
+MORE_SCENARIOS = {
+    "serve-shape": _serve_shape,
+    "steps-shape": _bare_ensemble,
+    "link-factor-flickers": lambda: _ensemble(injector=_Flickers),
+    "steps-shape-flickers": lambda: _bare_ensemble(injector=_Flickers),
+    "unclean-chunk-0": _unclean,
+}
+
+
+def _all_books(world, sims, failure) -> dict:
+    """What :func:`_books` holds, for any instruments, plus the metric
+    series in creation order and the injector's outlook count."""
+    tracer, metrics, checker = world.tracer, world.metrics, world.checker
+    return {
+        "physics": [sim.h_global.tobytes() for sim in sims],
+        "failure": None if failure is None else (type(failure).__name__, str(failure)),
+        "clock": world.clock.tobytes(),
+        "coll_wait_s": world.coll_wait_s.tobytes(),
+        "imposed_wait_s": world.imposed_wait_s.tobytes(),
+        "category_times": [
+            world.category_breakdown([r], reduce="sum") for r in range(world.n_ranks)
+        ],
+        "trace": [repr(event) for event in world.trace],
+        "spans": None if tracer is None else [repr(s) for s in tracer.spans],
+        "metrics": None if metrics is None else metrics.to_dict(),
+        "series": None if metrics is None else list(metrics),
+        "checker": None
+        if checker is None
+        else (repr(checker.completed), checker.observed_events, checker._seq, checker._last_t),
+        "costs": sorted({(event.comm_label, event.cost_s) for event in world.trace}),
+        "asked": getattr(world.fault_injector, "asked", None),
+    }
+
+
+def _run_more(name, monkeypatch, *, per_chunk):
+    with monkeypatch.context() as patched:
+        if per_chunk:
+            patched.setattr(CgyroSimulation, "_solve_fields", _per_chunk_solve)
+        world, sims, run = MORE_SCENARIOS[name]()
+        failure = None
+        try:
+            run()
+        except (RankFailure, ProtocolError) as caught:
+            failure = caught
+        return _all_books(world, sims, failure)
+
+
+@pytest.mark.parametrize("name", sorted(MORE_SCENARIOS))
+def test_more_shapes_book_what_the_per_chunk_loop_booked(name, monkeypatch):
+    got = _run_more(name, monkeypatch, per_chunk=False)
+    assert got == _run_more(name, monkeypatch, per_chunk=True)
+    assert len(got["trace"]) > 0
+    assert (got["failure"] is not None) == (name == "unclean-chunk-0")
+    if "flickers" in name:
+        # a label's statements were priced at two factors
+        labels = [label for label, _ in got["costs"]]
+        assert len(labels) > len(set(labels)) and got["asked"] > 0
+
+
+def test_an_unclean_solve_books_the_loops_prefix_and_no_later_chunk():
+    world, sims, run = MORE_SCENARIOS["unclean-chunk-0"]()
+    n_events, n_spans = len(world.trace), len(world.tracer)
+    compute_s = world.category_time("str_compute", reduce="sum")
+    with pytest.raises(ProtocolError) as caught:
+        run()
+    assert caught.value.code == "inflight-overlap"
+    # round 0 of chunk 0 on group 0, then the raise on group 1
+    assert len(world.trace) == n_events + 1
+    assert [s.kind for s in world.tracer.spans[n_spans:]] == ["compute", "collective"]
+    # chunk 0's compute was charged, no later chunk's
+    solo = VirtualWorld(single_node(ranks=8))
+    solo.charge_compute(range(8), flops=sims[0].costs.chunk_moment_flops[0])
+    charged = world.category_time("str_compute", reduce="sum") - compute_s
+    assert charged == pytest.approx(solo.category_time("uncategorized", reduce="sum"))
+
+
+def test_a_blocking_solve_is_one_block_in_the_trace_and_the_span_log():
+    world = _instrument(VirtualWorld(single_node(ranks=8)))
+    sim = CgyroSimulation(world, range(8), small_test())
+    n_chunks, n_mom = len(sim.costs.chunks), sim.costs.n_moments
+    assert n_chunks > 1
+    world.trace.events, world.tracer.spans  # build what set-up booked
+    sim._solve_fields(sim.h_global)
+    assert len(world.trace._pending) == len(world.tracer._pending) == 1
+    rows = world.trace._pending[0][0]
+    assert len(rows.t_starts) == n_chunks * n_mom and rows.rounds == n_mom
+    assert len(rows.compute[2]) == n_chunks
+    assert len(world.trace) == n_chunks * n_mom * len(rows.groups)

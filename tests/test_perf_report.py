@@ -22,7 +22,7 @@ from repro.perf.calibrate import PAPER_TARGETS, _predict
 from repro.perf.memory import cmat_bytes_per_rank, member_decomp, state_bytes_per_rank
 from repro.campaign import CampaignPacker
 from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
-from repro.collision.cmat import cmat_block_bytes
+from repro.collision.cmat import CmatPropagator, cmat_block_bytes
 from repro.plan import feasible_geometries
 from repro.grid import Decomposition
 from repro.vmpi import VirtualWorld
@@ -63,6 +63,25 @@ class TestFigure2Harness:
         assert "str_comm" in text
         assert "speedup" in text
         assert "paper" in text
+
+    def test_each_block_of_the_one_signature_is_inverted_once(self, monkeypatch):
+        """The baseline and the ensemble share one cmat signature: the
+        ensemble finds the store the baseline filled (at the parent it
+        was released with the baseline and filled again)."""
+        filled = []
+        fill = CmatPropagator._fill
+
+        def counting(self, keys, ns):
+            before = int(self._store.filled.sum())
+            fill(self, keys, ns)
+            filled.append((int(self._store.filled.sum()) - before, self._store.filled.size))
+
+        monkeypatch.setattr(CmatPropagator, "_fill", counting)
+        # a collisionality no other test runs: no store of it is alive
+        inputs = [inp.with_updates(nu=0.0321) for inp in sweep(2)]
+        figure2_comparison(inputs, generic_cluster(n_nodes=2, ranks_per_node=4), measure_steps=1)
+        (blocks,) = {size for _, size in filled}
+        assert sum(n for n, _ in filled) == blocks
 
     def test_input_validation(self):
         machine = generic_cluster()

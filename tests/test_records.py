@@ -531,6 +531,60 @@ class TestCliRefusesGarbage:
             named = f"{path}:{len(text.splitlines()) + 1}: {named}"
         assert named in err
 
+    @staticmethod
+    def _corrupt_nan_counter(snap):
+        snap["counters"][0]["value"] = float("nan")
+
+    @staticmethod
+    def _corrupt_inf_counter(snap):
+        snap["counters"][0]["value"] = float("inf")
+
+    @staticmethod
+    def _corrupt_negative_bucket(snap):
+        snap["histograms"][0]["counts"][0] = -5
+
+    @staticmethod
+    def _corrupt_counts_past_count(snap):
+        histogram = snap["histograms"][0]
+        histogram["counts"] = [0] * len(histogram["counts"])
+        histogram["counts"][3], histogram["count"] = 1, 0
+
+    @staticmethod
+    def _corrupt_infinite_sum(snap):
+        snap["histograms"][0]["sum"] = float("inf")
+
+    @pytest.mark.parametrize(
+        "corrupt,named",
+        [
+            ("_corrupt_nan_counter", "counter increment must be finite and >= 0, got nan"),
+            ("_corrupt_inf_counter", "counter increment must be finite and >= 0, got inf"),
+            ("_corrupt_negative_bucket", "not a histogram: counts [-5, 0, 1"),
+            ("_corrupt_counts_past_count", "of 0 observation(s)"),
+            ("_corrupt_infinite_sum", "summing to inf"),
+        ],
+        ids=["nan-counter", "inf-counter", "negative-bucket", "counts-past-count",
+             "infinite-sum"],
+    )
+    def test_metrics_refuses_a_corrupt_snapshot(self, corrupt, named, tmp_path, capsys):
+        """A snapshot whose counter is not finite, or whose histogram
+        counts or sum no histogram could hold, is one ``error:`` line
+        naming the file; never a quantile read off it (at the parent a
+        bucket count of -5 read ``q=0.5: 600``)."""
+        reg = MetricsRegistry()
+        reg.counter("vmpi_collectives_total", kind="allreduce").inc(2)
+        reg.histogram("vmpi_collective_cost_seconds", kind="allreduce").observe_each([5e-5, 0.2])
+        snap = reg.to_dict()
+        getattr(self, corrupt)(snap)
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(snap))
+        code = repro_main(
+            ["metrics", "--load", str(path), "--quantile", "vmpi_collective_cost_seconds:0.5"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2, out
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert named in err and "q=0.5" not in out
+
 
 # ----------------------------------------------------------------------
 # the codec itself
