@@ -1,6 +1,7 @@
 """repro: reproduction of the XGYRO shared-cmat ensemble paper (ICPP 2025).
 
-Top-level re-exports cover the entry points a downstream user needs:
+The packages, each name imported from the module that defines it
+(``import repro`` loads only the version):
 
 - machine + virtual MPI substrate (``repro.machine``, ``repro.vmpi``),
 - phase-space grid and decomposition (``repro.grid``),
@@ -15,46 +16,3 @@ See README.md for a quickstart and DESIGN.md for the architecture.
 """
 
 from repro._version import __version__
-from repro.cgyro import (
-    CgyroInput,
-    CgyroSimulation,
-    LinearSolver,
-    SerialReference,
-    TimeHistory,
-    linear_benchmark,
-    nl03c_scaled,
-    small_test,
-)
-from repro.machine import MachineModel, frontier_like, generic_cluster, single_node
-from repro.perf import figure2_comparison, render_figure2
-from repro.vmpi import Communicator, VirtualWorld
-from repro.xgyro import (
-    SequentialCgyroBaseline,
-    XgyroEnsemble,
-    XgyroStudy,
-    validate_shareable,
-)
-
-__all__ = [
-    "__version__",
-    "CgyroInput",
-    "CgyroSimulation",
-    "SerialReference",
-    "LinearSolver",
-    "TimeHistory",
-    "small_test",
-    "linear_benchmark",
-    "nl03c_scaled",
-    "MachineModel",
-    "frontier_like",
-    "generic_cluster",
-    "single_node",
-    "VirtualWorld",
-    "Communicator",
-    "XgyroEnsemble",
-    "XgyroStudy",
-    "SequentialCgyroBaseline",
-    "validate_shareable",
-    "figure2_comparison",
-    "render_figure2",
-]

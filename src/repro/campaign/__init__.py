@@ -33,31 +33,8 @@ arbitrary request stream and packing them onto the machine:
   :func:`~repro.perf.report.render_campaign_report`).
 """
 
-from repro.campaign.batcher import CandidateBatch, SignatureBatcher
-from repro.campaign.cache import CacheEntry, CmatCache
-from repro.campaign.packer import CampaignPacker, JobShape, PackedJob
-from repro.campaign.report import (
-    AbandonedRecord,
-    CampaignReport,
-    JobRecord,
-    RequestRecord,
-)
+from repro.campaign.batcher import SignatureBatcher
+from repro.campaign.cache import CmatCache
+from repro.campaign.packer import CampaignPacker
 from repro.campaign.request import RequestQueue, SimRequest
 from repro.campaign.runner import CampaignRunner
-
-__all__ = [
-    "AbandonedRecord",
-    "CacheEntry",
-    "CampaignPacker",
-    "CampaignReport",
-    "CampaignRunner",
-    "CandidateBatch",
-    "CmatCache",
-    "JobRecord",
-    "JobShape",
-    "PackedJob",
-    "RequestQueue",
-    "RequestRecord",
-    "SignatureBatcher",
-    "SimRequest",
-]

@@ -527,6 +527,25 @@ class CampaignRunner:
             nc_counts=nc_counts,
             overlap=overlap,
         )
+
+        def job_record(steps, elapsed_s, cmat_build_s, n_recoveries, lost) -> JobRecord:
+            return JobRecord(
+                job_id=job.job_id,
+                round=round_idx,
+                wave=job.wave,
+                signature_key=job.signature_key,
+                k=job.k,
+                n_nodes=job.n_nodes,
+                nodes=job.nodes,
+                steps=steps,
+                start_s=start_s,
+                elapsed_s=elapsed_s,
+                cache_hit=hit is not None,
+                cmat_build_s=cmat_build_s,
+                n_recoveries=n_recoveries,
+                lost_request_ids=tuple(r.request_id for r in lost),
+            )
+
         try:
             result = runner.run_steps(steps)
         except RecoveryFailed as abort:
@@ -543,22 +562,8 @@ class CampaignRunner:
                     f"{job.job_id}: aborted ({abort.reason})",
                 )
             self._finish_job_telemetry(job, world)
-            elapsed = world.elapsed()
-            record = JobRecord(
-                job_id=job.job_id,
-                round=round_idx,
-                wave=job.wave,
-                signature_key=job.signature_key,
-                k=job.k,
-                n_nodes=job.n_nodes,
-                nodes=job.nodes,
-                steps=runner.ensemble.step_count,
-                start_s=start_s,
-                elapsed_s=elapsed,
-                cache_hit=hit is not None,
-                cmat_build_s=0.0,
-                n_recoveries=len(runner.ledger),
-                lost_request_ids=tuple(r.request_id for r in job.requests),
+            record = job_record(
+                runner.ensemble.step_count, world.elapsed(), 0.0, len(runner.ledger), job.requests
             )
             return record, [], list(job.requests)
         self._record_health(job, runner, world, start_s)
@@ -594,20 +599,7 @@ class CampaignRunner:
                     attempts=req.attempt + 1,
                 )
             )
-        record = JobRecord(
-            job_id=job.job_id,
-            round=round_idx,
-            wave=job.wave,
-            signature_key=job.signature_key,
-            k=job.k,
-            n_nodes=job.n_nodes,
-            nodes=job.nodes,
-            steps=result.steps,
-            start_s=start_s,
-            elapsed_s=result.elapsed_s,
-            cache_hit=hit is not None,
-            cmat_build_s=build_s,
-            n_recoveries=result.n_recoveries,
-            lost_request_ids=tuple(r.request_id for r in lost_requests),
+        record = job_record(
+            result.steps, result.elapsed_s, build_s, result.n_recoveries, lost_requests
         )
         return record, completed, lost_requests

@@ -16,47 +16,8 @@ Entry points:
   XGYRO swaps out).
 """
 
-from repro.cgyro.collision_scheme import CollisionScheme, PrivateCollisionScheme
-from repro.cgyro.history import TimeHistory
-from repro.cgyro.io import parse_input_file, write_input_file, write_timing_csv
-from repro.cgyro.linear import LinearSolver, ModeResult
-from repro.cgyro.moments import FluidMoments, MomentCalculator
-from repro.cgyro.params import CgyroInput
+from repro.cgyro.moments import MomentCalculator
 from repro.cgyro.presets import linear_benchmark, nl03c_scaled, small_test
-from repro.cgyro.reference import SerialReference, initial_condition
-from repro.cgyro.restart import load_checkpoint, save_checkpoint
+from repro.cgyro.reference import SerialReference
 from repro.cgyro.solver import CgyroSimulation
-from repro.cgyro.timing import (
-    CATEGORY_ORDER,
-    COMM_CATEGORIES,
-    ReportRow,
-    render_report,
-    sum_rows,
-)
-
-__all__ = [
-    "CgyroInput",
-    "CgyroSimulation",
-    "SerialReference",
-    "initial_condition",
-    "CollisionScheme",
-    "PrivateCollisionScheme",
-    "small_test",
-    "linear_benchmark",
-    "nl03c_scaled",
-    "ReportRow",
-    "CATEGORY_ORDER",
-    "COMM_CATEGORIES",
-    "render_report",
-    "sum_rows",
-    "LinearSolver",
-    "ModeResult",
-    "FluidMoments",
-    "MomentCalculator",
-    "TimeHistory",
-    "save_checkpoint",
-    "load_checkpoint",
-    "parse_input_file",
-    "write_input_file",
-    "write_timing_csv",
-]
+from repro.cgyro.timing import render_report

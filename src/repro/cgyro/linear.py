@@ -26,8 +26,10 @@ from repro.errors import InputError
 from repro.cgyro.fields import FieldSolver
 from repro.cgyro.params import CgyroInput
 from repro.cgyro.streaming import StreamingOperator
-from repro.collision import CmatPropagator, CollisionOperator, apply_propagator
-from repro.grid import ConfigGrid, VelocityGrid
+from repro.collision.cmat import CmatPropagator, apply_propagator
+from repro.collision.operator import CollisionOperator
+from repro.grid.config_space import ConfigGrid
+from repro.grid.velocity import VelocityGrid
 
 if TYPE_CHECKING:  # pragma: no cover - imported where it is called
     from scipy.sparse.linalg import LinearOperator

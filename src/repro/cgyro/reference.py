@@ -23,8 +23,10 @@ from repro.cgyro.fields import FieldSolver
 from repro.cgyro.nonlinear import toroidal_bracket
 from repro.cgyro.params import CgyroInput
 from repro.cgyro.streaming import StreamingOperator
-from repro.collision import CmatPropagator, CollisionOperator, apply_propagator
-from repro.grid import ConfigGrid, VelocityGrid
+from repro.collision.cmat import CmatPropagator, apply_propagator
+from repro.collision.operator import CollisionOperator
+from repro.grid.config_space import ConfigGrid
+from repro.grid.velocity import VelocityGrid
 
 
 def initial_condition(inp: CgyroInput) -> np.ndarray:

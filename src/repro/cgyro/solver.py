@@ -15,7 +15,7 @@ Figure 1:
   partial-transform aggregation — CGYRO's ``field``/``upwind``
   reductions).  In SPMD source that is one statement in a moment loop,
   per chunk; the lockstep driver issues a whole blocking solve as one
-  :func:`~repro.vmpi.allreduce_rounds` over the rank-stacked partial
+  :func:`~repro.vmpi.communicator.allreduce_rounds` over the rank-stacked partial
   moments of every chunk, which the world books chunk by chunk as the
   chunk's moment compute and then ``n_mom x P2`` AllReduces (the host
   forms the moments of every chunk of an i1 column in one call,
@@ -57,15 +57,14 @@ from repro.cgyro.params import CgyroInput
 from repro.cgyro.reference import initial_condition
 from repro.cgyro.streaming import StreamingOperator
 from repro.cgyro.timing import ReportRow, delta, snapshot
-from repro.collision import CollisionOperator
-from repro.grid import (
-    ConfigGrid,
-    Decomposition,
-    VelocityGrid,
-    transpose_nl_to_str,
-    transpose_str_to_nl,
-)
-from repro.vmpi import Communicator, RankStacked, VirtualWorld, allreduce_rounds
+from repro.collision.operator import CollisionOperator
+from repro.grid.config_space import ConfigGrid
+from repro.grid.decomp import Decomposition
+from repro.grid.transpose import transpose_nl_to_str, transpose_str_to_nl
+from repro.grid.velocity import VelocityGrid
+from repro.vmpi.communicator import Communicator, allreduce_rounds
+from repro.vmpi.datatypes import RankStacked
+from repro.vmpi.world import VirtualWorld
 
 #: Valid compute/comm overlap modes.  ``off`` is bit-identical to the
 #: historical blocking schedule; ``str`` pipelines the field-solve

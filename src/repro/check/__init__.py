@@ -39,60 +39,14 @@ This package is the verification layer for both:
   control-plane fault schedules (crash, rack loss, provision stall,
   kitchen-sink) run end-to-end through the online service, with the
   global invariants — request conservation, unique disposition,
-  ledger balance, WAL-replay fidelity, checker-clean waves, bounded
-  SLO degradation, exactly-once crash recovery — asserted as
+  ledger balance, WAL-replay fidelity, checker-clean waves,
+  exactly-once crash recovery — asserted as
   :class:`~repro.errors.InvariantViolation` on breach.
 - :mod:`repro.check.tracelint` — static lint and deterministic replay
   of recorded :class:`~repro.vmpi.tracer.CollectiveEvent` traces,
   including the Figure-1/Figure-3 structural checks.
 """
 
-from repro.check.checker import KNOWN_KINDS, CollectiveChecker, CollectivePost
-from repro.check.invariants import (
-    ChaosReport,
-    ChaosScenario,
-    InvariantCheck,
-    builtin_scenarios,
-    render_chaos_report,
-    run_scenario,
-)
-from repro.check.oracle import (
-    MODE_TOLERANCES,
-    EquivalenceReport,
-    FieldDelta,
-    MemberCheck,
-    differential_oracle,
-    resilient_differential_oracle,
-)
-from repro.check.tracelint import (
-    TraceLintReport,
-    TraceProblem,
-    lint_trace,
-    replay_trace,
-    verify_figure1,
-    verify_figure3,
-)
-
-__all__ = [
-    "CollectiveChecker",
-    "CollectivePost",
-    "KNOWN_KINDS",
-    "MODE_TOLERANCES",
-    "ChaosReport",
-    "ChaosScenario",
-    "InvariantCheck",
-    "builtin_scenarios",
-    "render_chaos_report",
-    "run_scenario",
-    "EquivalenceReport",
-    "FieldDelta",
-    "MemberCheck",
-    "differential_oracle",
-    "resilient_differential_oracle",
-    "TraceLintReport",
-    "TraceProblem",
-    "lint_trace",
-    "replay_trace",
-    "verify_figure1",
-    "verify_figure3",
-]
+from repro.check.checker import CollectiveChecker
+from repro.check.invariants import builtin_scenarios, run_scenario
+from repro.check.oracle import differential_oracle

@@ -41,12 +41,12 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.cgyro import CgyroSimulation, render_report
-from repro.cgyro.solver import OVERLAP_MODES
+from repro.cgyro.solver import OVERLAP_MODES, CgyroSimulation
+from repro.cgyro.timing import render_report
 from repro.cgyro.io import parse_input_file, write_timing_csv
 from repro.cgyro.linear import LinearSolver
 from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
-from repro.machine import (
+from repro.machine.presets import (
     degraded_fabric_cluster,
     frontier_like,
     generic_cluster,
@@ -56,16 +56,12 @@ from repro.machine import (
     tiered_gpu_cluster,
 )
 from repro.machine.model import MachineModel
-from repro.perf import (
-    cmat_dominance_ratio,
-    figure2_comparison,
-    min_nodes_required,
-    render_figure2,
-)
+from repro.perf.memory import cmat_dominance_ratio, min_nodes_required
+from repro.perf.report import figure2_comparison, render_figure2
 from repro.perf.calibrate import PAPER_TARGETS
 from repro.records import read_json, write_json
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 from repro.xgyro.input import parse_ensemble
 
 
@@ -156,8 +152,9 @@ def cmd_run_cgyro(args: argparse.Namespace) -> int:
 
 def _run_xgyro_faulted(args: argparse.Namespace, inputs, machine) -> int:
     """run-xgyro under a fault plan: resilient runner + recovery report."""
-    from repro.perf import render_recovery_report
-    from repro.resilience import FaultPlan, ResilientXgyroRunner
+    from repro.perf.report import render_recovery_report
+    from repro.resilience.faults import FaultPlan
+    from repro.resilience.runner import ResilientXgyroRunner
 
     plan = FaultPlan.from_file(args.faults)
     world = VirtualWorld(machine, enforce_memory=args.enforce_memory)
@@ -255,7 +252,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_plan_autotune(args: argparse.Namespace) -> int:
     """The autotuner: search, report, optionally validate and save."""
-    from repro.plan import (
+    from repro.plan.planner import (
         Planner,
         render_plan_report,
         run_choice,
@@ -337,14 +334,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.campaign import (
-        CampaignPacker,
-        CampaignRunner,
-        RequestQueue,
-        SignatureBatcher,
-    )
-    from repro.perf import render_campaign_report
-    from repro.resilience import FaultPlan, NodeHealthTracker, RetryPolicy
+    from repro.campaign.batcher import SignatureBatcher
+    from repro.campaign.packer import CampaignPacker
+    from repro.campaign.request import RequestQueue
+    from repro.campaign.runner import CampaignRunner
+    from repro.perf.report import render_campaign_report
+    from repro.resilience.faults import FaultPlan
+    from repro.resilience.health import NodeHealthTracker, RetryPolicy
 
     machine = _machine_from_args(args)
     queue = RequestQueue.from_json(args.requests)
@@ -365,7 +361,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     node_faults = _keyed_plans(args.flaky_node, "--flaky-node", "NODE")
     tuned_plan = None
     if getattr(args, "plan", None):
-        from repro.plan import load_plan
+        from repro.plan.artifact import load_plan
 
         tuned_plan = load_plan(args.plan)
     if args.fifo:
@@ -440,7 +436,7 @@ def _serve_workload(name: str):
 
 def _serve_tenants(specs):
     """Parse repeated ``--tenant NAME:WEIGHT:SLO_S`` flags."""
-    from repro.service import DEFAULT_TENANTS, TenantSpec
+    from repro.service.traffic import DEFAULT_TENANTS, TenantSpec
 
     if not specs:
         return DEFAULT_TENANTS
@@ -459,14 +455,10 @@ def _serve_tenants(specs):
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import Telemetry
-    from repro.service import (
-        BurstyTraffic,
-        DiurnalTraffic,
-        OnlineService,
-        PoissonTraffic,
-        WindowPolicy,
-        render_service_report,
-    )
+    from repro.service.loop import OnlineService
+    from repro.service.report import render_service_report
+    from repro.service.traffic import BurstyTraffic, DiurnalTraffic, PoissonTraffic
+    from repro.service.window import WindowPolicy
 
     if args.smoke:
         # fixed, fast configuration for the CI lane: a couple of
@@ -559,8 +551,8 @@ def _checked_demo_trace(figure: str, overlap: str = "off"):
     them protocol-clean under the same checker.
     """
     from repro.cgyro.presets import small_test
-    from repro.check import CollectiveChecker
-    from repro.machine import generic_cluster
+    from repro.check.checker import CollectiveChecker
+    from repro.machine.presets import generic_cluster
 
     checker = CollectiveChecker()
     if figure == "figure1":
@@ -588,7 +580,12 @@ def _checked_demo_trace(figure: str, overlap: str = "off"):
 
 
 def cmd_check_trace(args: argparse.Namespace) -> int:
-    from repro.check import lint_trace, replay_trace, verify_figure1, verify_figure3
+    from repro.check.tracelint import (
+        lint_trace,
+        replay_trace,
+        verify_figure1,
+        verify_figure3,
+    )
     from repro.vmpi.export import export_trace_json, load_trace_json
 
     jobs = []  # (source name, events, figure check or None)
@@ -631,7 +628,7 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from repro.check import differential_oracle
+    from repro.check.oracle import differential_oracle
 
     inputs = parse_ensemble(args.input)
     machine = _machine_from_args(args)
@@ -660,7 +657,7 @@ def _traced_run(args: argparse.Namespace):
     k=4 demo that runs in seconds.
     """
     from repro.cgyro.presets import small_test
-    from repro.machine import generic_cluster
+    from repro.machine.presets import generic_cluster
     from repro.obs import Telemetry
 
     tele = Telemetry()
@@ -689,11 +686,8 @@ def _traced_run(args: argparse.Namespace):
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        export_spans_chrome,
-        export_spans_jsonl,
-        render_telemetry_report,
-    )
+    from repro.obs.critical import render_telemetry_report
+    from repro.obs.export import export_spans_chrome, export_spans_jsonl
 
     tele, _world, _ensemble = _traced_run(args)
     spans = tele.tracer.spans
@@ -725,7 +719,7 @@ def _parse_quantile_spec(spec: str) -> Tuple[str, float]:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     if args.load:
-        from repro.obs import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry.from_dict(
             read_json(args.load, error=ReproError), what=args.load
@@ -737,7 +731,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         write_json(args.json, registry.to_dict(), indent=1)
         print(f"metrics snapshot written to {args.json}")
     for spec in args.quantile or []:
-        from repro.obs import Histogram
+        from repro.obs.metrics import Histogram
 
         name, q = _parse_quantile_spec(spec)
         series = registry.histograms_named(name)
@@ -758,7 +752,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_perf_gate(args: argparse.Namespace) -> int:
-    from repro.obs import run_gate
+    from repro.obs.gate import run_gate
 
     result = run_gate(args.current, args.baseline)
     print(result.render())
@@ -768,7 +762,7 @@ def cmd_perf_gate(args: argparse.Namespace) -> int:
 def _chaos_scenarios(args: argparse.Namespace):
     """The built-in chaos scenarios ``--scenario`` names (all of them
     when it names none), in built-in order."""
-    from repro.check import builtin_scenarios
+    from repro.check.invariants import builtin_scenarios
 
     scenarios = builtin_scenarios(smoke=args.smoke)
     if args.scenario:
@@ -785,7 +779,7 @@ def _chaos_scenarios(args: argparse.Namespace):
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.check import render_chaos_report, run_scenario
+    from repro.check.invariants import render_chaos_report, run_scenario
     from repro.obs import Telemetry
 
     scenarios = _chaos_scenarios(args)
@@ -810,9 +804,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.obs import (
+    from repro.obs import Telemetry
+    from repro.obs.monitor import (
         ServiceMonitor,
-        Telemetry,
         default_rulebook,
         export_rollups_jsonl,
         load_rulebook,

@@ -21,21 +21,5 @@ the tensor's values; ensembles whose members share a signature can share
 one distributed copy (the XGYRO optimisation).
 """
 
-from repro.collision.cmat import CmatPropagator, apply_propagator, cmat_total_bytes
-from repro.collision.energy_diff import energy_diffusion_matrix
-from repro.collision.lorentz import lorentz_matrix
+from repro.collision.cmat import CmatPropagator, apply_propagator
 from repro.collision.operator import CollisionOperator
-from repro.collision.params import CollisionParams, SpeciesParams
-from repro.collision.signature import CmatSignature
-
-__all__ = [
-    "SpeciesParams",
-    "CollisionParams",
-    "lorentz_matrix",
-    "energy_diffusion_matrix",
-    "CollisionOperator",
-    "CmatPropagator",
-    "apply_propagator",
-    "cmat_total_bytes",
-    "CmatSignature",
-]

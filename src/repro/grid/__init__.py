@@ -17,26 +17,4 @@ field between the three phase layouts (Figure 1 of the paper).
 from repro.grid.config_space import ConfigGrid
 from repro.grid.decomp import Decomposition
 from repro.grid.dims import GridDims
-from repro.grid.layouts import Layout, block_shape, gather_global, scatter_global
-from repro.grid.transpose import (
-    transpose_coll_to_str,
-    transpose_nl_to_str,
-    transpose_str_to_coll,
-    transpose_str_to_nl,
-)
 from repro.grid.velocity import VelocityGrid
-
-__all__ = [
-    "GridDims",
-    "VelocityGrid",
-    "ConfigGrid",
-    "Decomposition",
-    "Layout",
-    "block_shape",
-    "scatter_global",
-    "gather_global",
-    "transpose_str_to_coll",
-    "transpose_coll_to_str",
-    "transpose_str_to_nl",
-    "transpose_nl_to_str",
-]

@@ -14,37 +14,12 @@ section 2) with a parametric model:
   Figure 2 benchmark.
 """
 
-from repro.machine.model import LinkParams, MachineModel
-from repro.machine.memory import MemoryLedger
-from repro.machine.placement import (
-    BlockPlacement,
-    Placement,
-    RoundRobinPlacement,
-)
+from repro.machine.placement import Placement, RoundRobinPlacement
 from repro.machine.presets import (
     degraded_fabric_cluster,
     frontier_like,
     generic_cluster,
     mixed_generation_cluster,
-    single_node,
-    throttled_frontier,
     tiered_gpu_cluster,
 )
 from repro.machine.topology import DragonflyTopology
-
-__all__ = [
-    "LinkParams",
-    "MachineModel",
-    "MemoryLedger",
-    "Placement",
-    "BlockPlacement",
-    "RoundRobinPlacement",
-    "frontier_like",
-    "generic_cluster",
-    "single_node",
-    "throttled_frontier",
-    "mixed_generation_cluster",
-    "degraded_fabric_cluster",
-    "tiered_gpu_cluster",
-    "DragonflyTopology",
-]

@@ -23,47 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.critical import (
-    CriticalPath,
-    CriticalSegment,
-    extract_critical_path,
-    render_telemetry_report,
-)
-from repro.obs.export import (
-    export_spans_chrome,
-    export_spans_jsonl,
-    load_spans_jsonl,
-)
-from repro.obs.gate import (
-    GateFinding,
-    GateResult,
-    compare_bench_records,
-    load_bench_records,
-    run_gate,
-    write_bench_records,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramSnapshot,
-    MetricsRegistry,
-)
-from repro.obs.monitor import (
-    AlertEngine,
-    AlertEvent,
-    AlertRule,
-    IncidentReport,
-    ServiceMonitor,
-    WindowRollup,
-    default_rulebook,
-    dump_rulebook,
-    export_rollups_jsonl,
-    load_rollups_jsonl,
-    load_rulebook,
-    render_monitor_report,
-)
-from repro.obs.span import LEAF_KINDS, Span, SpanTracer
+from repro.obs.critical import extract_critical_path
+from repro.obs.export import load_spans_jsonl
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.monitor import ServiceMonitor, load_rollups_jsonl, load_rulebook
+from repro.obs.span import SpanTracer
 
 
 @dataclass
@@ -76,41 +40,3 @@ class Telemetry:
     def install(self, world) -> None:
         """Install both halves on a virtual world."""
         world.install_telemetry(tracer=self.tracer, metrics=self.metrics)
-
-
-__all__ = [
-    "Telemetry",
-    "Span",
-    "SpanTracer",
-    "LEAF_KINDS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HistogramSnapshot",
-    "MetricsRegistry",
-    "AlertEngine",
-    "AlertEvent",
-    "AlertRule",
-    "IncidentReport",
-    "ServiceMonitor",
-    "WindowRollup",
-    "default_rulebook",
-    "dump_rulebook",
-    "export_rollups_jsonl",
-    "load_rollups_jsonl",
-    "load_rulebook",
-    "render_monitor_report",
-    "CriticalPath",
-    "CriticalSegment",
-    "extract_critical_path",
-    "render_telemetry_report",
-    "export_spans_chrome",
-    "export_spans_jsonl",
-    "load_spans_jsonl",
-    "GateFinding",
-    "GateResult",
-    "compare_bench_records",
-    "load_bench_records",
-    "run_gate",
-    "write_bench_records",
-]

@@ -16,43 +16,8 @@ about the design quantitatively:
   counts, cmat dominance ratios).
 """
 
-from repro.perf.analytic import (
-    AnalyticBreakdown,
-    predict_cgyro_interval,
-    predict_xgyro_interval,
-)
-from repro.perf.calibrate import CalibrationResult, calibrate_machine
-from repro.perf.comm_matrix import (
-    LocalityReport,
-    communication_matrix,
-    locality_report,
-)
+from repro.perf.analytic import predict_cgyro_interval, predict_xgyro_interval
+from repro.perf.comm_matrix import communication_matrix, locality_report
 from repro.perf.figures import render_figure1, render_figure3
 from repro.perf.memory import cmat_dominance_ratio, min_nodes_required
-from repro.perf.report import (
-    Figure2Result,
-    figure2_comparison,
-    render_campaign_report,
-    render_figure2,
-    render_recovery_report,
-)
-
-__all__ = [
-    "AnalyticBreakdown",
-    "predict_cgyro_interval",
-    "predict_xgyro_interval",
-    "Figure2Result",
-    "figure2_comparison",
-    "render_campaign_report",
-    "render_figure2",
-    "render_recovery_report",
-    "render_figure1",
-    "render_figure3",
-    "CalibrationResult",
-    "calibrate_machine",
-    "min_nodes_required",
-    "cmat_dominance_ratio",
-    "communication_matrix",
-    "locality_report",
-    "LocalityReport",
-]
+from repro.perf.report import figure2_comparison, render_figure2

@@ -256,13 +256,14 @@ def render_campaign_report(report) -> str:
     return "\n".join(lines)
 
 
-def render_recovery_report(result, ledger=None) -> str:
+def render_recovery_report(result, ledger) -> str:
     """Text rendering of a resilient run's cost accounting.
 
     ``result`` is a :class:`~repro.resilience.runner.RunResult`;
     ``ledger`` the matching
     :class:`~repro.resilience.ledger.RecoveryLedger` (adds the
-    per-event table when given).  All quantities are simulated seconds.
+    per-event table when it holds events).  All quantities are
+    simulated seconds.
     """
     lines = [
         f"resilient run — {result.steps} steps, "
@@ -270,8 +271,7 @@ def render_recovery_report(result, ledger=None) -> str:
         f"{result.n_recoveries} recoveries",
         f"{'elapsed':<22s} {result.elapsed_s:>12.3f} s",
     ]
-    gray = getattr(result, "gray_overhead_s", 0.0)
-    if result.n_recoveries == 0 and gray == 0.0:
+    if result.n_recoveries == 0 and result.gray_overhead_s == 0.0:
         lines.append("no failures detected; recovery overhead 0.000 s")
         return "\n".join(lines)
     if result.n_recoveries:
@@ -283,22 +283,17 @@ def render_recovery_report(result, ledger=None) -> str:
             f"{'cmat re-assembly':<22s} {result.reassembly_s:>12.3f} s",
             f"{'recovery overhead':<22s} {overhead:>12.3f} s  ({share:.1%} of elapsed)",
         ]
-    if getattr(result, "n_sdc_repairs", 0):
+    if result.n_sdc_repairs:
         lines.append(
             f"{'SDC repairs':<22s} {result.n_sdc_repairs:>12d}  "
             f"({result.sdc_s:.3f} s scan+repair+replay)"
         )
-    if getattr(result, "n_migrations", 0):
+    if result.n_migrations:
         lines.append(
             f"{'straggler migrations':<22s} {result.n_migrations:>12d}  "
             f"({result.migration_s:.3f} s state transfer)"
         )
-    has_events = ledger is not None and (
-        len(ledger)
-        or getattr(ledger, "sdc_events", ())
-        or getattr(ledger, "migrations", ())
-    )
-    if has_events:
+    if len(ledger) or ledger.sdc_events or ledger.migrations:
         lines.append("per-event:")
         lines.extend("  " + ln for ln in ledger.render().splitlines())
     return "\n".join(lines)

@@ -22,43 +22,5 @@ artifact), :func:`predict_plan_interval` (the heterogeneity-aware
 predictor).
 """
 
-from repro.plan.anneal import AnnealResult, anneal
-from repro.plan.artifact import PLAN_FORMAT, Plan, PlanChoice, load_plan
-from repro.plan.planner import (
-    Planner,
-    PlanValidation,
-    member_inputs,
-    oracle_plan,
-    render_plan_report,
-    run_choice,
-    validate_plan,
-)
-from repro.plan.predict import PlanPrediction, predict_plan_interval
-from repro.plan.space import (
-    ALGORITHM_PAIRS,
-    enumerate_candidates,
-    feasible_geometries,
-    node_subsets,
-)
-
-__all__ = [
-    "Plan",
-    "PlanChoice",
-    "PlanValidation",
-    "PlanPrediction",
-    "Planner",
-    "PLAN_FORMAT",
-    "ALGORITHM_PAIRS",
-    "anneal",
-    "AnnealResult",
-    "enumerate_candidates",
-    "feasible_geometries",
-    "node_subsets",
-    "load_plan",
-    "member_inputs",
-    "oracle_plan",
-    "predict_plan_interval",
-    "render_plan_report",
-    "run_choice",
-    "validate_plan",
-]
+from repro.plan.artifact import load_plan
+from repro.plan.planner import Planner, run_choice, validate_plan

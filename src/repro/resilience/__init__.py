@@ -32,44 +32,7 @@ The subsystem is deliberately layered like a real FT-MPI stack:
   boundary SDC checksum scan and speculative straggler migration.
 """
 
-from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import FaultPlan, FaultSpec
-from repro.resilience.health import (
-    HealthIncident,
-    NodeHealthTracker,
-    RetryPolicy,
-    StragglerDetector,
-    robust_cutoff,
-)
+from repro.resilience.health import NodeHealthTracker, RetryPolicy
 from repro.resilience.injector import FaultInjector
-from repro.resilience.ledger import (
-    MigrationEvent,
-    RecoveryEvent,
-    RecoveryLedger,
-    SdcEvent,
-)
-from repro.resilience.recovery import shrink_and_recover
-from repro.resilience.runner import ResilientXgyroRunner, RunResult
-from repro.resilience.triage import RecoveryPolicy, TriageReport, classify
-
-__all__ = [
-    "CheckpointStore",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "HealthIncident",
-    "MigrationEvent",
-    "NodeHealthTracker",
-    "RecoveryEvent",
-    "RecoveryLedger",
-    "RecoveryPolicy",
-    "ResilientXgyroRunner",
-    "RetryPolicy",
-    "RunResult",
-    "SdcEvent",
-    "StragglerDetector",
-    "robust_cutoff",
-    "TriageReport",
-    "classify",
-    "shrink_and_recover",
-]
+from repro.resilience.runner import ResilientXgyroRunner

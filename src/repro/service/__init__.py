@@ -12,63 +12,7 @@ one deterministic simulated clock so every run is replayable.
 Entry point: :class:`OnlineService` (``repro serve`` on the CLI).
 """
 
-from repro.service.admission import (
-    UNATTRIBUTED,
-    AdmissionController,
-    FairSharePolicy,
-    RejectionRecord,
-)
-from repro.service.journal import (
-    EVENT_KINDS,
-    ReplayState,
-    ServiceJournal,
-    recover_service,
-)
-from repro.service.loop import RECOVERY_MODES, OnlineService
-from repro.service.pool import ElasticNodePool, PoolSample
-from repro.service.report import (
-    SERVICE_TTR_BUCKETS,
-    ServedRecord,
-    ServiceReport,
-    render_service_report,
-)
-from repro.service.traffic import (
-    DEFAULT_TENANTS,
-    BurstyTraffic,
-    DiurnalTraffic,
-    PoissonTraffic,
-    ReplayTraffic,
-    TenantSpec,
-    TrafficModel,
-    replay,
-)
-from repro.service.window import MovingWindow, WindowPolicy
-
-__all__ = [
-    "AdmissionController",
-    "BurstyTraffic",
-    "DEFAULT_TENANTS",
-    "DiurnalTraffic",
-    "EVENT_KINDS",
-    "ElasticNodePool",
-    "FairSharePolicy",
-    "MovingWindow",
-    "OnlineService",
-    "PoissonTraffic",
-    "PoolSample",
-    "RECOVERY_MODES",
-    "RejectionRecord",
-    "ReplayState",
-    "ReplayTraffic",
-    "SERVICE_TTR_BUCKETS",
-    "ServedRecord",
-    "ServiceJournal",
-    "ServiceReport",
-    "TenantSpec",
-    "TrafficModel",
-    "UNATTRIBUTED",
-    "WindowPolicy",
-    "recover_service",
-    "render_service_report",
-    "replay",
-]
+from repro.service.journal import ServiceJournal, recover_service
+from repro.service.loop import OnlineService
+from repro.service.traffic import BurstyTraffic, PoissonTraffic, TenantSpec, replay
+from repro.service.window import WindowPolicy

@@ -47,33 +47,6 @@ Public surface:
   model.
 """
 
-from repro.vmpi.algorithms import (
-    AllreduceAlgorithm,
-    AlltoallAlgorithm,
-    EffectiveLink,
-    allreduce_cost,
-    alltoall_cost,
-)
-from repro.vmpi.communicator import Communicator, Request, allreduce_rounds
-from repro.vmpi.cost import CommCostModel
-from repro.vmpi.datatypes import RankStacked, reduce_ranks
-from repro.vmpi.tracer import CollectiveEvent, TraceLog
-from repro.vmpi.world import PendingCollective, VirtualWorld
-
-__all__ = [
-    "VirtualWorld",
-    "Communicator",
-    "Request",
-    "PendingCollective",
-    "allreduce_rounds",
-    "RankStacked",
-    "reduce_ranks",
-    "AllreduceAlgorithm",
-    "AlltoallAlgorithm",
-    "EffectiveLink",
-    "CommCostModel",
-    "TraceLog",
-    "CollectiveEvent",
-    "allreduce_cost",
-    "alltoall_cost",
-]
+from repro.vmpi.algorithms import AllreduceAlgorithm
+from repro.vmpi.communicator import Communicator
+from repro.vmpi.world import VirtualWorld

@@ -26,30 +26,5 @@ shared distribution).
 """
 
 from repro.xgyro.baseline import SequentialCgyroBaseline
-from repro.xgyro.driver import EnsembleReport, XgyroEnsemble
-from repro.xgyro.input import parse_ensemble, write_ensemble
-from repro.xgyro.partition import (
-    ensemble_coll_ranks,
-    ensemble_nc_counts,
-    partition_ranks,
-    proportional_nc_counts,
-)
+from repro.xgyro.driver import XgyroEnsemble
 from repro.xgyro.shared_cmat import SharedCmatScheme
-from repro.xgyro.study import XgyroStudy
-from repro.xgyro.validate import group_by_signature, validate_shareable
-
-__all__ = [
-    "XgyroEnsemble",
-    "SequentialCgyroBaseline",
-    "SharedCmatScheme",
-    "XgyroStudy",
-    "EnsembleReport",
-    "validate_shareable",
-    "group_by_signature",
-    "partition_ranks",
-    "ensemble_coll_ranks",
-    "ensemble_nc_counts",
-    "proportional_nc_counts",
-    "parse_ensemble",
-    "write_ensemble",
-]

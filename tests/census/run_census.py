@@ -277,10 +277,10 @@ def _python(*argv: str) -> Command:
 #: The commands' input files, each written by its public writer.
 INPUTS = """\
 from pathlib import Path
-from repro.campaign import RequestQueue, SimRequest
+from repro.campaign.request import RequestQueue, SimRequest
 from repro.cgyro.io import write_input_file
 from repro.cgyro.presets import small_test
-from repro.resilience import FaultPlan, FaultSpec
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.xgyro.input import write_ensemble
 Path("case").mkdir()
 Path("nonlinear").mkdir()
@@ -329,8 +329,8 @@ spoil("infinite-sum.json", lambda c, h: h.update(sum=float("inf")))
 SPOILT = ("nan-counter", "inf-counter", "negative-bucket", "counts-past-count", "infinite-sum")
 
 GOLDEN_WAL = """\
-from repro.check import builtin_scenarios
-from repro.service import ServiceJournal
+from repro.check.invariants import builtin_scenarios
+from repro.service.journal import ServiceJournal
 scenario = builtin_scenarios(smoke=True)[-1]
 journal = ServiceJournal(snapshot_interval=scenario.snapshot_interval)
 scenario.build(journal=journal).run(scenario.horizon_s)

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.machine import frontier_like, generic_cluster, single_node
-from repro.vmpi import VirtualWorld
+from repro.machine.presets import frontier_like, generic_cluster, single_node
+from repro.vmpi.world import VirtualWorld
 
 
 @pytest.fixture

@@ -71,16 +71,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.check import CollectiveChecker, builtin_scenarios, differential_oracle
-from repro.cgyro import CgyroSimulation
+from repro.check.checker import CollectiveChecker
+from repro.check.invariants import builtin_scenarios
+from repro.check.oracle import differential_oracle
+from repro.cgyro.solver import CgyroSimulation
 from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled, small_test
 from repro.errors import JournalCrash
 from repro.machine.presets import frontier_like, generic_cluster
 from repro.obs import Telemetry
-from repro.resilience import FaultPlan, FaultSpec, ResilientXgyroRunner
-from repro.service import ServiceJournal, recover_service
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.runner import ResilientXgyroRunner
+from repro.service.journal import ServiceJournal, recover_service
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 HERE = Path(__file__).resolve().parent
 
@@ -402,8 +405,9 @@ def _artifact_members(n: int):
 def write_artifacts(out: Path) -> None:
     """Write one instance of every byte-stable artifact into ``out``,
     each through the writer a user would reach it by."""
-    from repro.campaign import RequestQueue, SimRequest
-    from repro.obs import default_rulebook, dump_rulebook, write_bench_records
+    from repro.campaign.request import RequestQueue, SimRequest
+    from repro.obs.gate import write_bench_records
+    from repro.obs.monitor import default_rulebook, dump_rulebook
 
     # telemetry of the built-in k = 4 demo: spans, Chrome, metrics
     _cli("trace", "--spans-out", out / "spans.jsonl",

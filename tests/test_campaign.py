@@ -8,21 +8,17 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import CampaignError, LedgerError
-from repro.campaign import (
-    CampaignPacker,
-    CampaignRunner,
-    CandidateBatch,
-    CmatCache,
-    RequestQueue,
-    SignatureBatcher,
-    SimRequest,
-)
+from repro.campaign.batcher import CandidateBatch, SignatureBatcher
+from repro.campaign.cache import CmatCache
+from repro.campaign.packer import CampaignPacker
+from repro.campaign.request import RequestQueue, SimRequest
+from repro.campaign.runner import CampaignRunner
 from repro.cgyro.presets import small_test
 from repro.collision.cmat import cmat_total_bytes
-from repro.machine import generic_cluster
+from repro.machine.presets import generic_cluster
 from repro.machine.model import KiB
-from repro.perf import render_campaign_report
-from repro.resilience import FaultPlan, FaultSpec
+from repro.perf.report import render_campaign_report
+from repro.resilience.faults import FaultPlan, FaultSpec
 
 
 @pytest.fixture
@@ -384,7 +380,7 @@ class TestCampaignReport:
         assert pct["p50"] <= pct["p90"] <= pct["p99"]
 
     def test_percentiles_of_empty_report_raise(self):
-        from repro.campaign import CampaignReport
+        from repro.campaign.report import CampaignReport
 
         empty = CampaignReport(
             machine_name="m", machine_n_nodes=1, makespan_s=0.0
@@ -475,7 +471,7 @@ class TestCampaignCli:
 
     def test_faults_flag(self, requests_file, tmp_path, capsys):
         from repro.cli import main
-        from repro.resilience import FaultPlan, FaultSpec
+        from repro.resilience.faults import FaultPlan, FaultSpec
 
         plan_file = tmp_path / "plan.json"
         FaultPlan(

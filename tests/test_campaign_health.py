@@ -4,22 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import (
-    CampaignPacker,
-    CampaignRunner,
-    CmatCache,
-    RequestQueue,
-    SimRequest,
-)
+from repro.campaign.cache import CmatCache
+from repro.campaign.packer import CampaignPacker
+from repro.campaign.request import RequestQueue, SimRequest
+from repro.campaign.runner import CampaignRunner
 from repro.cgyro.presets import small_test
 from repro.machine.presets import generic_cluster
-from repro.perf import render_campaign_report
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    NodeHealthTracker,
-    RetryPolicy,
-)
+from repro.perf.report import render_campaign_report
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.health import NodeHealthTracker, RetryPolicy
 
 FLAKY = FaultPlan(
     specs=(FaultSpec("rank_crash", at_step=2, rank=1),),

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import InputError
-from repro.cgyro import CgyroInput, linear_benchmark, nl03c_scaled, small_test
+from repro.cgyro.params import CgyroInput
+from repro.cgyro.presets import linear_benchmark, nl03c_scaled, small_test
 from repro.collision.cmat import cmat_total_bytes
 from repro.collision.params import SpeciesParams
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.errors import InputError
-from repro.cgyro import SerialReference, initial_condition, small_test
+from repro.cgyro.presets import small_test
+from repro.cgyro.reference import SerialReference, initial_condition
 from repro.cgyro.fields import FieldSolver, flr_table
 from repro.cgyro.nonlinear import padded_length, toroidal_bracket
 from repro.cgyro.streaming import StreamingOperator
-from repro.grid import ConfigGrid, VelocityGrid
+from repro.grid.config_space import ConfigGrid
+from repro.grid.velocity import VelocityGrid
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from repro.errors import InputError
-from repro.cgyro import CgyroSimulation, SerialReference, small_test
+from repro.cgyro.presets import small_test
+from repro.cgyro.reference import SerialReference
+from repro.cgyro.solver import CgyroSimulation
 from repro.cgyro.linear import LinearSolver
 from repro.cgyro.restart import load_checkpoint, save_checkpoint
-from repro.machine import single_node
-from repro.vmpi import VirtualWorld
+from repro.machine.presets import single_node
+from repro.vmpi.world import VirtualWorld
 
 
 class TestCheckpointRestart:

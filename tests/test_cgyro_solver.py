@@ -8,15 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cgyro import (
-    CgyroSimulation,
-    SerialReference,
-    initial_condition,
-    small_test,
-)
+from repro.cgyro.presets import small_test
+from repro.cgyro.reference import SerialReference, initial_condition
+from repro.cgyro.solver import CgyroSimulation
 from repro.errors import MemoryLimitExceeded
-from repro.machine import frontier_like, single_node
-from repro.vmpi import VirtualWorld
+from repro.machine.presets import frontier_like, single_node
+from repro.vmpi.world import VirtualWorld
 
 
 def make_world(n=8, **kw):

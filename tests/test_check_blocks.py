@@ -19,13 +19,14 @@ from typing import Callable, Dict
 import numpy as np
 import pytest
 
-from repro.check import CollectiveChecker, builtin_scenarios
+from repro.check.checker import CollectiveChecker, CollectivePost
+from repro.check.invariants import builtin_scenarios
 from repro.check import checker as checker_module
-from repro.check.checker import CollectivePost
 from repro.errors import ProtocolError
-from repro.machine import generic_cluster
+from repro.machine.presets import generic_cluster
 from repro.obs import Telemetry
-from repro.vmpi import Communicator, VirtualWorld, allreduce_rounds
+from repro.vmpi.communicator import Communicator, allreduce_rounds
+from repro.vmpi.world import VirtualWorld
 
 _MACHINE = generic_cluster(n_nodes=4, ranks_per_node=4)
 

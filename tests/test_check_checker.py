@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
-from repro.check import KNOWN_KINDS, CollectiveChecker
+from repro.check.checker import KNOWN_KINDS, CollectiveChecker
 from repro.cgyro.presets import small_test
 from repro.cgyro.solver import CgyroSimulation
 from repro.machine.presets import single_node

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check import (
-    CollectiveChecker,
-    lint_trace,
-    replay_trace,
-    resilient_differential_oracle,
-)
+from repro.check.checker import CollectiveChecker
+from repro.check.oracle import resilient_differential_oracle
+from repro.check.tracelint import lint_trace, replay_trace
 from repro.cgyro.presets import small_test
 from repro.machine.presets import generic_cluster
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -124,7 +121,7 @@ class TestOverlapFaultPath:
 
         from repro.errors import RankFailure
         from repro.resilience.injector import FaultInjector
-        from repro.vmpi import Communicator
+        from repro.vmpi.communicator import Communicator
 
         machine = generic_cluster(n_nodes=1, ranks_per_node=4)
         world = VirtualWorld(machine)

@@ -24,10 +24,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.check import CollectiveChecker
+from repro.check.checker import CollectiveChecker
 from repro.errors import ProtocolError
-from repro.machine import generic_cluster
-from repro.vmpi import Communicator, VirtualWorld
+from repro.machine.presets import generic_cluster
+from repro.vmpi.communicator import Communicator
+from repro.vmpi.world import VirtualWorld
 
 
 def _checked_world(n_nodes=2, ranks_per_node=4):

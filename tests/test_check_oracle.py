@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import MODE_TOLERANCES, EquivalenceReport, differential_oracle
+from repro.check.oracle import MODE_TOLERANCES, EquivalenceReport, differential_oracle
 from repro.cgyro.presets import small_test
 from repro.errors import InputError
 from repro.machine.presets import generic_cluster

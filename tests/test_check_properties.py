@@ -27,10 +27,11 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.check import CollectiveChecker
+from repro.check.checker import CollectiveChecker
 from repro.errors import ProtocolError
-from repro.machine import single_node
-from repro.vmpi import Communicator, VirtualWorld
+from repro.machine.presets import single_node
+from repro.vmpi.communicator import Communicator
+from repro.vmpi.world import VirtualWorld
 
 CHECKER_SOURCE = Path(__file__).resolve().parent.parent / "src/repro/check/checker.py"
 

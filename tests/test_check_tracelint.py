@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import (
-    CollectiveChecker,
+from repro.check.checker import CollectiveChecker
+from repro.check.tracelint import (
     lint_trace,
     replay_trace,
     verify_figure1,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.cgyro import small_test
+from repro.cgyro.presets import small_test
 from repro.cgyro.io import write_input_file
 from repro.xgyro.input import write_ensemble
 
@@ -198,7 +198,7 @@ class TestTelemetryCommands:
         assert snap.exists()
 
     def test_perf_gate_pass_and_fail(self, tmp_path, capsys):
-        from repro.obs import write_bench_records
+        from repro.obs.gate import write_bench_records
 
         base = tmp_path / "base.json"
         good = tmp_path / "good.json"
@@ -254,7 +254,7 @@ class TestMetricsQuantiles:
     def snapshot(self, tmp_path):
         import json
 
-        from repro.obs import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         reg = MetricsRegistry()
         for tenant, values in (("a", [0.2, 0.4]), ("b", [0.8])):
@@ -313,7 +313,7 @@ class TestMonitor:
         assert (rollups / "crash-resume.jsonl").exists()
 
     def test_custom_rulebook(self, tmp_path, capsys):
-        from repro.obs import AlertRule, dump_rulebook
+        from repro.obs.monitor import AlertRule, dump_rulebook
 
         rules = tmp_path / "rules.json"
         dump_rulebook(

@@ -1,7 +1,7 @@
 """One host-resident ``cmat`` per signature: distinct blocks plus an index.
 
 :class:`~repro.collision.CmatPropagator` resolves every propagator of an
-equal :class:`~repro.collision.CmatSignature` to one lazily filled
+equal :class:`~repro.collision.signature.CmatSignature` to one lazily filled
 store of the distinct ``(profile value, mode)`` blocks, inverts each
 once and hands out read-only :class:`~repro.collision.cmat.CmatWindow`
 objects onto it.  These tests hold that to ``np.array_equal``
@@ -25,20 +25,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.cgyro.presets import nl03c_scaled, small_test
-from repro.check import differential_oracle
-from repro.collision import (
-    CmatPropagator,
-    CmatSignature,
-    CollisionOperator,
-    CollisionParams,
-)
-from repro.collision.cmat import CmatWindow
-from repro.collision.params import DEFAULT_SPECIES
+from repro.check.oracle import differential_oracle
+from repro.collision.cmat import CmatPropagator, CmatWindow
+from repro.collision.operator import CollisionOperator
+from repro.collision.params import DEFAULT_SPECIES, CollisionParams
+from repro.collision.signature import CmatSignature
 from repro.errors import InputError
-from repro.grid import ConfigGrid, GridDims, VelocityGrid
-from repro.machine import frontier_like, generic_cluster
-from repro.vmpi import VirtualWorld
-from repro.xgyro import SequentialCgyroBaseline, XgyroEnsemble
+from repro.grid.config_space import ConfigGrid
+from repro.grid.dims import GridDims
+from repro.grid.velocity import VelocityGrid
+from repro.machine.presets import frontier_like, generic_cluster
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.baseline import SequentialCgyroBaseline
+from repro.xgyro.driver import XgyroEnsemble
 
 _inv = np.linalg.inv
 

@@ -23,20 +23,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.cgyro.presets import small_test
-from repro.collision import (
+from repro.collision.cmat import (
     CmatPropagator,
-    CollisionOperator,
-    CollisionParams,
+    CmatWindow,
     apply_propagator,
     cmat_total_bytes,
 )
-from repro.collision.cmat import CmatWindow
-from repro.collision.params import DEFAULT_SPECIES
+from repro.collision.operator import CollisionOperator
+from repro.collision.params import DEFAULT_SPECIES, CollisionParams
 from repro.errors import InputError
-from repro.grid import ConfigGrid, GridDims, VelocityGrid
-from repro.machine import single_node
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.grid.config_space import ConfigGrid
+from repro.grid.dims import GridDims
+from repro.grid.velocity import VelocityGrid
+from repro.machine.presets import single_node
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 _unused_nu = (0.3 + 1e-6 * i for i in itertools.count(1))
 

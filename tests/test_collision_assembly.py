@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InputError
-from repro.collision import (
+from repro.collision.cmat import (
     CmatPropagator,
-    CmatSignature,
-    CollisionOperator,
-    CollisionParams,
-    SpeciesParams,
+    apply_flops,
     apply_propagator,
+    cmat_block_bytes,
     cmat_total_bytes,
 )
-from repro.collision.cmat import apply_flops, cmat_block_bytes
+from repro.collision.operator import CollisionOperator
+from repro.collision.params import CollisionParams, SpeciesParams
+from repro.collision.signature import CmatSignature
 from repro.collision.conservation import momentum_projector
-from repro.grid import ConfigGrid, GridDims, VelocityGrid
+from repro.grid.config_space import ConfigGrid
+from repro.grid.dims import GridDims
+from repro.grid.velocity import VelocityGrid
 
 
 def dims(nr=2, nth=4, ne=3, nxi=4, ns=2, nt=3):

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InputError
-from repro.collision import CmatPropagator, CollisionOperator, CollisionParams
+from repro.collision.cmat import CmatPropagator
+from repro.collision.operator import CollisionOperator
+from repro.collision.params import CollisionParams
 from repro.collision.conservation import apply_conservation, energy_direction
-from repro.cgyro import small_test
-from repro.grid import ConfigGrid, GridDims, VelocityGrid
+from repro.cgyro.presets import small_test
+from repro.grid.config_space import ConfigGrid
+from repro.grid.dims import GridDims
+from repro.grid.velocity import VelocityGrid
 
 
 def make_operator(**params):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss, legval
 
 from repro.errors import InputError
-from repro.collision import energy_diffusion_matrix, lorentz_matrix
-from repro.collision.lorentz import legendre_basis
+from repro.collision.energy_diff import energy_diffusion_matrix
+from repro.collision.lorentz import legendre_basis, lorentz_matrix
 from scipy.special import roots_genlaguerre
 
 

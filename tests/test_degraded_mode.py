@@ -22,16 +22,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.check import (
-    CollectiveChecker,
-    lint_trace,
-    replay_trace,
-    resilient_differential_oracle,
-)
+from repro.check.checker import CollectiveChecker
+from repro.check.oracle import resilient_differential_oracle
+from repro.check.tracelint import lint_trace, replay_trace
 from repro.cgyro.presets import small_test
 from repro.machine.presets import generic_cluster
-from repro.resilience import FaultPlan, FaultSpec, ResilientXgyroRunner
-from repro.vmpi import VirtualWorld
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.runner import ResilientXgyroRunner
+from repro.vmpi.world import VirtualWorld
 
 N_STEPS = 4
 
@@ -259,7 +257,7 @@ def test_nl03c_k4_bit_exact_under_gray_fault(spec):
     """Member-mode differential oracle at nl03c scale: each gray fault
     kind leaves surviving physics exactly zero-delta."""
     from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
-    from repro.machine import frontier_like
+    from repro.machine.presets import frontier_like
 
     k = 4
     base = nl03c_scaled(steps_per_report=1, nonlinear=False)

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from repro.errors import InputError
-from repro.cgyro import (
-    CgyroSimulation,
-    SerialReference,
-    initial_condition,
-    small_test,
-)
+from repro.cgyro.presets import small_test
+from repro.cgyro.reference import SerialReference, initial_condition
+from repro.cgyro.solver import CgyroSimulation
 from repro.cgyro.fields import FieldSolver
 from repro.cgyro.linear import LinearSolver
-from repro.machine import single_node
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.machine.presets import single_node
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 
 def em_input(**kw):
@@ -27,7 +24,7 @@ def em_input(**kw):
 
 class TestFieldSolverEm:
     def test_es_run_has_no_apar(self):
-        from repro.grid import VelocityGrid
+        from repro.grid.velocity import VelocityGrid
 
         inp = small_test()
         fs = FieldSolver(inp, inp.grid_dims(), VelocityGrid.build(inp.grid_dims()))
@@ -37,7 +34,7 @@ class TestFieldSolverEm:
         assert f.apar is None
 
     def test_em_run_solves_apar(self):
-        from repro.grid import VelocityGrid
+        from repro.grid.velocity import VelocityGrid
 
         inp = em_input()
         dims = inp.grid_dims()
@@ -50,7 +47,7 @@ class TestFieldSolverEm:
         assert np.abs(f.apar[:, 1:]).max() > 0
 
     def test_apar_dielectric_scales_inverse_beta(self):
-        from repro.grid import VelocityGrid
+        from repro.grid.velocity import VelocityGrid
 
         lo = em_input(beta_e=0.01)
         hi = em_input(beta_e=0.04)
@@ -63,7 +60,7 @@ class TestFieldSolverEm:
 
     def test_current_moment_vanishes_for_even_state(self):
         """An even-in-vpar distribution carries no parallel current."""
-        from repro.grid import VelocityGrid
+        from repro.grid.velocity import VelocityGrid
 
         inp = em_input()
         dims = inp.grid_dims()
@@ -74,7 +71,7 @@ class TestFieldSolverEm:
         np.testing.assert_allclose(f.apar, 0.0, atol=1e-14)
 
     def test_assemble_validates_moment_count(self):
-        from repro.grid import VelocityGrid
+        from repro.grid.velocity import VelocityGrid
 
         inp = em_input()
         dims = inp.grid_dims()

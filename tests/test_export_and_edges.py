@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import InputError, VmpiError
-from repro.cgyro import CgyroSimulation, small_test
-from repro.machine import generic_cluster, single_node
+from repro.cgyro.presets import small_test
+from repro.cgyro.solver import CgyroSimulation
+from repro.machine.presets import generic_cluster, single_node
 from repro.machine.model import GiB
-from repro.obs import MetricsRegistry, Telemetry
-from repro.vmpi import VirtualWorld
+from repro.obs import Telemetry
+from repro.obs.metrics import MetricsRegistry
+from repro.vmpi.world import VirtualWorld
 
 
 class TestSolverGuards:
@@ -35,7 +37,7 @@ class TestSolverGuards:
 
 class TestMachineEdges:
     def test_memory_report_largest_first(self):
-        from repro.machine import MemoryLedger
+        from repro.machine.memory import MemoryLedger
 
         led = MemoryLedger(None)
         for i in range(5):
@@ -51,7 +53,7 @@ class TestMachineEdges:
     def test_huge_machine_model_is_cheap(self):
         """Machine models are pure data: a 10k-node machine costs
         nothing until a world is built on it."""
-        from repro.machine import frontier_like
+        from repro.machine.presets import frontier_like
 
         m = frontier_like(n_nodes=10_000, mem_per_rank_bytes=64 * GiB)
         assert m.n_ranks == 80_000

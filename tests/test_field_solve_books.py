@@ -1,7 +1,7 @@
 """One call per blocking field solve books what the per-chunk loop booked.
 
 The blocking field solve issues all its chunks as one
-:func:`repro.vmpi.allreduce_rounds` call over the chunk axis of its
+:func:`repro.vmpi.communicator.allreduce_rounds` call over the chunk axis of its
 ``(P1, C, n_mom, nc, nt)`` partials; the world books chunk ``c`` as its
 moment compute charge followed by that chunk's ``n_mom`` AllReduce
 rounds.  These tests run one scenario twice — as shipped, and with the
@@ -24,15 +24,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cgyro import CgyroSimulation
+from repro.cgyro.solver import CgyroSimulation
 from repro.cgyro.presets import small_test
-from repro.check import CollectiveChecker
+from repro.check.checker import CollectiveChecker
 from repro.errors import CollectiveError, ProtocolError, RankFailure, VmpiError
-from repro.machine import generic_cluster, single_node
+from repro.machine.presets import generic_cluster, single_node
 from repro.obs import Telemetry
-from repro.resilience import FaultInjector, FaultPlan, FaultSpec
-from repro.vmpi import Communicator, VirtualWorld, allreduce_rounds
-from repro.xgyro import XgyroEnsemble
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.injector import FaultInjector
+from repro.vmpi.communicator import Communicator, allreduce_rounds
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 
 def _per_chunk_solve(

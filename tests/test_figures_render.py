@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cgyro import CgyroSimulation, small_test
-from repro.machine import generic_cluster, single_node
-from repro.perf import render_figure1, render_figure3
-from repro.perf.figures import _fmt_ranks
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.cgyro.presets import small_test
+from repro.cgyro.solver import CgyroSimulation
+from repro.machine.presets import generic_cluster, single_node
+from repro.perf.figures import _fmt_ranks, render_figure1, render_figure3
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 
 class TestFormatting:

@@ -297,10 +297,10 @@ def test_the_recorder_stays_off_without_its_directory(census, tmp_path):
 def test_the_input_script_writes_what_the_commands_read(census, tmp_path, monkeypatch):
     """The census's inputs come from the public writers and load back
     through the readers the CLI commands use."""
-    from repro.campaign import RequestQueue
+    from repro.campaign.request import RequestQueue
     from repro.cgyro.io import parse_input_file
     from repro.cgyro.presets import small_test
-    from repro.resilience import FaultPlan
+    from repro.resilience.faults import FaultPlan
     from repro.xgyro.input import parse_ensemble
 
     monkeypatch.chdir(tmp_path)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DecompositionError
-from repro.grid import Decomposition, GridDims
+from repro.grid.decomp import Decomposition
+from repro.grid.dims import GridDims
 
 
 def dims(nr=4, nth=6, ne=4, nxi=8, ns=2, nt=4):

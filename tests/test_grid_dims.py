@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InputError
-from repro.grid import ConfigGrid, GridDims, VelocityGrid
+from repro.grid.config_space import ConfigGrid
+from repro.grid.dims import GridDims
+from repro.grid.velocity import VelocityGrid
 
 
 def dims(nr=4, nth=6, ne=4, nxi=8, ns=2, nt=4):

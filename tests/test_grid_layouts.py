@@ -12,21 +12,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DecompositionError
-from repro.grid import (
-    Decomposition,
-    GridDims,
+from repro.grid.decomp import Decomposition
+from repro.grid.dims import GridDims
+from repro.grid.layouts import (
     Layout,
+    block_nbytes,
     block_shape,
     gather_global,
+    nc_nl_slice,
     scatter_global,
+)
+from repro.grid.transpose import (
     transpose_coll_to_str,
     transpose_nl_to_str,
     transpose_str_to_coll,
     transpose_str_to_nl,
 )
-from repro.grid.layouts import block_nbytes, nc_nl_slice
-from repro.machine import single_node
-from repro.vmpi import Communicator, VirtualWorld
+from repro.machine.presets import single_node
+from repro.vmpi.communicator import Communicator
+from repro.vmpi.world import VirtualWorld
 
 
 def dims(nr=4, nth=4, ne=2, nxi=4, ns=2, nt=4):

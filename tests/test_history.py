@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from repro.errors import InputError
-from repro.cgyro import CgyroSimulation, small_test
+from repro.cgyro.presets import small_test
+from repro.cgyro.solver import CgyroSimulation
 from repro.cgyro.history import TimeHistory
 from repro.cgyro.timing import ReportRow
-from repro.machine import single_node
-from repro.vmpi import VirtualWorld
+from repro.machine.presets import single_node
+from repro.vmpi.world import VirtualWorld
 
 
 def make_row(step, flux=None, phi2=None, wall=1.0):

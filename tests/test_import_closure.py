@@ -34,8 +34,11 @@ def _modules_after(code: str) -> list:
 
 def test_entry_points_load_no_cold_solver():
     loaded = _modules_after(
-        "import json, sys\n"
-        "import repro.cli, repro.service, repro.check, repro.xgyro, repro.obs\n"
+        "import importlib, json, pkgutil, sys\n"
+        "import repro\n"
+        "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if m.name != 'repro.__main__':\n"
+        "        importlib.import_module(m.name)\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     assert "repro.perf.calibrate" in loaded and "repro.cgyro.linear" in loaded
@@ -46,10 +49,11 @@ def test_entry_points_load_no_cold_solver():
 def test_grid_build_and_solver_step_import_no_scipy_module():
     added = _modules_after(
         "import json, sys\n"
-        "from repro.cgyro import CgyroSimulation, small_test\n"
-        "from repro.grid import VelocityGrid\n"
-        "from repro.machine import single_node\n"
-        "from repro.vmpi import VirtualWorld\n"
+        "from repro.cgyro.presets import small_test\n"
+        "from repro.cgyro.solver import CgyroSimulation\n"
+        "from repro.grid.velocity import VelocityGrid\n"
+        "from repro.machine.presets import single_node\n"
+        "from repro.vmpi.world import VirtualWorld\n"
         "before = set(sys.modules)\n"
         "inp = small_test()\n"
         "VelocityGrid.build(inp.grid_dims())\n"
@@ -57,3 +61,15 @@ def test_grid_build_and_solver_step_import_no_scipy_module():
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     assert [m for m in added if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_import_repro_loads_only_the_version():
+    """The top-level package re-exports nothing: each name is imported
+    from the module that defines it, so ``import repro`` loads no layer."""
+    added = _modules_after(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import repro\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert [m for m in added if m.startswith("repro")] == ["repro", "repro._version"]

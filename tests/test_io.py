@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EnsembleValidationError, InputError
-from repro.cgyro import small_test
+from repro.cgyro.presets import small_test
 from repro.cgyro.io import (
     parse_input_file,
     read_timing_csv,

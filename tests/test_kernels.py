@@ -20,15 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InputError
-from repro.cgyro import small_test
+from repro.cgyro.presets import small_test
 from repro.cgyro.diagnostics import flux_spectrum
 from repro.cgyro.fields import FieldSolver
 from repro.cgyro.moments import MomentCalculator
-from repro.collision import CmatPropagator, CollisionOperator, apply_propagator
-from repro.grid import ConfigGrid, VelocityGrid
-from repro.machine import single_node
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.collision.cmat import CmatPropagator, apply_propagator
+from repro.collision.operator import CollisionOperator
+from repro.grid.config_space import ConfigGrid
+from repro.grid.velocity import VelocityGrid
+from repro.machine.presets import single_node
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 from repro.xgyro.shared_cmat import SharedCmatScheme
 
 #: float64 sums of at most 64 products of O(1) terms, against a

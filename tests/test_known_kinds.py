@@ -1,6 +1,6 @@
 """One kind list: which collectives exist.
 
-:data:`repro.check.KNOWN_KINDS` names the two collectives the model
+:data:`repro.check.checker.KNOWN_KINDS` names the two collectives the model
 issues, the str-phase AllReduce and the str<->coll AllToAll.  Every
 surface that takes a kind by name follows it: the world and its cost
 model charge nothing else, the checker admits nothing else, the trace
@@ -19,12 +19,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.check import KNOWN_KINDS, CollectiveChecker, lint_trace, replay_trace
+from repro.check.checker import KNOWN_KINDS, CollectiveChecker
+from repro.check.tracelint import lint_trace, replay_trace
 from repro.cli import main as cli_main
 from repro.errors import CollectiveError, ProtocolError, VmpiError
-from repro.machine import generic_cluster
+from repro.machine.presets import generic_cluster
 from repro.perf.comm_matrix import communication_matrix
-from repro.vmpi import VirtualWorld
+from repro.vmpi.world import VirtualWorld
 from repro.vmpi.export import export_trace_json
 from repro.vmpi.tracer import CollectiveEvent, TraceLog
 

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import MachineError
-from repro.machine import (
+from repro.machine.presets import (
     degraded_fabric_cluster,
     frontier_like,
     generic_cluster,
@@ -25,7 +25,7 @@ from repro.machine import (
     tiered_gpu_cluster,
 )
 from repro.machine.placement import BlockPlacement
-from repro.vmpi import VirtualWorld
+from repro.vmpi.world import VirtualWorld
 from repro.vmpi.cost import CommCostModel
 
 

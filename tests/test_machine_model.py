@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MachineError
-from repro.machine import LinkParams, MachineModel, frontier_like, generic_cluster, single_node
-from repro.machine.model import GiB
+from repro.machine.model import GiB, LinkParams, MachineModel
+from repro.machine.presets import frontier_like, generic_cluster, single_node
 
 
 def make_machine(**overrides):

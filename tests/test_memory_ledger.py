@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MemoryLimitExceeded
-from repro.machine import MemoryLedger
+from repro.machine.memory import MemoryLedger
 
 
 class TestBasicAccounting:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import InputError
-from repro.cgyro import initial_condition, small_test
+from repro.cgyro.presets import small_test
+from repro.cgyro.reference import initial_condition
 from repro.cgyro.fields import FieldSolver
 from repro.cgyro.moments import FluidMoments, MomentCalculator
-from repro.grid import VelocityGrid
+from repro.grid.velocity import VelocityGrid
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +94,9 @@ class TestPhysicalConsistency:
     def test_collisions_relax_temperature_perturbation(self):
         """An energy-weighted perturbation decays under the collision
         propagator while density stays put (n = 0)."""
-        from repro.collision import CmatPropagator, CollisionOperator
-        from repro.grid import ConfigGrid
+        from repro.collision.cmat import CmatPropagator, apply_propagator
+        from repro.collision.operator import CollisionOperator
+        from repro.grid.config_space import ConfigGrid
 
         inp = small_test(nu=0.5)
         dims = inp.grid_dims()
@@ -109,7 +111,6 @@ class TestPhysicalConsistency:
         h = np.broadcast_to(
             (e - 1.5)[None, :, None], (dims.nc, dims.nv, 1)
         ).astype(complex).copy()
-        from repro.collision import apply_propagator
 
         out = apply_propagator(blk, h)
         before = calc.partial(h, range(dims.nv), [0])

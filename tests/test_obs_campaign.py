@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import CampaignRunner, RequestQueue, SimRequest
-from repro.cgyro import small_test
-from repro.machine import generic_cluster
-from repro.obs import Telemetry, extract_critical_path
-from repro.perf import render_campaign_report
-from repro.resilience import FaultPlan, FaultSpec, NodeHealthTracker, RetryPolicy
+from repro.campaign.request import RequestQueue, SimRequest
+from repro.campaign.runner import CampaignRunner
+from repro.cgyro.presets import small_test
+from repro.machine.presets import generic_cluster
+from repro.obs import Telemetry
+from repro.obs.critical import extract_critical_path
+from repro.perf.report import render_campaign_report
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.health import NodeHealthTracker, RetryPolicy
 
 
 @pytest.fixture

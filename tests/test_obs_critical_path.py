@@ -16,12 +16,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cgyro import CgyroSimulation, small_test
+from repro.cgyro.presets import small_test
+from repro.cgyro.solver import CgyroSimulation
 from repro.errors import ReproError
-from repro.obs import Span, Telemetry, extract_critical_path
-from repro.obs.critical import IDLE, OVERLAPPED, render_telemetry_report
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.obs import Telemetry
+from repro.obs.critical import (
+    IDLE,
+    OVERLAPPED,
+    extract_critical_path,
+    render_telemetry_report,
+)
+from repro.obs.span import Span
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 _CATS = ("str_comm", "str_compute", "coll_comm", "nl_compute", "")
 

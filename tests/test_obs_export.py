@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import json
 
-from repro.cgyro import small_test
-from repro.machine import generic_cluster
-from repro.obs import (
-    Span,
-    Telemetry,
-    export_spans_chrome,
-    export_spans_jsonl,
-    load_spans_jsonl,
-)
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.cgyro.presets import small_test
+from repro.machine.presets import generic_cluster
+from repro.obs import Telemetry
+from repro.obs.export import export_spans_chrome, export_spans_jsonl, load_spans_jsonl
+from repro.obs.span import Span
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 
 def _ensemble_telemetry():
@@ -106,8 +102,8 @@ class TestServiceSpanExport:
 
     @staticmethod
     def _service_telemetry():
-        from repro.check import builtin_scenarios
-        from repro.obs import ServiceMonitor
+        from repro.check.invariants import builtin_scenarios
+        from repro.obs.monitor import ServiceMonitor
 
         scenario = next(
             s
@@ -151,7 +147,7 @@ class TestServiceSpanExport:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_open_spans_synthesized_at_now(self):
-        from repro.obs import SpanTracer
+        from repro.obs.span import SpanTracer
 
         tracer = SpanTracer()
         tracer.begin("service", "service", 0.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import (
+from repro.obs.gate import (
     compare_bench_records,
     load_bench_records,
     run_gate,

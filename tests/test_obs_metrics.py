@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
-from repro.obs import MetricsRegistry, Telemetry
-from repro.obs.metrics import Histogram
-from repro.vmpi import Communicator
+from repro.obs import Telemetry
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.vmpi.communicator import Communicator
 
 
 class TestRegistry:

@@ -17,16 +17,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cgyro.presets import small_test
-from repro.check import builtin_scenarios
+from repro.check.invariants import builtin_scenarios
 from repro.errors import ReproError
 from repro.machine.model import KiB
 from repro.machine.presets import generic_cluster
 from repro.machine.topology import FaultDomains
-from repro.obs import (
+from repro.obs import Telemetry
+from repro.obs.monitor import (
     AlertEngine,
     AlertRule,
     ServiceMonitor,
-    Telemetry,
+    WindowRollup,
+    _cause_signals,
     default_rulebook,
     dump_rulebook,
     export_rollups_jsonl,
@@ -34,9 +36,10 @@ from repro.obs import (
     load_rulebook,
     render_monitor_report,
 )
-from repro.obs.monitor import WindowRollup, _cause_signals
-from repro.resilience import FaultPlan, FaultSpec
-from repro.service import OnlineService, PoissonTraffic, WindowPolicy
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.service.loop import OnlineService
+from repro.service.traffic import PoissonTraffic
+from repro.service.window import WindowPolicy
 
 SCENARIOS = builtin_scenarios(smoke=True)
 

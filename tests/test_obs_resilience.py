@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cgyro import small_test
-from repro.machine import generic_cluster
+from repro.cgyro.presets import small_test
+from repro.machine.presets import generic_cluster
 from repro.obs import Telemetry
-from repro.resilience import FaultPlan, FaultSpec, ResilientXgyroRunner
-from repro.vmpi import VirtualWorld
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.runner import ResilientXgyroRunner
+from repro.vmpi.world import VirtualWorld
 
 
 def _inputs(k=4):

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cgyro import CgyroSimulation, small_test
+from repro.cgyro.presets import small_test
+from repro.cgyro.solver import CgyroSimulation
 from repro.errors import ReproError
-from repro.obs import LEAF_KINDS, Span, SpanTracer, Telemetry
-from repro.vmpi import Communicator, VirtualWorld
+from repro.obs import Telemetry
+from repro.obs.span import LEAF_KINDS, Span, SpanTracer
+from repro.vmpi.communicator import Communicator
+from repro.vmpi.world import VirtualWorld
 
 
 class TestSpanTracer:

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cgyro import CgyroSimulation, small_test
-from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
-from repro.machine import frontier_like, generic_cluster, single_node
-from repro.perf import predict_cgyro_interval, predict_xgyro_interval
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled, small_test
+from repro.cgyro.solver import CgyroSimulation
+from repro.machine.presets import frontier_like, generic_cluster, single_node
+from repro.perf.analytic import predict_cgyro_interval, predict_xgyro_interval
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 
 class TestAgainstExecutedSimulator:

@@ -6,27 +6,26 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DecompositionError, InputError
-from repro.cgyro import CgyroSimulation, small_test
-from repro.machine import generic_cluster, single_node, frontier_like
+from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled, small_test
+from repro.cgyro.solver import CgyroSimulation
+from repro.machine.presets import frontier_like, generic_cluster, single_node
 from repro.machine.model import MiB
-from repro.perf import (
-    calibrate_machine,
+from repro.perf.calibrate import PAPER_TARGETS, _predict, calibrate_machine
+from repro.perf.figures import render_figure1, render_figure3
+from repro.perf.memory import (
+    cmat_bytes_per_rank,
     cmat_dominance_ratio,
-    figure2_comparison,
+    member_decomp,
     min_nodes_required,
-    render_figure1,
-    render_figure2,
-    render_figure3,
+    state_bytes_per_rank,
 )
-from repro.perf.calibrate import PAPER_TARGETS, _predict
-from repro.perf.memory import cmat_bytes_per_rank, member_decomp, state_bytes_per_rank
-from repro.campaign import CampaignPacker
-from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
+from repro.perf.report import figure2_comparison, render_figure2
+from repro.campaign.packer import CampaignPacker
 from repro.collision.cmat import CmatPropagator, cmat_block_bytes
-from repro.plan import feasible_geometries
-from repro.grid import Decomposition
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.plan.space import feasible_geometries
+from repro.grid.decomp import Decomposition
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 
 def sweep(k):

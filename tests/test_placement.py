@@ -5,11 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PlacementError
-from repro.machine import (
-    BlockPlacement,
-    RoundRobinPlacement,
-    generic_cluster,
-)
+from repro.machine.placement import BlockPlacement, RoundRobinPlacement
+from repro.machine.presets import generic_cluster
 
 
 @pytest.fixture

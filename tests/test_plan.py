@@ -20,40 +20,38 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PlanError
-from repro.campaign import (
-    CampaignPacker,
-    CampaignRunner,
-    RequestQueue,
-    SignatureBatcher,
-    SimRequest,
-)
+from repro.campaign.batcher import SignatureBatcher
+from repro.campaign.packer import CampaignPacker
+from repro.campaign.request import RequestQueue, SimRequest
+from repro.campaign.runner import CampaignRunner
 from repro.cgyro.presets import small_test
-from repro.grid import Decomposition
-from repro.machine import (
+from repro.grid.decomp import Decomposition
+from repro.machine.presets import (
     generic_cluster,
     mixed_generation_cluster,
     throttled_frontier,
 )
 from repro.perf.analytic import predict_xgyro_interval
-from repro.plan import (
-    ALGORITHM_PAIRS,
-    Plan,
-    PlanChoice,
+from repro.plan.anneal import anneal
+from repro.plan.artifact import Plan, PlanChoice, load_plan
+from repro.plan.planner import (
     Planner,
-    anneal,
-    enumerate_candidates,
-    feasible_geometries,
-    load_plan,
     member_inputs,
-    node_subsets,
     oracle_plan,
-    predict_plan_interval,
     render_plan_report,
     run_choice,
     validate_plan,
 )
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble, ensemble_nc_counts, proportional_nc_counts
+from repro.plan.predict import predict_plan_interval
+from repro.plan.space import (
+    ALGORITHM_PAIRS,
+    enumerate_candidates,
+    feasible_geometries,
+    node_subsets,
+)
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
+from repro.xgyro.partition import ensemble_nc_counts, proportional_nc_counts
 
 
 @pytest.fixture

@@ -20,15 +20,18 @@ import pytest
 
 import repro
 from repro.errors import InputError
-from repro.cgyro import CgyroSimulation, small_test
+from repro.cgyro.presets import small_test
+from repro.cgyro.solver import CgyroSimulation
 from repro.cgyro.fields import FieldSolver
 from repro.cgyro.nonlinear import toroidal_bracket
 from repro.cgyro.streaming import StreamingOperator
-from repro.grid import ConfigGrid, GridDims, VelocityGrid
+from repro.grid.config_space import ConfigGrid
+from repro.grid.dims import GridDims
+from repro.grid.velocity import VelocityGrid
 from repro.grid.layouts import nc_nl_slice
-from repro.machine import single_node
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.machine.presets import single_node
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 
 def _complex(rng, shape):

@@ -22,19 +22,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cgyro import CgyroSimulation, SerialReference, small_test
-from repro.collision import CmatPropagator, CollisionOperator
-from repro.grid import (
-    Decomposition,
-    GridDims,
-    Layout,
-    VelocityGrid,
-    ConfigGrid,
-    gather_global,
-    scatter_global,
-)
-from repro.machine import single_node
-from repro.vmpi import VirtualWorld
+from repro.cgyro.presets import small_test
+from repro.cgyro.reference import SerialReference
+from repro.cgyro.solver import CgyroSimulation
+from repro.collision.cmat import CmatPropagator
+from repro.collision.operator import CollisionOperator
+from repro.grid.config_space import ConfigGrid
+from repro.grid.decomp import Decomposition
+from repro.grid.dims import GridDims
+from repro.grid.layouts import Layout, gather_global, scatter_global
+from repro.grid.velocity import VelocityGrid
+from repro.machine.presets import single_node
+from repro.vmpi.world import VirtualWorld
 from repro.vmpi.algorithms import AllreduceAlgorithm, EffectiveLink, allreduce_cost, alltoall_cost
 
 
@@ -162,7 +161,7 @@ class TestSignatureGroupingAndBatching:
     @given(fams=st.lists(st.integers(0, 3), min_size=1, max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_group_by_signature_partitions_preserving_order(self, fams):
-        from repro.xgyro import group_by_signature
+        from repro.xgyro.validate import group_by_signature
 
         inputs = self._stream(fams, [5] * len(fams))
         groups = group_by_signature(inputs)
@@ -184,7 +183,8 @@ class TestSignatureGroupingAndBatching:
     def test_batcher_never_mixes_signatures_or_cadences(
         self, fams, cad_choices
     ):
-        from repro.campaign import SignatureBatcher, SimRequest
+        from repro.campaign.batcher import SignatureBatcher
+        from repro.campaign.request import SimRequest
 
         n = min(len(fams), len(cad_choices))
         inputs = self._stream(fams[:n], cad_choices[:n])
@@ -213,7 +213,8 @@ class TestSignatureGroupingAndBatching:
     def test_batcher_cap_bounds_batches_without_losing_requests(
         self, fams, cap
     ):
-        from repro.campaign import SignatureBatcher, SimRequest
+        from repro.campaign.batcher import SignatureBatcher
+        from repro.campaign.request import SimRequest
 
         inputs = self._stream(fams, [5] * len(fams))
         requests = [
@@ -226,7 +227,8 @@ class TestSignatureGroupingAndBatching:
         assert served == sorted(r.request_id for r in requests)
 
     def test_lone_unshareable_request_forms_k1_batch(self):
-        from repro.campaign import SignatureBatcher, SimRequest
+        from repro.campaign.batcher import SignatureBatcher
+        from repro.campaign.request import SimRequest
 
         inputs = self._stream([0, 0, 1], [5, 5, 5])
         requests = [

@@ -3,7 +3,7 @@
 :class:`~repro.cgyro.CgyroSimulation` holds its state as one
 ``(nc, nv, nt)`` array whose per-rank blocks are views, runs every RK
 stage once on it, and hands each comm_1 AllReduce a
-:class:`~repro.vmpi.RankStacked` view.  Pinned here:
+:class:`~repro.vmpi.datatypes.RankStacked` view.  Pinned here:
 
 - the physics and the simulated clock are the parent's, bit for bit,
   over the decomposition / option matrix of
@@ -28,16 +28,19 @@ import pytest
 
 import repro.cgyro.solver as solver_module
 import repro.vmpi.communicator as communicator_module
-from repro.cgyro import CgyroSimulation
+from repro.cgyro.solver import CgyroSimulation
 from repro.cgyro.fields import FieldSolver
 from repro.cgyro.presets import small_test
 from repro.cgyro.streaming import StreamingOperator
-from repro.check import CollectiveChecker
+from repro.check.checker import CollectiveChecker
 from repro.errors import CollectiveError, CommunicatorError
-from repro.machine import generic_cluster
-from repro.resilience import CheckpointStore
-from repro.vmpi import Communicator, RankStacked, VirtualWorld
-from repro.xgyro import SequentialCgyroBaseline, XgyroEnsemble
+from repro.machine.presets import generic_cluster
+from repro.resilience.checkpoint import CheckpointStore
+from repro.vmpi.communicator import Communicator
+from repro.vmpi.datatypes import RankStacked
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.baseline import SequentialCgyroBaseline
+from repro.xgyro.driver import XgyroEnsemble
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 

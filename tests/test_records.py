@@ -35,7 +35,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro import records
-from repro.campaign import RequestQueue, SimRequest
+from repro.campaign.request import RequestQueue, SimRequest
 from repro.cgyro.io import write_input_file
 from repro.cgyro.params import CgyroInput
 from repro.cgyro.presets import small_test
@@ -50,24 +50,23 @@ from repro.errors import (
     ServiceError,
 )
 from repro.machine.presets import generic_cluster
-from repro.obs import (
-    MetricsRegistry,
-    Span,
+from repro.obs.export import export_spans_jsonl, load_spans_jsonl
+from repro.obs.gate import load_bench_records, write_bench_records
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.monitor import (
+    AlertRule,
     WindowRollup,
     default_rulebook,
     dump_rulebook,
     export_rollups_jsonl,
-    export_spans_jsonl,
-    load_bench_records,
     load_rollups_jsonl,
     load_rulebook,
-    load_spans_jsonl,
-    write_bench_records,
 )
-from repro.obs.monitor import AlertRule
-from repro.plan import Plan, PlanChoice, load_plan
-from repro.resilience import FaultPlan, FaultSpec, NodeHealthTracker
-from repro.service import ServiceJournal
+from repro.obs.span import Span
+from repro.plan.artifact import Plan, PlanChoice, load_plan
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.health import NodeHealthTracker
+from repro.service.journal import ServiceJournal
 from repro.service.pool import ElasticNodePool
 from repro.vmpi.export import export_trace_json, load_trace_json
 from repro.vmpi.tracer import CollectiveEvent, TraceLog

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from repro.cgyro.presets import NL03C_SCALED_MEM_PER_RANK, nl03c_scaled
-from repro.machine import frontier_like
-from repro.resilience import FaultPlan, FaultSpec, ResilientXgyroRunner
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.machine.presets import frontier_like
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.runner import ResilientXgyroRunner
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 N_MEMBERS = 8
 N_STEPS = 3

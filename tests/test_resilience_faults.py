@@ -15,10 +15,12 @@ from repro.errors import (
     ReproError,
     ResilienceError,
 )
-from repro.machine import generic_cluster
+from repro.machine.presets import generic_cluster
 from repro.machine.memory import MemoryLedger
-from repro.resilience import FaultInjector, FaultPlan, FaultSpec
-from repro.vmpi import Communicator, VirtualWorld, allreduce_rounds
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.injector import FaultInjector
+from repro.vmpi.communicator import Communicator, allreduce_rounds
+from repro.vmpi.world import VirtualWorld
 
 
 class TestFaultSpecValidation:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ResilienceError
-from repro.resilience import (
+from repro.resilience.health import (
     HealthIncident,
     NodeHealthTracker,
     RetryPolicy,

@@ -14,17 +14,13 @@ import pytest
 from repro.errors import RecoveryFailed, ResilienceError
 from repro.cgyro.presets import small_test
 from repro.collision.cmat import cmat_total_bytes
-from repro.machine import generic_cluster
-from repro.resilience import (
-    CheckpointStore,
-    FaultPlan,
-    FaultSpec,
-    RecoveryPolicy,
-    ResilientXgyroRunner,
-    classify,
-)
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.machine.presets import generic_cluster
+from repro.resilience.checkpoint import CheckpointStore
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.runner import ResilientXgyroRunner
+from repro.resilience.triage import RecoveryPolicy, classify
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 
 def machine4():
@@ -267,7 +263,7 @@ class TestCheckpointStore:
         world = VirtualWorld(machine4())
         ens = XgyroEnsemble(world, [small_test()] * 2)
         from repro.errors import RankFailure
-        from repro.resilience import shrink_and_recover
+        from repro.resilience.recovery import shrink_and_recover
 
         failure = RankFailure("x", failed_ranks=(0,))
         with pytest.raises(ResilienceError, match="without a checkpoint"):

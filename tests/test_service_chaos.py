@@ -17,24 +17,21 @@ import pytest
 from repro.campaign.request import SimRequest
 from repro.cgyro.presets import linear_benchmark, small_test
 from repro.errors import InvariantViolation, ServiceError
-from repro.check import (
+from repro.check.invariants import (
     ChaosScenario,
     builtin_scenarios,
     render_chaos_report,
     run_scenario,
 )
-from repro.machine import generic_cluster
+from repro.machine.presets import generic_cluster
 from repro.machine.model import KiB, MiB
 from repro.machine.topology import FaultDomains
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
-from repro.service import (
-    OnlineService,
-    PoissonTraffic,
-    ServiceJournal,
-    WindowPolicy,
-    recover_service,
-    replay,
-)
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.health import RetryPolicy
+from repro.service.journal import ServiceJournal, recover_service
+from repro.service.loop import OnlineService
+from repro.service.traffic import PoissonTraffic, replay
+from repro.service.window import WindowPolicy
 
 WORKLOAD = [small_test(), small_test(nu=0.2)]
 
@@ -425,7 +422,6 @@ class TestInvariantsRunner:
             "unique-disposition",
             "ledger",
             "wal-replay",
-            "slo-floor",
         ):
             assert expected in names
         assert any(n.startswith("exactly-once@") for n in names)

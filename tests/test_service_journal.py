@@ -20,20 +20,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cgyro.presets import small_test
 from repro.errors import JournalCrash, ServiceError
-from repro.machine import generic_cluster
+from repro.machine.presets import generic_cluster
 from repro.machine.model import KiB
 from repro.machine.topology import FaultDomains
-from repro.resilience import FaultPlan, FaultSpec, NodeHealthTracker
-from repro.service import (
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.health import NodeHealthTracker
+from repro.service.journal import (
     EVENT_KINDS,
-    ElasticNodePool,
-    OnlineService,
-    PoissonTraffic,
     ReplayState,
     ServiceJournal,
-    WindowPolicy,
     recover_service,
 )
+from repro.service.loop import OnlineService
+from repro.service.pool import ElasticNodePool
+from repro.service.traffic import PoissonTraffic
+from repro.service.window import WindowPolicy
 
 WORKLOAD = [small_test(), small_test(nu=0.2)]
 HORIZON = 400.0

@@ -10,19 +10,15 @@ import pytest
 from repro.errors import ServiceError
 from repro.campaign.request import SimRequest
 from repro.cgyro.presets import small_test
-from repro.machine import generic_cluster
+from repro.machine.presets import generic_cluster
 from repro.machine.model import KiB
 from repro.obs import Telemetry
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
-from repro.service import (
-    OnlineService,
-    ServiceReport,
-    PoissonTraffic,
-    TenantSpec,
-    WindowPolicy,
-    render_service_report,
-    replay,
-)
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.health import RetryPolicy
+from repro.service.loop import OnlineService
+from repro.service.report import ServiceReport, render_service_report
+from repro.service.traffic import PoissonTraffic, TenantSpec, replay
+from repro.service.window import WindowPolicy
 
 WORKLOAD = [small_test(), small_test(nu=0.2)]
 TENANTS = (

@@ -7,8 +7,8 @@ import pytest
 from repro.errors import ServiceError
 from repro.campaign.request import SimRequest
 from repro.cgyro.presets import small_test
-from repro.machine import generic_cluster
-from repro.resilience import NodeHealthTracker
+from repro.machine.presets import generic_cluster
+from repro.resilience.health import NodeHealthTracker
 from repro.service.admission import AdmissionController, FairSharePolicy
 from repro.service.pool import (
     BUSY,

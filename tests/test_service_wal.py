@@ -33,10 +33,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.check import builtin_scenarios
-from repro.check.invariants import replay_matches_report
+from repro.check.invariants import builtin_scenarios, replay_matches_report
 from repro.errors import ServiceError
-from repro.service import OnlineService, ReplayState, ServiceJournal
+from repro.service.journal import ReplayState, ServiceJournal
+from repro.service.loop import OnlineService
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 SCENARIOS = {sc.name: sc for sc in builtin_scenarios(smoke=True)}

@@ -11,11 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cgyro import CgyroSimulation, small_test
+from repro.cgyro.presets import small_test
+from repro.cgyro.solver import CgyroSimulation
 from repro.collision.cmat import cmat_total_bytes
-from repro.machine import single_node
-from repro.vmpi import VirtualWorld
-from repro.xgyro import XgyroEnsemble
+from repro.machine.presets import single_node
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 
 def make_ensemble(k=2, n_ranks=16, **kw):

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from repro.errors import InputError, VmpiError
-from repro.cgyro import CgyroSimulation, small_test
+from repro.cgyro.presets import small_test
+from repro.cgyro.solver import CgyroSimulation
 from repro.cgyro.history import TimeHistory
-from repro.machine import BlockPlacement, generic_cluster, single_node
-from repro.check import KNOWN_KINDS
+from repro.machine.placement import BlockPlacement
+from repro.machine.presets import generic_cluster, single_node
+from repro.check.checker import KNOWN_KINDS
 from repro.perf.comm_matrix import communication_matrix, locality_report
-from repro.vmpi import VirtualWorld
+from repro.vmpi.world import VirtualWorld
 from repro.vmpi.tracer import CollectiveEvent
-from repro.xgyro import XgyroEnsemble
+from repro.xgyro.driver import XgyroEnsemble
 from repro.xgyro.input import write_ensemble
 from repro.xgyro.study import XgyroStudy
 

@@ -19,6 +19,15 @@ attribute of that name is read anywhere — so it is a lower bound on
 dead code, never a false alarm.  Pure ``ast``: nothing is imported from
 ``repro``.  Counting rule and the deleted / allow-listed table:
 EXPERIMENTS.md, "Symbol census (PR 26)".
+
+The same walk holds *one import path per name* (DESIGN.md §Imports):
+``src/`` imports each name from the module that defines it, never
+through a package that only re-exports it; a package ``__init__``
+re-exports only names that a file of :data:`RUN_DIRS` outside ``src/``
+or a python block of README reaches through that package (an import,
+an attribute ``repro.pkg.name``, or a dotted ``"repro.pkg.name"``
+string such as hostbench's ``TABLE``); and no ``__init__`` has an
+``__all__``, since its import lines already are the list.
 """
 
 from __future__ import annotations
@@ -171,6 +180,10 @@ def _sources() -> Dict[str, str]:
     }
 
 
+def _readme_blocks() -> List[str]:
+    return re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+
+
 @pytest.fixture(scope="module")
 def callers() -> Dict[str, List[str]]:
     return census(_sources())
@@ -194,6 +207,106 @@ def test_the_allow_list_only_shrinks(callers):
         assert not callers[key], (
             f"{key} gained a caller at {callers[key]}: take it off the allow-list"
         )
+
+
+# ----------------------------------------------------------------------
+# one import path per name
+# ----------------------------------------------------------------------
+def _module_of(path: str) -> str:
+    """``src/repro/vmpi/world.py`` -> ``repro.vmpi.world``; an
+    ``__init__.py`` names its package."""
+    parts = path[len("src/") : -len(".py")].split("/")
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _defines(tree: ast.Module) -> Set[str]:
+    """Names a module's own top-level definitions bind (imports aside)."""
+    names: Set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _through(tree: ast.Module, packages: Set[str]) -> Iterator[Tuple[str, str, int]]:
+    """(package, name, line) of every name a module reaches through a
+    package: ``from pkg import name``, ``repro.pkg.name`` or a dotted
+    ``"repro.pkg.name"`` string (the longest package prefix is the path)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module in packages:
+                for alias in node.names:
+                    yield node.module, alias.name, node.lineno
+            continue
+        if isinstance(node, ast.Attribute):
+            parts, inner = [], node
+            while isinstance(inner, ast.Attribute):
+                parts.append(inner.attr)
+                inner = inner.value
+            if not (isinstance(inner, ast.Name) and inner.id == "repro"):
+                continue
+            dotted = ["repro", *reversed(parts)]
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith("repro.")
+            and _NAMED.match(node.value)
+        ):
+            dotted = node.value.split(".")
+        else:
+            continue
+        for cut in range(len(dotted) - 1, 0, -1):
+            if ".".join(dotted[:cut]) in packages:
+                yield ".".join(dotted[:cut]), dotted[cut], node.lineno
+                break
+
+
+def import_path_findings(sources: Dict[str, str], readme_blocks: List[str]) -> List[str]:
+    """Every import through a package that breaks the one-path rule."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    trees.update((f"README.md#{i}", ast.parse(b)) for i, b in enumerate(readme_blocks))
+    modules = {_module_of(p): p for p in trees if p.startswith("src/")}
+    packages = {m for m, p in modules.items() if p.endswith("/__init__.py")}
+    findings: List[str] = []
+    outside: Set[Tuple[str, str]] = set()
+    for path, tree in trees.items():
+        for package, name, line in _through(tree, packages):
+            if f"{package}.{name}" in modules:
+                continue  # a submodule, not a re-export
+            if path.startswith("src/"):
+                if name not in _defines(trees[modules[package]]):
+                    findings.append(f"{path}:{line}: {name} through {package}, which does not define it")
+            elif path.split("/")[0] in RUN_DIRS or path.startswith("README.md#"):
+                outside.add((package, name))
+    for package in sorted(packages):
+        path = modules[package]
+        for node in trees[path].body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                findings.append(f"{path}:{node.lineno}: an __all__")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if not _is_dunder(name) and (package, name) not in outside:
+                        findings.append(
+                            f"{path}:{node.lineno}: re-exports {name}, which nothing "
+                            f"outside src/ and tests/ reaches through {package}"
+                        )
+    return findings
+
+
+def test_one_import_path_per_name():
+    """A dunder such as ``__version__`` is the package's own metadata,
+    not a re-export."""
+    findings = import_path_findings(_sources(), _readme_blocks())
+    assert not findings, (
+        "import each name from the module that defines it, and re-export from a "
+        f"package only what a run imports through it: {findings}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -257,3 +370,59 @@ def test_an_uncalled_method_on_the_real_tree_is_an_orphan():
         1,
     )
     assert census(sources)[f"{path}:Communicator.barrier"] == []
+
+
+# ----------------------------------------------------------------------
+# negative controls: each one-path rule can fail
+# ----------------------------------------------------------------------
+_OWN = "\n\nclass Own:\n    pass\n"
+_PKG = {
+    "src/repro/__init__.py": "from repro._version import __version__\n",
+    "src/repro/_version.py": "__version__ = '1'\n",
+    "src/repro/pkg/__init__.py": "from repro.pkg.mod import Kept" + _OWN,
+    "src/repro/pkg/mod.py": "class Kept:\n    pass\n\nclass Spare:\n    pass\n",
+    "src/repro/app.py": "from repro import pkg\nfrom repro.pkg import Own\nfrom repro.pkg.mod import Kept\n",
+    "benchmarks/bench.py": "from repro.pkg import Kept\n",
+}
+_INIT = "src/repro/pkg/__init__.py"
+
+
+def _findings(edits: Dict[str, str], readme_blocks: List[str] = ()) -> List[str]:
+    return import_path_findings({**_PKG, **edits}, list(readme_blocks))
+
+
+def test_a_clean_synthetic_tree_has_no_findings():
+    """A submodule, a name the package defines, a dunder: none is a finding."""
+    assert _findings({}) == []
+
+
+def test_a_src_import_through_a_package_is_a_finding():
+    found = _findings({"src/repro/app.py": "from repro.pkg import Kept\n"})
+    assert found == ["src/repro/app.py:1: Kept through repro.pkg, which does not define it"]
+
+
+def test_an_unimported_re_export_is_a_finding():
+    assert _findings({_INIT: "from repro.pkg.mod import Kept, Spare" + _OWN}) == [
+        "src/repro/pkg/__init__.py:1: re-exports Spare, which nothing "
+        "outside src/ and tests/ reaches through repro.pkg"
+    ]
+
+
+def test_an_all_is_a_finding():
+    init = "from repro.pkg.mod import Kept\n__all__ = ['Kept']" + _OWN
+    assert _findings({_INIT: init}) == ["src/repro/pkg/__init__.py:2: an __all__"]
+
+
+def test_each_importer_form_keeps_a_re_export():
+    """An import, an attribute and a dotted string outside ``src/``, or a
+    README python block; a test does not count."""
+    spare = {_INIT: "from repro.pkg.mod import Kept, Spare" + _OWN}
+    importers = {
+        "hostbench/trace.py": 'TABLE = {"x": "repro.pkg.Spare.method"}\n',
+        "examples/use.py": "import repro.pkg\nrepro.pkg.Spare()\n",
+        "benchmarks/other.py": "from repro.pkg import Spare\n",
+    }
+    for path, text in importers.items():
+        assert _findings({**spare, path: text}) == [], path
+    assert _findings(spare, ["from repro.pkg import Spare\n"]) == []
+    assert len(_findings({**spare, "tests/test_pkg.py": "from repro.pkg import Spare\n"})) == 1

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from repro.errors import MachineError
-from repro.machine import BlockPlacement, DragonflyTopology, generic_cluster
-from repro.vmpi import Communicator, VirtualWorld
+from repro.machine.placement import BlockPlacement
+from repro.machine.presets import generic_cluster
+from repro.machine.topology import DragonflyTopology
+from repro.vmpi.communicator import Communicator
+from repro.vmpi.world import VirtualWorld
 from repro.vmpi.cost import CommCostModel
 
 

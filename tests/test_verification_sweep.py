@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cgyro import small_test
+from repro.cgyro.presets import small_test
 from repro.cgyro.verification import (
     split_step_convergence,
     streaming_convergence,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import CollectiveError
-from repro.vmpi import (
+from repro.vmpi.algorithms import (
     AllreduceAlgorithm,
     AlltoallAlgorithm,
     EffectiveLink,

@@ -22,12 +22,16 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from repro.check import CollectiveChecker
+from repro.check.checker import CollectiveChecker
 from repro.errors import CollectiveError, ProtocolError
-from repro.machine import generic_cluster
-from repro.obs import Span, Telemetry, export_spans_jsonl
-from repro.resilience import FaultInjector, FaultPlan, FaultSpec
-from repro.vmpi import AllreduceAlgorithm, AlltoallAlgorithm, VirtualWorld
+from repro.machine.presets import generic_cluster
+from repro.obs import Telemetry
+from repro.obs.export import export_spans_jsonl
+from repro.obs.span import Span
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.injector import FaultInjector
+from repro.vmpi.algorithms import AllreduceAlgorithm, AlltoallAlgorithm
+from repro.vmpi.world import VirtualWorld
 from repro.vmpi.tracer import CollectiveEvent
 
 _MACHINE = generic_cluster(n_nodes=4, ranks_per_node=4)

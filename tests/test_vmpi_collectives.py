@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CollectiveError, CommunicatorError
-from repro.machine import single_node
-from repro.vmpi import Communicator, RankStacked, VirtualWorld, reduce_ranks
+from repro.machine.presets import single_node
+from repro.vmpi.communicator import Communicator
+from repro.vmpi.datatypes import RankStacked, reduce_ranks
+from repro.vmpi.world import VirtualWorld
 
 
 def make_world(n=8):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CommunicatorError
-from repro.vmpi import Communicator
+from repro.vmpi.communicator import Communicator
 
 
 class TestStructure:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.errors import CollectiveError
-from repro.machine import single_node
-from repro.vmpi import VirtualWorld
+from repro.machine.presets import single_node
+from repro.vmpi.world import VirtualWorld
 from repro.vmpi.algorithms import AllreduceAlgorithm
 
 

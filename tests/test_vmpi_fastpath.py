@@ -25,27 +25,22 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.cgyro.presets import small_test
-from repro.check import KNOWN_KINDS, CollectiveChecker
+from repro.check.checker import KNOWN_KINDS, CollectiveChecker
 from repro.errors import CollectiveError, RankFailure
-from repro.machine import (
-    BlockPlacement,
-    DragonflyTopology,
-    Placement,
-    RoundRobinPlacement,
-    generic_cluster,
-)
-from repro.obs import MetricsRegistry, Telemetry, export_spans_jsonl
-from repro.resilience import FaultInjector, FaultPlan, FaultSpec
-from repro.vmpi import (
-    AllreduceAlgorithm,
-    AlltoallAlgorithm,
-    CommCostModel,
-    Communicator,
-    RankStacked,
-    VirtualWorld,
-    allreduce_rounds,
-)
-from repro.xgyro import XgyroEnsemble
+from repro.machine.placement import BlockPlacement, Placement, RoundRobinPlacement
+from repro.machine.presets import generic_cluster
+from repro.machine.topology import DragonflyTopology
+from repro.obs import Telemetry
+from repro.obs.export import export_spans_jsonl
+from repro.obs.metrics import MetricsRegistry
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.injector import FaultInjector
+from repro.vmpi.algorithms import AllreduceAlgorithm, AlltoallAlgorithm
+from repro.vmpi.communicator import Communicator, allreduce_rounds
+from repro.vmpi.cost import CommCostModel
+from repro.vmpi.datatypes import RankStacked
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.driver import XgyroEnsemble
 
 N_NODES, RANKS_PER_NODE = 4, 4
 N_RANKS = N_NODES * RANKS_PER_NODE

@@ -15,11 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cgyro import CgyroSimulation, small_test
-from repro.machine import generic_cluster
+from repro.cgyro.presets import small_test
+from repro.cgyro.solver import CgyroSimulation
+from repro.machine.presets import generic_cluster
 from repro.obs import Telemetry
-from repro.resilience import FaultInjector, FaultPlan, FaultSpec
-from repro.vmpi import AllreduceAlgorithm, VirtualWorld
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.injector import FaultInjector
+from repro.vmpi.algorithms import AllreduceAlgorithm
+from repro.vmpi.world import VirtualWorld
 
 _RD = AllreduceAlgorithm.RECURSIVE_DOUBLING
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from repro.errors import MemoryLimitExceeded, VmpiError
-from repro.machine import generic_cluster, single_node
-from repro.vmpi import AllreduceAlgorithm, Communicator, VirtualWorld
+from repro.machine.presets import generic_cluster, single_node
+from repro.vmpi.algorithms import AllreduceAlgorithm
+from repro.vmpi.communicator import Communicator
+from repro.vmpi.world import VirtualWorld
 
 
 class TestConstruction:

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from repro.errors import EnsembleValidationError
-from repro.cgyro import CgyroSimulation, SerialReference, small_test
-from repro.machine import generic_cluster, single_node
-from repro.vmpi import VirtualWorld
-from repro.xgyro import SequentialCgyroBaseline, XgyroEnsemble
+from repro.cgyro.presets import small_test
+from repro.cgyro.reference import SerialReference
+from repro.cgyro.solver import CgyroSimulation
+from repro.machine.presets import generic_cluster, single_node
+from repro.vmpi.world import VirtualWorld
+from repro.xgyro.baseline import SequentialCgyroBaseline
+from repro.xgyro.driver import XgyroEnsemble
 
 
 def make_world(n=16, **kw):

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DecompositionError, EnsembleValidationError
-from repro.cgyro import small_test
-from repro.grid import Decomposition
-from repro.xgyro import ensemble_coll_ranks, partition_ranks, validate_shareable
+from repro.cgyro.presets import small_test
+from repro.grid.decomp import Decomposition
+from repro.xgyro.partition import ensemble_coll_ranks, partition_ranks
+from repro.xgyro.validate import validate_shareable
 
 
 class TestPartitionRanks:
