@@ -156,8 +156,8 @@ def test_batched_beats_fifo_makespan_and_throughput(reports, bench_json):
 
 def test_batched_beats_fifo_queue_latency(reports):
     """Fewer waves -> requests start sooner across the distribution."""
-    cold_p = reports["cold"].latency_percentiles()
-    fifo_p = reports["fifo"].latency_percentiles()
+    cold_p = reports["cold"].latency_percentiles
+    fifo_p = reports["fifo"].latency_percentiles
     print(
         "\nqueue latency (s):"
         + "".join(

@@ -154,7 +154,7 @@ def test_diagnosis_names_the_true_cause(runs, bench_json):
 def test_alerts_resolve_when_faults_clear(runs):
     """No page left firing once its fault has passed (failed drill)."""
     for name, (_scenario, report, _monitor) in runs.items():
-        assert report.monitoring["firing_at_end"] == [], name
+        assert report.monitoring.firing_at_end == (), name
 
 
 def test_monitoring_is_invisible_at_bench_scale(runs, smoke):
@@ -174,5 +174,5 @@ def test_monitoring_pipeline_is_byte_stable(runs):
     scenario.build(telemetry=Telemetry(), monitor=again).run(
         scenario.horizon_s
     )
-    dumps = lambda s: json.dumps(s, sort_keys=True)
+    dumps = lambda s: json.dumps(s.to_dict(), sort_keys=True)
     assert dumps(again.summary()) == dumps(monitor.summary())

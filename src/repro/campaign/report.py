@@ -137,8 +137,38 @@ def retry_or_abandon(
     )
 
 
+class JobBooks:
+    """What a report derives from its ``jobs`` and ``abandoned`` lists
+    (mixed into both :class:`CampaignReport` and ``ServiceReport``)."""
+
+    jobs: List[JobRecord]
+    abandoned: List[AbandonedRecord]
+
+    @property
+    def n_jobs(self) -> int:
+        """Jobs dispatched (retries included)."""
+        return len(self.jobs)
+
+    @property
+    def n_abandoned(self) -> int:
+        """Requests dead-lettered after exhausting the retry policy."""
+        return len(self.abandoned)
+
+    @property
+    def mean_k(self) -> float:
+        """Average ensemble size across dispatched jobs."""
+        if not self.jobs:
+            return 0.0
+        return sum(j.k for j in self.jobs) / len(self.jobs)
+
+    @property
+    def busy_node_seconds(self) -> float:
+        """Node-seconds actually spent running jobs."""
+        return sum(j.n_nodes * j.elapsed_s for j in self.jobs)
+
+
 @dataclass
-class CampaignReport:
+class CampaignReport(JobBooks, Record):
     """Service-level summary of one campaign run."""
 
     machine_name: str
@@ -146,7 +176,7 @@ class CampaignReport:
     makespan_s: float
     jobs: List[JobRecord] = field(default_factory=list)
     requests: List[RequestRecord] = field(default_factory=list)
-    cache: Dict[str, float] = field(default_factory=dict)
+    cache: Dict[str, object] = field(default_factory=dict)
     peak_cmat_bytes_per_rank: int = 0
     abandoned: List[AbandonedRecord] = field(default_factory=list)
     quarantined_nodes: Tuple[int, ...] = ()
@@ -159,12 +189,22 @@ class CampaignReport:
     #: incident that tripped the breaker to the end of the campaign
     quarantine_windows: List[Dict[str, float]] = field(default_factory=list)
 
-    # ------------------------------------------------------------------
-    @property
-    def n_jobs(self) -> int:
-        """Jobs dispatched (retries included)."""
-        return len(self.jobs)
+    record_error = CampaignError
+    record_held_order = ("cache", "health", "quarantine_windows")
+    record_keys = (
+        "machine_name", "machine_n_nodes", "makespan_s", "n_jobs",
+        "n_completed", "n_requeued", "mean_k", "total_member_steps",
+        "throughput_member_steps_per_s", "node_utilisation",
+        "peak_cmat_bytes_per_rank", "latency_percentiles", "cache",
+        "n_abandoned", "abandoned", "quarantined_nodes", "health", "waves",
+        "imposed_wait_s", "quarantine_windows", "jobs", "requests",
+    )
 
+    def __post_init__(self) -> None:
+        if self.machine_n_nodes < 1:
+            raise CampaignError(f"machine_n_nodes must be >= 1, got {self.machine_n_nodes}")
+
+    # ------------------------------------------------------------------
     @property
     def n_completed(self) -> int:
         """Requests brought to completion."""
@@ -174,11 +214,6 @@ class CampaignReport:
     def n_requeued(self) -> int:
         """Member slots lost to faults and sent back to the queue."""
         return sum(len(j.lost_request_ids) for j in self.jobs)
-
-    @property
-    def n_abandoned(self) -> int:
-        """Requests dead-lettered after exhausting the retry policy."""
-        return len(self.abandoned)
 
     @property
     def total_member_steps(self) -> int:
@@ -197,49 +232,12 @@ class CampaignReport:
         """Busy node-seconds over available node-seconds."""
         if self.makespan_s <= 0:
             return 0.0
-        busy = sum(j.n_nodes * j.elapsed_s for j in self.jobs)
-        return busy / (self.machine_n_nodes * self.makespan_s)
+        return self.busy_node_seconds / (self.machine_n_nodes * self.makespan_s)
 
     @property
-    def mean_k(self) -> float:
-        """Average ensemble size across dispatched jobs."""
-        if not self.jobs:
-            return 0.0
-        return sum(j.k for j in self.jobs) / len(self.jobs)
-
     def latency_percentiles(self) -> Dict[str, float]:
-        """Queue-latency percentiles over completed requests."""
-        if not self.requests:
-            raise CampaignError("no completed requests to take percentiles of")
-        lat = np.array([r.queue_latency_s for r in self.requests])
-        return {f"p{q:g}": float(np.percentile(lat, q)) for q in (50.0, 90.0, 99.0)}
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation of the whole report."""
-        return {
-            "machine_name": self.machine_name,
-            "machine_n_nodes": self.machine_n_nodes,
-            "makespan_s": self.makespan_s,
-            "n_jobs": self.n_jobs,
-            "n_completed": self.n_completed,
-            "n_requeued": self.n_requeued,
-            "mean_k": self.mean_k,
-            "total_member_steps": self.total_member_steps,
-            "throughput_member_steps_per_s": self.throughput_member_steps_per_s,
-            "node_utilisation": self.node_utilisation,
-            "peak_cmat_bytes_per_rank": self.peak_cmat_bytes_per_rank,
-            "latency_percentiles": (
-                self.latency_percentiles() if self.requests else {}
-            ),
-            "cache": dict(self.cache),
-            "n_abandoned": self.n_abandoned,
-            "abandoned": [a.to_dict() for a in self.abandoned],
-            "quarantined_nodes": list(self.quarantined_nodes),
-            "health": dict(self.health),
-            "waves": [w.to_dict() for w in self.waves],
-            "imposed_wait_s": self.imposed_wait_s,
-            "quarantine_windows": [dict(w) for w in self.quarantine_windows],
-            "jobs": [j.to_dict() for j in self.jobs],
-            "requests": [r.to_dict() for r in self.requests],
-        }
+        """Queue-latency percentiles over completed requests (empty
+        before the first completion)."""
+        lat = [r.queue_latency_s for r in self.requests]
+        qs = (50.0, 90.0, 99.0) if lat else ()
+        return {f"p{q:g}": float(np.percentile(lat, q)) for q in qs}

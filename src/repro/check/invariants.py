@@ -50,6 +50,7 @@ from repro.machine.model import KiB, MachineModel
 from repro.machine.topology import FaultDomains
 from repro.records import Record
 from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.service.report import ServiceReport
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,8 @@ class ChaosReport(Record):
     checks: List[InvariantCheck] = field(default_factory=list)
     n_wal_events: int = 0
     crash_indices: Tuple[int, ...] = ()
-    #: the uncrashed run's ServiceReport, dumped through its own
-    #: ``to_dict`` (and loaded back as that plain mapping)
-    report: object = None
+    #: the uncrashed run's report
+    report: Optional[ServiceReport] = None
 
     record_derived = ("ok",)
 

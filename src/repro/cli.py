@@ -823,9 +823,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         monitor = ServiceMonitor(window_s=args.window, rules=rules)
         service = scenario.build(telemetry=telemetry, monitor=monitor)
         service.run(scenario.horizon_s)
-        summaries[scenario.name] = monitor.summary()
+        summaries[scenario.name] = summary = monitor.summary()
         print(f"monitor: {scenario.name} ({scenario.description})")
-        print(render_monitor_report(monitor.summary()))
+        print(render_monitor_report(summary))
         if args.rollups_out:
             out_dir = Path(args.rollups_out)
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -833,14 +833,14 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             export_rollups_jsonl(monitor.rollups, path)
             print(f"{len(monitor.rollups)} rollup(s) written to {path}")
     if args.json:
-        write_json(args.json, summaries, indent=1)
+        write_json(args.json, {n: s.to_dict() for n, s in summaries.items()}, indent=1)
         print(f"monitor summaries written to {args.json}")
     # a page left firing at the end of the horizon is a failed drill:
     # the fault cleared but the alert did not resolve
     stuck = {
-        name: list(s["firing_at_end"])
+        name: list(s.firing_at_end)
         for name, s in summaries.items()
-        if s["firing_at_end"]
+        if s.firing_at_end
     }
     if stuck:
         print(f"unresolved alerts at end of horizon: {stuck}")

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import records
 from repro.errors import ReproError
@@ -60,7 +60,7 @@ from repro.resilience.health import robust_cutoff
 
 #: JSONL header for rollup time series (one rollup per line).
 ROLLUP_FORMAT = "repro-rollups-v1"
-#: Format tag of the monitor summary dict.
+#: Format tag of the monitor summary.
 MONITOR_FORMAT = "repro-monitor-v1"
 
 #: Rollup key -> cumulative service counter it is the window delta of.
@@ -609,6 +609,31 @@ def _cause_signals(
 # ----------------------------------------------------------------------
 # the monitor
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class MonitorSummary(records.Record):
+    """The byte-stable monitoring block of the service report."""
+
+    window_s: float
+    n_windows: int
+    rules: Tuple[str, ...]
+    firing_at_end: Tuple[str, ...]
+    alerts: Tuple[AlertEvent, ...]
+    incidents: Tuple[IncidentReport, ...]
+
+    record_tag = MONITOR_FORMAT
+    record_derived = ("n_fired", "n_resolved")
+
+    @property
+    def n_fired(self) -> int:
+        """Alerts that fired over the run."""
+        return sum(1 for a in self.alerts if a.state == "fired")
+
+    @property
+    def n_resolved(self) -> int:
+        """Alerts that resolved over the run."""
+        return sum(1 for a in self.alerts if a.state == "resolved")
+
+
 class ServiceMonitor:
     """Passive observer the :class:`~repro.service.loop.OnlineService`
     drives between events.
@@ -632,8 +657,8 @@ class ServiceMonitor:
         window_s: float = 60.0,
         rules: Optional[Sequence[AlertRule]] = None,
     ) -> None:
-        if window_s <= 0:
-            raise ReproError(f"window_s must be > 0, got {window_s}")
+        if not 0 < window_s < float("inf"):
+            raise ReproError(f"window_s must be in (0, inf), got {window_s}")
         #: the service's telemetry bundle, bound by the service itself
         self.telemetry = None
         self.window_s = float(window_s)
@@ -694,11 +719,11 @@ class ServiceMonitor:
             self._close_window(service, end - self.window_s, end)
             self._index += 1
 
-    def finish(self, service, t_end: float) -> Dict[str, object]:
+    def finish(self, service, t_end: float) -> Optional[MonitorSummary]:
         """Close trailing windows (including a final partial one) and
-        return the summary dict for the service report."""
+        return the summary for the service report (None before begin)."""
         if not self._began:
-            return {}
+            return None
         self.advance(service, t_end)
         start = self._t0 + self._index * self.window_s
         if t_end > start:
@@ -893,53 +918,40 @@ class ServiceMonitor:
     # ------------------------------------------------------------------
     # summary / rendering
     # ------------------------------------------------------------------
-    def summary(self) -> Dict[str, object]:
-        """The byte-stable monitoring block of the service report."""
-        return {
-            "format": MONITOR_FORMAT,
-            "window_s": self.window_s,
-            "n_windows": len(self.rollups),
-            "rules": [r.name for r in self.rules],
-            "n_fired": sum(1 for a in self.alerts if a.state == "fired"),
-            "n_resolved": sum(
-                1 for a in self.alerts if a.state == "resolved"
-            ),
-            "firing_at_end": list(self.engine.firing),
-            "alerts": [a.to_dict() for a in self.alerts],
-            "incidents": [i.to_dict() for i in self.incidents],
-        }
+    def summary(self) -> MonitorSummary:
+        """The monitoring block of the service report, so far."""
+        return MonitorSummary(
+            window_s=self.window_s,
+            n_windows=len(self.rollups),
+            rules=tuple(r.name for r in self.rules),
+            firing_at_end=self.engine.firing,
+            alerts=tuple(self.alerts),
+            incidents=tuple(self.incidents),
+        )
 
 
-def render_monitor_report(summary: Mapping[str, object]) -> str:
-    """Operator-readable alert timeline + incident narratives."""
-    if not summary:
+def render_monitor_report(summary: Optional[MonitorSummary]) -> str:
+    """Operator-readable alert timeline + incident narratives (None,
+    an unmonitored report's, reads as off)."""
+    if summary is None:
         return "monitoring: off\n"
     lines = [
-        (
-            f"monitoring: {summary['n_windows']} windows x "
-            f"{summary['window_s']:g} s, "
-            f"{len(summary.get('rules', []))} rules, "  # type: ignore[arg-type]
-            f"{summary['n_fired']} fired / {summary['n_resolved']} resolved"
-        )
+        f"monitoring: {summary.n_windows} windows x {summary.window_s:g} s, "
+        f"{len(summary.rules)} rules, "
+        f"{summary.n_fired} fired / {summary.n_resolved} resolved"
     ]
-    firing = summary.get("firing_at_end") or []
-    if firing:
-        lines.append(
-            "  still firing at end: "
-            + ", ".join(str(f) for f in firing)  # type: ignore[union-attr]
-        )
-    alerts = summary.get("alerts", [])
-    if alerts:
+    if summary.firing_at_end:
+        lines.append("  still firing at end: " + ", ".join(summary.firing_at_end))
+    if summary.alerts:
         lines.append("  alert timeline:")
-        for a in alerts:  # type: ignore[union-attr]
-            marker = "FIRED   " if a["state"] == "fired" else "resolved"
+        for a in summary.alerts:
+            marker = "FIRED   " if a.state == "fired" else "resolved"
             lines.append(
-                f"    [w{a['window_index']:>3} t={a['t_s']:>7.1f}s] "
-                f"{marker} {a['rule']}: {a['detail']}"
+                f"    [w{a.window_index:>3} t={a.t_s:>7.1f}s] "
+                f"{marker} {a.rule}: {a.detail}"
             )
-    incidents = summary.get("incidents", [])
-    if incidents:
+    if summary.incidents:
         lines.append("  incidents:")
-        for inc in incidents:  # type: ignore[union-attr]
-            lines.append(f"    {inc['narrative']}")
+        for inc in summary.incidents:
+            lines.append(f"    {inc.narrative}")
     return "\n".join(lines) + "\n"

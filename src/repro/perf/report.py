@@ -182,8 +182,8 @@ def render_campaign_report(report) -> str:
         f"{'peak cmat per rank':<26s} "
         f"{report.peak_cmat_bytes_per_rank:>12d} B",
     ]
-    if report.requests:
-        pct = report.latency_percentiles()
+    pct = report.latency_percentiles
+    if pct:
         lines.append(
             f"{'queue latency p50/p90/p99':<26s} "
             + " / ".join(f"{pct[k]:.3f}" for k in ("p50", "p90", "p99"))

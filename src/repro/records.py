@@ -57,8 +57,12 @@ class Record:
     ``record_derived``
         Derived keys emitted after the fields (without ``record_keys``).
     ``record_nan_null``
-        ``float`` / ``Dict[str, float]`` fields whose NaN travels as
-        JSON ``null``.
+        ``float`` / ``Dict[str, float]`` fields, and ``float`` derived
+        keys, whose NaN travels as JSON ``null``.
+    ``record_held_order``
+        ``Dict`` fields (or lists of them) emitted in held key order.
+    ``record_empty_none``
+        ``Optional`` record fields whose ``None`` travels as ``{}``.
     ``record_error``
         Error class the ``from_*`` methods refuse with; a loader that
         knows the file passes its own, and the file's name, to
@@ -102,8 +106,9 @@ class _Plan(typing.NamedTuple):
 def _plan(cls: type) -> _Plan:
     hints = typing.get_type_hints(cls)
     nan_null = getattr(cls, "record_nan_null", ())
+    held, empty = (getattr(cls, f"record_{a}", ()) for a in ("held_order", "empty_none"))
     codecs = {
-        f.name: _codec(hints[f.name], f.name in nan_null)
+        f.name: _codec(hints[f.name], *(f.name in s for s in (nan_null, held, empty)))
         for f in dataclasses.fields(cls)
     }
     keys = getattr(cls, "record_keys", None) or (
@@ -112,10 +117,11 @@ def _plan(cls: type) -> _Plan:
     if not set(codecs) <= set(keys):
         raise TypeError(f"{cls.__name__}.record_keys omits a field")
     tag = getattr(cls, "record_tag", None)
+    derived = {k: json_float for k in nan_null}  # a derived key's encoder, if any
     missing = dataclasses.MISSING
     return _Plan(
         tag=tag,
-        emit=tuple((k, codecs[k][0] if k in codecs else None) for k in keys),
+        emit=tuple((k, codecs[k][0] if k in codecs else derived.get(k)) for k in keys),
         decoders={name: dec for name, (_, dec) in codecs.items()},
         required=frozenset(
             f.name
@@ -126,7 +132,7 @@ def _plan(cls: type) -> _Plan:
     )
 
 
-def _codec(hint, nan_null: bool):
+def _codec(hint, nan_null: bool, held: bool, empty: bool):
     """``(encoder, decoder)`` of one type hint; encoder ``None`` means
     the value is emitted as held."""
     if hint is float and nan_null:
@@ -135,24 +141,22 @@ def _codec(hint, nan_null: bool):
         )
     if hint in _SCALARS:
         return None, _SCALARS[hint]
-    if hint is object:  # opaque JSON; a value that can dump itself does
-        return (
-            lambda v: v.to_dict() if hasattr(v, "to_dict") else v,
-            lambda v, where, error: v,
-        )
+    if hint is object:  # opaque JSON, emitted as held
+        return None, lambda v, where, error: v
     if dataclasses.is_dataclass(hint):
         return dump, lambda v, where, error: load(
             hint, v, what=where, error=error
         )
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Union and len(args) == 2 and args[1] is type(None):
-        enc, dec = _codec(args[0], nan_null)
+        enc, dec = _codec(args[0], nan_null, held, False)
+        null = dict if empty else type(None)  # a fresh `{}` or None per dump
         return (
-            enc and (lambda v: None if v is None else enc(v)),
-            lambda v, where, error: None if v is None else dec(v, where, error),
+            enc and (lambda v: null() if v is None else enc(v)),
+            lambda v, where, error: None if v == null() else dec(v, where, error),
         )
     if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
-        enc, dec = _codec(args[0], nan_null)
+        enc, dec = _codec(args[0], nan_null, held, False)
 
         def decode_list(v, where, error):
             if not isinstance(v, (list, tuple)):
@@ -161,7 +165,8 @@ def _codec(hint, nan_null: bool):
 
         return (lambda v: [enc(x) for x in v]) if enc else list, decode_list
     if origin is dict and args[0] is str:
-        enc, dec = _codec(args[1], nan_null)
+        enc, dec = _codec(args[1], nan_null, held, False)
+        order = list if held else sorted
 
         def decode_dict(v, where, error):
             if not isinstance(v, dict):
@@ -169,8 +174,8 @@ def _codec(hint, nan_null: bool):
             return {str(k): dec(x, f"{where}[{k!r}]", error) for k, x in v.items()}
 
         if enc is None:
-            return (lambda v: {k: v[k] for k in sorted(v)}), decode_dict
-        return (lambda v: {k: enc(v[k]) for k in sorted(v)}), decode_dict
+            return (lambda v: {k: v[k] for k in order(v)}), decode_dict
+        return (lambda v: {k: enc(v[k]) for k in order(v)}), decode_dict
     raise TypeError(f"the record codec has no rule for {hint!r}")
 
 

@@ -209,9 +209,10 @@ class RetryPolicy:
             raise ResilienceError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise ResilienceError("backoff times must be >= 0")
-        if self.backoff_factor < 1.0:
+        backoffs = (self.base_backoff_s, self.max_backoff_s)
+        if not all(0 <= b < float("inf") for b in backoffs):
+            raise ResilienceError("backoff times must be in [0, inf)")
+        if not 1.0 <= self.backoff_factor < float("inf"):
             raise ResilienceError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )

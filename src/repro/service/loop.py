@@ -100,6 +100,7 @@ from repro.service.report import (
     SERVICE_TTR_BUCKETS,
     ServedRecord,
     ServiceReport,
+    tenant_summary,
 )
 from repro.service.traffic import TrafficModel
 from repro.service.window import MovingWindow, WindowPolicy
@@ -502,45 +503,35 @@ class OnlineService:
         # state transition
         self._log("end", {})
         self.pool.sample(self._now)
-        monitoring = (
-            self.monitor.finish(self, self._now)
-            if self.monitor is not None
-            else {}
-        )
-        cache = (
-            self.runner.cache.stats() if self.runner.cache is not None else {}
-        )
-        tele = self.telemetry
-        if tele is not None:
-            tele.tracer.time_offset = 0.0
-            tele.tracer.end(self._now)
-            tele.metrics.gauge("service_pool_peak_nodes").max(
-                max((s.provisioned for s in self.pool.timeline), default=0)
-            )
-            for key, val in cache.items():
-                tele.metrics.gauge(f"service_cache_{key}").set(val)
         state = self.state
-        return ServiceReport(
+        served = [ServedRecord.from_dict(d) for d in state.served]
+        report = ServiceReport(
             machine_name=self.machine.name,
             machine_n_nodes=self.machine.n_nodes,
             horizon_s=float(horizon_s),
             duration_s=self._now,
             offered=state.offered,
-            served=[ServedRecord.from_dict(d) for d in state.served],
-            rejections=[
-                RejectionRecord.from_dict(d) for d in state.rejections
-            ],
-            abandoned=[
-                AbandonedRecord.from_dict(d) for d in state.abandoned
-            ],
+            served=served,
+            rejections=[RejectionRecord.from_dict(d) for d in state.rejections],
+            abandoned=[AbandonedRecord.from_dict(d) for d in state.abandoned],
             jobs=[JobRecord.from_dict(d) for d in state.jobs],
-            cache=cache,
+            cache=self.runner.cache.stats() if self.runner.cache is not None else {},
             pool_node_seconds=self.pool.node_seconds,
-            pool_timeline=self.pool.timeline_dicts(),
-            tenant_node_seconds=dict(state.tenant_served),
+            pool_timeline=list(self.pool.timeline),
+            tenants=tenant_summary(served, state.tenant_served),
             resilience=self._resilience_summary(),
-            monitoring=monitoring,
+            monitoring=(
+                self.monitor.finish(self, self._now) if self.monitor is not None else None
+            ),
         )
+        tele = self.telemetry
+        if tele is not None:
+            tele.tracer.time_offset = 0.0
+            tele.tracer.end(self._now)
+            tele.metrics.gauge("service_pool_peak_nodes").max(report.peak_pool_nodes)
+            for key, val in report.cache.items():
+                tele.metrics.gauge(f"service_cache_{key}").set(val)
+        return report
 
     def _resilience_summary(self) -> Dict[str, object]:
         """The report's resilience block (empty on a fault-free run)."""

@@ -142,11 +142,11 @@ class ElasticNodePool:
                 f"need 1 <= min_nodes ({min_nodes}) <= max_nodes "
                 f"({max_nodes}) <= machine nodes ({machine.n_nodes})"
             )
-        if provision_delay_s < 0:
+        if not 0 <= provision_delay_s < float("inf"):
             raise ServiceError(
-                f"provision_delay_s must be >= 0, got {provision_delay_s}"
+                f"provision_delay_s must be in [0, inf), got {provision_delay_s}"
             )
-        if idle_reclaim_s <= 0:
+        if not idle_reclaim_s > 0:  # inf (the default) never reclaims
             raise ServiceError(
                 f"idle_reclaim_s must be > 0, got {idle_reclaim_s}"
             )
@@ -256,9 +256,9 @@ class ElasticNodePool:
         """
         if n_nodes < 1:
             raise ServiceError(f"n_nodes must be >= 1, got {n_nodes}")
-        if extra_delay_s < 0:
+        if not 0 <= extra_delay_s < float("inf"):
             raise ServiceError(
-                f"extra_delay_s must be >= 0, got {extra_delay_s}"
+                f"extra_delay_s must be in [0, inf), got {extra_delay_s}"
             )
         gone = {int(n) for n in failed}
         offline = sorted(gone | set(self._nodes(OFFLINE)))
@@ -308,11 +308,6 @@ class ElasticNodePool:
         ):
             return None
         return min(since.values()) + self.idle_reclaim_s  # type: ignore[union-attr]
-
-    # ------------------------------------------------------------------
-    def timeline_dicts(self) -> List[Dict[str, object]]:
-        """JSON-safe pool timeline."""
-        return [s.to_dict() for s in self.timeline]
 
     # ------------------------------------------------------------------
     # snapshot / restore (service journal)

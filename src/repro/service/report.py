@@ -20,18 +20,21 @@ Where the batch :class:`~repro.campaign.report.CampaignReport` answers
 
 All times are simulated-clock seconds; :meth:`ServiceReport.to_dict`
 is JSON-safe and byte-stable under ``json.dumps(..., sort_keys=True)``
-for same-seed reruns.
+for same-seed reruns, and :meth:`ServiceReport.from_dict` loads it back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.campaign.report import AbandonedRecord, JobRecord
+from repro.campaign.report import AbandonedRecord, JobBooks, JobRecord
+from repro.errors import ServiceError
 from repro.obs.metrics import Histogram
-from repro.records import Record, json_float
+from repro.obs.monitor import MonitorSummary
+from repro.records import Record
 from repro.service.admission import RejectionRecord
+from repro.service.pool import PoolSample
 
 #: Time-to-result histogram bounds (simulated seconds).  Wider than the
 #: telemetry defaults: a service request's TTR includes window hold and
@@ -75,7 +78,7 @@ class ServedRecord(Record):
 
 
 @dataclass
-class ServiceReport:
+class ServiceReport(JobBooks, Record):
     """Aggregate summary of one online-service run."""
 
     machine_name: str
@@ -87,19 +90,29 @@ class ServiceReport:
     rejections: List[RejectionRecord] = field(default_factory=list)
     abandoned: List[AbandonedRecord] = field(default_factory=list)
     jobs: List[JobRecord] = field(default_factory=list)
-    cache: Dict[str, float] = field(default_factory=dict)
+    cache: Dict[str, object] = field(default_factory=dict)
     pool_node_seconds: float = 0.0
-    pool_timeline: List[Dict[str, object]] = field(default_factory=list)
-    tenant_node_seconds: Dict[str, float] = field(default_factory=dict)
+    pool_timeline: List[PoolSample] = field(default_factory=list)
+    #: per-tenant served count, SLO hits and node-seconds
+    #: (:func:`tenant_summary`)
+    tenants: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: resilience counters the loop accumulates — retries, dead-letters
     #: broken down by cause, data-plane recoveries, control-plane
     #: crashes/recovery seconds, provisioning failures and stalls,
     #: domain losses (empty on a fault-free run)
     resilience: Dict[str, object] = field(default_factory=dict)
-    #: live-monitoring summary (:meth:`ServiceMonitor.summary` — window
-    #: rollout counts, alert timeline, incident reports; empty when the
-    #: service ran without a monitor)
-    monitoring: Dict[str, object] = field(default_factory=dict)
+    #: the summary of a monitored run (``{}`` in the file when unmonitored)
+    monitoring: Optional[MonitorSummary] = None
+
+    record_error = ServiceError
+    record_empty_none = ("monitoring",)
+    record_derived = (
+        "n_served", "n_shed", "n_abandoned", "shed_rate", "slo_attainment",
+        "goodput_member_steps_per_s", "throughput_member_steps_per_s",
+        "p50_ttr_s", "p99_ttr_s", "n_jobs", "mean_k", "busy_node_seconds",
+        "pool_utilisation", "peak_pool_nodes",
+    )
+    record_nan_null = ("p50_ttr_s", "p99_ttr_s")
 
     # ------------------------------------------------------------------
     @property
@@ -111,11 +124,6 @@ class ServiceReport:
     def n_shed(self) -> int:
         """Arrivals rejected at admission."""
         return len(self.rejections)
-
-    @property
-    def n_abandoned(self) -> int:
-        """Admitted requests dead-lettered after repeated faults."""
-        return len(self.abandoned)
 
     @property
     def shed_rate(self) -> float:
@@ -145,11 +153,6 @@ class ServiceReport:
         return sum(r.steps for r in self.served) / self.duration_s
 
     @property
-    def busy_node_seconds(self) -> float:
-        """Node-seconds actually spent running jobs."""
-        return sum(j.n_nodes * j.elapsed_s for j in self.jobs)
-
-    @property
     def pool_utilisation(self) -> float:
         """Busy node-seconds over provisioned node-seconds — the
         elastic pool's efficiency (a fixed pool pays for idle time)."""
@@ -162,31 +165,21 @@ class ServiceReport:
         """Largest provisioned size the pool reached."""
         if not self.pool_timeline:
             return 0
-        return max(int(s["provisioned"]) for s in self.pool_timeline)
-
-    @property
-    def mean_k(self) -> float:
-        """Average ensemble size across dispatched jobs."""
-        if not self.jobs:
-            return 0.0
-        return sum(j.k for j in self.jobs) / len(self.jobs)
+        return max(s.provisioned for s in self.pool_timeline)
 
     @property
     def cache_hit_rate(self) -> float:
         """Cmat-cache hit rate over the run (0.0 without a cache)."""
-        return float(self.cache.get("hit_rate", 0.0))
+        return float(self.cache.get("hit_rate", 0.0))  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
-    def ttr_histogram(self) -> Histogram:
-        """Time-to-result distribution over served requests."""
+    def ttr_quantile(self, q: float) -> float:
+        """Interpolated quantile of the served requests' time-to-result
+        (NaN before the first service)."""
         hist = Histogram(SERVICE_TTR_BUCKETS)
         for r in self.served:
             hist.observe(r.ttr_s)
-        return hist
-
-    def ttr_quantile(self, q: float) -> float:
-        """Interpolated TTR quantile (NaN before the first service)."""
-        return self.ttr_histogram().quantile(q)
+        return hist.quantile(q)
 
     @property
     def p50_ttr_s(self) -> float:
@@ -198,57 +191,20 @@ class ServiceReport:
         """Tail time-to-result."""
         return self.ttr_quantile(0.99)
 
-    # ------------------------------------------------------------------
-    def tenant_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-tenant served counts, SLO attainment, and node-seconds."""
-        out: Dict[str, Dict[str, float]] = {}
-        for r in self.served:
-            row = out.setdefault(
-                r.tenant, {"served": 0, "slo_met": 0, "node_seconds": 0.0}
-            )
-            row["served"] += 1
-            row["slo_met"] += 1 if r.slo_met else 0
-        for tenant, ns in self.tenant_node_seconds.items():
-            out.setdefault(
-                tenant, {"served": 0, "slo_met": 0, "node_seconds": 0.0}
-            )["node_seconds"] = ns
-        return dict(sorted(out.items()))
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation of the whole report."""
-        return {
-            "machine_name": self.machine_name,
-            "machine_n_nodes": self.machine_n_nodes,
-            "horizon_s": self.horizon_s,
-            "duration_s": self.duration_s,
-            "offered": self.offered,
-            "n_served": self.n_served,
-            "n_shed": self.n_shed,
-            "n_abandoned": self.n_abandoned,
-            "shed_rate": self.shed_rate,
-            "slo_attainment": self.slo_attainment,
-            "goodput_member_steps_per_s": self.goodput_member_steps_per_s,
-            "throughput_member_steps_per_s": (
-                self.throughput_member_steps_per_s
-            ),
-            "p50_ttr_s": json_float(self.p50_ttr_s),
-            "p99_ttr_s": json_float(self.p99_ttr_s),
-            "n_jobs": len(self.jobs),
-            "mean_k": self.mean_k,
-            "busy_node_seconds": self.busy_node_seconds,
-            "pool_node_seconds": self.pool_node_seconds,
-            "pool_utilisation": self.pool_utilisation,
-            "peak_pool_nodes": self.peak_pool_nodes,
-            "cache": dict(self.cache),
-            "resilience": dict(self.resilience),
-            "monitoring": dict(self.monitoring),
-            "tenants": self.tenant_summary(),
-            "rejections": [r.to_dict() for r in self.rejections],
-            "abandoned": [a.to_dict() for a in self.abandoned],
-            "pool_timeline": [dict(s) for s in self.pool_timeline],
-            "jobs": [j.to_dict() for j in self.jobs],
-            "served": [r.to_dict() for r in self.served],
+def tenant_summary(
+    served: List[ServedRecord], node_seconds: Dict[str, float]
+) -> Dict[str, Dict[str, object]]:
+    """Per-tenant served counts, SLO hits and node-seconds, by tenant."""
+    out: Dict[str, Dict[str, object]] = {}
+    for tenant in sorted({r.tenant for r in served} | set(node_seconds)):
+        mine = [r for r in served if r.tenant == tenant]
+        out[tenant] = {
+            "served": len(mine),
+            "slo_met": sum(1 for r in mine if r.slo_met),
+            "node_seconds": node_seconds.get(tenant, 0.0),
         }
+    return out
 
 
 def _fmt_seconds(x: float) -> str:
@@ -276,18 +232,16 @@ def render_service_report(report: ServiceReport) -> str:
         f"{_fmt_seconds(report.p99_ttr_s)}",
         f"  goodput          : {report.goodput_member_steps_per_s:.1f} "
         "member-steps/s",
-        f"  jobs (mean k)    : {len(report.jobs)} ({report.mean_k:.2f})",
+        f"  jobs (mean k)    : {report.n_jobs} ({report.mean_k:.2f})",
         f"  cache hit rate   : {100.0 * report.cache_hit_rate:.1f}%",
         f"  pool             : peak {report.peak_pool_nodes} nodes, "
         f"{report.pool_node_seconds:.0f} node-s provisioned, "
         f"{100.0 * report.pool_utilisation:.1f}% busy",
     ]
-    tenants = report.tenant_summary()
-    if len(tenants) > 1:
+    if len(report.tenants) > 1:
         lines.append("  tenants:")
-        for name, row in tenants.items():
-            served = int(row["served"])
-            met = int(row["slo_met"])
+        for name, row in report.tenants.items():
+            served, met = int(row["served"]), int(row["slo_met"])
             pct = 100.0 * met / served if served else 0.0
             lines.append(
                 f"    {name:<12} served {served:>4}  "

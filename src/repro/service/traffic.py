@@ -58,10 +58,10 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ServiceError("tenant name must be non-empty")
-        if self.weight <= 0:
-            raise ServiceError(f"tenant weight must be > 0, got {self.weight}")
-        if self.slo_s <= 0:
-            raise ServiceError(f"tenant slo_s must be > 0, got {self.slo_s}")
+        if not 0 < self.weight < float("inf"):
+            raise ServiceError(f"tenant weight must be in (0, inf), got {self.weight}")
+        if not 0 < self.slo_s < float("inf"):
+            raise ServiceError(f"tenant slo_s must be in (0, inf), got {self.slo_s}")
 
 
 #: Default tenant used when a model is built without an explicit list.
@@ -116,8 +116,8 @@ class TrafficModel:
 
     def generate(self, horizon_s: float) -> List[SimRequest]:
         """The request stream for one horizon, in arrival order."""
-        if horizon_s <= 0:
-            raise ServiceError(f"horizon_s must be > 0, got {horizon_s}")
+        if not 0 < horizon_s < float("inf"):
+            raise ServiceError(f"horizon_s must be in (0, inf), got {horizon_s}")
         rng = np.random.default_rng(self.seed)
         times = self.arrival_times(float(horizon_s), rng)
         weights = np.array([t.weight for t in self.tenants])
@@ -151,8 +151,8 @@ class PoissonTraffic(TrafficModel):
         seed: int = 0,
     ) -> None:
         super().__init__(workload, tenants=tenants, seed=seed)
-        if rate_per_s <= 0:
-            raise ServiceError(f"rate_per_s must be > 0, got {rate_per_s}")
+        if not 0 < rate_per_s < float("inf"):
+            raise ServiceError(f"rate_per_s must be in (0, inf), got {rate_per_s}")
         self.rate_per_s = float(rate_per_s)
 
     def arrival_times(
@@ -195,8 +195,8 @@ class BurstyTraffic(TrafficModel):
             ("mean_calm_s", mean_calm_s),
             ("mean_burst_s", mean_burst_s),
         ):
-            if val <= 0:
-                raise ServiceError(f"{name} must be > 0, got {val}")
+            if not 0 < val < float("inf"):
+                raise ServiceError(f"{name} must be in (0, inf), got {val}")
         if burst_rate_per_s <= calm_rate_per_s:
             raise ServiceError(
                 "burst_rate_per_s must exceed calm_rate_per_s "
@@ -250,17 +250,17 @@ class DiurnalTraffic(TrafficModel):
         seed: int = 0,
     ) -> None:
         super().__init__(workload, tenants=tenants, seed=seed)
-        if base_rate_per_s < 0:
+        if not 0 <= base_rate_per_s < float("inf"):
             raise ServiceError(
-                f"base_rate_per_s must be >= 0, got {base_rate_per_s}"
+                f"base_rate_per_s must be in [0, inf), got {base_rate_per_s}"
             )
-        if peak_rate_per_s <= base_rate_per_s:
+        if not base_rate_per_s < peak_rate_per_s < float("inf"):
             raise ServiceError(
-                "peak_rate_per_s must exceed base_rate_per_s "
-                f"({peak_rate_per_s} <= {base_rate_per_s})"
+                f"peak_rate_per_s must be in (base_rate_per_s={base_rate_per_s}, "
+                f"inf), got {peak_rate_per_s}"
             )
-        if period_s <= 0:
-            raise ServiceError(f"period_s must be > 0, got {period_s}")
+        if not 0 < period_s < float("inf"):
+            raise ServiceError(f"period_s must be in (0, inf), got {period_s}")
         self.base_rate_per_s = float(base_rate_per_s)
         self.peak_rate_per_s = float(peak_rate_per_s)
         self.period_s = float(period_s)
@@ -307,6 +307,6 @@ class ReplayTraffic(TrafficModel):
 
     def generate(self, horizon_s: float) -> List[SimRequest]:
         """The wrapped stream, cut at the horizon."""
-        if horizon_s <= 0:
-            raise ServiceError(f"horizon_s must be > 0, got {horizon_s}")
+        if not 0 < horizon_s < float("inf"):
+            raise ServiceError(f"horizon_s must be in (0, inf), got {horizon_s}")
         return [r for r in self.requests if r.arrival_s < horizon_s]

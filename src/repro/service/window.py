@@ -56,10 +56,8 @@ class WindowPolicy:
     max_batch: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_hold_s < 0:
-            raise ServiceError(
-                f"max_hold_s must be >= 0, got {self.max_hold_s}"
-            )
+        if not self.max_hold_s >= 0:  # inf holds until min_batch or the drain
+            raise ServiceError(f"max_hold_s must be >= 0, got {self.max_hold_s}")
         if self.min_batch < 1:
             raise ServiceError(f"min_batch must be >= 1, got {self.min_batch}")
         if self.max_batch is not None and self.max_batch < 1:

@@ -431,7 +431,8 @@ def commands() -> Iterator[Command]:
                  ["serve", "--tenant", "a:x:1", "--horizon", "100"],
                  ["linear", "case", "--modes", "x"], ["linear", "case", "--modes", ","],
                  ["campaign", "requests.json", "--max-batch", "0"],
-                 ["plan", "case", "--members", "0"], ["plan", "--smoke", "--seed", "-1"]):
+                 ["plan", "case", "--members", "0"], ["plan", "--smoke", "--seed", "-1"],
+                 ["serve", "--horizon", "nan"], ["monitor", "--window", "inf"]):
         yield _repro(*argv, exit_code=2)
 
 

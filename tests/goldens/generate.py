@@ -473,14 +473,19 @@ def write_artifacts(out: Path) -> None:
          "--json", out / "monitor.json", "--rollups-out", out)
 
 
+def digests(directory: Path) -> dict:
+    """File name -> sha256 of its bytes, over the files of ``directory``."""
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(directory.iterdir())
+    }
+
+
 def artifact_bytes() -> dict:
-    """File name -> sha256 of its bytes, over :func:`write_artifacts`."""
+    """:func:`digests` of the files :func:`write_artifacts` writes."""
     with tempfile.TemporaryDirectory() as tmp:
         write_artifacts(Path(tmp))
-        return {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(Path(tmp).iterdir())
-        }
+        return digests(Path(tmp))
 
 
 def write_artifact_bytes_golden() -> None:

@@ -376,17 +376,18 @@ class TestCampaignReport:
         return CampaignRunner(machine).run(queue, steps=2)
 
     def test_latency_percentiles_ordered(self, report):
-        pct = report.latency_percentiles()
+        pct = report.latency_percentiles
         assert pct["p50"] <= pct["p90"] <= pct["p99"]
 
-    def test_percentiles_of_empty_report_raise(self):
+    def test_empty_report_has_no_percentiles(self):
         from repro.campaign.report import CampaignReport
 
         empty = CampaignReport(
             machine_name="m", machine_n_nodes=1, makespan_s=0.0
         )
-        with pytest.raises(CampaignError):
-            empty.latency_percentiles()
+        assert empty.latency_percentiles == {}
+        with pytest.raises(CampaignError, match="machine_n_nodes"):
+            CampaignReport(machine_name="m", machine_n_nodes=0, makespan_s=0.0)
         assert empty.throughput_member_steps_per_s == 0.0
         assert empty.node_utilisation == 0.0
 

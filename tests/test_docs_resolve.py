@@ -11,6 +11,11 @@ examples, not references):
   name a test that is gone);
 - a ``repro <subcommand>`` is a subcommand of the CLI.
 
+A fourth kind reads every line, code blocks included, since the
+examples are what people copy: each ``--flag`` that follows ``repro
+<subcommand>`` on its line (up to a backtick, a pipe, ``;`` or ``&``;
+a backslash-continued line goes on) is an option of that subcommand.
+
 A change that deletes or renames code therefore has to fix the prose
 that named it.
 """
@@ -21,7 +26,7 @@ import argparse
 import importlib
 import re
 from pathlib import Path
-from typing import Dict, Set
+from typing import Dict, Set, Tuple
 
 import pytest
 
@@ -35,6 +40,8 @@ _FENCE = re.compile(r"^```.*?^```", re.S | re.M)
 _SPAN = re.compile(r"`([^`\n]+)`")
 _NAME = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
 _SUBCOMMAND = re.compile(r"(?<![\w./-])repro ([a-z][\w-]*)")
+_COMMAND = re.compile(r"(?<![\w./-])repro ([a-z][\w-]*)((?:(?!repro )[^`|;&\n])*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
 def references() -> Dict[str, Set[str]]:
@@ -48,7 +55,26 @@ def references() -> Dict[str, Set[str]]:
     return found
 
 
+def flag_uses(text: str) -> Set[Tuple[str, str]]:
+    """``(subcommand, --flag)`` for each flag a ``repro`` command line
+    of ``text`` passes."""
+    return {
+        (m.group(1), flag)
+        for m in _COMMAND.finditer(text.replace("\\\n", " "))
+        for flag in _FLAG.findall(m.group(2))
+    }
+
+
 REFS = references()
+FLAGS = set().union(*(flag_uses((ROOT / doc).read_text()) for doc in DOCS))
+SUBPARSERS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+
+def _is_option(subcommand: str, flag: str) -> bool:
+    parser = SUBPARSERS.get(subcommand)
+    return parser is not None and flag in parser._option_string_actions
 
 
 def _resolves(name: str) -> bool:
@@ -76,6 +102,7 @@ def _exists(ref: str) -> bool:
 def test_the_docs_name_something_of_each_kind():
     """The extraction is not vacuous."""
     assert len(REFS["name"]) > 40 and len(REFS["path"]) > 80 and len(REFS["subcommand"]) > 5
+    assert len(FLAGS) > 50
 
 
 @pytest.mark.parametrize("name", sorted(REFS["name"]))
@@ -89,8 +116,12 @@ def test_path_exists(path):
 
 
 def test_subcommands_are_cli_commands():
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert REFS["subcommand"] <= set(sub.choices), REFS["subcommand"] - set(sub.choices)
+    assert REFS["subcommand"] <= set(SUBPARSERS), REFS["subcommand"] - set(SUBPARSERS)
+
+
+@pytest.mark.parametrize("subcommand,flag", sorted(FLAGS))
+def test_flag_is_an_option_of_its_subcommand(subcommand, flag):
+    assert _is_option(subcommand, flag), f"`repro {subcommand} {flag}` is in the docs"
 
 
 def test_a_removed_name_goes_red():
@@ -100,3 +131,6 @@ def test_a_removed_name_goes_red():
     assert not _exists("tests/census/never_entered.txt")
     assert not _exists("tests/test_no_such_file.py::TestRecords")
     assert _exists("tests/goldens/oracle_nl03c_k{2,4}.json")
+    uses = flag_uses("    python -m repro serve --smoke \\\n        --no-such-flag\n")
+    assert uses == {("serve", "--smoke"), ("serve", "--no-such-flag")}
+    assert [u for u in uses if not _is_option(*u)] == [("serve", "--no-such-flag")]

@@ -38,6 +38,7 @@ from repro.obs.monitor import (
 )
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.service.loop import OnlineService
+from repro.service.report import ServiceReport
 from repro.service.traffic import PoissonTraffic
 from repro.service.window import WindowPolicy
 
@@ -176,13 +177,22 @@ class TestRollups:
     def test_summary_lands_on_the_report(self, monitored):
         report, _, monitor = monitored
         assert report.monitoring == monitor.summary()
-        assert report.monitoring["format"] == "repro-monitor-v1"
-        assert report.to_dict()["monitoring"] == report.monitoring
+        dumped = report.to_dict()["monitoring"]
+        assert dumped == report.monitoring.to_dict()
+        assert dumped["format"] == "repro-monitor-v1"
+
+    def test_a_monitored_report_loads_back_equal(self, monitored):
+        report, _, _ = monitored
+        loaded = ServiceReport.from_json(json.dumps(report.to_dict()))
+        assert loaded == report
+        assert render_monitor_report(loaded.monitoring) == render_monitor_report(
+            report.monitoring
+        )
 
     def test_repeat_run_summary_is_byte_identical(self, monitored):
         report, _, _ = monitored
         again, _ = _run("crash-resume", monitor=ServiceMonitor(window_s=60.0))
-        dumps = lambda s: json.dumps(s, sort_keys=True)
+        dumps = lambda s: json.dumps(s.to_dict(), sort_keys=True)
         assert dumps(again.monitoring) == dumps(report.monitoring)
 
 
@@ -455,7 +465,7 @@ class TestWiring:
             monitor.bind(Telemetry())
 
     def test_render_monitor_report_off(self):
-        assert render_monitor_report({}) == "monitoring: off\n"
+        assert render_monitor_report(None) == "monitoring: off\n"
 
     def test_render_timeline(self):
         report, _ = _run(

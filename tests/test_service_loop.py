@@ -121,7 +121,7 @@ class TestElasticPool:
         ).run(40.0)
         assert report.n_served == 3
         assert report.peak_pool_nodes > 1  # grew beyond the floor
-        assert report.pool_timeline[-1]["provisioned"] == 1  # drained back
+        assert report.pool_timeline[-1].provisioned == 1  # drained back
         # elasticity saves cost versus holding the whole machine
         assert report.pool_node_seconds < 8 * report.duration_s
 
@@ -130,7 +130,7 @@ class TestElasticPool:
             min_nodes=8, max_nodes=8, provision_delay_s=0.0,
             idle_reclaim_s=float("inf"),
         ).run(300.0)
-        sizes = {s["provisioned"] for s in report.pool_timeline}
+        sizes = {s.provisioned for s in report.pool_timeline}
         assert sizes == {8}
         assert report.pool_node_seconds == pytest.approx(
             8 * report.duration_s
@@ -160,12 +160,10 @@ class TestDeadlinesAndTenants:
 
     def test_tenants_are_charged_and_reported(self):
         report = _service().run(600.0)
-        summary = report.tenant_summary()
-        assert set(summary) == {"alice", "bob"}
-        assert sum(int(v["served"]) for v in summary.values()) == (
-            report.n_served
-        )
-        total = sum(report.tenant_node_seconds.values())
+        tenants = report.tenants
+        assert set(tenants) == {"alice", "bob"}
+        assert sum(v["served"] for v in tenants.values()) == report.n_served
+        total = sum(v["node_seconds"] for v in tenants.values())
         assert total == pytest.approx(report.busy_node_seconds)
 
 

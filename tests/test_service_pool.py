@@ -16,6 +16,7 @@ from repro.service.pool import (
     OFFLINE,
     PROVISIONING,
     ElasticNodePool,
+    PoolSample,
     advance,
     transition,
 )
@@ -148,16 +149,11 @@ class TestPoolLifecycle:
         transition(pool.book, pool.due_ready(5.0), IDLE, 5.0)
         transition(pool.book, [0, 1], BUSY, 6.0)
         pool.sample(7.0)
-        samples = pool.timeline_dicts()
-        assert samples[0] == {
-            "t_s": 0.0, "provisioned": 1, "busy": 0, "provisioning": 0
-        }
-        assert samples[1] == {
-            "t_s": 0.0, "provisioned": 1, "busy": 0, "provisioning": 1
-        }
-        assert samples[-1] == {
-            "t_s": 7.0, "provisioned": 2, "busy": 2, "provisioning": 0
-        }
+        assert pool.timeline == [
+            PoolSample(t_s=0.0, provisioned=1, busy=0, provisioning=0),
+            PoolSample(t_s=0.0, provisioned=1, busy=0, provisioning=1),
+            PoolSample(t_s=7.0, provisioned=2, busy=2, provisioning=0),
+        ]
 
     def test_validation(self, machine):
         with pytest.raises(ServiceError):

@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.cgyro.presets import small_test
+from repro.machine.presets import generic_cluster
+from repro.obs.monitor import ServiceMonitor
+from repro.resilience.health import RetryPolicy
+from repro.service.pool import ElasticNodePool
 from repro.service.traffic import (
     BurstyTraffic,
     DiurnalTraffic,
@@ -15,6 +19,7 @@ from repro.service.traffic import (
     TenantSpec,
     replay,
 )
+from repro.service.window import WindowPolicy
 
 WORKLOAD = [small_test(), small_test(nu=0.2), small_test(n_energy=4)]
 
@@ -123,6 +128,58 @@ class TestReplay:
         )
         with pytest.raises(ServiceError):
             ReplayTraffic(list(reversed(stream)))
+
+
+NAN, INF = float("nan"), float("inf")
+_BURSTY = dict(calm_rate_per_s=0.05, burst_rate_per_s=0.5, mean_calm_s=100.0,
+               mean_burst_s=30.0)
+_DIURNAL = dict(base_rate_per_s=0.02, peak_rate_per_s=0.3, period_s=600.0)
+_POOL = generic_cluster(n_nodes=2, ranks_per_node=4)
+
+#: every leaf check a number from a ``serve`` / ``campaign`` / ``monitor``
+#: flag reaches, handed NaN or infinity (NaN passes ``x <= 0``, and an
+#: infinite horizon or rate never finishes drawing arrivals)
+NON_FINITE = {
+    "horizon nan": lambda: PoissonTraffic(WORKLOAD, rate_per_s=0.1).generate(NAN),
+    "horizon inf": lambda: PoissonTraffic(WORKLOAD, rate_per_s=0.1).generate(INF),
+    "replay horizon": lambda: replay(
+        [PoissonTraffic(WORKLOAD, rate_per_s=0.1).generate(100.0)[0]]
+    ).generate(NAN),
+    "rate nan": lambda: PoissonTraffic(WORKLOAD, rate_per_s=NAN),
+    "rate inf": lambda: PoissonTraffic(WORKLOAD, rate_per_s=INF),
+    "mean calm": lambda: BurstyTraffic(WORKLOAD, **{**_BURSTY, "mean_calm_s": NAN}),
+    "burst rate": lambda: BurstyTraffic(
+        WORKLOAD, **{**_BURSTY, "burst_rate_per_s": NAN}
+    ),
+    "base rate": lambda: DiurnalTraffic(
+        WORKLOAD, **{**_DIURNAL, "base_rate_per_s": NAN}
+    ),
+    "peak rate": lambda: DiurnalTraffic(
+        WORKLOAD, **{**_DIURNAL, "peak_rate_per_s": NAN}
+    ),
+    "period": lambda: DiurnalTraffic(WORKLOAD, **{**_DIURNAL, "period_s": NAN}),
+    "tenant weight": lambda: TenantSpec("a", weight=NAN),
+    "tenant slo": lambda: TenantSpec("a", slo_s=NAN),
+    "max hold": lambda: WindowPolicy(max_hold_s=NAN),
+    "provision delay": lambda: ElasticNodePool(_POOL, provision_delay_s=NAN),
+    "idle reclaim": lambda: ElasticNodePool(_POOL, idle_reclaim_s=NAN),
+    "grow stall": lambda: ElasticNodePool(_POOL).pick_grow(1, 0.0, extra_delay_s=NAN),
+    "backoff": lambda: RetryPolicy(base_backoff_s=NAN),
+    "backoff factor": lambda: RetryPolicy(backoff_factor=NAN),
+    "monitor window nan": lambda: ServiceMonitor(window_s=NAN),
+    "monitor window inf": lambda: ServiceMonitor(window_s=INF),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_a_non_finite_number_is_refused(name):
+    with pytest.raises(ReproError, match="must be"):
+        NON_FINITE[name]()
+
+
+def test_infinity_stays_legal_where_it_means_never():
+    assert ElasticNodePool(_POOL, idle_reclaim_s=INF).next_reclaim() is None
+    assert WindowPolicy(max_hold_s=INF).max_hold_s == INF
 
 
 class TestValidation:
