@@ -52,7 +52,7 @@ EXPECTED_CAUSE = {
     "provision_fail": "provision_stall",
 }
 
-#: resilience_counters keys that prove a fault kind materialized.
+#: Report resilience keys that prove a fault kind materialized.
 MATERIALIZED = {
     "service_crash": ("crashes",),
     "domain_loss": ("domain_losses",),

@@ -19,8 +19,8 @@ Invariants checked per scenario:
   pairwise disjoint and internally duplicate-free (a request served
   twice, or served *and* dead-lettered, is an exactly-once bug).
 - **ledger** — the resilience counters balance the report:
-  ``dead_letters`` equals the abandoned count and the recovery ledger
-  charges non-negative lost work.
+  ``dead_letters`` equals the abandoned count and the per-cause
+  breakdown sums to it.
 - **wal-replay** — replaying the write-ahead log through
   :class:`~repro.service.journal.ReplayState` reproduces the final
   report's accounting byte-for-byte (same ids, same pool
@@ -30,7 +30,8 @@ Invariants checked per scenario:
   violation in any wave fails the scenario.
 - **exactly-once** — crash the control plane at sampled WAL indices
   and recover; every recovered run must reach the *identical*
-  disposition for every request as the uncrashed run.
+  disposition for every request as the uncrashed run, and count the
+  same crashes, domain losses and provisioning failures.
 
 A failed invariant raises :class:`~repro.errors.InvariantViolation`
 naming every failed check (or, with ``raise_on_violation=False``,
@@ -167,6 +168,36 @@ def replay_matches_report(replayed, report) -> bool:
     )
 
 
+#: Fault counts a recovery must keep: each fault fires once, crash or not.
+_FAULT_COUNTS = ("crashes", "domain_losses", "provision_failures")
+
+
+def recovery_matches(recovered, report) -> Tuple[bool, str]:
+    """The ``exactly-once`` verdict ``(ok, detail)``: the recovered
+    run's report keeps the uncrashed ``report``'s disposition of every
+    request, its offered load and its fault counts, and conserves."""
+    got, want = (
+        dict(
+            _disposition_ids(r),
+            offered=r.offered,
+            **{k: int(r.resilience.get(k, 0)) for k in _FAULT_COUNTS},
+        )
+        for r in (recovered, report)
+    )
+    drift = {
+        k: sorted(set(got[k]) ^ set(v))[:4] if isinstance(v, list) else [v, got[k]]
+        for k, v in want.items()
+        if got[k] != v
+    }
+    conserved = recovered.n_served + recovered.n_shed + recovered.n_abandoned
+    detail = (
+        "disposition drift: " + json.dumps(drift, sort_keys=True)
+        if drift
+        else "identical dispositions after recovery"
+    )
+    return not drift and conserved == recovered.offered, detail
+
+
 def _crash_indices(n_events: int, samples: int) -> Tuple[int, ...]:
     """``samples`` crash points spread across the WAL (never index 0:
     crashing before the ``begin`` event is an empty journal, which is
@@ -259,14 +290,11 @@ def run_scenario(
     deads_ok = int(resil.get("dead_letters", 0)) == report.n_abandoned
     by_cause = resil.get("dead_letters_by_cause", {})
     cause_ok = sum(by_cause.values()) == int(resil.get("dead_letters", 0))
-    ledger = resil.get("control_ledger", {}) or {}
-    lost_ok = float(ledger.get("lost_work_s", 0.0)) >= 0.0
     check(
         "ledger",
-        deads_ok and cause_ok and lost_ok,
+        deads_ok and cause_ok,
         f"dead_letters={resil.get('dead_letters', 0)} "
-        f"abandoned={report.n_abandoned} by_cause={dict(by_cause)} "
-        f"ledger_lost_work_s={ledger.get('lost_work_s', 0.0)}",
+        f"abandoned={report.n_abandoned} by_cause={dict(by_cause)}",
     )
 
     # -- WAL replay reproduces the books ------------------------------
@@ -308,26 +336,7 @@ def run_scenario(
         recovered = recover_service(
             scenario.build(), crashed, horizon_s=scenario.horizon_s
         )
-        rec_ids = _disposition_ids(recovered)
-        conserved = (
-            recovered.n_served + recovered.n_shed + recovered.n_abandoned
-            == recovered.offered
-        )
-        same = rec_ids == base_ids and recovered.offered == report.offered
-        detail = (
-            "identical dispositions after recovery"
-            if same
-            else "disposition drift: "
-            + json.dumps(
-                {
-                    key: sorted(set(rec_ids[key]) ^ set(base_ids[key]))[:4]
-                    for key in ("served", "shed", "dead")
-                    if rec_ids[key] != base_ids[key]
-                },
-                sort_keys=True,
-            )
-        )
-        check(f"exactly-once@{k}", same and conserved, detail)
+        check(f"exactly-once@{k}", *recovery_matches(recovered, report))
 
     if telemetry is not None:
         telemetry.tracer.record(

@@ -470,6 +470,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.max_hold, args.min_batch = 30.0, 2
         args.min_nodes, args.max_nodes = 1, 4
         args.provision_delay, args.idle_reclaim = 15.0, 120.0
+    # a model's own flags default to None, so one it does not read is
+    # refused rather than dropped
+    for dest, model, default in (
+        ("burst_rate", "bursty", 0.5), ("mean_calm", "bursty", 300.0),
+        ("mean_burst", "bursty", 60.0), ("peak_rate", "diurnal", 0.5),
+        ("period", "diurnal", 3600.0),
+    ):
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.traffic != model:
+            flag = "--" + dest.replace("_", "-")
+            raise ReproError(f"{flag} is read only by --traffic {model}, not {args.traffic}")
     machine = _machine_from_args(args)
     workload = _serve_workload(args.workload)
     tenants = _serve_tenants(args.tenant)
@@ -1076,15 +1088,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival rate per simulated second (poisson; calm rate for "
         "bursty; base rate for diurnal)",
     )
-    p.add_argument("--burst-rate", type=float, default=0.5,
+    p.add_argument("--burst-rate", type=float, default=None,
                    help="bursty: burst-phase arrival rate")
-    p.add_argument("--mean-calm", type=float, default=300.0,
+    p.add_argument("--mean-calm", type=float, default=None,
                    help="bursty: mean calm-phase dwell (s)")
-    p.add_argument("--mean-burst", type=float, default=60.0,
+    p.add_argument("--mean-burst", type=float, default=None,
                    help="bursty: mean burst-phase dwell (s)")
-    p.add_argument("--peak-rate", type=float, default=0.5,
+    p.add_argument("--peak-rate", type=float, default=None,
                    help="diurnal: peak arrival rate")
-    p.add_argument("--period", type=float, default=3600.0,
+    p.add_argument("--period", type=float, default=None,
                    help="diurnal: day length (s)")
     p.add_argument("--horizon", type=float, default=1200.0,
                    help="arrival horizon in simulated seconds")

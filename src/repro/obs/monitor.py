@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import records
 from repro.errors import ReproError
-from repro.obs.metrics import HistogramSnapshot, MetricsRegistry
+from repro.obs.metrics import HistogramSnapshot
 from repro.resilience.health import robust_cutoff
 
 #: JSONL header for rollup time series (one rollup per line).
@@ -74,7 +74,8 @@ COUNTER_METRICS: Tuple[Tuple[str, str], ...] = (
     ("dispatches", "service_dispatch_total"),
 )
 
-#: Rollup key -> key in ``OnlineService.resilience_counters()``.
+#: Rollup key -> resilience total of the service's WAL fold
+#: (``ReplayState.resil``, the report's resilience block).
 RESIL_METRICS: Tuple[Tuple[str, str], ...] = (
     ("crashes", "crashes"),
     ("domain_losses", "domain_losses"),
@@ -672,11 +673,9 @@ class ServiceMonitor:
         self._began = False
         self._t0 = 0.0
         self._index = 0
-        self._marks: Dict[str, float] = {}
-        self._domain_marks: Dict[str, float] = {}
+        #: :meth:`_totals` at the last window boundary
+        self._mark: Dict[str, float] = {}
         self._ttr_mark: Optional[HistogramSnapshot] = None
-        self._cache_mark: Tuple[float, float] = (0.0, 0.0)
-        self._health_mark = 0
         self._incident_seq = 0
 
     def bind(self, telemetry) -> None:
@@ -701,7 +700,9 @@ class ServiceMonitor:
         self._began = True
         self._t0 = float(t0)
         self._index = 0
-        self._take_marks(service)
+        self._mark = self._totals(service)
+        hist = self.telemetry.metrics.histogram_or_none("service_ttr_seconds")
+        self._ttr_mark = hist.snapshot() if hist is not None else None
 
     def advance(self, service, t_now: float) -> None:
         """Close every window that ends at or before ``t_now``.
@@ -735,43 +736,39 @@ class ServiceMonitor:
         return self._t0 + (self._index + 1) * self.window_s
 
     # ------------------------------------------------------------------
-    def _take_marks(self, service) -> None:
+    def _totals(self, service) -> Dict[str, float]:
+        """Every cumulative input of a rollup, by rollup key, so a
+        window is one delta of two of these: the service counters, the
+        fold's resilience totals, the health incidents ever recorded,
+        the cmat cache's hits and lookups, and each fault domain's
+        imposed wait (``domain.`` keys)."""
         m = self.telemetry.metrics
-        for _, cname in COUNTER_METRICS:
-            self._marks[cname] = m.counter_total(cname)
-        self._domain_marks = dict(self._domain_totals(m))
-        hist = m.histogram_or_none("service_ttr_seconds")
-        self._ttr_mark = hist.snapshot() if hist is not None else None
-        self._cache_mark = self._cache_totals(service)
-        self._health_mark = len(service.health.incidents())
-        resil = service.resilience_counters()
-        for _, rkey in RESIL_METRICS:
-            self._marks[f"resil.{rkey}"] = float(resil.get(rkey, 0.0))
-
-    @staticmethod
-    def _domain_totals(m: MetricsRegistry) -> Dict[str, float]:
-        out: Dict[str, float] = {}
+        out = {key: m.counter_total(cname) for key, cname in COUNTER_METRICS}
+        for key, rkey in RESIL_METRICS:
+            out[key] = float(service.state.resil.get(rkey, 0.0))
+        recorded = service.health.recorded
+        out["health_incidents"] = float(sum(recorded.values()))
+        out["straggler_incidents"] = float(recorded.get("straggler", 0))
+        cache = service.runner.cache
+        stats = cache.stats() if cache is not None else {}
+        out["cache_hits"] = float(stats.get("hits", 0.0))
+        out["cache_lookups"] = out["cache_hits"] + float(stats.get("misses", 0.0))
         for name, key, mtype, value in m:
             if name == DOMAIN_WAIT_COUNTER and mtype == "counter":
-                out[dict(key).get("domain", "0")] = value
+                out["domain." + dict(key).get("domain", "0")] = value
         return out
-
-    @staticmethod
-    def _cache_totals(service) -> Tuple[float, float]:
-        cache = service.runner.cache
-        if cache is None:
-            return 0.0, 0.0
-        stats = cache.stats()
-        hits = float(stats.get("hits", 0.0))
-        return hits, hits + float(stats.get("misses", 0.0))
 
     def _close_window(self, service, t_start: float, t_end: float) -> None:
         m = self.telemetry.metrics
-        met: Dict[str, float] = {}
-        for key, cname in COUNTER_METRICS:
-            cur = m.counter_total(cname)
-            met[key] = cur - self._marks.get(cname, 0.0)
-            self._marks[cname] = cur
+        now = self._totals(service)
+        met = {k: v - self._mark.get(k, 0.0) for k, v in now.items()}
+        self._mark = now
+        domains = {
+            k[len("domain."):]: met.pop(k)
+            for k in sorted(now)
+            if k.startswith("domain.")
+        }
+        hits = met.pop("cache_hits")
         met["shed_rate"] = (
             met["shed"] / met["arrivals"] if met["arrivals"] else 0.0
         )
@@ -804,36 +801,9 @@ class ServiceMonitor:
             if met["pool_provisioned"]
             else 0.0
         )
-        # cmat cache over the window
-        hits, lookups = self._cache_totals(service)
-        d_hits = hits - self._cache_mark[0]
-        d_lookups = lookups - self._cache_mark[1]
-        self._cache_mark = (hits, lookups)
-        met["cache_lookups"] = d_lookups
         met["cache_hit_rate"] = (
-            d_hits / d_lookups if d_lookups > 0 else float("nan")
+            hits / met["cache_lookups"] if met["cache_lookups"] > 0 else float("nan")
         )
-        # resilience counters (control-plane fault activity)
-        resil = service.resilience_counters()
-        for key, rkey in RESIL_METRICS:
-            cur = float(resil.get(rkey, 0.0))
-            met[key] = cur - self._marks.get(f"resil.{rkey}", 0.0)
-            self._marks[f"resil.{rkey}"] = cur
-        # node-health incident deltas
-        incidents = service.health.incidents()
-        fresh = incidents[self._health_mark:]
-        self._health_mark = len(incidents)
-        met["health_incidents"] = float(len(fresh))
-        met["straggler_incidents"] = float(
-            sum(1 for i in fresh if i.kind == "straggler")
-        )
-        # per-fault-domain imposed wait
-        domain_now = self._domain_totals(m)
-        domains = {
-            d: v - self._domain_marks.get(d, 0.0)
-            for d, v in sorted(domain_now.items())
-        }
-        self._domain_marks = domain_now
         met["domain_wait_max_s"] = max(domains.values(), default=0.0)
         rollup = WindowRollup(
             index=self._index,

@@ -74,6 +74,9 @@ class NodeHealthTracker:
         self._incidents: List[HealthIncident] = []
         self._by_node: Dict[int, int] = {}
         self._forced: set = set()
+        #: incidents ever recorded, by kind: :meth:`reset` leaves it
+        #: alone, so a delta of it counts what happened in between
+        self.recorded: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def record(
@@ -87,6 +90,7 @@ class NodeHealthTracker:
         )
         self._incidents.append(incident)
         self._by_node[incident.node] = self._by_node.get(incident.node, 0) + 1
+        self.recorded[incident.kind] = self.recorded.get(incident.kind, 0) + 1
         return incident
 
     def quarantine(self, node: int) -> None:

@@ -38,9 +38,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import records
 from repro.errors import JournalCrash, ServiceError
@@ -59,7 +57,7 @@ EVENT_KINDS = (
     "pool",       # pool lifecycle: grow / ready / reclaim / grow_failed
     "chaos",      # a control-plane fault fired (or a domain restored)
     "recover",    # a crash-recovery reconciliation (requeues, releases)
-    "end",        # run finished: closes the pool's node-second integral
+    "end",        # run finished: closes the pool's integral and timeline
     "snapshot",   # full ReplayState dump (replay fast-forward point)
 )
 
@@ -88,7 +86,6 @@ class ReplayState:
         self.t = 0.0
         self.horizon_s = 0.0
         self.offered = 0
-        self.admitted = 0
         self.arrived_ids: set = set()
         #: request dicts held in the moving window, with hold-since times
         self.window: List[Dict[str, object]] = []
@@ -110,6 +107,9 @@ class ReplayState:
         #: the pool's book (:mod:`repro.service.pool`): {state,
         #: ready_at, idle_since, node_seconds, last_t}
         self.pool: Optional[Dict[str, object]] = None
+        #: :func:`pool.sample` dicts of the book: at ``begin``, after
+        #: every transition that moved a node, and at ``end``
+        self.pool_timeline: List[Dict[str, object]] = []
         #: journal of the NodeHealthTracker the data plane charges, in
         #: its to_dict shape (a recovery rebuilds the tracker from it)
         self.health: Dict[str, object] = {
@@ -124,14 +124,6 @@ class ReplayState:
         #: pending domain restores: {t, nodes}
         self.pending_restores: List[Dict[str, object]] = []
         self.down_until = 0.0
-        # not state: told the time of every pool transition that moved
-        # a node (the live service samples its pool timeline there)
-        self._pool_watch: Optional[Callable[[float], None]] = None
-
-    def watch_pool(self, callback: Callable[[float], None]) -> None:
-        """Call ``callback(t)`` after every pool transition that moved
-        a node."""
-        self._pool_watch = callback
 
     def _pool_set(
         self,
@@ -142,9 +134,8 @@ class ReplayState:
     ) -> None:
         if self.pool is None:
             raise ServiceError("pool transition before the begin event")
-        moved = pool.transition(self.pool, nodes, state, t, ready_at)
-        if moved and self._pool_watch is not None:
-            self._pool_watch(t)
+        if pool.transition(self.pool, nodes, state, t, ready_at):
+            self.pool_timeline.append(pool.sample(self.pool, t))
 
     # ------------------------------------------------------------------
     # health journal
@@ -218,12 +209,12 @@ class ReplayState:
             self.horizon_s = float(payload["horizon_s"])  # type: ignore[arg-type]
             self.pool = _copy(payload["pool"])
             self.health = _copy(payload["health"])
+            self.pool_timeline.append(pool.sample(self.pool, t))
         elif kind == "arrival":
             self.offered += 1
             rid = str(payload["request"]["request_id"])  # type: ignore[index]
             self.arrived_ids.add(rid)
             if payload["outcome"] == "admit":
-                self.admitted += 1
                 self.window.append(
                     {"request": _copy(payload["request"]), "since": t}
                 )
@@ -270,10 +261,11 @@ class ReplayState:
                 )
             elif op != "grow_failed":  # which changes nothing in the pool
                 raise ServiceError(f"unknown journal pool op {op!r}")
-        elif kind not in ("chaos", "recover", "end", "snapshot"):
-            # chaos / recover are nothing but directives; end only
-            # closes the pool integral (the header's advance); the
-            # state IS the snapshot, and replay() fast-forwards to it
+        elif kind == "end":  # the header's advance closed the integral
+            self.pool_timeline.append(pool.sample(self.pool, t))  # type: ignore[arg-type]
+        elif kind not in ("chaos", "recover", "snapshot"):
+            # chaos / recover are nothing but directives; the state IS
+            # the snapshot, and replay() fast-forwards to it
             raise ServiceError(f"unknown journal event kind {kind!r}")
         self._apply_directives(payload, t)
 

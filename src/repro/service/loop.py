@@ -37,8 +37,8 @@ the only writer of the books, counters, queues and pool, live and on
 replay alike (DESIGN.md §5c).  What the loop keeps for itself is what
 no event carries: the event heap and timers, the request objects
 behind the state's dicts, a dispatched wave's packed job and outcome
-until its ``complete`` event, the pool timeline, telemetry, the
-monitor.  The control plane is itself a fault domain:
+until its ``complete`` event, telemetry and the monitor.  The control
+plane is itself a fault domain:
 
 - with a :class:`~repro.service.journal.ServiceJournal` installed,
   every applied event is also appended to the WAL — a
@@ -87,7 +87,6 @@ from repro.campaign.request import SimRequest
 from repro.campaign.runner import CampaignRunner
 from repro.resilience.faults import CONTROL_KINDS, FaultPlan, FaultSpec
 from repro.resilience.health import NodeHealthTracker, RetryPolicy
-from repro.resilience.ledger import RecoveryEvent, RecoveryLedger
 from repro.service.admission import (
     UNATTRIBUTED,
     AdmissionController,
@@ -95,7 +94,7 @@ from repro.service.admission import (
     RejectionRecord,
 )
 from repro.service.journal import ReplayState
-from repro.service.pool import BUSY, OFFLINE, ElasticNodePool
+from repro.service.pool import BUSY, OFFLINE, ElasticNodePool, PoolSample
 from repro.service.report import (
     SERVICE_TTR_BUCKETS,
     ServedRecord,
@@ -130,7 +129,12 @@ _RESIL_COUNTS = (
     "retries", "dead_letters", "crashes", "provision_failures",
     "domain_losses", "downtime_shed", "wal_recoveries",
 )
-_RESIL_SECONDS = ("recovery_seconds", "provision_stall_seconds")
+_RESIL_SECONDS = ("recovery_seconds", "provision_stall_seconds", "lost_work_seconds")
+#: Totals also counted as ``service_<key>_total``, which
+#: :meth:`OnlineService._log` bumps from each event's ``resil`` block.
+_RESIL_COUNTERS = (
+    "retries", "dead_letters", "crashes", "domain_losses", "provision_failures",
+)
 
 #: Hard cap on total dispatches of one run, a backstop against a retry
 #: configuration that never converges.
@@ -283,13 +287,11 @@ class OnlineService:
             telemetry=telemetry,
             checker_factory=checker_factory,
         )
-        self.ledger = RecoveryLedger()
         #: the control plane's state — the journal's own when one is
         #: attached; :meth:`_log` → ``ReplayState.apply`` is its writer
         self.state: ReplayState = (
             journal.state if journal is not None else ReplayState()
         )
-        self.state.watch_pool(self.pool.sample)
         # volatile run state: nothing below is in the WAL
         self._heap: List[Tuple[float, int, int, str, object]] = []
         self._seq = 0
@@ -305,7 +307,6 @@ class OnlineService:
         # what the open transition adds to the resilience totals — the
         # ``resil`` block of the WAL event that will describe it
         self._tally: Dict[str, object] = {}
-        self._health_mark = 0
         # set by restore(): (recovery time, arrival ids the WAL saw)
         self._recovered: Optional[Tuple[float, Set[str]]] = None
 
@@ -345,18 +346,14 @@ class OnlineService:
         """Waves dispatched but not yet completed (or canceled)."""
         return len(self.state.inflight)
 
-    def resilience_counters(self) -> Dict[str, float]:
-        """A copy of the raw resilience tallies (monitor rollups read
-        deltas of these; keys as in the report's resilience block)."""
-        return {k: float(v) for k, v in self.state.resil.items()}
-
     def _log(self, kind: str, payload: Dict[str, object]) -> None:
         """Apply one event, stamped at the current sim clock, to
         ``self.state`` — through the journal when one is attached,
         which folds it into that same state and appends it to the WAL
         (an injected crash propagates).  The event that describes a
         transition carries its tally (:meth:`_take_tally`); one still
-        open here was bumped by a handler that never journaled it."""
+        open here was bumped by a handler that never journaled it.  The
+        applied tally also bumps its ``_RESIL_COUNTERS`` counters."""
         if self._tally:
             raise ServiceError(
                 f"resilience tally {self._tally} was not journaled "
@@ -367,6 +364,10 @@ class OnlineService:
             self.journal.append(kind, event)
         else:
             self.state.apply(kind, event)
+        if self.telemetry is not None:
+            for key, amount in payload.get("resil", {}).items():  # type: ignore[union-attr]
+                if key in _RESIL_COUNTERS and amount:
+                    self.telemetry.metrics.counter(f"service_{key}_total").inc(amount)
 
     def _count(self, name: str, **labels: str) -> None:
         """Increment a telemetry counter, when telemetry is installed."""
@@ -381,11 +382,10 @@ class OnlineService:
             )
 
     def _health_delta(self) -> List[Dict[str, object]]:
-        """Incidents recorded since the last delta, as dicts."""
-        incidents = self.health.incidents()
-        fresh = incidents[self._health_mark:]
-        self._health_mark = len(incidents)
-        return [i.to_dict() for i in fresh]
+        """The tracker's incidents the state's journal of it does not
+        hold yet, as dicts."""
+        held = len(self.state.health["incidents"])  # type: ignore[arg-type]
+        return [i.to_dict() for i in self.health.incidents()[held:]]
 
     def _bump(self, key: str, amount: float = 1) -> None:
         """Add to the open event's tally of a resilience total."""
@@ -419,7 +419,7 @@ class OnlineService:
             "begin",
             {
                 "horizon_s": float(horizon_s),
-                "pool": self.pool.to_dict(),
+                "pool": self.pool.book,  # the fold copies it
                 "health": self.health.to_dict(),
             },
         )
@@ -502,7 +502,6 @@ class OnlineService:
         # live and on any replay — covers the idle tail after the last
         # state transition
         self._log("end", {})
-        self.pool.sample(self._now)
         state = self.state
         served = [ServedRecord.from_dict(d) for d in state.served]
         report = ServiceReport(
@@ -517,7 +516,7 @@ class OnlineService:
             jobs=[JobRecord.from_dict(d) for d in state.jobs],
             cache=self.runner.cache.stats() if self.runner.cache is not None else {},
             pool_node_seconds=self.pool.node_seconds,
-            pool_timeline=list(self.pool.timeline),
+            pool_timeline=[PoolSample(**d) for d in state.pool_timeline],  # type: ignore[arg-type]
             tenants=tenant_summary(served, state.tenant_served),
             resilience=self._resilience_summary(),
             monitoring=(
@@ -536,7 +535,7 @@ class OnlineService:
     def _resilience_summary(self) -> Dict[str, object]:
         """The report's resilience block (empty on a fault-free run)."""
         resil, by_cause = self.state.resil, self.state.dead_by_cause
-        if not (resil or by_cause or self.ledger.events):
+        if not (resil or by_cause):
             return {}
         return {
             **{k: int(resil.get(k, 0)) for k in _RESIL_COUNTS},
@@ -549,7 +548,6 @@ class OnlineService:
             "data_plane_recoveries": int(
                 sum(j["n_recoveries"] for j in self.state.jobs)  # type: ignore[misc]
             ),
-            "control_ledger": dict(self.ledger.totals()),
         }
 
     # ------------------------------------------------------------------
@@ -614,10 +612,8 @@ class OnlineService:
         for req, cause in lost:
             outcome = retry_or_abandon(self.runner.retry, req, job_id)
             if isinstance(outcome, AbandonedRecord):
-                self._count("service_dead_letters_total")
                 dead.append(self._dead_letter(outcome, cause))
                 continue
-            self._count("service_retries_total")
             self._bump("retries")
             requeued.append(
                 self._requeue(req.requeued(), self._now + outcome)
@@ -727,18 +723,14 @@ class OnlineService:
         down_until = max(self.state.down_until, self._now + spec.duration_s)
         self._bump("crashes")
         self._bump("recovery_seconds", spec.duration_s)
-        self._count("service_crashes_total")
+        inflight = sorted(self.state.inflight.items())
+        lost = sum(self._now - float(m["start_s"]) for _, m in inflight)  # type: ignore[arg-type]
+        self._bump("lost_work_seconds", lost)
         self._mark("service.crash", down_until=down_until)
-        inflight = [man for _, man in sorted(self.state.inflight.items())]
-        members_before = sum(len(m["requests"]) for m in inflight)  # type: ignore[arg-type]
-        lost_work = sum(
-            self._now - float(m["start_s"]) for m in inflight  # type: ignore[arg-type]
-        )
         if self.recovery == "resume":
             canceled, directives = self._reconcile_resume(down_until)
         else:
             canceled, directives = self._reconcile_cold(spec.duration_s)
-        self._ledger_outage(spec.duration_s, lost_work, (), members_before, 0)
         self._push(down_until, "ready")
         self._log(
             "chaos",
@@ -848,10 +840,9 @@ class OnlineService:
         """Hardware loss: every member shard placed on a ``failed``
         node is lost with it, and its wave's job record says so; a
         wave left with no member dies here, not at its completion
-        event — nodes released, losses settled at once.  Charges the
-        outage to the recovery ledger."""
+        event — nodes released, losses settled at once.  Tallies the
+        work the hit waves that live on lost."""
         lost_work: List[float] = []  # of the hit waves that live on
-        members_after = 0
         canceled: List[str] = []
         released: List[int] = []
         requeued: List[Dict[str, object]] = []
@@ -871,7 +862,6 @@ class OnlineService:
             completed, lost = self._outcome(
                 wave, lost_ids | set(man["lost_ids"])  # type: ignore[arg-type]
             )
-            members_after += len(completed)
             if not lost_ids:
                 continue  # untouched, or hit under ranks of no whole member
             manifest_lost[job_id] = sorted(lost_ids)
@@ -891,13 +881,7 @@ class OnlineService:
                 again, gone = self._settle_lost(job_id, lost)
                 requeued.extend(again)
                 dead.extend(gone)
-        self._ledger_outage(
-            0.0,
-            sum(lost_work),
-            tuple(sorted(failed)),
-            sum(map(len, manifest_lost.values())) + members_after,
-            members_after,
-        )
+        self._bump("lost_work_seconds", sum(lost_work))
         return canceled, {
             "released_nodes": sorted(released),
             "requeued": requeued,
@@ -916,7 +900,6 @@ class OnlineService:
         else:
             nodes = [spec.node] if spec.node < n_nodes else []
         self._bump("domain_losses")
-        self._count("service_domain_losses_total")
         self._mark(
             "service.domain_loss", domain=int(spec.node), nodes=sorted(nodes)
         )
@@ -950,39 +933,11 @@ class OnlineService:
             },
         )
 
-    def _ledger_outage(
-        self,
-        detection_s: float,
-        lost_work_s: float,
-        failed_nodes: Tuple[int, ...],
-        members_before: int,
-        members_after: int,
-    ) -> None:
-        """Charge one control-plane fault to the recovery ledger (no
-        step, rank or cmat block is involved at this level)."""
-        self.ledger.record(
-            RecoveryEvent(
-                step=0,
-                rolled_back_steps=0,
-                detected_at_s=self._now,
-                detection_s=detection_s,
-                lost_work_s=lost_work_s,
-                reassembly_s=0.0,
-                rebuilt_blocks=0,
-                failed_ranks=(),
-                failed_nodes=failed_nodes,
-                lost_members=(),
-                n_members_before=members_before,
-                n_members_after=members_after,
-            )
-        )
-
     def _restore_domain(self, nodes: Tuple[int, ...]) -> None:
         """A lost domain's hardware comes back: clear its health
         ledger so the pool can provision those nodes again."""
         for node in nodes:
             self.health.reset(node)
-        self._health_mark = len(self.health.incidents())
         self._log("chaos", {"reset": sorted(nodes)})
 
     # ------------------------------------------------------------------
@@ -1142,7 +1097,6 @@ class OnlineService:
                     # the provider refuses outright: charge the
                     # failure and retry the grow a beat later
                     self._bump("provision_failures")
-                    self._count("service_provision_failures_total")
                     self._mark("pool.provision_fail", deficit=int(deficit))
                     self._log(
                         "pool",
@@ -1253,11 +1207,9 @@ class OnlineService:
             self.journal.seed(state)
         # the pool reads the state's book from now on; the data plane's
         # health tracker is rebuilt from the state's journal of it
-        state.watch_pool(self.pool.sample)
         if state.pool is not None:
             self.pool.restore(state.pool)
         self.health.restore(state.health)
-        self._health_mark = len(self.health.incidents())
         self._bump("wal_recoveries")
         self._bump("recovery_seconds", resume_delay_s)
         backoffs = list(state.pending_release)

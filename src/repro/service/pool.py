@@ -25,10 +25,10 @@ string keys, exactly what the service WAL's ``begin`` event and
 snapshots carry — and it has two writers, both here: :func:`advance`
 (the one ``∫ provisioned dt``) and :func:`transition` (the one
 state-setter).  :class:`~repro.service.journal.ReplayState` folds WAL
-events through them; :class:`ElasticNodePool` adds what needs the
-machine — which nodes to grow, which to reclaim — as pure pickers over
-the book, and the pool-size timeline (one sample per transition that
-moved a node).
+events through them, and keeps the pool-size timeline: one
+:func:`sample` per transition that moved a node;
+:class:`ElasticNodePool` adds what needs the machine — which nodes to
+grow, which to reclaim — as pure pickers over the book.
 """
 
 from __future__ import annotations
@@ -92,6 +92,17 @@ class PoolSample(Record):
     provisioned: int  # idle + busy (online capacity)
     busy: int
     provisioning: int
+
+
+def sample(book: Dict[str, object], t: float) -> Dict[str, object]:
+    """The size of ``book`` at ``t``, as a :class:`PoolSample` dict."""
+    states = list(book["state"].values())  # type: ignore[union-attr]
+    return {
+        "t_s": float(t),
+        "provisioned": states.count(IDLE) + states.count(BUSY),
+        "busy": states.count(BUSY),
+        "provisioning": states.count(PROVISIONING),
+    }
 
 
 class ElasticNodePool:
@@ -169,23 +180,10 @@ class ElasticNodePool:
             "node_seconds": 0.0,  # provisioned-capacity cost integral
             "last_t": 0.0,
         }
-        self.timeline: List[PoolSample] = []
-        self.sample(0.0)
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def sample(self, now: float) -> None:
-        """Append the pool's current size to the timeline."""
-        self.timeline.append(
-            PoolSample(
-                t_s=float(now),
-                provisioned=self.provisioned,
-                busy=self.busy,
-                provisioning=self._count(PROVISIONING),
-            )
-        )
-
     def _count(self, *states: str) -> int:
         return sum(1 for s in self.book["state"].values() if s in states)  # type: ignore[union-attr]
 
@@ -310,26 +308,14 @@ class ElasticNodePool:
         return min(since.values()) + self.idle_reclaim_s  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
-    # snapshot / restore (service journal)
+    # restore (service journal)
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """A copy of the book: every mutable field the journal needs to
-        resurrect the pool mid-horizon (timeline excluded — the
-        recovered service restarts it at the restore time)."""
-        return {
-            k: dict(v) if isinstance(v, dict) else v
-            for k, v in self.book.items()
-        }
-
     def restore(self, book: Dict[str, object]) -> None:
-        """Adopt ``book`` (a :meth:`to_dict`-format dict, held by
-        reference) as this pool's state and restart the timeline at its
-        clock (configuration — floors, delays, machine — comes from the
-        constructor, not the book)."""
+        """Adopt ``book`` (a :attr:`book`-format dict, held by
+        reference) as this pool's state (configuration — floors,
+        delays, machine — comes from the constructor, not the book)."""
         if set(book["state"]) != set(self.book["state"]):  # type: ignore[arg-type,call-overload]
             raise ServiceError(
                 "pool snapshot node set does not match this machine"
             )
         self.book = book
-        self.timeline = []
-        self.sample(float(book["last_t"]))  # type: ignore[arg-type]

@@ -96,10 +96,11 @@ class ServiceReport(JobBooks, Record):
     #: per-tenant served count, SLO hits and node-seconds
     #: (:func:`tenant_summary`)
     tenants: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: resilience counters the loop accumulates — retries, dead-letters
-    #: broken down by cause, data-plane recoveries, control-plane
+    #: the WAL fold's resilience totals (``ReplayState.resil``) —
+    #: retries, dead-letters broken down by cause, control-plane
     #: crashes/recovery seconds, provisioning failures and stalls,
-    #: domain losses (empty on a fault-free run)
+    #: domain losses, lost work seconds — plus the data-plane
+    #: recoveries of its job records (empty on a fault-free run)
     resilience: Dict[str, object] = field(default_factory=dict)
     #: the summary of a monitored run (``{}`` in the file when unmonitored)
     monitoring: Optional[MonitorSummary] = None

@@ -432,7 +432,8 @@ def commands() -> Iterator[Command]:
                  ["linear", "case", "--modes", "x"], ["linear", "case", "--modes", ","],
                  ["campaign", "requests.json", "--max-batch", "0"],
                  ["plan", "case", "--members", "0"], ["plan", "--smoke", "--seed", "-1"],
-                 ["serve", "--horizon", "nan"], ["monitor", "--window", "inf"]):
+                 ["serve", "--horizon", "nan"], ["monitor", "--window", "inf"],
+                 ["serve", "--burst-rate", "nan", "--horizon", "60"]):
         yield _repro(*argv, exit_code=2)
 
 

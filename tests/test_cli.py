@@ -248,6 +248,19 @@ class TestServe:
         ]) == 0
         assert "mean k" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, model",
+        [(["--burst-rate", "nan"], "bursty"), (["--period", "-5"], "diurnal"),
+         (["--traffic", "bursty", "--peak-rate", "1"], "diurnal")],
+    )
+    def test_a_flag_the_traffic_model_ignores_is_refused(
+        self, flags, model, capsys
+    ):
+        assert main(["serve", *flags, "--horizon", "60"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"error: {flags[-2]} is read only by --traffic {model}" in err
+
 
 class TestMetricsQuantiles:
     @pytest.fixture

@@ -477,6 +477,27 @@ class TestWiring:
         assert "control-crash" in text
 
 
+class TestHealthCounts:
+    def test_an_incident_after_a_health_reset_counts_in_its_window(self):
+        """A domain restore resets nodes 2 and 3, shrinking the
+        tracker's incident list; the straggler recorded after it still
+        counts, because windows read the tracker's monotone tally."""
+        tele, monitor = Telemetry(), ServiceMonitor(window_s=60.0)
+        service = SCENARIOS[0].build(telemetry=tele, monitor=monitor)
+        monitor.begin(service, 0.0)
+        for node in (2, 3):
+            service.health.record(node, "crash", at_s=10.0)
+        monitor.advance(service, 60.0)
+        for node in (2, 3):
+            service.health.reset(node)
+        service.health.record(5, "straggler", at_s=70.0)
+        monitor.advance(service, 120.0)
+        first, second = monitor.rollups
+        assert first.metrics["health_incidents"] == 2.0
+        assert second.metrics["health_incidents"] == 1.0
+        assert second.metrics["straggler_incidents"] == 1.0
+
+
 class TestDomainWait:
     """``campaign_domain_imposed_wait_seconds_total`` at both ends: the
     campaign runner writes it per fault domain, the monitor's

@@ -19,7 +19,7 @@ same way everywhere, no hand-written serialiser growing back.
   reports, loaded through their records and written again with the
   CLI's writer settings, reproduce their golden digests;
 - **census** — a class under ``src/repro`` that defines ``to_dict`` or
-  ``from_dict`` itself is one of the four stateful aggregates, and
+  ``from_dict`` itself is one of the three stateful aggregates, and
   ``json.loads`` lives in the codec alone.
 """
 
@@ -222,7 +222,7 @@ def _write_wal(path):
     journal = ServiceJournal()
     journal.append(
         "begin",
-        {"t": 0.0, "horizon_s": 10.0, "pool": ElasticNodePool(machine).to_dict(),
+        {"t": 0.0, "horizon_s": 10.0, "pool": ElasticNodePool(machine).book,
          "health": NodeHealthTracker().to_dict()},
     )
     journal.append("pool", {"t": 1.0, "op": "grow", "nodes": [1], "ready_at": 2.0})
@@ -973,13 +973,13 @@ class TestRoundTrip:
 # ----------------------------------------------------------------------
 #: the stateful aggregates that keep their own top-level serialisers
 AGGREGATES = {
-    "MetricsRegistry", "ReplayState", "ElasticNodePool", "NodeHealthTracker",
+    "MetricsRegistry", "ReplayState", "NodeHealthTracker",
 }
 
 
 def test_no_hand_written_serialiser_outside_the_aggregates():
     """A class that defines ``to_dict`` / ``from_dict`` itself is the
-    codec's mixin or one of the four aggregates — a flat dataclass that
+    codec's mixin or one of the three aggregates — a flat dataclass that
     grows one again fails here."""
     owners = set()
     for module in _modules():

@@ -20,11 +20,12 @@ from repro.errors import InvariantViolation, ServiceError
 from repro.check.invariants import (
     ChaosScenario,
     builtin_scenarios,
+    recovery_matches,
     render_chaos_report,
     run_scenario,
 )
 from repro.machine.presets import generic_cluster
-from repro.machine.model import KiB, MiB
+from repro.machine.model import KiB
 from repro.machine.topology import FaultDomains
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.health import RetryPolicy
@@ -64,6 +65,42 @@ def _conserved(report):
     return (
         report.n_served + report.n_shed + report.n_abandoned
         == report.offered
+    )
+
+
+def _split_wave(domain, **kwargs):
+    """Two linear requests in one wave on the whole pre-provisioned
+    machine: the spread selection takes (0, 1, 4, 5), so member 0 sits
+    entirely on domain 0 and member 1 on domain 1.  The wave dispatches
+    at t=0 and runs ~73 ms of simulated time; the loss of ``domain`` at
+    t=0.05 lands mid-flight and kills exactly one member's nodes."""
+    machine = _machine(nodes_per_domain=4, mem_kib=2 * 1024)
+    stream = [
+        SimRequest(
+            request_id=rid, input=linear_benchmark(), arrival_s=0.0, tenant="t"
+        )
+        for rid in ("a", "b")
+    ]
+    plan = FaultPlan(
+        specs=(
+            FaultSpec(
+                kind="domain_loss",
+                at_step=0,
+                node=domain,
+                at_s=0.05,
+                duration_s=5.0,
+            ),
+        )
+    )
+    return _service(
+        machine=machine,
+        traffic=replay(stream),
+        window=WindowPolicy(max_hold_s=5.0, min_batch=2),
+        steps=10,
+        chaos=plan,
+        min_nodes=8,
+        provision_delay_s=1.0,
+        **kwargs,
     )
 
 
@@ -174,13 +211,18 @@ class TestDomainLoss:
                 ),
             )
         )
-        svc = _service(chaos=plan)
+        journal = ServiceJournal()
+        svc = _service(chaos=plan, journal=journal)
         report = svc.run(1200.0)
         assert _conserved(report)
         assert report.resilience["domain_losses"] == 1
         # both nodes of domain 1 hard-failed together...
-        losses = [e for e in svc.ledger.events if e.failed_nodes]
-        assert [e.failed_nodes for e in losses] == [(2, 3)]
+        losses = [
+            p["failed_nodes"]
+            for kind, p in journal.events
+            if kind == "chaos" and p.get("failed_nodes")
+        ]
+        assert losses == [[2, 3]]
         # ...and the scheduled restore wiped their health record: by
         # run end nothing is quarantined and the machine is whole again
         assert not svc.health.incidents()
@@ -190,48 +232,7 @@ class TestDomainLoss:
         """A 2-member wave spanning both domains loses exactly the
         members whose nodes died; the survivor's result is kept and
         the victims are requeued and eventually served."""
-        machine = dataclasses.replace(
-            replace(
-                generic_cluster(n_nodes=8),
-                mem_per_rank_bytes=float(2 * MiB),
-            ),
-            fault_domains=FaultDomains(nodes_per_domain=4),
-        )
-        base = linear_benchmark()
-        stream = [
-            SimRequest(
-                request_id="a", input=base, arrival_s=0.0, tenant="t"
-            ),
-            SimRequest(
-                request_id="b", input=base, arrival_s=0.0, tenant="t"
-            ),
-        ]
-        # with the whole machine pre-provisioned, the spread selection
-        # takes (0, 1, 4, 5) — member 0 sits entirely on domain 0 and
-        # member 1 on domain 1.  The wave dispatches at t=0 and runs
-        # ~73 ms of simulated time; the loss at t=0.05 lands mid-flight
-        # and kills exactly one member's domain.
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(
-                    kind="domain_loss",
-                    at_step=0,
-                    node=0,
-                    at_s=0.05,
-                    duration_s=5.0,
-                ),
-            )
-        )
-        svc = _service(
-            machine=machine,
-            traffic=replay(stream),
-            window=WindowPolicy(max_hold_s=5.0, min_batch=2),
-            steps=10,
-            chaos=plan,
-            min_nodes=8,
-            provision_delay_s=1.0,
-        )
-        report = svc.run(60.0)
+        report = _split_wave(domain=0).run(60.0)
         assert _conserved(report)
         assert report.n_served == 2
         resil = report.resilience
@@ -248,51 +249,42 @@ class TestDomainLoss:
         ]
         assert served_victim.attempts >= 2
 
+    def test_recovered_report_keeps_its_lost_work(self):
+        """The wave that lives on lost 0.05 s of its dead member's work;
+        a run recovered from a WAL cut right after the loss states the
+        same lost work, because the fold, not a volatile ledger, holds
+        it."""
+        journal = ServiceJournal()
+        report = _split_wave(domain=0, journal=journal).run(60.0)
+        assert report.resilience["lost_work_seconds"] == pytest.approx(0.05)
+        kinds = [kind for kind, _ in journal.events]
+        cut = kinds.index("chaos") + 1
+        recovered = recover_service(
+            _split_wave(domain=0), journal.events[:cut], horizon_s=60.0
+        )
+        assert (
+            recovered.resilience["lost_work_seconds"]
+            == report.resilience["lost_work_seconds"]
+        )
+        assert "control_ledger" not in recovered.resilience
+
     def test_dead_letters_keep_their_own_cause_in_the_wal(self):
         """A wave that loses one member to a data fault and the other
         to a domain loss, with the retry budget already spent, dead-
         letters one request per cause — live, in a replay of the journal,
         and in a run recovered from that WAL alike."""
-        machine = dataclasses.replace(
-            replace(
-                generic_cluster(n_nodes=8),
-                mem_per_rank_bytes=float(2 * MiB),
-            ),
-            fault_domains=FaultDomains(nodes_per_domain=4),
-        )
-        base = linear_benchmark()
-        stream = [
-            SimRequest(request_id=rid, input=base, arrival_s=0.0, tenant="t")
-            for rid in ("a", "b")
-        ]
 
         def build(journal=None):
-            # the wave lands on (0, 1, 4, 5): member 0 on domain 0 dies
-            # of node 0's rank crash, member 1 on domain 1 of the rack
-            return _service(
-                machine=machine,
-                traffic=replay(stream),
-                window=WindowPolicy(max_hold_s=5.0, min_batch=2),
-                steps=10,
-                chaos=FaultPlan(
-                    specs=(
-                        FaultSpec(
-                            kind="domain_loss",
-                            at_step=0,
-                            node=1,
-                            at_s=0.05,
-                            duration_s=5.0,
-                        ),
-                    )
-                ),
+            # member 0 on domain 0 dies of node 0's rank crash, member 1
+            # on domain 1 of the rack
+            return _split_wave(
+                domain=1,
                 node_faults={
                     0: FaultPlan(
                         specs=(FaultSpec(kind="rank_crash", at_step=2, rank=0),)
                     )
                 },
                 retry=RetryPolicy(max_attempts=1),
-                min_nodes=8,
-                provision_delay_s=1.0,
                 journal=journal,
             )
 
@@ -427,6 +419,19 @@ class TestInvariantsRunner:
         assert any(n.startswith("exactly-once@") for n in names)
         text = render_chaos_report([result])
         assert "mini-crash" in text and "PASS" in text
+
+    def test_exactly_once_fails_a_recovery_that_drops_a_crash(self):
+        """Negative control: same dispositions, one crash fewer."""
+        report = TestServiceCrash()._run("resume")
+        assert recovery_matches(report, report) == (
+            True, "identical dispositions after recovery"
+        )
+        dropped = dataclasses.replace(
+            report, resilience={**report.resilience, "crashes": 0}
+        )
+        ok, detail = recovery_matches(dropped, report)
+        assert not ok
+        assert '"crashes": [1, 0]' in detail
 
     def test_failed_invariant_raises_invariant_violation(self, monkeypatch):
         import repro.check.invariants as invariants

@@ -23,6 +23,8 @@ from repro.errors import JournalCrash, ServiceError
 from repro.machine.presets import generic_cluster
 from repro.machine.model import KiB
 from repro.machine.topology import FaultDomains
+from repro.obs import Telemetry
+from repro.obs.monitor import ServiceMonitor
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.health import NodeHealthTracker
 from repro.service.journal import (
@@ -126,7 +128,7 @@ class TestJournalBasics:
         begin = {
             "t": 0.0,
             "horizon_s": 1.0,
-            "pool": ElasticNodePool(_machine()).to_dict(),
+            "pool": ElasticNodePool(_machine()).book,
             "health": NodeHealthTracker().to_dict(),
         }
         journal.append("begin", begin)
@@ -249,6 +251,66 @@ class TestCrashRecovery:
         report = recover_service(_service(), crashed, horizon_s=HORIZON)
         resil = report.resilience or {}
         assert resil.get("wal_recoveries") == 1
+
+
+class TestOneCountPerFact:
+    """Every figure a report or a counter states comes from the WAL
+    fold, so a crash cannot cut it and a handler cannot skip it."""
+
+    def test_recovered_report_keeps_its_pre_crash_timeline(self, baseline):
+        _, report, _ = baseline
+        crashed = ServiceJournal(snapshot_interval=7, crash_at_event=82)
+        with pytest.raises(JournalCrash):
+            _service(journal=crashed).run(HORIZON)
+        t_crash = crashed.state.t
+        recovered = recover_service(_service(), crashed, horizon_s=HORIZON)
+
+        def before(r):
+            return [s for s in r.pool_timeline if s.t_s < t_crash]
+
+        assert recovered.pool_timeline[0].t_s == 0.0
+        assert len(before(report)) > 1
+        assert before(recovered) == before(report)
+        assert recovered.peak_pool_nodes == report.peak_pool_nodes
+
+    @staticmethod
+    def _cold(plan):
+        telemetry, monitor = Telemetry(), ServiceMonitor(window_s=60.0)
+        service = OnlineService(
+            _machine(),
+            PoissonTraffic(WORKLOAD, rate_per_s=0.4, seed=11),
+            window=WindowPolicy(max_hold_s=30.0, min_batch=2),
+            min_nodes=1,
+            max_nodes=8,
+            provision_delay_s=20.0,
+            idle_reclaim_s=120.0,
+            chaos=plan,
+            recovery="cold",
+            telemetry=telemetry,
+            monitor=monitor,
+        )
+        return service.run(HORIZON), telemetry.metrics
+
+    def test_a_cold_restart_dead_letter_reaches_its_counter(self):
+        report, metrics = self._cold(PLAN)
+        assert report.resilience["dead_letters"] == 1
+        assert metrics.counter_total("service_dead_letters_total") == 1.0
+        fired = [a.rule for a in report.monitoring.alerts if a.state == "fired"]
+        assert "dead-letters" in fired
+
+    def test_every_fault_counter_is_its_fold_total(self):
+        plan = FaultPlan(
+            specs=PLAN.specs
+            + (FaultSpec(kind="provision_fail", at_step=0, at_s=0.0),)
+        )
+        report, metrics = self._cold(plan)
+        for key in (
+            "retries", "dead_letters", "crashes", "domain_losses",
+            "provision_failures",
+        ):
+            assert metrics.counter_total(f"service_{key}_total") == (
+                report.resilience[key]
+            ), key
 
 
 class TestExactlyOnceProperty:

@@ -10,6 +10,7 @@ from repro.cgyro.presets import small_test
 from repro.machine.presets import generic_cluster
 from repro.resilience.health import NodeHealthTracker
 from repro.service.admission import AdmissionController, FairSharePolicy
+from repro.service.journal import ReplayState
 from repro.service.pool import (
     BUSY,
     IDLE,
@@ -18,6 +19,7 @@ from repro.service.pool import (
     ElasticNodePool,
     PoolSample,
     advance,
+    sample,
     transition,
 )
 
@@ -145,14 +147,28 @@ class TestPoolLifecycle:
         pool = ElasticNodePool(machine, min_nodes=1, provision_delay_s=5.0)
         grown, ready_at = pool.pick_grow(1, 0.0)
         transition(pool.book, grown, PROVISIONING, 0.0, ready_at)
-        pool.sample(0.0)
-        transition(pool.book, pool.due_ready(5.0), IDLE, 5.0)
-        transition(pool.book, [0, 1], BUSY, 6.0)
-        pool.sample(7.0)
-        assert pool.timeline == [
+        transition(pool.book, [0], BUSY, 1.0)
+        assert PoolSample(**sample(pool.book, 2.0)) == PoolSample(
+            t_s=2.0, provisioned=1, busy=1, provisioning=1
+        )
+        # the fold samples at begin, after each event that moved a
+        # node, and at end
+        state = ReplayState()
+        fresh = ElasticNodePool(machine, min_nodes=1)
+        health = NodeHealthTracker().to_dict()
+        for t, kind, payload in (
+            (0.0, "begin", {"horizon_s": 9.0, "pool": fresh.book, "health": health}),
+            (5.0, "pool", {"op": "grow", "nodes": [1], "ready_at": 5.0}),
+            (5.0, "pool", {"op": "ready", "nodes": [1]}),
+            (6.0, "pool", {"op": "ready", "nodes": [1]}),  # moves nothing
+            (7.0, "end", {}),
+        ):
+            state.apply(kind, {"t": t, **payload})
+        assert [PoolSample(**d) for d in state.pool_timeline] == [
             PoolSample(t_s=0.0, provisioned=1, busy=0, provisioning=0),
-            PoolSample(t_s=0.0, provisioned=1, busy=0, provisioning=1),
-            PoolSample(t_s=7.0, provisioned=2, busy=2, provisioning=0),
+            PoolSample(t_s=5.0, provisioned=1, busy=0, provisioning=1),
+            PoolSample(t_s=5.0, provisioned=2, busy=0, provisioning=0),
+            PoolSample(t_s=7.0, provisioned=2, busy=0, provisioning=0),
         ]
 
     def test_validation(self, machine):
