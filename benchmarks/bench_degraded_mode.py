@@ -162,7 +162,7 @@ def test_sdc_scan_overhead_under_one_percent(scenario, bench_json):
         f"= {share:.3%} of modeled time"
     )
     bench_json.record("degraded_mode", sdc_scan_share=share)
-    assert result.n_sdc_repairs == 0  # healthy run: scans only, no heals
+    assert len(result.ledger.sdc_events) == 0  # healthy run: scans only, no heals
     assert share < 0.01
 
 
@@ -202,8 +202,8 @@ def test_slowdown_changes_time_not_physics(scenario, bench_json):
         f"{'fault-free':<22s} {clean_result.elapsed_s:>11.4f}\n"
         f"{'stalled (no response)':<22s} {stalled.elapsed_s:>11.4f}\n"
         f"{'migrated at checkpoint':<22s} {migrated.elapsed_s:>11.4f} "
-        f"({migrated.n_migrations} migration(s), "
-        f"{migrated.migration_s:.4f} s transfer)"
+        f"({len(migrated.ledger.migrations)} migration(s), "
+        f"{migrated.ledger.migration_s:.4f} s transfer)"
     )
 
     bench_json.record(
@@ -216,5 +216,5 @@ def test_slowdown_changes_time_not_physics(scenario, bench_json):
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
     assert stalled.elapsed_s > clean_result.elapsed_s
-    assert migrated.n_migrations >= 1
+    assert len(migrated.ledger.migrations) >= 1
     assert migrated.elapsed_s < stalled.elapsed_s

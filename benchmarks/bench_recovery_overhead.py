@@ -75,23 +75,24 @@ def test_recovery_cost_sweep_failure_time_and_k():
             runner, result = _faulted_run(
                 machine, inputs, fail_step=fail_step, n_steps=n_steps, node=1
             )
-            assert result.n_members_final == k - 1
-            assert result.n_recoveries == 1
-            event = runner.ledger.events[0]
+            ledger = result.ledger
+            assert len(result.member_labels) == k - 1
+            assert len(ledger) == 1
+            event = ledger.events[0]
             frac = event.rebuilt_blocks / total_blocks
             print(
-                f"{k:>3d} {fail_step:>6d} {result.detection_s:>9.3f} "
-                f"{result.lost_work_s:>12.6f} {result.reassembly_s:>13.6f} "
-                f"{result.recovery_overhead_s:>9.3f} {frac:>8.1%} "
+                f"{k:>3d} {fail_step:>6d} {ledger.detection_s:>9.3f} "
+                f"{ledger.lost_work_s:>12.6f} {ledger.reassembly_s:>13.6f} "
+                f"{ledger.recovery_overhead_s:>9.3f} {frac:>8.1%} "
                 f"{result.elapsed_s:>10.3f} {clean:>9.6f}"
             )
             # survivors keep their shards: the rebuild touches only the
             # removed ranks' fraction of the tensor, not all of it
             assert 0 < event.rebuilt_blocks < total_blocks
-            assert result.detection_s > 0.0
-            assert result.reassembly_s > 0.0
+            assert ledger.detection_s > 0.0
+            assert ledger.reassembly_s > 0.0
             # detection dominates at these scales, as on real machines
-            assert result.detection_s > result.reassembly_s
+            assert ledger.detection_s > ledger.reassembly_s
 
 
 def test_recovery_scales_with_checkpoint_distance():
@@ -109,7 +110,7 @@ def test_recovery_scales_with_checkpoint_distance():
             world, [inp] * 4, plan=plan, checkpoint_interval=5
         )
         result = runner.run_steps(6)
-        lost.append(result.lost_work_s)
+        lost.append(result.ledger.lost_work_s)
     print(f"\nlost work: fail@1 -> {lost[0]:.6f} s, fail@4 -> {lost[1]:.6f} s")
     assert lost[1] > lost[0]
 
@@ -128,26 +129,27 @@ def test_recovery_overhead_headline_nl03c(bench_json):
     runner, result = _faulted_run(
         machine, inputs, fail_step=2, n_steps=3, node=5, timeout=30.0
     )
-    assert result.n_members_initial == 8
-    assert result.n_members_final == 7
-    event = runner.ledger.events[0]
+    assert len(result.member_labels_initial) == 8
+    assert len(result.member_labels) == 7
+    ledger = result.ledger
+    event = ledger.events[0]
     dims = inputs[0].grid_dims()
     frac = event.rebuilt_blocks / (dims.nc * dims.nt)
     print(
         f"\nnl03c 8->7 members, node loss at step 2:\n"
-        f"  detection  {result.detection_s:10.3f} s\n"
-        f"  lost work  {result.lost_work_s:10.3f} s\n"
-        f"  reassembly {result.reassembly_s:10.6f} s "
+        f"  detection  {ledger.detection_s:10.3f} s\n"
+        f"  lost work  {ledger.lost_work_s:10.3f} s\n"
+        f"  reassembly {ledger.reassembly_s:10.6f} s "
         f"({event.rebuilt_blocks} blocks, {frac:.1%} of the tensor)\n"
-        f"  total      {result.recovery_overhead_s:10.3f} s over "
+        f"  total      {ledger.recovery_overhead_s:10.3f} s over "
         f"{result.elapsed_s:.3f} s elapsed"
     )
     bench_json.record(
         "recovery_overhead",
-        detection_s=result.detection_s,
-        lost_work_s=result.lost_work_s,
-        reassembly_s=result.reassembly_s,
-        recovery_overhead_s=result.recovery_overhead_s,
+        detection_s=ledger.detection_s,
+        lost_work_s=ledger.lost_work_s,
+        reassembly_s=ledger.reassembly_s,
+        recovery_overhead_s=ledger.recovery_overhead_s,
     )
     # the shrunk (k=7) partition covers nc=128 unevenly but completely
     for shards in runner.ensemble.scheme.shards.values():

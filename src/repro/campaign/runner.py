@@ -370,32 +370,35 @@ class CampaignRunner:
         self,
         job: PackedJob,
         runner: ResilientXgyroRunner,
-        world: VirtualWorld,
         start_s: float,
+        abort: Optional[RecoveryFailed],
     ) -> None:
-        """Charge one dispatch's fault fallout to the physical nodes
-        involved, mapping the job's local node indices through
-        ``job.nodes``."""
+        """Charge one dispatch's fault fallout, as its recovery ledger
+        books it, to the physical nodes involved, mapping the job's
+        local node indices through ``job.nodes``.  A crash costs one
+        incident per node of the ranks it found dead; an abort, one per
+        node of the dead ranks no recovery booked."""
+        node_of = runner.world.placement.node_of
+        ledger = runner.ledger
 
-        for ev in runner.ledger.events:
-            for local_node in ev.failed_nodes:
+        def crash(ranks, detail: str) -> None:
+            for local_node in sorted({node_of(int(r)) for r in ranks}):
                 self._record_incident(
-                    job,
-                    local_node,
-                    "crash",
-                    start_s,
-                    f"{job.job_id}: rank crash at step {ev.step}",
+                    job, local_node, "crash", start_s, f"{job.job_id}: {detail}"
                 )
-        for sdc in runner.ledger.sdc_events:
+
+        for ev in ledger.events:
+            crash(ev.failed_ranks, f"rank crash at step {ev.step}")
+        for sdc in ledger.sdc_events:
             for rank in sdc.ranks:
                 self._record_incident(
                     job,
-                    world.placement.node_of(int(rank)),
+                    node_of(int(rank)),
                     "sdc",
                     start_s,
                     f"{job.job_id}: shard checksum mismatch at step {sdc.step}",
                 )
-        for mig in runner.ledger.migrations:
+        for mig in ledger.migrations:
             self._record_incident(
                 job,
                 mig.node,
@@ -403,6 +406,9 @@ class CampaignRunner:
                 start_s,
                 f"{job.job_id}: member {mig.member} migrated at step {mig.step}",
             )
+        if abort is not None:
+            booked = {r for ev in ledger.events for r in ev.failed_ranks}
+            crash(runner.injector.dead_ranks - booked, f"aborted ({abort.reason})")
 
     def _record_incident(
         self, job: PackedJob, local_node: int, kind: str, at_s: float, detail: str
@@ -552,21 +558,13 @@ class CampaignRunner:
             # whole-job abort (e.g. shrunk below the policy minimum):
             # every member is lost; requeue them all under the retry
             # policy rather than crashing the campaign
-            self._record_health(job, runner, world, start_s)
-            for rank in abort.failed_ranks:
-                self._record_incident(
-                    job,
-                    world.placement.node_of(int(rank)),
-                    "crash",
-                    start_s,
-                    f"{job.job_id}: aborted ({abort.reason})",
-                )
+            self._record_health(job, runner, start_s, abort)
             self._finish_job_telemetry(job, world)
             record = job_record(
                 runner.ensemble.step_count, world.elapsed(), 0.0, len(runner.ledger), job.requests
             )
             return record, [], list(job.requests)
-        self._record_health(job, runner, world, start_s)
+        self._record_health(job, runner, start_s, None)
         self._finish_job_telemetry(job, world)
 
         build_s = 0.0
@@ -600,6 +598,6 @@ class CampaignRunner:
                 )
             )
         record = job_record(
-            result.steps, result.elapsed_s, build_s, result.n_recoveries, lost_requests
+            result.steps, result.elapsed_s, build_s, len(result.ledger), lost_requests
         )
         return record, completed, lost_requests

@@ -177,7 +177,7 @@ def _run_xgyro_faulted(args: argparse.Namespace, inputs, machine) -> int:
         f"checkpoint every {runner.checkpoint_interval} step(s)"
     )
     result = runner.run_steps(n_steps)
-    print(render_recovery_report(result, runner.ledger))
+    print(render_recovery_report(result))
     for m in ensemble.members:
         flux, _ = m.diagnostics()
         print(f"  {m.label:<28s} flux " + " ".join(f"{q:+.3e}" for q in flux))

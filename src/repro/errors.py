@@ -167,9 +167,8 @@ class RankFailure(ResilienceError):
     Attributes
     ----------
     failed_ranks:
-        World ranks that are dead, sorted.
-    failed_nodes:
-        Distinct node ids hosting the dead ranks, sorted.
+        World ranks found dead since the previous failure, sorted (a
+        rank that died earlier was named by the failure that found it).
     step:
         Ensemble step index during which the loss was detected.
     detected_at_s:
@@ -188,7 +187,6 @@ class RankFailure(ResilienceError):
         message: str,
         *,
         failed_ranks: "tuple[int, ...]" = (),
-        failed_nodes: "tuple[int, ...]" = (),
         step: int = -1,
         detected_at_s: float = 0.0,
         detection_timeout_s: float = 0.0,
@@ -197,7 +195,6 @@ class RankFailure(ResilienceError):
     ) -> None:
         super().__init__(message)
         self.failed_ranks = tuple(sorted(int(r) for r in failed_ranks))
-        self.failed_nodes = tuple(sorted(int(n) for n in failed_nodes))
         self.step = step
         self.detected_at_s = detected_at_s
         self.detection_timeout_s = detection_timeout_s
@@ -208,30 +205,13 @@ class RankFailure(ResilienceError):
 class RecoveryFailed(ResilienceError):
     """A failed ensemble could not (or should not) shrink-and-recover.
 
-    Carries the triage outcome so job-level tooling can report why the
-    run was aborted rather than degraded.
-
-    Attributes
-    ----------
-    failed_ranks:
-        World ranks that were dead at abort time.
-    lost_members:
-        Member indices whose rank blocks were hit.
-    reason:
-        Human-readable abort rationale from the recovery policy.
+    ``reason`` is the human-readable abort rationale, so job-level
+    tooling can report why the run was aborted rather than degraded;
+    which ranks were dead is the fault injector's to say.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        failed_ranks: "tuple[int, ...]" = (),
-        lost_members: "tuple[int, ...]" = (),
-        reason: str = "",
-    ) -> None:
+    def __init__(self, message: str, *, reason: str = "") -> None:
         super().__init__(message)
-        self.failed_ranks = tuple(sorted(int(r) for r in failed_ranks))
-        self.lost_members = tuple(sorted(int(m) for m in lost_members))
         self.reason = reason
 
 

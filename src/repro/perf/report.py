@@ -256,44 +256,23 @@ def render_campaign_report(report) -> str:
     return "\n".join(lines)
 
 
-def render_recovery_report(result, ledger) -> str:
+def render_recovery_report(result) -> str:
     """Text rendering of a resilient run's cost accounting.
 
-    ``result`` is a :class:`~repro.resilience.runner.RunResult`;
-    ``ledger`` the matching
-    :class:`~repro.resilience.ledger.RecoveryLedger` (adds the
-    per-event table when it holds events).  All quantities are
-    simulated seconds.
+    ``result`` is a :class:`~repro.resilience.runner.RunResult`: the run
+    line, the crash-recovery share of elapsed time, then its
+    :class:`~repro.resilience.ledger.RecoveryLedger` table, which states
+    every count and cost once.  All quantities are simulated seconds.
     """
+    ledger = result.ledger
     lines = [
         f"resilient run — {result.steps} steps, "
-        f"{result.n_members_initial} -> {result.n_members_final} members, "
-        f"{result.n_recoveries} recoveries",
+        f"{len(result.member_labels_initial)} -> {len(result.member_labels)} "
+        f"members, {len(ledger)} recoveries",
         f"{'elapsed':<22s} {result.elapsed_s:>12.3f} s",
     ]
-    if result.n_recoveries == 0 and result.gray_overhead_s == 0.0:
-        lines.append("no failures detected; recovery overhead 0.000 s")
-        return "\n".join(lines)
-    if result.n_recoveries:
-        overhead = result.recovery_overhead_s
-        share = overhead / result.elapsed_s if result.elapsed_s > 0 else 0.0
-        lines += [
-            f"{'detection timeout':<22s} {result.detection_s:>12.3f} s",
-            f"{'lost work (replayed)':<22s} {result.lost_work_s:>12.3f} s",
-            f"{'cmat re-assembly':<22s} {result.reassembly_s:>12.3f} s",
-            f"{'recovery overhead':<22s} {overhead:>12.3f} s  ({share:.1%} of elapsed)",
-        ]
-    if result.n_sdc_repairs:
-        lines.append(
-            f"{'SDC repairs':<22s} {result.n_sdc_repairs:>12d}  "
-            f"({result.sdc_s:.3f} s scan+repair+replay)"
-        )
-    if result.n_migrations:
-        lines.append(
-            f"{'straggler migrations':<22s} {result.n_migrations:>12d}  "
-            f"({result.migration_s:.3f} s state transfer)"
-        )
-    if len(ledger) or ledger.sdc_events or ledger.migrations:
-        lines.append("per-event:")
-        lines.extend("  " + ln for ln in ledger.render().splitlines())
+    if len(ledger):
+        share = ledger.recovery_overhead_s / result.elapsed_s if result.elapsed_s > 0 else 0.0
+        lines.append(f"{'recovery overhead':<22s} {share:>12.1%} of elapsed")
+    lines.append(ledger.render())
     return "\n".join(lines)

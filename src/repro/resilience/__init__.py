@@ -1,4 +1,4 @@
-"""Fault injection, failure triage, and shrink-and-recover.
+"""Fault injection, shrink-and-recover, and the recovery ledger.
 
 The resilience layer answers the operational question the paper's
 shared-cmat design raises: sharing one collisional tensor across k
@@ -11,17 +11,17 @@ The subsystem is deliberately layered like a real FT-MPI stack:
 - :mod:`repro.resilience.injector` — the :class:`FaultInjector` the
   virtual world consults at every collective boundary, charging the
   detection timeout and raising :class:`~repro.errors.RankFailure`;
-- :mod:`repro.resilience.triage` — blast-radius classification
-  (which members and cmat shards died) and the degrade-vs-abort
-  :class:`RecoveryPolicy`;
 - :mod:`repro.resilience.checkpoint` — per-member checkpoint store
   (in-memory or on-disk via :mod:`repro.cgyro.restart`);
 - :mod:`repro.resilience.recovery` — :func:`shrink_and_recover`,
-  rebuilding the Figure-3 partition over the survivors and recomputing
-  only the lost cmat shards;
+  deciding which members a failure takes down and, under the
+  degrade-vs-abort :class:`RecoveryPolicy`, whether to go on,
+  then rebuilding the Figure-3 partition over the survivors and
+  recomputing only the lost cmat shards;
 - :mod:`repro.resilience.ledger` — the recovery-cost ledger
   (detection, lost work, re-assembly, plus SDC repairs and straggler
-  migrations) in simulated seconds;
+  migrations) in simulated seconds: the one book every report,
+  benchmark and node-health incident of a run reads;
 - :mod:`repro.resilience.health` — gray-failure response:
   :class:`NodeHealthTracker` (per-node incident ledger with circuit-
   breaker quarantine), :class:`RetryPolicy` (bounded exponential

@@ -10,7 +10,7 @@ at the collective a loop would have raised at.  On detecting a dead
 participant it charges the plan's detection timeout to the *surviving*
 participants' simulated clocks (their wasted wait is real cost; clocks
 never roll back) and raises :class:`~repro.errors.RankFailure` for the
-driver to triage.
+driver to recover from.
 
 Determinism: the injector holds no hidden randomness.  Given the same
 :class:`~repro.resilience.faults.FaultPlan` and the same run, faults
@@ -36,7 +36,8 @@ class FaultInjector:
     The driver must call :meth:`begin_step` before each ensemble step
     so ``at_step`` arming is well-defined.  Dead ranks stay dead for
     the injector's lifetime — a recovered ensemble replaying rolled-
-    back steps cannot resurrect them.
+    back steps cannot resurrect them — but each is named by one
+    :class:`RankFailure` only, the first that finds it dead.
     """
 
     def __init__(self, world: VirtualWorld, plan: FaultPlan) -> None:
@@ -46,7 +47,7 @@ class FaultInjector:
         self.world = world
         self.plan = plan
         self.dead_ranks: Set[int] = set()
-        self.dead_nodes: Set[int] = set()
+        self._raised: Set[int] = set()  # dead ranks a failure already named
         self._pending = [
             s for s in plan.specs if s.kind in ("rank_crash", "node_loss")
         ]
@@ -76,9 +77,7 @@ class FaultInjector:
             if spec.at_step <= self._step and self._phase_matches(spec):
                 if spec.kind == "rank_crash":
                     self.dead_ranks.add(spec.rank)
-                    self.dead_nodes.add(self.world.placement.node_of(spec.rank))
                 else:  # node_loss
-                    self.dead_nodes.add(spec.node)
                     for r in range(self.world.n_ranks):
                         if self.world.placement.node_of(r) == spec.node:
                             self.dead_ranks.add(r)
@@ -111,12 +110,13 @@ class FaultInjector:
             t_start = self.world.sync_charge(
                 live, timeout, category=DETECT_CATEGORY
             )
+            found = self.dead_ranks - self._raised
+            self._raised.update(found)
             raise RankFailure(
                 f"collective {kind!r} on {comm_label!r} at step {self._step} "
                 f"hit dead ranks {sorted(dead_here)} "
                 f"(detected after {timeout:g} simulated s)",
-                failed_ranks=tuple(self.dead_ranks),
-                failed_nodes=tuple(self.dead_nodes),
+                failed_ranks=tuple(found),
                 step=self._step,
                 detected_at_s=t_start + timeout,
                 detection_timeout_s=timeout,

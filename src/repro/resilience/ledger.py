@@ -15,18 +15,20 @@ Gray failures get their own entries: an :class:`SdcEvent` prices a
 detected-and-repaired silent corruption (scan + recompute + any
 rollback/replay), a :class:`MigrationEvent` prices a speculative
 member migration off a straggling node.  They live in separate lists
-so ``len(ledger)`` keeps meaning "crash recoveries", which
-:class:`~repro.resilience.runner.RunResult` reports as
-``n_recoveries``.
+so ``len(ledger)`` keeps meaning "crash recoveries".
 
-The totals feed :mod:`repro.perf.report` and the
-``bench_recovery_overhead`` / ``bench_degraded_mode`` benchmarks.
+The ledger is the one book of a run's crashes, SDC repairs and
+migrations: :class:`~repro.resilience.runner.RunResult` carries it,
+and its readers — :func:`repro.perf.report.render_recovery_report`,
+the campaign's node-health incidents, the ``bench_recovery_overhead``
+/ ``bench_degraded_mode`` benchmarks — take every count and total
+from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,7 @@ class RecoveryEvent:
     lost_work_s: float  # checkpoint -> failure simulated time, discarded
     reassembly_s: float  # recomputing lost cmat shards (max over ranks)
     rebuilt_blocks: int  # (ic, n) propagator blocks recomputed
-    failed_ranks: Tuple[int, ...]
-    failed_nodes: Tuple[int, ...]
+    failed_ranks: Tuple[int, ...]  # ranks this failure found dead
     lost_members: Tuple[int, ...]
     n_members_before: int
     n_members_after: int
@@ -64,11 +65,6 @@ class SdcEvent:
     rolled_back_steps: int  # steps replayed from the clean checkpoint
     lost_work_s: float  # simulated time discarded by the rollback
 
-    @property
-    def total_s(self) -> float:
-        """Scan + repair + discarded work, simulated seconds."""
-        return self.scan_s + self.repair_s + self.lost_work_s
-
 
 @dataclass(frozen=True)
 class MigrationEvent:
@@ -83,6 +79,7 @@ class MigrationEvent:
     imposed_wait_s: float  # peer wait the straggler had caused so far
 
 
+@dataclass
 class RecoveryLedger:
     """Accumulates recovery, SDC, and migration events for one run.
 
@@ -91,42 +88,37 @@ class RecoveryLedger:
     ``migrations``).
     """
 
-    def __init__(self) -> None:
-        self.events: List[RecoveryEvent] = []
-        self.sdc_events: List[SdcEvent] = []
-        self.migrations: List[MigrationEvent] = []
-
-    def record(self, event: RecoveryEvent) -> None:
-        """Append one recovery."""
-        self.events.append(event)
-
-    def record_sdc(self, event: SdcEvent) -> None:
-        """Append one detected-and-repaired corruption."""
-        self.sdc_events.append(event)
-
-    def record_migration(self, event: MigrationEvent) -> None:
-        """Append one straggler migration."""
-        self.migrations.append(event)
+    events: List[RecoveryEvent] = field(default_factory=list, init=False)
+    sdc_events: List[SdcEvent] = field(default_factory=list, init=False)
+    migrations: List[MigrationEvent] = field(default_factory=list, init=False)
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def totals(self) -> Dict[str, float]:
-        """Summed costs over all recoveries (keys in report order).
+    @property
+    def detection_s(self) -> float:
+        """Detection timeouts summed over the crash recoveries."""
+        return sum(e.detection_s for e in self.events)
 
-        Crash-recovery keys (``detection_s`` … ``total_s``) keep their
-        PR-1 meaning; SDC and migration costs are reported under their
-        own keys so existing consumers see unchanged numbers when no
-        gray fault fired.
-        """
-        return {
-            "detection_s": sum(e.detection_s for e in self.events),
-            "lost_work_s": sum(e.lost_work_s for e in self.events),
-            "reassembly_s": sum(e.reassembly_s for e in self.events),
-            "total_s": sum(e.total_s for e in self.events),
-            "sdc_s": sum(e.total_s for e in self.sdc_events),
-            "migration_s": sum(e.migrate_s for e in self.migrations),
-        }
+    @property
+    def lost_work_s(self) -> float:
+        """Discarded checkpoint-to-failure time, summed over recoveries."""
+        return sum(e.lost_work_s for e in self.events)
+
+    @property
+    def reassembly_s(self) -> float:
+        """Lost-shard recomputation, summed over recoveries."""
+        return sum(e.reassembly_s for e in self.events)
+
+    @property
+    def recovery_overhead_s(self) -> float:
+        """Total crash-recovery bill: detection + lost work + re-assembly."""
+        return self.detection_s + self.lost_work_s + self.reassembly_s
+
+    @property
+    def migration_s(self) -> float:
+        """State-transfer time summed over the straggler migrations."""
+        return sum(e.migrate_s for e in self.migrations)
 
     def _render_gray(self) -> List[str]:
         lines = []
@@ -162,11 +154,10 @@ class RecoveryLedger:
                 f"{e.detection_s:>10.3f} {e.lost_work_s:>12.3f} "
                 f"{e.reassembly_s:>13.3f} {e.total_s:>10.3f}"
             )
-        t = self.totals()
         lines.append(
-            f"{'total':>6s} {'':>9s} {t['detection_s']:>10.3f} "
-            f"{t['lost_work_s']:>12.3f} {t['reassembly_s']:>13.3f} "
-            f"{t['total_s']:>10.3f}"
+            f"{'total':>6s} {'':>9s} {self.detection_s:>10.3f} "
+            f"{self.lost_work_s:>12.3f} {self.reassembly_s:>13.3f} "
+            f"{self.recovery_overhead_s:>10.3f}"
         )
         lines.extend(self._render_gray())
         return "\n".join(lines)

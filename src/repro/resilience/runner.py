@@ -45,8 +45,7 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.health import StragglerDetector
 from repro.resilience.injector import FaultInjector
 from repro.resilience.ledger import MigrationEvent, RecoveryLedger, SdcEvent
-from repro.resilience.recovery import shrink_and_recover
-from repro.resilience.triage import RecoveryPolicy
+from repro.resilience.recovery import RecoveryPolicy, shrink_and_recover
 from repro.vmpi.world import VirtualWorld
 from repro.xgyro.driver import XgyroEnsemble
 
@@ -58,32 +57,18 @@ MIGRATE_CATEGORY = "straggler_migrate"
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of a resilient run (costs in simulated seconds)."""
+    """Outcome of a resilient run (simulated seconds).
+
+    Every crash, SDC repair and migration, with its cost, is on
+    ``ledger`` — the runner's own, which a further ``run_steps`` keeps
+    booking on; the result adds only what the ledger does not hold.
+    """
 
     steps: int
-    n_members_initial: int
-    n_members_final: int
-    member_labels: Tuple[str, ...]
     elapsed_s: float
-    n_recoveries: int
-    detection_s: float
-    lost_work_s: float
-    reassembly_s: float
-    member_labels_initial: Tuple[str, ...] = ()
-    n_sdc_repairs: int = 0
-    sdc_s: float = 0.0
-    n_migrations: int = 0
-    migration_s: float = 0.0
-
-    @property
-    def recovery_overhead_s(self) -> float:
-        """Total crash-recovery bill: detection + lost work + re-assembly."""
-        return self.detection_s + self.lost_work_s + self.reassembly_s
-
-    @property
-    def gray_overhead_s(self) -> float:
-        """Total gray-failure bill: SDC scans/repairs + migrations."""
-        return self.sdc_s + self.migration_s
+    member_labels_initial: Tuple[str, ...]
+    member_labels: Tuple[str, ...]
+    ledger: RecoveryLedger
 
     @property
     def lost_member_labels(self) -> Tuple[str, ...]:
@@ -176,7 +161,6 @@ class ResilientXgyroRunner:
             nc_counts=nc_counts,
             overlap=overlap,
         )
-        self.n_members_initial = self.ensemble.n_members
         self.member_labels_initial = tuple(
             m.label for m in self.ensemble.members
         )
@@ -235,9 +219,8 @@ class ResilientXgyroRunner:
                         self.ensemble,
                         failure,
                         self.store,
+                        self.ledger,
                         policy=self.policy,
-                        ledger=self.ledger,
-                        recoveries_so_far=len(self.ledger),
                     )
                 if self.world.metrics is not None:
                     self.world.metrics.counter(
@@ -312,7 +295,7 @@ class ResilientXgyroRunner:
         for m in self.ensemble.members:
             self.store.restore_member(m)
         self.ensemble.step_count = self.store.step
-        self.ledger.record_sdc(
+        self.ledger.sdc_events.append(
             SdcEvent(
                 step=detected_step,
                 ranks=tuple(bad),
@@ -377,7 +360,7 @@ class ResilientXgyroRunner:
                 ).inc(migrate_s)
             self.injector.mark_migrated(member.ranks)
             self._migrated_ranks.update(int(x) for x in member.ranks)
-            self.ledger.record_migration(
+            self.ledger.migrations.append(
                 MigrationEvent(
                     step=self.ensemble.step_count,
                     rank=int(r),
@@ -391,20 +374,10 @@ class ResilientXgyroRunner:
 
     def result(self) -> RunResult:
         """Summarise the run so far."""
-        totals = self.ledger.totals()
         return RunResult(
             steps=self.ensemble.step_count,
-            n_members_initial=self.n_members_initial,
-            n_members_final=self.ensemble.n_members,
-            member_labels=tuple(m.label for m in self.ensemble.members),
             elapsed_s=self.world.elapsed(self.ensemble.ranks),
-            n_recoveries=len(self.ledger),
-            detection_s=totals["detection_s"],
-            lost_work_s=totals["lost_work_s"],
-            reassembly_s=totals["reassembly_s"],
             member_labels_initial=self.member_labels_initial,
-            n_sdc_repairs=len(self.ledger.sdc_events),
-            sdc_s=totals["sdc_s"],
-            n_migrations=len(self.ledger.migrations),
-            migration_s=totals["migration_s"],
+            member_labels=tuple(m.label for m in self.ensemble.members),
+            ledger=self.ledger,
         )

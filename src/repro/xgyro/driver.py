@@ -189,10 +189,7 @@ class XgyroEnsemble:
                 )
         survivors = [m for i, m in enumerate(self.members) if i not in set(lost)]
         if not survivors:
-            raise RecoveryFailed(
-                "cannot drop every member of an ensemble",
-                lost_members=tuple(lost),
-            )
+            raise RecoveryFailed("cannot drop every member of an ensemble")
         removed = set(dead_ranks or ())
         for i in lost:
             removed.update(self.members[i].ranks)

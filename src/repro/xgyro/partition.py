@@ -116,17 +116,3 @@ def proportional_nc_counts(
         counts[j] += 1
     assert sum(counts) == nc
     return tuple(counts)
-
-
-def member_of_rank(
-    member_ranks: Sequence[Sequence[int]], world_rank: int
-) -> int:
-    """Index of the member owning ``world_rank`` (-1 when unowned).
-
-    The blast-radius classifier uses this to map a dead rank back to
-    the ensemble member it takes down.
-    """
-    for m, ranks in enumerate(member_ranks):
-        if world_rank in ranks:
-            return m
-    return -1

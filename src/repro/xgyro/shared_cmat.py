@@ -323,7 +323,6 @@ class SharedCmatScheme(CollisionScheme):
         if shard is None or self._prop is None:
             raise RecoveryFailed(
                 f"rank {world_rank} owns no shard to repair",
-                failed_ranks=(world_rank,),
                 reason="no shard",
             )
         n_idx = self._cmat[world_rank].modes  # the same request as at assembly
@@ -520,7 +519,6 @@ class SharedCmatScheme(CollisionScheme):
         if not surviving_members:
             raise RecoveryFailed(
                 "cannot rebuild a shared-cmat partition with no survivors",
-                failed_ranks=tuple(removed_ranks),
                 reason="no surviving members",
             )
         first = surviving_members[0]
@@ -537,7 +535,6 @@ class SharedCmatScheme(CollisionScheme):
             if not keep:
                 raise RecoveryFailed(
                     f"every shard owner of toroidal group {i2} was removed",
-                    failed_ranks=tuple(removed_ranks),
                     reason="whole coll group lost",
                 )
             # SDC guard: never adopt onto silently-corrupted survivors —

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign.cache import CmatCache
@@ -9,6 +11,7 @@ from repro.campaign.packer import CampaignPacker
 from repro.campaign.request import RequestQueue, SimRequest
 from repro.campaign.runner import CampaignRunner
 from repro.cgyro.presets import small_test
+from repro.machine.model import KiB
 from repro.machine.presets import generic_cluster
 from repro.perf.report import render_campaign_report
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -152,6 +155,49 @@ class TestQuarantine:
                 assert 0 not in j.nodes
         text = render_campaign_report(report)
         assert "quarantined nodes" in text
+
+    def _crashes(self, machine, n_requests, *specs):
+        """Run job 0 under ``specs``; return its nodes and the crash
+        incident count of every node the tracker charged."""
+        plan = FaultPlan(specs=specs, detection_timeout_s=1.0)
+        runner = CampaignRunner(machine, fault_plans={0: plan})
+        report = runner.run(_queue(n_requests), steps=4)
+        counts = {}
+        for incident in runner.health.incidents():
+            assert incident.kind == "crash"
+            counts[incident.node] = counts.get(incident.node, 0) + 1
+        return report.jobs[0].nodes, counts, runner.health.quarantined
+
+    def test_one_crash_incident_per_node_per_failure(self):
+        # k = 4 packs on nodes (0, 1); rank 2 (node 0) dies, then rank
+        # 6 (node 1): node 0 crashed once and must be charged once —
+        # one crash is below the default threshold of two
+        machine = replace(generic_cluster(n_nodes=8), mem_per_rank_bytes=float(96 * KiB))
+        nodes, counts, quarantined = self._crashes(
+            machine,
+            4,
+            FaultSpec("rank_crash", at_step=1, rank=2),
+            FaultSpec("rank_crash", at_step=3, rank=6),
+        )
+        assert nodes == (0, 1)
+        assert counts == {0: 1, 1: 1}
+        assert quarantined == ()
+
+    def test_an_aborted_job_charges_its_lost_node_once(self):
+        # k = 2 on node 0 alone: losing the node loses every member, so
+        # the job aborts; it is one crash, as in a job that shrinks
+        nodes, counts, quarantined = self._crashes(
+            _machine(), 2, FaultSpec("node_loss", at_step=1, node=0)
+        )
+        assert nodes == (0,)
+        assert counts == {0: 1}
+        assert quarantined == ()
+        shrunk = replace(generic_cluster(n_nodes=8), mem_per_rank_bytes=float(96 * KiB))
+        nodes, counts, _ = self._crashes(
+            shrunk, 4, FaultSpec("node_loss", at_step=1, node=0)
+        )
+        assert nodes == (0, 1)
+        assert counts == {0: 1}
 
     def test_health_tracker_shared_with_custom_packer(self):
         health = NodeHealthTracker(quarantine_threshold=2)

@@ -71,7 +71,6 @@ class _DiesAtStatement(FaultInjector):
         self.asked += 1
         if self.asked == self.at:
             self.dead_ranks.add(self.rank)
-            self.dead_nodes.add(self.world.placement.node_of(self.rank))
         return super().collective_outlook(groups)
 
 
@@ -145,7 +144,7 @@ def _books(world, sims, failure) -> dict:
         "failure": None
         if failure is None
         else (
-            str(failure), failure.failed_ranks, failure.failed_nodes, failure.step,
+            str(failure), failure.failed_ranks, failure.step,
             failure.detected_at_s, failure.comm_label, failure.kind,
         ),
         "clock": world.clock.tobytes(),

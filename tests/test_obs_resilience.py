@@ -50,7 +50,7 @@ def test_recovery_span_on_node_loss(machine):
         world, _inputs(), plan=plan, checkpoint_interval=1
     )
     result = runner.run_steps(3)
-    assert result.n_recoveries == 1
+    assert len(result.ledger) == 1
     recov = [s for s in tele.tracer.spans if s.kind == "recovery"]
     assert len(recov) == 1
     assert recov[0].duration > 0.0
@@ -70,10 +70,10 @@ def test_migration_span_on_straggler(machine):
         migrate_stragglers=True,
     )
     result = runner.run_steps(4)
-    assert result.n_migrations >= 1
+    assert len(result.ledger.migrations) >= 1
     mig = [s for s in tele.tracer.spans if s.kind == "migration"]
-    assert len(mig) == result.n_migrations
+    assert len(mig) == len(result.ledger.migrations)
     assert all(s.attrs["state_bytes"] > 0 for s in mig)
     assert tele.metrics.counter_total(
         "resilience_migrations_total"
-    ) == result.n_migrations
+    ) == len(result.ledger.migrations)

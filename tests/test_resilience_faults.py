@@ -150,7 +150,6 @@ class TestFaultInjector:
             comm.allreduce(values)
         err = excinfo.value
         assert err.failed_ranks == (3,)
-        assert err.failed_nodes == (0,)
         assert err.step == 2
         assert err.detection_timeout_s == 5.0
         assert err.kind == "allreduce"
@@ -167,7 +166,31 @@ class TestFaultInjector:
         with pytest.raises(RankFailure) as excinfo:
             world.comm_world().allreduce({r: np.ones(2) for r in range(8)})
         assert excinfo.value.failed_ranks == (4, 5, 6, 7)
-        assert excinfo.value.failed_nodes == (1,)
+
+    def test_a_later_failure_names_only_the_ranks_it_found(self):
+        # rank 1 dies first and stays dead; the failure that finds rank
+        # 6 must not name rank 1 again, or every reader downstream books
+        # the first crash twice
+        world = self._world()
+        plan = FaultPlan(
+            specs=(
+                FaultSpec("rank_crash", at_step=0, rank=1),
+                FaultSpec("rank_crash", at_step=1, rank=6),
+            )
+        )
+        inj = FaultInjector(world, plan)
+        world.install_fault_injector(inj)
+        with pytest.raises(RankFailure) as first:
+            world.comm_world().allreduce({r: np.ones(2) for r in range(8)})
+        inj.begin_step(1)
+        rest = [r for r in range(8) if r != 1]
+        with pytest.raises(RankFailure) as second:
+            Communicator(world, rest, label="rest").allreduce(
+                {r: np.ones(2) for r in rest}
+            )
+        assert first.value.failed_ranks == (1,)
+        assert second.value.failed_ranks == (6,)
+        assert inj.dead_ranks == {1, 6}
 
     def test_link_slowdown_scales_cost(self):
         def run(plan):
@@ -227,9 +250,8 @@ class TestErrorHierarchy:
             assert issubclass(exc, ResilienceError)
 
     def test_rank_failure_normalises_attrs(self):
-        err = RankFailure("boom", failed_ranks=(5, 2), failed_nodes=(1, 0))
+        err = RankFailure("boom", failed_ranks=(5, 2))
         assert err.failed_ranks == (2, 5)
-        assert err.failed_nodes == (0, 1)
 
     def test_ledger_error_is_machine_and_value_error(self):
         assert issubclass(LedgerError, MachineError)

@@ -1,4 +1,4 @@
-"""Shrink-and-recover: triage, checkpointing, rollback, and the two
+"""Shrink-and-recover: the lost-member decision, checkpointing, rollback, and the two
 reproducibility properties the resilience layer guarantees:
 
 1. an empty fault plan reproduces the unfaulted baseline *exactly*
@@ -15,10 +15,12 @@ from repro.errors import RecoveryFailed, ResilienceError
 from repro.cgyro.presets import small_test
 from repro.collision.cmat import cmat_total_bytes
 from repro.machine.presets import generic_cluster
+from repro.perf.report import render_recovery_report
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.ledger import RecoveryLedger
+from repro.resilience.recovery import RecoveryPolicy, shrink_and_recover
 from repro.resilience.runner import ResilientXgyroRunner
-from repro.resilience.triage import RecoveryPolicy, classify
 from repro.vmpi.world import VirtualWorld
 from repro.xgyro.driver import XgyroEnsemble
 
@@ -49,7 +51,7 @@ class TestEmptyPlanExactness:
 
         w_res, runner, result = run_resilient(FaultPlan.none(), n_steps=3)
 
-        assert result.n_recoveries == 0
+        assert len(result.ledger) == 0
         assert np.array_equal(w_bare.clock, w_res.clock)
         assert len(w_bare.trace.events) == len(w_res.trace.events)
         for a, b in zip(w_bare.trace.events, w_res.trace.events):
@@ -88,9 +90,9 @@ class TestRankCrashRecovery:
             detection_timeout_s=30.0,
         )
         _, runner, result = run_resilient(plan, n_steps=5)
-        assert result.n_members_initial == 4
-        assert result.n_members_final == 3
-        assert result.n_recoveries == 1
+        assert len(result.member_labels_initial) == 4
+        assert len(result.member_labels) == 3
+        assert len(result.ledger) == 1
         assert result.member_labels == (
             "xgyro.m0.small-test",
             "xgyro.m2.small-test",
@@ -123,7 +125,7 @@ class TestRankCrashRecovery:
         assert event.total_s == pytest.approx(
             event.detection_s + event.lost_work_s + event.reassembly_s
         )
-        assert result.recovery_overhead_s == pytest.approx(event.total_s)
+        assert runner.ledger.recovery_overhead_s == pytest.approx(event.total_s)
 
     def test_checkpoint_distance_increases_rollback(self):
         plan = FaultPlan(
@@ -142,7 +144,7 @@ class TestNodeLossRecovery:
             detection_timeout_s=5.0,
         )
         world, runner, result = run_resilient(plan, n_steps=4)
-        assert result.n_members_final == 3
+        assert len(result.member_labels) == 3
         ens = runner.ensemble
         dims = ens.members[0].dims
         # shard map covers nc disjointly in every toroidal group
@@ -177,8 +179,8 @@ class TestNodeLossRecovery:
         world, _, result = run_resilient(plan, n_steps=4)
         assert "fault_detect" in world.categories()
         assert "recovery_cmat_build" in world.categories()
-        assert result.detection_s == 5.0
-        assert result.reassembly_s > 0.0
+        assert result.ledger.detection_s == 5.0
+        assert result.ledger.reassembly_s > 0.0
 
 
 class TestAbortPolicy:
@@ -204,8 +206,8 @@ class TestAbortPolicy:
         _, _, result = run_resilient(
             plan, n_steps=6, policy=RecoveryPolicy(max_recoveries=2)
         )
-        assert result.n_members_final == 2
-        assert result.n_recoveries == 2
+        assert len(result.member_labels) == 2
+        assert len(result.ledger) == 2
 
     def test_losing_every_member_aborts(self):
         specs = tuple(
@@ -215,21 +217,59 @@ class TestAbortPolicy:
         with pytest.raises(RecoveryFailed):
             run_resilient(plan)
 
-    def test_classify_reports_blast_radius(self):
-        world = VirtualWorld(machine4())
-        ens = XgyroEnsemble(world, [small_test()] * 4)
-        from repro.errors import RankFailure
-
-        failure = RankFailure(
-            "x", failed_ranks=(6,), failed_nodes=(1,), step=2,
-            detected_at_s=3.0, detection_timeout_s=1.0,
+    def test_the_event_names_the_blast_radius(self):
+        # rank 6 sits in member 1 (ranks 4-7): one dead rank takes the
+        # whole member, and the other three keep running
+        plan = FaultPlan(
+            specs=(FaultSpec("rank_crash", at_step=2, rank=6),),
+            detection_timeout_s=1.0,
         )
-        report = classify(ens, failure, RecoveryPolicy())
-        assert report.lost_members == (1,)
-        assert report.surviving_members == (0, 2, 3)
-        assert report.removed_ranks == (4, 5, 6, 7)
-        assert report.decision == "shrink"
-        assert report.lost_shard_points > 0
+        _, runner, result = run_resilient(plan)
+        (event,) = runner.ledger.events
+        assert event.failed_ranks == (6,)
+        assert event.lost_members == (1,)
+        assert result.member_labels == tuple(
+            f"xgyro.m{i}.small-test" for i in (0, 2, 3)
+        )
+        assert result.lost_member_labels == ("xgyro.m1.small-test",)
+
+    def test_a_second_event_names_only_its_own_rank(self):
+        plan = FaultPlan(
+            specs=(
+                FaultSpec("rank_crash", at_step=1, rank=4),
+                FaultSpec("rank_crash", at_step=3, rank=8),
+            ),
+            detection_timeout_s=1.0,
+        )
+        _, runner, _ = run_resilient(plan, n_steps=6)
+        assert [e.failed_ranks for e in runner.ledger.events] == [(4,), (8,)]
+        assert [e.lost_members for e in runner.ledger.events] == [(1,), (1,)]
+
+
+class TestRecoveryReport:
+    def test_each_figure_is_stated_once(self):
+        # the faulted run-xgyro of the statement census: a repaired
+        # bitflip, then a crash, under full overlap
+        plan = FaultPlan(
+            specs=(
+                FaultSpec("bitflip", at_step=0, rank=0),
+                FaultSpec("rank_crash", at_step=1, rank=1),
+            ),
+            detection_timeout_s=10.0,
+        )
+        world = VirtualWorld(machine4())
+        runner = ResilientXgyroRunner(world, [small_test()] * 4, plan=plan, overlap="full")
+        result = runner.run_steps(5)
+        lines = render_recovery_report(result).splitlines()
+        # the detection total sits in the ledger's `total` row only
+        heads = [ln.split()[0] for ln in lines]
+        assert heads.count("total") == 1
+        assert "detection" not in heads
+        # the SDC repair is the ledger's one `sdc step` line
+        assert sum("sdc" in ln.lower() for ln in lines) == 1
+        assert lines[0] == "resilient run — 5 steps, 4 -> 3 members, 1 recoveries"
+        assert lines[2] == f"{'recovery overhead':<22s} {'100.0%':>12s} of elapsed"
+        assert lines[3:] == runner.ledger.render().splitlines()
 
 
 class TestCheckpointStore:
@@ -263,11 +303,10 @@ class TestCheckpointStore:
         world = VirtualWorld(machine4())
         ens = XgyroEnsemble(world, [small_test()] * 2)
         from repro.errors import RankFailure
-        from repro.resilience.recovery import shrink_and_recover
 
         failure = RankFailure("x", failed_ranks=(0,))
         with pytest.raises(ResilienceError, match="without a checkpoint"):
-            shrink_and_recover(ens, failure, CheckpointStore())
+            shrink_and_recover(ens, failure, CheckpointStore(), RecoveryLedger())
 
 
 class TestUnevenShardMap:

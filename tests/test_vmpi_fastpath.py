@@ -449,7 +449,6 @@ def test_a_death_inside_a_block_surfaces_where_the_loop_finds_it(spec):
             (
                 str(failure),
                 failure.failed_ranks,
-                failure.failed_nodes,
                 failure.step,
                 failure.detected_at_s,
                 failure.detection_timeout_s,
@@ -459,7 +458,7 @@ def test_a_death_inside_a_block_surfaces_where_the_loop_finds_it(spec):
             )
         )
     assert outcomes[0] == outcomes[1]
-    victim_group = outcomes[0][6]
+    victim_group = outcomes[0][5]
     assert len(outcomes[0][-1]["trace"]) == int(victim_group[1:])
 
 
