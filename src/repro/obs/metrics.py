@@ -19,9 +19,10 @@ Export formats:
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro import records
 from repro.errors import ReproError
@@ -104,18 +105,25 @@ class Histogram:
         self.observe_each((value,))
 
     def observe_each(self, values: Iterable[float]) -> None:
-        """Record each of ``values`` in turn: ``sum`` is added up in
-        their order, as that many :meth:`observe` calls would; NaN is refused."""
-        buckets, counts = self.buckets, self.counts
-        for value in values:
-            value = float(value)
-            if value != value:
-                raise ReproError("histogram observation is NaN")
-            self.sum += value
-            self.count += 1
-            i = bisect.bisect_left(buckets, value)  # the first bound >= value
-            if i < len(counts):
-                counts[i] += 1
+        """Record each of ``values`` in turn."""
+        values = tuple(values)
+        self.observe_rows(values, len(values))
+
+    def observe_rows(self, values: Sequence[float], n: int) -> None:
+        """Record the first ``n`` of ``values`` repeated end to end, as
+        that many :meth:`observe` calls would (``sum`` added up in their
+        order), bucketing each position once; NaN is refused."""
+        values = list(map(float, values))
+        if any(map(math.isnan, values)):
+            raise ReproError("histogram observation is NaN")
+        for j, value in enumerate(values):
+            i = bisect.bisect_left(self.buckets, value)  # the first bound >= value
+            if i < len(self.counts):
+                self.counts[i] += (n - j + len(values) - 1) // len(values)  # rows at position j
+        total = self.sum
+        for value in itertools.islice(itertools.cycle(values), n):
+            total += value
+        self.sum, self.count = total, self.count + n
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, +Inf last."""

@@ -141,8 +141,10 @@ class FaultInjector:
         ``groups`` right now, without raising: the cost multiplier, and
         the index of the first group holding a dead rank (``None`` when
         all are healthy).  Arms pending specs exactly as
-        :meth:`on_collective` does."""
-        self._activate_pending()
+        :meth:`on_collective` does (asked once per chunk, it skips what
+        the plan has none of)."""
+        if self._pending:
+            self._activate_pending()
         dead = self.dead_ranks
         hit = None
         if dead:
@@ -150,7 +152,7 @@ class FaultInjector:
                 (j for j, ranks in enumerate(groups) if not dead.isdisjoint(ranks)),
                 None,
             )
-        return self._link_factor(), hit
+        return self._link_factor() if self._slowdowns else 1.0, hit
 
     # ------------------------------------------------------------------
     # gray faults: stragglers and silent data corruption
@@ -163,7 +165,8 @@ class FaultInjector:
     def compute_multiplier(self, rank: int) -> float:
         """Compute-cost stretch factor for ``rank`` at the current step.
 
-        Consulted by :meth:`VirtualWorld.charge_compute`: an armed
+        Consulted by :meth:`VirtualWorld.charge_compute` (per charged
+        rank, and only when the plan :attr:`has_slowdowns`): an armed
         ``slowdown`` spec makes its target's compute charges ``factor``×
         longer, so the straggler's clock runs ahead and every collective
         it joins stalls on it — the peers' waits are what the straggler

@@ -77,8 +77,9 @@ class CollectiveRows(NamedTuple):
     (wait ``0.0``, last arrival its first rank).  ``compute`` is ``None`` or
     the compute charge before each chunk's rows: ``(category, ranks,
     stamps)``, a chunk's stamp being ``(total seconds, span)`` as
-    :meth:`VirtualWorld._book_compute` returns it; ``overlapped_s``
-    marks a nonblocking completion (one row).
+    :meth:`VirtualWorld._book_compute` returns it; ``plan`` is the
+    world's plan of the statement, whose telemetry series the rows feed;
+    ``overlapped_s`` marks a nonblocking completion (one row).
     """
 
     kind: str
@@ -94,6 +95,7 @@ class CollectiveRows(NamedTuple):
     last_arrival: Sequence[Sequence[int]]
     wait_s: Sequence[Sequence[float]]
     compute: Optional[Tuple[str, Tuple[int, ...], Sequence[tuple]]]
+    plan: object
     overlapped_s: Optional[float] = None
 
     def cells(self, n: int) -> Iterator[Tuple[int, float, int]]:

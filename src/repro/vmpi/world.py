@@ -35,7 +35,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,6 +84,95 @@ def _algorithm_name(algorithm: Optional[object]) -> str:
     return getattr(algorithm, "value", "") if algorithm else ""
 
 
+def _add_times(times: Sequence[Dict[str, float]], key: str, amounts: Iterable[float]) -> None:
+    """Add each amount to its rank's category-time dict under ``key``."""
+    for book, amount in zip(times, amounts):
+        book[key] = book.get(key, 0.0) + amount
+
+
+def _row_sums(rows: List[List[float]], size: int) -> List[float]:
+    """Each row's sum as NumPy's ``sum(axis=1)`` of the ``(G, size)``
+    array makes it: left to right from ``0.0`` below 8 columns, pairwise
+    from there on (so there it is NumPy's)."""
+    if size >= 8:
+        return np.array(rows).reshape(len(rows), size).sum(axis=1).tolist()
+    sums = []
+    for row in rows:
+        total = 0.0
+        for x in row:
+            total += x
+        sums.append(total)
+    return sums
+
+
+class _Phase(NamedTuple):
+    """The scope of :meth:`VirtualWorld.phase`, a plain context manager."""
+
+    stack: List[str]
+    category: str
+
+    def __enter__(self) -> None:
+        self.stack.append(self.category)
+
+    def __exit__(self, *exc: object) -> None:
+        self.stack.pop()
+
+
+class _ChargePlan:
+    """What one charged statement fixes, built on its first call
+    (:meth:`VirtualWorld._plan`) and reused by every later one: a
+    statement is ``rounds`` collectives of ``kind`` on each of ``groups``
+    per chunk, each after ``ranks`` are charged its compute (``compute =
+    (ranks, amounts, in_flops, category)``, an amount per chunk); a
+    compute charge is one chunk on no group.  The plan holds the checked
+    groups, the static half (unscaled prices, ``int`` byte counts,
+    algorithm names, labels, first ranks), each chunk's checked seconds
+    and total, every charged rank's category-time dict and key, and the
+    telemetry series, each bound on its first use, in the order single
+    charges create them (``steady`` once all are but other ranks'
+    imposed-wait counters)."""
+
+    __slots__ = (
+        "kind", "groups", "flat", "entries", "n_nodes", "costs", "nbytes", "names", "labels",
+        "first", "category", "booked", "group_times", "ranks", "ascending", "seconds", "totals",
+        "compute_category", "compute_key", "compute_times", "bound", "imposed", "counter",
+        "steady",
+    )
+
+    def __init__(
+        self, world: "VirtualWorld", kind: Optional[str], groups: tuple, nbytes: tuple,
+        algorithms: tuple, labels: tuple, category: str, compute: "Optional[tuple]",
+    ) -> None:
+        self.ranks, self.totals, self.compute_times, self.compute_category = None, (None,), (), ""
+        if compute is not None:
+            ranks, amounts, in_flops, self.compute_category = compute
+            self.ranks = world._group(ranks)[0]
+            self.ascending = tuple(sorted(self.ranks))
+            self.seconds = [world._compute_seconds(self.ranks, a, in_flops) for a in amounts]
+            self.totals = [sum(seconds) for seconds in self.seconds]
+            self.compute_times = [world._category_time[r] for r in self.ranks]
+        self.compute_key = self.compute_category or "uncategorized"
+        self.groups = tuple(world._group(ranks)[0] for ranks in groups)
+        flat = [r for ranks in self.groups for r in ranks]
+        if len({len(ranks) for ranks in self.groups}) > 1 or len(set(flat)) != len(flat):
+            raise CollectiveError(
+                f"a block of collectives needs disjoint groups of one size, got {self.groups}"
+            )
+        price = world.cost_model.collective_cost
+        self.costs = tuple(
+            price(kind, g, nb, algorithm=a) for g, nb, a in zip(self.groups, nbytes, algorithms)
+        )
+        self.flat = tuple(flat)
+        self.entries = [operator.itemgetter(*ranks) for ranks in self.groups]  # a group's clocks
+        self.kind, self.n_nodes = kind, tuple(map(world.cost_model.n_nodes_of, self.groups))
+        self.nbytes, self.names = tuple(map(int, nbytes)), tuple(map(_algorithm_name, algorithms))
+        self.labels, self.first = labels, tuple(ranks[0] for ranks in self.groups)
+        self.category, self.booked = category, category or "uncategorized"
+        self.group_times = [[world._category_time[r] for r in ranks] for ranks in self.groups]
+        self.bound, self.imposed = [None] * len(self.groups), {}
+        self.counter, self.steady = None, False
+
+
 class VirtualWorld:
     """A virtual MPI job on a modeled machine.
 
@@ -104,13 +193,8 @@ class VirtualWorld:
     """
 
     def __init__(
-        self,
-        machine: MachineModel,
-        n_ranks: Optional[int] = None,
-        *,
-        placement: Optional[Placement] = None,
-        enforce_memory: bool = False,
-        trace: bool = True,
+        self, machine: MachineModel, n_ranks: Optional[int] = None, *,
+        placement: Optional[Placement] = None, enforce_memory: bool = False, trace: bool = True,
     ) -> None:
         self.machine = machine
         self.n_ranks = machine.n_ranks if n_ranks is None else int(n_ranks)
@@ -146,28 +230,20 @@ class VirtualWorld:
         # (FIFO) instead of accruing impossibly in parallel.
         self._nb_inflight: List[PendingCollective] = []
         limit = machine.mem_per_rank_bytes if enforce_memory else None
-        self.ledgers: List[MemoryLedger] = [
-            MemoryLedger(limit, rank=r) for r in range(self.n_ranks)
-        ]
+        self.ledgers = [MemoryLedger(limit, rank=r) for r in range(self.n_ranks)]
         self.trace = TraceLog(enabled=trace)
         self._category_stack: List[str] = []
-        self._category_time: Dict[int, Dict[str, float]] = {
-            r: {} for r in range(self.n_ranks)
-        }
+        self._category_time: Dict[int, Dict[str, float]] = {r: {} for r in range(self.n_ranks)}
         self._seq = 0
         # checked rank set -> (the set as an int tuple, its clock index
         # array), for collectives and compute / sync charges alike
         self._groups: Dict[tuple, "tuple[tuple[int, ...], np.ndarray]"] = {}
-        # ordered family of disjoint equal-size groups -> (the groups,
-        # their (G, P) clock index, their node counts)
-        self._families: Dict[tuple, "tuple[tuple, np.ndarray, tuple]"] = {}
-        # blocking statement (kind, groups, nbytes, algorithms, labels)
-        # -> its static half, shared by every block it books
-        self._statements: Dict[tuple, "tuple[tuple, ...]"] = {}
+        self._plans: Dict[tuple, "_ChargePlan"] = {}  # charged statement -> its plan
         # Metric series bound once per label set: ("collective", kind,
-        # comm) -> (bytes, count, wait, cost histogram); ("imposed",
-        # rank), ("overlapped", comm), ("compute", category) -> counter.
+        # comm) -> (bytes, count, wait, cost histogram); any other -> counter
         self._series: Dict[tuple, object] = {}
+        # the injector's compute_multiplier, when its plan has slowdowns
+        self._stretch: "object | None" = None
         self.fault_injector: "object | None" = None
         self.checker: "object | None" = None
         self.tracer: "object | None" = None
@@ -191,15 +267,11 @@ class VirtualWorld:
         self.tracer = tracer
         self.metrics = metrics
         self._series.clear()
+        self._plans.clear()  # they hold bound series
 
     def span(
-        self,
-        name: str,
-        kind: str = "phase",
-        *,
-        ranks: "Optional[Iterable[int]]" = None,
-        category: Optional[str] = None,
-        **attrs: object,
+        self, name: str, kind: str = "phase", *, ranks: "Optional[Iterable[int]]" = None,
+        category: Optional[str] = None, **attrs: object,
     ):
         """Context manager scoping a tracer span over this world's clock.
 
@@ -209,19 +281,10 @@ class VirtualWorld:
         """
         if self.tracer is None:
             return contextlib.nullcontext()
-        rks = (
-            tuple(int(r) for r in ranks)
-            if ranks is not None
-            else tuple(range(self.n_ranks))
-        )
+        rks = tuple(range(self.n_ranks)) if ranks is None else tuple(int(r) for r in ranks)
         cat = category if category is not None else self.current_category
         return self.tracer.span(
-            name,
-            kind,
-            lambda: self.elapsed(rks),
-            category=cat,
-            ranks=rks,
-            **attrs,
+            name, kind, lambda: self.elapsed(rks), category=cat, ranks=rks, **attrs
         )
 
     def install_fault_injector(self, injector: "object | None") -> None:
@@ -245,10 +308,14 @@ class VirtualWorld:
         raise for, or ``None``; ``on_collective`` is then called for
         that group only, at the point the loop would have reached it.
         Its ``compute_multiplier(rank)``, like the outlook, may depend
-        on the step and the phase only.  A world without an injector
-        has exactly zero behavioural or cost difference.
+        on the step and the phase only, and is asked once per charged
+        rank only if the injector ``has_slowdowns`` — fixed when it is
+        installed: an injector without is never asked.  A world without
+        an injector has exactly zero behavioural or cost difference.
         """
         self.fault_injector = injector
+        slowed = injector is not None and injector.has_slowdowns
+        self._stretch = injector.compute_multiplier if slowed else None
 
     def install_checker(self, checker: "object | None") -> None:
         """Attach (or, with ``None``, detach) a collective checker.
@@ -283,28 +350,15 @@ class VirtualWorld:
         """Innermost active category label ("" if none)."""
         return self._category_stack[-1] if self._category_stack else ""
 
-    @contextlib.contextmanager
-    def phase(self, category: str) -> Iterator[None]:
+    def phase(self, category: str) -> "_Phase":
         """Scope within which charges are attributed to ``category``."""
-        self._category_stack.append(category)
-        try:
-            yield
-        finally:
-            self._category_stack.pop()
+        return _Phase(self._category_stack, category)
 
     # ------------------------------------------------------------------
     # charging
     # ------------------------------------------------------------------
-    def _add_category_time(self, rank: int, category: str, seconds: float) -> None:
-        if not category:
-            category = "uncategorized"
-        times = self._category_time[rank]
-        times[category] = times.get(category, 0.0) + seconds
-
     def charge_compute(
-        self,
-        ranks: Union[int, Iterable[int]],
-        *,
+        self, ranks: Union[int, Iterable[int]], *,
         seconds: Optional[Union[float, Mapping[int, float]]] = None,
         flops: Optional[Union[float, Mapping[int, float]]] = None,
         category: Optional[str] = None,
@@ -320,28 +374,29 @@ class VirtualWorld:
             raise VmpiError("provide exactly one of seconds= or flops=")
         if isinstance(ranks, (int, np.integer)):
             ranks = (ranks,)
-        rank_list = self._group(ranks)[0]
         cat = category if category is not None else self.current_category
-        charged, (total, span) = self._book_compute(
-            rank_list, self._compute_seconds(rank_list, seconds, flops), self.clock
-        )
-        for r, dt in zip(rank_list, charged):
-            self._add_category_time(r, cat, dt)
+        amount = seconds if flops is None else flops
+        if isinstance(amount, Mapping):
+            amount = tuple(amount.items())  # a plan's key hashes
+        compute = (tuple(ranks), (amount,), flops is not None, cat)
+        plan = self._plan(None, (), (), (), (), "", compute)
+        charged, (total, span) = self._book_compute(plan, 0, self.clock)
+        _add_times(plan.compute_times, plan.compute_key, charged)
         if self.metrics is not None and total > 0.0:
-            self._compute_counter(cat).inc(total)
+            (plan.counter or self._bind_compute(plan)).inc(total)
         if self.tracer is not None and span is not None:
-            self.tracer.record(f"compute[{cat or 'uncategorized'}]", "compute", span[0],
-                               span[1], category=cat, ranks=rank_list, last_arrival=span[2])
+            self.tracer.record(f"compute[{plan.compute_key}]", "compute", span[0], span[1],
+                               category=cat, ranks=plan.ranks, last_arrival=span[2])
 
     def _compute_seconds(
-        self, rank_list: "tuple[int, ...]", seconds: object, flops: object
+        self, rank_list: "tuple[int, ...]", amount: object, in_flops: bool
     ) -> List[float]:
-        """Each rank's seconds of one :meth:`charge_compute` charge, its
-        keys and amounts checked (:class:`VmpiError`)."""
-        # what kind of charge this is gets decided once, not per rank
-        amount = seconds if flops is None else flops
-        per_rank = isinstance(amount, Mapping)
+        """Each rank's seconds of a charge of ``amount`` seconds or flops
+        — a scalar, or ``(rank, amount)`` pairs naming exactly
+        ``rank_list`` — its keys and amounts checked (:class:`VmpiError`)."""
+        per_rank = isinstance(amount, tuple)
         if per_rank:
+            amount = dict(amount)
             if amount.keys() != set(rank_list):
                 named = f"ranks {sorted(amount)}, not {sorted(rank_list)}"
                 raise VmpiError(f"per-rank charge names {named}")
@@ -350,55 +405,38 @@ class VirtualWorld:
             amounts = [float(amount)] * len(rank_list)
         for r, a in zip(rank_list, amounts if per_rank else amounts[:1]):
             if not 0.0 <= a < math.inf:  # NaN fails too
-                what = "time" if flops is None else "flop"
+                what = "flop" if in_flops else "time"
                 raise VmpiError(f"{what} charge {a} for rank {r} is negative or not finite")
-        if flops is None:
+        if not in_flops:
             return amounts
         to_seconds = self.machine.compute_seconds
-        if self.machine.node_speed is not None:
-            node_of = self.placement.node_of
-            return [to_seconds(fl, node=node_of(r)) for r, fl in zip(rank_list, amounts)]
-        if per_rank:
-            return [to_seconds(fl) for fl in amounts]
-        # one rate for every rank: one conversion per charge
-        return [to_seconds(float(amount))] * len(rank_list)
+        return [to_seconds(fl, node=self.placement.node_of(r)) for r, fl in zip(rank_list, amounts)]
 
     def _book_compute(
-        self, rank_list: "tuple[int, ...]", amounts: Sequence[float], clock: "list | np.ndarray"
-    ) -> "tuple[List[float], tuple]":
+        self, plan: "_ChargePlan", c: int, clock: "list | np.ndarray"
+    ) -> "tuple[Sequence[float], tuple]":
         """The one compute body (of a :meth:`charge_compute` or a chunk):
-        ``clock`` advances by each rank's checked seconds times the
-        injector's ``compute_multiplier``.  Returns the seconds charged
-        and the stamp ``(total, span)``, the span ``(t_start, seconds,
-        rank)`` of the rank pushed furthest, or ``None``."""
-        mult = getattr(self.fault_injector, "compute_multiplier", None)
-        charged: List[float] = []
-        for r, dt in zip(rank_list, amounts):
-            if mult is not None:
-                dt *= mult(r)
+        ``clock`` advances by each rank's seconds of ``plan``'s chunk
+        ``c``, stretched by the injector's ``compute_multiplier`` when
+        its plan has slowdowns.  Returns the seconds charged and the
+        stamp ``(total, span)``, the span ``(t_start, seconds, rank)`` of
+        the rank pushed furthest, or ``None``."""
+        ranks, charged, total = plan.ranks, plan.seconds[c], plan.totals[c]
+        if self._stretch is not None:
+            charged = [dt * self._stretch(r) for r, dt in zip(ranks, charged)]
+            total = sum(charged)
+        for r, dt in zip(ranks, charged):
             clock[r] += dt
-            charged.append(dt)
         if self.tracer is None:  # nobody reads the span
-            return charged, (sum(charged), None)
-        ends = [clock[r] for r in rank_list]  # the latest clock, of a tie the lowest rank
-        t_end, _, dt_lead, rank = max(
-            zip(ends, map(operator.neg, rank_list), charged, rank_list), default=(0.0, 0, 0.0, 0)
-        )
-        span = (float(t_end) - dt_lead, dt_lead, rank) if dt_lead > 0.0 else None
-        return charged, (sum(charged), span)
-
-    def _compute_counter(self, cat: str):
-        """The compute-seconds counter of category ``cat``."""
-        name, booked = "vmpi_compute_rank_seconds_total", cat or "uncategorized"
-        return self._counter(("compute", cat), name, category=booked)
+            return charged, (total, None)
+        ends = list(map(clock.__getitem__, plan.ascending))  # of a tie the lowest rank
+        lead = ranks.index(plan.ascending[ends.index(max(ends))]) if ends else 0
+        dt = charged[lead] if ends else 0.0
+        span = (float(clock[ranks[lead]]) - dt, dt, ranks[lead]) if dt > 0.0 else None
+        return charged, (total, span)
 
     def charge_collective(
-        self,
-        kind: str,
-        ranks: Sequence[int],
-        nbytes: int,
-        *,
-        comm_label: str,
+        self, kind: str, ranks: Sequence[int], nbytes: int, *, comm_label: str,
         algorithm: Optional[object] = None,
     ) -> float:
         """Synchronise ``ranks``, charge the modeled collective cost.
@@ -410,33 +448,24 @@ class VirtualWorld:
         factor = 1.0
         if self.fault_injector is not None:
             factor = self.fault_injector.on_collective(kind, ranks, comm_label)
-        ranks, idx = self._group(ranks)
-        return self._charge_blocking(
-            kind, (ranks,), idx[None], (self.cost_model.n_nodes_of(ranks),),
-            self._statement(kind, (ranks,), (nbytes,), (algorithm,), (comm_label,)),
-            None, factor,
-        )[0]
+        plan = self._plan(
+            kind, (tuple(ranks),), (nbytes,), (algorithm,), (comm_label,), self.current_category,
+            None,
+        )
+        return self._charge_blocking(plan, factor, range(1), 1, 1, None)[0]
 
     def charge_collective_block(
-        self,
-        kind: str,
-        groups: "tuple[tuple[int, ...], ...]",
-        nbytes: Sequence[int],
-        rounds: int,
-        *,
-        comm_labels: Sequence[str],
-        algorithms: Sequence[Optional[object]],
-        category: Optional[str] = None,
-        admit: "Optional[tuple[str, str]]" = None,
-        ranks: Sequence[int] = (),
-        flops: Optional[Sequence[float]] = None,
+        self, kind: str, groups: "tuple[tuple[int, ...], ...]", nbytes: Sequence[int],
+        rounds: int, *, comm_labels: Sequence[str], algorithms: Sequence[Optional[object]],
+        category: Optional[str] = None, admit: "Optional[tuple[str, str]]" = None,
+        ranks: Sequence[int] = (), flops: Optional[Sequence[float]] = None,
         compute_category: Optional[str] = None,
     ) -> None:
         """Charge one lockstep statement: ``rounds`` back-to-back
         collectives of ``kind`` on each of ``groups``.
 
         ``groups`` are ordered, pairwise disjoint and of equal size
-        (checked once per family); ``nbytes``, ``comm_labels`` and
+        (checked once per statement); ``nbytes``, ``comm_labels`` and
         ``algorithms`` hold one entry per group, each group priced on its
         own; ``rounds`` is an int ``>= 1`` (else
         :class:`~repro.errors.CollectiveError`, before a clock moves).
@@ -456,7 +485,6 @@ class VirtualWorld:
         chunk's compute and round 0 on the groups before the dead one,
         and ``on_collective`` raises for it, as in the loop.
         """
-        groups, idx, n_nodes = self._family(groups)
         per_group = (len(nbytes), len(comm_labels), len(algorithms))
         whole = isinstance(rounds, (int, np.integer)) and rounds >= 1
         if not whole or per_group != (len(groups),) * 3:
@@ -464,138 +492,130 @@ class VirtualWorld:
                 f"a block of {len(groups)} groups needs rounds >= 1 and one byte count, label"
                 f" and algorithm per group, got rounds={rounds!r} and {per_group}"
             )
-        seconds: List[Optional[List[float]]] = [None]
-        if flops is not None:
-            ranks = self._group(ranks)[0]
-            seconds = [self._compute_seconds(ranks, None, fl) for fl in flops]
-            compute_category = (self.current_category if compute_category is None
-                                else compute_category)
-        static = self._statement(kind, groups, nbytes, algorithms, comm_labels)
         category = self.current_category if category is None else category
-        outlooks = [(1.0, None)] * len(seconds)
+        compute_category = self.current_category if compute_category is None else compute_category
+        plan = self._plan(
+            kind, groups, tuple(nbytes), tuple(algorithms), tuple(comm_labels), category,
+            None if flops is None else (tuple(ranks), tuple(flops), True, compute_category),
+        )
+        outlooks = [(1.0, None)] * len(plan.totals)
         if self.fault_injector is not None:
             with self.phase(category):  # asked once per chunk, up to a death
-                outlooks = [self.fault_injector.collective_outlook(groups)]
-                while len(outlooks) < len(seconds) and outlooks[-1][1] is None:
-                    outlooks.append(self.fault_injector.collective_outlook(groups))
+                outlooks = [self.fault_injector.collective_outlook(plan.groups)]
+                while len(outlooks) < len(plan.totals) and outlooks[-1][1] is None:
+                    outlooks.append(self.fault_injector.collective_outlook(plan.groups))
         stop = 0
         for (factor, dead), run in itertools.groupby(outlooks):
             c, stop = stop, stop + len(list(run))
-            live = len(groups) if dead is None else dead
+            live = len(plan.groups) if dead is None else dead
             self._charge_blocking(
-                kind, groups[:live], idx[:live], n_nodes, static, category, factor,
-                rounds if dead is None else 1, admit,
-                None if flops is None else (ranks, seconds[c:stop], compute_category),
+                plan, factor, range(c, stop), live, rounds if dead is None else 1, admit
             )
             if dead is not None:
                 if admit is not None and self.checker is not None:
-                    p = len(groups[dead])
+                    p = len(plan.groups[dead])
                     self.checker.lockstep_collective(
-                        kind, groups[dead], comm_labels[dead], (nbytes[dead],) * p,
+                        kind, plan.groups[dead], comm_labels[dead], (nbytes[dead],) * p,
                         op=admit[0], dtypes=(admit[1],) * p,
                     )
                 with self.phase(category):
-                    self.fault_injector.on_collective(kind, groups[dead], comm_labels[dead])
+                    self.fault_injector.on_collective(kind, plan.groups[dead], comm_labels[dead])
 
-    def _statement(
-        self, kind: str, groups: "Sequence[tuple[int, ...]]", nbytes: Sequence[int],
-        algorithms: Sequence[Optional[object]], labels: Sequence[str],
-    ) -> "tuple[tuple, ...]":
-        """A blocking statement's static half — unscaled prices, ``int``
-        byte counts, algorithm names, labels, first ranks — built once
-        per statement that names its algorithms (a default may be
-        reassigned), and shared by every block it books."""
-        key = (kind, tuple(groups), tuple(nbytes), tuple(algorithms), tuple(labels))
-        static = self._statements.get(key)
-        if static is None:
-            price = self.cost_model.collective_cost
-            static = (
-                tuple(price(kind, g, nb, algorithm=a) for g, nb, a in zip(groups, nbytes, key[3])),
-                tuple(int(nb) for nb in key[2]),
-                tuple(_algorithm_name(algorithm) for algorithm in key[3]),
-                key[4],
-                tuple(ranks[0] for ranks in groups),
-            )
-            if None not in key[3]:
-                self._statements[key] = static
-        return static
+    def _plan(self, *statement: object) -> "_ChargePlan":
+        """The :class:`_ChargePlan` of ``statement`` — its ``(kind,
+        groups, nbytes, algorithms, labels, category, compute)`` — built
+        on its first call and reused by every later one, but planned per
+        call while it leaves an algorithm to the cost model's default
+        (which may be reassigned)."""
+        plan = self._plans.get(statement)
+        if plan is None:
+            plan = _ChargePlan(self, *statement)
+            if None not in statement[3]:
+                self._plans[statement] = plan
+        return plan
 
     def _charge_blocking(
-        self, kind: str, groups: "Sequence[tuple[int, ...]]", idx: np.ndarray,
-        n_nodes: Sequence[int], static: "tuple[tuple, ...]", category: Optional[str],
-        factor: float, rounds: int = 1, admit: "Optional[tuple[str, str]]" = None,
-        compute: "Optional[tuple[tuple[int, ...], Sequence[List[float]], str]]" = None,
+        self, plan: "_ChargePlan", factor: float, chunks: range, live: int, rounds: int,
+        admit: "Optional[tuple[str, str]]",
     ) -> Sequence[float]:
         """The one blocking-charge body; returns each group's cost.
 
-        ``idx`` is the ``(G, P)`` clock index of ``groups``, ``static``
-        the :meth:`_statement` (its sequences may run past ``G``).
-        ``compute = (ranks, seconds, category)`` makes it one chunk per
-        ``seconds[c]``, booked on ``ranks`` (:meth:`_book_compute`)
-        before the chunk's rounds.  Round 0 synchronises each group and
-        books the entry waits; a later round finds it synchronised.
-        Time is kept by *repeated* addition, as single charges keep it.
-        The block is prepared on a copy of the clocks and handed to a
-        checker whole before it is committed.
-        """
-        category = self.current_category if category is None else category
-        costs, nbytes, names, labels, first = static
-        if factor != 1.0:
-            costs = [factor * cost for cost in costs]
-        ranks, seconds, compute_cat = compute if compute is not None else ((), [None], "")
+        Books ``plan``'s ``chunks`` (each its compute, through
+        :meth:`_book_compute`, then ``rounds`` rounds) on the first
+        ``live`` groups, prices scaled by ``factor``.  Round 0 syncs each
+        group and books the entry waits, in plain floats; a later round
+        finds it synchronised.  Time is kept by *repeated* addition, as
+        single charges keep it.  The block is prepared on a copy of the
+        clocks and handed to a checker whole before it is committed;
+        each rank's category time is added up in the loop's order, its
+        compute key's adds before its comm key's — chunk by chunk where
+        the two keys are one."""
+        groups, size = plan.groups[:live], len(plan.groups[0])
+        costs = plan.costs if factor == 1.0 else [factor * cost for cost in plan.costs]
         clock, clock0 = self.clock.tolist(), None
         t_starts, last_arrival, wait_s, waits, charged, stamps = [], [], [], [], [], []
-        for amounts in seconds:
-            if amounts is not None:
-                dts, stamp = self._book_compute(ranks, amounts, clock)
+        for c in chunks:
+            if plan.ranks is not None:
+                dts, stamp = self._book_compute(plan, c, clock)
                 charged.append(dts)
                 stamps.append(stamp)
-            if idx.shape[1] == 1:
+            if size == 1:
                 # one-rank groups: nobody waits, the only rank arrives last
-                t = [clock[ranks_g[0]] for ranks_g in groups]
-                wait_s.append([0.0] * len(groups))
-                last_arrival.append(first)
+                t = list(map(clock.__getitem__, plan.first[:live]))
+                wait_s.append([0.0] * live)
+                last_arrival.append(plan.first)
             else:
-                clocks = np.asarray(clock)[idx]
-                last = clocks.argmax(axis=1).tolist()
-                t0 = clocks.max(axis=1)
-                waits.append(t0[:, None] - clocks)
+                t, last, w = [], [], []
+                for entry in plan.entries[:live]:
+                    clocks = entry(clock)
+                    t.append(max(clocks))
+                    last.append(clocks.index(t[-1]))  # of a tie the first
+                    w.append(list(map(t[-1].__sub__, clocks)))
                 # a group's total wait is imposed by whoever arrived last
-                wait_s.append(waits[-1].sum(axis=1).tolist())
-                last_arrival.append([g[i] for g, i in zip(groups, last)])
-                t = t0.tolist()
+                waits.append(itertools.chain.from_iterable(w))
+                wait_s.append(_row_sums(w, size))
+                last_arrival.append(list(map(operator.getitem, groups, last)))
             for _ in range(rounds):
                 t_starts.append(t)
-                t = [t_g + cost for t_g, cost in zip(t, costs)]
+                t = list(map(operator.add, t, costs))
             for ranks_g, t_g in zip(groups, t):
                 for r in ranks_g:
                     clock[r] = t_g
             clock0 = clock0 or clock[:]  # the clocks once chunk 0 is booked
         rows = CollectiveRows(
-            kind, groups, n_nodes, nbytes, names, labels, t_starts, costs, category,
-            rounds, last_arrival, wait_s, None if compute is None else (compute_cat, ranks, stamps),
+            plan.kind, groups, plan.n_nodes, plan.nbytes, plan.names, plan.labels, t_starts,
+            costs, plan.category, rounds, last_arrival, wait_s,
+            None if plan.ranks is None else (plan.compute_category, plan.ranks, stamps), plan,
         )
         # a block the checker refuses raises in its first chunk's replay,
         # so that chunk alone is committed, as the loop committed it
         clean = self.checker is None or self.checker.lockstep_rows(rows, admit)
-        n_chunks = len(seconds) if clean else 1
+        n_chunks = len(chunks) if clean else 1
         self.clock[:] = clock if clean else clock0
-        for w, last, total in zip(waits[:n_chunks], last_arrival, wait_s):
-            self.coll_wait_s[idx] += w
-            self.imposed_wait_s[last] += total
-        booked = category or "uncategorized"
-        for dts in (charged or [()])[:n_chunks]:
-            for r, dt in zip(ranks, dts):
-                self._add_category_time(r, compute_cat, dt)
-            for group, cost in zip(groups, costs):
-                for r in group:
-                    times = self._category_time[r]
-                    busy = times.get(booked, 0.0)
-                    for _ in range(rounds):
+        if any(map(any, wait_s[: len(waits)])):  # adding 0.0 moves no wait
+            coll, imposed = self.coll_wait_s.tolist(), self.imposed_wait_s.tolist()
+            for w, last, total in zip(waits[:n_chunks], last_arrival, wait_s):
+                for r, x in zip(plan.flat, w):
+                    coll[r] += x
+                for r, x in zip(last, total):
+                    imposed[r] += x
+            self.coll_wait_s[:], self.imposed_wait_s[:] = coll, imposed
+        charged, ck, bk = (charged or [()])[:n_chunks], plan.compute_key, plan.booked
+        for run, n_adds in ([(charged, rounds * len(charged))] if ck != bk
+                            else [([dts], rounds) for dts in charged]):
+            for times, spent in zip(plan.compute_times, zip(*run)):
+                total = times.get(ck, 0.0)
+                for dt in spent:
+                    total += dt
+                times[ck] = total
+            for times_g, cost in zip(plan.group_times[:live], costs):
+                for times in times_g:
+                    busy = times.get(bk, 0.0)
+                    for _ in range(n_adds):
                         busy += cost
-                    times[booked] = busy
+                    times[bk] = busy
         self._record_rows(rows if clean else rows._replace(t_starts=t_starts[:rounds]), admit, clean)
-        assert clean or len(seconds) == 1, "a refused block replayed past its first chunk"
+        assert clean or len(chunks) == 1, "a refused block replayed past its first chunk"
         return costs
 
     def _group(self, ranks: Iterable[int]) -> "tuple[tuple[int, ...], np.ndarray]":
@@ -620,36 +640,8 @@ class VirtualWorld:
             got = self._groups[key] = (ranks, idx)
         return got
 
-    def _family(
-        self, groups: "tuple[tuple[int, ...], ...]"
-    ) -> "tuple[tuple[tuple[int, ...], ...], np.ndarray, tuple[int, ...]]":
-        """Ordered rank groups, their ``(G, P)`` clock index and their
-        node counts; built — and checked to be pairwise disjoint and of
-        one size, which is what lets one indexed operation stand for
-        ``G`` — once per distinct family."""
-        got = self._families.get(groups)
-        if got is None:
-            key = groups
-            groups, indices = zip(*[self._group(ranks) for ranks in groups])
-            flat = [r for ranks in groups for r in ranks]
-            if len({len(ranks) for ranks in groups}) != 1 or len(set(flat)) != len(flat):
-                raise CollectiveError(
-                    f"a block of collectives needs disjoint groups of one size, "
-                    f"got {groups}"
-                )
-            idx = np.stack(indices)
-            idx.flags.writeable = False
-            n_nodes = tuple(self.cost_model.n_nodes_of(ranks) for ranks in groups)
-            got = self._families[key] = (groups, idx, n_nodes)
-        return got
-
     def post_collective(
-        self,
-        kind: str,
-        ranks: Sequence[int],
-        nbytes: int,
-        *,
-        comm_label: str,
+        self, kind: str, ranks: Sequence[int], nbytes: int, *, comm_label: str,
         algorithm: Optional[object] = None,
     ) -> PendingCollective:
         """Post a nonblocking collective; clocks do not advance.
@@ -671,21 +663,14 @@ class VirtualWorld:
         ranks, idx = self._group(ranks)
         clocks = self.clock[idx]
         last = int(clocks.argmax())
-        # the injector's factor multiplies the memoised cost afterwards,
+        plan = self._plan(
+            kind, (ranks,), (nbytes,), (algorithm,), (comm_label,), self.current_category, None
+        )
+        # the injector's factor multiplies the planned cost afterwards,
         # so a slowdown armed mid-run is honoured
         pending = PendingCollective(
-            kind=kind,
-            ranks=ranks,
-            nbytes=int(nbytes),
-            comm_label=comm_label,
-            algorithm=algorithm,
-            category=self.current_category,
-            t_post=float(clocks[last]),
-            cost_s=factor
-            * self.cost_model.collective_cost(
-                kind, ranks, nbytes, algorithm=algorithm
-            ),
-            last_arrival=ranks[last],
+            kind, ranks, int(nbytes), comm_label, algorithm, self.current_category,
+            float(clocks[last]), factor * plan.costs[0], ranks[last],
         )
         rank_set = set(pending.ranks)
         for open_pending in self._nb_inflight:
@@ -710,24 +695,16 @@ class VirtualWorld:
         completion.
         """
         if pending.completed:
-            raise VmpiError(
-                f"nonblocking {pending.kind} on {pending.comm_label!r} "
-                "completed twice"
-            )
-        try:
+            raise VmpiError(f"nonblocking {pending.kind} on {pending.comm_label!r} completed twice")
+        with contextlib.suppress(ValueError):
             self._nb_inflight.remove(pending)
-        except ValueError:
-            pass
         if self.fault_injector is not None:
             # dead-rank detection fires at the wait, like a real stalled
             # collective; the healthy-path factor was applied at post
-            self.fault_injector.on_collective(
-                pending.kind, pending.ranks, pending.comm_label
-            )
+            self.fault_injector.on_collective(pending.kind, pending.ranks, pending.comm_label)
         pending.completed = True
         idx = self._group(pending.ranks)[1]
-        t_done = pending.t_done
-        cost = pending.cost_s
+        t_done, cost = pending.t_done, pending.cost_s
         waits = np.maximum(0.0, t_done - self.clock[idx])
         comm = np.minimum(cost, waits)
         sync = waits - comm
@@ -737,15 +714,15 @@ class VirtualWorld:
         self.imposed_wait_s[pending.last_arrival] += sync_s
         self.overlapped_s[idx] += overlapped
         self.clock[idx] = np.maximum(self.clock[idx], t_done)
-        cat = pending.category
-        for r, c in zip(pending.ranks, comm):
-            self._add_category_time(r, cat, float(c))
+        plan = self._plan(
+            pending.kind, (pending.ranks,), (pending.nbytes,), (pending.algorithm,),
+            (pending.comm_label,), pending.category, None,
+        )
+        _add_times(plan.group_times[0], plan.booked, comm.tolist())
         rows = CollectiveRows(
-            pending.kind, (pending.ranks,),
-            (self.cost_model.n_nodes_of(pending.ranks),), (pending.nbytes,),
-            (_algorithm_name(pending.algorithm),), (pending.comm_label,),
-            ((pending.t_post,),), (cost,), cat, 1, ((pending.last_arrival,),),
-            ((sync_s,),), None, float(overlapped.sum()),
+            pending.kind, plan.groups, plan.n_nodes, plan.nbytes, plan.names, plan.labels,
+            ((pending.t_post,),), (cost,), pending.category, 1, ((pending.last_arrival,),),
+            ((sync_s,),), None, plan, float(overlapped.sum()),
         )
         self._record_rows(rows, None, self.checker is None or self.checker.lockstep_rows(rows))
         return cost
@@ -788,36 +765,30 @@ class VirtualWorld:
                 self._fold_series(rows, booked)
 
     def _fold_series(self, rows: CollectiveRows, n: int) -> None:
-        """Feed the chunks the first ``n`` rows reach to the series,
-        created in the order single charges would: per chunk the compute
-        seconds, each group's wait and the wait it imposed (round 0's); bytes
-        and counts by block totals (integers, so exact), costs in row order."""
-        series, kind, n_groups = self._series, rows.kind, len(rows.groups)
-        imposed = "vmpi_imposed_wait_seconds_total"
+        """Feed the chunks the first ``n`` rows reach to the plan's
+        series, bound in the order single charges would create them: per
+        chunk the compute seconds, each group's wait and the wait it
+        imposed (round 0's) — nothing more once the plan is ``steady``
+        and the chunk waited for nobody; bytes and counts by block totals
+        (integers, so exact), costs in row order."""
+        plan, n_groups, compute = rows.plan, len(rows.groups), rows.compute
+        bound, imposed = plan.bound, plan.imposed
         for c, k in rows.chunks(n):
-            if rows.compute is not None and rows.compute[2][c][0] > 0.0:
-                self._compute_counter(rows.compute[0]).inc(rows.compute[2][c][0])
-            for label, last, wait in zip(rows.labels[:k], rows.last_arrival[c], rows.wait_s[c]):
-                bound = series.get(("collective", kind, label))
-                if bound is None:
-                    counter = self.metrics.counter
-                    bound = series[("collective", kind, label)] = (
-                        counter("vmpi_collective_bytes_total", kind=kind, comm=label),
-                        counter("vmpi_collectives_total", kind=kind),
-                        counter("vmpi_coll_wait_seconds_total", comm=label),
-                        self.metrics.histogram("vmpi_collective_cost_seconds", kind=kind),
-                    )
-                by_last = series.get(("imposed", last)) or self._counter(
-                    ("imposed", last), imposed, rank=last
-                )
+            if compute is not None and compute[2][c][0] > 0.0:
+                (plan.counter or self._bind_compute(plan)).inc(compute[2][c][0])
+            if plan.steady and not any(rows.wait_s[c]):
+                continue  # all clocks met, so each group's first rank arrived last
+            for g, last, wait in zip(range(k), rows.last_arrival[c], rows.wait_s[c]):
+                series = bound[g] or self._bind_group(plan, g)
+                by_last = imposed.get(last) or self._bind_imposed(plan, last)
                 if wait:  # adding 0.0 moves no total
-                    bound[2].inc(wait)
+                    series[2].inc(wait)
                     by_last.inc(wait)
-            for ranks in rows.groups[: max(0, k - n_groups)]:
-                if ("imposed", ranks[0]) not in series:
-                    self._counter(("imposed", ranks[0]), imposed, rank=ranks[0])
+            for r in plan.first[: max(0, min(k - n_groups, n_groups))]:
+                imposed.get(r) or self._bind_imposed(plan, r)
+            plan.steady = plan.steady or (None not in bound and imposed.keys() >= set(plan.first))
         for g in range(min(n, n_groups)):
-            bytes_total, collectives_total = series[("collective", kind, rows.labels[g])][:2]
+            bytes_total, collectives_total = bound[g][:2]
             count = (n - g + n_groups - 1) // n_groups
             moved = float(rows.nbytes[g]) * count
             assert bytes_total.value + moved <= 2**53, "byte total past exact floats"
@@ -829,8 +800,36 @@ class VirtualWorld:
                 self._counter(
                     ("overlapped", label), "vmpi_coll_overlapped_seconds_total", comm=label
                 ).inc(rows.overlapped_s)
-            costs = itertools.islice(itertools.cycle(rows.costs[:n_groups]), n)  # row order
-            series[("collective", kind, rows.labels[0])][3].observe_each(costs)
+            bound[0][3].observe_rows(rows.costs[:n_groups], n)  # row order
+
+    def _bind_group(self, plan: "_ChargePlan", g: int) -> tuple:
+        """Group ``g``'s (bytes, count, wait, cost histogram) series."""
+        key = ("collective", plan.kind, plan.labels[g])
+        got = self._series.get(key)
+        if got is None:
+            counter, kind, label = self.metrics.counter, plan.kind, plan.labels[g]
+            got = self._series[key] = (
+                counter("vmpi_collective_bytes_total", kind=kind, comm=label),
+                counter("vmpi_collectives_total", kind=kind),
+                counter("vmpi_coll_wait_seconds_total", comm=label),
+                self.metrics.histogram("vmpi_collective_cost_seconds", kind=kind),
+            )
+        plan.bound[g] = got
+        return got
+
+    def _bind_imposed(self, plan: "_ChargePlan", rank: int):
+        """The counter of the waits ``rank`` imposed."""
+        got = plan.imposed[rank] = self._counter(
+            ("imposed", rank), "vmpi_imposed_wait_seconds_total", rank=rank
+        )
+        return got
+
+    def _bind_compute(self, plan: "_ChargePlan"):
+        """The counter of ``plan``'s compute seconds."""
+        key = plan.compute_key
+        name = "vmpi_compute_rank_seconds_total"
+        plan.counter = self._counter(("compute", key), name, category=key)
+        return plan.counter
 
     def _counter(self, key: tuple, name: str, **labels: object):
         """The registry counter ``name{labels}``, looked up once per ``key``."""
@@ -840,11 +839,7 @@ class VirtualWorld:
         return got
 
     def sync_charge(
-        self,
-        ranks: Sequence[int],
-        seconds: float,
-        *,
-        category: Optional[str] = None,
+        self, ranks: Sequence[int], seconds: float, *, category: Optional[str] = None
     ) -> float:
         """Synchronise ``ranks`` to their max clock, then charge all of
         them ``seconds`` — the shape of a group-wide stall, such as the
@@ -861,22 +856,15 @@ class VirtualWorld:
         last = ranks[int(clocks.argmax())]
         self.clock[idx] = t_start + seconds
         cat = category if category is not None else self.current_category
-        for r in ranks:
-            self._add_category_time(r, cat, seconds)
+        booked = cat or "uncategorized"
+        _add_times([self._category_time[r] for r in ranks], booked, [seconds] * len(ranks))
         if self.tracer is not None and seconds > 0.0:
-            self.tracer.record(
-                f"sync[{cat or 'uncategorized'}]",
-                "sync",
-                t_start,
-                float(seconds),
-                category=cat,
-                ranks=ranks,
-                last_arrival=last,
-            )
+            self.tracer.record(f"sync[{booked}]", "sync", t_start, float(seconds), category=cat,
+                               ranks=ranks, last_arrival=last)
         if self.metrics is not None and seconds > 0.0:
-            self.metrics.counter(
-                "vmpi_sync_seconds_total", category=cat or "uncategorized"
-            ).inc(float(seconds) * len(ranks))
+            self._counter(("sync", booked), "vmpi_sync_seconds_total", category=booked).inc(
+                float(seconds) * len(ranks)
+            )
         return t_start
 
     # ------------------------------------------------------------------
@@ -920,6 +908,4 @@ class VirtualWorld:
         self, ranks: Optional[Iterable[int]] = None, *, reduce: str = "max"
     ) -> Dict[str, float]:
         """Mapping category -> aggregated time over ``ranks``."""
-        return {
-            c: self.category_time(c, ranks, reduce=reduce) for c in self.categories()
-        }
+        return {c: self.category_time(c, ranks, reduce=reduce) for c in self.categories()}

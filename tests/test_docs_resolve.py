@@ -4,7 +4,10 @@ put in backticks still names something.
 Three kinds are checked, in inline code spans (fenced blocks are
 examples, not references):
 
-- a dotted ``repro.*`` name imports, down to its last attribute;
+- a dotted ``repro.*`` name imports, down to its last attribute, and
+  so does each name DESIGN's artifact table gives relative to ``repro``
+  (``obs.gate.load_bench_records``: a package or module of ``repro``
+  first);
 - a path under ``src/``, ``tests/``, ``benchmarks/``, ``hostbench/`` or
   ``examples/`` exists (a glob or ``{a,b}`` pattern matches a file;
   a ``file::name`` pytest id needs its file: a historical rename may
@@ -42,6 +45,9 @@ _NAME = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
 _SUBCOMMAND = re.compile(r"(?<![\w./-])repro ([a-z][\w-]*)")
 _COMMAND = re.compile(r"(?<![\w./-])repro ([a-z][\w-]*)((?:(?!repro )[^`|;&\n])*)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+_TABLE = re.compile(r"^\| artifact \(format tag\) \|.*\n(?:\|.*\n)+", re.M)
+_RELATIVE = re.compile(r"(?<![\w./-])([a-z_]+)((?:\.\w+)+)")
+PACKAGES = {p.stem for p in (ROOT / "src" / "repro").iterdir() if not p.name.startswith("_")}
 
 
 def references() -> Dict[str, Set[str]]:
@@ -55,6 +61,19 @@ def references() -> Dict[str, Set[str]]:
     return found
 
 
+def table_names(text: str) -> Set[str]:
+    """The names the artifact table of ``text`` gives relative to
+    ``repro`` (a backticked ``pkg.name`` whose ``pkg`` is a package or
+    module of ``repro``), as ``repro.`` names."""
+    spans = _SPAN.findall(_TABLE.search(text).group())
+    return {
+        f"repro.{m.group(1)}{m.group(2)}"
+        for span in spans
+        for m in _RELATIVE.finditer(span)
+        if m.group(1) in PACKAGES
+    }
+
+
 def flag_uses(text: str) -> Set[Tuple[str, str]]:
     """``(subcommand, --flag)`` for each flag a ``repro`` command line
     of ``text`` passes."""
@@ -66,6 +85,7 @@ def flag_uses(text: str) -> Set[Tuple[str, str]]:
 
 
 REFS = references()
+TABLE_NAMES = table_names((ROOT / "DESIGN.md").read_text())
 FLAGS = set().union(*(flag_uses((ROOT / doc).read_text()) for doc in DOCS))
 SUBPARSERS = next(
     a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -103,11 +123,17 @@ def test_the_docs_name_something_of_each_kind():
     """The extraction is not vacuous."""
     assert len(REFS["name"]) > 40 and len(REFS["path"]) > 80 and len(REFS["subcommand"]) > 5
     assert len(FLAGS) > 50
+    assert len(TABLE_NAMES) > 10
 
 
 @pytest.mark.parametrize("name", sorted(REFS["name"]))
 def test_dotted_name_imports(name):
     assert _resolves(name), f"{name} is named in the docs but does not import"
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_NAMES))
+def test_artifact_table_name_imports(name):
+    assert _resolves(name), f"{name} is named in DESIGN's artifact table but does not import"
 
 
 @pytest.mark.parametrize("path", sorted(REFS["path"]))
@@ -128,6 +154,15 @@ def test_a_removed_name_goes_red():
     """Negative controls: what a deletion would leave in the docs."""
     assert not _resolves("repro.vmpi.world.VirtualWorld.abandon_inflight")
     assert not _resolves("repro.no_such_module")
+    # a row as DESIGN's table wrote it before the writer moved out of
+    # the package namespace, and a metric name that only looks relative
+    row = (
+        "| artifact (format tag) | writer |\n|---|---|\n"
+        "| span log | `obs.export_spans_jsonl` · `trace --spans-out` · `cgyro_x.rhs_s` |\n"
+    )
+    assert table_names(row) == {"repro.obs.export_spans_jsonl"}
+    assert not _resolves("repro.obs.export_spans_jsonl")
+    assert _resolves("repro.obs.export.export_spans_jsonl")
     assert not _exists("tests/census/never_entered.txt")
     assert not _exists("tests/test_no_such_file.py::TestRecords")
     assert _exists("tests/goldens/oracle_nl03c_k{2,4}.json")

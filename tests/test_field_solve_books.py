@@ -295,12 +295,34 @@ def _unclean():
     return world, [sim], lambda: sim._solve_fields(sim.h_global)
 
 
+#: five nodes of unequal speed: a group spread over them waits
+_SKEWED = replace(
+    generic_cluster(n_nodes=5, ranks_per_node=4), node_speed=(1.0, 0.5, 2.0, 0.75, 1.5)
+)
+
+
+def _wide(p1):
+    """Comm_1 groups of ``p1`` ranks (P1 = p1 x P2 = 2, two chunks per
+    solve) across nodes of unequal speed, so every group enters its
+    AllReduces at unequal clocks: a group's wait is added up left to
+    right below 8 ranks, by NumPy's pairwise row sum from 8 up."""
+    grid = {7: dict(n_radial=7, n_energy=7), 8: dict(n_energy=8), 9: dict(n_radial=9, n_energy=9)}
+    world = _instrument(VirtualWorld(_SKEWED, 2 * p1))
+    inp = small_test(n_toroidal=2, n_xi=2, steps_per_report=2, **grid[p1])
+    sim = CgyroSimulation(world, range(2 * p1), inp)
+    assert sim.decomp.n_proc_1 == p1 and len(sim.costs.chunks) == 2
+    return world, [sim], sim.run_report_interval
+
+
 MORE_SCENARIOS = {
     "serve-shape": _serve_shape,
     "steps-shape": _bare_ensemble,
     "link-factor-flickers": lambda: _ensemble(injector=_Flickers),
     "steps-shape-flickers": lambda: _bare_ensemble(injector=_Flickers),
     "unclean-chunk-0": _unclean,
+    "wide-7": lambda: _wide(7),
+    "wide-8": lambda: _wide(8),
+    "wide-9": lambda: _wide(9),
 }
 
 
@@ -352,6 +374,41 @@ def test_more_shapes_book_what_the_per_chunk_loop_booked(name, monkeypatch):
         # a label's statements were priced at two factors
         labels = [label for label, _ in got["costs"]]
         assert len(labels) > len(set(labels)) and got["asked"] > 0
+    if name.startswith("wide"):
+        assert np.frombuffer(got["coll_wait_s"]).any()  # all but the slowest ranks waited
+
+
+@pytest.mark.parametrize("p", [7, 8, 9])
+def test_a_groups_wait_is_numpys_row_sum_either_side_of_8_ranks(p):
+    """The waits a run of blocks on two groups of ``p`` ranks books,
+    each entered at a fresh skew, against NumPy on the same clocks: the
+    entry waits elementwise, each group's total as ``sum(axis=1)`` of
+    the ``(G, p)`` array (left to right only below 8 columns)."""
+    world = VirtualWorld(_SKEWED, 2 * p)
+    telemetry = Telemetry()
+    telemetry.install(world)
+    rng = np.random.default_rng(p)
+    groups = (tuple(range(p)), tuple(range(p, 2 * p)))
+    idx = np.array(groups)
+    coll_wait, imposed, booked = np.zeros(2 * p), np.zeros(2 * p), np.zeros(2)
+    for _ in range(8):
+        skew = rng.random(2 * p) * 10.0 ** rng.integers(-6, 0)
+        world.charge_compute(range(2 * p), seconds=dict(enumerate(skew.tolist())))
+        clocks = world.clock[idx]
+        waits = clocks.max(axis=1)[:, None] - clocks
+        coll_wait[idx] += waits
+        imposed[idx[[0, 1], clocks.argmax(axis=1)]] += waits.sum(axis=1)
+        booked += waits.sum(axis=1)
+        world.charge_collective_block(
+            "allreduce", groups, [64, 64], 2, comm_labels=["a", "b"],
+            algorithms=[world.cost_model.select_algorithm("allreduce")] * 2,
+        )
+    assert world.coll_wait_s.tobytes() == coll_wait.tobytes()
+    assert world.imposed_wait_s.tobytes() == imposed.tobytes()
+    counters = [
+        telemetry.metrics.counter("vmpi_coll_wait_seconds_total", comm=c).value for c in "ab"
+    ]
+    assert np.array(counters).tobytes() == booked.tobytes()
 
 
 def test_an_unclean_solve_books_the_loops_prefix_and_no_later_chunk():

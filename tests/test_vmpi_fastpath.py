@@ -25,6 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.cgyro.presets import small_test
+from repro.cgyro.solver import CgyroSimulation
 from repro.check.checker import KNOWN_KINDS, CollectiveChecker
 from repro.errors import CollectiveError, RankFailure
 from repro.machine.placement import BlockPlacement, Placement, RoundRobinPlacement
@@ -39,7 +40,7 @@ from repro.vmpi.algorithms import AllreduceAlgorithm, AlltoallAlgorithm
 from repro.vmpi.communicator import Communicator, allreduce_rounds
 from repro.vmpi.cost import CommCostModel
 from repro.vmpi.datatypes import RankStacked
-from repro.vmpi.world import VirtualWorld
+from repro.vmpi.world import VirtualWorld, _ChargePlan
 from repro.xgyro.driver import XgyroEnsemble
 
 N_NODES, RANKS_PER_NODE = 4, 4
@@ -193,8 +194,9 @@ def test_slowdown_arming_between_identical_collectives_multiplies_the_memo():
 
 
 # ----------------------------------------------------------------------
-# deterministic count gate (ROADMAP 1(c)): per-collective work must not
-# include a registry lookup or a placement walk
+# deterministic count gates: per-collective work must not include a
+# registry lookup or a placement walk, a statement is planned once, and
+# a plan without slowdowns never asks for a compute multiplier
 # ----------------------------------------------------------------------
 #: sha256 of ``metrics.to_dict()`` / the span JSONL of the interval below,
 #: recorded at the commit before the fast path (310be4c)
@@ -251,6 +253,75 @@ def test_lookups_scale_with_series_and_groups_not_with_collectives(
         hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest(),
         hashlib.sha256(spans_path.read_bytes()).hexdigest(),
     ) == _PINNED[overlap]
+
+
+def _two_members():
+    return [small_test(name=f"m{i}", dlntdr=(3.0 + 0.1 * i, 3.0 + 0.1 * i)) for i in range(2)]
+
+
+def test_plans_are_built_once_per_distinct_statement(monkeypatch):
+    builds = collections.Counter()
+    original = _ChargePlan.__init__
+
+    def counted(self, world, *statement):
+        builds[statement] += 1
+        original(self, world, *statement)
+
+    monkeypatch.setattr(_ChargePlan, "__init__", counted)
+    world = VirtualWorld(generic_cluster(n_nodes=2, ranks_per_node=4))
+    Telemetry().install(world)
+    ens = XgyroEnsemble(world, _two_members())
+    ens.run_report_interval()
+    first = sum(builds.values())
+    ens.run_report_interval()  # the same statements again: no plan is built
+    assert sum(builds.values()) == first == len(builds) == len(world._plans)
+    assert len(world.trace) > 10 * first
+
+
+def test_the_multiplier_is_asked_only_when_the_plan_has_slowdowns(monkeypatch):
+    asked = collections.Counter()
+    original = FaultInjector.compute_multiplier
+
+    def counted(self, rank):
+        asked[rank] += 1
+        return original(self, rank)
+
+    monkeypatch.setattr(FaultInjector, "compute_multiplier", counted)
+
+    def field_solve(specs):
+        world = VirtualWorld(generic_cluster(n_nodes=2, ranks_per_node=4))
+        world.install_fault_injector(FaultInjector(world, FaultPlan(specs=specs)))
+        sim = CgyroSimulation(world, range(8), small_test())
+        asked.clear()
+        sim._solve_fields(sim.h_global)
+        return world.clock.tobytes(), dict(asked), len(sim.costs.chunks)
+
+    clean, no_asks, n_chunks = field_solve(())
+    assert no_asks == {} and n_chunks > 1
+    # negative control: one slowdown spec brings back one ask per rank
+    # per compute charge (each chunk's, then the solve's own) and moves
+    # the clocks
+    slowed, asks, _ = field_solve((FaultSpec("slowdown", at_step=0, rank=5, factor=3.0),))
+    assert asks == {r: n_chunks + 1 for r in range(8)}
+    assert slowed != clean
+
+
+def test_a_sync_charge_binds_its_counter_once(monkeypatch):
+    lookups = collections.Counter()
+    original = MetricsRegistry.counter
+
+    def counted(self, name, **labels):
+        lookups[name] += 1
+        return original(self, name, **labels)
+
+    monkeypatch.setattr(MetricsRegistry, "counter", counted)
+    world = VirtualWorld(generic_cluster(n_nodes=2, ranks_per_node=4))
+    tele = Telemetry()
+    tele.install(world)
+    for _ in range(3):
+        world.sync_charge(range(4), 0.5, category="fault_detect")
+    assert lookups == {"vmpi_sync_seconds_total": 1}
+    assert tele.metrics.counter_total("vmpi_sync_seconds_total") == 6.0
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """A blocking statement's static half is prepared once, and a family of
 one-rank groups keeps no wait books.
 
-``VirtualWorld._charge_blocking`` builds each distinct statement's
-prices, byte counts, algorithm names, labels and first ranks once and
+``VirtualWorld._plan`` builds each distinct statement's prices, byte
+counts, algorithm names, labels and first ranks once, in its plan, and
 shares them between the blocks it books.  These tests hold that memo
 fresh where a price's inputs change under it — a reassigned default
 algorithm, an armed link slowdown — and hold the one-rank shortcut to
