@@ -39,14 +39,7 @@ class GridDims:
     n_toroidal: int
 
     def __post_init__(self) -> None:
-        for name in (
-            "n_radial",
-            "n_theta",
-            "n_energy",
-            "n_xi",
-            "n_species",
-            "n_toroidal",
-        ):
+        for name in self.__dataclass_fields__:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise InputError(f"{name} must be a positive integer, got {value!r}")

@@ -7,7 +7,9 @@ The drift-kinetic velocity space is (energy, pitch angle, species):
   eigenfunctions are Legendre polynomials);
 - normalised energy ``e = v^2 / v_th^2`` on generalized Gauss-Laguerre
   nodes with weight ``sqrt(e) * exp(-e)``, so Maxwellian-weighted
-  velocity integrals are exact for polynomial integrands.
+  velocity integrals are exact for polynomial integrands.  The nodes are
+  scipy's ``roots_genlaguerre(n, 0.5)``, read up to n = 16 from its bytes
+  in ``genlaguerre_half.txt``; only a grid of more nodes imports scipy.
 
 The combined quadrature weight is normalised so that the integral of a
 unit function against the Maxwellian is exactly 1 per species, which
@@ -17,15 +19,17 @@ gives the field solve and the conservation tests a crisp invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-import scipy.linalg  # noqa: F401 -- roots_genlaguerre's first call imports it: pay it here
-from scipy.special import roots_genlaguerre
 
 from repro.errors import InputError
 from repro.grid.dims import GridDims
+
+#: line ``n`` holds roots_genlaguerre(n, 0.5)'s nodes, then its weights
+_GENLAGUERRE_HALF = Path(__file__).with_name("genlaguerre_half.txt")
 
 
 @dataclass(frozen=True)
@@ -55,41 +59,37 @@ class VelocityGrid:
     energy_weights: np.ndarray = field(repr=False)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def build(cls, dims: GridDims) -> "VelocityGrid":
-        """Construct the quadrature for the given dimensions."""
+        """Construct the quadrature for the given dimensions, once per
+        ``dims`` in a process: its arrays are read-only."""
         if dims.n_xi < 2:
             raise InputError(f"n_xi must be >= 2 for a pitch grid, got {dims.n_xi}")
         xi, wxi = leggauss(dims.n_xi)
         wxi = wxi / wxi.sum()
         # weight sqrt(e) e^{-e}: generalized Laguerre with alpha = 1/2
-        e, we = roots_genlaguerre(dims.n_energy, 0.5)
+        table = _GENLAGUERRE_HALF.read_text().splitlines()
+        if dims.n_energy < len(table):
+            hexes = table[dims.n_energy].split()
+            e, we = np.array(list(map(float.fromhex, hexes))).reshape(2, -1)
+        else:
+            from scipy.special import roots_genlaguerre  # only n_energy > 16 loads scipy
+            e, we = roots_genlaguerre(dims.n_energy, 0.5)
         we = we / we.sum()
-        return cls(
-            dims=dims,
-            xi=xi,
-            xi_weights=wxi,
-            energy=e,
-            energy_weights=we,
-        )
+        for a in (xi, wxi, e, we):
+            a.flags.writeable = False
+        return cls(dims, xi, wxi, e, we)
 
     # ------------------------------------------------------------------
     # flattened per-iv arrays
     # ------------------------------------------------------------------
-    def _per_species_grid(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(energy, xi) meshgrids flattened to one species block."""
-        e_grid = np.repeat(self.energy, self.dims.n_xi)
-        xi_grid = np.tile(self.xi, self.dims.n_energy)
-        return e_grid, xi_grid
-
     def flat_energy(self) -> np.ndarray:
         """Energy node at each ``iv``, shape ``(nv,)``."""
-        e_grid, _ = self._per_species_grid()
-        return np.tile(e_grid, self.dims.n_species)
+        return np.tile(np.repeat(self.energy, self.dims.n_xi), self.dims.n_species)
 
     def flat_xi(self) -> np.ndarray:
         """Pitch node at each ``iv``, shape ``(nv,)``."""
-        _, xi_grid = self._per_species_grid()
-        return np.tile(xi_grid, self.dims.n_species)
+        return np.tile(self.xi, self.dims.n_energy * self.dims.n_species)
 
     def flat_species(self) -> np.ndarray:
         """Species index at each ``iv``, shape ``(nv,)``, dtype int."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -203,7 +204,10 @@ class SpanTracer:
         with its first id, its parent and the current
         :attr:`time_offset`; its spans are built on the first read."""
         stamps = () if rows.compute is None else rows.compute[2]
-        n_spans = n + sum(stamps[c][1] is not None for c, _ in rows.chunks(n)) if stamps else n
+        per_chunk = rows.rounds * len(rows.groups)
+        if per_chunk:  # else no group is live, and every chunk is reached
+            stamps = stamps[: n // per_chunk + 1]  # the chunks the first n rows reach
+        n_spans = n + len(stamps) - list(map(operator.itemgetter(1), stamps)).count(None)
         if n_spans:
             parent, offset = self.current_id, self.time_offset
             self._pending.append((rows, n, self._next_id, parent, offset))

@@ -284,6 +284,7 @@ from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.xgyro.input import write_ensemble
 Path("case").mkdir()
 Path("nonlinear").mkdir()
+Path("energy17").mkdir()
 write_input_file(small_test(), "case/input.cgyro")
 members = [small_test(dlntdr=(g, g), name=f"m{g:g}") for g in (2.0, 3.0, 4.0, 5.0)]
 write_ensemble(members, "ensemble")
@@ -296,6 +297,7 @@ FaultPlan(specs=(FaultSpec("bitflip", at_step=0, rank=0),
           detection_timeout_s=10.0).to_file("faults.json")
 Path("garbage.json").write_text('{"format": "repro-')
 write_input_file(small_test(nonlinear=True), "nonlinear/input.cgyro")
+write_input_file(small_test(n_energy=17), "energy17/input.cgyro")
 FaultPlan(specs=(FaultSpec("slowdown", at_step=0, node=1, factor=8.0),
                  FaultSpec("link_slowdown", at_step=0, factor=2.0, phase="coll_comm")),
           detection_timeout_s=10.0).to_file("stragglers.json")
@@ -391,6 +393,8 @@ def commands() -> Iterator[Command]:
     yield _repro("check-trace", "--figure1", "--figure3", "--overlap", "full", "--save", ".")
     yield _repro("check-trace", "figure1.trace.json", "figure3.trace.json")
     yield _repro("run-cgyro", "case", "--machine", "single")
+    # past the energy quadrature's table: the one grid that imports scipy
+    yield _repro("run-cgyro", "energy17")
     yield _repro("serve", "--traffic", "diurnal", "--horizon", "600")
     # a plan searched for the requests' own input and machine: the jobs
     # take its k=1 on all 4 nodes, where the default packs k=3 on 3

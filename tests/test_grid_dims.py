@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_genlaguerre
 
 from repro.errors import InputError
 from repro.grid.config_space import ConfigGrid
 from repro.grid.dims import GridDims
-from repro.grid.velocity import VelocityGrid
+from repro.grid.velocity import _GENLAGUERRE_HALF, VelocityGrid
 
 
 def dims(nr=4, nth=6, ne=4, nxi=8, ns=2, nt=4):
@@ -82,6 +83,28 @@ class TestVelocityGrid:
     def test_n_xi_one_rejected(self):
         with pytest.raises(InputError):
             VelocityGrid.build(dims(nxi=1))
+
+    def test_the_table_is_roots_genlaguerre_bytes_for_1_to_16_nodes(self):
+        lines = _GENLAGUERRE_HALF.read_text().splitlines()
+        assert len(lines) == 17  # a header, then n = 1..16
+        for n in range(1, 17):
+            table = np.array([float.fromhex(x) for x in lines[n].split()])
+            assert table.tobytes() == np.concatenate(roots_genlaguerre(n, 0.5)).tobytes()
+
+    @pytest.mark.parametrize("ne", [1, 8, 16, 17])
+    def test_energy_quadrature_is_scipys_bytes_in_and_past_the_table(self, ne):
+        e, w = roots_genlaguerre(ne, 0.5)
+        g = VelocityGrid.build(dims(ne=ne))
+        assert g.energy.tobytes() == e.tobytes()
+        assert g.energy_weights.tobytes() == (w / w.sum()).tobytes()
+
+    def test_built_once_per_dims_with_read_only_arrays(self):
+        g = VelocityGrid.build(dims())
+        assert VelocityGrid.build(dims()) is g
+        assert VelocityGrid.build(dims(nt=5)) is not g
+        for a in (g.xi, g.xi_weights, g.energy, g.energy_weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestConfigGrid:

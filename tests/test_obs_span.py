@@ -11,6 +11,7 @@ from repro.errors import ReproError
 from repro.obs import Telemetry
 from repro.obs.span import LEAF_KINDS, Span, SpanTracer
 from repro.vmpi.communicator import Communicator
+from repro.vmpi.tracer import CollectiveRows
 from repro.vmpi.world import VirtualWorld
 
 
@@ -63,6 +64,29 @@ class TestSpanTracer:
             pass
         (s,) = tr.spans
         assert (s.t_start, s.duration) == (1.0, 3.0)
+
+    @pytest.mark.parametrize("stamped", [(True, False, True), (False, True, True)])
+    def test_record_rows_reserves_the_ids_of_the_chunks_it_reaches(self, stamped):
+        # 2 groups x 2 rounds = 4 rows per chunk, 3 chunks; a chunk's
+        # compute leaf is booked before its first row, so a block ending
+        # at a chunk edge reaches the next chunk's compute
+        stamps = [(1.0, (float(c), 0.5, 0) if s else None) for c, s in enumerate(stamped)]
+        rows = CollectiveRows(
+            "allreduce", ((0, 1), (2, 3)), (1, 1), (8, 8), ("ring", "ring"), ("a", "b"),
+            [[float(m), float(m)] for m in range(6)], (0.25, 0.25), "coll_comm", 2,
+            [[0, 2]] * 3, [[0.0, 0.0]] * 3, ("coll", (0, 1, 2, 3), stamps), None,
+        )
+        for n in range(13):  # partly booked, at every chunk edge, whole
+            tr = SpanTracer()
+            tr.record_rows(rows, n)
+            after = tr.record("after", "compute", 0.0, 1.0)
+            computes = sum(stamped[: n // 4 + 1])
+            assert after.span_id == n + computes
+            assert sorted(s.span_id for s in tr.spans) == list(range(n + computes + 1))
+            assert sum(s.kind == "compute" for s in tr.spans) == computes + 1
+        tr = SpanTracer()  # no group live: every chunk's compute, no row
+        tr.record_rows(rows._replace(groups=()), 0)
+        assert [s.kind for s in tr.spans] == ["compute"] * sum(stamped)
 
     def test_span_dict_round_trip(self):
         s = Span(
