@@ -54,7 +54,7 @@ def test_figure1_comm_logic(benchmark, traced_sim, bench_json):
 
     # 3. str phase: 4 RK stages x chunks x {field, upwind} per group,
     # plus one more field solve when the nl phase runs
-    n_chunks = len(sim._field_chunks())
+    n_chunks = len(sim.costs.chunks)
     per_group = 4 * n_chunks * 2
     if sim.inp.nonlinear:
         per_group += n_chunks * 2

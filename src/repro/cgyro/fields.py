@@ -82,7 +82,7 @@ class PreparedSets:
             raise InputError(f"{axis} indices must be a 1-D sequence of integers")
         if indices.size and not (0 <= indices.min() and indices.max() < size):
             raise InputError(f"{axis} indices must lie in [0, {size}), got {indices}")
-        if np.unique(indices).size != indices.size:
+        if len(set(indices.tolist())) != indices.size:
             raise InputError(f"{axis} indices must not repeat, got {indices}")
         return indices.astype(np.intp)
 
@@ -153,13 +153,8 @@ class FieldSolver:
             self.j_table,
             np.stack([w * z * dens, w * np.abs(vpar), w * z * dens * vth * vpar]),
         )
-        #: field, upwind and parallel-current (EM only) moment weights,
-        #: each of shape (nv, nt)
-        self.field_weight, self.upwind_weight, self.current_weight = (
-            rows.T for rows in table
-        )
-        #: the weights :meth:`partial_moments` applies, stacked once,
-        #: shape (n_moments, nt, nv)
+        #: the field, upwind and (EM only) parallel-current weights
+        #: :meth:`partial_moments` applies, shape (n_moments, nt, nv)
         self.moment_weights = table[: self.n_moments]
         #: per index set, the gathered (n_moments, nnt, niv) weights
         self._weights = PreparedSets(dims.nv, nt)

@@ -42,6 +42,8 @@ estimated.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -72,6 +74,26 @@ from repro.vmpi.world import VirtualWorld
 #: pipelines the ensemble collision AllToAlls against the propagator
 #: applies (XGYRO only); ``full`` enables both.
 OVERLAP_MODES = ("off", "str", "coll", "full")
+
+#: distinct inputs whose tables one process keeps (DESIGN.md section 3)
+INPUT_TABLES_KEPT = 8
+
+
+@lru_cache(maxsize=INPUT_TABLES_KEPT)
+def _input_tables(inp: CgyroInput) -> tuple:
+    """``inp``'s grids, field solver, streaming and collision operators:
+    functions of the input alone, which every simulation of it shares.
+    Keyed by the input with ``name`` (which none of them reads) cleared;
+    nothing bound to a world or a run is among them, and their arrays are
+    read-only, so no simulation can change another's."""
+    dims = inp.grid_dims()
+    vgrid, cgrid = VelocityGrid.build(dims), ConfigGrid.build(dims, box_length=inp.box_length)
+    fields, streaming = FieldSolver(inp, dims, vgrid), StreamingOperator(inp, dims, vgrid, cgrid)
+    for table in (cgrid, fields, streaming):
+        for array in (a for a in vars(table).values() if isinstance(a, np.ndarray)):
+            array.flags.writeable = False
+    collision = CollisionOperator(dims, vgrid, cgrid, inp.collision_params())
+    return vgrid, cgrid, fields, streaming, collision
 
 
 class CgyroSimulation:
@@ -126,12 +148,8 @@ class CgyroSimulation:
         self.decomp = Decomposition.choose(self.dims, len(self.ranks))
         #: what this decomposition's kernels are charged, fixed for the run
         self.costs = costs.KernelCosts.of(inp, self.decomp)
-        self.vgrid = VelocityGrid.build(self.dims)
-        self.cgrid = ConfigGrid.build(self.dims, box_length=inp.box_length)
-        self.fields = FieldSolver(inp, self.dims, self.vgrid)
-        self.streaming = StreamingOperator(inp, self.dims, self.vgrid, self.cgrid)
-        self.collision_operator = CollisionOperator(
-            self.dims, self.vgrid, self.cgrid, inp.collision_params()
+        self.vgrid, self.cgrid, self.fields, self.streaming, self.collision_operator = (
+            _input_tables(replace(inp, name=""))
         )
         # communicators (Figure 1)
         self.comm_sim = Communicator(world, self.ranks, label=f"{self.label}.sim")
@@ -227,10 +245,6 @@ class CgyroSimulation:
     # ------------------------------------------------------------------
     # str phase
     # ------------------------------------------------------------------
-    def _field_chunks(self) -> List[range]:
-        """Local velocity-chunk index ranges for pipelined aggregation."""
-        return list(self.costs.chunks)
-
     def _solve_fields(
         self,
         state: np.ndarray,

@@ -252,9 +252,12 @@ class CmatPropagator:
         pending_n, pending_key = np.nonzero(missing.T)
         eye = np.eye(self.dims.nv)
         stack = np.empty((len(pending_n),) + eye.shape)
-        c = {n_mode: self.operator.mode_matrix(n_mode) for n_mode in np.unique(pending_n)}
-        for operand, n_mode, key in zip(stack, pending_n, pending_key):
-            operand[...] = eye - self.dt * store.values[key] * c[n_mode]
+        n_list = pending_n.tolist()
+        c = {n_mode: self.operator.mode_matrix(n_mode) for n_mode in set(n_list)}
+        for operand, n_mode, key in zip(stack, n_list, pending_key.tolist()):
+            # eye - dt * value * C_n, each product written in place
+            np.multiply(self.dt * store.values[key], c[n_mode], out=operand)
+            np.subtract(eye, operand, out=operand)
         store.blocks.flags.writeable = True
         try:
             store.blocks[pending_key, pending_n] = np.linalg.inv(stack)
@@ -276,37 +279,40 @@ def apply_propagator(cmat_block: "CmatWindow | np.ndarray", h_block: np.ndarray)
         Shape ``(n_ic, n_modes, nv, nv)``, float64: a window or an array.
     h_block:
         Shape ``(n_ic, nv, n_modes)``, complex128 (COLL layout:
-        configuration x velocity x toroidal).
+        configuration x velocity x toroidal), or ``(n_ic, k, nv,
+        n_modes)``: k members' blocks on the same pairs.
 
     Returns
     -------
     Updated block of the same shape as ``h_block``.
 
     The real tensor acts on the (re, im) columns of the state: one real
-    ``nv x nv`` by ``nv x 2`` GEMM per (ic, n) pair, batched by
-    ``np.matmul`` over each tile of the window.  Each pair is its own
-    GEMM on the same operand bytes wherever its block is stored, so its
-    result does not depend on which pairs share the call or the tile —
-    the ensemble's ``nc/(k P1)``-row shards and a baseline's
-    ``nc/P1``-row slices give the same bits.
+    ``nv x nv`` by ``nv x 2`` GEMM per (ic, n) pair and member, batched
+    by ``np.matmul`` over each tile of the window.  Each is its own GEMM
+    on the same operand bytes wherever its block is stored, so its
+    result does not depend on which pairs or members share the call or
+    the tile — the ensemble's shards and a baseline's slices give the
+    same bits.
     """
     n_ic, n_modes, nv, nv2 = cmat_block.shape
     if nv != nv2:
         raise InputError(f"cmat blocks must be square, got {cmat_block.shape}")
-    if h_block.shape != (n_ic, nv, n_modes):
+    members = h_block.shape[1:-2]
+    if len(members) > 1 or h_block.shape != (n_ic, *members, nv, n_modes):
         raise InputError(
             f"h block shape {h_block.shape} incompatible with cmat "
-            f"{cmat_block.shape}; expected ({n_ic}, {nv}, {n_modes})"
+            f"{cmat_block.shape}; expected ({n_ic}, [k,] {nv}, {n_modes})"
         )
     if cmat_block.dtype != np.float64:
         raise InputError(f"cmat blocks must be float64, got {cmat_block.dtype}")
     out = np.empty(h_block.shape, dtype=np.complex128)
-    rhs = real_columns(h_block).transpose(0, 2, 1, 3)
-    dst = real_columns(out).transpose(0, 2, 1, 3)
-    # a plain array is its own single tile
+    # (n_ic, n_modes, [k,] nv, 2): the mode axis ahead of the members
+    rhs, dst = (np.moveaxis(real_columns(a), -2, 1) for a in (h_block, out))
+    # a plain array is its own single tile; a tile broadcasts over members
     whole = [(slice(None), slice(None), cmat_block)]
+    lead = (slice(None), slice(None)) + (None,) * len(members)
     for rows, cols, view in getattr(cmat_block, "tiles", whole):
-        np.matmul(view, rhs[rows, cols], out=dst[rows, cols])
+        np.matmul(view[lead], rhs[rows, cols], out=dst[rows, cols])
     return out
 
 

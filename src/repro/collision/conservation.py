@@ -82,7 +82,7 @@ def energy_direction(
         raise InputError("species must share the grid shape")
     scaled = temps / masses * energy
     out = np.empty_like(scaled)
-    for s in np.unique(species):
+    for s in sorted(set(species.tolist())):
         mask = species == s
         mean = float(weights[mask] @ scaled[mask]) / float(weights[mask].sum())
         out[mask] = scaled[mask] - mean

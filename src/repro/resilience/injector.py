@@ -20,6 +20,7 @@ is what makes faulted runs bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Sequence, Set, Tuple
 
 from repro.errors import FaultPlanError, RankFailure
@@ -44,7 +45,8 @@ class FaultInjector:
         plan.validate_for(
             n_ranks=world.n_ranks, n_nodes=world.machine.n_nodes
         )
-        self.world = world
+        # the world holds its injector: a proxy back leaves no cycle
+        self.world = weakref.proxy(world)
         self.plan = plan
         self.dead_ranks: Set[int] = set()
         self._raised: Set[int] = set()  # dead ranks a failure already named

@@ -10,8 +10,8 @@ The coll phase becomes, per toroidal group ``i2``, a single vector
 AllToAll over the ensemble-wide communicator (k*P1 ranks): every
 member rank slices its STR block into per-destination nc-pieces; every
 destination rank reassembles, per member, a full-nv block of its owned
-configuration points, applies the shared propagator to each member's
-block, and the inverse AllToAll restores the STR layout.  Per-rank
+configuration points, applies the shared propagator to all k in one
+call, and the inverse AllToAll restores the STR layout.  Per-rank
 send volume equals the stock transpose's (the whole block), so the
 AllToAll cost is comparable — the str AllReduce shrinkage and the
 memory win are where the paper's savings come from.
@@ -41,6 +41,7 @@ concrete.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple, Union
 
@@ -154,7 +155,9 @@ class SharedCmatScheme(CollisionScheme):
             raise EnsembleValidationError(
                 "cannot add members to a finalized shared-cmat ensemble"
             )
-        self.members.append(sim)
+        # a member holds its scheme, so the scheme holds it by proxy: no
+        # cycle keeps a dropped ensemble's windows, and so its store, alive
+        self.members.append(weakref.proxy(sim))
 
     def step(self, sim: "CgyroSimulation") -> None:
         raise EnsembleValidationError(
@@ -195,7 +198,7 @@ class SharedCmatScheme(CollisionScheme):
 
         validate_shareable([m.inp for m in self.members])
 
-        world = first.world
+        world = self._world = first.world  # the shards' machine, member or not
         decomp = first.decomp
         k = len(self.members)
         if self.nc_counts is not None:
@@ -328,7 +331,7 @@ class SharedCmatScheme(CollisionScheme):
         n_idx = self._cmat[world_rank].modes  # the same request as at assembly
         self._cmat[world_rank] = self._prop.build(shard.ic_indices, n_idx)
         self._checksums[world_rank] = self._checksum(self._cmat[world_rank])
-        self.members[0].world.charge_compute(
+        self._world.charge_compute(
             world_rank,
             flops=self._prop.build_flops(shard.n_ic, len(n_idx)),
             category=category,
@@ -372,11 +375,11 @@ class SharedCmatScheme(CollisionScheme):
 
         Per toroidal group: forward AllToAll (STR blocks -> ensemble
         COLL distribution), reassemble each member's full-nv block and
-        apply the shared propagator, inverse AllToAll, rebuild the STR
-        blocks in global nc order.  Each exchange is split into ``T``
-        sub-exchanges along the *configuration* axis — every destination
-        shard's owned ic rows are chunked, so every rank sends ``1/T``
-        of its block per sub-exchange.
+        apply the shared propagator to all k at once, inverse AllToAll,
+        rebuild the STR blocks in global nc order.  Each exchange is
+        split into ``T`` sub-exchanges along the *configuration* axis —
+        every destination shard's owned ic rows are chunked, so every
+        rank sends ``1/T`` of its block per sub-exchange.
 
         The blocking schedule is ``T = 1`` with blocking AllToAlls.
         With ``overlap`` ``"coll"``/``"full"``, ``T`` is up to 4 and the
@@ -442,18 +445,15 @@ class SharedCmatScheme(CollisionScheme):
                 )
 
             def apply_chunk(t, recv):
-                # reassemble per member, apply the shared propagator
-                applied_t: Dict[int, List[np.ndarray]] = {}
-                for j, r in enumerate(comm.ranks):
-                    o0, o1 = bounds[t][j]
-                    blocks = recv[r]
-                    applied_t[r] = [
-                        apply_propagator(
-                            self._cmat[r][o0:o1],
-                            np.concatenate(blocks[mi * P1 : (mi + 1) * P1], axis=1),
-                        )
-                        for mi in range(k)
-                    ]
+                # the k members' full-nv blocks side by side, (n_ic, k,
+                # nv, nt_loc), under one apply of the shared propagator
+                applied_t = {
+                    r: apply_propagator(
+                        self._cmat[r][o0:o1],
+                        np.concatenate(recv[r], axis=1).reshape(o1 - o0, k, dims.nv, nt_loc),
+                    )
+                    for r, (o0, o1) in zip(comm.ranks, bounds[t])
+                }
                 world.charge_compute(
                     comm.ranks,
                     flops={
@@ -470,7 +470,7 @@ class SharedCmatScheme(CollisionScheme):
                 return exchange(
                     {
                         r: [
-                            applied_t[r][mi][:, decomp.nv_slice(i1), :]
+                            applied_t[r][:, mi, decomp.nv_slice(i1)]
                             for mi in range(k)
                             for i1 in range(P1)
                         ]
@@ -586,5 +586,5 @@ class SharedCmatScheme(CollisionScheme):
                 [s.world_rank for s in new_shards],
                 label=f"xgyro.coll.g{i2}.r{self._generation}",
             )
-        self.members = list(surviving_members)
+        self.members = [weakref.proxy(m) for m in surviving_members]
         return rebuilt_blocks

@@ -68,7 +68,7 @@ class TestFieldSolver:
         rng = np.random.default_rng(1)
         h = rng.normal(size=(dims.nc, dims.nv, dims.nt)) * (1 + 0j)
         f = fs.solve_serial(h)
-        manual = np.einsum("cvt,vt->ct", h, fs.field_weight) / fs.dielectric
+        manual = np.einsum("cvt,vt->ct", h, fs.moment_weights[0].T) / fs.dielectric
         np.testing.assert_allclose(f.phi, manual, rtol=1e-12)
         assert f.psi_u.shape == f.phi.shape
         assert f.apar is None  # electrostatic by default

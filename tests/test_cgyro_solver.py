@@ -151,7 +151,7 @@ class TestFigure1CommunicationLogic:
         world = make_world(8)
         sim = make_sim(world=world)
         sim.streaming_phase()
-        n_chunks = len(sim._field_chunks())
+        n_chunks = len(sim.costs.chunks)
         events = world.trace.filter(kind="allreduce", category="str_comm")
         assert len(events) == 4 * n_chunks * 2 * sim.decomp.n_proc_2
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cgyro.presets import nl03c_scaled, small_test
 from repro.check.oracle import differential_oracle
-from repro.collision.cmat import CmatPropagator, CmatWindow
+from repro.collision.cmat import CmatPropagator, CmatWindow, live_stores
 from repro.collision.operator import CollisionOperator
 from repro.collision.params import DEFAULT_SPECIES, CollisionParams
 from repro.collision.signature import CmatSignature
@@ -35,6 +36,8 @@ from repro.grid.config_space import ConfigGrid
 from repro.grid.dims import GridDims
 from repro.grid.velocity import VelocityGrid
 from repro.machine.presets import frontier_like, generic_cluster
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.runner import ResilientXgyroRunner
 from repro.vmpi.world import VirtualWorld
 from repro.xgyro.baseline import SequentialCgyroBaseline
 from repro.xgyro.driver import XgyroEnsemble
@@ -397,6 +400,28 @@ class TestLifetime:
         gc.collect()
         _input_propagator(inp).build(range(4), [0])
         assert sum(inversions) == 2 * done
+
+    def test_a_dropped_job_frees_its_store_without_the_collector(self):
+        # no reference cycle holds a finished job: refcounting alone frees
+        # its store (members <-> scheme, world <-> fault injector)
+        members = _members(_cold(steps_per_report=1), k=4)
+        gc.collect()
+        gc.disable()
+        try:
+            ensemble = XgyroEnsemble(VirtualWorld(generic_cluster(n_nodes=2)), members)
+            ensemble.step()
+            assert len(live_stores()) == 1
+            del ensemble
+            assert live_stores() == []
+            world = VirtualWorld(generic_cluster(n_nodes=4, ranks_per_node=4))
+            plan = FaultPlan(specs=(FaultSpec(kind="rank_crash", at_step=1, rank=1),))
+            runner = ResilientXgyroRunner(world, members, plan=plan)
+            assert len(runner.run_steps(3).ledger) == 1  # one crash, recovered
+            dropped = weakref.ref(world)
+            del runner, world
+            assert live_stores() == [] and dropped() is None
+        finally:
+            gc.enable()
 
     def test_a_copy_does_not_pin_the_tensor(self, inversions):
         inp = _cold()

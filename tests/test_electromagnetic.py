@@ -112,7 +112,7 @@ class TestEmDynamics:
         world = VirtualWorld(single_node(ranks=8))
         sim = CgyroSimulation(world, range(8), em_input())
         sim.streaming_phase()
-        n_chunks = len(sim._field_chunks())
+        n_chunks = len(sim.costs.chunks)
         events = world.trace.filter(kind="allreduce", category="str_comm")
         assert len(events) == 4 * n_chunks * 3 * sim.decomp.n_proc_2
 

@@ -31,7 +31,7 @@ class TestFigure1Renderer:
         sim.step()
         text = render_figure1(sim)
         # 2 steps x 4 stages x chunks x 2 moments per group
-        n_chunks = len(sim._field_chunks())
+        n_chunks = len(sim.costs.chunks)
         expected = 2 * 4 * n_chunks * 2
         assert f"str AllReduce x{expected}" in text
         assert "str<->coll AllToAll x4" in text  # 2 steps x (fwd + back)

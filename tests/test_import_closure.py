@@ -6,9 +6,12 @@ imported by their only callers.  The energy quadrature is
 ``scipy.special.roots_genlaguerre``'s bytes read from a committed table
 up to 16 nodes, so no grid build, solver step, ``repro serve``,
 ``repro run-xgyro`` or ``repro --help`` loads any scipy module; only a
-grid of more energy nodes imports ``scipy.special``.  Each check runs in
-a fresh interpreter: the modules this test process already holds would
-hide an import.
+grid of more energy nodes imports ``scipy.special``.  No run path calls
+NumPy's ``np.unique`` without ``return_inverse`` (NumPy 2 imports
+``numpy.ma`` on its first such call), so neither a solver step, ``repro
+serve``, ``repro run-xgyro`` nor the differential oracle loads
+``numpy.ma``.  Each check runs in a fresh interpreter: the modules this
+test process already holds would hide an import.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ def _modules_after(code: str, cwd=None) -> list:
 
 def _scipy(modules: list) -> list:
     return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def _numpy_ma(modules: list) -> list:
+    return [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
 
 
 def _cli_modules(argv: list, cwd=None) -> list:
@@ -82,7 +89,7 @@ def test_grid_build_and_solver_step_import_no_scipy_module():
         "CgyroSimulation(VirtualWorld(single_node(ranks=4)), range(4), inp).step()\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    assert _scipy(added) == []
+    assert _scipy(added) == [] and _numpy_ma(added) == []
 
 
 def test_only_a_grid_past_the_table_loads_scipy_special():
@@ -99,15 +106,27 @@ def test_only_a_grid_past_the_table_loads_scipy_special():
     assert "scipy.special" in loaded[1]
 
 
-def test_help_serve_and_run_xgyro_load_no_scipy_module(tmp_path):
+def test_help_serve_run_xgyro_and_the_oracle_load_no_scipy_or_numpy_ma(tmp_path):
     from repro.cgyro.presets import small_test
     from repro.xgyro.input import write_ensemble
 
     members = [small_test(dlntdr=(g, g), name=f"m{g:g}") for g in (2.0, 3.0)]
     write_ensemble(members, tmp_path / "ensemble")
     assert _scipy(_cli_modules(["--help"])) == []
-    assert _scipy(_cli_modules(["serve", "--smoke"], tmp_path)) == []
-    assert _scipy(_cli_modules(["run-xgyro", "ensemble/input.xgyro", "--nodes", "1"], tmp_path)) == []
+    for loaded in (
+        _cli_modules(["serve", "--smoke"], tmp_path),
+        _cli_modules(["run-xgyro", "ensemble/input.xgyro", "--nodes", "1"], tmp_path),
+        _modules_after(
+            "import json, sys\n"
+            "from repro.cgyro.presets import small_test\n"
+            "from repro.check.oracle import differential_oracle\n"
+            "from repro.machine.presets import generic_cluster\n"
+            "members = [small_test(dlntdr=(g, g), name=str(g)) for g in (2.0, 3.0)]\n"
+            "assert differential_oracle(members, generic_cluster(n_nodes=2)).ok\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        ),
+    ):
+        assert _scipy(loaded) == [] and _numpy_ma(loaded) == []
 
 
 def test_import_repro_loads_only_the_version():

@@ -83,6 +83,37 @@ class TestApplyPropagator:
                     out[:, :, a:b], apply_propagator(cmat[:, a:b], h[:, :, a:b])
                 )
 
+    @given(shape=shapes, k=st.integers(1, 8), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_a_member_axis_is_bit_equal_to_one_call_per_member(self, shape, k, seed):
+        n_ic, n_modes, nv = shape
+        rng = np.random.default_rng(seed)
+        cmat = rng.normal(size=(n_ic, n_modes, nv, nv))
+        stacked = _complex(rng, (n_ic, k, nv, n_modes))
+        out = apply_propagator(cmat, stacked)
+        assert out.shape == stacked.shape and out.dtype == np.complex128
+        for m in range(k):
+            member = np.ascontiguousarray(stacked[:, m])
+            assert np.array_equal(out[:, m], apply_propagator(cmat, member))
+        # a strided stack reads the same bits
+        wide = np.zeros((n_ic, k, nv, 2 * n_modes), complex)
+        wide[..., ::2] = stacked
+        assert np.array_equal(apply_propagator(cmat, wide[..., ::2]), out)
+
+    def test_a_member_axis_broadcasts_every_tile_of_a_window(self):
+        # a window's tiles share blocks between rows (stride 0 or +-1 key)
+        op = _operator()
+        window = CmatPropagator(op, dt=0.05).build(range(op.dims.nc), [3, 1, 2])
+        assert len(window.tiles) > 1
+        rng = np.random.default_rng(5)
+        stacked = _complex(rng, (op.dims.nc, 4, op.dims.nv, 3))
+        out = apply_propagator(window, stacked)
+        for m in range(4):
+            want = apply_propagator(np.asarray(window), np.ascontiguousarray(stacked[:, m]))
+            assert np.array_equal(out[:, m], want)
+        with pytest.raises(InputError, match="incompatible"):
+            apply_propagator(window, stacked[:, :, None])
+
     def test_non_contiguous_operands(self):
         # the shapes the XGYRO coll step hands over: a row range of a
         # shard against a concatenation of AllToAll receive blocks, and
@@ -138,7 +169,7 @@ class TestVelocityMoments:
         h = _complex(np.random.default_rng(seed), (nc, len(iv), len(nt)))
         out = fs.partial_moments(h, iv, nt)
         assert out.shape == (3 if beta_e else 2, nc, len(nt))
-        weights = [fs.field_weight, fs.upwind_weight, fs.current_weight][: len(out)]
+        weights = [rows.T for rows in fs.moment_weights]
         _close(out, _moments_reference([w.T for w in weights], h, iv, nt))
         # one configuration point's moments do not depend on the others
         for c in range(nc):

@@ -11,8 +11,10 @@ kept here as the reference.
 
 from __future__ import annotations
 
+import collections
 import gc
 import weakref
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,10 @@ import pytest
 import repro
 from repro.errors import InputError
 from repro.cgyro.presets import small_test
-from repro.cgyro.solver import CgyroSimulation
+from repro.cgyro.params import CgyroInput
+from repro.cgyro.solver import INPUT_TABLES_KEPT, CgyroSimulation, _input_tables
+from repro.collision.operator import CollisionOperator
+from repro.collision.params import DEFAULT_SPECIES
 from repro.cgyro.fields import FieldSolver
 from repro.cgyro.nonlinear import toroidal_bracket
 from repro.cgyro.streaming import StreamingOperator
@@ -291,6 +296,7 @@ class TestChunkedMoments:
 
 class TestPreparedOnce:
     def test_each_distinct_set_is_prepared_once_over_twelve_steps(self, monkeypatch):
+        _input_tables.cache_clear()  # an earlier test may have prepared them
         built = {"streaming": [], "fields": []}
         for cls, name, tag in (
             (StreamingOperator, "_prepare", "streaming"),
@@ -314,6 +320,127 @@ class TestPreparedOnce:
         # gathered once
         sets = built["fields"]
         assert len(sets) == len(set(sets)) == sim.decomp.n_proc_1
+
+
+def _counting_builds(monkeypatch) -> collections.Counter:
+    """Constructions of each per-input table while the test runs."""
+    built = collections.Counter()
+    for cls in (FieldSolver, StreamingOperator, CollisionOperator):
+
+        def counting(self, *args, real=cls.__init__, name=cls.__name__):
+            built[name] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    real_build = ConfigGrid.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        built["ConfigGrid"] += 1
+        return real_build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ConfigGrid, "build", classmethod(counting_build))
+    return built
+
+
+def _input_objects(sim) -> tuple:
+    return sim.cgrid, sim.fields, sim.streaming, sim.collision_operator
+
+
+#: one valid change to each field of CgyroInput but ``name``
+_FIELD_CHANGES = {
+    "n_radial": dict(n_radial=2),
+    "n_theta": dict(n_theta=2),
+    "n_energy": dict(n_energy=3),
+    "n_xi": dict(n_xi=2),
+    "n_species": dict(n_species=1, species=DEFAULT_SPECIES[:1], dlnndr=(1.0,), dlntdr=(3.0,)),
+    "n_toroidal": dict(n_toroidal=2),
+    "nu": dict(nu=0.2),
+    "energy_diff_coeff": dict(energy_diff_coeff=0.25),
+    "flr_coeff": dict(flr_coeff=0.02),
+    "nu_profile_eps": dict(nu_profile_eps=0.3),
+    "conserve_momentum": dict(conserve_momentum=False),
+    "conserve_energy": dict(conserve_energy=True),
+    "species": dict(species=(replace(DEFAULT_SPECIES[0], temp=1.5),) + DEFAULT_SPECIES[1:2]),
+    "delta_t": dict(delta_t=0.01),
+    "dlnndr": dict(dlnndr=(2.0, 2.0)),
+    "dlntdr": dict(dlntdr=(2.0, 2.0)),
+    "gamma_e": dict(gamma_e=0.1),
+    "nonadiabatic_delta": dict(nonadiabatic_delta=0.1),
+    "k_theta_rho": dict(k_theta_rho=0.4),
+    "drift_r_coeff": dict(drift_r_coeff=0.5),
+    "beta_e": dict(beta_e=0.01),
+    "drift_coeff": dict(drift_coeff=0.25),
+    "upwind_coeff": dict(upwind_coeff=0.25),
+    "upwind_field_coeff": dict(upwind_field_coeff=0.04),
+    "nl_coeff": dict(nl_coeff=0.5),
+    "lambda_debye": dict(lambda_debye=2.0),
+    "box_length": dict(box_length=2.0),
+    "nonlinear": dict(nonlinear=True),
+    "steps_per_report": dict(steps_per_report=3),
+    "amp": dict(amp=2e-3),
+    "seed": dict(seed=2),
+}
+
+
+def _solo(inp) -> CgyroSimulation:
+    return CgyroSimulation(VirtualWorld(single_node(ranks=1)), [0], inp)
+
+
+class TestInputTables:
+    """A simulation takes its config grid, field solver, streaming
+    operator and collision operator from a per-process memo keyed by its
+    input with ``name`` cleared; everything else stays per job."""
+
+    def test_a_sweep_and_a_second_ensemble_build_each_table_once(self, monkeypatch):
+        _input_tables.cache_clear()
+        built = _counting_builds(monkeypatch)
+        base = small_test(nonlinear=True)
+        inputs = [base.with_updates(dlntdr=(g, g), name=f"m{g:g}") for g in (2.0, 3.0, 4.0)]
+        first = XgyroEnsemble(VirtualWorld(single_node(ranks=12)), inputs)
+        second = XgyroEnsemble(VirtualWorld(single_node(ranks=12)), inputs)
+        first.step()
+        second.step()
+        assert built == dict.fromkeys(
+            ("ConfigGrid", "FieldSolver", "StreamingOperator", "CollisionOperator"), 3
+        )
+        for a, b in zip(first.members, second.members):
+            assert all(x is y for x, y in zip(_input_objects(a), _input_objects(b)))
+            shared = [v for t in _input_objects(a)[:3] for v in vars(t).values()]
+            assert not any(v.flags.writeable for v in shared if isinstance(v, np.ndarray))
+            # the state and everything bound to a world stays the job's own
+            assert a.h_global is not b.h_global and a.comm_sim is not b.comm_sim
+            assert np.array_equal(a.h_global, b.h_global)
+        assert first.scheme._prop is not second.scheme._prop
+        assert first.scheme._cmat[0] is not second.scheme._cmat[0]
+
+    def test_only_a_change_of_name_shares_the_tables(self):
+        base = small_test()
+        named = XgyroEnsemble(
+            VirtualWorld(single_node(ranks=8)),
+            [base.with_updates(name="a"), base.with_updates(name="b")],
+        )
+        a, b = named.members
+        assert all(x is y for x, y in zip(_input_objects(a), _input_objects(b)))
+        assert (a.inp.name, b.inp.name) == ("a", "b")
+        assert set(_FIELD_CHANGES) == {f.name for f in fields(CgyroInput)} - {"name"}
+        reference = _input_objects(_solo(base))
+        for name, change in _FIELD_CHANGES.items():
+            other = _input_objects(_solo(base.with_updates(**change)))
+            assert not any(x is y for x, y in zip(reference, other)), name
+
+    def test_past_its_size_the_memo_drops_the_oldest_entry(self):
+        _input_tables.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            oldest = weakref.ref(_solo(small_test(gamma_e=0.0)).fields)
+            for i in range(1, INPUT_TABLES_KEPT):
+                _solo(small_test(gamma_e=0.01 * i))
+            assert oldest() is not None  # full, and nothing else holds it
+            _solo(small_test(gamma_e=0.5))
+            assert oldest() is None
+        finally:
+            gc.enable()
 
 
 class TestSharedDriftTable:
